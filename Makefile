@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-all bench-gate docs e14 e15 e16 e17
+.PHONY: check build vet test race bench bench-all bench-gate bench-e2e docs e14 e15 e16 e17
 
 # The full gate: compile everything, check docs and formatting, vet, run the
 # test suite under the race detector (the attempt scheduler and fault tests
@@ -37,11 +37,13 @@ e16:
 e17:
 	@sh scripts/e17_smoke.sh
 
-# The docs gate CI runs: gofmt-clean tree and a package doc comment on
-# every package.
+# The docs gate CI runs: gofmt-clean tree, a package doc comment on every
+# package, and one-way layering (nothing a query runs through imports
+# internal/experiments).
 docs:
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo 'gofmt needed'; exit 1; }
 	@sh scripts/check_pkgdocs.sh
+	@sh scripts/check_layering.sh
 	@echo docs gate OK
 
 build:
@@ -83,6 +85,20 @@ bench-gate:
 		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -min-mbps-ratio 0.25 > /dev/null
 	$(GO) test -run 'TestCombinedShuffleGateAgg' -count=1 ./internal/experiments/ > /dev/null
 	@echo bench gate OK
+
+# The end-to-end benchmark (bench/README.md): every workload BENCHMARK.json
+# declares, three seconds each, no per-layer trace. Each run exits non-zero
+# unless every query reproduced the verified warm-up's sha and shuffle
+# bytes, so this is a does-it-still-run-and-reproduce check; a performance
+# claim needs the paired-run rule in bench/README.md, not one pass of this.
+E2E_WORKLOADS = oneshot-baseline oneshot-transform oneshot-agg max-combine-tcp cluster3 serve-cold serve-warm
+
+bench-e2e:
+	@for w in $(E2E_WORKLOADS); do \
+		echo "== $$w"; \
+		$(GO) run ./bench -workload $$w -seconds 3 -trace 0 || exit 1; \
+	done
+	@echo bench e2e OK
 
 # All benchmarks, raw text output.
 bench-all:

@@ -89,13 +89,20 @@ func main() {
 	par := flag.Int("par", 0, "concurrent task attempts (0 = sequential; cluster modes default to 2x worker count)")
 	flag.Parse()
 
+	if *combine && *combineNodes == 0 && *clusterN > 0 {
+		// One combine buffer per worker process: each worker's map attempts
+		// pool in its own node group, the cluster analog of a per-node
+		// buffer shared by all of a node's mappers.
+		*combineNodes = *clusterN
+	}
 	// Validate every flag before any job machinery is touched, so a typo'd
 	// transport or malformed fault schedule fails in milliseconds with a
 	// clear message instead of surfacing mid-job. The query-shaping flags
 	// all validate through queryd.QuerySpec.Validate — the same check every
 	// other execution path (resident service, cluster worker rebuilding a
 	// wire spec) applies, so a bad combination rejects with identical error
-	// text no matter how the query arrives.
+	// text no matter how the query arrives — and the one-shot run below
+	// builds its job from the same spec through spec.Setup.
 	spec := queryd.QuerySpec{
 		Side:         *side,
 		Strategy:     *stratName,
@@ -112,10 +119,6 @@ func main() {
 		Faults:       *faultSpec,
 		Tenant:       *tenant,
 	}
-	strat, err := parseStrategy(*stratName, *codecName, *curve, *flush)
-	if err != nil {
-		fatal(err)
-	}
 	if err := validateCodecWorkers(*codecWorkers, *stratName, *codecName); err != nil {
 		fatal(err)
 	}
@@ -126,13 +129,6 @@ func main() {
 	case mapreduce.ShuffleMem, mapreduce.ShuffleNet, mapreduce.ShuffleTCP:
 	default:
 		fatal(fmt.Errorf("unknown -shuffle transport %q (want mem, net, or tcp)", *shuffle))
-	}
-	var inj *faults.Injector
-	if *faultSpec != "" {
-		inj, err = faults.NewFromSpec(*faultSpec)
-		if err != nil {
-			fatal(fmt.Errorf("invalid -faults schedule: %w", err))
-		}
 	}
 	modes := 0
 	for _, on := range []bool{*coordAddr != "", *workerAddr != "", *driverAddr != "", *clusterN != 0,
@@ -151,12 +147,6 @@ func main() {
 		fatal(fmt.Errorf("-journal belongs to the coordinator; use it with -coordinator or -cluster"))
 	}
 	clusterMode := *driverAddr != "" || *clusterN > 0
-	if *combine && *combineNodes == 0 && *clusterN > 0 {
-		// One combine buffer per worker process: each worker's map attempts
-		// pool in its own node group, the cluster analog of a per-node
-		// buffer shared by all of a node's mappers.
-		*combineNodes = *clusterN
-	}
 	if (clusterMode || *coordAddr != "" || *workerAddr != "") && *shuffle != mapreduce.ShuffleMem {
 		fatal(fmt.Errorf("cluster modes use the in-memory shuffle; -shuffle %s runs single-process only", *shuffle))
 	}
@@ -185,6 +175,12 @@ func main() {
 		return
 	}
 	if *coordAddr != "" {
+		// The daemon owns the proc fault site; Validate already parsed the
+		// schedule once, so this cannot fail.
+		inj, err := faults.NewFromSpec(*faultSpec)
+		if err != nil {
+			fatal(err)
+		}
 		runCoordinatorMode(coordinatorConfig{
 			addr:      *coordAddr,
 			journal:   *journalPath,
@@ -197,21 +193,13 @@ func main() {
 		return
 	}
 
-	fs, qcfg, err := experiments.MedianSetup(*side)
+	// The query itself comes from the spec, exactly as the service, the
+	// cluster workers and the benchmark build it; only the run-time fields
+	// — scheduling, transport, observability — are layered on top.
+	fs, qcfg, strat, err := spec.Setup()
 	if err != nil {
 		fatal(err)
 	}
-	qcfg.NumSplits = *splits
-	qcfg.NumReducers = *reducers
-	qcfg.Radius = *radius
-	if *op == "max" {
-		qcfg.Op = scihadoop.Max
-	}
-	qcfg.Combine = *combine
-	qcfg.CombineNodes = *combineNodes
-	qcfg.OutputPath = "/out/scijob"
-	qcfg.CodecWorkers = *codecWorkers
-	qcfg.Faults = inj
 	qcfg.Retry = mapreducePolicy(*retries, *backoff, *speculate)
 	qcfg.Timeout = *timeout
 	qcfg.Parallelism = *par
@@ -378,14 +366,6 @@ func main() {
 		<-ch
 		dbg.Close()
 	}
-}
-
-// parseStrategy maps the flag spelling of a strategy to core's terms via
-// the shared queryd parser — the worker process and the resident service
-// re-parse the same spelling out of the wire spec, so every front end
-// builds identical jobs.
-func parseStrategy(name, codecName, curve string, flush int) (core.Strategy, error) {
-	return queryd.ParseStrategy(name, codecName, curve, flush)
 }
 
 // validateCodecWorkers rejects a -codec-workers the job would ignore or

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"reflect"
 	"testing"
 
 	"scikey/internal/core"
@@ -75,5 +76,86 @@ func TestValidSpecPassesBothPaths(t *testing.T) {
 	}
 	if _, err := core.BuildJob(fs, qcfg, strat); err != nil {
 		t.Fatalf("BuildJob rejected a good spec: %v", err)
+	}
+}
+
+// TestSetupHonoursEverySpecField is TestValidationParity's sibling for the
+// build side. Every front end — the one-shot CLI, the resident service, the
+// cluster workers, the benchmark — builds its query through
+// QuerySpec.Setup and layers only run-time fields on top, so a spec field
+// can be dropped in exactly one place: Setup itself. For each field this
+// perturbs one value (on a base where the field is meaningful) and requires
+// the filesystem-independent part of Setup's result to change. The loop is
+// driven by reflection: a field added to QuerySpec later fails here until it
+// gets a case showing Setup honours it, or an exemption with its reason.
+func TestSetupHonoursEverySpecField(t *testing.T) {
+	type spec = queryd.QuerySpec
+	both := func(common func(*spec), changed func(*spec)) func(base, s *spec) {
+		return func(base, s *spec) {
+			if common != nil {
+				common(base)
+				common(s)
+			}
+			changed(s)
+		}
+	}
+	agg := func(s *spec) { s.Strategy = "aggregation" }
+	perturb := map[string]func(base, s *spec){
+		"Side":     both(nil, func(s *spec) { s.Side = 32 }),
+		"Strategy": both(nil, func(s *spec) { s.Strategy = "boxes" }),
+		"Codec":    both(func(s *spec) { s.Strategy = "transform" }, func(s *spec) { s.Codec = "gzip" }),
+		"CodecWorkers": both(func(s *spec) { s.Strategy, s.Codec = "transform", "block+zlib" },
+			func(s *spec) { s.CodecWorkers = 2 }),
+		"Curve":   both(agg, func(s *spec) { s.Curve = "hilbert" }),
+		"Flush":   both(agg, func(s *spec) { s.Flush = 64 }),
+		"Op":      both(nil, func(s *spec) { s.Op = "max" }),
+		"Combine": both(func(s *spec) { s.Op = "max" }, func(s *spec) { s.Combine = true }),
+		"CombineNodes": both(func(s *spec) { s.Op, s.Combine = "max", true },
+			func(s *spec) { s.CombineNodes = 2 }),
+		"Radius":   both(nil, func(s *spec) { s.Radius = 2 }),
+		"Splits":   both(nil, func(s *spec) { s.Splits = 3 }),
+		"Reducers": both(nil, func(s *spec) { s.Reducers = 3 }),
+		"Faults":   both(nil, func(s *spec) { s.Faults = "map:0:error@0" }),
+		// Tenant is quota accounting only; it must never shape the job (the
+		// segment cache is shared across tenants on that promise).
+		"Tenant": nil,
+	}
+	// built is what Setup decides, minus what differs between any two calls
+	// (the fresh filesystem, the injector's identity).
+	type built struct {
+		qcfg      any
+		strat     core.Strategy
+		hasFaults bool
+	}
+	setup := func(s spec) built {
+		t.Helper()
+		if err := s.Validate(); err != nil {
+			t.Fatalf("case uses an invalid spec %+v: %v", s, err)
+		}
+		_, qcfg, strat, err := s.Setup()
+		if err != nil {
+			t.Fatalf("Setup(%+v): %v", s, err)
+		}
+		b := built{strat: strat, hasFaults: qcfg.Faults != nil}
+		qcfg.Faults = nil
+		b.qcfg = qcfg
+		return b
+	}
+	typ := reflect.TypeOf(spec{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		mut, ok := perturb[name]
+		if !ok {
+			t.Errorf("QuerySpec.%s has no case: show that Setup honours it, or exempt it with the reason", name)
+			continue
+		}
+		if mut == nil {
+			continue
+		}
+		base, changed := goodSpec(), goodSpec()
+		mut(&base, &changed)
+		if reflect.DeepEqual(setup(base), setup(changed)) {
+			t.Errorf("Setup drops QuerySpec.%s: %+v and %+v build the same query", name, base, changed)
+		}
 	}
 }

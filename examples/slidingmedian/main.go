@@ -18,7 +18,7 @@ import (
 
 func main() {
 	const side = 96
-	fs, qcfg, err := experiments.MedianSetup(side)
+	fs, qcfg, err := scihadoop.MedianSetup(side)
 	if err != nil {
 		log.Fatal(err)
 	}

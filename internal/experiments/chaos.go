@@ -10,6 +10,7 @@ import (
 	"scikey/internal/hdfs"
 	"scikey/internal/mapreduce"
 	"scikey/internal/obs"
+	"scikey/internal/scihadoop"
 )
 
 // E13Schedules are the chaos-soak fault schedules: each exercises a
@@ -62,7 +63,7 @@ type E13Result struct {
 func E13ChaosSoak(side int, ob *obs.Observer) (E13Result, error) {
 	clus := cluster.Paper()
 	run := func(outPath, schedule string, sc *mapreduce.ShuffleConfig) (*core.Report, *hdfs.FileSystem, error) {
-		fs, qcfg, err := MedianSetup(side)
+		fs, qcfg, err := scihadoop.MedianSetup(side)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -54,7 +54,7 @@ type E16Result struct {
 // lets the simple-key workload — whose per-task duplicates the map-side
 // combiner already folds — meet its cross-task halo duplicates.
 func E16InNodeCombining(side int, ob *obs.Observer) (E16Result, error) {
-	fs, qcfg, err := MedianSetup(side)
+	fs, qcfg, err := scihadoop.MedianSetup(side)
 	if err != nil {
 		return E16Result{}, err
 	}

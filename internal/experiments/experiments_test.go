@@ -537,7 +537,7 @@ func TestE16InNodeCombining(t *testing.T) {
 // byte-identical. A regression that makes combining inflate or corrupt the
 // shuffle fails CI here.
 func TestCombinedShuffleGateAgg(t *testing.T) {
-	fs, qcfg, err := MedianSetup(40)
+	fs, qcfg, err := scihadoop.MedianSetup(40)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ type E10Row struct {
 // non-nil every geometry's job traces into it (one job span per scheme);
 // nil disables observability.
 func E10AggregationGeometries(side int, ob *obs.Observer) ([]E10Row, error) {
-	fs, qcfg, err := MedianSetup(side)
+	fs, qcfg, err := scihadoop.MedianSetup(side)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +118,7 @@ type A5Result struct {
 // A5SplitInflation measures the split-driven key-count inflation of the
 // sliding-median job and the recovery from reduce-side re-aggregation.
 func A5SplitInflation(side int) (A5Result, error) {
-	fs, qcfg, err := MedianSetup(side)
+	fs, qcfg, err := scihadoop.MedianSetup(side)
 	if err != nil {
 		return A5Result{}, err
 	}
@@ -304,7 +304,7 @@ type A8Row struct {
 // multiplied by multi-pass merges; aggregation shrinks both the bytes and
 // the number of passes.
 func A8SortPhases(side int) ([]A8Row, error) {
-	fs, qcfg, err := MedianSetup(side)
+	fs, qcfg, err := scihadoop.MedianSetup(side)
 	if err != nil {
 		return nil, err
 	}

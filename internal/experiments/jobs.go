@@ -5,32 +5,12 @@ import (
 	"scikey/internal/cluster"
 	"scikey/internal/core"
 	"scikey/internal/grid"
-	"scikey/internal/hdfs"
 	"scikey/internal/ifile"
 	"scikey/internal/keys"
 	"scikey/internal/scihadoop"
 	"scikey/internal/serial"
 	"scikey/internal/workload"
 )
-
-// MedianSetup materializes a windspeed1 field of side x side cells on a
-// fresh simulated HDFS, mirroring the paper's sliding-median evaluation
-// input (scaled from their 8000-class grid to laptop size).
-func MedianSetup(side int) (*hdfs.FileSystem, scihadoop.QueryConfig, error) {
-	extent := grid.NewBox(grid.Coord{0, 0}, []int{side, side})
-	fs := hdfs.New(64<<20, 3, []string{"node0", "node1", "node2", "node3", "node4"})
-	ds := scihadoop.Dataset{
-		Path:   "/data/windspeed1.arr",
-		Var:    keys.VarRef{Name: "windspeed1"},
-		Extent: extent,
-	}
-	field := &workload.Field{Extent: extent, Name: ds.Var.Name}
-	if err := scihadoop.Store(fs, ds, field); err != nil {
-		return nil, scihadoop.QueryConfig{}, err
-	}
-	// The paper's job shape: 10 map slots worth of splits, 5 reducers.
-	return fs, scihadoop.QueryConfig{DS: ds, NumSplits: 10, NumReducers: 5}, nil
-}
 
 // StrategyComparison is the shared E6/E8 result: a strategy versus the
 // uncompressed baseline on the sliding-median query.
@@ -46,7 +26,7 @@ type StrategyComparison struct {
 }
 
 func compareStrategies(side int, variant core.Strategy) (StrategyComparison, error) {
-	fs, qcfg, err := MedianSetup(side)
+	fs, qcfg, err := scihadoop.MedianSetup(side)
 	if err != nil {
 		return StrategyComparison{}, err
 	}

@@ -10,6 +10,7 @@ import (
 	"scikey/internal/faults"
 	"scikey/internal/hdfs"
 	"scikey/internal/mapreduce"
+	"scikey/internal/scihadoop"
 )
 
 // E12Schedule is the default chaos schedule for E12: kill map task 1's first
@@ -40,7 +41,7 @@ type E12Result struct {
 func E12FaultRecovery(side int) (E12Result, error) {
 	clus := cluster.Paper()
 	run := func(outPath, spec string) (*core.Report, *hdfs.FileSystem, error) {
-		fs, qcfg, err := MedianSetup(side)
+		fs, qcfg, err := scihadoop.MedianSetup(side)
 		if err != nil {
 			return nil, nil, err
 		}

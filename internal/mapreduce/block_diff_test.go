@@ -9,7 +9,7 @@ import (
 
 // TestBlockCodecDifferential proves the parallel block codec is invisible to
 // the engine: for every pipeline width the job's output files and payload
-// counters are byte-identical to the materialized reference path — across
+// counters are byte-identical to the materialized test oracle — across
 // shuffle transports and under fault schedules that force retries, segment
 // corruption, and codec errors. The framing is position-determined, so
 // widths 1 (sequential in-line), 2, and 4 must all produce the same
@@ -48,12 +48,12 @@ func TestBlockCodecDifferential(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			ref := diffCase{name: v.name, codec: blockCodec(1), shuffle: v.shuffle,
 				spec: v.spec, policy: v.policy, parallel: v.parallel}
-			refOuts, refCounters := runDiff(t, ref, true)
+			refOuts, refCounters := refDiff(t, ref)
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 					dc := ref
 					dc.codec = blockCodec(workers)
-					outs, counters := runDiff(t, dc, false)
+					outs, counters := runDiff(t, dc)
 					if len(outs) != len(refOuts) {
 						t.Fatalf("partition counts differ: reference %d, workers=%d %d",
 							len(refOuts), workers, len(outs))

@@ -111,7 +111,7 @@ func (s *MapPhaseSnapshot) Bytes() int64 {
 }
 
 // restoreSegments converts the snapshot's published view back into engine
-// segments, ready for mapOutputs.
+// segments, one row per map task, ready to install.
 func (s *MapPhaseSnapshot) restoreSegments() [][]segment {
 	outs := make([][]segment, len(s.Segments))
 	for i, row := range s.Segments {
@@ -129,14 +129,16 @@ func (s *MapPhaseSnapshot) restoreSegments() [][]segment {
 }
 
 // snapshotMapPhase captures a finished run's published map state for the
-// cache: mapOutputs is the published (post-combine) view, tasks the winning
+// cache: pub is the published (post-combine) view, tasks the winning
 // attempts, nb the combine buffer when the job combined. Segment bytes are
 // copied, so the snapshot stays valid after the job's memory is reused.
-func snapshotMapPhase(job *Job, tasks []*mapTask, mapOutputs [][]segment, nb *NodeBuffer) (*MapPhaseSnapshot, error) {
+func snapshotMapPhase(job *Job, tasks []*mapTask, pub *publishedRows, nb *NodeBuffer) (*MapPhaseSnapshot, error) {
 	n := len(tasks)
+	pub.mu.Lock()
+	defer pub.mu.Unlock()
 	snap := &MapPhaseSnapshot{
 		Segments:    make([][]SegmentSnapshot, n),
-		Attempts:    make([]int, n),
+		Attempts:    append([]int(nil), pub.attempts...),
 		Footprints:  make([]cluster.Task, n),
 		InputBytes:  make([]int64, n),
 		Hosts:       make([][]string, n),
@@ -148,7 +150,7 @@ func snapshotMapPhase(job *Job, tasks []*mapTask, mapOutputs [][]segment, nb *No
 		if t == nil {
 			return nil, fmt.Errorf("mapreduce: job %q: map task %d has no committed attempt to snapshot", job.Name, i)
 		}
-		row := mapOutputs[i]
+		row := pub.rows[i]
 		snap.Segments[i] = make([]SegmentSnapshot, len(row))
 		for p, seg := range row {
 			snap.Segments[i][p] = SegmentSnapshot{
@@ -157,11 +159,6 @@ func snapshotMapPhase(job *Job, tasks []*mapTask, mapOutputs [][]segment, nb *No
 				Src:     seg.src,
 				Attempt: seg.attempt,
 			}
-		}
-		if nb != nil {
-			_, snap.Attempts[i] = nb.row(i)
-		} else {
-			snap.Attempts[i] = t.attempt
 		}
 		snap.Footprints[i] = t.footprint
 		snap.InputBytes[i] = t.ctx.inputBytes

@@ -107,7 +107,7 @@ func TestMapCacheDifferential(t *testing.T) {
 		mut  func(job *Job)
 	}{
 		{"plain", func(job *Job) {}},
-		{"map_side_combiner", func(job *Job) { job.NewCombiner = job.NewReducer }},
+		{"map_side_combiner", func(job *Job) { job.MapCombiner = SumInt32 }},
 		{"in_node_combine", func(job *Job) {
 			job.Combine = &CombineConfig{Combiner: SumInt32, Nodes: 2}
 		}},

@@ -1,19 +1,20 @@
 package mapreduce
 
-// In-node combining ("In-node Combiners", arXiv:1511.04861): instead of
-// combining only inside each map task, committed map outputs are pooled per
-// node group and merged once more — with the value monoid — before anything
-// crosses the shuffle. The algebraic contract making that safe is the
-// monoid ("Monoidify!", arXiv:1304.7544): an associative merge with an
-// identity can be applied per task, per node, or not at all, and the reduce
-// output is the same bytes either way. DESIGN.md "Combiner algebra" is the
+// One combiner contract, two levels. The contract is the monoid
+// ("Monoidify!", arXiv:1304.7544): an associative merge with an identity can
+// be applied per spill, per node, or not at all, and the reduce output is
+// the same bytes either way. The spill level (Job.MapCombiner) folds each
+// sorted spill buffer inside a map task; the node level (Job.Combine,
+// "In-node Combiners", arXiv:1511.04861) pools committed map outputs per
+// node group and folds them once more before anything crosses the shuffle.
+// Both run the same combineStream. DESIGN.md "Combiner algebra" is the
 // authoritative spec for the laws, the MergeCut/cluster-boundary
-// interaction, and the byte-identity argument.
+// interaction, the byte-identity argument, and why the levels are switched
+// separately.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -39,27 +40,15 @@ type Monoid interface {
 	Merge(a, b []byte) ([]byte, error)
 }
 
-// Combiner is a named Monoid. The name is the wire form: job specs carry it
-// across process boundaries and CombinerByName resolves it back, so a
-// cluster worker and the driver agree on the exact merge semantics.
-type Combiner interface {
-	Monoid
-	// Name identifies the combiner in job specs and diagnostics.
-	Name() string
-}
-
 // laneCombiner folds equal-length values lane by lane, each lane a
 // big-endian int32 — the element encoding every scihadoop value uses (one
 // lane for simple keys, Range.Len()/NumCells lanes for aggregate and box
 // keys). Values for equal keys always carry the same lane count, so a
 // length mismatch is a corruption-grade error, not a valid merge.
 type laneCombiner struct {
-	name string
+	name string // for merge-error diagnostics
 	fold func(a, b int32) int32
 }
-
-// Name implements Combiner.
-func (l *laneCombiner) Name() string { return l.name }
 
 // Identity implements Monoid: nil merges with any lane width.
 func (l *laneCombiner) Identity() []byte { return nil }
@@ -90,57 +79,25 @@ func (l *laneCombiner) Merge(a, b []byte) ([]byte, error) {
 // combiner can shrink a holistic query's intermediate data, only key/value
 // encoding can.
 var (
-	// MaxInt32 keeps the lane-wise maximum ("max32").
-	MaxInt32 Combiner = &laneCombiner{name: "max32", fold: func(a, b int32) int32 {
+	// MaxInt32 keeps the lane-wise maximum.
+	MaxInt32 Monoid = &laneCombiner{name: "max32", fold: func(a, b int32) int32 {
 		if a > b {
 			return a
 		}
 		return b
 	}}
-	// MinInt32 keeps the lane-wise minimum ("min32").
-	MinInt32 Combiner = &laneCombiner{name: "min32", fold: func(a, b int32) int32 {
+	// MinInt32 keeps the lane-wise minimum.
+	MinInt32 Monoid = &laneCombiner{name: "min32", fold: func(a, b int32) int32 {
 		if a < b {
 			return a
 		}
 		return b
 	}}
-	// SumInt32 adds lanes with wrap-around ("sum32").
-	SumInt32 Combiner = &laneCombiner{name: "sum32", fold: func(a, b int32) int32 {
+	// SumInt32 adds lanes with wrap-around.
+	SumInt32 Monoid = &laneCombiner{name: "sum32", fold: func(a, b int32) int32 {
 		return a + b
 	}}
 )
-
-// builtinCombiners indexes the built-ins by wire name.
-var builtinCombiners = map[string]Combiner{
-	MaxInt32.Name(): MaxInt32,
-	MinInt32.Name(): MinInt32,
-	SumInt32.Name(): SumInt32,
-}
-
-// CombinerByName resolves a combiner wire name (see Combiner.Name) to its
-// implementation — how a job spec's combine setting is rebuilt in a worker
-// process.
-func CombinerByName(name string) (Combiner, error) {
-	if c, ok := builtinCombiners[name]; ok {
-		return c, nil
-	}
-	return nil, fmt.Errorf("mapreduce: unknown combiner %q", name)
-}
-
-// BuiltinCombiners returns every built-in combiner, sorted by name — the
-// enumeration the combiner-law property tests range over.
-func BuiltinCombiners() []Combiner {
-	names := make([]string, 0, len(builtinCombiners))
-	for n := range builtinCombiners {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]Combiner, len(names))
-	for i, n := range names {
-		out[i] = builtinCombiners[n]
-	}
-	return out
-}
 
 // CombineConfig enables in-node combining on a Job: after the map phase
 // commits, the engine groups map tasks into node groups (task t joins group
@@ -159,7 +116,7 @@ func BuiltinCombiners() []Combiner {
 // not set Combine at all.
 type CombineConfig struct {
 	// Combiner is the value monoid. Required.
-	Combiner Combiner
+	Combiner Monoid
 	// Nodes is the node-group count: how many per-node combine buffers the
 	// run simulates. 0 means one group per shuffle node for networked
 	// shuffles (mirroring shufflenet's placement), otherwise a single
@@ -198,15 +155,14 @@ func (j *Job) combineGroupCount() int {
 //
 // Concurrency contract: all methods are safe for concurrent use; a single
 // mutex serializes them. feed is called by committing map attempts (and by
-// recovery re-executions) and only records the new output, marking the
-// task's group dirty — it never blocks on a merge. combine(g) does the
-// heavy work under the same lock, so feeds arriving mid-combine wait and
-// then re-dirty the group; the engine re-runs combine(g) after any member
-// re-execution, so a published combined segment always reflects the
-// committed attempts of every member. The raw member segments stay in the
-// buffer as the durable source of truth: corruption found while combining
-// names the true producing attempt (and the engine re-runs it), while
-// corruption of a published combined segment names the group's
+// recovery re-executions) and only records the new output — it never blocks
+// on a merge. combine(g) does the heavy work under the same lock and returns
+// the group's rows for the engine to publish; the engine re-runs combine(g)
+// after any member re-execution, so a published combined segment always
+// reflects the committed attempts of every member. The raw member segments
+// stay in the buffer as the durable source of truth: corruption found while
+// combining names the true producing attempt (and the engine re-runs it),
+// while corruption of a published combined segment names the group's
 // representative task, whose re-execution re-feeds and re-combines.
 type NodeBuffer struct {
 	job    *Job
@@ -214,8 +170,6 @@ type NodeBuffer struct {
 
 	mu    sync.Mutex
 	raw   []nodeInput // per map task: freshest committed finals
-	rows  [][]segment // per map task: the published (combined) view
-	dirty []bool      // per group: raw changed since last combine
 	stats []nodeStats // per group: last combine's record/byte accounting
 }
 
@@ -223,7 +177,13 @@ type NodeBuffer struct {
 type nodeInput struct {
 	attempt int
 	finals  []segment
-	ok      bool
+}
+
+// nodeRow is one member task's share of its group's combined view: what the
+// engine publishes for the task, and the attempt to publish it under.
+type nodeRow struct {
+	task, attempt int
+	row           []segment
 }
 
 // nodeStats accounts one group's most recent combine. Recombines after a
@@ -240,13 +200,11 @@ func newNodeBuffer(job *Job) *NodeBuffer {
 	if job.Combine == nil {
 		return nil
 	}
-	n, g := len(job.Splits), job.combineGroupCount()
+	g := job.combineGroupCount()
 	return &NodeBuffer{
 		job:    job,
 		groups: g,
-		raw:    make([]nodeInput, n),
-		rows:   make([][]segment, n),
-		dirty:  make([]bool, g),
+		raw:    make([]nodeInput, len(job.Splits)),
 		stats:  make([]nodeStats, g),
 	}
 }
@@ -274,35 +232,24 @@ func (b *NodeBuffer) members(g int) []int {
 func (b *NodeBuffer) groupSize(g int) int { return len(b.members(g)) }
 
 // feed records a committed map attempt's final segments, replacing any
-// earlier attempt's, and marks the task's group for (re)combining.
+// earlier attempt's.
 func (b *NodeBuffer) feed(task, attempt int, finals []segment) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.raw[task] = nodeInput{attempt: attempt, finals: finals, ok: true}
-	b.dirty[b.groupOf(task)] = true
-}
-
-// row returns a task's published view — the combined row for a group
-// representative, an all-empty row for other members — plus the attempt
-// number it was published under.
-func (b *NodeBuffer) row(task int) ([]segment, int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.rows[task], b.raw[task].attempt
+	b.raw[task] = nodeInput{attempt: attempt, finals: finals}
 }
 
 // combine merges group g's committed member segments per partition —
 // folding runs of equal keys with the job's Combiner inside MergeCut
-// windows — and installs the combined rows. A clean group is a no-op.
-// Errors from a member segment that fails to decode surface as
+// windows — and returns the group's published view, one row per member in
+// ascending task order: the combined row for the representative, an
+// all-empty row for every other member, each under the member's committed
+// attempt. Errors from a member segment that fails to decode surface as
 // *ErrCorruptSegment naming the producing map attempt; the engine re-runs
 // it, feeds the fresh output, and calls combine again.
-func (b *NodeBuffer) combine(g int) error {
+func (b *NodeBuffer) combine(g int) ([]nodeRow, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.dirty[g] {
-		return nil
-	}
 	members := b.members(g)
 	rep := members[0]
 	nparts := b.job.NumReducers
@@ -312,8 +259,8 @@ func (b *NodeBuffer) combine(g int) error {
 		var segs []segment
 		var rawBytes int64
 		for _, m := range members {
-			if !b.raw[m].ok || p >= len(b.raw[m].finals) {
-				continue
+			if p >= len(b.raw[m].finals) {
+				continue // not fed yet
 			}
 			seg := b.raw[m].finals[p]
 			if len(seg.data) == 0 {
@@ -337,11 +284,11 @@ func (b *NodeBuffer) combine(g int) error {
 		// garbage-but-parseable record the trailer check hasn't reached yet.
 		env := readEnv{codec: b.job.codec(), part: p, borrow: true}
 		if _, err := validateSegments(segs, env); err != nil {
-			return err
+			return nil, err
 		}
 		ms, err := newMergeStream(segs, env, b.job.Compare)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		var cut func(key []byte) bool
 		if b.job.MergeCut != nil {
@@ -351,7 +298,7 @@ func (b *NodeBuffer) combine(g int) error {
 		seg, err := writeSegmentStream(cs, b.job.codec(), int(rawBytes))
 		cs.close()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// The combined segment carries the representative's provenance:
 		// reduce-side corruption re-runs the representative, whose commit
@@ -363,16 +310,16 @@ func (b *NodeBuffer) combine(g int) error {
 		st.rawBytes += rawBytes
 		st.outBytes += int64(len(seg.data))
 	}
-	for _, m := range members {
-		if m == rep {
-			b.rows[m] = combined
-		} else {
-			b.rows[m] = make([]segment, nparts)
+	rows := make([]nodeRow, len(members))
+	for i, m := range members {
+		row := combined
+		if m != rep {
+			row = make([]segment, nparts)
 		}
+		rows[i] = nodeRow{task: m, attempt: b.raw[m].attempt, row: row}
 	}
 	b.stats[g] = st
-	b.dirty[g] = false
-	return nil
+	return rows, nil
 }
 
 // fold adds the buffer's combine accounting — from each group's most recent

@@ -10,6 +10,9 @@ import (
 	"scikey/internal/codec"
 )
 
+// builtinMonoids names every built-in combiner for the law and fold tests.
+var builtinMonoids = map[string]Monoid{"max32": MaxInt32, "min32": MinInt32, "sum32": SumInt32}
+
 // laneValue encodes lanes as the big-endian int32 array every built-in
 // combiner folds.
 func laneValue(lanes ...int32) []byte {
@@ -45,12 +48,8 @@ func mustMerge(t *testing.T, m Monoid, a, b []byte) []byte {
 // laws node-level combining relies on — associativity, identity (both
 // sides), and commutativity — across lane widths including the empty value.
 func TestCombinerLaws(t *testing.T) {
-	combiners := BuiltinCombiners()
-	if len(combiners) == 0 {
-		t.Fatal("no built-in combiners registered")
-	}
-	for _, c := range combiners {
-		t.Run(c.Name(), func(t *testing.T) {
+	for name, c := range builtinMonoids {
+		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(0x5c1))
 			for _, width := range []int{0, 1, 2, 9, 64} {
 				for trial := 0; trial < 64; trial++ {
@@ -85,18 +84,18 @@ func TestCombinerLaws(t *testing.T) {
 // TestCombinerFolds pins the fold semantics the laws alone do not fix.
 func TestCombinerFolds(t *testing.T) {
 	cases := []struct {
-		c    Combiner
+		name string
 		a, b []int32
 		want []int32
 	}{
-		{MaxInt32, []int32{3, -8, 7}, []int32{5, -9, 7}, []int32{5, -8, 7}},
-		{MinInt32, []int32{3, -8, 7}, []int32{5, -9, 7}, []int32{3, -9, 7}},
-		{SumInt32, []int32{3, -8, 1 << 30}, []int32{5, -9, 1 << 30}, []int32{8, -17, -1 << 31}},
+		{"max32", []int32{3, -8, 7}, []int32{5, -9, 7}, []int32{5, -8, 7}},
+		{"min32", []int32{3, -8, 7}, []int32{5, -9, 7}, []int32{3, -9, 7}},
+		{"sum32", []int32{3, -8, 1 << 30}, []int32{5, -9, 1 << 30}, []int32{8, -17, -1 << 31}},
 	}
 	for _, tc := range cases {
-		got := mustMerge(t, tc.c, laneValue(tc.a...), laneValue(tc.b...))
+		got := mustMerge(t, builtinMonoids[tc.name], laneValue(tc.a...), laneValue(tc.b...))
 		if want := laneValue(tc.want...); !bytes.Equal(got, want) {
-			t.Errorf("%s: Merge(%v, %v) = %x, want %x", tc.c.Name(), tc.a, tc.b, got, want)
+			t.Errorf("%s: Merge(%v, %v) = %x, want %x", tc.name, tc.a, tc.b, got, want)
 		}
 	}
 }
@@ -109,22 +108,6 @@ func TestCombinerMergeErrors(t *testing.T) {
 	}
 	if _, err := MaxInt32.Merge([]byte{1, 2, 3}, []byte{4, 5, 6}); err == nil {
 		t.Error("non-int32-aligned values not rejected")
-	}
-}
-
-// TestCombinerByName: the wire names round-trip and unknown names fail.
-func TestCombinerByName(t *testing.T) {
-	for _, c := range BuiltinCombiners() {
-		got, err := CombinerByName(c.Name())
-		if err != nil {
-			t.Fatalf("CombinerByName(%q): %v", c.Name(), err)
-		}
-		if got != c {
-			t.Errorf("CombinerByName(%q) returned a different combiner", c.Name())
-		}
-	}
-	if _, err := CombinerByName("median"); err == nil {
-		t.Error("unknown combiner name not rejected")
 	}
 }
 
@@ -247,8 +230,8 @@ func TestCombineStreamRespectsCuts(t *testing.T) {
 }
 
 // TestNodeBufferCombine drives the buffer directly: grouped feeds, the
-// representative/empty-row publication shape, duplicate folding across
-// members, and stats overwriting on recombine.
+// representative/empty-row shape of the rows combine returns, duplicate
+// folding across members, and stats overwriting on recombine.
 func TestNodeBufferCombine(t *testing.T) {
 	job := combineJob(4, 2, 2, nil)
 	nb := newNodeBuffer(job)
@@ -270,13 +253,17 @@ func TestNodeBufferCombine(t *testing.T) {
 	}
 	feed(0, 0, 5)
 	feed(2, 0, 7)
-	if err := nb.combine(0); err != nil {
+	rows, err := nb.combine(0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rows) != 2 || rows[0].task != 0 || rows[1].task != 2 {
+		t.Fatalf("combine(0) rows = %+v, want one each for tasks 0 and 2", rows)
+	}
 
-	repRow, attempt := nb.row(0)
-	if attempt != 0 {
-		t.Errorf("representative attempt = %d, want 0", attempt)
+	repRow := rows[0].row
+	if rows[0].attempt != 0 {
+		t.Errorf("representative attempt = %d, want 0", rows[0].attempt)
 	}
 	pairs, err := mergeSegments([]segment{repRow[0]}, readEnv{codec: codec.None}, bytes.Compare)
 	if err != nil {
@@ -288,24 +275,26 @@ func TestNodeBufferCombine(t *testing.T) {
 	if repRow[0].src != 0 {
 		t.Errorf("combined segment src = %d, want representative 0", repRow[0].src)
 	}
-	memberRow, _ := nb.row(2)
-	for p, seg := range memberRow {
+	for p, seg := range rows[1].row {
 		if len(seg.data) != 0 {
 			t.Errorf("non-representative row partition %d not empty (%d bytes)", p, len(seg.data))
 		}
 	}
 
-	// Re-feeding a member (a recovery re-execution) dirties the group; the
-	// recombine folds the fresh value and overwrites — not accumulates —
-	// the group stats.
+	// Re-feeding a member (a recovery re-execution) and recombining folds
+	// the fresh value, publishes the member under its new attempt, and
+	// overwrites — not accumulates — the group stats.
 	var before Counters
 	nb.fold(&before)
 	feed(2, 1, 9)
-	if err := nb.combine(0); err != nil {
+	rows, err = nb.combine(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	repRow, _ = nb.row(0)
-	pairs, err = mergeSegments([]segment{repRow[0]}, readEnv{codec: codec.None}, bytes.Compare)
+	if rows[1].attempt != 1 {
+		t.Errorf("re-fed member attempt = %d, want 1", rows[1].attempt)
+	}
+	pairs, err = mergeSegments([]segment{rows[0].row[0]}, readEnv{codec: codec.None}, bytes.Compare)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,11 +305,6 @@ func TestNodeBufferCombine(t *testing.T) {
 	nb.fold(&after)
 	if got, want := after.CombineMergedRecords.Value(), before.CombineMergedRecords.Value(); got != want {
 		t.Errorf("recombine accumulated stats: merged %d, want still %d", got, want)
-	}
-
-	// A clean group's combine is a no-op.
-	if err := nb.combine(0); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -477,8 +461,8 @@ func TestCombineRecoversCorruptCombinedSegment(t *testing.T) {
 
 // TestRemoteCombineByteIdentical runs the combining job over the remote
 // execution path: map attempts execute in loopback "worker" processes, the
-// driver-side combine phase pools their committed output, and pushGroup's
-// PublishRemote leg ships combined segments (and the members' empty rows) to
+// driver-side combine phase pools their committed output, and the published
+// table's PublishRemote leg ships combined segments (and the members' empty rows) to
 // the segment store reducers fetch from. Output must be byte-identical to
 // the uncombined remote run, with the combined topology visible in the
 // store: only representatives hold data.

@@ -59,7 +59,9 @@ func wordCountJob(fs *hdfs.FileSystem, docs []string, numReducers int, comb bool
 		},
 	}
 	if comb {
-		job.NewCombiner = job.NewReducer
+		// Counts are big-endian uint32 lanes; wrap-around int32 addition is
+		// the same bytes.
+		job.MapCombiner = SumInt32
 	}
 	return job
 }

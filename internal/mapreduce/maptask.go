@@ -182,7 +182,7 @@ func (t *mapTask) buffer(part int, key, value []byte) {
 	pb.bytes += len(kv.Key) + len(kv.Value)
 	t.buffered += len(kv.Key) + len(kv.Value)
 	if t.buffered >= t.job.spillLimit() {
-		// Spill failures (like combiner errors) surface at finalize.
+		// Spill failures (like combiner merge errors) surface at finalize.
 		t.enqueueSpill()
 	}
 }
@@ -234,9 +234,12 @@ func (t *mapTask) drainSpills() error {
 }
 
 // spillParts sorts, combines and writes each partition buffer as a segment
-// (steps 2-3 of Fig. 1). It runs on the spill worker goroutine; everything
-// it touches is either worker-owned until drainSpills (spills, spillBytes)
-// or concurrency-safe (counters, the buffer pools).
+// (steps 2-3 of Fig. 1). With a MapCombiner the sorted buffer streams
+// through combineStream on its way into the segment writer, so runs of equal
+// keys fold without an intermediate slice; SpilledRecords counts what the
+// segment holds, i.e. post-fold records. It runs on the spill worker
+// goroutine; everything it touches is either worker-owned until drainSpills
+// (spills, spillBytes) or concurrency-safe (counters, the buffer pools).
 func (t *mapTask) spillParts(parts []partBuffer) error {
 	sp := t.tracer.Start(obs.CatPhase, "spill", t.span, t.id, t.attempt)
 	defer sp.End()
@@ -249,44 +252,26 @@ func (t *mapTask) spillParts(parts []partBuffer) error {
 		sort.SliceStable(pb.pairs, func(i, j int) bool {
 			return t.job.Compare(pb.pairs[i].Key, pb.pairs[j].Key) < 0
 		})
-		pairs := pb.pairs
-		if t.job.NewCombiner != nil {
-			combined, err := t.combine(pairs)
-			if err != nil {
-				return err
-			}
-			pairs = combined
-		}
 		cs := t.tracer.Start(obs.CatPhase, "codec", sp.ID(), t.id, t.attempt)
-		seg, err := writeSegment(pairs, t.job.codec())
+		var seg segment
+		var err error
+		if m := t.job.MapCombiner; m != nil {
+			fold := &combineStream{src: &sliceStream{pairs: pb.pairs}, cmp: t.job.Compare, m: m}
+			seg, err = writeSegmentStream(fold, t.job.codec(), segmentSizeBound(pb.pairs))
+			c.CombineInputRecords.Add(fold.inRecords)
+			c.CombineOutputRecords.Add(fold.outRecords)
+		} else {
+			seg, err = writeSegment(pb.pairs, t.job.codec())
+		}
 		cs.End()
 		if err != nil {
 			return err
 		}
-		c.SpilledRecords.Add(int64(len(pairs)))
+		c.SpilledRecords.Add(seg.records)
 		t.spillBytes += int64(len(seg.data))
 		t.spills[p] = append(t.spills[p], seg)
 	}
 	return nil
-}
-
-func (t *mapTask) combine(pairs []KV) ([]KV, error) {
-	c := t.ctx.counters
-	c.CombineInputRecords.Add(int64(len(pairs)))
-	out := make([]KV, 0, len(pairs))
-	emit := func(k, v []byte) {
-		out = append(out, KV{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)})
-	}
-	comb := t.job.NewCombiner()
-	if err := groupReduce(t.ctx, &sliceStream{pairs: pairs}, t.job.Compare, comb, emit, c, true, nil, false); err != nil {
-		return nil, err
-	}
-	c.CombineOutputRecords.Add(int64(len(out)))
-	// The combiner must preserve key order for the segment to stay sorted.
-	sort.SliceStable(out, func(i, j int) bool {
-		return t.job.Compare(out[i].Key, out[j].Key) < 0
-	})
-	return out, nil
 }
 
 // finalize flushes the last buffer, drains the spill pipeline, and merges

@@ -117,87 +117,78 @@ type segWriterState struct {
 
 var segWriterStatePool = sync.Pool{New: func() any { return new(segWriterState) }}
 
-// writeSegment encodes sorted pairs through the codec into IFile form. The
-// returned segment's storage comes from the buffer pool; hand it to
-// recycleSegment once it is merged away.
-func writeSegment(pairs []KV, c codec.Codec) (segment, error) {
-	// Upper-bound the encoded size (payload + max framing + trailer) so the
-	// pooled output buffer never regrows through unpooled reallocations.
-	est := ifile.TrailerLen
-	for _, p := range pairs {
-		est += len(p.Key) + len(p.Value) + ifile.RecordOverhead(len(p.Key), len(p.Value))
-	}
-	sw := segWriterStatePool.Get().(*segWriterState)
-	sw.aw.buf = bufpool.Get(est)
-	cw := writerPoolFor(c).Get(&sw.aw)
-	sw.iw.Reset(cw)
-	fail := func(err error) (segment, error) {
-		// Mid-stream writers carry unknown state; drop rather than pool.
-		bufpool.Put(sw.aw.buf)
-		sw.aw.buf = nil
-		segWriterStatePool.Put(sw)
-		return segment{}, err
-	}
-	for _, p := range pairs {
-		if err := sw.iw.Append(p.Key, p.Value); err != nil {
-			return fail(err)
-		}
-	}
-	if err := sw.iw.Close(); err != nil {
-		return fail(err)
-	}
-	if err := cw.Close(); err != nil {
-		return fail(err)
-	}
-	writerPoolFor(c).Put(cw)
-	data := sw.aw.buf
-	sw.aw.buf = nil
-	segWriterStatePool.Put(sw)
-	return segment{data: data, records: int64(len(pairs)), src: -1}, nil
-}
-
-// writeSegmentStream encodes a sorted record stream through the codec into
-// IFile form — writeSegment's streaming twin, used by merge passes so a
-// rewritten segment never exists as a pair slice. sizeHint seeds the pooled
-// output buffer (the merge pass passes its input bytes, an upper bound for
-// the uncompressed codec); the buffer still grows if the hint is short.
-func writeSegmentStream(src kvStream, c codec.Codec, sizeHint int) (segment, error) {
+// encodeSegment runs fill over a pooled IFile-over-codec writer and returns
+// what it wrote as an engine-internal segment; fill reports how many records
+// it appended. sizeHint seeds the pooled output buffer, which still grows
+// if the hint is short. The segment's storage comes from the buffer pool;
+// hand it to recycleSegment once it is merged away.
+func encodeSegment(c codec.Codec, sizeHint int, fill func(iw *ifile.Writer) (records int64, err error)) (segment, error) {
 	sw := segWriterStatePool.Get().(*segWriterState)
 	sw.aw.buf = bufpool.Get(sizeHint)
 	cw := writerPoolFor(c).Get(&sw.aw)
 	sw.iw.Reset(cw)
-	fail := func(err error) (segment, error) {
+	records, err := fill(&sw.iw)
+	if err == nil {
+		err = sw.iw.Close()
+	}
+	if err == nil {
+		err = cw.Close()
+	}
+	if err != nil {
 		// Mid-stream writers carry unknown state; drop rather than pool.
 		bufpool.Put(sw.aw.buf)
 		sw.aw.buf = nil
 		segWriterStatePool.Put(sw)
 		return segment{}, err
-	}
-	var records int64
-	for {
-		kv, ok, err := src.next()
-		if err != nil {
-			return fail(err)
-		}
-		if !ok {
-			break
-		}
-		if err := sw.iw.Append(kv.Key, kv.Value); err != nil {
-			return fail(err)
-		}
-		records++
-	}
-	if err := sw.iw.Close(); err != nil {
-		return fail(err)
-	}
-	if err := cw.Close(); err != nil {
-		return fail(err)
 	}
 	writerPoolFor(c).Put(cw)
 	data := sw.aw.buf
 	sw.aw.buf = nil
 	segWriterStatePool.Put(sw)
 	return segment{data: data, records: records, src: -1}, nil
+}
+
+// writeSegment encodes sorted pairs through the codec into IFile form.
+func writeSegment(pairs []KV, c codec.Codec) (segment, error) {
+	return encodeSegment(c, segmentSizeBound(pairs), func(iw *ifile.Writer) (int64, error) {
+		for _, p := range pairs {
+			if err := iw.Append(p.Key, p.Value); err != nil {
+				return 0, err
+			}
+		}
+		return int64(len(pairs)), nil
+	})
+}
+
+// segmentSizeBound upper-bounds the encoded size of pairs (payload + max
+// framing + trailer) so the pooled output buffer never regrows through
+// unpooled reallocations.
+func segmentSizeBound(pairs []KV) int {
+	est := ifile.TrailerLen
+	for _, p := range pairs {
+		est += len(p.Key) + len(p.Value) + ifile.RecordOverhead(len(p.Key), len(p.Value))
+	}
+	return est
+}
+
+// writeSegmentStream encodes a sorted record stream through the codec into
+// IFile form, so a combined or rewritten segment never exists as a pair
+// slice. The merge pass passes its input bytes as sizeHint, an upper bound
+// for the uncompressed codec.
+func writeSegmentStream(src kvStream, c codec.Codec, sizeHint int) (segment, error) {
+	return encodeSegment(c, sizeHint, func(iw *ifile.Writer) (int64, error) {
+		var records int64
+		for {
+			kv, ok, err := src.next()
+			if err != nil || !ok {
+				return records, err
+			}
+			if err := iw.Append(kv.Key, kv.Value); err != nil {
+				return records, err
+			}
+			records++
+		}
+	})
 }
 
 // recycleSegment returns an engine-internal segment's backing storage to
@@ -312,8 +303,8 @@ func (h *mergeHeap) Pop() any {
 }
 
 // kvStream is a pull iterator over a sorted record run — the shape the
-// whole reduce path now consumes, so one partition is never materialized as
-// a slice. next returns the next record until (KV{}, false, nil) at end of
+// whole reduce path consumes, so one partition is never materialized as a
+// slice. next returns the next record until (KV{}, false, nil) at end of
 // stream; after an error or end of stream the stream must not be advanced
 // again. close releases pooled resources and is idempotent; it must be
 // called exactly when no previously returned record is still referenced
@@ -323,9 +314,8 @@ type kvStream interface {
 	close()
 }
 
-// sliceStream adapts an in-memory sorted run to kvStream — the compat shim
-// for callers that still materialize (the combiner's sorted buffer, the
-// reference reduce path).
+// sliceStream adapts an in-memory sorted run — a spill's sorted partition
+// buffer — to kvStream.
 type sliceStream struct {
 	pairs []KV
 	pos   int
@@ -357,18 +347,15 @@ type mergeStream struct {
 	closed  bool
 }
 
-// newMergeStream opens every segment and primes the heap. On error all
-// already-opened iterators are released back to their pools.
 // validateSegments scans each provenance-tagged segment (src >= 0) to its
 // end in borrow mode — no record copies — forcing the codec and IFile CRC
-// checks before any record is handed to user code. The streaming reduce
-// path runs this over its final merge level: the materialized reference
-// path validated implicitly by reading every segment up front, and
-// reducers are entitled to that ordering — a corrupted map output must
-// surface as an ErrCorruptSegment naming the producing attempt, never as
-// whatever user code does with garbage bytes mid-stream. Engine-internal
-// segments (src < 0) were produced by this attempt from already-validated
-// inputs and are skipped. Returns the bytes read, for disk accounting.
+// checks before any record is handed to user code. The reduce path runs
+// this over its final merge level, where grouping interleaves with
+// decoding: a corrupted map output must surface as an ErrCorruptSegment
+// naming the producing attempt, never as whatever user code does with
+// garbage bytes mid-stream. Engine-internal segments (src < 0) were
+// produced by this attempt from already-validated inputs and are skipped.
+// Returns the bytes read, for disk accounting.
 func validateSegments(segs []segment, env readEnv) (int64, error) {
 	env.borrow = true
 	env.arena = nil
@@ -397,6 +384,8 @@ func validateSegments(segs []segment, env readEnv) (int64, error) {
 	return read, nil
 }
 
+// newMergeStream opens every segment and primes the heap. On error all
+// already-opened iterators are released back to their pools.
 func newMergeStream(segs []segment, env readEnv, cmp func(a, b []byte) int) (*mergeStream, error) {
 	m := &mergeStream{h: mergeHeap{cmp: cmp}}
 	for _, s := range segs {
@@ -458,33 +447,6 @@ func (m *mergeStream) close() {
 	}
 	m.h.its = nil
 	m.pending = false
-}
-
-// mergeSegments k-way merges sorted segments into one sorted in-memory run.
-// It is the materializing reference form of mergeStream: the streaming
-// reduce path replaced it in production, but the differential suite and the
-// ReferenceReduce job mode keep running it to prove the streams byte-equal.
-func mergeSegments(segs []segment, env readEnv, cmp func(a, b []byte) int) ([]KV, error) {
-	var total int64
-	for _, s := range segs {
-		total += s.records
-	}
-	m, err := newMergeStream(segs, env, cmp)
-	if err != nil {
-		return nil, err
-	}
-	defer m.close()
-	out := make([]KV, 0, total)
-	for {
-		kv, ok, err := m.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, kv)
-	}
 }
 
 // mergeDown repeatedly merges batches of up to factor segments into single
@@ -560,7 +522,7 @@ func sortSegmentsBySize(segs []segment) {
 // per-record heap copies the non-borrowed path pays disappear. Arguments
 // passed to Reduce are only valid during the call in either mode (Hadoop's
 // iterator-reuse contract).
-func groupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red Reducer, emit Emit, counters *Counters, isCombine bool, bail func() error, borrowed bool) error {
+func groupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red Reducer, emit Emit, bail func() error, borrowed bool) error {
 	var ga, gb *kvArena // current group arena, boundary arena
 	if borrowed {
 		ga, gb = &kvArena{}, &kvArena{}
@@ -605,9 +567,7 @@ func groupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red 
 			}
 			values = append(values, nxt.Value)
 		}
-		if counters != nil && !isCombine {
-			counters.ReduceInputGroups.Add(1)
-		}
+		ctx.counters.ReduceInputGroups.Add(1)
 		if err := red.Reduce(ctx, key, values, emit); err != nil {
 			return err
 		}
@@ -620,9 +580,9 @@ func groupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red 
 	return nil
 }
 
-// countStream counts records as they drain — ReduceInputRecords advances
-// with the stream now, not after a full materialization, but a fully
-// drained attempt lands on exactly the reference path's total.
+// countStream counts records as they drain: ReduceInputRecords advances
+// with the stream, and a fully drained (winning) attempt lands on exactly
+// the partition's record count.
 type countStream struct {
 	src kvStream
 	n   *Counter
@@ -643,14 +603,14 @@ func (s *countStream) close() { s.src.close() }
 // closes the window where the job's cut predicate says later keys cannot
 // interact with it, runs the transform over that window, and streams the
 // rewritten records out. With a nil cut the whole stream is one window —
-// the exact legacy behavior for transforms with unknown locality. The
+// the transform's defining form, for transforms with unknown locality. The
 // transform keeps its func([]KV) []KV signature either way; windows are
 // never reused as backing storage since the transform may retain its
 // argument (an identity transform returns it unchanged).
 //
 // The split counter is settled once at end of stream: windows partition
 // the input, so the summed output-minus-input surplus equals the surplus
-// the reference path measures over the whole partition.
+// of one transform call over the whole partition.
 type transformStream struct {
 	src       kvStream
 	transform func([]KV) []KV

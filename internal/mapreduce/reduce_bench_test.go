@@ -78,7 +78,8 @@ func (s *heapSampler) finish() float64 {
 }
 
 // BenchmarkReducePath compares the streaming reduce pipeline against the
-// materialized reference path at two partition sizes. allocs/op is the gated
+// materialized test oracle (mergeSegments, reference_test.go) at two
+// partition sizes. allocs/op is the gated
 // headline; peak-B (sampled live heap over baseline) is the memory-model
 // evidence — flat across sizes for stream, scaling with the partition for
 // reference.
@@ -119,7 +120,7 @@ func BenchmarkReducePath(b *testing.B) {
 					b.Fatal(err)
 				}
 				iw.Reset(io.Discard)
-				if err := groupReduce(ctx, m, cmp, red, emit, ctx.counters, false, nil, true); err != nil {
+				if err := groupReduce(ctx, m, cmp, red, emit, nil, true); err != nil {
 					b.Fatal(err)
 				}
 				m.close()
@@ -139,7 +140,7 @@ func BenchmarkReducePath(b *testing.B) {
 				}
 				iw.Reset(io.Discard)
 				src := &sliceStream{pairs: pairs}
-				if err := groupReduce(ctx, src, cmp, red, emit, ctx.counters, false, nil, false); err != nil {
+				if err := groupReduce(ctx, src, cmp, red, emit, nil, false); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -141,75 +141,51 @@ func (t *reduceTask) run(src segmentSource) error {
 	}
 	// The final merge level is a stream: grouping pulls records out of the
 	// k-way merge one at a time, so peak memory is one record per open
-	// segment plus the current group — never the partition. ReferenceReduce
-	// keeps the historical materialized form for differential proof.
+	// segment plus the current group — never the partition.
 	// ReduceInputRecords and the MergeTransform split surplus accumulate as
-	// the stream drains; fully drained (winning) attempts land on exactly
-	// the reference totals.
-	var stream kvStream
-	if t.job.ReferenceReduce {
-		pairs, err := mergeSegments(segs, env, t.job.Compare)
-		if err != nil {
-			return fmt.Errorf("mapreduce: reduce task %d merge: %w", t.id, err)
-		}
-		// Engine-internal merge-pass intermediates are fully copied into
-		// pairs now; fetched map outputs (src >= 0) stay untouched for
-		// retries.
+	// the stream drains.
+	//
+	// Validate the final level's fetched segments before any record can
+	// reach the reducer: grouping interleaves with decoding from here on,
+	// and user code must never see bytes the trailing CRC would have
+	// rejected.
+	read, err := validateSegments(segs, env)
+	t.footprint.DiskBytes += read
+	if err != nil {
+		return fmt.Errorf("mapreduce: reduce task %d merge: %w", t.id, err)
+	}
+	// With no merge transform in the way, the final merge runs in borrow
+	// mode: records alias decoder scratch (fetched chunk memory decodes
+	// straight through, no per-record heap copies) and groupReduce lands
+	// each record in its group arena on arrival. transformStream buffers
+	// whole windows of records, so it keeps the owning merge.
+	borrowed := t.job.MergeTransform == nil
+	fenv := env
+	fenv.borrow = borrowed
+	ms, err := newMergeStream(segs, fenv, t.job.Compare)
+	if err != nil {
+		return fmt.Errorf("mapreduce: reduce task %d merge: %w", t.id, err)
+	}
+	// Merge-pass intermediates stay alive while the stream reads them;
+	// recycle only once it is closed. Fetched map outputs (src >= 0) stay
+	// untouched for retries.
+	defer func() {
+		ms.close()
 		for _, s := range segs {
 			recycleSegment(s)
 		}
-		c.ReduceInputRecords.Add(int64(len(pairs)))
-		if t.job.MergeTransform != nil {
-			before := len(pairs)
-			pairs = t.job.MergeTransform(pairs)
-			if d := len(pairs) - before; d > 0 {
-				c.OverlapKeySplits.Add(int64(d))
-			}
+	}()
+	var stream kvStream = &countStream{src: ms, n: &c.ReduceInputRecords}
+	if t.job.MergeTransform != nil {
+		var cut func(key []byte) bool
+		if t.job.MergeCut != nil {
+			cut = t.job.MergeCut()
 		}
-		stream = &sliceStream{pairs: pairs}
-	} else {
-		// Validate the final level's fetched segments before any record can
-		// reach the reducer: grouping interleaves with decoding from here
-		// on, and user code must never see bytes the trailing CRC would
-		// have rejected.
-		read, err := validateSegments(segs, env)
-		t.footprint.DiskBytes += read
-		if err != nil {
-			return fmt.Errorf("mapreduce: reduce task %d merge: %w", t.id, err)
-		}
-		// With no merge transform in the way, the final merge runs in
-		// borrow mode: records alias decoder scratch (fetched chunk memory
-		// decodes straight through, no per-record heap copies) and
-		// groupReduce lands each record in its group arena on arrival.
-		// transformStream buffers whole windows of records, so it keeps
-		// the owning merge.
-		fenv := env
-		fenv.borrow = t.job.MergeTransform == nil
-		ms, err := newMergeStream(segs, fenv, t.job.Compare)
-		if err != nil {
-			return fmt.Errorf("mapreduce: reduce task %d merge: %w", t.id, err)
-		}
-		// Merge-pass intermediates stay alive while the stream reads them;
-		// recycle only once it is closed. Fetched map outputs (src >= 0)
-		// stay untouched for retries.
-		defer func() {
-			ms.close()
-			for _, s := range segs {
-				recycleSegment(s)
-			}
-		}()
-		stream = &countStream{src: ms, n: &c.ReduceInputRecords}
-		if t.job.MergeTransform != nil {
-			var cut func(key []byte) bool
-			if t.job.MergeCut != nil {
-				cut = t.job.MergeCut()
-			}
-			stream = &transformStream{
-				src:       stream,
-				transform: t.job.MergeTransform,
-				cut:       cut,
-				splits:    &c.OverlapKeySplits,
-			}
+		stream = &transformStream{
+			src:       stream,
+			transform: t.job.MergeTransform,
+			cut:       cut,
+			splits:    &c.OverlapKeySplits,
 		}
 	}
 	mergeSpan.End()
@@ -242,8 +218,7 @@ func (t *reduceTask) run(src segmentSource) error {
 	defer reduceSpan.End()
 	red := t.job.NewReducer()
 	bail := func() error { return emitErr }
-	borrowed := !t.job.ReferenceReduce && t.job.MergeTransform == nil
-	if err := groupReduce(t.ctx, stream, t.job.Compare, red, emit, c, false, bail, borrowed); err != nil {
+	if err := groupReduce(t.ctx, stream, t.job.Compare, red, emit, bail, borrowed); err != nil {
 		return fmt.Errorf("mapreduce: reduce task %d: %w", t.id, err)
 	}
 	if f, ok := red.(Finalizer); ok {

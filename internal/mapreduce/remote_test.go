@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +18,8 @@ import (
 // filesystem — the cluster data path minus the TCP. failOnce lists attempt
 // coordinates ("map/task/attempt") whose first execution is reported as a
 // lost lease after the work ran, charging the footprint as waste exactly
-// like a worker killed after Started.
+// like a worker killed after Started. publishes logs every PublishRemote
+// call as "task/attempt/len(parts)", in call order.
 type loopbackRemote struct {
 	workerJob func() *Job
 
@@ -26,8 +28,9 @@ type loopbackRemote struct {
 		attempt int
 		parts   [][]byte
 	}
-	failOnce map[string]bool
-	runs     int
+	failOnce  map[string]bool
+	runs      int
+	publishes []string
 }
 
 func newLoopbackRemote(workerJob func() *Job) *loopbackRemote {
@@ -73,6 +76,7 @@ func (r *loopbackRemote) RunRemote(phase string, task, attempt int, canceled fun
 func (r *loopbackRemote) PublishRemote(mapTask, attempt int, parts [][]byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.publishes = append(r.publishes, fmt.Sprintf("%d/%d/%d", mapTask, attempt, len(parts)))
 	if e, ok := r.segs[mapTask]; ok && e.attempt > attempt {
 		return
 	}
@@ -253,5 +257,66 @@ func TestRemoteRejectsNetworkedShuffle(t *testing.T) {
 	_, err := Run(job)
 	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("networked shuffle + remote accepted: %v", err)
+	}
+}
+
+// TestRemotePublishExactlyOnce pins the PublishRemote call sequence — every
+// row that becomes visible to reducers is pushed once, under the attempt it
+// was committed as — to the sequences the engine produced when the fan-out
+// was spelled three times (captured at commit c8fa7cb, sequential
+// scheduling): a plain run publishes each map task once in order; with two
+// node groups every member publishes (empty rows included) under its own
+// attempt, group by group; a task recovered from a corrupt segment
+// republishes once under its new attempt; a member recovered mid-combine is
+// only ever published as its new attempt; and a cache hit replays the cold
+// run's sequence.
+func TestRemotePublishExactlyOnce(t *testing.T) {
+	combine := func(job *Job) { job.Combine = &CombineConfig{Combiner: SumInt32, Nodes: 2} }
+	cache := &memCache{}
+	cached := func(job *Job) { job.MapCache, job.CacheKey = cache, "publish-log" }
+	cases := []struct {
+		name   string
+		mut    func(job *Job)
+		faults string
+		want   []string
+	}{
+		{"plain", func(*Job) {}, "", []string{"0/0/3", "1/0/3", "2/0/3", "3/0/3"}},
+		{"combine", combine, "", []string{"0/0/3", "2/0/3", "1/0/3", "3/0/3"}},
+		{"corrupt-recovery", func(*Job) {}, "seed=7;segment:1.0:corrupt@0",
+			[]string{"0/0/3", "1/0/3", "2/0/3", "3/0/3", "1/1/3"}},
+		{"combine-corrupt-recovery", combine, "seed=7;segment:0.0:corrupt@0",
+			[]string{"0/1/3", "2/0/3", "1/0/3", "3/0/3"}},
+		{"cache-cold", cached, "", []string{"0/0/3", "1/0/3", "2/0/3", "3/0/3"}},
+		{"cache-hit", cached, "", []string{"0/0/3", "1/0/3", "2/0/3", "3/0/3"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Driver and workers share one injector, as a cluster run's job
+			// spec carries one fault schedule to every process.
+			inj := mustInjector(t, tc.faults)
+			build := func() *Job {
+				job := wordCountJob(testFS(), remoteDocs, 3, true)
+				job.Faults = inj
+				return job
+			}
+			job := build()
+			job.Retry = RetryPolicy{MaxAttempts: 3}
+			tc.mut(job)
+			remote := newLoopbackRemote(build)
+			job.Remote = remote
+			res, err := Run(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(remote.publishes, tc.want) {
+				t.Errorf("PublishRemote sequence = %q, want %q", remote.publishes, tc.want)
+			}
+			if want := tc.name == "cache-hit"; res.MapPhaseCached != want {
+				t.Errorf("MapPhaseCached = %v, want %v", res.MapPhaseCached, want)
+			}
+			if want := int64(strings.Count(tc.name, "recovery")); res.Counters.MapTasksRecovered.Value() != want {
+				t.Errorf("MapTasksRecovered = %d, want %d", res.Counters.MapTasksRecovered.Value(), want)
+			}
+		})
 	}
 }

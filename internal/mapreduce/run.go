@@ -9,6 +9,7 @@ import (
 
 	"scikey/internal/cluster"
 	"scikey/internal/obs"
+	"scikey/internal/shufflenet"
 )
 
 // Result reports a completed job: its counters, the per-task resource
@@ -66,448 +67,432 @@ func Run(job *Job) (*Result, error) {
 	if err := job.validate(); err != nil {
 		return nil, err
 	}
-	// jc holds the scheduling counters during the run; winning attempts'
-	// payload counters merge in at the end.
-	jc := &Counters{}
-
-	// The job span roots the trace; everything below is nil-safe no-ops
-	// when the job has no Observer.
-	tr := job.Obs.T()
-	jobName := job.Name
-	if jobName == "" {
-		jobName = "job"
-	}
-	jobSpan := tr.Start(obs.CatJob, jobName, 0, -1, -1)
-	jobOutcome := "failed"
-	defer func() { jobSpan.EndOutcome(jobOutcome) }()
-
-	// jobStop is the job-wide cancel signal: the deadline timer trips it,
-	// and every phase propagates it into in-flight attempts, backoff sleeps,
-	// straggler waits, and shuffle fetches.
-	jobStop := newStopState()
-	var timedOut atomic.Bool
-	if job.Timeout > 0 {
-		timer := time.AfterFunc(job.Timeout, func() {
-			timedOut.Store(true)
-			jobStop.stop()
-		})
-		defer timer.Stop()
-	}
-	timeout := func() error {
-		if timedOut.Load() {
-			return &TimeoutError{Timeout: job.Timeout}
-		}
-		return nil
-	}
-
-	// svc is nil for the in-memory shuffle; otherwise the per-node shuffle
-	// servers are live for the whole run, and committed map output is
-	// published to them instead of handed to reducers directly.
-	svc, err := newShuffleService(job)
+	r, err := newJobRun(job)
 	if err != nil {
 		return nil, err
 	}
-	if svc != nil {
-		defer svc.Close()
+	defer r.close()
+	for _, step := range []func() error{r.mapPhase, r.combinePhase, r.reducePhase} {
+		if err := step(); err != nil {
+			return nil, err
+		}
+		if r.timedOut.Load() {
+			return nil, &TimeoutError{Timeout: job.Timeout}
+		}
 	}
+	return r.assemble()
+}
 
+// publishedRows is the one table of map output visible to reducers:
+// rows[mapTask] is the task's published per-partition segments (the
+// post-combine view when the job combines in-node), attempts[mapTask] the
+// attempt they were published under. install is the only way a row becomes
+// visible — whether it came from a map commit, a recovery re-run, a node
+// group's combine, or a cache restore — and it also pushes the row to the
+// shuffle service and the remote segment table when the job has either, so
+// reduce attempts always fetch the freshest committed output.
+type publishedRows struct {
+	svc    *shufflenet.Service // nil for the in-memory shuffle
+	remote Remote              // nil for in-process execution
+
+	mu       sync.Mutex
+	rows     [][]segment
+	attempts []int // -1 until the task's first install
+}
+
+func newPublishedRows(nMaps int, svc *shufflenet.Service, remote Remote) *publishedRows {
+	p := &publishedRows{svc: svc, remote: remote, rows: make([][]segment, nMaps), attempts: make([]int, nMaps)}
+	for m := range p.attempts {
+		p.attempts[m] = -1
+	}
+	return p
+}
+
+func (p *publishedRows) install(task, attempt int, row []segment) {
+	p.mu.Lock()
+	p.rows[task], p.attempts[task] = row, attempt
+	p.mu.Unlock()
+	if p.svc == nil && p.remote == nil {
+		return
+	}
+	parts := make([][]byte, len(row))
+	for i := range row {
+		parts[i] = row[i].data
+	}
+	if p.svc != nil {
+		p.svc.Publish(task, attempt, parts)
+	}
+	if p.remote != nil {
+		p.remote.PublishRemote(task, attempt, parts)
+	}
+}
+
+// snapshot copies the rows under the lock — a concurrent repair may be
+// swapping a recovered task's row in — for a reduce attempt's in-memory
+// fetches.
+func (p *publishedRows) snapshot() [][]segment {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([][]segment(nil), p.rows...)
+}
+
+// attemptOf names the attempt a map task's row is published under, for
+// exhausted-fetch reports (the fetcher never saw the lost bytes'
+// provenance).
+func (p *publishedRows) attemptOf(m int) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.attempts[m]
+}
+
+// jobRun is one Run call's state: the job-wide stop signal and deadline,
+// the published-rows table, the combine buffer, the winning attempts, and
+// the waste ledger, shared by the phase steps Run dispatches.
+type jobRun struct {
+	job     *Job
+	jc      *Counters // scheduling counters during the run; payload counters merge in at assemble
+	span    obs.Span  // roots the trace; nil-safe no-op without an Observer
+	outcome string
+
+	// stop is the job-wide cancel signal: the deadline timer trips it, and
+	// every phase propagates it into in-flight attempts, backoff sleeps,
+	// straggler waits, and shuffle fetches.
+	stop     *stopState
+	timedOut *atomic.Bool
+	timer    *time.Timer
+
+	// svc is nil for the in-memory shuffle; otherwise the per-node shuffle
+	// servers are live for the whole run.
+	svc *shufflenet.Service
+	pub *publishedRows
 	// cached, when non-nil, is a restored map phase: the map and combine
-	// phases are skipped, the published segments below come from the cache,
-	// and the assembly at the end replays the snapshot's footprints and
-	// counters. A snapshot that doesn't fit the job's shape is a miss.
-	var cached *MapPhaseSnapshot
+	// phases are skipped, the published rows come from the cache, and
+	// assemble replays the snapshot's footprints and counters.
+	cached *MapPhaseSnapshot
+	// nb is the in-node combine buffer (nil when the job doesn't combine or
+	// the map phase was restored post-combine from the cache). With it,
+	// committed map output is fed here instead of installed raw; the
+	// combine phase installs each group's combined view.
+	nb *NodeBuffer
+
+	mapRunner *phaseRunner
+	// repairMu serializes map re-execution and recombining: two reducers
+	// hitting the same bad segment repair it once.
+	repairMu sync.Mutex
+
+	mu            sync.Mutex // guards the fields below
+	tasks         []*mapTask // winning map attempts
+	rtasks        []*reduceTask
+	wastedMaps    []cluster.Task
+	wastedReduces []cluster.Task
+}
+
+func newJobRun(job *Job) (*jobRun, error) {
+	name := job.Name
+	if name == "" {
+		name = "job"
+	}
+	r := &jobRun{
+		job:      job,
+		jc:       &Counters{},
+		span:     job.Obs.T().Start(obs.CatJob, name, 0, -1, -1),
+		outcome:  "failed",
+		stop:     newStopState(),
+		timedOut: new(atomic.Bool),
+		tasks:    make([]*mapTask, len(job.Splits)),
+		rtasks:   make([]*reduceTask, job.NumReducers),
+	}
+	if job.Timeout > 0 {
+		// The callback captures the two signals, never r: a stopped timer
+		// can sit in the runtime's timer heap until its deadline, and would
+		// keep the whole run — every published segment — reachable past Run.
+		stop, timedOut := r.stop, r.timedOut
+		r.timer = time.AfterFunc(job.Timeout, func() {
+			timedOut.Store(true)
+			stop.stop()
+		})
+	}
+	svc, err := newShuffleService(job)
+	if err != nil {
+		r.close()
+		return nil, err
+	}
+	r.svc = svc
+	r.pub = newPublishedRows(len(job.Splits), svc, job.Remote)
+	// A snapshot that doesn't fit the job's shape is a miss.
 	if job.MapCache != nil && job.CacheKey != "" {
 		if snap, ok := job.MapCache.Get(job.CacheKey); ok && snap.matches(job) {
-			cached = snap
+			r.cached = snap
 		}
 	}
+	if r.cached == nil {
+		r.nb = newNodeBuffer(job)
+	}
+	return r, nil
+}
 
-	var (
-		outMu      sync.Mutex
-		tasks      = make([]*mapTask, len(job.Splits))
-		mapOutputs = make([][]segment, len(job.Splits))
-		wastedMaps []cluster.Task
-	)
-	// nb is the in-node combine buffer (nil when the job doesn't combine).
-	// With combining on, committed map output is fed here instead of being
-	// published raw; the combine phase between the map and reduce phases
-	// merges each node group's segments and publishes the combined view.
-	// A cache hit restores the post-combine view directly, so it needs no
-	// buffer.
-	var nb *NodeBuffer
-	if cached == nil {
-		nb = newNodeBuffer(job)
+func (r *jobRun) close() {
+	if r.svc != nil {
+		r.svc.Close()
 	}
-	// publish pushes a committed map attempt's segments to its shuffle node
-	// (networked shuffle) or to the coordinator's segment table (remote
-	// execution) so reduce attempts fetch the freshest committed output —
-	// or, when combining, feeds the node buffer, deferring all publication
-	// to the combine phase (the reduce phase only starts after the map
-	// barrier, so nothing fetches early).
-	publish := func(t *mapTask) {
-		if nb != nil {
-			nb.feed(t.id, t.attempt, t.finals)
-			return
-		}
-		if svc == nil && job.Remote == nil {
-			return
-		}
-		parts := make([][]byte, len(t.finals))
-		for p := range t.finals {
-			parts[p] = t.finals[p].data
-		}
-		if svc != nil {
-			svc.Publish(t.id, t.attempt, parts)
-		}
+	if r.timer != nil {
+		r.timer.Stop()
+	}
+	r.span.EndOutcome(r.outcome)
+}
+
+// runner builds one phase's attempt scheduler; the caller fills in the
+// phase's run/commit/discard hooks.
+func (r *jobRun) runner(phase string, n int) *phaseRunner {
+	return &phaseRunner{
+		phase:   phase,
+		n:       n,
+		limit:   r.job.parallelism(),
+		policy:  r.job.Retry,
+		jc:      r.jc,
+		jobStop: r.stop,
+		tracer:  r.span.Tracer(),
+		jobSpan: r.span.ID(),
+		attemptHist: r.job.Obs.R().Histogram("scikey_attempt_seconds",
+			"Duration of task attempts by phase", "seconds", nil, obs.L("phase", phase)),
+	}
+}
+
+// mapPhase restores the published rows from the cache or runs every map
+// task to a committed attempt.
+func (r *jobRun) mapPhase() error {
+	job := r.job
+	r.mapRunner = r.runner("map", len(job.Splits))
+	r.mapRunner.run = func(task, attempt int, canceled func() bool, sp obs.Span) (any, error) {
 		if job.Remote != nil {
-			job.Remote.PublishRemote(t.id, t.attempt, parts)
+			rr, err := job.Remote.RunRemote(PhaseMap, task, attempt, canceled)
+			return newRemoteMapTask(job, task, attempt, rr), err
+		}
+		t := newMapTask(job, task, attempt, canceled)
+		t.tracer, t.span = sp.Tracer(), sp.ID()
+		return t, t.run(job.Splits[task])
+	}
+	r.mapRunner.commit = func(task, attempt int, result any) error {
+		r.commitMap(result.(*mapTask))
+		return nil
+	}
+	r.mapRunner.discard = func(task, attempt int, result any, err error) {
+		t, _ := result.(*mapTask)
+		r.addMapWaste(t)
+	}
+	if r.cached == nil {
+		return r.mapRunner.runAll()
+	}
+	// Republish the cached rows under their original attempt numbers,
+	// exactly as the producing run did. No map attempt runs and no attempt
+	// span or histogram sample is recorded — "map attempts: zero" is the
+	// observable cache-hit signature the differential tests assert.
+	for m, row := range r.cached.restoreSegments() {
+		r.pub.install(m, r.cached.Attempts[m], row)
+	}
+	return nil
+}
+
+// commitMap records a winning (or recovery) map attempt and makes its output
+// visible: installed directly, or — when combining — fed to the node buffer,
+// deferring publication to the group's combine (the reduce phase only starts
+// after the map barrier, so nothing fetches early).
+func (r *jobRun) commitMap(t *mapTask) {
+	r.mu.Lock()
+	r.tasks[t.id] = t
+	r.mu.Unlock()
+	if r.nb != nil {
+		r.nb.feed(t.id, t.attempt, t.finals)
+		return
+	}
+	r.pub.install(t.id, t.attempt, t.finals)
+}
+
+func (r *jobRun) addMapWaste(t *mapTask) {
+	if t == nil {
+		return
+	}
+	r.mu.Lock()
+	r.wastedMaps = append(r.wastedMaps, t.footprint)
+	r.mu.Unlock()
+}
+
+// rerunMap re-executes map task m until an attempt succeeds (within the
+// retry budget), swapping the fresh output in and recording the replaced
+// attempt's work as waste. Callers hold repairMu.
+func (r *jobRun) rerunMap(m int) bool {
+	r.mu.Lock()
+	cur := r.tasks[m]
+	r.mu.Unlock()
+	for rerun := 0; rerun < r.job.Retry.maxAttempts(); rerun++ {
+		if r.stop.stopped() {
+			return false
+		}
+		a := r.mapRunner.nextAttempt(m)
+		sp := r.mapRunner.startSpan(m, a, false)
+		res, err := r.mapRunner.runOne(m, a, nil, sp)
+		sp.EndOutcome(attemptOutcome(err, true))
+		nt, _ := res.(*mapTask)
+		if err == nil {
+			r.commitMap(nt)
+			r.addMapWaste(cur)
+			r.jc.MapTasksRecovered.Add(1)
+			r.jc.TaskRetries.Add(1)
+			return true
+		}
+		r.mapRunner.countFailure(m, a, err)
+		r.addMapWaste(nt)
+	}
+	return false
+}
+
+// combineGroup (re)combines node group g from the freshest committed member
+// outputs and installs the combined view. A member segment that fails to
+// decode mid-combine is corruption: the producing task re-runs, re-feeds the
+// buffer, and the combine retries — bounded by the per-task retry budget
+// across the whole group. Callers hold repairMu.
+func (r *jobRun) combineGroup(g int) error {
+	budget := r.job.Retry.maxAttempts()*r.nb.groupSize(g) + 1
+	for try := 0; try < budget; try++ {
+		rows, err := r.nb.combine(g)
+		if err == nil {
+			for _, nr := range rows {
+				r.pub.install(nr.task, nr.attempt, nr.row)
+			}
+			return nil
+		}
+		var ce *ErrCorruptSegment
+		if !errors.As(err, &ce) || r.stop.stopped() {
+			return err
+		}
+		r.jc.CorruptSegmentsDetected.Add(1)
+		if !r.rerunMap(ce.MapTask) {
+			return err
 		}
 	}
-	addMapWaste := func(t *mapTask) {
+	return fmt.Errorf("mapreduce: job %q: combine of node group %d exhausted its retry budget", r.job.Name, g)
+}
+
+// combinePhase runs strictly between the map barrier and the reduce phase,
+// so reducers never see raw member segments: every node group's committed
+// segments merge — equal-key runs folded with the job's Combiner inside
+// MergeCut windows — and only the combined view is published.
+func (r *jobRun) combinePhase() error {
+	if r.nb == nil {
+		return nil
+	}
+	r.repairMu.Lock()
+	defer r.repairMu.Unlock()
+	for g := 0; g < r.nb.numGroups(); g++ {
+		if err := r.combineGroup(g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// recoverMap re-executes the map task named by a corrupt-segment report —
+// detected corruption or map output lost to an exhausted networked fetch —
+// replacing (and republishing) its output so the reducer's retry reads
+// intact bytes. With combining, the re-fed group recombines and republishes
+// before the reducer retries.
+func (r *jobRun) recoverMap(ce *ErrCorruptSegment) bool {
+	r.repairMu.Lock()
+	defer r.repairMu.Unlock()
+	r.mu.Lock()
+	cur := r.tasks[ce.MapTask]
+	r.mu.Unlock()
+	if cur == nil {
+		return false
+	}
+	if cur.attempt != ce.Attempt {
+		// A newer attempt already replaced the reported output; the
+		// reducer's retry will fetch the fresh segments.
+		return true
+	}
+	if !r.rerunMap(ce.MapTask) {
+		return false
+	}
+	return r.nb == nil || r.combineGroup(r.nb.groupOf(ce.MapTask)) == nil
+}
+
+// reducePhase runs every reduce task to a committed attempt, repairing
+// corrupt or lost map output through recoverMap.
+func (r *jobRun) reducePhase() error {
+	job := r.job
+	rr := r.runner("reduce", job.NumReducers)
+	rr.run = func(task, attempt int, canceled func() bool, sp obs.Span) (any, error) {
+		if job.Remote != nil {
+			res, err := job.Remote.RunRemote(PhaseReduce, task, attempt, canceled)
+			return newRemoteReduceTask(job, task, attempt, res), err
+		}
+		t := newReduceTask(job, task, attempt, canceled)
+		t.tracer, t.span = sp.Tracer(), sp.ID()
+		if r.svc == nil {
+			return t, t.run(memSource{outs: r.pub.snapshot()})
+		}
+		return t, t.run(&netSource{
+			svc:       r.svc,
+			n:         len(job.Splits),
+			stop:      rr.stop.ch,
+			attemptOf: r.pub.attemptOf,
+			verify:    canVerifyAtFetch(job),
+		})
+	}
+	rr.commit = func(task, attempt int, result any) error {
+		t := result.(*reduceTask)
+		if err := t.commit(); err != nil {
+			return err
+		}
+		r.mu.Lock()
+		r.rtasks[task] = t
+		r.mu.Unlock()
+		return nil
+	}
+	rr.discard = func(task, attempt int, result any, err error) {
+		t, _ := result.(*reduceTask)
 		if t == nil {
 			return
 		}
-		outMu.Lock()
-		wastedMaps = append(wastedMaps, t.footprint)
-		outMu.Unlock()
+		t.abort()
+		r.mu.Lock()
+		r.wastedReduces = append(r.wastedReduces, t.footprint)
+		r.mu.Unlock()
 	}
+	rr.repair = func(task, attempt int, err error) bool {
+		var ce *ErrCorruptSegment
+		return errors.As(err, &ce) && r.recoverMap(ce)
+	}
+	rr.onFailure = func(task, attempt int, err error) {
+		var ce *ErrCorruptSegment
+		if errors.As(err, &ce) {
+			r.jc.CorruptSegmentsDetected.Add(1)
+		}
+	}
+	return rr.runAll()
+}
 
-	attemptHelp := "Duration of task attempts by phase"
-	mapRunner := &phaseRunner{
-		phase:   "map",
-		n:       len(job.Splits),
-		limit:   job.parallelism(),
-		policy:  job.Retry,
-		jc:      jc,
-		jobStop: jobStop,
-		tracer:  tr,
-		jobSpan: jobSpan.ID(),
-		attemptHist: job.Obs.R().Histogram("scikey_attempt_seconds",
-			attemptHelp, "seconds", nil, obs.L("phase", "map")),
-		run: func(task, attempt int, canceled func() bool, sp obs.Span) (any, error) {
-			if job.Remote != nil {
-				rr, err := job.Remote.RunRemote(PhaseMap, task, attempt, canceled)
-				return newRemoteMapTask(job, task, attempt, rr), err
-			}
-			t := newMapTask(job, task, attempt, canceled)
-			t.tracer, t.span = sp.Tracer(), sp.ID()
-			return t, t.run(job.Splits[task])
-		},
-		commit: func(task, attempt int, result any) error {
-			t := result.(*mapTask)
-			outMu.Lock()
-			tasks[task] = t
-			// With combining, mapOutputs holds the combined view installed
-			// by the combine phase; raw finals live in the node buffer.
-			if nb == nil {
-				mapOutputs[task] = t.finals
-			}
-			outMu.Unlock()
-			publish(t)
-			return nil
-		},
-		discard: func(task, attempt int, result any, err error) {
-			t, _ := result.(*mapTask)
-			addMapWaste(t)
-		},
+// assemble builds the Result from the surviving attempts only. Their private
+// counters merge into the job totals here, so a faulty run that recovers
+// reports byte-for-byte the same payload counters as a fault-free one.
+func (r *jobRun) assemble() (*Result, error) {
+	job, jc := r.job, r.jc
+	if r.svc != nil {
+		mergeShuffleMetrics(jc, r.svc.Metrics())
 	}
-	if cached != nil {
-		// Restore the cached map phase: install the published segments and
-		// republish them to the shuffle service / remote segment table under
-		// their original attempt numbers, exactly as the producing run did.
-		// No map attempt runs and no attempt span or histogram sample is
-		// recorded — "map attempts: zero" is the observable cache-hit
-		// signature the differential tests assert.
-		outs := cached.restoreSegments()
-		outMu.Lock()
-		copy(mapOutputs, outs)
-		outMu.Unlock()
-		if svc != nil || job.Remote != nil {
-			for m, row := range outs {
-				parts := make([][]byte, len(row))
-				for p := range row {
-					parts[p] = row[p].data
-				}
-				if svc != nil {
-					svc.Publish(m, cached.Attempts[m], parts)
-				}
-				if job.Remote != nil {
-					job.Remote.PublishRemote(m, cached.Attempts[m], parts)
-				}
-			}
-		}
-	} else if err := mapRunner.runAll(); err != nil {
-		return nil, err
+	if r.nb != nil {
+		r.nb.fold(jc)
 	}
-	if err := timeout(); err != nil {
-		return nil, err
-	}
-
-	// rerunMap re-executes map task m until an attempt succeeds (within the
-	// retry budget), swapping the fresh output in and recording the replaced
-	// attempt's work as waste. Callers hold repairMu.
-	var repairMu sync.Mutex
-	rerunMap := func(m int) bool {
-		outMu.Lock()
-		cur := tasks[m]
-		outMu.Unlock()
-		for rerun := 0; rerun < job.Retry.maxAttempts(); rerun++ {
-			if jobStop.stopped() {
-				return false
-			}
-			a := mapRunner.nextAttempt(m)
-			sp := mapRunner.startSpan(m, a, false)
-			res, err := mapRunner.runOne(m, a, nil, sp)
-			sp.EndOutcome(attemptOutcome(err, true))
-			nt, _ := res.(*mapTask)
-			if err == nil {
-				outMu.Lock()
-				tasks[m] = nt
-				if nb == nil {
-					mapOutputs[m] = nt.finals
-				}
-				outMu.Unlock()
-				publish(nt)
-				addMapWaste(cur)
-				jc.MapTasksRecovered.Add(1)
-				jc.TaskRetries.Add(1)
-				return true
-			}
-			mapRunner.countFailure(m, a, err)
-			addMapWaste(nt)
-		}
-		return false
-	}
-
-	// pushGroup installs one node group's combined view — the combined row
-	// under the representative task, empty rows under the other members, so
-	// the (map task, partition) fetch topology is unchanged — and publishes
-	// it to the shuffle service and/or remote segment table. Callers hold
-	// repairMu.
-	pushGroup := func(g int) {
-		members := nb.members(g)
-		outMu.Lock()
-		for _, m := range members {
-			mapOutputs[m], _ = nb.row(m)
-		}
-		outMu.Unlock()
-		if svc == nil && job.Remote == nil {
-			return
-		}
-		for _, m := range members {
-			row, attempt := nb.row(m)
-			parts := make([][]byte, len(row))
-			for p := range row {
-				parts[p] = row[p].data
-			}
-			if svc != nil {
-				svc.Publish(m, attempt, parts)
-			}
-			if job.Remote != nil {
-				job.Remote.PublishRemote(m, attempt, parts)
-			}
-		}
-	}
-
-	// combineGroup (re)combines a node group from the freshest committed
-	// member outputs. A member segment that fails to decode mid-combine is
-	// corruption: the producing task re-runs, re-feeds the buffer, and the
-	// combine retries — bounded by the per-task retry budget across the
-	// whole group. Callers hold repairMu.
-	combineGroup := func(g int) error {
-		budget := job.Retry.maxAttempts()*nb.groupSize(g) + 1
-		for try := 0; try < budget; try++ {
-			err := nb.combine(g)
-			if err == nil {
-				return nil
-			}
-			var ce *ErrCorruptSegment
-			if !errors.As(err, &ce) || jobStop.stopped() {
-				return err
-			}
-			jc.CorruptSegmentsDetected.Add(1)
-			if !rerunMap(ce.MapTask) {
-				return err
-			}
-		}
-		return fmt.Errorf("mapreduce: job %q: combine of node group %d exhausted its retry budget", job.Name, g)
-	}
-
-	// recoverMap re-executes the map task named by a corrupt-segment report
-	// — detected corruption or map output lost to an exhausted networked
-	// fetch — replacing (and republishing) its output so the reducer's retry
-	// reads intact bytes. With combining, the re-fed group recombines and
-	// republishes before the reducer retries. Serialized: two reducers
-	// hitting the same bad segment repair it once.
-	recoverMap := func(ce *ErrCorruptSegment) bool {
-		repairMu.Lock()
-		defer repairMu.Unlock()
-		outMu.Lock()
-		cur := tasks[ce.MapTask]
-		outMu.Unlock()
-		if cur == nil {
-			return false
-		}
-		if cur.attempt != ce.Attempt {
-			// A newer attempt already replaced the reported output; the
-			// reducer's retry will fetch the fresh segments.
-			return true
-		}
-		if !rerunMap(ce.MapTask) {
-			return false
-		}
-		if nb != nil {
-			g := nb.groupOf(ce.MapTask)
-			if err := combineGroup(g); err != nil {
-				return false
-			}
-			pushGroup(g)
-		}
-		return true
-	}
-
-	// The combine phase: with in-node combining on, every node group's
-	// committed segments merge — equal-key runs folded with the job's
-	// Combiner inside MergeCut windows — and only the combined view is
-	// published. Runs strictly between the map barrier and the reduce
-	// phase, so reducers never see raw member segments.
-	if nb != nil {
-		err := func() error {
-			repairMu.Lock()
-			defer repairMu.Unlock()
-			for g := 0; g < nb.numGroups(); g++ {
-				if err := combineGroup(g); err != nil {
-					return err
-				}
-				pushGroup(g)
-			}
-			return nil
-		}()
-		if err != nil {
-			return nil, err
-		}
-		if err := timeout(); err != nil {
-			return nil, err
-		}
-	}
-
-	var (
-		rtasks        = make([]*reduceTask, job.NumReducers)
-		wastedReduces []cluster.Task
-	)
-	// committedAttempt names the current attempt of a map task, for
-	// exhausted-fetch reports (the fetcher never saw the lost bytes'
-	// provenance).
-	committedAttempt := func(m int) int {
-		if cached != nil {
-			return cached.Attempts[m]
-		}
-		outMu.Lock()
-		defer outMu.Unlock()
-		if tasks[m] == nil {
-			return -1
-		}
-		return tasks[m].attempt
-	}
-	var reduceRunner *phaseRunner
-	reduceRunner = &phaseRunner{
-		phase:   "reduce",
-		n:       job.NumReducers,
-		limit:   job.parallelism(),
-		policy:  job.Retry,
-		jc:      jc,
-		jobStop: jobStop,
-		tracer:  tr,
-		jobSpan: jobSpan.ID(),
-		attemptHist: job.Obs.R().Histogram("scikey_attempt_seconds",
-			attemptHelp, "seconds", nil, obs.L("phase", "reduce")),
-		run: func(task, attempt int, canceled func() bool, sp obs.Span) (any, error) {
-			if job.Remote != nil {
-				rr, err := job.Remote.RunRemote(PhaseReduce, task, attempt, canceled)
-				return newRemoteReduceTask(job, task, attempt, rr), err
-			}
-			t := newReduceTask(job, task, attempt, canceled)
-			t.tracer, t.span = sp.Tracer(), sp.ID()
-			var src segmentSource
-			if svc != nil {
-				src = &netSource{
-					svc:       svc,
-					n:         len(job.Splits),
-					stop:      reduceRunner.stop.ch,
-					attemptOf: committedAttempt,
-					verify:    canVerifyAtFetch(job),
-				}
-			} else {
-				// Snapshot the map outputs under the lock: a concurrent
-				// repair may be swapping a recovered task's segments in.
-				outMu.Lock()
-				outs := make([][]segment, len(mapOutputs))
-				copy(outs, mapOutputs)
-				outMu.Unlock()
-				src = memSource{outs: outs}
-			}
-			return t, t.run(src)
-		},
-		commit: func(task, attempt int, result any) error {
-			t := result.(*reduceTask)
-			if err := t.commit(); err != nil {
-				return err
-			}
-			outMu.Lock()
-			rtasks[task] = t
-			outMu.Unlock()
-			return nil
-		},
-		discard: func(task, attempt int, result any, err error) {
-			t, _ := result.(*reduceTask)
-			if t == nil {
-				return
-			}
-			t.abort()
-			outMu.Lock()
-			wastedReduces = append(wastedReduces, t.footprint)
-			outMu.Unlock()
-		},
-		repair: func(task, attempt int, err error) bool {
-			var ce *ErrCorruptSegment
-			if !errors.As(err, &ce) {
-				return false
-			}
-			return recoverMap(ce)
-		},
-		onFailure: func(task, attempt int, err error) {
-			var ce *ErrCorruptSegment
-			if errors.As(err, &ce) {
-				jc.CorruptSegmentsDetected.Add(1)
-			}
-		},
-	}
-	if err := reduceRunner.runAll(); err != nil {
-		return nil, err
-	}
-	if err := timeout(); err != nil {
-		return nil, err
-	}
-	if svc != nil {
-		mergeShuffleMetrics(jc, svc.Metrics())
-	}
-	if nb != nil {
-		nb.fold(jc)
-	}
-
-	// Assemble the result from the surviving attempts only. Their private
-	// counters merge into the job totals here, so a faulty run that recovers
-	// reports byte-for-byte the same payload counters as a fault-free one.
 	res := &Result{
 		Counters:          jc,
-		MapTasks:          make([]cluster.Task, len(tasks)),
-		MapSpecs:          make([]cluster.MapSpec, len(tasks)),
+		MapTasks:          make([]cluster.Task, len(r.tasks)),
+		MapSpecs:          make([]cluster.MapSpec, len(r.tasks)),
 		ReduceTasks:       make([]cluster.Task, job.NumReducers),
 		OutputPaths:       make([]string, job.NumReducers),
-		WastedMapTasks:    wastedMaps,
-		WastedReduceTasks: wastedReduces,
+		WastedMapTasks:    r.wastedMaps,
+		WastedReduceTasks: r.wastedReduces,
 	}
-	if cached != nil {
+	if cached := r.cached; cached != nil {
 		// Replay the snapshot's map-side contribution: the same payload
 		// counters the producing run merged, and the same footprints and
 		// calibration samples, so cost estimates and counter reports match
@@ -522,30 +507,35 @@ func Run(job *Job) (*Result, error) {
 			res.CalSamples = append(res.CalSamples, calSample(cached.Footprints[i], cached.WallSeconds[i]))
 		}
 	} else {
-		for i, t := range tasks {
+		for i, t := range r.tasks {
 			jc.Merge(t.counters())
 			res.MapTasks[i] = t.footprint
 			res.MapSpecs[i] = cluster.MapSpec{Task: t.footprint, InputBytes: t.ctx.inputBytes, Hosts: t.hosts}
 			res.CalSamples = append(res.CalSamples, calSample(t.footprint, t.wallSeconds))
 		}
 	}
-	for r, t := range rtasks {
+	for i, t := range r.rtasks {
 		jc.Merge(t.counters())
-		res.ReduceTasks[r] = t.footprint
-		res.OutputPaths[r] = t.outPath
+		res.ReduceTasks[i] = t.footprint
+		res.OutputPaths[i] = t.outPath
 		res.CalSamples = append(res.CalSamples, calSample(t.footprint, t.wallSeconds))
 	}
-	if cached == nil && job.MapCache != nil && job.CacheKey != "" {
+	if r.cached == nil && job.MapCache != nil && job.CacheKey != "" {
 		// Store the published map state for the next identical query. The
 		// cache is best-effort: a backend that cannot persist the snapshot
 		// must not fail a job that already succeeded, so Put errors are
 		// dropped (backends surface them through their own metrics).
-		if snap, err := snapshotMapPhase(job, tasks, mapOutputs, nb); err == nil {
+		snap, err := snapshotMapPhase(job, r.tasks, r.pub, r.nb)
+		// The snapshot owns copies of the segment bytes and nothing below
+		// reads the run's own: drop them, so the cache's encode and store
+		// buffers do not stack on top of the job's map output.
+		r.tasks, r.pub, r.nb = nil, nil, nil
+		if err == nil {
 			_ = job.MapCache.Put(job.CacheKey, snap)
 		}
 	}
 	publishCounters(job.Obs.R(), jc)
-	jobOutcome = "ok"
+	r.outcome = "ok"
 	return res, nil
 }
 

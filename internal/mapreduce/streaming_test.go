@@ -33,7 +33,7 @@ func keyChangeCut() func(key []byte) bool {
 	}
 }
 
-// diffCase is one streaming-vs-reference configuration.
+// diffCase is one engine-vs-oracle configuration.
 type diffCase struct {
 	name      string
 	codec     codec.Codec
@@ -51,7 +51,7 @@ type diffCase struct {
 	parallel  int
 }
 
-func (dc diffCase) build(t *testing.T, reference bool) *Job {
+func (dc diffCase) build(t *testing.T) *Job {
 	t.Helper()
 	fs := testFS()
 	docs := dc.docs
@@ -64,7 +64,6 @@ func (dc diffCase) build(t *testing.T, reference bool) *Job {
 	}
 	job := wordCountJob(fs, docs, reducers, dc.comb)
 	job.MapOutputCodec = dc.codec
-	job.ReferenceReduce = reference
 	job.Retry = dc.policy
 	job.Shuffle = dc.shuffle
 	job.Faults = mustInjector(t, dc.spec)
@@ -83,18 +82,28 @@ func (dc diffCase) build(t *testing.T, reference bool) *Job {
 	return job
 }
 
-// runDiff executes the case and returns the raw per-partition output bytes
-// plus the counters the two paths must agree on.
-func runDiff(t *testing.T, dc diffCase, reference bool) ([]string, map[string]int64) {
+// runDiff executes the case through the engine and returns the raw
+// per-partition output bytes plus the payload counters the engine and the
+// oracle must agree on.
+func runDiff(t *testing.T, dc diffCase) ([]string, map[string]int64) {
 	t.Helper()
-	job := dc.build(t, reference)
+	job := dc.build(t)
 	res, err := Run(job)
 	if err != nil {
-		t.Fatalf("%s (reference=%v): %v", dc.name, reference, err)
+		t.Fatalf("%s: %v", dc.name, err)
 	}
-	outs := readRawOutputs(t, job.FS, res.OutputPaths)
-	c := res.Counters
-	counters := map[string]int64{
+	return readRawOutputs(t, job.FS, res.OutputPaths), diffCounters(res.Counters)
+}
+
+// refDiff is runDiff through the materialize-then-group oracle.
+func refDiff(t *testing.T, dc diffCase) ([]string, map[string]int64) {
+	t.Helper()
+	outs, c := referenceRun(t, dc.build(t))
+	return outs, diffCounters(c)
+}
+
+func diffCounters(c *Counters) map[string]int64 {
+	return map[string]int64{
 		"ReduceInputRecords":  c.ReduceInputRecords.Value(),
 		"ReduceInputGroups":   c.ReduceInputGroups.Value(),
 		"ReduceOutputRecords": c.ReduceOutputRecords.Value(),
@@ -103,13 +112,15 @@ func runDiff(t *testing.T, dc diffCase, reference bool) ([]string, map[string]in
 		"SpilledRecords":      c.SpilledRecords.Value(),
 		"MapOutputRecords":    c.MapOutputRecords.Value(),
 	}
-	return outs, counters
 }
 
-// TestStreamingReduceDifferential proves the streaming reduce path emits
-// byte-identical output files — and identical payload counters — to the
-// materialized reference path across codecs, combiner, merge transforms
-// (whole-stream and windowed), chaos schedules, and degenerate partitions.
+// TestStreamingReduceDifferential proves the engine's streaming reduce path
+// emits byte-identical output files — and identical payload counters — to
+// the materialize-then-group oracle (referenceRun) across codecs, combiner,
+// merge transforms (whole-stream and windowed), chaos schedules, and
+// degenerate partitions. The oracle always runs fault-free over the
+// in-memory hand-off, so the chaos cases also pin that recovery leaves the
+// payload untouched.
 func TestStreamingReduceDifferential(t *testing.T) {
 	manyDocs := append(append([]string(nil), faultDocs...),
 		"sphinx of black quartz judge my vow",
@@ -139,8 +150,8 @@ func TestStreamingReduceDifferential(t *testing.T) {
 	}
 	for _, dc := range cases {
 		t.Run(dc.name, func(t *testing.T) {
-			refOuts, refCounters := runDiff(t, dc, true)
-			strOuts, strCounters := runDiff(t, dc, false)
+			refOuts, refCounters := refDiff(t, dc)
+			strOuts, strCounters := runDiff(t, dc)
 			if len(refOuts) != len(strOuts) {
 				t.Fatalf("partition counts differ: reference %d, streaming %d",
 					len(refOuts), len(strOuts))

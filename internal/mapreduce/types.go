@@ -14,11 +14,12 @@
 //     before grouping — the hook where unequal overlapping aggregate keys
 //     are split along overlap boundaries (Fig. 7).
 //
-// A third extension goes beyond the paper: Job.Combine enables in-node
-// combining — committed map outputs are pooled per node group and merged
-// with a value Monoid before the shuffle, cutting shuffle bytes while the
-// reduce output stays byte-identical (see Monoid, CombineConfig, and
-// NodeBuffer).
+// Combining has one contract, the value Monoid, applied at two levels:
+// Job.MapCombiner folds every spill inside a map task (step 3 of Fig. 1),
+// and Job.Combine — beyond the paper — pools committed map outputs per node
+// group and folds them once more before the shuffle, cutting shuffle bytes
+// while the reduce output stays byte-identical (see Monoid, CombineConfig,
+// and NodeBuffer).
 //
 // The engine measures, per task, the byte volumes and CPU seconds that the
 // cluster cost model turns into modeled runtimes, and maintains the Hadoop
@@ -65,14 +66,12 @@ type Mapper interface {
 	Map(ctx *TaskContext, split Split, emit Emit) error
 }
 
-// Reducer folds the values of one intermediate key. It is also the
-// interface for combiners.
+// Reducer folds the values of one intermediate key.
 //
 // key and values are framework-owned and valid only for the duration of the
-// Reduce call — Hadoop's iterator-reuse contract. The streaming reduce path
-// recycles the backing memory for the next group; a Reducer that needs a
-// key or value beyond the call (e.g. buffering for a Finalizer) must copy
-// it.
+// Reduce call — Hadoop's iterator-reuse contract. The reduce path recycles
+// the backing memory for the next group; a Reducer that needs a key or value
+// beyond the call (e.g. buffering for a Finalizer) must copy it.
 type Reducer interface {
 	Reduce(ctx *TaskContext, key []byte, values [][]byte, emit Emit) error
 }
@@ -151,14 +150,15 @@ type Job struct {
 	NewMapper func() Mapper
 	// NewReducer builds a reducer per reduce task.
 	NewReducer func() Reducer
-	// NewCombiner, when non-nil, builds the map-side combiner (step 3 of
-	// Fig. 1).
-	NewCombiner func() Reducer
-	// Combine, when non-nil, additionally enables in-node combining: after
-	// the map phase, committed map outputs are pooled per node group and
-	// runs of equal keys are folded with the configured Monoid before
-	// anything is published to the shuffle. See CombineConfig for the
-	// grouping, windowing, and byte-identity contract.
+	// MapCombiner, when non-nil, is the map-side combiner (step 3 of
+	// Fig. 1): every spill folds its runs of equal keys with this Monoid
+	// before the segment is written.
+	MapCombiner Monoid
+	// Combine, when non-nil, enables the second level of the same contract,
+	// in-node combining: after the map phase, committed map outputs are
+	// pooled per node group and runs of equal keys are folded with the
+	// configured Monoid before anything is published to the shuffle. See
+	// CombineConfig for the grouping, windowing, and byte-identity contract.
 	Combine *CombineConfig
 	// NumReducers is the reduce-partition count.
 	NumReducers int
@@ -172,8 +172,8 @@ type Job struct {
 	PartitionSplit func(key, value []byte, numReducers int) []RoutedKV
 	// MergeTransform, when set, rewrites each reducer's merged sorted
 	// stream before grouping (Section IV-B, case two: overlap splitting).
-	// The streaming reduce path feeds it bounded windows of the stream (cut
-	// by MergeCut; the whole stream when MergeCut is nil), so the slice
+	// The reduce path feeds it bounded windows of the stream (cut by
+	// MergeCut; the whole stream when MergeCut is nil), so the slice
 	// signature keeps working without materializing the partition.
 	MergeTransform func(pairs []KV) []KV
 	// MergeCut, set alongside MergeTransform, builds one cut predicate per
@@ -181,16 +181,11 @@ type Job struct {
 	// and returns true when that key starts an independent window: the
 	// transform's output for everything before it cannot be affected by
 	// this key or any later one. Overlap splitting already works in such
-	// windows (transitively-overlapping clusters), so the streaming path
-	// stays byte-identical while its lookahead stays bounded. Nil keeps
+	// windows (transitively-overlapping clusters), so the output stays
+	// byte-identical while the lookahead stays bounded. Nil keeps
 	// correctness for arbitrary transforms by buffering the entire stream
-	// as one window.
+	// as one window — the transform's defining form.
 	MergeCut func() func(key []byte) bool
-	// ReferenceReduce selects the historical materialize-then-group reduce
-	// path (the whole partition as one in-memory slice) instead of the
-	// streaming one. Outputs and payload counters are byte-identical either
-	// way; the differential suite and the peak-memory benchmarks run both.
-	ReferenceReduce bool
 	// MapOutputCodec compresses spill segments ("Map output materialized
 	// bytes" is measured after this codec). Nil means no compression.
 	MapOutputCodec codec.Codec

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"scikey/internal/core"
-	"scikey/internal/experiments"
 	"scikey/internal/faults"
 	"scikey/internal/hdfs"
 	"scikey/internal/scihadoop"
@@ -128,7 +127,7 @@ func (s QuerySpec) Setup() (*hdfs.FileSystem, scihadoop.QueryConfig, core.Strate
 	if err != nil {
 		return nil, scihadoop.QueryConfig{}, core.Strategy{}, err
 	}
-	fs, qcfg, err := experiments.MedianSetup(s.Side)
+	fs, qcfg, err := scihadoop.MedianSetup(s.Side)
 	if err != nil {
 		return nil, scihadoop.QueryConfig{}, core.Strategy{}, err
 	}

@@ -43,6 +43,27 @@ type Dataset struct {
 // ElemSize is the fixed cell size of Dataset arrays.
 const ElemSize = 4
 
+// MedianSetup materializes a windspeed1 field of side x side cells on a
+// fresh simulated HDFS, mirroring the paper's sliding-median evaluation
+// input (scaled from their 8000-class grid to laptop size). Dataset
+// generation is a pure function of side, so every process that sets up the
+// same side reads byte-identical input.
+func MedianSetup(side int) (*hdfs.FileSystem, QueryConfig, error) {
+	extent := grid.NewBox(grid.Coord{0, 0}, []int{side, side})
+	fs := hdfs.New(64<<20, 3, []string{"node0", "node1", "node2", "node3", "node4"})
+	ds := Dataset{
+		Path:   "/data/windspeed1.arr",
+		Var:    keys.VarRef{Name: "windspeed1"},
+		Extent: extent,
+	}
+	field := &workload.Field{Extent: extent, Name: ds.Var.Name}
+	if err := Store(fs, ds, field); err != nil {
+		return nil, QueryConfig{}, err
+	}
+	// The paper's job shape: 10 map slots worth of splits, 5 reducers.
+	return fs, QueryConfig{DS: ds, NumSplits: 10, NumReducers: 5}, nil
+}
+
 // Store materializes field values for ds on fs.
 func Store(fs *hdfs.FileSystem, ds Dataset, field *workload.Field) error {
 	w, err := fs.Create(ds.Path)

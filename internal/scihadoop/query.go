@@ -156,7 +156,7 @@ func (c QueryConfig) withDefaults() QueryConfig {
 // for holistic operators that have none. Every query value is a big-endian
 // int32 lane array (one lane for simple keys, one per cell for aggregate
 // and box keys), so the distributive max folds lane-wise.
-func CombinerFor(op Op) (mapreduce.Combiner, error) {
+func CombinerFor(op Op) (mapreduce.Monoid, error) {
 	if op == Max {
 		return mapreduce.MaxInt32, nil
 	}
@@ -264,9 +264,9 @@ func SimpleKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, *keys.C
 			})
 		},
 	}
-	if op == Max {
-		// Max is distributive, so the reducer doubles as combiner.
-		job.NewCombiner = job.NewReducer
+	if m, err := CombinerFor(op); err == nil {
+		// A distributive operator's value monoid also folds every spill.
+		job.MapCombiner = m
 	}
 	return job, kc, nil
 }
