@@ -64,17 +64,6 @@ func runWorkerMode(addr string) {
 	}
 }
 
-// coordinatorConfig carries the flag values the -coordinator daemon needs.
-type coordinatorConfig struct {
-	addr      string
-	journal   string // "" = no journal (no crash recovery)
-	spec      queryd.QuerySpec
-	heartbeat time.Duration
-	leaseTTL  time.Duration
-	faults    *faults.Injector
-	debugAddr string
-}
-
 // runCoordinatorMode is the -coordinator entrypoint: a pure control-plane
 // daemon. It journals every state transition, serves workers and drivers
 // until SIGTERM, then drains — flush, checkpoint, fsync — and exits 0, so a
@@ -83,18 +72,25 @@ type coordinatorConfig struct {
 // rules self-deliver real signals for exactly that drill. The bind is
 // retried briefly so a supervisor can respawn the daemon while the dead
 // incarnation's port is still being released.
-func runCoordinatorMode(cfg coordinatorConfig) {
+func runCoordinatorMode(o *options) {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "scijob coordinator[pid %d]: %s\n", os.Getpid(), fmt.Sprintf(format, args...))
 	}
-	if cfg.leaseTTL == 0 && cfg.journal != "" {
+	// The daemon owns the proc fault site; Validate already parsed the
+	// schedule once, so this cannot fail.
+	inj, err := faults.NewFromSpec(o.spec.Faults)
+	if err != nil {
+		fatal(err)
+	}
+	leaseTTL := o.leaseTTL
+	if leaseTTL == 0 && o.journal != "" {
 		// Journaled grants and settles fsync inside the coordinator's
 		// critical section, which can delay heartbeat processing under load;
 		// give renewals more slack than the in-memory default of five
 		// heartbeats so a busy disk doesn't masquerade as a dead worker.
-		cfg.leaseTTL = 2 * time.Second
+		leaseTTL = 2 * time.Second
 	}
-	specBytes, err := json.Marshal(cfg.spec)
+	specBytes, err := json.Marshal(o.spec)
 	if err != nil {
 		fatal(err)
 	}
@@ -103,12 +99,12 @@ func runCoordinatorMode(cfg coordinatorConfig) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		c, err = clusterd.Start(clusterd.Config{
-			Addr:           cfg.addr,
+			Addr:           o.coordAddr,
 			Spec:           specBytes,
-			Journal:        cfg.journal,
-			HeartbeatEvery: cfg.heartbeat,
-			LeaseTTL:       cfg.leaseTTL,
-			Faults:         cfg.faults,
+			Journal:        o.journal,
+			HeartbeatEvery: o.heartbeat,
+			LeaseTTL:       leaseTTL,
+			Faults:         inj,
 			Obs:            ob,
 			Logf:           logf,
 		})
@@ -120,13 +116,13 @@ func runCoordinatorMode(cfg coordinatorConfig) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	journal := cfg.journal
+	journal := o.journal
 	if journal == "" {
 		journal = "none"
 	}
 	fmt.Printf("coordinator listening on %s (journal %s, epoch %d)\n", c.Addr(), journal, c.Epoch())
-	if cfg.debugAddr != "" {
-		dbg, err := obs.NewServer(cfg.debugAddr, ob)
+	if o.debugAddr != "" {
+		dbg, err := obs.NewServer(o.debugAddr, ob)
 		if err != nil {
 			fatal(err)
 		}
@@ -142,74 +138,90 @@ func runCoordinatorMode(cfg coordinatorConfig) {
 	}
 }
 
-// coordProc supervises the -cluster mode coordinator subprocess the same way
-// workerPool supervises workers: respawn on unexpected death (a proc:coord
-// kill fault, say), SIGTERM-drain on shutdown. Every incarnation reuses the
-// same address and journal, so a respawn is a crash recovery.
-type coordProc struct {
+// supervisor keeps n copies of one scijob subprocess alive for -cluster
+// mode — the coordinator daemon with n = 1, the workers with n = N. It
+// respawns any that dies while the job is still running (a SIGKILLed worker
+// comes back like a restarted TaskTracker; a proc:coord kill fault brings
+// the daemon back on the same address and journal, so its respawn is a
+// crash recovery) and SIGTERMs the survivors on shutdown so they drain —
+// deregister, or flush the journal — and exit.
+type supervisor struct {
+	what string // names the subprocess in diagnostics
 	args []string
 
 	mu     sync.Mutex
-	cur    *exec.Cmd
+	alive  map[*exec.Cmd]bool
 	closed bool
-	done   chan struct{}
+	wg     sync.WaitGroup
 }
 
-// startCoordProc spawns the coordinator subprocess re-executing this binary
-// with the given -coordinator argument list and begins supervising it.
-func startCoordProc(args []string) *coordProc {
-	p := &coordProc{args: args, done: make(chan struct{})}
-	p.spawn()
-	go p.reap()
-	return p
+// startSupervisor spawns n subprocesses re-executing this binary with args
+// and begins supervising them.
+func startSupervisor(what string, n int, args []string) *supervisor {
+	s := &supervisor{what: what, args: args, alive: make(map[*exec.Cmd]bool)}
+	for i := 0; i < n; i++ {
+		s.spawn()
+	}
+	return s
 }
 
-func (p *coordProc) spawn() {
-	cmd := exec.Command(os.Args[0], p.args...)
-	cmd.Stdout = os.Stderr // the daemon's banner is driver-side noise
+func (s *supervisor) spawn() {
+	cmd := exec.Command(os.Args[0], s.args...)
+	cmd.Stdout = os.Stderr // a daemon's banner is driver-side noise
 	cmd.Stderr = os.Stderr
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
 	if err := cmd.Start(); err != nil {
-		fatal(fmt.Errorf("spawning coordinator: %w", err))
+		fatal(fmt.Errorf("spawning %s: %w", s.what, err))
 	}
-	p.mu.Lock()
-	p.cur = cmd
-	p.mu.Unlock()
+	s.alive[cmd] = true
+	s.wg.Add(1)
+	go s.reap(cmd)
 }
 
-func (p *coordProc) reap() {
-	defer close(p.done)
-	for {
-		p.mu.Lock()
-		cmd := p.cur
-		p.mu.Unlock()
-		err := cmd.Wait()
-		p.mu.Lock()
-		closed := p.closed
-		p.mu.Unlock()
-		if closed {
-			return
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scijob: coordinator pid %d died (%v); respawning\n", cmd.Process.Pid, err)
-		} else {
-			fmt.Fprintf(os.Stderr, "scijob: coordinator pid %d exited early; respawning\n", cmd.Process.Pid)
-		}
-		p.spawn()
+// reap waits for one subprocess and respawns it if it died while the job
+// was still running — which is exactly what a proc:kill fault causes.
+func (s *supervisor) reap(cmd *exec.Cmd) {
+	defer s.wg.Done()
+	err := cmd.Wait()
+	s.mu.Lock()
+	delete(s.alive, cmd)
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return
 	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "scijob: %s pid %d died (%v); respawning\n", s.what, cmd.Process.Pid, err)
+	} else {
+		fmt.Fprintf(os.Stderr, "scijob: %s pid %d exited early; respawning\n", s.what, cmd.Process.Pid)
+	}
+	s.spawn()
 }
 
-// shutdown SIGTERMs the live incarnation so it drains its journal and exits.
-func (p *coordProc) shutdown() {
-	p.mu.Lock()
-	p.closed = true
-	cmd := p.cur
-	p.mu.Unlock()
-	_ = cmd.Process.Signal(syscall.SIGTERM)
+// shutdown SIGTERMs every live subprocess and waits for them to drain and
+// exit, killing whatever is still up after ten seconds.
+func (s *supervisor) shutdown() {
+	s.mu.Lock()
+	s.closed = true
+	for cmd := range s.alive {
+		_ = cmd.Process.Signal(syscall.SIGTERM)
+	}
+	s.mu.Unlock()
+	done := make(chan struct{})
+	go func() { s.wg.Wait(); close(done) }()
 	select {
-	case <-p.done:
+	case <-done:
 	case <-time.After(10 * time.Second):
-		_ = cmd.Process.Kill()
-		<-p.done
+		s.mu.Lock()
+		for cmd := range s.alive {
+			_ = cmd.Process.Kill()
+		}
+		s.mu.Unlock()
+		<-done
 	}
 }
 
@@ -241,83 +253,5 @@ func dialCoordinator(addr string, patience time.Duration) (*clusterd.Client, err
 			return nil, err
 		}
 		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-// workerPool supervises N local worker subprocesses for -cluster mode: it
-// spawns them, respawns any that die unexpectedly (a SIGKILLed worker comes
-// back, like a restarted TaskTracker), and SIGTERMs the survivors on
-// shutdown so they drain and deregister cleanly.
-type workerPool struct {
-	addr string
-
-	mu     sync.Mutex
-	alive  map[*exec.Cmd]bool
-	closed bool
-	wg     sync.WaitGroup
-}
-
-// startLocalWorkers spawns n worker subprocesses re-executing this binary
-// with -worker pointed at the coordinator.
-func startLocalWorkers(addr string, n int) *workerPool {
-	p := &workerPool{addr: addr, alive: make(map[*exec.Cmd]bool)}
-	for i := 0; i < n; i++ {
-		p.spawn()
-	}
-	return p
-}
-
-func (p *workerPool) spawn() {
-	cmd := exec.Command(os.Args[0], "-worker", p.addr)
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		fatal(fmt.Errorf("spawning worker: %w", err))
-	}
-	p.mu.Lock()
-	p.alive[cmd] = true
-	p.mu.Unlock()
-	p.wg.Add(1)
-	go p.reap(cmd)
-}
-
-// reap waits for one worker subprocess and respawns it if it died while the
-// job was still running — which is exactly what a proc:kill fault causes.
-func (p *workerPool) reap(cmd *exec.Cmd) {
-	defer p.wg.Done()
-	err := cmd.Wait()
-	p.mu.Lock()
-	delete(p.alive, cmd)
-	respawn := !p.closed
-	p.mu.Unlock()
-	if !respawn {
-		return
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scijob: worker pid %d died (%v); respawning\n", cmd.Process.Pid, err)
-	} else {
-		fmt.Fprintf(os.Stderr, "scijob: worker pid %d exited early; respawning\n", cmd.Process.Pid)
-	}
-	p.spawn()
-}
-
-// shutdown SIGTERMs every live worker and waits for them to drain and exit.
-func (p *workerPool) shutdown() {
-	p.mu.Lock()
-	p.closed = true
-	for cmd := range p.alive {
-		_ = cmd.Process.Signal(syscall.SIGTERM)
-	}
-	p.mu.Unlock()
-	done := make(chan struct{})
-	go func() { p.wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		p.mu.Lock()
-		for cmd := range p.alive {
-			_ = cmd.Process.Kill()
-		}
-		p.mu.Unlock()
-		<-done
 	}
 }

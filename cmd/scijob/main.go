@@ -28,15 +28,12 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
 	"scikey/internal/cluster"
-	"scikey/internal/clusterd"
 	"scikey/internal/core"
 	"scikey/internal/experiments"
-	"scikey/internal/faults"
 	"scikey/internal/mapreduce"
 	"scikey/internal/obs"
 	"scikey/internal/queryd"
@@ -44,152 +41,188 @@ import (
 	"scikey/internal/workload"
 )
 
-func main() {
-	side := flag.Int("side", 128, "grid side length (side x side int32 cells)")
-	stratName := flag.String("strategy", "baseline", "baseline | transform | aggregation | boxes")
-	codecName := flag.String("codec", "zlib", "inner codec for -strategy transform; a block+ prefix (e.g. block+zlib) runs the stack through the parallel block pipeline")
-	codecWorkers := flag.Int("codec-workers", 0, "parallel block codec width for block+ codecs: 0 = GOMAXPROCS, 1 = sequential reference path, n = n workers")
-	curve := flag.String("curve", "zorder", "curve for -strategy aggregation: zorder | hilbert | rowmajor")
-	op := flag.String("op", "median", "window operator: median | max")
-	combine := flag.Bool("combine", false, "in-node combining: pool committed map outputs per node group and fold duplicate keys with the operator's value monoid before the shuffle; requires -op max (median is holistic — no monoid exists)")
-	combineNodes := flag.Int("combine-nodes", 0, "node-group count for -combine (0 = one group per shuffle node when networked, else one; cluster mode defaults to the worker count, one combine buffer per worker process)")
-	radius := flag.Int("radius", 1, "window radius (1 = 3x3)")
-	splits := flag.Int("splits", 10, "map tasks")
-	reducers := flag.Int("reducers", 5, "reduce tasks")
-	flush := flag.Int("flush", 0, "aggregation flush threshold in cells (0 = default)")
-	verify := flag.Bool("verify", false, "check results against the reference implementation")
-	faultSpec := flag.String("faults", "", `deterministic fault schedule, e.g. "seed=7;map:1:error@0;proc:0.0:kill@0"`)
-	retries := flag.Int("retries", 1, "max attempts per task (1 = fail fast)")
-	backoff := flag.Duration("backoff", 0, "base retry backoff as a duration, e.g. 10ms; doubles per failure with seeded jitter (0 = retry immediately)")
-	speculate := flag.Duration("speculate", 0, "straggler threshold for speculative re-execution as a duration, e.g. 500ms (0 = off)")
-	shuffle := flag.String("shuffle", "mem", "shuffle transport: mem | net (in-process pipes) | tcp (loopback sockets)")
-	nodes := flag.Int("nodes", 0, "simulated shuffle-server count for -shuffle net|tcp (0 = default 3)")
-	fetchAttempts := flag.Int("fetch-attempts", 0, "per-segment fetch attempts before the map output counts as lost (0 = default 4)")
-	fetchTimeout := flag.Duration("fetch-timeout", 0, "per-attempt fetch deadline as a duration, e.g. 500ms (0 = default 2s)")
-	timeout := flag.Duration("timeout", 0, "whole-job wall-clock deadline as a duration, e.g. 30s (0 = none)")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace and /debug/pprof on this address, e.g. 127.0.0.1:6060; stays up after the job until interrupted (empty = off)")
-	traceOut := flag.String("trace-out", "", "write the job's Chrome trace_event JSON to this file (empty = off)")
-	metricsOut := flag.String("metrics-out", "", "write the job's metrics in Prometheus text format to this file (empty = off)")
-	serveAddr := flag.String("serve", "", "resident query service: listen for /query, /metrics, /healthz on this address, e.g. 127.0.0.1:8080 (host:0 picks a port), and serve until SIGTERM (empty = off)")
-	submitAddr := flag.String("submit", "", "submit this invocation's query flags to the resident service at this address and print its response (empty = off)")
-	scrapeURL := flag.String("scrape", "", "GET this URL (e.g. a -serve /metrics endpoint) and print the body — a curl stand-in for scripts (empty = off)")
-	tenant := flag.String("tenant", "", "tenant name for -submit quota accounting (empty = the default tenant)")
-	storeKind := flag.String("store", "local", "segment-cache backend for -serve: local (HDFS-backed files) | object (S3-style chunked objects with CRC framing)")
-	queueDepth := flag.Int("queue-depth", 0, "bound on queued-but-not-executing queries for -serve (0 = default 16)")
-	serveWorkers := flag.Int("serve-workers", 0, "concurrent query executors for -serve (0 = default 2)")
-	quota := flag.Float64("quota", 0, "default per-tenant quota in modeled seconds for -serve (0 = unlimited)")
-	quotas := flag.String("quotas", "", `per-tenant quota overrides for -serve, e.g. "alice=30,bob=5" in modeled seconds (empty = none)`)
-	coordAddr := flag.String("coordinator", "", "cluster coordinator daemon: listen for workers and drivers on this address, e.g. 127.0.0.1:7070, and serve until SIGTERM (empty = off)")
-	workerAddr := flag.String("worker", "", "cluster worker mode: connect to the coordinator at this address and execute granted task attempts (empty = off)")
-	driverAddr := flag.String("driver", "", "cluster driver mode: run the job's scheduler against the coordinator daemon at this address (empty = off)")
-	journalPath := flag.String("journal", "", "coordinator journal file for crash-restart recovery; with -cluster, empty means a temp file (with -coordinator, empty disables the journal)")
-	clusterN := flag.Int("cluster", 0, "local cluster mode: start a coordinator plus N real worker subprocesses and run the job across them (0 = off)")
-	heartbeat := flag.Duration("heartbeat", 0, "cluster worker heartbeat interval (0 = default 100ms)")
-	leaseTTL := flag.Duration("lease-ttl", 0, "cluster lease time-to-live without a renewing heartbeat (0 = default 5x heartbeat)")
-	par := flag.Int("par", 0, "concurrent task attempts (0 = sequential; cluster modes default to 2x worker count)")
-	flag.Parse()
+// options is everything the command line sets. The query-shaping flags are
+// bound straight into spec — the value every execution path builds its job
+// from — so a new QuerySpec field needs one flag registration here and
+// nothing else in this command.
+type options struct {
+	fs   *flag.FlagSet
+	spec queryd.QuerySpec
+	// forwarded names the flags the -cluster supervisor hands to its
+	// coordinator subprocess: the spec-bound ones plus the daemon's own.
+	forwarded []string
 
-	if *combine && *combineNodes == 0 && *clusterN > 0 {
+	heartbeat, leaseTTL time.Duration
+	// run and shuffle take the run-time flags: how the job is scheduled,
+	// bounded and transported, never what it computes.
+	run     mapreduce.RunOptions
+	shuffle mapreduce.ShuffleConfig
+	serve   serveConfig
+
+	verify                                     bool
+	debugAddr, traceOut, metricsOut            string
+	submitAddr, scrapeURL                      string
+	coordAddr, workerAddr, driverAddr, journal string
+	clusterN                                   int
+}
+
+// bindFlags registers every scijob flag on fs.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{fs: fs}
+	s, def := &o.spec, scihadoop.QueryConfig{}.WithDefaults()
+	fs.IntVar(&s.Side, "side", 128, "grid side length (side x side int32 cells)")
+	fs.StringVar(&s.Strategy, "strategy", "baseline", "baseline | transform | aggregation | boxes")
+	fs.StringVar(&s.Codec, "codec", "zlib", "inner codec for -strategy transform; a block+ prefix (e.g. block+zlib) runs the stack through the parallel block pipeline")
+	fs.IntVar(&s.CodecWorkers, "codec-workers", 0, "parallel block codec width for block+ codecs: 0 = GOMAXPROCS, 1 = sequential reference path, n = n workers")
+	fs.StringVar(&s.Curve, "curve", def.Curve, "curve for -strategy aggregation: zorder | hilbert | rowmajor")
+	fs.StringVar(&s.Op, "op", def.Op.String(), "window operator: median | max")
+	fs.BoolVar(&s.Combine, "combine", false, "in-node combining: pool committed map outputs per node group and fold duplicate keys with the operator's value monoid before the shuffle; requires -op max (median is holistic — no monoid exists)")
+	fs.IntVar(&s.CombineNodes, "combine-nodes", 0, "node-group count for -combine (0 = one group per shuffle node when networked, else one; cluster mode defaults to the worker count, one combine buffer per worker process)")
+	fs.IntVar(&s.Radius, "radius", def.Radius, "window radius (1 = 3x3)")
+	fs.IntVar(&s.Splits, "splits", def.NumSplits, "map tasks")
+	fs.IntVar(&s.Reducers, "reducers", def.NumReducers, "reduce tasks")
+	fs.IntVar(&s.Flush, "flush", 0, "aggregation flush threshold in cells (0 = default)")
+	fs.StringVar(&s.Faults, "faults", "", `deterministic fault schedule, e.g. "seed=7;map:1:error@0;proc:0.0:kill@0"`)
+	fs.DurationVar(&o.heartbeat, "heartbeat", 0, "cluster worker heartbeat interval (0 = default 100ms)")
+	fs.DurationVar(&o.leaseTTL, "lease-ttl", 0, "cluster lease time-to-live without a renewing heartbeat (0 = default 5x heartbeat)")
+	fs.VisitAll(func(f *flag.Flag) { o.forwarded = append(o.forwarded, f.Name) })
+
+	fs.StringVar(&s.Tenant, "tenant", "", "tenant name for -submit quota accounting (empty = the default tenant)")
+	fs.BoolVar(&o.verify, "verify", false, "check results against the reference implementation")
+	fs.IntVar(&o.run.Retry.MaxAttempts, "retries", 1, "max attempts per task (1 = fail fast)")
+	fs.DurationVar(&o.run.Retry.Backoff, "backoff", 0, "base retry backoff as a duration, e.g. 10ms; doubles per failure with seeded jitter (0 = retry immediately)")
+	fs.DurationVar(&o.run.Retry.SpeculativeAfter, "speculate", 0, "straggler threshold for speculative re-execution as a duration, e.g. 500ms (0 = off)")
+	fs.StringVar(&o.shuffle.Mode, "shuffle", mapreduce.ShuffleMem, "shuffle transport: mem | net (in-process pipes) | tcp (loopback sockets)")
+	fs.IntVar(&o.shuffle.Nodes, "nodes", 0, "simulated shuffle-server count for -shuffle net|tcp (0 = default 3)")
+	fs.IntVar(&o.shuffle.FetchAttempts, "fetch-attempts", 0, "per-segment fetch attempts before the map output counts as lost (0 = default 4)")
+	fs.DurationVar(&o.shuffle.FetchTimeout, "fetch-timeout", 0, "per-attempt fetch deadline as a duration, e.g. 500ms (0 = default 2s)")
+	fs.DurationVar(&o.run.Timeout, "timeout", 0, "whole-job wall-clock deadline as a duration, e.g. 30s (0 = none)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /trace and /debug/pprof on this address, e.g. 127.0.0.1:6060; stays up after the job until interrupted (empty = off)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the job's Chrome trace_event JSON to this file (empty = off)")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the job's metrics in Prometheus text format to this file (empty = off)")
+	fs.StringVar(&o.serve.addr, "serve", "", "resident query service: listen for /query, /metrics, /healthz on this address, e.g. 127.0.0.1:8080 (host:0 picks a port), and serve until SIGTERM (empty = off)")
+	fs.StringVar(&o.submitAddr, "submit", "", "submit this invocation's query flags to the resident service at this address and print its response (empty = off)")
+	fs.StringVar(&o.scrapeURL, "scrape", "", "GET this URL (e.g. a -serve /metrics endpoint) and print the body — a curl stand-in for scripts (empty = off)")
+	fs.StringVar(&o.serve.storeKind, "store", "local", "segment-cache backend for -serve: local (HDFS-backed files) | object (S3-style chunked objects with CRC framing)")
+	fs.IntVar(&o.serve.queueDepth, "queue-depth", 0, "bound on queued-but-not-executing queries for -serve (0 = default 16)")
+	fs.IntVar(&o.serve.workers, "serve-workers", 0, "concurrent query executors for -serve (0 = default 2)")
+	fs.Float64Var(&o.serve.quota, "quota", 0, "default per-tenant quota in modeled seconds for -serve (0 = unlimited)")
+	fs.StringVar(&o.serve.quotas, "quotas", "", `per-tenant quota overrides for -serve, e.g. "alice=30,bob=5" in modeled seconds (empty = none)`)
+	fs.StringVar(&o.coordAddr, "coordinator", "", "cluster coordinator daemon: listen for workers and drivers on this address, e.g. 127.0.0.1:7070, and serve until SIGTERM (empty = off)")
+	fs.StringVar(&o.workerAddr, "worker", "", "cluster worker mode: connect to the coordinator at this address and execute granted task attempts (empty = off)")
+	fs.StringVar(&o.driverAddr, "driver", "", "cluster driver mode: run the job's scheduler against the coordinator daemon at this address (empty = off)")
+	fs.StringVar(&o.journal, "journal", "", "coordinator journal file for crash-restart recovery; with -cluster, empty means a temp file (with -coordinator, empty disables the journal)")
+	fs.IntVar(&o.clusterN, "cluster", 0, "local cluster mode: start a coordinator plus N real worker subprocesses and run the job across them (0 = off)")
+	fs.IntVar(&o.run.Parallelism, "par", 0, "concurrent task attempts (0 = sequential; cluster modes default to 2x worker count)")
+	return o
+}
+
+// parseFlags binds, parses and validates a command line. Every flag is
+// checked before any job machinery is touched, so a typo'd transport or
+// malformed fault schedule fails in milliseconds with a clear message
+// instead of surfacing mid-job. The query-shaping flags all validate through
+// queryd.QuerySpec.Validate — the same check every other execution path
+// (resident service, cluster worker rebuilding a wire spec) applies, so a
+// bad combination rejects with identical error text no matter how the query
+// arrives.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := bindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if o.spec.Combine && o.spec.CombineNodes == 0 && o.clusterN > 0 {
 		// One combine buffer per worker process: each worker's map attempts
 		// pool in its own node group, the cluster analog of a per-node
 		// buffer shared by all of a node's mappers.
-		*combineNodes = *clusterN
+		o.spec.CombineNodes = o.clusterN
 	}
-	// Validate every flag before any job machinery is touched, so a typo'd
-	// transport or malformed fault schedule fails in milliseconds with a
-	// clear message instead of surfacing mid-job. The query-shaping flags
-	// all validate through queryd.QuerySpec.Validate — the same check every
-	// other execution path (resident service, cluster worker rebuilding a
-	// wire spec) applies, so a bad combination rejects with identical error
-	// text no matter how the query arrives — and the one-shot run below
-	// builds its job from the same spec through spec.Setup.
-	spec := queryd.QuerySpec{
-		Side:         *side,
-		Strategy:     *stratName,
-		Codec:        *codecName,
-		CodecWorkers: *codecWorkers,
-		Curve:        *curve,
-		Flush:        *flush,
-		Op:           *op,
-		Combine:      *combine,
-		CombineNodes: *combineNodes,
-		Radius:       *radius,
-		Splits:       *splits,
-		Reducers:     *reducers,
-		Faults:       *faultSpec,
-		Tenant:       *tenant,
+	if err := o.validateCodecWorkers(); err != nil {
+		return nil, err
 	}
-	if err := validateCodecWorkers(*codecWorkers, *stratName, *codecName); err != nil {
-		fatal(err)
+	if err := o.spec.Validate(); err != nil {
+		return nil, err
 	}
-	if err := spec.Validate(); err != nil {
-		fatal(err)
-	}
-	switch *shuffle {
+	return o, o.checkModes()
+}
+
+// checkModes rejects flag combinations no mode honours.
+func (o *options) checkModes() error {
+	switch o.shuffle.Mode {
 	case mapreduce.ShuffleMem, mapreduce.ShuffleNet, mapreduce.ShuffleTCP:
 	default:
-		fatal(fmt.Errorf("unknown -shuffle transport %q (want mem, net, or tcp)", *shuffle))
+		return fmt.Errorf("unknown -shuffle transport %q (want mem, net, or tcp)", o.shuffle.Mode)
 	}
-	modes := 0
-	for _, on := range []bool{*coordAddr != "", *workerAddr != "", *driverAddr != "", *clusterN != 0,
-		*serveAddr != "", *submitAddr != "", *scrapeURL != ""} {
-		if on {
-			modes++
+	count := func(on ...bool) (n int) {
+		for _, b := range on {
+			if b {
+				n++
+			}
 		}
+		return n
 	}
-	if modes > 1 {
-		fatal(fmt.Errorf("-coordinator, -worker, -driver, -cluster, -serve, -submit, and -scrape are mutually exclusive"))
+	// jobless counts the selected modes that run no job in this process.
+	jobless := count(o.coordAddr != "", o.workerAddr != "", o.serve.addr != "", o.submitAddr != "", o.scrapeURL != "")
+	if jobless+count(o.driverAddr != "", o.clusterN != 0) > 1 {
+		return fmt.Errorf("-coordinator, -worker, -driver, -cluster, -serve, -submit, and -scrape are mutually exclusive")
 	}
-	if *clusterN < 0 {
-		fatal(fmt.Errorf("-cluster wants a positive worker count, got %d", *clusterN))
+	if o.clusterN < 0 {
+		return fmt.Errorf("-cluster wants a positive worker count, got %d", o.clusterN)
 	}
-	if *journalPath != "" && *coordAddr == "" && *clusterN == 0 {
-		fatal(fmt.Errorf("-journal belongs to the coordinator; use it with -coordinator or -cluster"))
+	if o.journal != "" && o.coordAddr == "" && o.clusterN == 0 {
+		return fmt.Errorf("-journal belongs to the coordinator; use it with -coordinator or -cluster")
 	}
-	clusterMode := *driverAddr != "" || *clusterN > 0
-	if (clusterMode || *coordAddr != "" || *workerAddr != "") && *shuffle != mapreduce.ShuffleMem {
-		fatal(fmt.Errorf("cluster modes use the in-memory shuffle; -shuffle %s runs single-process only", *shuffle))
+	if (o.clusterMode() || o.coordAddr != "" || o.workerAddr != "") && o.shuffle.Mode != mapreduce.ShuffleMem {
+		return fmt.Errorf("cluster modes use the in-memory shuffle; -shuffle %s runs single-process only", o.shuffle.Mode)
 	}
+	if jobless > 0 && (o.verify || o.traceOut != "" || o.metricsOut != "") {
+		return fmt.Errorf("-verify, -trace-out and -metrics-out act on the job this invocation runs; -coordinator, -worker, -serve, -submit and -scrape run none")
+	}
+	return nil
+}
 
-	if *scrapeURL != "" {
-		runScrape(*scrapeURL)
-		return
-	}
-	if *serveAddr != "" {
-		runServeMode(serveConfig{
-			addr:       *serveAddr,
-			storeKind:  *storeKind,
-			queueDepth: *queueDepth,
-			workers:    *serveWorkers,
-			quota:      *quota,
-			quotas:     *quotas,
-		})
-		return
-	}
-	if *submitAddr != "" {
-		runSubmitMode(*submitAddr, spec)
-		return
-	}
-	if *workerAddr != "" {
-		runWorkerMode(*workerAddr)
-		return
-	}
-	if *coordAddr != "" {
-		// The daemon owns the proc fault site; Validate already parsed the
-		// schedule once, so this cannot fail.
-		inj, err := faults.NewFromSpec(*faultSpec)
-		if err != nil {
-			fatal(err)
+// clusterMode reports whether this invocation drives a job on a cluster.
+func (o *options) clusterMode() bool { return o.driverAddr != "" || o.clusterN > 0 }
+
+// coordinatorArgs renders the forwarded flags for the -cluster coordinator
+// subprocess, so the daemon builds the identical job: each one that was set
+// on the command line (an explicit "-codec-workers 0" must stay explicit) or
+// whose bound value differs from its default (the -combine-nodes cluster
+// default lands in the spec, not on the command line).
+func (o *options) coordinatorArgs() []string {
+	var args []string
+	for _, name := range o.forwarded {
+		if f := o.fs.Lookup(name); o.flagWasSet(name) || f.Value.String() != f.DefValue {
+			args = append(args, "-"+name+"="+f.Value.String())
 		}
-		runCoordinatorMode(coordinatorConfig{
-			addr:      *coordAddr,
-			journal:   *journalPath,
-			spec:      spec,
-			heartbeat: *heartbeat,
-			leaseTTL:  *leaseTTL,
-			faults:    inj,
-			debugAddr: *debugAddr,
-		})
+	}
+	return args
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+	spec := o.spec
+
+	if o.scrapeURL != "" {
+		runScrape(o.scrapeURL)
+		return
+	}
+	if o.serve.addr != "" {
+		runServeMode(o.serve)
+		return
+	}
+	if o.submitAddr != "" {
+		runSubmitMode(o.submitAddr, spec)
+		return
+	}
+	if o.workerAddr != "" {
+		runWorkerMode(o.workerAddr)
+		return
+	}
+	if o.coordAddr != "" {
+		runCoordinatorMode(o)
 		return
 	}
 
@@ -200,45 +233,40 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	qcfg.Retry = mapreducePolicy(*retries, *backoff, *speculate)
-	qcfg.Timeout = *timeout
-	qcfg.Parallelism = *par
+	inj := qcfg.Faults
+	qcfg.RunOptions = o.run
+	qcfg.Faults = inj
+	qcfg.Retry.Speculative = qcfg.Retry.SpeculativeAfter > 0
+	if o.shuffle.Mode != mapreduce.ShuffleMem {
+		qcfg.Shuffle = &o.shuffle
+	}
 	var ob *obs.Observer
-	if *debugAddr != "" || *traceOut != "" || *metricsOut != "" {
+	if o.debugAddr != "" || o.traceOut != "" || o.metricsOut != "" {
 		ob = obs.New()
 		qcfg.Obs = ob
 	}
 	var dbg *obs.Server
-	if *debugAddr != "" {
+	if o.debugAddr != "" {
 		var err error
-		dbg, err = obs.NewServer(*debugAddr, ob)
+		dbg, err = obs.NewServer(o.debugAddr, ob)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("debug server on http://%s (metrics, trace, pprof)\n", dbg.Addr())
 	}
-	if *shuffle != mapreduce.ShuffleMem {
-		qcfg.Shuffle = &mapreduce.ShuffleConfig{
-			Mode:          *shuffle,
-			Nodes:         *nodes,
-			FetchAttempts: *fetchAttempts,
-			FetchTimeout:  *fetchTimeout,
-		}
-	}
-
-	workers := 0
-	if clusterMode {
+	if o.clusterMode() {
 		// The coordinator daemon owns the proc fault site (it signals real
 		// worker processes, or itself for proc:coord rules); engine-level
 		// sites travel to workers inside the spec. The driver's own scheduler
 		// runs no attempts, so it gets no injector.
-		var cl *clusterd.Client
-		if *clusterN > 0 {
-			addr, err := pickLoopbackAddr()
-			if err != nil {
+		addr, workers := o.driverAddr, 4 // external workers; a guess that only sizes parallelism
+		patience := time.Duration(0)
+		if o.clusterN > 0 {
+			var err error
+			if addr, err = pickLoopbackAddr(); err != nil {
 				fatal(err)
 			}
-			journal := *journalPath
+			journal := o.journal
 			if journal == "" {
 				dir, err := os.MkdirTemp("", "scijob-coord-")
 				if err != nil {
@@ -247,50 +275,21 @@ func main() {
 				defer os.RemoveAll(dir)
 				journal = filepath.Join(dir, "coord.journal")
 			}
-			// Forward every spec-shaping flag so the daemon subprocess builds
-			// the identical job; respawned incarnations recover from the
-			// shared journal on the same fixed address.
-			coordArgs := []string{
-				"-coordinator", addr, "-journal", journal,
-				"-side", strconv.Itoa(*side), "-strategy", *stratName,
-				"-codec", *codecName, "-curve", *curve,
-				"-flush", strconv.Itoa(*flush), "-op", *op,
-				"-radius", strconv.Itoa(*radius), "-splits", strconv.Itoa(*splits),
-				"-reducers", strconv.Itoa(*reducers),
-			}
-			if flagWasSet("codec-workers") {
-				coordArgs = append(coordArgs, "-codec-workers", strconv.Itoa(*codecWorkers))
-			}
-			if *combine {
-				coordArgs = append(coordArgs, "-combine", "-combine-nodes", strconv.Itoa(*combineNodes))
-			}
-			if *faultSpec != "" {
-				coordArgs = append(coordArgs, "-faults", *faultSpec)
-			}
-			if *heartbeat != 0 {
-				coordArgs = append(coordArgs, "-heartbeat", heartbeat.String())
-			}
-			if *leaseTTL != 0 {
-				coordArgs = append(coordArgs, "-lease-ttl", leaseTTL.String())
-			}
-			sup := startCoordProc(coordArgs)
-			defer sup.shutdown()
+			// Respawned incarnations recover from the shared journal on the
+			// same fixed address.
+			coord := startSupervisor("coordinator", 1,
+				append([]string{"-coordinator", addr, "-journal", journal}, o.coordinatorArgs()...))
+			defer coord.shutdown()
 			fmt.Printf("coordinator subprocess on %s (journal %s)\n", addr, journal)
-			workers = *clusterN
-			pool := startLocalWorkers(addr, *clusterN)
+			workers = o.clusterN
+			pool := startSupervisor("worker", workers, []string{"-worker", addr})
 			defer pool.shutdown()
-			fmt.Printf("spawned %d worker processes\n", *clusterN)
-			cl, err = dialCoordinator(addr, 10*time.Second)
-			if err != nil {
-				fatal(fmt.Errorf("dialing coordinator subprocess: %w", err))
-			}
-		} else {
-			var err error
-			cl, err = dialCoordinator(*driverAddr, 0)
-			if err != nil {
-				fatal(fmt.Errorf("dialing coordinator at %s: %w", *driverAddr, err))
-			}
-			workers = 4 // external workers; a guess that only sizes parallelism
+			fmt.Printf("spawned %d worker processes\n", workers)
+			patience = 10 * time.Second // the subprocess may still be binding
+		}
+		cl, err := dialCoordinator(addr, patience)
+		if err != nil {
+			fatal(fmt.Errorf("dialing coordinator at %s: %w", addr, err))
 		}
 		defer cl.Close()
 		qcfg.Remote = cl
@@ -300,11 +299,11 @@ func main() {
 		}
 	}
 
-	rep, res, err := core.RunQueryResult(fs, qcfg, strat, cluster.Paper(), *verify)
+	rep, res, err := core.RunQueryResult(fs, qcfg, strat, cluster.Paper(), o.verify)
 	// Flush observability before acting on the outcome: a failed job's trace
 	// and metrics are exactly what a post-mortem needs, so -trace-out and
 	// -metrics-out land on every exit path, not just success.
-	flushObs(ob, *traceOut, *metricsOut)
+	flushObs(ob, o.traceOut, o.metricsOut)
 	if err != nil {
 		fatal(err)
 	}
@@ -314,13 +313,13 @@ func main() {
 	}
 
 	fmt.Printf("job: %s %s on %dx%d grid, %d splits, %d reducers\n",
-		qcfg.Op, rep.Strategy, *side, *side, *splits, *reducers)
+		qcfg.Op, rep.Strategy, spec.Side, spec.Side, spec.Splits, spec.Reducers)
 	fmt.Printf("  map output records:            %s\n", experiments.FormatBytes(rep.MapOutputRecords))
 	fmt.Printf("  map output key bytes:          %s\n", experiments.FormatBytes(rep.KeyBytes))
 	fmt.Printf("  map output value bytes:        %s\n", experiments.FormatBytes(rep.ValueBytes))
 	fmt.Printf("  map output materialized bytes: %s\n", experiments.FormatBytes(rep.MaterializedBytes))
 	fmt.Printf("  reduce shuffle bytes:          %s\n", experiments.FormatBytes(rep.ShuffleBytes))
-	if *combine {
+	if spec.Combine {
 		fmt.Printf("  in-node combining:             %s records folded, %s emitted, %s saved\n",
 			experiments.FormatBytes(rep.CombineMergedRecords),
 			experiments.FormatBytes(rep.CombineEmittedRecords),
@@ -343,7 +342,7 @@ func main() {
 			rep.Estimate.WastedMapSeconds, rep.Estimate.WastedReduceSeconds)
 	}
 
-	if *verify {
+	if o.verify {
 		field := &workload.Field{Extent: qcfg.DS.Extent, Name: qcfg.DS.Var.Name}
 		want := scihadoop.Reference(field, qcfg.DS.Extent, qcfg.Radius, qcfg.Op)
 		bad := 0
@@ -372,24 +371,25 @@ func main() {
 // misread, before any machinery starts. Negative widths are always wrong;
 // an explicitly set width (flag.Visit distinguishes "-codec-workers 0" from
 // an untouched default) demands a block+ transform codec to act on.
-func validateCodecWorkers(n int, stratName, codecName string) error {
-	if n < 0 {
-		return fmt.Errorf("-codec-workers must be >= 0, got %d", n)
+func (o *options) validateCodecWorkers() error {
+	s := o.spec
+	if s.CodecWorkers < 0 {
+		return fmt.Errorf("-codec-workers must be >= 0, got %d", s.CodecWorkers)
 	}
-	if !flagWasSet("codec-workers") {
+	if !o.flagWasSet("codec-workers") {
 		return nil
 	}
-	if stratName != "transform" || !strings.HasPrefix(strings.ToLower(codecName), "block+") {
-		return fmt.Errorf("-codec-workers only applies to -strategy transform with a block+ codec (got -strategy %s -codec %s)", stratName, codecName)
+	if s.Strategy != "transform" || !strings.HasPrefix(strings.ToLower(s.Codec), "block+") {
+		return fmt.Errorf("-codec-workers only applies to -strategy transform with a block+ codec (got -strategy %s -codec %s)", s.Strategy, s.Codec)
 	}
 	return nil
 }
 
 // flagWasSet reports whether the named flag appeared on the command line,
 // distinguishing an explicit zero from an untouched default.
-func flagWasSet(name string) bool {
+func (o *options) flagWasSet(name string) bool {
 	set := false
-	flag.Visit(func(f *flag.Flag) {
+	o.fs.Visit(func(f *flag.Flag) {
 		if f.Name == name {
 			set = true
 		}
@@ -433,15 +433,6 @@ func writeFileWith(path string, render func(w io.Writer) error) error {
 		return err
 	}
 	return os.Rename(f.Name(), path)
-}
-
-func mapreducePolicy(retries int, backoff, speculate time.Duration) mapreduce.RetryPolicy {
-	return mapreduce.RetryPolicy{
-		MaxAttempts:      retries,
-		Backoff:          backoff,
-		Speculative:      speculate > 0,
-		SpeculativeAfter: speculate,
-	}
 }
 
 func fatal(err error) {

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scikey/internal/core"
@@ -156,6 +159,109 @@ func TestSetupHonoursEverySpecField(t *testing.T) {
 		mut(&base, &changed)
 		if reflect.DeepEqual(setup(base), setup(changed)) {
 			t.Errorf("Setup drops QuerySpec.%s: %+v and %+v build the same query", name, base, changed)
+		}
+	}
+}
+
+// parse runs one command line through the bindings main uses.
+func parse(t *testing.T, args ...string) (*options, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("scijob", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return parseFlags(fs, args)
+}
+
+// TestModeValidation table-tests the mode step of flag validation: each
+// rejected line names a combination some mode would silently ignore — in
+// particular -verify, -trace-out and -metrics-out anywhere this invocation
+// runs no job, which used to exit 0 having verified and written nothing.
+func TestModeValidation(t *testing.T) {
+	cases := []struct {
+		args string
+		want string // substring of the error; "" = accepted
+	}{
+		{"-verify", ""},
+		{"-cluster 3 -verify -trace-out t.json -metrics-out m.prom", ""},
+		{"-driver 127.0.0.1:1 -verify", ""},
+		{"-submit 127.0.0.1:1", ""},
+		{"-coordinator 127.0.0.1:1 -debug-addr 127.0.0.1:2", ""},
+		{"-submit 127.0.0.1:1 -verify", "act on the job this invocation runs"},
+		{"-submit 127.0.0.1:1 -trace-out t.json", "act on the job this invocation runs"},
+		{"-submit 127.0.0.1:1 -metrics-out m.prom", "act on the job this invocation runs"},
+		{"-serve 127.0.0.1:0 -verify", "act on the job this invocation runs"},
+		{"-serve 127.0.0.1:0 -metrics-out m.prom", "act on the job this invocation runs"},
+		{"-worker 127.0.0.1:1 -trace-out t.json", "act on the job this invocation runs"},
+		{"-scrape 127.0.0.1:1/metrics -verify", "act on the job this invocation runs"},
+		{"-coordinator 127.0.0.1:1 -verify", "act on the job this invocation runs"},
+		{"-shuffle udp", "unknown -shuffle transport"},
+		{"-cluster 3 -shuffle tcp", "cluster modes use the in-memory shuffle"},
+		{"-worker 127.0.0.1:1 -shuffle net", "cluster modes use the in-memory shuffle"},
+		{"-serve 127.0.0.1:0 -submit 127.0.0.1:1", "mutually exclusive"},
+		{"-cluster -1", "positive worker count"},
+		{"-journal j", "-journal belongs to the coordinator"},
+	}
+	for _, tc := range cases {
+		_, err := parse(t, strings.Fields(tc.args)...)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%q rejected: %v", tc.args, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%q accepted, want an error containing %q", tc.args, tc.want)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%q: error %q does not contain %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestClusterForwarding: the -cluster supervisor forwards the query-shaping
+// and daemon flags by iterating the bound set, so the coordinator
+// subprocess, parsing them through the same bindings, must end up with the
+// identical QuerySpec and daemon settings — including an explicit
+// "-codec-workers 0" and the -combine-nodes value -cluster defaulted.
+func TestClusterForwarding(t *testing.T) {
+	cases := [][]string{
+		{"-cluster", "3"},
+		{"-cluster", "3", "-strategy", "transform", "-codec", "block+zlib", "-codec-workers", "0"},
+		{"-cluster", "3", "-op", "max", "-combine"},
+		{"-cluster", "2", "-side", "64", "-strategy", "aggregation", "-curve", "hilbert", "-flush", "64",
+			"-radius", "2", "-splits", "4", "-reducers", "3"},
+		{"-cluster", "3", "-faults", "seed=1;proc:0.0:kill@0;map:1:error@0", "-retries", "4", "-verify"},
+		{"-cluster", "3", "-heartbeat", "50ms", "-lease-ttl", "400ms", "-journal", "j"},
+	}
+	for _, args := range cases {
+		driver, err := parse(t, args...)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		fwd := driver.coordinatorArgs()
+		daemon, err := parse(t, append([]string{"-coordinator", "127.0.0.1:1"}, fwd...)...)
+		if err != nil {
+			t.Fatalf("%v: forwarded %v rejected: %v", args, fwd, err)
+		}
+		if daemon.spec != driver.spec {
+			t.Errorf("%v: forwarded %v\n daemon spec %+v\n driver spec %+v", args, fwd, daemon.spec, driver.spec)
+		}
+		if daemon.heartbeat != driver.heartbeat || daemon.leaseTTL != driver.leaseTTL {
+			t.Errorf("%v: daemon heartbeat/lease-ttl %v/%v, driver %v/%v", args,
+				daemon.heartbeat, daemon.leaseTTL, driver.heartbeat, driver.leaseTTL)
+		}
+		if daemon.verify || daemon.run.Retry.MaxAttempts != 1 || daemon.clusterN != 0 {
+			t.Errorf("%v: driver-only flags leaked into forwarded args %v", args, fwd)
+		}
+	}
+	// The two cases a "forward what differs from the default" rule alone
+	// would miss in one direction or the other: a value that is never on the
+	// command line, only in the spec, and an explicit zero.
+	for _, tc := range []struct{ args, want string }{
+		{"-cluster 3 -op max -combine", "-combine-nodes=3"},
+		{"-cluster 3 -strategy transform -codec block+zlib -codec-workers 0", "-codec-workers=0"},
+	} {
+		o, err := parse(t, strings.Fields(tc.args)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fwd := strings.Join(o.coordinatorArgs(), " "); !strings.Contains(fwd, tc.want) {
+			t.Errorf("%q forwards %q, want %s among them", tc.args, fwd, tc.want)
 		}
 	}
 }

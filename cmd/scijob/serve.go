@@ -21,7 +21,7 @@ import (
 	"scikey/internal/store"
 )
 
-// serveConfig carries the flag values the -serve daemon needs.
+// serveConfig is the -serve daemon's flags, bound in bindFlags.
 type serveConfig struct {
 	addr       string
 	storeKind  string // local | object

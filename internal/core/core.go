@@ -85,11 +85,7 @@ func (s Strategy) Name() string {
 		}
 		return "transform+" + c
 	case Aggregation:
-		c := s.Curve
-		if c == "" {
-			c = "zorder"
-		}
-		return "aggregation/" + c
+		return "aggregation/" + scihadoop.QueryConfig{Curve: s.Curve}.WithDefaults().Curve
 	case BoxAggregation:
 		return "aggregation/boxes"
 	}
@@ -330,11 +326,7 @@ func RunQueryResult(fs *hdfs.FileSystem, qcfg scihadoop.QueryConfig, strat Strat
 
 // outputCodec builds the key codec matching a query's output encoding.
 func outputCodec(qcfg scihadoop.QueryConfig) *keys.Codec {
-	mode := qcfg.KeyMode
-	if mode == 0 {
-		mode = keys.VarByName
-	}
-	return &keys.Codec{Rank: qcfg.DS.Extent.Rank(), Mode: mode}
+	return &keys.Codec{Rank: qcfg.DS.Extent.Rank(), Mode: qcfg.WithDefaults().KeyMode}
 }
 
 // Reduction returns the fractional decrease of this report's materialized

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
+
+	"scikey/internal/obs"
 )
 
 // Counter is a concurrency-safe job counter.
@@ -108,48 +110,69 @@ type Counters struct {
 	CombineSavedBytes Counter
 }
 
+// counterTable is the one description of every job counter: where it lives
+// in Counters, its Hadoop log label, and the scikey_* series (help text —
+// "" repeats the label — and unit) it is published as; DESIGN.md §7's metric
+// table is this one. Table order is the wire order: worker snapshots, the
+// coordinator journal and cached map-phase snapshots all carry values by
+// position, so a new counter is appended, never inserted (the wire form
+// still length-checks exactly).
+var counterTable = []struct {
+	at                        func(*Counters) *Counter
+	label, series, help, unit string
+}{
+	{func(c *Counters) *Counter { return &c.MapInputRecords }, "Map input records", "scikey_map_input_records_total", "", ""},
+	{func(c *Counters) *Counter { return &c.MapInputBytes }, "Map input bytes", "scikey_map_input_bytes_total", "", "bytes"},
+	{func(c *Counters) *Counter { return &c.MapOutputRecords }, "Map output records", "scikey_map_output_records_total", "", ""},
+	{func(c *Counters) *Counter { return &c.MapOutputBytes }, "Map output bytes", "scikey_map_output_bytes_total", "Serialized map output bytes before framing and compression", "bytes"},
+	{func(c *Counters) *Counter { return &c.MapOutputKeyBytes }, "Map output key bytes", "scikey_map_output_key_bytes_total", "Key share of map output bytes", "bytes"},
+	{func(c *Counters) *Counter { return &c.MapOutputValueBytes }, "Map output value bytes", "scikey_map_output_value_bytes_total", "Value share of map output bytes", "bytes"},
+	{func(c *Counters) *Counter { return &c.MapOutputMaterializedBytes }, "Map output materialized bytes", "scikey_map_output_materialized_bytes_total", "On-disk size of final map output (the paper's headline metric)", "bytes"},
+	{func(c *Counters) *Counter { return &c.CombineInputRecords }, "Combine input records", "scikey_combine_input_records_total", "Records entering map-side combiners", ""},
+	{func(c *Counters) *Counter { return &c.CombineOutputRecords }, "Combine output records", "scikey_combine_output_records_total", "Records leaving map-side combiners", ""},
+	{func(c *Counters) *Counter { return &c.SpilledRecords }, "Spilled records", "scikey_spilled_records_total", "Records written during spills and merge passes", ""},
+	{func(c *Counters) *Counter { return &c.PartitionKeySplits }, "Partition key splits", "scikey_partition_key_splits_total", "Aggregate keys split at routing time", ""},
+	{func(c *Counters) *Counter { return &c.OverlapKeySplits }, "Overlap key splits", "scikey_overlap_key_splits_total", "Reduce-side overlap splits", ""},
+	{func(c *Counters) *Counter { return &c.ReduceShuffleBytes }, "Reduce shuffle bytes", "scikey_reduce_shuffle_bytes_total", "Segment bytes fetched by reducers", "bytes"},
+	{func(c *Counters) *Counter { return &c.ReduceInputGroups }, "Reduce input groups", "scikey_reduce_input_groups_total", "Distinct key groups reduced", ""},
+	{func(c *Counters) *Counter { return &c.ReduceInputRecords }, "Reduce input records", "scikey_reduce_input_records_total", "Records entering reducers", ""},
+	{func(c *Counters) *Counter { return &c.ReduceOutputRecords }, "Reduce output records", "scikey_reduce_output_records_total", "Records written by reducers", ""},
+	{func(c *Counters) *Counter { return &c.ReduceOutputBytes }, "Reduce output bytes", "scikey_reduce_output_bytes_total", "Bytes written by reducers", "bytes"},
+	{func(c *Counters) *Counter { return &c.MapAttemptsFailed }, "Failed map attempts", "scikey_map_attempts_failed_total", "Map attempts that ended in an error or panic", ""},
+	{func(c *Counters) *Counter { return &c.ReduceAttemptsFailed }, "Failed reduce attempts", "scikey_reduce_attempts_failed_total", "Reduce attempts that ended in an error or panic", ""},
+	{func(c *Counters) *Counter { return &c.TaskRetries }, "Task retries", "scikey_task_retries_total", "Re-executions granted after failed attempts", ""},
+	{func(c *Counters) *Counter { return &c.SpeculativeAttempts }, "Speculative attempts", "scikey_speculative_attempts_total", "Backup attempts launched for stragglers", ""},
+	{func(c *Counters) *Counter { return &c.SpeculativeWasted }, "Speculative wasted attempts", "scikey_speculative_wasted_total", "Attempts whose twin finished first", ""},
+	{func(c *Counters) *Counter { return &c.CorruptSegmentsDetected }, "Corrupt segments detected", "scikey_corrupt_segments_detected_total", "Shuffle reads failing CRC or decode checks", ""},
+	{func(c *Counters) *Counter { return &c.MapTasksRecovered }, "Map tasks recovered", "scikey_map_tasks_recovered_total", "Map tasks re-executed to replace corrupt or lost output", ""},
+	{func(c *Counters) *Counter { return &c.ShuffleFetches }, "Shuffle fetches", "scikey_shuffle_fetches_total", "Segment fetches issued by reducers", ""},
+	{func(c *Counters) *Counter { return &c.ShuffleFetchRetries }, "Shuffle fetch retries", "scikey_shuffle_fetch_retries_total", "Fetch attempts beyond each fetch's first", ""},
+	{func(c *Counters) *Counter { return &c.ShuffleFetchesResumed }, "Shuffle fetches resumed", "scikey_shuffle_fetches_resumed_total", "Fetches resumed from a verified byte offset", ""},
+	{func(c *Counters) *Counter { return &c.ShuffleFetchWastedBytes }, "Shuffle fetch wasted bytes", "scikey_shuffle_fetch_wasted_bytes_total", "Verified bytes fetches had to discard", "bytes"},
+	{func(c *Counters) *Counter { return &c.ShuffleBreakerTrips }, "Shuffle breaker trips", "scikey_shuffle_breaker_trips_total", "Per-node circuit breakers opened", ""},
+	{func(c *Counters) *Counter { return &c.CombineMergedRecords }, "Node combine merged records", "scikey_combine_merged_records_total", "Records folded away by in-node combining", ""},
+	{func(c *Counters) *Counter { return &c.CombineEmittedRecords }, "Node combine emitted records", "scikey_combine_emitted_records_total", "Records carried by in-node combined segments", ""},
+	{func(c *Counters) *Counter { return &c.CombineSavedBytes }, "Node combine saved bytes", "scikey_combine_saved_bytes_total", "Shuffle bytes removed by in-node combining", "bytes"},
+}
+
 // Merge adds every counter of o into c. The engine gives each attempt its
 // own Counters and merges only the winning attempt's, so failed and
 // speculatively-discarded attempts never skew the job totals.
 func (c *Counters) Merge(o *Counters) {
-	dst, src := c.rows(), o.rows()
-	for i := range dst {
-		dst[i].Add(src[i].Value())
+	for _, row := range counterTable {
+		row.at(c).Add(row.at(o).Value())
 	}
 }
 
-// rows lists the counters in render order.
-func (c *Counters) rows() []*Counter {
-	return []*Counter{
-		&c.MapInputRecords, &c.MapInputBytes,
-		&c.MapOutputRecords, &c.MapOutputBytes,
-		&c.MapOutputKeyBytes, &c.MapOutputValueBytes,
-		&c.MapOutputMaterializedBytes,
-		&c.CombineInputRecords, &c.CombineOutputRecords, &c.SpilledRecords,
-		&c.PartitionKeySplits, &c.OverlapKeySplits,
-		&c.ReduceShuffleBytes, &c.ReduceInputGroups,
-		&c.ReduceInputRecords, &c.ReduceOutputRecords, &c.ReduceOutputBytes,
-		&c.MapAttemptsFailed, &c.ReduceAttemptsFailed, &c.TaskRetries,
-		&c.SpeculativeAttempts, &c.SpeculativeWasted,
-		&c.CorruptSegmentsDetected, &c.MapTasksRecovered,
-		&c.ShuffleFetches, &c.ShuffleFetchRetries, &c.ShuffleFetchesResumed,
-		&c.ShuffleFetchWastedBytes, &c.ShuffleBreakerTrips,
-		// Appended at the end so older snapshots stay prefix-compatible in
-		// render order (the wire form still length-checks exactly).
-		&c.CombineMergedRecords, &c.CombineEmittedRecords, &c.CombineSavedBytes,
-	}
-}
-
-// Snapshot returns every counter's value in the fixed rows() order — the
-// wire form a worker process ships an attempt's private counters in. A
-// snapshot restored with AddSnapshot on the coordinator merges exactly like
-// an in-process attempt's counters, so cluster runs keep the byte-identity
+// Snapshot returns every counter's value in counterTable order — the wire
+// form a worker process ships an attempt's private counters in. A snapshot
+// restored with AddSnapshot on the coordinator merges exactly like an
+// in-process attempt's counters, so cluster runs keep the byte-identity
 // invariant.
 func (c *Counters) Snapshot() []int64 {
-	rows := c.rows()
-	out := make([]int64, len(rows))
-	for i, r := range rows {
-		out[i] = r.Value()
+	out := make([]int64, len(counterTable))
+	for i, row := range counterTable {
+		out[i] = row.at(c).Value()
 	}
 	return out
 }
@@ -157,12 +180,11 @@ func (c *Counters) Snapshot() []int64 {
 // AddSnapshot adds a Snapshot's values into c. Snapshots from a different
 // engine version (wrong length) are rejected rather than misattributed.
 func (c *Counters) AddSnapshot(vs []int64) error {
-	rows := c.rows()
-	if len(vs) != len(rows) {
-		return fmt.Errorf("mapreduce: counter snapshot has %d values, want %d", len(vs), len(rows))
+	if len(vs) != len(counterTable) {
+		return fmt.Errorf("mapreduce: counter snapshot has %d values, want %d", len(vs), len(counterTable))
 	}
-	for i, r := range rows {
-		r.Add(vs[i])
+	for i, row := range counterTable {
+		row.at(c).Add(vs[i])
 	}
 	return nil
 }
@@ -170,41 +192,26 @@ func (c *Counters) AddSnapshot(vs []int64) error {
 // String renders the counters in Hadoop's log style.
 func (c *Counters) String() string {
 	var sb strings.Builder
-	row := func(name string, v int64) {
-		fmt.Fprintf(&sb, "    %s=%d\n", name, v)
-	}
 	sb.WriteString("  Counters:\n")
-	row("Map input records", c.MapInputRecords.Value())
-	row("Map input bytes", c.MapInputBytes.Value())
-	row("Map output records", c.MapOutputRecords.Value())
-	row("Map output bytes", c.MapOutputBytes.Value())
-	row("Map output key bytes", c.MapOutputKeyBytes.Value())
-	row("Map output value bytes", c.MapOutputValueBytes.Value())
-	row("Map output materialized bytes", c.MapOutputMaterializedBytes.Value())
-	row("Combine input records", c.CombineInputRecords.Value())
-	row("Combine output records", c.CombineOutputRecords.Value())
-	row("Spilled records", c.SpilledRecords.Value())
-	row("Partition key splits", c.PartitionKeySplits.Value())
-	row("Overlap key splits", c.OverlapKeySplits.Value())
-	row("Reduce shuffle bytes", c.ReduceShuffleBytes.Value())
-	row("Reduce input groups", c.ReduceInputGroups.Value())
-	row("Reduce input records", c.ReduceInputRecords.Value())
-	row("Reduce output records", c.ReduceOutputRecords.Value())
-	row("Reduce output bytes", c.ReduceOutputBytes.Value())
-	row("Failed map attempts", c.MapAttemptsFailed.Value())
-	row("Failed reduce attempts", c.ReduceAttemptsFailed.Value())
-	row("Task retries", c.TaskRetries.Value())
-	row("Speculative attempts", c.SpeculativeAttempts.Value())
-	row("Speculative wasted attempts", c.SpeculativeWasted.Value())
-	row("Corrupt segments detected", c.CorruptSegmentsDetected.Value())
-	row("Map tasks recovered", c.MapTasksRecovered.Value())
-	row("Shuffle fetches", c.ShuffleFetches.Value())
-	row("Shuffle fetch retries", c.ShuffleFetchRetries.Value())
-	row("Shuffle fetches resumed", c.ShuffleFetchesResumed.Value())
-	row("Shuffle fetch wasted bytes", c.ShuffleFetchWastedBytes.Value())
-	row("Shuffle breaker trips", c.ShuffleBreakerTrips.Value())
-	row("Node combine merged records", c.CombineMergedRecords.Value())
-	row("Node combine emitted records", c.CombineEmittedRecords.Value())
-	row("Node combine saved bytes", c.CombineSavedBytes.Value())
+	for _, row := range counterTable {
+		fmt.Fprintf(&sb, "    %s=%d\n", row.label, row.at(c).Value())
+	}
 	return sb.String()
+}
+
+// publishCounters copies a completed job's Counters into the metrics
+// registry as scikey_* counter series (a nil registry no-ops). Registry
+// counters accumulate, so an Observer shared across jobs (an experiment
+// driver, a long-lived scijob process) reports fleet totals.
+func publishCounters(r *obs.Registry, c *Counters) {
+	if r == nil || c == nil {
+		return
+	}
+	for _, row := range counterTable {
+		help := row.help
+		if help == "" {
+			help = row.label
+		}
+		r.Counter(row.series, help, row.unit).Add(row.at(c).Value())
+	}
 }

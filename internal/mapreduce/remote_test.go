@@ -125,17 +125,16 @@ func runRemoteJob(t *testing.T, par int, failOnce ...string) (*hdfs.FileSystem, 
 	return fs, res, remote
 }
 
-// remotePayloadCounters is the prefix of the snapshot rows that describe
-// the data path (as opposed to scheduler bookkeeping like retry counts):
-// everything before MapAttemptsFailed.
-func remotePayloadCounters(res *Result) []*Counter {
-	rows := res.Counters.rows()
-	for i, r := range rows {
-		if r == &res.Counters.MapAttemptsFailed {
-			return rows[:i]
+// remotePayloadCounters is the length of the snapshot prefix that
+// describes the data path (as opposed to scheduler bookkeeping like retry
+// counts): everything before MapAttemptsFailed.
+func remotePayloadCounters(res *Result) int {
+	for i, row := range counterTable {
+		if row.at(res.Counters) == &res.Counters.MapAttemptsFailed {
+			return i
 		}
 	}
-	return rows
+	return len(counterTable)
 }
 
 // outputsAndCounters fingerprints a run: every output file's bytes plus the
@@ -206,7 +205,7 @@ func TestRemoteLeaseLossRetriesAndChargesWaste(t *testing.T) {
 	}
 	// Payload counters (everything up to the scheduler bookkeeping rows)
 	// must match the clean run exactly: lost attempts never double-count.
-	payload := len(remotePayloadCounters(res))
+	payload := remotePayloadCounters(res)
 	for i := 0; i < payload; i++ {
 		if counts[i] != refCounts[i] {
 			t.Errorf("counter %d = %d, want %d (lost attempts must not double-count)", i, counts[i], refCounts[i])

@@ -198,13 +198,25 @@ type Job struct {
 	// (Hadoop's io.sort.factor); more segments than this trigger extra
 	// on-disk merge passes whose I/O the cost model charges. Default 10.
 	MergeFactor int
-	// Parallelism caps concurrently executing tasks. Default 1: tasks run
-	// sequentially, which keeps per-task CPU measurements clean for the
-	// cost model. Benchmarks wanting wall-clock speed can raise it.
+	// RunOptions says how the job runs; see the type.
+	RunOptions
+}
+
+// RunOptions are the run-time settings of a job: how it is scheduled,
+// transported, bounded, cached and observed — never what bytes it produces
+// (every combination yields the output and payload counters of the
+// sequential in-memory fault-free run). Job embeds it, and so does
+// scihadoop.QueryConfig, whose builders hand it to the Job whole: a new
+// run-time setting is declared here and nowhere else.
+type RunOptions struct {
+	// Parallelism caps concurrently executing task attempts. Default 1:
+	// tasks run sequentially, which keeps per-task CPU measurements clean
+	// for the cost model. Benchmarks wanting wall-clock speed raise it, and
+	// cluster mode wants it above 1 so several workers hold grants at once.
 	Parallelism int
 	// Retry configures the attempt scheduler: per-task retry budgets,
 	// deterministic backoff, and speculative execution. The zero value
-	// keeps the historical fail-fast behaviour.
+	// fails the job on the first task error.
 	Retry RetryPolicy
 	// Faults optionally injects deterministic failures into task attempts,
 	// IFile segments, and codec streams — the harness recovery tests and
@@ -235,11 +247,12 @@ type Job struct {
 	// the published segments, footprints, and map-side counters, skipping
 	// the map and combine phases entirely (Result.MapPhaseCached reports
 	// this; zero map attempts run). On a miss the job runs normally and, on
-	// success, stores its published map state under CacheKey. The caller
-	// owns key derivation: a key must cover every input that shapes map
-	// output bytes — dataset, splits, transform, codec. Mutually exclusive
-	// with Faults: a faulty run's recovery machinery must re-execute real
-	// map attempts, and caching its output would mix fault schedules.
+	// success, stores its published map state under CacheKey. The query
+	// service's shared segment cache plugs in here. The caller owns key
+	// derivation: a key must cover every input that shapes map output bytes
+	// — dataset, splits, transform, codec. Mutually exclusive with Faults:
+	// a faulty run's recovery machinery must re-execute real map attempts,
+	// and caching its output would mix fault schedules.
 	MapCache MapOutputCache
 	// CacheKey names this job's map output in MapCache. Empty disables
 	// caching even when MapCache is set.

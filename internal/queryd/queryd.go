@@ -211,26 +211,19 @@ func (s *Service) tenant(name string) *tenantState {
 // window-multiplied volume — a deliberately coarse prior that re-fit
 // bandwidths sharpen over time.
 func (s *Service) predictCost(spec QuerySpec) float64 {
+	key := spec.CacheKey()
 	s.mu.Lock()
 	clus := s.clus
-	known, ok := s.costByKey[spec.CacheKey()]
+	known, ok := s.costByKey[key]
 	s.mu.Unlock()
-	if ok && spec.CacheKey() != "" {
+	if ok && key != "" {
 		return known
 	}
 	inputBytes := int64(spec.Side) * int64(spec.Side) * 4
-	splits, reducers := spec.Splits, spec.Reducers
-	if splits <= 0 {
-		splits = 10
-	}
-	if reducers <= 0 {
-		reducers = 5
-	}
-	radius := spec.Radius
-	if radius <= 0 {
-		radius = 1
-	}
-	window := int64(2*radius+1) * int64(2*radius+1)
+	qcfg, _, _ := spec.queryConfig() // Submit validated the spec
+	qcfg = qcfg.WithDefaults()
+	splits, reducers := qcfg.NumSplits, qcfg.NumReducers
+	window := int64(2*qcfg.Radius+1) * int64(2*qcfg.Radius+1)
 	maps := make([]cluster.Task, splits)
 	for i := range maps {
 		per := inputBytes / int64(splits)

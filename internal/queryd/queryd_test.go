@@ -350,3 +350,82 @@ func TestHTTPServer(t *testing.T) {
 		t.Fatalf("metrics missing scikey_cache_hit_total 1:\n%s", metrics)
 	}
 }
+
+// TestCacheKeyDefaultEquivalence: specs that differ only in how they spell
+// a default — or in a field their strategy never reads — build byte-identical
+// map output, so they must share a cache key, and the second submission must
+// be a cache hit with the first one's sha (under the v1 key each pair ran two
+// cold jobs and stored the segments twice). Specs that change the bytes must
+// still get distinct keys.
+func TestCacheKeyDefaultEquivalence(t *testing.T) {
+	mut := func(base QuerySpec, f func(*QuerySpec)) QuerySpec { f(&base); return base }
+	paper := QuerySpec{Side: 24, Strategy: "baseline", Op: "median", Radius: 1, Splits: 10, Reducers: 5}
+	agg := mut(paper, func(s *QuerySpec) { s.Strategy, s.Curve = "aggregation", "zorder" })
+	tr := mut(paper, func(s *QuerySpec) { s.Strategy, s.Codec = "transform", "zlib" })
+
+	same := map[string][2]QuerySpec{
+		"splits_0":              {paper, mut(paper, func(s *QuerySpec) { s.Splits = 0 })},
+		"reducers_0":            {paper, mut(paper, func(s *QuerySpec) { s.Reducers = 0 })},
+		"radius_omitted":        {paper, mut(paper, func(s *QuerySpec) { s.Radius = 0 })},
+		"op_omitted":            {paper, mut(paper, func(s *QuerySpec) { s.Op = "" })},
+		"curve_omitted":         {agg, mut(agg, func(s *QuerySpec) { s.Curve = "" })},
+		"codec_omitted":         {tr, mut(tr, func(s *QuerySpec) { s.Codec = "" })},
+		"flush_on_baseline":     {paper, mut(paper, func(s *QuerySpec) { s.Flush = 64 })},
+		"flush_on_transform":    {tr, mut(tr, func(s *QuerySpec) { s.Flush = 64 })},
+		"curve_on_baseline":     {paper, mut(paper, func(s *QuerySpec) { s.Curve = "hilbert" })},
+		"codec_on_baseline":     {paper, mut(paper, func(s *QuerySpec) { s.Codec = "zlib" })},
+		"tenant":                {paper, mut(paper, func(s *QuerySpec) { s.Tenant = "alice" })},
+		"everything_defaulted":  {paper, {Side: 24, Strategy: "baseline"}},
+		"codec_workers_ignored": {mut(tr, func(s *QuerySpec) { s.Codec = "block+zlib" }), mut(tr, func(s *QuerySpec) { s.Codec, s.CodecWorkers = "block+zlib", 2 })},
+	}
+	for name, pair := range same {
+		t.Run("same/"+name, func(t *testing.T) {
+			if a, b := pair[0].CacheKey(), pair[1].CacheKey(); a != b || a == "" {
+				t.Fatalf("default-equivalent specs got different keys:\n %s\n %s", a, b)
+			}
+			svc := New(Config{Store: store.NewObject(), Obs: obs.New()})
+			defer svc.Close()
+			cold, err := svc.Submit(pair[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := svc.Submit(pair[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.CacheHit || !warm.CacheHit {
+				t.Errorf("cache hits = %v then %v, want false then true", cold.CacheHit, warm.CacheHit)
+			}
+			if warm.OutputSHA != cold.OutputSHA {
+				t.Errorf("warm sha %s != cold sha %s", warm.OutputSHA, cold.OutputSHA)
+			}
+		})
+	}
+
+	differ := map[string][2]QuerySpec{
+		"side":     {paper, mut(paper, func(s *QuerySpec) { s.Side = 32 })},
+		"op":       {paper, mut(paper, func(s *QuerySpec) { s.Op = "max" })},
+		"strategy": {paper, tr},
+		"codec":    {tr, mut(tr, func(s *QuerySpec) { s.Codec = "gzip" })},
+		"curve":    {agg, mut(agg, func(s *QuerySpec) { s.Curve = "hilbert" })},
+		"flush":    {agg, mut(agg, func(s *QuerySpec) { s.Flush = 64 })},
+		"radius":   {paper, mut(paper, func(s *QuerySpec) { s.Radius = 2 })},
+		"splits":   {paper, mut(paper, func(s *QuerySpec) { s.Splits = 4 })},
+		"reducers": {paper, mut(paper, func(s *QuerySpec) { s.Reducers = 2 })},
+		"combine": {mut(paper, func(s *QuerySpec) { s.Op = "max" }),
+			mut(paper, func(s *QuerySpec) { s.Op, s.Combine = "max", true })},
+		"combine_nodes": {mut(paper, func(s *QuerySpec) { s.Op, s.Combine = "max", true }),
+			mut(paper, func(s *QuerySpec) { s.Op, s.Combine, s.CombineNodes = "max", true, 2 })},
+	}
+	for name, pair := range differ {
+		if err := pair[1].Validate(); err != nil {
+			t.Fatalf("differ/%s uses an invalid spec: %v", name, err)
+		}
+		if a, b := pair[0].CacheKey(), pair[1].CacheKey(); a == b {
+			t.Errorf("differ/%s: byte-changing specs share key %s", name, a)
+		}
+	}
+	if !strings.HasPrefix(paper.CacheKey(), "v2|") {
+		t.Errorf("key %q lacks the v2 prefix that retires v1 entries", paper.CacheKey())
+	}
+}

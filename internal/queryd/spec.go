@@ -52,32 +52,28 @@ type QuerySpec struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// ParseStrategy maps the CLI/wire spelling of a strategy to core's terms.
-// Every front end parses the same spelling through here, so the one-shot
-// CLI, the service, and cluster workers cannot drift.
-func ParseStrategy(name, codecName, curve string, flush int) (core.Strategy, error) {
-	switch name {
+// ParsedStrategy maps the spec's spelling of a strategy to core's terms,
+// keeping only the fields that strategy reads (a flush threshold on a
+// baseline spec is dropped here, so it cannot shape a cache key either).
+func (s QuerySpec) ParsedStrategy() (core.Strategy, error) {
+	switch s.Strategy {
 	case "baseline":
 		return core.Strategy{Kind: core.Baseline}, nil
 	case "transform":
-		return core.Strategy{Kind: core.ByteTransform, Codec: codecName}, nil
+		return core.Strategy{Kind: core.ByteTransform, Codec: s.Codec}, nil
 	case "aggregation":
-		return core.Strategy{Kind: core.Aggregation, Curve: curve, FlushCells: flush}, nil
+		return core.Strategy{Kind: core.Aggregation, Curve: s.Curve, FlushCells: s.Flush}, nil
 	case "boxes":
-		return core.Strategy{Kind: core.BoxAggregation, FlushCells: flush}, nil
+		return core.Strategy{Kind: core.BoxAggregation, FlushCells: s.Flush}, nil
 	default:
-		return core.Strategy{}, fmt.Errorf("unknown strategy %q (want baseline, transform, aggregation, or boxes)", name)
+		return core.Strategy{}, fmt.Errorf("unknown strategy %q (want baseline, transform, aggregation, or boxes)", s.Strategy)
 	}
 }
 
-// ParsedStrategy resolves the spec's strategy fields.
-func (s QuerySpec) ParsedStrategy() (core.Strategy, error) {
-	return ParseStrategy(s.Strategy, s.Codec, s.Curve, s.Flush)
-}
-
-// queryConfig builds the spec's QueryConfig shape without any dataset
-// machinery — what validation needs.
-func (s QuerySpec) queryConfig() (scihadoop.QueryConfig, error) {
+// queryConfig is the one spec→config mapping: the strategy and the query
+// configuration the spec names, without any dataset machinery. Validate,
+// Setup, CacheKey and the service's cost prior all start here.
+func (s QuerySpec) queryConfig() (scihadoop.QueryConfig, core.Strategy, error) {
 	qcfg := scihadoop.QueryConfig{
 		NumSplits:    s.Splits,
 		NumReducers:  s.Reducers,
@@ -85,6 +81,11 @@ func (s QuerySpec) queryConfig() (scihadoop.QueryConfig, error) {
 		CodecWorkers: s.CodecWorkers,
 		Combine:      s.Combine,
 		CombineNodes: s.CombineNodes,
+		OutputPath:   "/out/scijob",
+	}
+	strat, err := s.ParsedStrategy()
+	if err != nil {
+		return qcfg, strat, err
 	}
 	switch s.Op {
 	case "median", "":
@@ -92,30 +93,22 @@ func (s QuerySpec) queryConfig() (scihadoop.QueryConfig, error) {
 	case "max":
 		qcfg.Op = scihadoop.Max
 	default:
-		return qcfg, fmt.Errorf("unknown op %q (want median or max)", s.Op)
+		return qcfg, strat, fmt.Errorf("unknown op %q (want median or max)", s.Op)
 	}
-	return qcfg, nil
+	qcfg.Faults, err = faults.NewFromSpec(s.Faults)
+	return qcfg, strat, err
 }
 
 // Validate rejects a spec every execution path would reject, with the same
 // error text core.BuildJob produces — the contract that keeps one-shot
 // early validation and wire-spec validation identical.
 func (s QuerySpec) Validate() error {
-	strat, err := s.ParsedStrategy()
+	qcfg, strat, err := s.queryConfig()
 	if err != nil {
 		return err
 	}
 	if s.Side <= 0 {
 		return fmt.Errorf("queryd: side must be > 0, got %d", s.Side)
-	}
-	qcfg, err := s.queryConfig()
-	if err != nil {
-		return err
-	}
-	if s.Faults != "" {
-		if _, err := faults.NewFromSpec(s.Faults); err != nil {
-			return err
-		}
 	}
 	return core.ValidateQuery(qcfg, strat)
 }
@@ -123,64 +116,40 @@ func (s QuerySpec) Validate() error {
 // Setup rebuilds the filesystem, query config, and strategy the spec names.
 // Every execution path goes through here, so no two sides can drift.
 func (s QuerySpec) Setup() (*hdfs.FileSystem, scihadoop.QueryConfig, core.Strategy, error) {
-	strat, err := s.ParsedStrategy()
+	qcfg, strat, err := s.queryConfig()
 	if err != nil {
 		return nil, scihadoop.QueryConfig{}, core.Strategy{}, err
 	}
-	fs, qcfg, err := scihadoop.MedianSetup(s.Side)
+	fs, input, err := scihadoop.MedianSetup(s.Side)
 	if err != nil {
 		return nil, scihadoop.QueryConfig{}, core.Strategy{}, err
 	}
-	shape, err := s.queryConfig()
-	if err != nil {
-		return nil, scihadoop.QueryConfig{}, core.Strategy{}, err
-	}
-	qcfg.NumSplits = shape.NumSplits
-	qcfg.NumReducers = shape.NumReducers
-	qcfg.Radius = shape.Radius
-	qcfg.CodecWorkers = shape.CodecWorkers
-	qcfg.Op = shape.Op
-	qcfg.Combine = shape.Combine
-	qcfg.CombineNodes = shape.CombineNodes
-	qcfg.OutputPath = "/out/scijob"
-	if s.Faults != "" {
-		inj, err := faults.NewFromSpec(s.Faults)
-		if err != nil {
-			return nil, scihadoop.QueryConfig{}, core.Strategy{}, err
-		}
-		qcfg.Faults = inj
-	}
+	qcfg.DS = input.DS
 	return fs, qcfg, strat, nil
 }
 
 // CacheKey derives the spec's map-output cache key: a canonical string over
 // every input that shapes published map-output bytes — dataset (side),
-// strategy+codec, operator, curve, flush threshold, window radius, split
-// and reducer counts, and the in-node combining configuration. It
-// deliberately EXCLUDES CodecWorkers (block+ framing is
-// position-determined: every width yields identical bytes), Tenant (cache
-// entries are shared across tenants — same bytes either way), and returns
-// "" for a spec with faults, disabling caching (fault schedules must
-// execute real attempts).
+// strategy with its codec or curve, flush threshold, operator, window
+// radius, split and reducer counts, and the in-node combining
+// configuration — each read from the defaulted config and the parsed
+// strategy, so specs that build the same job (an omitted radius and radius
+// 1, "transform" and "transform -codec zlib", a flush threshold on a
+// strategy that ignores it) share a key. It deliberately EXCLUDES
+// CodecWorkers (block+ framing is position-determined: every width yields
+// identical bytes), Tenant (cache entries are shared across tenants — same
+// bytes either way), and returns "" for a spec with faults, disabling
+// caching (fault schedules must execute real attempts).
 func (s QuerySpec) CacheKey() string {
 	if s.Faults != "" {
 		return ""
 	}
-	strat, err := s.ParsedStrategy()
+	qcfg, strat, err := s.queryConfig()
 	if err != nil {
 		return ""
 	}
-	op := s.Op
-	if op == "" {
-		op = "median"
-	}
-	// Normalize the defaults BuildJob applies, so "transform" and
-	// "transform -codec zlib" (identical bytes) share a key.
-	cdc := strings.ToLower(strat.Codec)
-	if strat.Kind == core.ByteTransform && cdc == "" {
-		cdc = "zlib"
-	}
-	return fmt.Sprintf("v1|side=%d|strat=%s|codec=%s|op=%s|curve=%s|flush=%d|radius=%d|splits=%d|reducers=%d|combine=%t|combine-nodes=%d",
-		s.Side, s.Strategy, cdc, op, strat.Curve,
-		s.Flush, s.Radius, s.Splits, s.Reducers, s.Combine, s.CombineNodes)
+	d := qcfg.WithDefaults()
+	return fmt.Sprintf("v2|side=%d|strat=%s|flush=%d|op=%s|radius=%d|splits=%d|reducers=%d|combine=%t|combine-nodes=%d",
+		s.Side, strings.ToLower(strat.Name()), strat.FlushCells, d.Op,
+		d.Radius, d.NumSplits, d.NumReducers, d.Combine, d.CombineNodes)
 }

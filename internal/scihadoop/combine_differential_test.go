@@ -75,7 +75,8 @@ func TestCombineDifferentialQueries(t *testing.T) {
 					run := func(combine bool) ([]string, *mapreduce.Counters) {
 						cfg := QueryConfig{
 							DS: ds, Op: Max, NumSplits: 4, NumReducers: 3,
-							Combine: combine, CombineNodes: nodes, Shuffle: sh.cfg,
+							Combine: combine, CombineNodes: nodes,
+							RunOptions: mapreduce.RunOptions{Shuffle: sh.cfg},
 							OutputPath: fmt.Sprintf("/out/comb-%s-%s-%d-%v", kind, sh.name, nodes, combine),
 						}
 						job := buildMaxJob(t, fs, cfg, kind)
@@ -158,7 +159,7 @@ func TestCombineDifferentialUnderFaults(t *testing.T) {
 		cfg := QueryConfig{
 			DS: ds, Op: Max, NumSplits: 4, NumReducers: 3,
 			Combine: combine, CombineNodes: 1,
-			Faults: inj, Retry: mapreduce.RetryPolicy{MaxAttempts: 3},
+			RunOptions: mapreduce.RunOptions{Faults: inj, Retry: mapreduce.RetryPolicy{MaxAttempts: 3}},
 			OutputPath: fmt.Sprintf("/out/comb-fault-%v-%v", combine, spec != ""),
 		}
 		job, _, err := SimpleKeyJob(fs, cfg)
@@ -235,7 +236,7 @@ func TestCombineValidatesBeforeFolding(t *testing.T) {
 		cfg := QueryConfig{
 			DS: ds, Op: Max, NumSplits: 10, NumReducers: 5,
 			Combine: true, CombineNodes: 1,
-			Faults: inj, Retry: mapreduce.RetryPolicy{MaxAttempts: 3},
+			RunOptions: mapreduce.RunOptions{Faults: inj, Retry: mapreduce.RetryPolicy{MaxAttempts: 3}},
 			OutputPath: fmt.Sprintf("/out/comb-validate-%v", spec != ""),
 		}
 		job, _, err := SimpleKeyJob(fs, cfg)

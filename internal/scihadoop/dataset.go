@@ -47,7 +47,8 @@ const ElemSize = 4
 // fresh simulated HDFS, mirroring the paper's sliding-median evaluation
 // input (scaled from their 8000-class grid to laptop size). Dataset
 // generation is a pure function of side, so every process that sets up the
-// same side reads byte-identical input.
+// same side reads byte-identical input. The returned config names only the
+// dataset; the paper's job shape comes from QueryConfig.WithDefaults.
 func MedianSetup(side int) (*hdfs.FileSystem, QueryConfig, error) {
 	extent := grid.NewBox(grid.Coord{0, 0}, []int{side, side})
 	fs := hdfs.New(64<<20, 3, []string{"node0", "node1", "node2", "node3", "node4"})
@@ -60,8 +61,7 @@ func MedianSetup(side int) (*hdfs.FileSystem, QueryConfig, error) {
 	if err := Store(fs, ds, field); err != nil {
 		return nil, QueryConfig{}, err
 	}
-	// The paper's job shape: 10 map slots worth of splits, 5 reducers.
-	return fs, QueryConfig{DS: ds, NumSplits: 10, NumReducers: 5}, nil
+	return fs, QueryConfig{DS: ds}, nil
 }
 
 // Store materializes field values for ds on fs.

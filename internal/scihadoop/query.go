@@ -3,15 +3,12 @@ package scihadoop
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"scikey/internal/codec"
-	"scikey/internal/faults"
 	"scikey/internal/grid"
 	"scikey/internal/hdfs"
 	"scikey/internal/keys"
 	"scikey/internal/mapreduce"
-	"scikey/internal/obs"
 	"scikey/internal/serial"
 	"scikey/internal/stats"
 )
@@ -99,38 +96,18 @@ type QueryConfig struct {
 	Reaggregate bool
 	// OutputPath is the HDFS output directory.
 	OutputPath string
-	// Retry configures the engine's attempt scheduler (retries, backoff,
-	// speculation). The zero value fails the job on the first task error.
-	Retry mapreduce.RetryPolicy
-	// Faults optionally injects deterministic failures for recovery
-	// experiments. Nil disables injection.
-	Faults *faults.Injector
-	// Shuffle selects the shuffle transport (in-memory, in-process pipes, or
-	// loopback TCP). Nil keeps the in-memory hand-off.
-	Shuffle *mapreduce.ShuffleConfig
-	// Timeout bounds the whole job's wall-clock time. 0 means no deadline.
-	Timeout time.Duration
-	// Remote, when non-nil, hands task attempts to the cluster coordinator
-	// for execution in worker processes (see mapreduce.Job.Remote). Nil
-	// runs everything in this process.
-	Remote mapreduce.Remote
-	// Parallelism caps concurrently executing task attempts. 0 keeps the
-	// engine's sequential default; cluster mode wants it above 1 so several
-	// workers hold grants at once.
-	Parallelism int
-	// Obs, when non-nil, records the job's trace spans and metrics (see
-	// mapreduce.Job.Obs). Nil disables observability.
-	Obs *obs.Observer
-	// MapCache, with a non-empty CacheKey, lets the job reuse (and store)
-	// published map-phase output across runs — the query service's shared
-	// segment cache plugs in here (see mapreduce.Job.MapCache). The caller
-	// derives CacheKey from everything that shapes map output bytes.
-	MapCache mapreduce.MapOutputCache
-	// CacheKey names this query's map output in MapCache.
-	CacheKey string
+	// RunOptions says how the job runs (retries, faults, shuffle transport,
+	// deadline, remote execution, parallelism, observability, map-output
+	// cache). The builders hand it to the mapreduce.Job whole.
+	mapreduce.RunOptions
 }
 
-func (c QueryConfig) withDefaults() QueryConfig {
+// WithDefaults fills every unset field with its default. This is the one
+// statement of the paper's job shape — a 3x3 window over 10 splits and 5
+// reducers — and of the default key mode, curve and output path; the job
+// builders apply it, and whoever else needs a default (the service's cache
+// key and cost prior, scijob's flag defaults) reads it from here.
+func (c QueryConfig) WithDefaults() QueryConfig {
 	if c.Radius == 0 {
 		c.Radius = 1
 	}
@@ -163,16 +140,33 @@ func CombinerFor(op Op) (mapreduce.Monoid, error) {
 	return nil, fmt.Errorf("scihadoop: op %s is holistic: no monoid can merge partial windows, so in-node combining is unavailable", op)
 }
 
-// combineConfig resolves the config's combining request, or nil when off.
-func (c QueryConfig) combineConfig() (*mapreduce.CombineConfig, error) {
-	if !c.Combine {
-		return nil, nil
-	}
-	cb, err := CombinerFor(c.Op)
+// job starts the mapreduce.Job all three builders share: it applies the
+// defaults, computes the splits, resolves the combining request, and fills
+// in everything that is not a builder's own — each builder adds its name,
+// comparator, partitioner, mapper, reducer and merge hooks. The defaulted
+// config comes back for the builder to read its parameters from.
+func (c QueryConfig) job(fs *hdfs.FileSystem) (QueryConfig, *mapreduce.Job, error) {
+	c = c.WithDefaults()
+	splits, err := c.DS.Splits(fs, c.NumSplits)
 	if err != nil {
-		return nil, err
+		return c, nil, err
 	}
-	return &mapreduce.CombineConfig{Combiner: cb, Nodes: c.CombineNodes}, nil
+	job := &mapreduce.Job{
+		FS:             fs,
+		Splits:         splits,
+		NumReducers:    c.NumReducers,
+		MapOutputCodec: c.MapOutputCodec,
+		OutputPath:     c.OutputPath,
+		RunOptions:     c.RunOptions,
+	}
+	if c.Combine {
+		cb, err := CombinerFor(c.Op)
+		if err != nil {
+			return c, nil, err
+		}
+		job.Combine = &mapreduce.CombineConfig{Combiner: cb, Nodes: c.CombineNodes}
+	}
+	return c, job, nil
 }
 
 // window enumerates the target offsets of the sliding window.
@@ -197,72 +191,50 @@ func window(rank, radius int) []grid.Coord {
 // variable reference and coordinate — the formulation whose intermediate
 // volume the paper attacks.
 func SimpleKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, *keys.Codec, error) {
-	cfg = cfg.withDefaults()
+	cfg, job, err := cfg.job(fs)
+	if err != nil {
+		return nil, nil, err
+	}
 	kc := &keys.Codec{Rank: cfg.DS.Extent.Rank(), Mode: cfg.KeyMode}
-	splits, err := cfg.DS.Splits(fs, cfg.NumSplits)
-	if err != nil {
-		return nil, nil, err
-	}
 	offsets := window(cfg.DS.Extent.Rank(), cfg.Radius)
-	cc, err := cfg.combineConfig()
-	if err != nil {
-		return nil, nil, err
-	}
 	ds := cfg.DS
 	v := cfg.DS.Var
 	op := cfg.Op
 
-	job := &mapreduce.Job{
-		Name:           fmt.Sprintf("%s-simple", op),
-		Combine:        cc,
-		FS:             fs,
-		Splits:         splits,
-		NumReducers:    cfg.NumReducers,
-		Compare:        kc.RawCompareGrid,
-		Partition:      keys.HashPartition,
-		MapOutputCodec: cfg.MapOutputCodec,
-		OutputPath:     cfg.OutputPath,
-		Retry:          cfg.Retry,
-		Faults:         cfg.Faults,
-		Shuffle:        cfg.Shuffle,
-		Timeout:        cfg.Timeout,
-		Remote:         cfg.Remote,
-		Parallelism:    cfg.Parallelism,
-		Obs:            cfg.Obs,
-		MapCache:       cfg.MapCache,
-		CacheKey:       cfg.CacheKey,
-		NewMapper: func() mapreduce.Mapper {
-			return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, split mapreduce.Split, emit mapreduce.Emit) error {
-				box := split.Data.(grid.Box)
-				slab, err := readSlab(ctx, ds, box)
-				if err != nil {
-					return err
+	job.Name = fmt.Sprintf("%s-simple", op)
+	job.Compare = kc.RawCompareGrid
+	job.Partition = keys.HashPartition
+	job.NewMapper = func() mapreduce.Mapper {
+		return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, split mapreduce.Split, emit mapreduce.Emit) error {
+			box := split.Data.(grid.Box)
+			slab, err := readSlab(ctx, ds, box)
+			if err != nil {
+				return err
+			}
+			var vbuf [ElemSize]byte
+			out := serial.NewDataOutput(64)
+			grid.ForEach(box, func(c grid.Coord) {
+				binary.BigEndian.PutUint32(vbuf[:], uint32(cellValue(slab, box, c)))
+				for _, off := range offsets {
+					out.Reset()
+					kc.EncodeGrid(out, keys.GridKey{Var: v, Coord: c.Add(off)})
+					emit(out.Bytes(), vbuf[:])
 				}
-				var vbuf [ElemSize]byte
-				out := serial.NewDataOutput(64)
-				grid.ForEach(box, func(c grid.Coord) {
-					binary.BigEndian.PutUint32(vbuf[:], uint32(cellValue(slab, box, c)))
-					for _, off := range offsets {
-						out.Reset()
-						kc.EncodeGrid(out, keys.GridKey{Var: v, Coord: c.Add(off)})
-						emit(out.Bytes(), vbuf[:])
-					}
-				})
-				return nil
 			})
-		},
-		NewReducer: func() mapreduce.Reducer {
-			return mapreduce.ReducerFunc(func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, emit mapreduce.Emit) error {
-				vals := make([]int32, len(values))
-				for i, vb := range values {
-					vals[i] = int32(binary.BigEndian.Uint32(vb))
-				}
-				var ob [ElemSize]byte
-				binary.BigEndian.PutUint32(ob[:], uint32(op.fold(vals)))
-				emit(key, ob[:])
-				return nil
-			})
-		},
+			return nil
+		})
+	}
+	job.NewReducer = func() mapreduce.Reducer {
+		return mapreduce.ReducerFunc(func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, emit mapreduce.Emit) error {
+			vals := make([]int32, len(values))
+			for i, vb := range values {
+				vals[i] = int32(binary.BigEndian.Uint32(vb))
+			}
+			var ob [ElemSize]byte
+			binary.BigEndian.PutUint32(ob[:], uint32(op.fold(vals)))
+			emit(key, ob[:])
+			return nil
+		})
 	}
 	if m, err := CombinerFor(op); err == nil {
 		// A distributive operator's value monoid also folds every spill.

@@ -21,7 +21,10 @@ import (
 //
 // The returned Mapping converts output aggregate keys back to coordinates.
 func AggKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, aggregate.Mapping, error) {
-	cfg = cfg.withDefaults()
+	cfg, job, err := cfg.job(fs)
+	if err != nil {
+		return nil, nil, err
+	}
 	// The output domain includes the halo: a mapper for (0,0)-(9,9)
 	// produces output in (-1,-1)-(10,10).
 	domain := cfg.DS.Extent.Expand(cfg.Radius)
@@ -30,134 +33,111 @@ func AggKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, aggregate.
 		return nil, nil, err
 	}
 	kc := &keys.Codec{Rank: cfg.DS.Extent.Rank(), Mode: cfg.KeyMode}
-	splits, err := cfg.DS.Splits(fs, cfg.NumSplits)
-	if err != nil {
-		return nil, nil, err
-	}
 	offsets := window(cfg.DS.Extent.Rank(), cfg.Radius)
-	cc, err := cfg.combineConfig()
-	if err != nil {
-		return nil, nil, err
-	}
 	rp := keys.RangePartitioner{Total: mapping.Total(), NumReducers: cfg.NumReducers}
 	ds := cfg.DS
 	v := cfg.DS.Var
 	op := cfg.Op
 	flush := cfg.FlushCells
+	reagg := cfg.Reaggregate
 
-	job := &mapreduce.Job{
-		Name: fmt.Sprintf("%s-agg-%s", op, cfg.Curve),
-		// Lane-wise max commutes with the key-splitting rewrites: slicing a
-		// folded layer equals folding the slices, so combined aggregate
-		// segments split into the same fragments with the same folded cells.
-		Combine:        cc,
-		FS:             fs,
-		Splits:         splits,
-		NumReducers:    cfg.NumReducers,
-		Compare:        kc.RawCompareAgg,
-		MapOutputCodec: cfg.MapOutputCodec,
-		OutputPath:     cfg.OutputPath,
-		Retry:          cfg.Retry,
-		Faults:         cfg.Faults,
-		Shuffle:        cfg.Shuffle,
-		Timeout:        cfg.Timeout,
-		Remote:         cfg.Remote,
-		Parallelism:    cfg.Parallelism,
-		Obs:            cfg.Obs,
-		MapCache:       cfg.MapCache,
-		CacheKey:       cfg.CacheKey,
+	// In-node combining (job.Combine) is sound for aggregate keys because
+	// lane-wise max commutes with the key-splitting rewrites: slicing a
+	// folded layer equals folding the slices, so combined segments split
+	// into the same fragments with the same folded cells.
+	job.Name = fmt.Sprintf("%s-agg-%s", op, cfg.Curve)
+	job.Compare = kc.RawCompareAgg
 
-		// Section IV-B, case one: split aggregate keys at routing time.
-		PartitionSplit: func(key, value []byte, n int) []mapreduce.RoutedKV {
+	// Section IV-B, case one: split aggregate keys at routing time.
+	job.PartitionSplit = func(key, value []byte, n int) []mapreduce.RoutedKV {
+		k, err := kc.DecodeAgg(serial.NewDataInput(key))
+		if err != nil {
+			panic(fmt.Sprintf("scihadoop: bad agg key: %v", err))
+		}
+		frags := rp.SplitForPartition(keys.AggPair{Key: k, Values: value}, ElemSize)
+		out := make([]mapreduce.RoutedKV, len(frags))
+		for i, f := range frags {
+			out[i] = mapreduce.RoutedKV{
+				Partition: f.Partition,
+				KV:        mapreduce.KV{Key: kc.AggKeyBytes(f.Pair.Key), Value: f.Pair.Values},
+			}
+		}
+		return out
+	}
+
+	// Section IV-B, case two: split overlapping keys at the reducer.
+	job.MergeTransform = func(pairs []mapreduce.KV) []mapreduce.KV {
+		aps := make([]keys.AggPair, len(pairs))
+		for i, p := range pairs {
+			k, err := kc.DecodeAgg(serial.NewDataInput(p.Key))
+			if err != nil {
+				panic(fmt.Sprintf("scihadoop: bad agg key in merge: %v", err))
+			}
+			aps[i] = keys.AggPair{Key: k, Values: p.Value}
+		}
+		split := keys.SplitOverlaps(aps, ElemSize)
+		out := make([]mapreduce.KV, len(split))
+		for i, p := range split {
+			out[i] = mapreduce.KV{Key: kc.AggKeyBytes(p.Key), Value: p.Values}
+		}
+		return out
+	}
+
+	// Streaming window cut for the transform above: SplitOverlaps
+	// rewrites transitively-overlapping clusters independently, starting
+	// a new cluster exactly when a key's range begins at or past the
+	// running max Hi (or the variable changes). Cutting the merged
+	// stream on that same boundary keeps the windowed transform
+	// byte-identical to running it over the whole partition.
+	job.MergeCut = func() func(key []byte) bool {
+		started := false
+		var curVar keys.VarRef
+		var maxHi uint64
+		return func(key []byte) bool {
 			k, err := kc.DecodeAgg(serial.NewDataInput(key))
 			if err != nil {
-				panic(fmt.Sprintf("scihadoop: bad agg key: %v", err))
+				panic(fmt.Sprintf("scihadoop: bad agg key in merge cut: %v", err))
 			}
-			frags := rp.SplitForPartition(keys.AggPair{Key: k, Values: value}, ElemSize)
-			out := make([]mapreduce.RoutedKV, len(frags))
-			for i, f := range frags {
-				out[i] = mapreduce.RoutedKV{
-					Partition: f.Partition,
-					KV:        mapreduce.KV{Key: kc.AggKeyBytes(f.Pair.Key), Value: f.Pair.Values},
-				}
+			cut := started && (k.Var != curVar || k.Range.Lo >= maxHi)
+			if cut || !started {
+				curVar, maxHi, started = k.Var, k.Range.Hi, true
+			} else if k.Range.Hi > maxHi {
+				maxHi = k.Range.Hi
 			}
-			return out
-		},
+			return cut
+		}
+	}
 
-		// Section IV-B, case two: split overlapping keys at the reducer.
-		MergeTransform: func(pairs []mapreduce.KV) []mapreduce.KV {
-			aps := make([]keys.AggPair, len(pairs))
-			for i, p := range pairs {
-				k, err := kc.DecodeAgg(serial.NewDataInput(p.Key))
-				if err != nil {
-					panic(fmt.Sprintf("scihadoop: bad agg key in merge: %v", err))
-				}
-				aps[i] = keys.AggPair{Key: k, Values: p.Value}
+	job.NewMapper = func() mapreduce.Mapper {
+		return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, split mapreduce.Split, emit mapreduce.Emit) error {
+			box := split.Data.(grid.Box)
+			slab, err := readSlab(ctx, ds, box)
+			if err != nil {
+				return err
 			}
-			split := keys.SplitOverlaps(aps, ElemSize)
-			out := make([]mapreduce.KV, len(split))
-			for i, p := range split {
-				out[i] = mapreduce.KV{Key: kc.AggKeyBytes(p.Key), Value: p.Values}
-			}
-			return out
-		},
-
-		// Streaming window cut for the transform above: SplitOverlaps
-		// rewrites transitively-overlapping clusters independently, starting
-		// a new cluster exactly when a key's range begins at or past the
-		// running max Hi (or the variable changes). Cutting the merged
-		// stream on that same boundary keeps the windowed transform
-		// byte-identical to running it over the whole partition.
-		MergeCut: func() func(key []byte) bool {
-			started := false
-			var curVar keys.VarRef
-			var maxHi uint64
-			return func(key []byte) bool {
-				k, err := kc.DecodeAgg(serial.NewDataInput(key))
-				if err != nil {
-					panic(fmt.Sprintf("scihadoop: bad agg key in merge cut: %v", err))
-				}
-				cut := started && (k.Var != curVar || k.Range.Lo >= maxHi)
-				if cut || !started {
-					curVar, maxHi, started = k.Var, k.Range.Hi, true
-				} else if k.Range.Hi > maxHi {
-					maxHi = k.Range.Hi
-				}
-				return cut
-			}
-		},
-
-		NewMapper: func() mapreduce.Mapper {
-			return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, split mapreduce.Split, emit mapreduce.Emit) error {
-				box := split.Data.(grid.Box)
-				slab, err := readSlab(ctx, ds, box)
-				if err != nil {
-					return err
-				}
-				agg := aggregate.New(aggregate.Config{
-					Mapping:    mapping,
-					Var:        v,
-					ElemSize:   ElemSize,
-					FlushCells: flush,
-					Emit: func(p keys.AggPair) {
-						emit(kc.AggKeyBytes(p.Key), p.Values)
-					},
-				})
-				var vbuf [ElemSize]byte
-				grid.ForEach(box, func(c grid.Coord) {
-					binary.BigEndian.PutUint32(vbuf[:], uint32(cellValue(slab, box, c)))
-					for _, off := range offsets {
-						agg.Add(c.Add(off), vbuf[:])
-					}
-				})
-				agg.Close()
-				return nil
+			agg := aggregate.New(aggregate.Config{
+				Mapping:    mapping,
+				Var:        v,
+				ElemSize:   ElemSize,
+				FlushCells: flush,
+				Emit: func(p keys.AggPair) {
+					emit(kc.AggKeyBytes(p.Key), p.Values)
+				},
 			})
-		},
+			var vbuf [ElemSize]byte
+			grid.ForEach(box, func(c grid.Coord) {
+				binary.BigEndian.PutUint32(vbuf[:], uint32(cellValue(slab, box, c)))
+				for _, off := range offsets {
+					agg.Add(c.Add(off), vbuf[:])
+				}
+			})
+			agg.Close()
+			return nil
+		})
+	}
 
-		NewReducer: func() mapreduce.Reducer {
-			return &aggReducer{kc: kc, op: op, reagg: cfg.Reaggregate}
-		},
+	job.NewReducer = func() mapreduce.Reducer {
+		return &aggReducer{kc: kc, op: op, reagg: reagg}
 	}
 	return job, mapping, nil
 }

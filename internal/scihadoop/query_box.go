@@ -20,149 +20,128 @@ import (
 // cuts. Functionally interchangeable with AggKeyJob — same query, same
 // results — so the two aggregation geometries can be compared head-to-head.
 func BoxKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, error) {
-	cfg = cfg.withDefaults()
+	cfg, job, err := cfg.job(fs)
+	if err != nil {
+		return nil, err
+	}
 	domain := cfg.DS.Extent.Expand(cfg.Radius)
 	kc := &keys.Codec{Rank: cfg.DS.Extent.Rank(), Mode: cfg.KeyMode}
-	splits, err := cfg.DS.Splits(fs, cfg.NumSplits)
-	if err != nil {
-		return nil, err
-	}
 	offsets := window(cfg.DS.Extent.Rank(), cfg.Radius)
-	cc, err := cfg.combineConfig()
-	if err != nil {
-		return nil, err
-	}
 	sp := boxagg.NewSlabPartitioner(domain, cfg.NumReducers)
 	ds := cfg.DS
 	v := cfg.DS.Var
 	op := cfg.Op
 	flush := cfg.FlushCells
 
-	return &mapreduce.Job{
-		Name:           fmt.Sprintf("%s-boxagg", op),
-		Combine:        cc,
-		FS:             fs,
-		Splits:         splits,
-		NumReducers:    cfg.NumReducers,
-		Compare:        kc.RawCompareBox,
-		MapOutputCodec: cfg.MapOutputCodec,
-		OutputPath:     cfg.OutputPath,
-		Retry:          cfg.Retry,
-		Faults:         cfg.Faults,
-		Shuffle:        cfg.Shuffle,
-		Timeout:        cfg.Timeout,
-		Remote:         cfg.Remote,
-		Parallelism:    cfg.Parallelism,
-		Obs:            cfg.Obs,
-		MapCache:       cfg.MapCache,
-		CacheKey:       cfg.CacheKey,
+	job.Name = fmt.Sprintf("%s-boxagg", op)
+	job.Compare = kc.RawCompareBox
 
-		PartitionSplit: func(key, value []byte, n int) []mapreduce.RoutedKV {
+	job.PartitionSplit = func(key, value []byte, n int) []mapreduce.RoutedKV {
+		k, err := kc.DecodeBox(serial.NewDataInput(key))
+		if err != nil {
+			panic(fmt.Sprintf("scihadoop: bad box key: %v", err))
+		}
+		frags := sp.SplitForPartition(boxagg.Pair{Key: k, Values: value}, ElemSize)
+		out := make([]mapreduce.RoutedKV, len(frags))
+		for i, f := range frags {
+			out[i] = mapreduce.RoutedKV{
+				Partition: f.Partition,
+				KV:        mapreduce.KV{Key: kc.BoxKeyBytes(f.Pair.Key), Value: f.Pair.Values},
+			}
+		}
+		return out
+	}
+
+	job.MergeTransform = func(pairs []mapreduce.KV) []mapreduce.KV {
+		bps := make([]boxagg.Pair, len(pairs))
+		for i, p := range pairs {
+			k, err := kc.DecodeBox(serial.NewDataInput(p.Key))
+			if err != nil {
+				panic(fmt.Sprintf("scihadoop: bad box key in merge: %v", err))
+			}
+			bps[i] = boxagg.Pair{Key: k, Values: p.Value}
+		}
+		split := boxagg.SplitOverlaps(bps, ElemSize)
+		out := make([]mapreduce.KV, len(split))
+		for i, p := range split {
+			out[i] = mapreduce.KV{Key: kc.BoxKeyBytes(p.Key), Value: p.Values}
+		}
+		return out
+	}
+
+	// Streaming window cut matching boxagg.SplitOverlaps' dim-0
+	// clustering: a new cluster starts exactly when a box's Corner[0]
+	// reaches the running max upper bound (or the variable changes), so
+	// the windowed transform is byte-identical to the whole-partition
+	// rewrite.
+	job.MergeCut = func() func(key []byte) bool {
+		started := false
+		var curVar keys.VarRef
+		maxHi := 0
+		return func(key []byte) bool {
 			k, err := kc.DecodeBox(serial.NewDataInput(key))
 			if err != nil {
-				panic(fmt.Sprintf("scihadoop: bad box key: %v", err))
+				panic(fmt.Sprintf("scihadoop: bad box key in merge cut: %v", err))
 			}
-			frags := sp.SplitForPartition(boxagg.Pair{Key: k, Values: value}, ElemSize)
-			out := make([]mapreduce.RoutedKV, len(frags))
-			for i, f := range frags {
-				out[i] = mapreduce.RoutedKV{
-					Partition: f.Partition,
-					KV:        mapreduce.KV{Key: kc.BoxKeyBytes(f.Pair.Key), Value: f.Pair.Values},
-				}
+			hi := k.Box.Corner[0] + k.Box.Size[0]
+			cut := started && (k.Var != curVar || k.Box.Corner[0] >= maxHi)
+			if cut || !started {
+				curVar, maxHi, started = k.Var, hi, true
+			} else if hi > maxHi {
+				maxHi = hi
 			}
-			return out
-		},
+			return cut
+		}
+	}
 
-		MergeTransform: func(pairs []mapreduce.KV) []mapreduce.KV {
-			bps := make([]boxagg.Pair, len(pairs))
-			for i, p := range pairs {
-				k, err := kc.DecodeBox(serial.NewDataInput(p.Key))
-				if err != nil {
-					panic(fmt.Sprintf("scihadoop: bad box key in merge: %v", err))
-				}
-				bps[i] = boxagg.Pair{Key: k, Values: p.Value}
+	job.NewMapper = func() mapreduce.Mapper {
+		return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, split mapreduce.Split, emit mapreduce.Emit) error {
+			box := split.Data.(grid.Box)
+			slab, err := readSlab(ctx, ds, box)
+			if err != nil {
+				return err
 			}
-			split := boxagg.SplitOverlaps(bps, ElemSize)
-			out := make([]mapreduce.KV, len(split))
-			for i, p := range split {
-				out[i] = mapreduce.KV{Key: kc.BoxKeyBytes(p.Key), Value: p.Values}
-			}
-			return out
-		},
-
-		// Streaming window cut matching boxagg.SplitOverlaps' dim-0
-		// clustering: a new cluster starts exactly when a box's Corner[0]
-		// reaches the running max upper bound (or the variable changes), so
-		// the windowed transform is byte-identical to the whole-partition
-		// rewrite.
-		MergeCut: func() func(key []byte) bool {
-			started := false
-			var curVar keys.VarRef
-			maxHi := 0
-			return func(key []byte) bool {
-				k, err := kc.DecodeBox(serial.NewDataInput(key))
-				if err != nil {
-					panic(fmt.Sprintf("scihadoop: bad box key in merge cut: %v", err))
-				}
-				hi := k.Box.Corner[0] + k.Box.Size[0]
-				cut := started && (k.Var != curVar || k.Box.Corner[0] >= maxHi)
-				if cut || !started {
-					curVar, maxHi, started = k.Var, hi, true
-				} else if hi > maxHi {
-					maxHi = hi
-				}
-				return cut
-			}
-		},
-
-		NewMapper: func() mapreduce.Mapper {
-			return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, split mapreduce.Split, emit mapreduce.Emit) error {
-				box := split.Data.(grid.Box)
-				slab, err := readSlab(ctx, ds, box)
-				if err != nil {
-					return err
-				}
-				agg := boxagg.New(boxagg.Config{
-					Var:        v,
-					ElemSize:   ElemSize,
-					FlushCells: flush,
-					Emit: func(p boxagg.Pair) {
-						emit(kc.BoxKeyBytes(p.Key), p.Values)
-					},
-				})
-				var vbuf [ElemSize]byte
-				grid.ForEach(box, func(c grid.Coord) {
-					binary.BigEndian.PutUint32(vbuf[:], uint32(cellValue(slab, box, c)))
-					for _, off := range offsets {
-						agg.Add(c.Add(off), vbuf[:])
-					}
-				})
-				agg.Close()
-				return nil
+			agg := boxagg.New(boxagg.Config{
+				Var:        v,
+				ElemSize:   ElemSize,
+				FlushCells: flush,
+				Emit: func(p boxagg.Pair) {
+					emit(kc.BoxKeyBytes(p.Key), p.Values)
+				},
 			})
-		},
-
-		NewReducer: func() mapreduce.Reducer {
-			return mapreduce.ReducerFunc(func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, emit mapreduce.Emit) error {
-				k, err := kc.DecodeBox(serial.NewDataInput(key))
-				if err != nil {
-					return err
+			var vbuf [ElemSize]byte
+			grid.ForEach(box, func(c grid.Coord) {
+				binary.BigEndian.PutUint32(vbuf[:], uint32(cellValue(slab, box, c)))
+				for _, off := range offsets {
+					agg.Add(c.Add(off), vbuf[:])
 				}
-				n := int(k.Box.NumCells())
-				out := make([]byte, 0, n*ElemSize)
-				cell := make([]int32, 0, len(values))
-				for i := 0; i < n; i++ {
-					cell = cell[:0]
-					for _, layer := range values {
-						cell = append(cell, int32(binary.BigEndian.Uint32(layer[i*ElemSize:])))
-					}
-					out = binary.BigEndian.AppendUint32(out, uint32(op.fold(cell)))
-				}
-				emit(key, out)
-				return nil
 			})
-		},
-	}, nil
+			agg.Close()
+			return nil
+		})
+	}
+
+	job.NewReducer = func() mapreduce.Reducer {
+		return mapreduce.ReducerFunc(func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, emit mapreduce.Emit) error {
+			k, err := kc.DecodeBox(serial.NewDataInput(key))
+			if err != nil {
+				return err
+			}
+			n := int(k.Box.NumCells())
+			out := make([]byte, 0, n*ElemSize)
+			cell := make([]int32, 0, len(values))
+			for i := 0; i < n; i++ {
+				cell = cell[:0]
+				for _, layer := range values {
+					cell = append(cell, int32(binary.BigEndian.Uint32(layer[i*ElemSize:])))
+				}
+				out = binary.BigEndian.AppendUint32(out, uint32(op.fold(cell)))
+			}
+			emit(key, out)
+			return nil
+		})
+	}
+	return job, nil
 }
 
 // ReadBoxOutput decodes the output of a BoxKeyJob into per-cell results.
