@@ -51,6 +51,10 @@ type options struct {
 	// forwarded names the flags the -cluster supervisor hands to its
 	// coordinator subprocess: the spec-bound ones plus the daemon's own.
 	forwarded []string
+	// owner maps each flag only one mode honours to that mode (an own* tag);
+	// set outside it, the flag would be dropped silently, so checkModes
+	// rejects it.
+	owner map[string]string
 
 	heartbeat, leaseTTL time.Duration
 	// run and shuffle take the run-time flags: how the job is scheduled,
@@ -66,9 +70,28 @@ type options struct {
 	clusterN                                   int
 }
 
+// The modes that own flags, named as error messages name them.
+const (
+	ownCoord   = "-cluster or -coordinator"
+	ownServe   = "-serve"
+	ownSubmit  = "-submit"
+	ownShuffle = "-shuffle net|tcp"
+)
+
 // bindFlags registers every scijob flag on fs.
 func bindFlags(fs *flag.FlagSet) *options {
-	o := &options{fs: fs}
+	o := &options{fs: fs, owner: make(map[string]string)}
+	// own tags every flag register adds as honoured only under mode.
+	own := func(mode string, register func()) {
+		had := make(map[string]bool)
+		fs.VisitAll(func(f *flag.Flag) { had[f.Name] = true })
+		register()
+		fs.VisitAll(func(f *flag.Flag) {
+			if !had[f.Name] {
+				o.owner[f.Name] = mode
+			}
+		})
+	}
 	s, def := &o.spec, scihadoop.QueryConfig{}.WithDefaults()
 	fs.IntVar(&s.Side, "side", 128, "grid side length (side x side int32 cells)")
 	fs.StringVar(&s.Strategy, "strategy", "baseline", "baseline | transform | aggregation | boxes")
@@ -83,19 +106,25 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&s.Reducers, "reducers", def.NumReducers, "reduce tasks")
 	fs.IntVar(&s.Flush, "flush", 0, "aggregation flush threshold in cells (0 = default)")
 	fs.StringVar(&s.Faults, "faults", "", `deterministic fault schedule, e.g. "seed=7;map:1:error@0;proc:0.0:kill@0"`)
-	fs.DurationVar(&o.heartbeat, "heartbeat", 0, "cluster worker heartbeat interval (0 = default 100ms)")
-	fs.DurationVar(&o.leaseTTL, "lease-ttl", 0, "cluster lease time-to-live without a renewing heartbeat (0 = default 5x heartbeat)")
+	own(ownCoord, func() {
+		fs.DurationVar(&o.heartbeat, "heartbeat", 0, "cluster worker heartbeat interval (0 = default 100ms)")
+		fs.DurationVar(&o.leaseTTL, "lease-ttl", 0, "cluster lease time-to-live without a renewing heartbeat (0 = default 5x heartbeat)")
+	})
 	fs.VisitAll(func(f *flag.Flag) { o.forwarded = append(o.forwarded, f.Name) })
 
-	fs.StringVar(&s.Tenant, "tenant", "", "tenant name for -submit quota accounting (empty = the default tenant)")
+	own(ownSubmit, func() {
+		fs.StringVar(&s.Tenant, "tenant", "", "tenant name for -submit quota accounting (empty = the default tenant)")
+	})
 	fs.BoolVar(&o.verify, "verify", false, "check results against the reference implementation")
 	fs.IntVar(&o.run.Retry.MaxAttempts, "retries", 1, "max attempts per task (1 = fail fast)")
 	fs.DurationVar(&o.run.Retry.Backoff, "backoff", 0, "base retry backoff as a duration, e.g. 10ms; doubles per failure with seeded jitter (0 = retry immediately)")
 	fs.DurationVar(&o.run.Retry.SpeculativeAfter, "speculate", 0, "straggler threshold for speculative re-execution as a duration, e.g. 500ms (0 = off)")
 	fs.StringVar(&o.shuffle.Mode, "shuffle", mapreduce.ShuffleMem, "shuffle transport: mem | net (in-process pipes) | tcp (loopback sockets)")
-	fs.IntVar(&o.shuffle.Nodes, "nodes", 0, "simulated shuffle-server count for -shuffle net|tcp (0 = default 3)")
-	fs.IntVar(&o.shuffle.FetchAttempts, "fetch-attempts", 0, "per-segment fetch attempts before the map output counts as lost (0 = default 4)")
-	fs.DurationVar(&o.shuffle.FetchTimeout, "fetch-timeout", 0, "per-attempt fetch deadline as a duration, e.g. 500ms (0 = default 2s)")
+	own(ownShuffle, func() {
+		fs.IntVar(&o.shuffle.Nodes, "nodes", 0, "simulated shuffle-server count for -shuffle net|tcp (0 = default 3)")
+		fs.IntVar(&o.shuffle.FetchAttempts, "fetch-attempts", 0, "per-segment fetch attempts before the map output counts as lost (0 = default 4)")
+		fs.DurationVar(&o.shuffle.FetchTimeout, "fetch-timeout", 0, "per-attempt fetch deadline as a duration, e.g. 500ms (0 = default 2s)")
+	})
 	fs.DurationVar(&o.run.Timeout, "timeout", 0, "whole-job wall-clock deadline as a duration, e.g. 30s (0 = none)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /trace and /debug/pprof on this address, e.g. 127.0.0.1:6060; stays up after the job until interrupted (empty = off)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the job's Chrome trace_event JSON to this file (empty = off)")
@@ -103,11 +132,13 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.serve.addr, "serve", "", "resident query service: listen for /query, /metrics, /healthz on this address, e.g. 127.0.0.1:8080 (host:0 picks a port), and serve until SIGTERM (empty = off)")
 	fs.StringVar(&o.submitAddr, "submit", "", "submit this invocation's query flags to the resident service at this address and print its response (empty = off)")
 	fs.StringVar(&o.scrapeURL, "scrape", "", "GET this URL (e.g. a -serve /metrics endpoint) and print the body — a curl stand-in for scripts (empty = off)")
-	fs.StringVar(&o.serve.storeKind, "store", "local", "segment-cache backend for -serve: local (HDFS-backed files) | object (S3-style chunked objects with CRC framing)")
-	fs.IntVar(&o.serve.queueDepth, "queue-depth", 0, "bound on queued-but-not-executing queries for -serve (0 = default 16)")
-	fs.IntVar(&o.serve.workers, "serve-workers", 0, "concurrent query executors for -serve (0 = default 2)")
-	fs.Float64Var(&o.serve.quota, "quota", 0, "default per-tenant quota in modeled seconds for -serve (0 = unlimited)")
-	fs.StringVar(&o.serve.quotas, "quotas", "", `per-tenant quota overrides for -serve, e.g. "alice=30,bob=5" in modeled seconds (empty = none)`)
+	own(ownServe, func() {
+		fs.StringVar(&o.serve.storeKind, "store", "local", "segment-cache backend for -serve: local (HDFS-backed files) | object (S3-style chunked objects with CRC framing)")
+		fs.IntVar(&o.serve.queueDepth, "queue-depth", 0, "bound on queued-but-not-executing queries for -serve (0 = default 16)")
+		fs.IntVar(&o.serve.workers, "serve-workers", 0, "concurrent query executors for -serve (0 = default 2)")
+		fs.Float64Var(&o.serve.quota, "quota", 0, "default per-tenant quota in modeled seconds for -serve (0 = unlimited)")
+		fs.StringVar(&o.serve.quotas, "quotas", "", `per-tenant quota overrides for -serve, e.g. "alice=30,bob=5" in modeled seconds (empty = none)`)
+	})
 	fs.StringVar(&o.coordAddr, "coordinator", "", "cluster coordinator daemon: listen for workers and drivers on this address, e.g. 127.0.0.1:7070, and serve until SIGTERM (empty = off)")
 	fs.StringVar(&o.workerAddr, "worker", "", "cluster worker mode: connect to the coordinator at this address and execute granted task attempts (empty = off)")
 	fs.StringVar(&o.driverAddr, "driver", "", "cluster driver mode: run the job's scheduler against the coordinator daemon at this address (empty = off)")
@@ -177,7 +208,19 @@ func (o *options) checkModes() error {
 	if jobless > 0 && (o.verify || o.traceOut != "" || o.metricsOut != "") {
 		return fmt.Errorf("-verify, -trace-out and -metrics-out act on the job this invocation runs; -coordinator, -worker, -serve, -submit and -scrape run none")
 	}
-	return nil
+	selected := map[string]bool{
+		ownCoord:   o.clusterN > 0 || o.coordAddr != "",
+		ownServe:   o.serve.addr != "",
+		ownSubmit:  o.submitAddr != "",
+		ownShuffle: o.shuffle.Mode != mapreduce.ShuffleMem,
+	}
+	var stray error
+	o.fs.Visit(func(f *flag.Flag) {
+		if mode, owned := o.owner[f.Name]; owned && !selected[mode] && stray == nil {
+			stray = fmt.Errorf("-%s only takes effect with %s", f.Name, mode)
+		}
+	})
+	return stray
 }
 
 // clusterMode reports whether this invocation drives a job on a cluster.

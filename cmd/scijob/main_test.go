@@ -174,7 +174,9 @@ func parse(t *testing.T, args ...string) (*options, error) {
 // TestModeValidation table-tests the mode step of flag validation: each
 // rejected line names a combination some mode would silently ignore — in
 // particular -verify, -trace-out and -metrics-out anywhere this invocation
-// runs no job, which used to exit 0 having verified and written nothing.
+// runs no job, which used to exit 0 having verified and written nothing, and
+// a flag owned by one mode set under another (-heartbeat on a one-shot run,
+// -tenant without -submit), which used to be dropped the same way.
 func TestModeValidation(t *testing.T) {
 	cases := []struct {
 		args string
@@ -199,6 +201,25 @@ func TestModeValidation(t *testing.T) {
 		{"-serve 127.0.0.1:0 -submit 127.0.0.1:1", "mutually exclusive"},
 		{"-cluster -1", "positive worker count"},
 		{"-journal j", "-journal belongs to the coordinator"},
+		{"-cluster 3 -heartbeat 50ms -lease-ttl 400ms", ""},
+		{"-coordinator 127.0.0.1:1 -lease-ttl 2s", ""},
+		{"-serve 127.0.0.1:0 -store object -queue-depth 4 -serve-workers 1 -quota 3 -quotas bob=5", ""},
+		{"-submit 127.0.0.1:1 -tenant bob", ""},
+		{"-shuffle net -nodes 7 -fetch-attempts 2 -fetch-timeout 1s", ""},
+		{"-shuffle tcp -nodes 2", ""},
+		{"-side 32 -heartbeat 5s -store object -tenant bob -nodes 7 -fetch-timeout 1s -quota 3", "only takes effect with"},
+		{"-heartbeat 5s", "-heartbeat only takes effect with -cluster or -coordinator"},
+		{"-driver 127.0.0.1:1 -lease-ttl 1s", "-lease-ttl only takes effect with -cluster or -coordinator"},
+		{"-store object", "-store only takes effect with -serve"},
+		{"-submit 127.0.0.1:1 -queue-depth 4", "-queue-depth only takes effect with -serve"},
+		{"-cluster 3 -serve-workers 2", "-serve-workers only takes effect with -serve"},
+		{"-quota 3", "-quota only takes effect with -serve"},
+		{"-submit 127.0.0.1:1 -quotas bob=5", "-quotas only takes effect with -serve"},
+		{"-tenant bob", "-tenant only takes effect with -submit"},
+		{"-serve 127.0.0.1:0 -tenant bob", "-tenant only takes effect with -submit"},
+		{"-nodes 7", "-nodes only takes effect with -shuffle net|tcp"},
+		{"-shuffle mem -fetch-attempts 2", "-fetch-attempts only takes effect with -shuffle net|tcp"},
+		{"-fetch-timeout 1s", "-fetch-timeout only takes effect with -shuffle net|tcp"},
 	}
 	for _, tc := range cases {
 		_, err := parse(t, strings.Fields(tc.args)...)

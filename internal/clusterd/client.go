@@ -3,12 +3,10 @@ package clusterd
 import (
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"sync"
 	"time"
 
-	"scikey/internal/backoff"
 	"scikey/internal/mapreduce"
 )
 
@@ -19,7 +17,7 @@ import (
 // job down.
 //
 // The client owns reconnection: when the coordinator vanishes it redials on
-// the backoff schedule and re-sends every outstanding submission and
+// the package's reconnect schedule and re-sends every outstanding submission and
 // unacknowledged publish. Submissions are idempotent on (phase, task,
 // attempt) — the restarted coordinator binds each re-send to the surviving
 // lease, the journaled orphan outcome, or a fresh grant — so from the
@@ -29,7 +27,7 @@ type Client struct {
 	cfg ClientConfig
 
 	mu     sync.Mutex
-	conn   *clientConn
+	conn   *peer // nil while disconnected
 	seq    int
 	calls  map[int]*clientCall
 	epoch  int
@@ -45,31 +43,14 @@ type Client struct {
 type ClientConfig struct {
 	// Addr is the coordinator's TCP address.
 	Addr string
-	// Reconnect is the redial backoff schedule. Zero value gets the default
-	// 50ms base, 2s cap.
-	Reconnect backoff.Policy
-	// MaxDials bounds consecutive failed dials before outstanding calls fail.
-	// Default 40.
-	MaxDials int
 	// Logf, when non-nil, receives driver-side diagnostics.
 	Logf func(format string, args ...any)
 }
 
-// clientConn is one live connection with serialized writes.
-type clientConn struct {
-	c   net.Conn
-	wmu sync.Mutex
-}
-
-func (cc *clientConn) send(kind byte, v any) error {
-	cc.wmu.Lock()
-	defer cc.wmu.Unlock()
-	return writeMsg(cc.c, kind, v)
-}
-
 // clientCall is one outstanding request: a run submission awaiting its
-// result, or a publish awaiting its ack. Calls keep their seq across
-// reconnects; delivered guards against double completion.
+// result, or a publish awaiting its ack (delivered as an empty result). Calls
+// keep their seq across reconnects; delivered guards against double
+// completion.
 type clientCall struct {
 	seq       int
 	kind      byte // kindRunReq or kindPublish
@@ -77,20 +58,21 @@ type clientCall struct {
 	pub       publishMsg
 	canceled  bool
 	delivered bool
-	res       chan runResultMsg // run calls
-	ack       chan struct{}     // publish calls
+	res       chan runResultMsg
+}
+
+// msg is the call's request frame payload.
+func (call *clientCall) msg() any {
+	if call.kind == kindPublish {
+		return call.pub
+	}
+	return call.run
 }
 
 // Dial connects to the coordinator at cfg.Addr and starts the reconnect
 // manager. The initial connection is attempted synchronously so a bad
 // address fails fast; later losses are redialed in the background.
 func Dial(cfg ClientConfig) (*Client, error) {
-	if cfg.MaxDials <= 0 {
-		cfg.MaxDials = 40
-	}
-	if cfg.Reconnect == (backoff.Policy{}) {
-		cfg.Reconnect = backoff.Policy{Base: 50 * time.Millisecond, Max: 2 * time.Second}
-	}
 	cl := &Client{
 		cfg:   cfg,
 		calls: make(map[int]*clientCall),
@@ -126,7 +108,7 @@ func (cl *Client) Close() error {
 	cl.stopOnce.Do(func() { close(cl.stop) })
 	if cc != nil {
 		cc.send(kindGoodbye, goodbyeMsg{})
-		cc.c.Close()
+		cc.conn.Close()
 	}
 	cl.failAll(errors.New("clusterd: client closed"))
 	cl.wg.Wait()
@@ -134,32 +116,15 @@ func (cl *Client) Close() error {
 }
 
 // dial establishes one session: connect, driverHello, driverWelcome.
-func (cl *Client) dial() (*clientConn, int, error) {
-	conn, err := net.Dial("tcp", cl.cfg.Addr)
-	if err != nil {
-		return nil, 0, err
-	}
-	cc := &clientConn{c: conn}
-	if err := cc.send(kindDriverHello, driverHelloMsg{PID: os.Getpid()}); err != nil {
-		conn.Close()
-		return nil, 0, err
-	}
-	kind, payload, err := readMsg(conn)
-	if err != nil {
-		conn.Close()
-		return nil, 0, err
-	}
+func (cl *Client) dial() (*peer, int, error) {
 	var welcome driverWelcomeMsg
-	if kind != kindDriverWelcome || decode(payload, &welcome) != nil {
-		conn.Close()
-		return nil, 0, fmt.Errorf("clusterd: expected driver welcome, got frame kind %d", kind)
-	}
-	return cc, welcome.Epoch, nil
+	cc, err := handshake(cl.cfg.Addr, kindDriverHello, driverHelloMsg{PID: os.Getpid()}, kindDriverWelcome, &welcome)
+	return cc, welcome.Epoch, err
 }
 
 // manage serves the current connection and redials lost ones, re-sending
 // outstanding calls after each successful reconnect.
-func (cl *Client) manage(cc *clientConn) {
+func (cl *Client) manage(cc *peer) {
 	defer cl.wg.Done()
 	for {
 		cl.readLoop(cc)
@@ -174,38 +139,33 @@ func (cl *Client) manage(cc *clientConn) {
 		}
 		cl.logf("clusterd: coordinator connection lost, redialing")
 
-		dials := 0
-		for {
-			var epoch int
-			var err error
+		var epoch int
+		err := redial(1, cl.stop, func() (err error) {
 			cc, epoch, err = cl.dial()
-			if err == nil {
-				cl.mu.Lock()
-				prev := cl.epoch
-				cl.epoch = epoch
-				cl.conn = cc
-				resend := make([]*clientCall, 0, len(cl.calls))
-				for _, call := range cl.calls {
-					resend = append(resend, call)
-				}
-				cl.mu.Unlock()
-				if epoch != prev {
-					cl.logf("clusterd: reconnected to coordinator epoch %d (was %d), re-sending %d calls",
-						epoch, prev, len(resend))
-				}
-				for _, call := range resend {
-					cl.resend(cc, call)
-				}
-				break
-			}
-			dials++
-			if dials >= cl.cfg.MaxDials {
-				cl.failAll(fmt.Errorf("clusterd: coordinator unreachable after %d dials: %w", dials, err))
-				return
-			}
-			if !backoff.Sleep(cl.cfg.Reconnect.Delay(int64(os.Getpid()), 1, dials), cl.stop) {
-				return
-			}
+			return err
+		})
+		if err == errStopped {
+			return
+		}
+		if err != nil {
+			cl.failAll(fmt.Errorf("clusterd: coordinator unreachable %w", err))
+			return
+		}
+		cl.mu.Lock()
+		prev := cl.epoch
+		cl.epoch = epoch
+		cl.conn = cc
+		resend := make([]*clientCall, 0, len(cl.calls))
+		for _, call := range cl.calls {
+			resend = append(resend, call)
+		}
+		cl.mu.Unlock()
+		if epoch != prev {
+			cl.logf("clusterd: reconnected to coordinator epoch %d (was %d), re-sending %d calls",
+				epoch, prev, len(resend))
+		}
+		for _, call := range resend {
+			cl.resend(cc, call)
 		}
 	}
 }
@@ -213,7 +173,7 @@ func (cl *Client) manage(cc *clientConn) {
 // resend replays one outstanding call onto a fresh connection. A canceled
 // run call is completed locally instead — the scheduler no longer wants the
 // result, and re-submitting it could start a fresh execution.
-func (cl *Client) resend(cc *clientConn, call *clientCall) {
+func (cl *Client) resend(cc *peer, call *clientCall) {
 	cl.mu.Lock()
 	canceled := call.canceled
 	cl.mu.Unlock()
@@ -221,53 +181,36 @@ func (cl *Client) resend(cc *clientConn, call *clientCall) {
 		cl.deliver(call, runResultMsg{Seq: call.seq, Canceled: true})
 		return
 	}
-	switch call.kind {
-	case kindRunReq:
-		cc.send(kindRunReq, call.run)
-	case kindPublish:
-		cc.send(kindPublish, call.pub)
-	}
+	cc.send(call.kind, call.msg())
 }
 
 // readLoop dispatches responses on one connection until it dies.
-func (cl *Client) readLoop(cc *clientConn) {
+func (cl *Client) readLoop(cc *peer) {
 	for {
-		kind, payload, err := readMsg(cc.c)
+		kind, payload, err := readMsg(cc.conn)
 		if err != nil {
-			cc.c.Close()
+			cc.conn.Close()
 			return
 		}
-		switch kind {
-		case kindRunResult:
-			var m runResultMsg
-			if decode(payload, &m) == nil {
-				cl.mu.Lock()
-				call := cl.calls[m.Seq]
-				cl.mu.Unlock()
-				if call != nil {
-					cl.deliver(call, m)
-				}
-			}
-		case kindPubAck:
-			var m pubAckMsg
-			if decode(payload, &m) == nil {
-				cl.mu.Lock()
-				call := cl.calls[m.Seq]
-				if call != nil && !call.delivered {
-					call.delivered = true
-					delete(cl.calls, call.seq)
-					close(call.ack)
-				}
-				cl.mu.Unlock()
-			}
-		default:
-			cc.c.Close()
+		if kind != kindRunResult && kind != kindPubAck {
+			cc.conn.Close()
 			return
+		}
+		// Either answer completes the call its Seq names; a pubAck decodes
+		// as a result carrying nothing else.
+		var m runResultMsg
+		if decode(payload, &m) == nil {
+			cl.mu.Lock()
+			call := cl.calls[m.Seq]
+			cl.mu.Unlock()
+			if call != nil {
+				cl.deliver(call, m)
+			}
 		}
 	}
 }
 
-// deliver completes a run call exactly once.
+// deliver completes a call exactly once.
 func (cl *Client) deliver(call *clientCall, m runResultMsg) {
 	cl.mu.Lock()
 	if call.delivered {
@@ -277,9 +220,7 @@ func (cl *Client) deliver(call *clientCall, m runResultMsg) {
 	call.delivered = true
 	delete(cl.calls, call.seq)
 	cl.mu.Unlock()
-	if call.res != nil {
-		call.res <- m
-	}
+	call.res <- m
 }
 
 // failAll completes every outstanding call with an error (redial budget
@@ -295,16 +236,6 @@ func (cl *Client) failAll(err error) {
 	}
 	cl.mu.Unlock()
 	for _, call := range calls {
-		if call.kind == kindPublish {
-			cl.mu.Lock()
-			if !call.delivered {
-				call.delivered = true
-				delete(cl.calls, call.seq)
-				close(call.ack)
-			}
-			cl.mu.Unlock()
-			continue
-		}
 		cl.deliver(call, runResultMsg{Seq: call.seq, Error: err.Error()})
 	}
 }
@@ -323,27 +254,13 @@ func (cl *Client) register(call *clientCall) error {
 		return err
 	}
 	cl.seq++
-	call.seq = cl.seq
-	switch call.kind {
-	case kindRunReq:
-		call.run.Seq = call.seq
-	case kindPublish:
-		call.pub.Seq = call.seq
-	}
+	call.seq, call.run.Seq, call.pub.Seq = cl.seq, cl.seq, cl.seq
+	call.res = make(chan runResultMsg, 1)
 	cl.calls[call.seq] = call
 	cc := cl.conn
 	cl.mu.Unlock()
-	if cc != nil {
-		switch call.kind {
-		case kindRunReq:
-			if cc.send(kindRunReq, call.run) != nil {
-				cc.c.Close() // manager redials and re-sends
-			}
-		case kindPublish:
-			if cc.send(kindPublish, call.pub) != nil {
-				cc.c.Close()
-			}
-		}
+	if cc != nil && cc.send(call.kind, call.msg()) != nil {
+		cc.conn.Close() // manager redials and re-sends
 	}
 	return nil
 }
@@ -352,11 +269,7 @@ func (cl *Client) register(call *clientCall) error {
 // coordinator and blocks until its outcome arrives — surviving coordinator
 // restarts in between — or the scheduler cancels it.
 func (cl *Client) RunRemote(phase string, task, attempt int, canceled func() bool) (*mapreduce.RemoteResult, error) {
-	call := &clientCall{
-		kind: kindRunReq,
-		run:  runReqMsg{Phase: phase, Task: task, Attempt: attempt},
-		res:  make(chan runResultMsg, 1),
-	}
+	call := &clientCall{kind: kindRunReq, run: runReqMsg{Phase: phase, Task: task, Attempt: attempt}}
 	if err := cl.register(call); err != nil {
 		return nil, err
 	}
@@ -366,16 +279,15 @@ func (cl *Client) RunRemote(phase string, task, attempt int, canceled func() boo
 	for {
 		select {
 		case m := <-call.res:
-			o := storedOutcome{Error: m.Error, Canceled: m.Canceled, Corrupt: m.Corrupt}
-			return m.Result, o.grantErr()
+			return m.Result, m.err()
 		case <-poll.C:
-			if canceled != nil && canceled() && cl.cancel(call) {
-				// The cancel was sent (or completed locally); wait for the
-				// definitive answer so the coordinator-side lease is revoked
-				// before we return.
-				m := <-call.res
-				o := storedOutcome{Error: m.Error, Canceled: m.Canceled, Corrupt: m.Corrupt}
-				return m.Result, o.grantErr()
+			if canceled != nil && canceled() {
+				// The cancel is sent (or completes locally) once; from here
+				// only the definitive answer ends the wait, so the
+				// coordinator-side lease is revoked before we return.
+				cl.cancel(call)
+				canceled = nil
+				poll.Stop()
 			}
 		}
 	}
@@ -384,15 +296,11 @@ func (cl *Client) RunRemote(phase string, task, attempt int, canceled func() boo
 // cancel withdraws a run call. Connected: the coordinator revokes the lease
 // and always answers with a runResult. Disconnected: the call completes
 // locally as canceled and will not be re-sent.
-func (cl *Client) cancel(call *clientCall) bool {
+func (cl *Client) cancel(call *clientCall) {
 	cl.mu.Lock()
-	if call.delivered {
+	if call.delivered || call.canceled {
 		cl.mu.Unlock()
-		return true // result already buffered; caller consumes it
-	}
-	if call.canceled {
-		cl.mu.Unlock()
-		return true
+		return // result already buffered (the caller consumes it) or cancel already sent
 	}
 	call.canceled = true
 	cc := cl.conn
@@ -400,7 +308,6 @@ func (cl *Client) cancel(call *clientCall) bool {
 	if cc == nil || cc.send(kindCancel, cancelMsg{Seq: call.seq}) != nil {
 		cl.deliver(call, runResultMsg{Seq: call.seq, Canceled: true})
 	}
-	return true
 }
 
 // PublishRemote implements mapreduce.Remote: it ships a committed map
@@ -408,16 +315,12 @@ func (cl *Client) cancel(call *clientCall) bool {
 // after which the publication survives coordinator crashes, which is why the
 // engine may safely grant reduces.
 func (cl *Client) PublishRemote(mapTask, attempt int, parts [][]byte) {
-	call := &clientCall{
-		kind: kindPublish,
-		pub:  publishMsg{MapTask: mapTask, Attempt: attempt, Parts: parts},
-		ack:  make(chan struct{}),
-	}
+	call := &clientCall{kind: kindPublish, pub: publishMsg{MapTask: mapTask, Attempt: attempt, Parts: parts}}
 	if err := cl.register(call); err != nil {
 		cl.logf("clusterd: publish map %d attempt %d dropped: %v", mapTask, attempt, err)
 		return
 	}
-	<-call.ack
+	<-call.res
 }
 
 // Epoch reports the coordinator incarnation the client last connected to.

@@ -2,10 +2,14 @@ package clusterd
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"net"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,15 +39,28 @@ func (r *stubRunner) Run(phase string, task, attempt int, canceled func() bool, 
 	return &mapreduce.RemoteResult{Output: []byte(fmt.Sprintf("%s:%d:%d", phase, task, attempt))}, nil
 }
 
-// startCluster boots a coordinator and n workers sharing one stub runner,
-// returning a cleanup that stops everything.
-func startCluster(t *testing.T, cfg Config, n int, runner Runner) (*Coordinator, []*Worker) {
+// dialClient connects a driver Client to c the way scijob and bench/ do; it
+// is closed (before the coordinator) when the test ends.
+func dialClient(t *testing.T, c *Coordinator) *Client {
+	t.Helper()
+	cl, err := Dial(ClientConfig{Addr: c.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// startCluster boots a coordinator, a dialed driver Client and n workers
+// sharing one stub runner; everything stops when the test ends.
+func startCluster(t *testing.T, cfg Config, n int, runner Runner) (*Coordinator, *Client, []*Worker) {
 	t.Helper()
 	c, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
+	cl := dialClient(t, c)
 	workers := make([]*Worker, n)
 	for i := range workers {
 		w := NewWorker(WorkerConfig{
@@ -54,12 +71,12 @@ func startCluster(t *testing.T, cfg Config, n int, runner Runner) (*Coordinator,
 		go w.Run()
 		t.Cleanup(w.Stop)
 	}
-	return c, workers
+	return c, cl, workers
 }
 
 func TestClusterGrantRoundTrip(t *testing.T) {
 	runner := &stubRunner{}
-	c, _ := startCluster(t, Config{HeartbeatEvery: 20 * time.Millisecond}, 2, runner)
+	_, cl, _ := startCluster(t, Config{HeartbeatEvery: 20 * time.Millisecond}, 2, runner)
 
 	// Concurrent grants spread across the workers and all complete.
 	var wg sync.WaitGroup
@@ -69,7 +86,7 @@ func TestClusterGrantRoundTrip(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = c.RunRemote(mapreduce.PhaseMap, i, 0, nil)
+			results[i], errs[i] = cl.RunRemote(mapreduce.PhaseMap, i, 0, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -98,13 +115,13 @@ func TestSegmentFetchThroughCoordinator(t *testing.T) {
 			return &mapreduce.RemoteResult{}, nil
 		},
 	}
-	c, _ := startCluster(t, Config{HeartbeatEvery: 20 * time.Millisecond}, 1, runner)
+	_, cl, _ := startCluster(t, Config{HeartbeatEvery: 20 * time.Millisecond}, 1, runner)
 
-	c.PublishRemote(2, 0, [][]byte{[]byte("seg-old")})
-	c.PublishRemote(2, 3, [][]byte{[]byte("seg-new")}) // recovery republish wins
-	c.PublishRemote(2, 1, [][]byte{[]byte("seg-mid")}) // older never clobbers newer
+	cl.PublishRemote(2, 0, [][]byte{[]byte("seg-old")})
+	cl.PublishRemote(2, 3, [][]byte{[]byte("seg-new")}) // recovery republish wins
+	cl.PublishRemote(2, 1, [][]byte{[]byte("seg-mid")}) // older never clobbers newer
 
-	if _, err := c.RunRemote(mapreduce.PhaseReduce, 0, 0, nil); err != nil {
+	if _, err := cl.RunRemote(mapreduce.PhaseReduce, 0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := <-fetched; got != "seg-new/3" {
@@ -116,7 +133,7 @@ func TestSegmentFetchThroughCoordinator(t *testing.T) {
 		_, _, err := fetch(99, 0)
 		return nil, err
 	}
-	if _, err := c.RunRemote(mapreduce.PhaseReduce, 1, 0, nil); err == nil || !strings.Contains(err.Error(), "not published") {
+	if _, err := cl.RunRemote(mapreduce.PhaseReduce, 1, 0, nil); err == nil || !strings.Contains(err.Error(), "not published") {
 		t.Errorf("unpublished fetch error = %v", err)
 	}
 }
@@ -131,11 +148,11 @@ func TestWorkerDeathFailsLeaseImmediately(t *testing.T) {
 			return &mapreduce.RemoteResult{}, nil
 		},
 	}
-	c, workers := startCluster(t, Config{HeartbeatEvery: 50 * time.Millisecond}, 1, runner)
+	_, cl, workers := startCluster(t, Config{HeartbeatEvery: 50 * time.Millisecond}, 1, runner)
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.RunRemote(mapreduce.PhaseMap, 0, 0, nil)
+		_, err := cl.RunRemote(mapreduce.PhaseMap, 0, 0, nil)
 		done <- err
 	}()
 	<-started
@@ -162,11 +179,11 @@ func TestGracefulDrainCompletesInFlight(t *testing.T) {
 			return &mapreduce.RemoteResult{Output: []byte("done")}, nil
 		},
 	}
-	c, workers := startCluster(t, Config{HeartbeatEvery: 20 * time.Millisecond, Obs: o}, 1, runner)
+	c, cl, workers := startCluster(t, Config{HeartbeatEvery: 20 * time.Millisecond, Obs: o}, 1, runner)
 
 	done := make(chan error, 1)
 	go func() {
-		rr, err := c.RunRemote(mapreduce.PhaseMap, 0, 0, nil)
+		rr, err := cl.RunRemote(mapreduce.PhaseMap, 0, 0, nil)
 		if err == nil && string(rr.Output) != "done" {
 			err = fmt.Errorf("unexpected output %q", rr.Output)
 		}
@@ -214,6 +231,7 @@ func TestHeartbeatLapseExpiresAndStaleCompletionIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := dialClient(t, c)
 
 	conn, err := net.Dial("tcp", c.Addr())
 	if err != nil {
@@ -234,7 +252,7 @@ func TestHeartbeatLapseExpiresAndStaleCompletionIsDropped(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.RunRemote(mapreduce.PhaseMap, 0, 0, nil)
+		_, err := cl.RunRemote(mapreduce.PhaseMap, 0, 0, nil)
 		done <- err
 	}()
 
@@ -290,7 +308,7 @@ func TestProcFaultSignalsWorkerOnStarted(t *testing.T) {
 			return &mapreduce.RemoteResult{}, nil
 		},
 	}
-	c, _ := startCluster(t, Config{
+	_, cl, _ := startCluster(t, Config{
 		HeartbeatEvery: 20 * time.Millisecond,
 		Faults:         inj,
 		Signal: func(pid int, f *faults.ProcFault) {
@@ -300,7 +318,7 @@ func TestProcFaultSignalsWorkerOnStarted(t *testing.T) {
 		},
 	}, 1, runner)
 
-	if _, err := c.RunRemote(mapreduce.PhaseMap, 0, 0, nil); err != nil {
+	if _, err := cl.RunRemote(mapreduce.PhaseMap, 0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if killedPID.Load() == 0 {
@@ -327,12 +345,12 @@ func TestCanceledGrantIsRevoked(t *testing.T) {
 			return nil, mapreduce.ErrAttemptCanceled
 		},
 	}
-	c, _ := startCluster(t, Config{HeartbeatEvery: 20 * time.Millisecond}, 1, runner)
+	_, cl, _ := startCluster(t, Config{HeartbeatEvery: 20 * time.Millisecond}, 1, runner)
 
 	var stop atomic.Bool
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.RunRemote(mapreduce.PhaseMap, 0, 0, stop.Load)
+		_, err := cl.RunRemote(mapreduce.PhaseMap, 0, 0, stop.Load)
 		done <- err
 	}()
 	<-started
@@ -367,5 +385,146 @@ func TestFrameCRCRejectsCorruption(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr[5:], crc32.ChecksumIEEE(nil))
 	if _, _, err := readMsg(strings.NewReader(string(hdr[:]))); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Errorf("oversized frame error = %v", err)
+	}
+}
+
+// TestForfeitCauses pins the one forfeit rule over its three causes — a
+// worker re-registering without claiming the lease, its connection dropping,
+// and its heartbeats lapsing past the TTL — end to end: a hand-driven wire
+// worker takes one grant from a journaled coordinator, the cause happens,
+// and the journaled settle, the error and waste footprint the driver Client
+// receives, and the lease-transition counters must all agree. Expectations
+// were captured at 1e89eed, before the three forfeit copies were folded.
+func TestForfeitCauses(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		ttl   time.Duration
+		cause func(t *testing.T, addr string, conn net.Conn, worker int)
+		state string
+		err   string
+	}{
+		{"reregistered without claim", 5 * time.Second,
+			func(t *testing.T, addr string, _ net.Conn, worker int) {
+				again, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { again.Close() })
+				if err := writeMsg(again, kindHello, helloMsg{PID: 2, Worker: worker}); err != nil {
+					t.Fatal(err)
+				}
+			},
+			"lost", "clusterd: lease 0 lost: worker 0 re-registered without it"},
+		{"connection dropped", 5 * time.Second,
+			func(_ *testing.T, _ string, conn net.Conn, _ int) { conn.Close() },
+			"lost", "clusterd: lease 0 lost: worker 0 connection dropped"},
+		{"ttl lapsed", 60 * time.Millisecond,
+			func(*testing.T, string, net.Conn, int) {}, // silence: no heartbeat ever renews
+			"expired", "clusterd: lease 0 expired: worker 0 heartbeat lapsed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := obs.New()
+			journal := filepath.Join(t.TempDir(), "coord.journal")
+			c, err := Start(Config{Journal: journal, HeartbeatEvery: 20 * time.Millisecond, LeaseTTL: tc.ttl, Obs: o})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			cl := dialClient(t, c)
+
+			conn, err := net.Dial("tcp", c.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := writeMsg(conn, kindHello, helloMsg{PID: 1, Worker: -1}); err != nil {
+				t.Fatal(err)
+			}
+			var welcome welcomeMsg
+			if kind, payload, err := readMsg(conn); err != nil || kind != kindWelcome || decode(payload, &welcome) != nil {
+				t.Fatalf("welcome: kind=%d err=%v", kind, err)
+			}
+
+			type outcome struct {
+				rr  *mapreduce.RemoteResult
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				rr, err := cl.RunRemote(mapreduce.PhaseMap, 4, 0, nil)
+				done <- outcome{rr, err}
+			}()
+			if kind, _, err := readMsg(conn); err != nil || kind != kindGrant {
+				t.Fatalf("grant: kind=%d err=%v", kind, err)
+			}
+			time.Sleep(2 * time.Millisecond) // the lease occupies the worker for a measurable while
+			tc.cause(t, c.Addr(), conn, welcome.Worker)
+
+			var out outcome
+			select {
+			case out = <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("forfeit never reached the driver")
+			}
+			if out.err == nil || out.err.Error() != tc.err {
+				t.Errorf("driver error = %v, want %q", out.err, tc.err)
+			}
+			if out.rr == nil || out.rr.WallSeconds <= 0 || out.rr.Footprint.CPUSeconds != out.rr.WallSeconds {
+				t.Errorf("driver got lost-work footprint %+v, want the held time charged as CPU and wall", out.rr)
+			}
+			for _, s := range []string{"granted", "completed", "failed", "expired", "lost", "revoked", "stale"} {
+				want := int64(0)
+				if s == "granted" || s == tc.state {
+					want = 1
+				}
+				if got := transitionCount(o, s); got != want {
+					t.Errorf("transitions{state=%q} = %d, want %d", s, got, want)
+				}
+			}
+
+			// The journal holds exactly one settle, carrying the same outcome.
+			c.Close()
+			f, err := os.Open(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			var settles []evSettle
+			for {
+				kind, payload, err := readFrame(f)
+				if err != nil {
+					break
+				}
+				if kind == jkSettle {
+					var ev evSettle
+					if err := json.Unmarshal(payload, &ev); err != nil {
+						t.Fatal(err)
+					}
+					settles = append(settles, ev)
+				}
+			}
+			if len(settles) != 1 {
+				t.Fatalf("journal holds %d settles, want 1", len(settles))
+			}
+			got := settles[0].Outcome
+			if got.State != tc.state || got.Error != tc.err || got.Task != 4 || got.Phase != mapreduce.PhaseMap ||
+				got.Result == nil || got.Result.WallSeconds != out.rr.WallSeconds {
+				t.Errorf("journaled outcome = %+v (result %+v), want state %q, error %q and the delivered footprint",
+					got, got.Result, tc.state, tc.err)
+			}
+		})
+	}
+}
+
+// TestClientOnlyDriver pins the package's one driver path: Client is the
+// mapreduce.Remote, and the Coordinator offers no in-process shortcut a test
+// or a binary could take around the wire.
+func TestClientOnlyDriver(t *testing.T) {
+	var _ mapreduce.Remote = (*Client)(nil)
+	typ := reflect.TypeOf(&Coordinator{})
+	for _, name := range []string{"RunRemote", "PublishRemote"} {
+		if _, ok := typ.MethodByName(name); ok {
+			t.Errorf("*Coordinator has method %s; drivers reach it through a dialed Client only", name)
+		}
 	}
 }

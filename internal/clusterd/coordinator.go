@@ -7,14 +7,13 @@
 // single-process ones. All scheduling policy — retry budgets, deterministic
 // backoff, speculative twins, first-finisher commit, corrupt-segment repair
 // — stays in internal/mapreduce on the driver, which reaches the coordinator
-// either in-process (the Coordinator implements mapreduce.Remote directly)
-// or over the wire through Client. Workers only produce bytes: they rebuild
-// the job from the opaque spec pushed at registration and run single
-// attempts through the exact in-process data path. A worker dying mid-lease
-// (kill -9, SIGSTOP, network partition) surfaces as a failed attempt; the
-// scheduler retries it under a fresh lease like any other failure, and a
-// stale completion from a presumed-dead worker that comes back is dropped by
-// the lease table.
+// over the wire through Client, the package's one mapreduce.Remote. Workers
+// only produce bytes: they rebuild the job from the opaque spec pushed at
+// registration and run single attempts through the exact in-process data
+// path. A worker dying mid-lease (kill -9, SIGSTOP, network partition)
+// surfaces as a failed attempt; the scheduler retries it under a fresh lease
+// like any other failure, and a stale completion from a presumed-dead worker
+// that comes back is dropped by the lease table.
 //
 // The coordinator itself is crash-recoverable: every durable state
 // transition is journaled (see journal.go) before it takes effect, so a
@@ -59,22 +58,15 @@ type Config struct {
 	// Journal is the path of the durable control-plane journal. Empty runs
 	// the coordinator in-memory only (no crash recovery).
 	Journal string
-	// CheckpointEvery compacts the journal after this many appended events
-	// so replay stays O(live state). Default 256.
-	CheckpointEvery int
 	// Faults optionally injects process-level faults: proc:worker rules
 	// SIGKILL or SIGSTOP a worker process as it starts an attempt, and
-	// proc:coord rules kill or hang the coordinator itself at seeded
-	// journal points (after the event is durable, before its effect is
-	// sent), exercising the crash-recovery path.
+	// proc:coord rules kill or hang the coordinator itself (real signals to
+	// its own process) at seeded journal points (after the event is durable,
+	// before its effect is sent), exercising the crash-recovery path.
 	Faults *faults.Injector
 	// Signal overrides how proc faults reach the worker process. Nil sends
 	// real signals; tests substitute a recorder.
 	Signal func(pid int, fault *faults.ProcFault)
-	// SelfSignal overrides how proc:coord faults reach the coordinator's own
-	// process. Nil sends real signals (SIGKILL self; STOP with a helper
-	// subprocess parked to CONT); tests substitute a recorder.
-	SelfSignal func(fault *faults.ProcFault)
 	// Obs optionally records cluster gauges, lease-transition counters,
 	// journal counters, and heartbeat-gap histograms.
 	Obs *obs.Observer
@@ -82,50 +74,18 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// grantOutcome is one finished remote attempt, delivered to its RunRemote
-// waiter.
-type grantOutcome struct {
-	rr  *mapreduce.RemoteResult
-	err error
-}
-
-// err reconstructs a stored outcome in the engine's error vocabulary, so
-// canceled attempts stay silent and corrupt-segment detections drive map
-// re-execution exactly as in-process failures do.
-func (o *storedOutcome) grantErr() error {
-	switch {
-	case o.Canceled:
-		return mapreduce.ErrAttemptCanceled
-	case o.Corrupt != nil:
-		return &mapreduce.ErrCorruptSegment{
-			MapTask:   o.Corrupt.MapTask,
-			Partition: o.Corrupt.Partition,
-			Attempt:   o.Corrupt.Attempt,
-			Err:       errors.New(o.Error),
-		}
-	case o.Error != "":
-		return errors.New(o.Error)
-	default:
-		return nil
-	}
-}
-
-func (o *storedOutcome) grantOutcome() grantOutcome {
-	return grantOutcome{rr: o.Result, err: o.grantErr()}
-}
-
 // grantReq is one submitted attempt: queued until a worker is available,
-// then bound to a lease. deliver hands the outcome to whoever is waiting —
-// an in-process RunRemote channel or a driver connection — and reports
-// whether delivery succeeded; an undelivered outcome stays journaled for the
-// driver's re-submission. deliver is read and replaced only under the
-// coordinator mutex (a reconnecting driver redirects it).
+// then bound to a lease. Its outcome goes to driver d as the answer to run
+// request seq; an outcome that cannot be sent stays journaled for the
+// driver's re-submission. d and seq are read and replaced only under the
+// coordinator mutex (a reconnecting driver's re-send redirects them).
 type grantReq struct {
 	phase   string
 	task    int
 	attempt int
 	lease   int // -1 while queued
-	deliver func(o *storedOutcome) bool
+	d       *driverConn
+	seq     int
 }
 
 func (g *grantReq) key() attemptKey {
@@ -134,38 +94,24 @@ func (g *grantReq) key() attemptKey {
 
 // workerConn is the coordinator's view of one registered worker.
 type workerConn struct {
+	peer
 	id       int
 	pid      int
-	conn     net.Conn
-	wmu      sync.Mutex // serializes frame writes
 	draining bool
 	dead     bool
 	lastBeat time.Time
 }
 
-func (w *workerConn) send(kind byte, v any) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	return writeMsg(w.conn, kind, v)
-}
-
 // driverConn is one connected driver (attempt scheduler) session.
 type driverConn struct {
-	conn net.Conn
-	wmu  sync.Mutex // serializes frame writes
+	peer
 
 	mu   sync.Mutex
 	reqs map[int]*grantReq // seq → submission, for cancel correlation
 }
 
-func (d *driverConn) send(kind byte, v any) error {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	return writeMsg(d.conn, kind, v)
-}
-
 // Coordinator is the cluster control plane: worker registry, journaled lease
-// state machine, segment store, and the engine's Remote executor.
+// state machine, and segment store, serving workers and driver Clients.
 type Coordinator struct {
 	cfg Config
 	ln  net.Listener
@@ -217,7 +163,7 @@ func Start(cfg Config) (*Coordinator, error) {
 	var stats replayStats
 	if cfg.Journal != "" {
 		var err error
-		jnl, state, stats, err = openJournal(cfg.Journal, cfg.LeaseTTL, cfg.CheckpointEvery, now)
+		jnl, state, stats, err = openJournal(cfg.Journal, cfg.LeaseTTL, now)
 		if err != nil {
 			return nil, err
 		}
@@ -304,9 +250,10 @@ func (c *Coordinator) Epoch() int {
 	return c.state.epoch
 }
 
-// Close stops the coordinator abruptly: pending grants fail, worker
-// connections close, and the journal is left exactly as appended — the same
-// on-disk state a crash would leave, minus the torn tail.
+// Close stops the coordinator abruptly: every connection closes — a driver
+// Client sees that as an outage, redials and re-submits — and the journal is
+// left exactly as appended, the same on-disk state a crash would leave,
+// minus the torn tail.
 func (c *Coordinator) Close() error { return c.shutdown(false) }
 
 // Shutdown drains cleanly: the journal is compacted into a single checkpoint
@@ -330,11 +277,6 @@ func (c *Coordinator) shutdown(drain bool) error {
 		}
 		c.jnl.Close()
 	}
-	outstanding := c.pending
-	c.pending = nil
-	for _, g := range c.waiters {
-		outstanding = append(outstanding, g)
-	}
 	conns := make([]net.Conn, 0, len(c.peers))
 	for conn := range c.peers {
 		conns = append(conns, conn)
@@ -343,16 +285,8 @@ func (c *Coordinator) shutdown(drain bool) error {
 
 	close(c.stop)
 	err := c.ln.Close()
-	// Connections die first — as in a crash. Only then are outstanding grants
-	// failed: a wire driver's delivery closure fails on its dead connection
-	// (the driver redials the restarted coordinator and re-submits), while an
-	// in-process driver gets a definite error instead of hanging.
 	for _, conn := range conns {
 		conn.Close()
-	}
-	closedOutcome := &storedOutcome{State: "failed", Error: "clusterd: coordinator closed"}
-	for _, g := range outstanding {
-		c.finish(g, closedOutcome)
 	}
 	c.wg.Wait()
 	return err
@@ -408,18 +342,14 @@ func (c *Coordinator) coordFault(op, seq int) {
 		return
 	}
 	c.logf("clusterd: injecting %s into coordinator (op %d, lease %d)", f.Action, op, seq)
-	sig := c.cfg.SelfSignal
-	if sig == nil {
-		sig = realSelfSignal
-	}
-	sig(f)
+	realSelfSignal(f)
 }
 
 // submit registers one attempt submission. It returns a non-nil outcome when
 // the attempt already settled under a previous incarnation (a journaled
 // orphan) — the caller delivers it instead of re-running. Submissions are
 // idempotent on (phase, task, attempt): a duplicate re-sent by a
-// reconnecting driver redirects delivery of the outstanding submission; an
+// reconnecting driver redirects the outstanding submission's answer; an
 // attempt whose lease survived a coordinator restart binds to that lease.
 func (c *Coordinator) submit(g *grantReq) (*storedOutcome, error) {
 	key := g.key()
@@ -433,7 +363,7 @@ func (c *Coordinator) submit(g *grantReq) (*storedOutcome, error) {
 		return o, nil
 	}
 	if prior := c.subs[key]; prior != nil {
-		prior.deliver = g.deliver
+		prior.d, prior.seq = g.d, g.seq
 		c.mu.Unlock()
 		return nil, nil
 	}
@@ -453,61 +383,25 @@ func (c *Coordinator) submit(g *grantReq) (*storedOutcome, error) {
 	return nil, nil
 }
 
-// finish delivers a settled outcome to its submission and journals the
-// delivery on success; an undelivered outcome stays in the orphan store for
-// the driver's re-ask.
+// finish sends a settled outcome to the driver waiting on its submission and
+// journals the delivery on success; an outcome that could not be sent stays
+// in the orphan store for the driver's re-ask.
 func (c *Coordinator) finish(g *grantReq, o *storedOutcome) {
 	if g == nil {
 		return
 	}
 	c.mu.Lock()
-	deliver := g.deliver
+	d, seq := g.d, g.seq
 	c.mu.Unlock()
-	if deliver == nil || !deliver(o) {
+	err := d.send(kindRunResult, runResultMsg{
+		Seq: seq, Result: o.Result, Error: o.Error, Canceled: o.Canceled, Corrupt: o.Corrupt,
+	})
+	if err != nil {
 		return
 	}
 	c.mu.Lock()
 	c.journalApply(jkDeliver, evDeliver{Phase: o.Phase, Task: o.Task, Attempt: o.Attempt})
 	c.mu.Unlock()
-}
-
-// RunRemote implements mapreduce.Remote for an in-process driver: it queues
-// the attempt for the next available worker and blocks until the attempt
-// completes, loses its lease, or is canceled by the scheduler.
-func (c *Coordinator) RunRemote(phase string, task, attempt int, canceled func() bool) (*mapreduce.RemoteResult, error) {
-	done := make(chan grantOutcome, 1)
-	g := &grantReq{phase: phase, task: task, attempt: attempt, lease: -1,
-		deliver: func(o *storedOutcome) bool {
-			done <- o.grantOutcome()
-			return true
-		}}
-	orphan, err := c.submit(g)
-	if err != nil {
-		return nil, err
-	}
-	if orphan != nil {
-		c.finish(g, orphan)
-		out := <-done
-		return out.rr, out.err
-	}
-
-	poll := time.NewTicker(2 * time.Millisecond)
-	defer poll.Stop()
-	for {
-		select {
-		case out := <-done:
-			return out.rr, out.err
-		case <-poll.C:
-			if canceled != nil && canceled() {
-				if c.cancelGrant(g) {
-					return nil, mapreduce.ErrAttemptCanceled
-				}
-				// The outcome was already delivered concurrently; take it.
-				out := <-done
-				return out.rr, out.err
-			}
-		}
-	}
 }
 
 // cancelGrant withdraws a canceled attempt: dequeued if still pending,
@@ -544,19 +438,6 @@ func (c *Coordinator) cancelGrant(g *grantReq) bool {
 	}
 	c.mu.Unlock()
 	return false // outcome already delivered (or being delivered)
-}
-
-// PublishRemote implements mapreduce.Remote for an in-process driver: it
-// installs a committed map attempt's segments in the coordinator's segment
-// store, where reduce workers fetch them. Recovery republishes under a
-// higher attempt, which replaces the corrupt original. The publication is
-// journaled, so acked map output survives a coordinator crash — the engine
-// publishes before granting reduces, which is what makes re-adopted reduce
-// attempts' fetches succeed after a restart.
-func (c *Coordinator) PublishRemote(mapTask, attempt int, parts [][]byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.journalApply(jkPublish, evPublish{MapTask: mapTask, Attempt: attempt, Parts: parts})
 }
 
 func (c *Coordinator) wake() {
@@ -640,7 +521,7 @@ func (c *Coordinator) serveWorker(conn net.Conn, hello helloMsg) {
 		old.dead = true
 		ghost = old
 	}
-	w := &workerConn{id: id, pid: hello.PID, conn: conn, lastBeat: now}
+	w := &workerConn{peer: peer{conn: conn}, id: id, pid: hello.PID, lastBeat: now}
 	c.workers[id] = w
 	c.gWorkers.Set(int64(len(c.workers)))
 
@@ -656,23 +537,9 @@ func (c *Coordinator) serveWorker(conn net.Conn, hello helloMsg) {
 			c.cReadopt.Inc()
 		}
 	}
-	type settled struct {
-		g *grantReq
-		o *storedOutcome
-	}
-	var forfeits []settled
-	for _, li := range c.state.leases.active {
-		if li.Worker != id || claimed[li.ID] {
-			continue
-		}
-		o := &storedOutcome{
-			State:  "lost",
-			Result: lostWork(li, now),
-			Error:  fmt.Sprintf("clusterd: lease %d lost: worker %d re-registered without it", li.ID, id),
-		}
-		forfeits = append(forfeits, settled{c.settleLocked(li, o), o})
-	}
-	c.gLeases.Set(int64(c.state.leases.count()))
+	held := heldBy(id)
+	forfeits := c.forfeitLocked("lost", "re-registered without it",
+		func(li *leaseInfo) bool { return held(li) && !claimed[li.ID] })
 	epoch := c.state.epoch
 	c.mu.Unlock()
 
@@ -680,9 +547,7 @@ func (c *Coordinator) serveWorker(conn net.Conn, hello helloMsg) {
 		ghost.conn.Close()
 		c.logf("clusterd: worker %d reconnected; replaced stale registration", id)
 	}
-	for _, f := range forfeits {
-		c.finish(f.g, f.o)
-	}
+	c.finishForfeits(forfeits)
 
 	err := w.send(kindWelcome, welcomeMsg{
 		Worker:         id,
@@ -766,7 +631,7 @@ func (c *Coordinator) serveDriver(conn net.Conn) {
 	epoch := c.state.epoch
 	c.mu.Unlock()
 
-	d := &driverConn{conn: conn, reqs: make(map[int]*grantReq)}
+	d := &driverConn{peer: peer{conn: conn}, reqs: make(map[int]*grantReq)}
 	if d.send(kindDriverWelcome, driverWelcomeMsg{Epoch: epoch}) != nil {
 		conn.Close()
 		return
@@ -797,6 +662,10 @@ func (c *Coordinator) serveDriver(conn net.Conn) {
 				}
 			}
 		case kindPublish:
+			// A committed map attempt's segments enter the segment store,
+			// where reduce workers fetch them; recovery republishes under a
+			// higher attempt, which replaces the corrupt original. Journaled
+			// before the ack, so acked map output survives a crash.
 			var m publishMsg
 			if decode(payload, &m) == nil {
 				c.mu.Lock()
@@ -815,19 +684,13 @@ func (c *Coordinator) serveDriver(conn net.Conn) {
 }
 
 func (c *Coordinator) handleRunReq(d *driverConn, m runReqMsg) {
-	seq := m.Seq
-	g := &grantReq{phase: m.Phase, task: m.Task, attempt: m.Attempt, lease: -1,
-		deliver: func(o *storedOutcome) bool {
-			return d.send(kindRunResult, runResultMsg{
-				Seq: seq, Result: o.Result, Error: o.Error, Canceled: o.Canceled, Corrupt: o.Corrupt,
-			}) == nil
-		}}
+	g := &grantReq{phase: m.Phase, task: m.Task, attempt: m.Attempt, lease: -1, d: d, seq: m.Seq}
 	d.mu.Lock()
-	d.reqs[seq] = g
+	d.reqs[m.Seq] = g
 	d.mu.Unlock()
 	orphan, err := c.submit(g)
 	if err != nil {
-		d.send(kindRunResult, runResultMsg{Seq: seq, Error: err.Error()})
+		d.send(kindRunResult, runResultMsg{Seq: m.Seq, Error: err.Error()})
 		return
 	}
 	if orphan != nil {
@@ -854,6 +717,57 @@ func (c *Coordinator) settleLocked(li *leaseInfo, o *storedOutcome) *grantReq {
 		t.Inc()
 	}
 	return g
+}
+
+// forfeit is one lease the coordinator settled on its own authority, with
+// the submission and worker connection (either may be nil) it concerned.
+type forfeit struct {
+	li *leaseInfo
+	o  *storedOutcome
+	g  *grantReq
+	w  *workerConn
+}
+
+// forfeitLocked is the one forfeit rule: every active lease match selects is
+// settled as state ("lost" or "expired") without a report from its worker,
+// its held time charged as waste. Three causes reach here: a worker
+// re-registering without a claim, a worker connection dropping, and a lease
+// TTL lapsing. Caller holds c.mu and passes the result to finishForfeits
+// after releasing it.
+func (c *Coordinator) forfeitLocked(state, reason string, match selector) []forfeit {
+	now := time.Now()
+	var out []forfeit
+	for _, li := range c.state.leases.pick(match) {
+		o := &storedOutcome{
+			State:  state,
+			Result: lostWork(li, now),
+			Error:  fmt.Sprintf("clusterd: lease %d %s: worker %d %s", li.ID, state, li.Worker, reason),
+		}
+		out = append(out, forfeit{li: li, o: o, g: c.settleLocked(li, o), w: c.workers[li.Worker]})
+	}
+	return out
+}
+
+// lostWork synthesizes the waste charge for an attempt whose worker died
+// without reporting: the process could not ship its footprint, so the cost
+// model is charged the wall-clock time the lease occupied the worker.
+func lostWork(li *leaseInfo, now time.Time) *mapreduce.RemoteResult {
+	held := max(now.Sub(li.Granted).Seconds(), 0)
+	return &mapreduce.RemoteResult{
+		Footprint:   cluster.Task{CPUSeconds: held},
+		WallSeconds: held,
+	}
+}
+
+// finishForfeits delivers forfeited outcomes to their drivers, so the
+// scheduler retries each attempt under a fresh lease.
+func (c *Coordinator) finishForfeits(fs []forfeit) {
+	for _, f := range fs {
+		c.finish(f.g, f.o)
+	}
+	if len(fs) > 0 {
+		c.wake()
+	}
 }
 
 // settleWorker handles a worker-reported outcome. Outcomes for leases the
@@ -895,8 +809,7 @@ func (c *Coordinator) retireWorker(w *workerConn) {
 	c.mu.Lock()
 	if c.closed {
 		// Shutdown in progress: every connection is being torn down at once.
-		// A crash delivers no forfeits, so neither does this path; shutdown
-		// itself fails the outstanding grants.
+		// A crash delivers no forfeits, so neither does this path.
 		c.mu.Unlock()
 		w.conn.Close()
 		return
@@ -915,23 +828,7 @@ func (c *Coordinator) retireWorker(w *workerConn) {
 		delete(c.workers, w.id)
 	}
 	c.gWorkers.Set(int64(len(c.workers)))
-	now := time.Now()
-	type settled struct {
-		g *grantReq
-		o *storedOutcome
-	}
-	var lost []settled
-	for _, li := range c.state.leases.active {
-		if li.Worker != w.id {
-			continue
-		}
-		o := &storedOutcome{
-			State:  "lost",
-			Result: lostWork(li, now),
-			Error:  fmt.Sprintf("clusterd: lease %d lost: worker %d connection dropped", li.ID, w.id),
-		}
-		lost = append(lost, settled{c.settleLocked(li, o), o})
-	}
+	lost := c.forfeitLocked("lost", "connection dropped", heldBy(w.id))
 	clean := w.draining && len(lost) == 0
 	c.mu.Unlock()
 
@@ -941,24 +838,7 @@ func (c *Coordinator) retireWorker(w *workerConn) {
 	} else {
 		c.logf("clusterd: worker %d lost (%d leases forfeited)", w.id, len(lost))
 	}
-	for _, f := range lost {
-		c.finish(f.g, f.o)
-	}
-	c.wake()
-}
-
-// lostWork synthesizes the waste charge for an attempt whose worker died
-// without reporting: the process could not ship its footprint, so the cost
-// model is charged the wall-clock time the lease occupied the worker.
-func lostWork(li *leaseInfo, now time.Time) *mapreduce.RemoteResult {
-	held := now.Sub(li.Granted).Seconds()
-	if held < 0 {
-		held = 0
-	}
-	return &mapreduce.RemoteResult{
-		Footprint:   cluster.Task{CPUSeconds: held},
-		WallSeconds: held,
-	}
+	c.finishForfeits(lost)
 }
 
 func (c *Coordinator) handleHeartbeat(w *workerConn, m heartbeatMsg) {
@@ -1081,42 +961,17 @@ func (c *Coordinator) expireLoop() {
 			return
 		case <-tick.C:
 		}
-		now := time.Now()
 		c.mu.Lock()
-		var lapsed []*leaseInfo
-		for _, li := range c.state.leases.active {
-			if now.After(li.Deadline) {
-				lapsed = append(lapsed, li)
-			}
-		}
-		type victim struct {
-			g *grantReq
-			o *storedOutcome
-			w *workerConn
-			l *leaseInfo
-		}
-		var victims []victim
-		for _, li := range lapsed {
-			o := &storedOutcome{
-				State:  "expired",
-				Result: lostWork(li, now),
-				Error:  fmt.Sprintf("clusterd: lease %d expired: worker %d heartbeat lapsed", li.ID, li.Worker),
-			}
-			victims = append(victims, victim{g: c.settleLocked(li, o), o: o, w: c.workers[li.Worker], l: li})
-		}
+		victims := c.forfeitLocked("expired", "heartbeat lapsed", lapsed(time.Now()))
 		c.mu.Unlock()
-
 		for _, v := range victims {
 			c.logf("clusterd: lease %d (%s task %d attempt %d) expired on worker %d",
-				v.l.ID, v.l.Phase, v.l.Task, v.l.Attempt, v.l.Worker)
+				v.li.ID, v.li.Phase, v.li.Task, v.li.Attempt, v.li.Worker)
 			if v.w != nil && !v.w.dead {
-				v.w.send(kindRevoke, revokeMsg{Lease: v.l.ID})
+				v.w.send(kindRevoke, revokeMsg{Lease: v.li.ID})
 			}
-			c.finish(v.g, v.o)
 		}
-		if len(victims) > 0 {
-			c.wake()
-		}
+		c.finishForfeits(victims)
 	}
 }
 

@@ -227,7 +227,7 @@ func runE2ECluster(t *testing.T, nWorkers int, faultSpec string) *clusterRun {
 
 	fs := e2eFS()
 	job := e2eJob(e2eSpecFixture, fs)
-	job.Remote = c
+	job.Remote = dialClient(t, c)
 	job.Parallelism = 4
 	job.Retry = mapreduce.RetryPolicy{MaxAttempts: 5}
 	res, err := mapreduce.Run(job)

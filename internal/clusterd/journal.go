@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"time"
 
 	"scikey/internal/mapreduce"
@@ -51,6 +52,9 @@ const (
 
 // journalMagic identifies a journal file (and its format version).
 const journalMagic = "scikey-coord-journal-v1"
+
+// checkpointEvery is the compaction cadence in appended events.
+const checkpointEvery = 256
 
 type jHeader struct {
 	Magic string
@@ -114,14 +118,9 @@ type evDeliver struct {
 	Attempt int
 }
 
+// evPublish installs one map task's published output; a checkpoint lists the
+// segment store in the same form.
 type evPublish struct {
-	MapTask int
-	Attempt int
-	Parts   [][]byte
-}
-
-// segSnapshot is the checkpoint form of one published map output.
-type segSnapshot struct {
 	MapTask int
 	Attempt int
 	Parts   [][]byte
@@ -135,7 +134,7 @@ type evCheckpoint struct {
 	Grants     []grantCount
 	Leases     []leaseInfo
 	Outcomes   []storedOutcome
-	Segs       []segSnapshot
+	Segs       []evPublish
 }
 
 // coordState is the durable control-plane state: coordinator epoch, worker
@@ -245,7 +244,7 @@ func (s *coordState) checkpoint() evCheckpoint {
 		ck.Outcomes = append(ck.Outcomes, *o)
 	}
 	for mt, e := range s.segs {
-		ck.Segs = append(ck.Segs, segSnapshot{MapTask: mt, Attempt: e.attempt, Parts: e.parts})
+		ck.Segs = append(ck.Segs, evPublish{MapTask: mt, Attempt: e.attempt, Parts: e.parts})
 	}
 	sortCheckpoint(&ck)
 	return ck
@@ -255,7 +254,7 @@ func sortCheckpoint(ck *evCheckpoint) {
 	// Canonical ordering keeps checkpoints deterministic for a given state,
 	// which the replay property test compares byte-for-byte.
 	slices.SortFunc(ck.Outcomes, func(a, b storedOutcome) int {
-		if c := cmpString(a.Phase, b.Phase); c != 0 {
+		if c := strings.Compare(a.Phase, b.Phase); c != 0 {
 			return c
 		}
 		if a.Task != b.Task {
@@ -263,7 +262,7 @@ func sortCheckpoint(ck *evCheckpoint) {
 		}
 		return a.Attempt - b.Attempt
 	})
-	slices.SortFunc(ck.Segs, func(a, b segSnapshot) int { return a.MapTask - b.MapTask })
+	slices.SortFunc(ck.Segs, func(a, b evPublish) int { return a.MapTask - b.MapTask })
 }
 
 // journal is the append-only on-disk record of coordState transitions.
@@ -271,9 +270,9 @@ type journal struct {
 	path string
 	f    *os.File
 	// eventsSinceCkpt counts appended records since the last checkpoint;
-	// reaching checkpointEvery triggers compaction.
+	// reaching cadence (checkpointEvery; tests shorten it) triggers compaction.
 	eventsSinceCkpt int
-	checkpointEvery int
+	cadence         int
 	// onAppend, when non-nil, observes (records, bytes) for metrics.
 	onAppend     func(bytes int)
 	onCheckpoint func()
@@ -294,10 +293,7 @@ type replayStats struct {
 // fresh coordState. A torn tail — a partial or corrupt trailing frame from a
 // crash mid-append — is truncated; the state reflects every record before
 // it. The returned journal is positioned for appending.
-func openJournal(path string, ttl time.Duration, checkpointEvery int, now time.Time) (*journal, *coordState, replayStats, error) {
-	if checkpointEvery <= 0 {
-		checkpointEvery = 256
-	}
+func openJournal(path string, ttl time.Duration, now time.Time) (*journal, *coordState, replayStats, error) {
 	state := newCoordState(ttl)
 	var stats replayStats
 
@@ -305,7 +301,7 @@ func openJournal(path string, ttl time.Duration, checkpointEvery int, now time.T
 	if err != nil {
 		return nil, nil, stats, fmt.Errorf("clusterd: open journal %s: %w", path, err)
 	}
-	j := &journal{path: path, f: f, checkpointEvery: checkpointEvery}
+	j := &journal{path: path, f: f, cadence: checkpointEvery}
 
 	info, err := f.Stat()
 	if err != nil {
@@ -416,7 +412,7 @@ func (j *journal) append(kind byte, payload []byte) error {
 }
 
 // due reports whether the compaction cadence has been reached.
-func (j *journal) due() bool { return j.eventsSinceCkpt >= j.checkpointEvery }
+func (j *journal) due() bool { return j.eventsSinceCkpt >= j.cadence }
 
 // compact atomically replaces the journal with a single checkpoint of the
 // given state: write to a temp file, fsync, rename over the journal, fsync

@@ -47,7 +47,7 @@ func applyAndAppend(t *testing.T, j *journal, s *coordState, kind byte, ev any, 
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "coord.journal")
 	now := time.Unix(5000, 0)
-	j, live, stats, err := openJournal(path, time.Second, 0, now)
+	j, live, stats, err := openJournal(path, time.Second, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, replayed, stats, err := openJournal(path, time.Second, 0, now.Add(time.Minute))
+	_, replayed, stats, err := openJournal(path, time.Second, now.Add(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestJournalRoundTrip(t *testing.T) {
 func TestJournalTornTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "coord.journal")
 	now := time.Unix(5000, 0)
-	j, live, _, err := openJournal(path, time.Second, 0, now)
+	j, live, _, err := openJournal(path, time.Second, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		if err := os.WriteFile(path, append(append([]byte{}, good...), tear.tail()...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j2, replayed, stats, err := openJournal(path, time.Second, 0, now)
+		j2, replayed, stats, err := openJournal(path, time.Second, now)
 		if err != nil {
 			t.Fatalf("%s: %v", tear.name, err)
 		}
@@ -160,10 +160,11 @@ func TestJournalTornTailTruncated(t *testing.T) {
 func TestJournalCompactionKeepsReplaySmall(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "coord.journal")
 	now := time.Unix(5000, 0)
-	j, live, _, err := openJournal(path, time.Second, 4, now)
+	j, live, _, err := openJournal(path, time.Second, now)
 	if err != nil {
 		t.Fatal(err)
 	}
+	j.cadence = 4
 	applyAndAppend(t, j, live, jkBoot, evBoot{Epoch: 1}, now)
 	applyAndAppend(t, j, live, jkWorker, evWorker{ID: 0}, now)
 	compactions := 0
@@ -184,7 +185,7 @@ func TestJournalCompactionKeepsReplaySmall(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, replayed, stats, err := openJournal(path, time.Second, 4, now)
+	_, replayed, stats, err := openJournal(path, time.Second, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestJournalRejectsForeignFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("just some text, definitely not framed"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := openJournal(path, time.Second, 0, time.Unix(5000, 0)); err == nil {
+	if _, _, _, err := openJournal(path, time.Second, time.Unix(5000, 0)); err == nil {
 		t.Fatal("opening a non-journal file succeeded")
 	}
 }
@@ -225,13 +226,14 @@ func TestShutdownCompactsToZeroReplay(t *testing.T) {
 	})
 	go w.Run()
 	defer w.Stop()
+	cl := dialClient(t, c)
 
 	for task := 0; task < 3; task++ {
-		if _, err := c.RunRemote(mapreduce.PhaseMap, task, 0, nil); err != nil {
+		if _, err := cl.RunRemote(mapreduce.PhaseMap, task, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.PublishRemote(0, 0, [][]byte{[]byte("seg")})
+	cl.PublishRemote(0, 0, [][]byte{[]byte("seg")})
 	if c.Epoch() != 1 {
 		t.Fatalf("fresh journal epoch = %d, want 1", c.Epoch())
 	}
@@ -239,7 +241,7 @@ func TestShutdownCompactsToZeroReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, state, stats, err := openJournal(path, time.Second, 0, time.Now())
+	_, state, stats, err := openJournal(path, time.Second, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,5 +354,39 @@ func TestReplayPrefixDeterminism(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestJournalReplaysParentFile pins the on-disk format across refactors:
+// testdata/parent.journal was written by the build at 1e89eed (a real
+// coordinator, worker and Client: two map commits compacted into a
+// checkpoint, then a grant, a settle carrying Parts, its publish and deliver,
+// a reduce settled for a driver that had hung up — an undelivered orphan —
+// and a grant still running when the coordinator was closed), and
+// testdata/parent.checkpoint.json is the checkpoint that build replayed it
+// to. This build must replay the same file to the same bytes.
+func TestJournalReplaysParentFile(t *testing.T) {
+	raw, err := os.ReadFile("testdata/parent.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/parent.checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "coord.journal") // replay opens read-write
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, state, stats, err := openJournal(path, time.Second, time.Unix(5000, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if !stats.Checkpoint || stats.Events != 7 || stats.Truncated != 0 {
+		t.Errorf("replay stats = %+v, want the checkpoint plus 7 events, nothing torn", stats)
+	}
+	if got := stateFingerprint(t, state); got != string(want) {
+		t.Errorf("parent journal replayed to a different checkpoint:\n got %s\nwant %s", got, want)
 	}
 }

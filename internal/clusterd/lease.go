@@ -1,8 +1,8 @@
 package clusterd
 
 import (
-	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"scikey/internal/mapreduce"
@@ -20,13 +20,16 @@ import (
 //     worker must present to re-adopt the lease after a coordinator restart.
 //   - Renew: a heartbeat naming the lease pushes the deadline to now+TTL. A
 //     renewal arriving exactly at the deadline still saves the lease; only
-//     now strictly after the deadline expires it.
-//   - Expire: an expired or revoked lease is forgotten. A completion (or
-//     failure) that arrives later for that lease ID is stale and must be
-//     ignored — the attempt was already reissued under a new lease, and the
-//     first-finisher commit rule upstream decides among live attempts only.
-//   - Worker death: a worker's connection dropping forfeits all its leases
-//     at once, without waiting for the heartbeat deadline.
+//     now strictly after the deadline is the lease lapsed(now).
+//   - Settle: complete removes a lease, whatever settled it — a worker's
+//     report, a cancellation, a forfeit. A completion (or failure) that
+//     arrives later for that lease ID is stale and must be ignored — the
+//     attempt was already reissued under a new lease, and the first-finisher
+//     commit rule upstream decides among live attempts only.
+//   - Forfeit: the coordinator settles every lease a selector picks —
+//     lapsed(now) on its sweep, heldBy(worker) the moment that worker's
+//     connection drops or it re-registers without claiming them — without
+//     waiting for anything further from the worker.
 //   - Coordinator death: replaying the journal rebuilds the table with every
 //     deadline reset to replay-time+TTL — one grace TTL for the worker to
 //     reconnect and re-adopt; a lease not re-adopted in time expires as
@@ -149,17 +152,31 @@ func (t *leaseTable) readopt(worker int, claim leaseClaim, now time.Time) (*leas
 	return li, true
 }
 
-// expired removes and returns every lease whose deadline has strictly
-// passed. A lease whose deadline equals now survives: renewal at the
-// deadline is on time.
-func (t *leaseTable) expired(now time.Time) []*leaseInfo {
+// A selector picks leases out of the table; the coordinator's forfeit rule
+// is phrased in them.
+type selector func(*leaseInfo) bool
+
+// lapsed selects the leases whose deadline has strictly passed at now. A
+// lease whose deadline equals now survives: renewal at the deadline is on
+// time.
+func lapsed(now time.Time) selector {
+	return func(li *leaseInfo) bool { return now.After(li.Deadline) }
+}
+
+// heldBy selects every lease held by worker.
+func heldBy(worker int) selector {
+	return func(li *leaseInfo) bool { return li.Worker == worker }
+}
+
+// pick returns the active leases sel selects, oldest grant first.
+func (t *leaseTable) pick(sel selector) []*leaseInfo {
 	var out []*leaseInfo
-	for id, li := range t.active {
-		if now.After(li.Deadline) {
-			delete(t.active, id)
+	for _, li := range t.active {
+		if sel(li) {
 			out = append(out, li)
 		}
 	}
+	slices.SortFunc(out, func(a, b *leaseInfo) int { return a.ID - b.ID })
 	return out
 }
 
@@ -172,25 +189,6 @@ func (t *leaseTable) complete(id int) (li *leaseInfo, ok bool) {
 		delete(t.active, id)
 	}
 	return li, ok
-}
-
-// revoke removes lease id because its result is no longer wanted (the
-// scheduler canceled the attempt).
-func (t *leaseTable) revoke(id int) (li *leaseInfo, ok bool) {
-	return t.complete(id)
-}
-
-// dropWorker removes and returns all leases held by worker — its connection
-// died, so every attempt it was running is lost immediately.
-func (t *leaseTable) dropWorker(worker int) []*leaseInfo {
-	var out []*leaseInfo
-	for id, li := range t.active {
-		if li.Worker == worker {
-			delete(t.active, id)
-			out = append(out, li)
-		}
-	}
-	return out
 }
 
 // byAttempt finds the active lease executing (phase, task, attempt), if
@@ -206,15 +204,7 @@ func (t *leaseTable) byAttempt(phase string, task, attempt int) (*leaseInfo, boo
 }
 
 // load counts worker's active leases (grant placement balances on it).
-func (t *leaseTable) load(worker int) int {
-	n := 0
-	for _, li := range t.active {
-		if li.Worker == worker {
-			n++
-		}
-	}
-	return n
-}
+func (t *leaseTable) load(worker int) int { return len(t.pick(heldBy(worker))) }
 
 // count is the number of active leases.
 func (t *leaseTable) count() int { return len(t.active) }
@@ -236,7 +226,7 @@ func (t *leaseTable) snapshotGrants() []grantCount {
 		if a.Worker != b.Worker {
 			return a.Worker - b.Worker
 		}
-		return cmpString(a.Phase, b.Phase)
+		return strings.Compare(a.Phase, b.Phase)
 	})
 	return out
 }
@@ -270,23 +260,6 @@ func (t *leaseTable) restore(nextID int, leases []leaseInfo, grants []grantCount
 			t.grants[k] = g.N
 		}
 	}
-}
-
-func cmpString(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// describe renders a lease for logs.
-func (li *leaseInfo) describe() string {
-	return fmt.Sprintf("lease %d (%s task %d attempt %d, worker %d, epoch %d)",
-		li.ID, li.Phase, li.Task, li.Attempt, li.Worker, li.Epoch)
 }
 
 // procPhase maps a phase name to the fault site's phase coordinate.

@@ -10,7 +10,10 @@ import (
 // The lease state machine is pure — every method takes now explicitly — so
 // these tests drive its edges with a fake clock: expiry strictly after the
 // deadline, renewal exactly at the deadline, zero-TTL leases, duplicate
-// completion after reassignment, and whole-worker forfeiture.
+// completion after reassignment, and whole-worker forfeiture. They go
+// through what the coordinator's forfeit rule goes through: a selector
+// (lapsed, heldBy) picks the leases and complete — the settle event's effect
+// — removes each.
 
 // grant is the tests' shorthand for the live path's next+install pair (the
 // production grant flow journals the built lease in between). It returns
@@ -30,13 +33,14 @@ func TestLeaseExpiryEdges(t *testing.T) {
 	}
 
 	// At the deadline the lease survives; expiry needs now strictly after.
-	if got := lt.expired(li.Deadline); len(got) != 0 {
+	if got := lt.pick(lapsed(li.Deadline)); len(got) != 0 {
 		t.Errorf("lease expired exactly at its deadline: %v", got)
 	}
-	if got := lt.expired(li.Deadline.Add(time.Nanosecond)); len(got) != 1 || got[0].ID != li.ID {
-		t.Errorf("lease did not expire after its deadline: %v", got)
+	got := lt.pick(lapsed(li.Deadline.Add(time.Nanosecond)))
+	if len(got) != 1 || got[0].ID != li.ID {
+		t.Fatalf("lease did not expire after its deadline: %v", got)
 	}
-	if lt.count() != 0 {
+	if _, ok := lt.complete(got[0].ID); !ok || lt.count() != 0 {
 		t.Errorf("expired lease still tracked, count=%d", lt.count())
 	}
 }
@@ -52,10 +56,13 @@ func TestLeaseRenewAtDeadline(t *testing.T) {
 	if unknown := lt.renew(1, []int{li.ID}, atDeadline); len(unknown) != 0 {
 		t.Fatalf("renew at deadline reported unknown leases %v", unknown)
 	}
-	if got := lt.expired(atDeadline.Add(time.Nanosecond)); len(got) != 0 {
+	if got := lt.pick(lapsed(atDeadline.Add(time.Nanosecond))); len(got) != 0 {
 		t.Errorf("renewed lease expired: %v", got)
 	}
-	if got := lt.expired(atDeadline.Add(time.Second + time.Nanosecond)); len(got) != 1 {
+	if got := lt.pick(lapsed(atDeadline.Add(time.Second))); len(got) != 0 {
+		t.Errorf("renewed lease expired exactly at its new deadline: %v", got)
+	}
+	if got := lt.pick(lapsed(atDeadline.Add(time.Second + time.Nanosecond))); len(got) != 1 {
 		t.Errorf("renewed lease outlived its new deadline: %v", got)
 	}
 
@@ -75,10 +82,10 @@ func TestLeaseZeroTTL(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	lt := newLeaseTable(0)
 	lt.grant(0, mapreduce.PhaseMap, 0, 0, t0)
-	if got := lt.expired(t0); len(got) != 0 {
+	if got := lt.pick(lapsed(t0)); len(got) != 0 {
 		t.Errorf("zero-TTL lease expired at grant time: %v", got)
 	}
-	if got := lt.expired(t0.Add(time.Nanosecond)); len(got) != 1 {
+	if got := lt.pick(lapsed(t0.Add(time.Nanosecond))); len(got) != 1 {
 		t.Errorf("zero-TTL lease survived past grant time: %v", got)
 	}
 }
@@ -90,8 +97,11 @@ func TestDuplicateCompletionAfterReassignment(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	lt := newLeaseTable(50 * time.Millisecond)
 	old := lt.grant(0, mapreduce.PhaseMap, 7, 0, t0)
-	if got := lt.expired(t0.Add(time.Minute)); len(got) != 1 || got[0].ID != old.ID {
+	if got := lt.pick(lapsed(t0.Add(time.Minute))); len(got) != 1 || got[0].ID != old.ID {
 		t.Fatalf("lease did not lapse: %v", got)
+	}
+	if _, ok := lt.complete(old.ID); !ok {
+		t.Fatal("settling the lapsed lease found it already gone")
 	}
 	replacement := lt.grant(1, mapreduce.PhaseMap, 7, 1, t0.Add(time.Minute))
 
@@ -122,9 +132,12 @@ func TestGrantSeqAndDropWorker(t *testing.T) {
 		t.Errorf("load = %d,%d, want 3,1", lt.load(0), lt.load(1))
 	}
 
-	dropped := lt.dropWorker(0)
-	if len(dropped) != 3 || lt.count() != 1 {
-		t.Errorf("dropWorker removed %d leases, %d left", len(dropped), lt.count())
+	dropped := lt.pick(heldBy(0))
+	for _, li := range dropped {
+		lt.complete(li.ID)
+	}
+	if len(dropped) != 3 || dropped[0] != m0 || dropped[1] != m1 || dropped[2] != r0 || lt.count() != 1 {
+		t.Errorf("forfeiting worker 0 removed %v (oldest grant first?), %d left", dropped, lt.count())
 	}
 	// Grant sequences keep counting across the worker's death: a restarted
 	// worker gets a fresh worker ID, so old coordinates stay unique.

@@ -46,6 +46,7 @@ func TestWorkerReregistrationReplacesGhost(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := dialClient(t, c)
 
 	dialWorker := func(pid, id int) (net.Conn, welcomeMsg) {
 		t.Helper()
@@ -97,7 +98,7 @@ func TestWorkerReregistrationReplacesGhost(t *testing.T) {
 	// must not have torn down the new registration's state.
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.RunRemote(mapreduce.PhaseMap, 0, 0, nil)
+		_, err := cl.RunRemote(mapreduce.PhaseMap, 0, 0, nil)
 		done <- err
 	}()
 	conn2.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -230,7 +231,7 @@ func TestCoordinatorRestartReadoption(t *testing.T) {
 func TestOrphanOutcomeRedeliveredAfterRestart(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "coord.journal")
 	now := time.Unix(7000, 0)
-	j, st, _, err := openJournal(journal, time.Second, 0, now)
+	j, st, _, err := openJournal(journal, time.Second, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestOrphanOutcomeRedeliveredAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	rr, err := c.RunRemote(mapreduce.PhaseMap, 3, 0, nil)
+	rr, err := dialClient(t, c).RunRemote(mapreduce.PhaseMap, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,16 @@ package clusterd
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
+	"os"
+	"sync"
 	"time"
 
+	"scikey/internal/backoff"
 	"scikey/internal/mapreduce"
 )
 
@@ -111,7 +116,6 @@ type welcomeMsg struct {
 }
 
 type heartbeatMsg struct {
-	Seq int
 	// Leases lists the lease IDs the worker believes it holds; the
 	// coordinator renews them and revokes any it no longer tracks.
 	Leases []int
@@ -201,6 +205,27 @@ type runResultMsg struct {
 	Corrupt  *corruptInfo
 }
 
+// err rebuilds the outcome's error in the engine's vocabulary, so canceled
+// attempts stay silent and corrupt-segment detections drive map re-execution
+// exactly as in-process failures do.
+func (m *runResultMsg) err() error {
+	switch {
+	case m.Canceled:
+		return mapreduce.ErrAttemptCanceled
+	case m.Corrupt != nil:
+		return &mapreduce.ErrCorruptSegment{
+			MapTask:   m.Corrupt.MapTask,
+			Partition: m.Corrupt.Partition,
+			Attempt:   m.Corrupt.Attempt,
+			Err:       errors.New(m.Error),
+		}
+	case m.Error != "":
+		return errors.New(m.Error)
+	default:
+		return nil
+	}
+}
+
 type cancelMsg struct {
 	Seq int
 }
@@ -275,6 +300,77 @@ func readMsg(r io.Reader) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("clusterd: unknown frame kind %d", kind)
 	}
 	return kind, payload, nil
+}
+
+// peer is one end of a connection; every role (the coordinator's view of a
+// worker or a driver, a worker's session, the driver Client) writes frames
+// through it, serialized per destination.
+type peer struct {
+	conn net.Conn
+	wmu  sync.Mutex
+}
+
+func (p *peer) send(kind byte, v any) error {
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	return writeMsg(p.conn, kind, v)
+}
+
+// handshake opens one session with the coordinator at addr: connect, send
+// the role's hello, and decode the answering welcome, which must arrive as
+// the next frame.
+func handshake(addr string, helloKind byte, hello any, welcomeKind byte, welcome any) (*peer, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	p := &peer{conn: conn}
+	err = p.send(helloKind, hello)
+	var kind byte
+	var payload []byte
+	if err == nil {
+		kind, payload, err = readMsg(conn)
+	}
+	if err == nil && kind != welcomeKind {
+		err = fmt.Errorf("clusterd: expected frame kind %d, got frame kind %d", welcomeKind, kind)
+	}
+	if err == nil {
+		err = decode(payload, welcome)
+	}
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return p, nil
+}
+
+// Workers and drivers redial a lost coordinator on one schedule: 50 ms
+// doubling to a 2 s cap, giving up after maxDials consecutive failures —
+// generous enough to ride out a coordinator restart.
+const maxDials = 40
+
+var reconnect = backoff.Policy{Base: 50 * time.Millisecond, Max: 2 * time.Second}
+
+// errStopped ends a redial whose owner shut down while it was waiting.
+var errStopped = errors.New("clusterd: stopped")
+
+// redial calls dial until it succeeds, sleeping the reconnect backoff
+// (jittered per process and role) between failures. It returns nil on
+// success, errStopped when dial says so or stop closes during a sleep, and
+// the last failure once the budget is spent.
+func redial(role int64, stop <-chan struct{}, dial func() error) error {
+	for dials := 1; ; dials++ {
+		err := dial()
+		if err == nil || err == errStopped {
+			return err
+		}
+		if dials >= maxDials {
+			return fmt.Errorf("after %d dials: %w", dials, err)
+		}
+		if !backoff.Sleep(reconnect.Delay(int64(os.Getpid()), role, dials), stop) {
+			return errStopped
+		}
+	}
 }
 
 // decode unmarshals a frame payload into v.

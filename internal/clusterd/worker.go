@@ -3,12 +3,10 @@ package clusterd
 import (
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"sync"
 	"time"
 
-	"scikey/internal/backoff"
 	"scikey/internal/mapreduce"
 )
 
@@ -26,21 +24,14 @@ type WorkerConfig struct {
 	// the attempt runner. It runs once, after the first welcome; reconnects
 	// reuse the runner (the spec is identical across coordinator restarts).
 	Build func(spec []byte) (Runner, error)
-	// Reconnect is the redial backoff schedule. Zero value retries
-	// immediately; the default is 50ms base, 2s cap.
-	Reconnect backoff.Policy
-	// MaxDials bounds consecutive failed connection attempts before the
-	// worker gives up. Default 40 — generous enough to ride out a
-	// coordinator restart.
-	MaxDials int
 	// Logf, when non-nil, receives worker diagnostics.
 	Logf func(format string, args ...any)
 }
 
 // Worker is one worker process's connection to the coordinator: it
-// registers, heartbeats, executes granted attempts, and reconnects with
-// backoff when the session drops. Leases belong to the Worker, not the
-// session: an attempt keeps running through a coordinator outage, the next
+// registers, heartbeats, executes granted attempts, and reconnects on the
+// package's redial schedule when the session drops. Leases belong to the
+// Worker, not the session: an attempt keeps running through a coordinator outage, the next
 // hello presents its (lease, epoch) claim, and if the restarted coordinator
 // re-adopts it the buffered outcome is delivered as if nothing happened.
 // Drain (the SIGTERM path) stops new grants, lets in-flight attempts finish,
@@ -69,15 +60,14 @@ type outMsg struct {
 
 // session is one live connection epoch. A reconnect builds a fresh one.
 type session struct {
-	w    *Worker
-	conn net.Conn
-	wmu  sync.Mutex // serializes frame writes
-	id   int        // worker ID assigned by the coordinator
+	*peer
+	w         *Worker
+	runner    Runner
+	heartbeat time.Duration // the interval the coordinator's welcome asked for
 
 	mu         sync.Mutex
 	segSeq     int
 	segWaiters map[int]chan segDataMsg
-	hbSeq      int
 	done       chan struct{} // closed when the read loop exits
 	closeOnce  sync.Once
 }
@@ -108,12 +98,6 @@ var errSessionLost = errors.New("clusterd: session lost")
 
 // NewWorker prepares a worker; Run drives it.
 func NewWorker(cfg WorkerConfig) *Worker {
-	if cfg.MaxDials <= 0 {
-		cfg.MaxDials = 40
-	}
-	if cfg.Reconnect == (backoff.Policy{}) {
-		cfg.Reconnect = backoff.Policy{Base: 50 * time.Millisecond, Max: 2 * time.Second}
-	}
 	return &Worker{cfg: cfg, id: -1, leases: make(map[int]*workerLease), stop: make(chan struct{})}
 }
 
@@ -124,36 +108,30 @@ func (w *Worker) logf(format string, args ...any) {
 }
 
 // Run connects to the coordinator and serves grants until Drain completes
-// or the connection is lost beyond MaxDials redials.
+// or the connection is lost beyond the redial budget. A draining or stopped
+// worker never redials: its session ending, or a dial failing, ends Run.
 func (w *Worker) Run() error {
-	dials := 0
 	for {
-		w.mu.Lock()
-		if w.stopped || (w.draining && len(w.leases) == 0) {
+		var s *session
+		err := redial(0, w.stop, func() (err error) {
+			w.mu.Lock()
+			quitting := w.stopped || w.draining
 			w.mu.Unlock()
+			if quitting {
+				return errStopped
+			}
+			if s, err = w.register(); err != nil {
+				w.logf("clusterd: worker session failed (%v), redialing", err)
+			}
+			return err
+		})
+		if err == errStopped {
 			return nil
 		}
-		w.mu.Unlock()
-
-		err := w.session()
-		w.mu.Lock()
-		finished := w.stopped || (w.draining && w.sess == nil)
-		w.mu.Unlock()
-		if finished {
-			return nil
+		if err != nil {
+			return fmt.Errorf("clusterd: worker gave up %w", err)
 		}
-		if err == nil {
-			dials = 0 // a full session ran; restart the redial budget
-			continue
-		}
-		dials++
-		if dials >= w.cfg.MaxDials {
-			return fmt.Errorf("clusterd: worker gave up after %d dials: %w", dials, err)
-		}
-		w.logf("clusterd: worker session failed (%v), redialing", err)
-		if !backoff.Sleep(w.cfg.Reconnect.Delay(int64(os.Getpid()), 0, dials), w.stop) {
-			return nil
-		}
+		s.serve()
 	}
 }
 
@@ -164,16 +142,13 @@ func (w *Worker) Drain() {
 	w.mu.Lock()
 	w.draining = true
 	s := w.sess
-	idle := len(w.leases) == 0
 	w.mu.Unlock()
 	if s == nil {
 		w.stopOnce.Do(func() { close(w.stop) })
 		return
 	}
 	s.send(kindGoodbye, goodbyeMsg{Draining: true})
-	if idle {
-		s.close()
-	}
+	w.closeIfIdle(s)
 }
 
 // Stop abandons everything immediately (test teardown).
@@ -210,55 +185,29 @@ func (w *Worker) claims() []leaseClaim {
 	return out
 }
 
-// session runs one connection epoch: dial, register (presenting identity
-// and lease claims), flush outcomes buffered during the outage, serve until
-// the connection ends. A nil error means the session got as far as
-// registration (so redial budgets restart); dial and handshake failures
-// return the error.
-func (w *Worker) session() error {
-	conn, err := net.Dial("tcp", w.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	s := &session{
-		w:          w,
-		conn:       conn,
-		segWaiters: make(map[int]chan segDataMsg),
-		done:       make(chan struct{}),
-	}
+// register opens one connection epoch: dial, present identity and lease
+// claims, build the runner on first welcome, reconcile the claims, and flush
+// outcomes buffered during the outage. Dial and handshake failures return
+// the error (they count against the redial budget).
+func (w *Worker) register() (*session, error) {
 	w.mu.Lock()
-	id := w.id
+	id, runner := w.id, w.runner
 	w.mu.Unlock()
-	if err := s.send(kindHello, helloMsg{PID: os.Getpid(), Worker: id, Claims: w.claims()}); err != nil {
-		conn.Close()
-		return err
-	}
-	kind, payload, err := readMsg(conn)
-	if err != nil {
-		conn.Close()
-		return err
-	}
-	if kind != kindWelcome {
-		conn.Close()
-		return fmt.Errorf("clusterd: expected welcome, got frame kind %d", kind)
-	}
 	var welcome welcomeMsg
-	if err := decode(payload, &welcome); err != nil {
-		conn.Close()
-		return err
+	p, err := handshake(w.cfg.Addr, kindHello,
+		helloMsg{PID: os.Getpid(), Worker: id, Claims: w.claims()}, kindWelcome, &welcome)
+	if err != nil {
+		return nil, err
 	}
-
-	w.mu.Lock()
-	runner := w.runner
-	w.mu.Unlock()
 	if runner == nil {
 		runner, err = w.cfg.Build(welcome.Spec)
 		if err != nil {
-			conn.Close()
-			return fmt.Errorf("clusterd: building job from spec: %w", err)
+			p.conn.Close()
+			return nil, fmt.Errorf("clusterd: building job from spec: %w", err)
 		}
 	}
-	s.id = welcome.Worker
+	s := &session{peer: p, w: w, runner: runner, heartbeat: welcome.HeartbeatEvery,
+		segWaiters: make(map[int]chan segDataMsg), done: make(chan struct{})}
 
 	// Reconcile claims: leases the coordinator re-adopted live on; the rest
 	// were forfeited while we were away — revoke them so their attempts stop
@@ -297,31 +246,40 @@ func (w *Worker) session() error {
 	}
 	if draining { // Drain raced the dial; bow out before taking work
 		s.send(kindGoodbye, goodbyeMsg{Draining: true})
-		w.mu.Lock()
-		idle := len(w.leases) == 0
-		w.mu.Unlock()
-		if idle {
-			s.close()
-		}
+		w.closeIfIdle(s)
 	}
 	w.logf("clusterd: registered as worker %d (epoch %d, %d leases re-adopted)",
-		s.id, welcome.Epoch, len(welcome.Readopted))
+		welcome.Worker, welcome.Epoch, len(welcome.Readopted))
+	return s, nil
+}
 
+// serve heartbeats and executes grants until the connection ends.
+func (s *session) serve() {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.heartbeatLoop(welcome.HeartbeatEvery)
+		s.heartbeatLoop()
 	}()
-	s.readLoop(runner)
+	s.readLoop()
 	wg.Wait()
 
-	w.mu.Lock()
-	if w.sess == s {
-		w.sess = nil
+	s.w.mu.Lock()
+	if s.w.sess == s {
+		s.w.sess = nil
 	}
+	s.w.mu.Unlock()
+}
+
+// closeIfIdle hangs up a draining worker's session once no attempt is in
+// flight.
+func (w *Worker) closeIfIdle(s *session) {
+	w.mu.Lock()
+	idle := len(w.leases) == 0
 	w.mu.Unlock()
-	return nil
+	if idle {
+		s.close()
+	}
 }
 
 func (w *Worker) removeLease(id int) {
@@ -343,18 +301,13 @@ func (w *Worker) liveSession() *session {
 	return w.sess
 }
 
-func (s *session) send(kind byte, v any) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	return writeMsg(s.conn, kind, v)
-}
-
 // close ends the session; the read loop unblocks with an error.
 func (s *session) close() {
 	s.closeOnce.Do(func() { s.conn.Close() })
 }
 
-func (s *session) heartbeatLoop(every time.Duration) {
+func (s *session) heartbeatLoop() {
+	every := s.heartbeat
 	if every <= 0 {
 		every = 100 * time.Millisecond
 	}
@@ -372,11 +325,7 @@ func (s *session) heartbeatLoop(every time.Duration) {
 			leases = append(leases, id)
 		}
 		s.w.mu.Unlock()
-		s.mu.Lock()
-		s.hbSeq++
-		m := heartbeatMsg{Seq: s.hbSeq, Leases: leases}
-		s.mu.Unlock()
-		if s.send(kindHeartbeat, m) != nil {
+		if s.send(kindHeartbeat, heartbeatMsg{Leases: leases}) != nil {
 			return
 		}
 	}
@@ -386,7 +335,7 @@ func (s *session) heartbeatLoop(every time.Duration) {
 // NOT revoked when the session drops — the attempts keep running through the
 // outage, to be re-adopted (or abandoned) at the next registration. Only
 // in-flight segment fetches fail over, with a retryable error.
-func (s *session) readLoop(runner Runner) {
+func (s *session) readLoop() {
 	defer func() {
 		close(s.done)
 		s.close()
@@ -407,7 +356,7 @@ func (s *session) readLoop(runner Runner) {
 		case kindGrant:
 			var m grantMsg
 			if decode(payload, &m) == nil {
-				s.w.startGrant(runner, m)
+				s.w.startGrant(s.runner, m)
 			}
 		case kindRevoke:
 			var m revokeMsg

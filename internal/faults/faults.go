@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -314,24 +313,6 @@ func (in *Injector) Fired() map[string]int {
 		out[k] = v
 	}
 	return out
-}
-
-// FiredString renders the fired counts as a stable one-line summary.
-func (in *Injector) FiredString() string {
-	m := in.Fired()
-	if len(m) == 0 {
-		return "none"
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%d", k, m[k])
-	}
-	return strings.Join(parts, " ")
 }
 
 // draw is the deterministic [0,1) coin for probabilistic rules: a pure

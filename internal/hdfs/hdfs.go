@@ -82,9 +82,6 @@ func New(blockSize int64, replication int, nodes []string) *FileSystem {
 	}
 }
 
-// BlockSize returns the filesystem block size.
-func (fs *FileSystem) BlockSize() int64 { return fs.blockSize }
-
 // Nodes returns the datanode names.
 func (fs *FileSystem) Nodes() []string { return append([]string(nil), fs.nodes...) }
 

@@ -68,36 +68,6 @@ func (s *MapPhaseSnapshot) matches(job *Job) bool {
 		s.NumReducers == job.NumReducers
 }
 
-// Clone deep-copies the snapshot, including segment bytes, so cached state
-// never aliases live job memory.
-func (s *MapPhaseSnapshot) Clone() *MapPhaseSnapshot {
-	c := &MapPhaseSnapshot{
-		Segments:    make([][]SegmentSnapshot, len(s.Segments)),
-		Attempts:    append([]int(nil), s.Attempts...),
-		Footprints:  append([]cluster.Task(nil), s.Footprints...),
-		InputBytes:  append([]int64(nil), s.InputBytes...),
-		Hosts:       make([][]string, len(s.Hosts)),
-		WallSeconds: append([]float64(nil), s.WallSeconds...),
-		Counters:    append([]int64(nil), s.Counters...),
-		NumReducers: s.NumReducers,
-	}
-	for i, row := range s.Segments {
-		c.Segments[i] = make([]SegmentSnapshot, len(row))
-		for p, seg := range row {
-			c.Segments[i][p] = SegmentSnapshot{
-				Data:    append([]byte(nil), seg.Data...),
-				Records: seg.Records,
-				Src:     seg.Src,
-				Attempt: seg.Attempt,
-			}
-		}
-	}
-	for i, h := range s.Hosts {
-		c.Hosts[i] = append([]string(nil), h...)
-	}
-	return c
-}
-
 // Bytes sums the snapshot's segment payload sizes — what a byte-budgeted
 // cache charges for holding it.
 func (s *MapPhaseSnapshot) Bytes() int64 {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"scikey/internal/cluster"
 	"scikey/internal/hdfs"
 	"scikey/internal/obs"
 )
@@ -39,6 +40,36 @@ func (c *memCache) Put(key string, snap *MapPhaseSnapshot) error {
 	c.m[key] = snap.Clone()
 	c.puts++
 	return nil
+}
+
+// Clone deep-copies the snapshot, including segment bytes, so cached state
+// never aliases live job memory.
+func (s *MapPhaseSnapshot) Clone() *MapPhaseSnapshot {
+	c := &MapPhaseSnapshot{
+		Segments:    make([][]SegmentSnapshot, len(s.Segments)),
+		Attempts:    append([]int(nil), s.Attempts...),
+		Footprints:  append([]cluster.Task(nil), s.Footprints...),
+		InputBytes:  append([]int64(nil), s.InputBytes...),
+		Hosts:       make([][]string, len(s.Hosts)),
+		WallSeconds: append([]float64(nil), s.WallSeconds...),
+		Counters:    append([]int64(nil), s.Counters...),
+		NumReducers: s.NumReducers,
+	}
+	for i, row := range s.Segments {
+		c.Segments[i] = make([]SegmentSnapshot, len(row))
+		for p, seg := range row {
+			c.Segments[i][p] = SegmentSnapshot{
+				Data:    append([]byte(nil), seg.Data...),
+				Records: seg.Records,
+				Src:     seg.Src,
+				Attempt: seg.Attempt,
+			}
+		}
+	}
+	for i, h := range s.Hosts {
+		c.Hosts[i] = append([]string(nil), h...)
+	}
+	return c
 }
 
 var cacheDocs = []string{

@@ -346,17 +346,11 @@ func (p *phaseRunner) runOne(task, attempt int, lost *atomic.Bool, sp obs.Span) 
 	return p.run(task, attempt, canceled, sp)
 }
 
-// forEachLimit runs fn(0..n-1) with at most limit concurrent goroutines and
-// returns the first error. Panics in fn are recovered and converted to
-// errors in both the sequential and parallel paths. After the first
-// failure, queued iterations never start.
-func forEachLimit(n, limit int, fn func(i int) error) error {
-	return forEachLimitStop(n, limit, newStopState(), fn)
-}
-
-// forEachLimitStop is forEachLimit with an external stop signal: the first
-// failure trips it, halting queued iterations; callers may share it with
-// in-flight work (e.g. task contexts) so those stop emitting too.
+// forEachLimitStop runs fn(0..n-1) with at most limit concurrent goroutines
+// and returns the first error. Panics in fn are recovered and converted to
+// errors in both the sequential and parallel paths. The first failure trips
+// st, so queued iterations never start; callers may share st with in-flight
+// work (e.g. task contexts) so those stop emitting too.
 func forEachLimitStop(n, limit int, st *stopState, fn func(i int) error) error {
 	recovered := func(i int) (err error) {
 		defer func() {

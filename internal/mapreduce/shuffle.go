@@ -36,8 +36,6 @@ type ShuffleConfig struct {
 	// FetchAttempts bounds one segment fetch's attempts; when they exhaust,
 	// the map output counts as lost and the producing map task re-executes.
 	FetchAttempts int
-	// PerNodeFetchers caps concurrent fetches against one node.
-	PerNodeFetchers int
 	// BreakerThreshold is the consecutive-failure count that opens a node's
 	// circuit breaker (negative disables breakers).
 	BreakerThreshold int
@@ -79,7 +77,6 @@ func newShuffleService(job *Job) (*shufflenet.Service, error) {
 		FetchTimeout:     sc.FetchTimeout,
 		FetchAttempts:    sc.FetchAttempts,
 		Backoff:          job.Retry.backoff(),
-		PerNodeFetchers:  sc.PerNodeFetchers,
 		BreakerThreshold: sc.BreakerThreshold,
 		Injector:         job.Faults,
 		Obs:              job.Obs,

@@ -726,15 +726,6 @@ type Stats struct {
 	SeqChecks int64
 }
 
-// HitRatio is the active set's aggregate sequence hit rate, 0 when no
-// checks have happened yet.
-func (s Stats) HitRatio() float64 {
-	if s.SeqChecks == 0 {
-		return 0
-	}
-	return float64(s.SeqHits) / float64(s.SeqChecks)
-}
-
 // Stats reads the transformer's telemetry. It walks the active set (cold
 // path, allocation-free) and may be called at any point in a stream.
 func (t *Transformer) Stats() Stats {

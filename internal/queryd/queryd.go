@@ -49,10 +49,6 @@ type Config struct {
 	// Obs records service metrics (scikey_cache_*, scikey_tenant_*) and the
 	// executed jobs' traces. Nil disables observability.
 	Obs *obs.Observer
-	// Cluster is the base cost model for admission pricing. The zero value
-	// means cluster.Paper(). The service re-fits its bandwidths from
-	// completed runs' calibration samples as evidence accumulates.
-	Cluster cluster.Config
 	// QueueDepth bounds queued-but-not-executing queries (default 16).
 	QueueDepth int
 	// Workers is the executor goroutine count (default 2).
@@ -106,7 +102,9 @@ type Service struct {
 	mu      sync.Mutex
 	closed  bool
 	tenants map[string]*tenantState
-	clus    cluster.Config // current (possibly re-fit) cost model
+	// clus prices admission: cluster.Paper() to start, its bandwidths re-fit
+	// from completed runs' calibration samples as evidence accumulates.
+	clus    cluster.Config
 	samples []cluster.CalSample
 	// costByKey remembers the observed modeled cost of completed cache
 	// keys: the best admission predictor for a repeated query is the last
@@ -142,14 +140,11 @@ func New(cfg Config) *Service {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
-	if cfg.Cluster == (cluster.Config{}) {
-		cfg.Cluster = cluster.Paper()
-	}
 	s := &Service{
 		cfg:       cfg,
 		queue:     make(chan *request, cfg.QueueDepth),
 		tenants:   make(map[string]*tenantState),
-		clus:      cfg.Cluster,
+		clus:      cluster.Paper(),
 		costByKey: make(map[string]float64),
 		flights:   make(map[string]*sync.Mutex),
 	}

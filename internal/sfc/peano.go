@@ -47,9 +47,6 @@ func (p *Peano) Name() string { return "peano" }
 // Rank implements Curve.
 func (p *Peano) Rank() int { return p.rank }
 
-// Digits is the number of base-3 digits per dimension.
-func (p *Peano) Digits() int { return p.digits }
-
 // Side implements Curve.
 func (p *Peano) Side() int { return int(p.pow[p.digits]) }
 
