@@ -38,12 +38,15 @@ e17:
 	@sh scripts/e17_smoke.sh
 
 # The docs gate CI runs: gofmt-clean tree, a package doc comment on every
-# package, and one-way layering (nothing a query runs through imports
-# internal/experiments).
+# package, one-way layering (nothing a query runs through imports
+# internal/experiments), and reachability: every non-test declaration under
+# cmd/, internal/ and examples/ is reached from some main or init, or listed
+# with a reason in scripts/reach/allow.txt.
 docs:
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo 'gofmt needed'; exit 1; }
 	@sh scripts/check_pkgdocs.sh
 	@sh scripts/check_layering.sh
+	@$(GO) run ./scripts/reach
 	@echo docs gate OK
 
 build:

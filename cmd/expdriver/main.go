@@ -12,7 +12,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -20,6 +19,7 @@ import (
 	"scikey/internal/core"
 	"scikey/internal/experiments"
 	"scikey/internal/obs"
+	"scikey/internal/stats"
 )
 
 func main() {
@@ -57,10 +57,10 @@ func main() {
 	if sel("e1") {
 		r := experiments.E1IntroOverhead()
 		fmt.Println("== E1: introduction file-size arithmetic (Section I) ==")
-		fmt.Printf("  cells=%s  data=%s bytes\n", experiments.FormatBytes(r.Cells), experiments.FormatBytes(r.DataBytes))
+		fmt.Printf("  cells=%s  data=%s bytes\n", stats.FormatBytes(r.Cells), stats.FormatBytes(r.DataBytes))
 		fmt.Printf("  %-28s %15s %15s\n", "variable encoding", "file bytes", "paper")
-		fmt.Printf("  %-28s %15s %15s\n", "4-byte index", experiments.FormatBytes(r.IndexFileBytes), "26,000,006")
-		fmt.Printf("  %-28s %15s %15s\n", "Text \"windspeed1\"", experiments.FormatBytes(r.NameFileBytes), "33,000,006")
+		fmt.Printf("  %-28s %15s %15s\n", "4-byte index", stats.FormatBytes(r.IndexFileBytes), "26,000,006")
+		fmt.Printf("  %-28s %15s %15s\n", "Text \"windspeed1\"", stats.FormatBytes(r.NameFileBytes), "33,000,006")
 		fmt.Printf("  overhead: index %.0f%%, name %.0f%% (paper states 450%%/625%%; see EXPERIMENTS.md)\n", r.IndexOverheadPct, r.NameOverheadPct)
 		fmt.Printf("  key/value ratio (name mode) = %.2f (paper: 6.75)\n\n", r.KeyValueRatio)
 	}
@@ -86,7 +86,7 @@ func main() {
 		}
 		fmt.Printf("  %-18s %14s %9s %16s\n", "method", "bytes", "seconds", "paper (n=100)")
 		for _, r := range rows {
-			fmt.Printf("  %-18s %14s %9.2f %16s\n", r.Method, experiments.FormatBytes(r.Bytes), r.Seconds, paper[r.Method])
+			fmt.Printf("  %-18s %14s %9.2f %16s\n", r.Method, stats.FormatBytes(r.Bytes), r.Seconds, paper[r.Method])
 		}
 		fmt.Println()
 	}
@@ -98,7 +98,7 @@ func main() {
 		r := experiments.E4TransformTimeVsSize(ns, ob)
 		fmt.Println("== E4: Fig. 4 transform time vs file size ==")
 		for _, p := range r.Points {
-			fmt.Printf("  %14s bytes  %8.3f s\n", experiments.FormatBytes(p.Bytes), p.Seconds)
+			fmt.Printf("  %14s bytes  %8.3f s\n", stats.FormatBytes(p.Bytes), p.Seconds)
 		}
 		fmt.Printf("  linear fit: %.1f MiB/s, R^2=%.4f (paper: linear)\n\n", r.MBPerSec, r.R2)
 
@@ -121,7 +121,7 @@ func main() {
 		fmt.Printf("  %8s %12s %9s %10s %8s %8s %6s\n", "workers", "bytes", "seconds", "MiB/s", "blocks", "stalls", "ident")
 		for _, row := range rows {
 			fmt.Printf("  %8d %12s %9.3f %10.1f %8d %8d %6v\n", row.Workers,
-				experiments.FormatBytes(row.Bytes), row.Seconds, row.MBPerSec,
+				stats.FormatBytes(row.Bytes), row.Seconds, row.MBPerSec,
 				row.Blocks, row.EncodeStalls, row.Identical)
 		}
 		fmt.Println()
@@ -136,9 +136,9 @@ func main() {
 			exitErr("e5", err)
 		}
 		fmt.Printf("== E5: stride strategies (%d^3 walk, bzip2 of residual) ==\n", n)
-		fmt.Printf("  fixed stride 12:    %12s bytes (paper: 1,619 on its dataset)\n", experiments.FormatBytes(r.FixedStride12Bytes))
-		fmt.Printf("  exhaustive (<100):  %12s bytes (paper:   701)\n", experiments.FormatBytes(r.ExhaustiveBytes))
-		fmt.Printf("  adaptive:           %12s bytes (paper:   468)\n", experiments.FormatBytes(r.AdaptiveBytes))
+		fmt.Printf("  fixed stride 12:    %12s bytes (paper: 1,619 on its dataset)\n", stats.FormatBytes(r.FixedStride12Bytes))
+		fmt.Printf("  exhaustive (<100):  %12s bytes (paper:   701)\n", stats.FormatBytes(r.ExhaustiveBytes))
+		fmt.Printf("  adaptive:           %12s bytes (paper:   468)\n", stats.FormatBytes(r.AdaptiveBytes))
 		fmt.Printf("  brute-force slowdown: %.1fx @ max stride 100 (paper ~4x), %.1fx @ 1000 (paper ~17x)\n\n",
 			r.Slowdown100, r.Slowdown1000)
 	}
@@ -162,9 +162,9 @@ func main() {
 		fmt.Println("== E7: Fig. 8 key aggregation data-size decomposition (10^6-cell int grid) ==")
 		for _, b := range []experiments.E7Bars{r.Original, r.Compressed} {
 			fmt.Printf("  %-11s values=%12s  keys=%12s  file overhead=%12s  total=%12s (%s records)\n",
-				b.Label, experiments.FormatBytes(b.ValueBytes), experiments.FormatBytes(b.KeyBytes),
-				experiments.FormatBytes(b.FileOverhead), experiments.FormatBytes(b.Total()),
-				experiments.FormatBytes(b.Records))
+				b.Label, stats.FormatBytes(b.ValueBytes), stats.FormatBytes(b.KeyBytes),
+				stats.FormatBytes(b.FileOverhead), stats.FormatBytes(b.Total()),
+				stats.FormatBytes(b.Records))
 		}
 		fmt.Printf("  reduction: %.1f%% (paper: up to 84.5%%, depending on data types)\n\n", r.ReductionPct)
 	}
@@ -199,8 +199,8 @@ func main() {
 		fmt.Printf("  %-16s %12s %14s %16s %10s\n", "scheme", "agg pairs", "key bytes", "materialized B", "splits")
 		for _, r := range rows {
 			fmt.Printf("  %-16s %12s %14s %16s %10s\n", r.Scheme,
-				experiments.FormatBytes(r.MapOutputRecords), experiments.FormatBytes(r.KeyBytes),
-				experiments.FormatBytes(r.MaterializedBytes), experiments.FormatBytes(r.Splits))
+				stats.FormatBytes(r.MapOutputRecords), stats.FormatBytes(r.KeyBytes),
+				stats.FormatBytes(r.MaterializedBytes), stats.FormatBytes(r.Splits))
 		}
 		fmt.Println()
 	}
@@ -218,9 +218,9 @@ func main() {
 		for _, r := range rows {
 			pairs := ""
 			if r.Pairs > 0 {
-				pairs = experiments.FormatBytes(r.Pairs)
+				pairs = stats.FormatBytes(r.Pairs)
 			}
-			fmt.Printf("  %-18s %12s %12s\n", r.Scheme, experiments.FormatBytes(r.Bytes), pairs)
+			fmt.Printf("  %-18s %12s %12s\n", r.Scheme, stats.FormatBytes(r.Bytes), pairs)
 		}
 		fmt.Println()
 	}
@@ -258,7 +258,7 @@ func main() {
 			rep := run.Report
 			fmt.Printf("  %-12s %9d %9d %9d %9s %10d %8d %6v\n",
 				run.Name, rep.ShuffleFetches, rep.ShuffleFetchRetries, rep.ShuffleFetchesResumed,
-				experiments.FormatBytes(rep.ShuffleFetchWastedBytes), rep.ShuffleBreakerTrips,
+				stats.FormatBytes(rep.ShuffleFetchWastedBytes), rep.ShuffleBreakerTrips,
 				rep.RecoveredMaps, run.OutputsIdentical)
 		}
 		fmt.Println()
@@ -278,9 +278,9 @@ func main() {
 			"workload", "shuffle off", "shuffle on", "reduct", "merged", "saved B", "ident")
 		for _, row := range r.Rows {
 			fmt.Printf("  %-12s %12s %12s %7.1f%% %10d %10s %6v\n",
-				row.Workload, experiments.FormatBytes(row.ShuffleBytesOff),
-				experiments.FormatBytes(row.ShuffleBytesOn), row.ReductionPct,
-				row.MergedRecords, experiments.FormatBytes(row.SavedBytes), row.OutputsIdentical)
+				row.Workload, stats.FormatBytes(row.ShuffleBytesOff),
+				stats.FormatBytes(row.ShuffleBytesOn), row.ReductionPct,
+				row.MergedRecords, stats.FormatBytes(row.SavedBytes), row.OutputsIdentical)
 		}
 		fmt.Println()
 	}
@@ -312,11 +312,11 @@ func main() {
 			exitErr("a5", err)
 		}
 		fmt.Printf("== A5 (extension): key-count inflation from splitting, recovery by re-aggregation (%dx%d) ==\n", side, side)
-		fmt.Printf("  mapper aggregate pairs:        %s\n", experiments.FormatBytes(r.MapperPairs))
-		fmt.Printf("  after partition splits:        %s\n", experiments.FormatBytes(r.AfterPartitionSplit))
-		fmt.Printf("  after overlap splits:          %s\n", experiments.FormatBytes(r.AfterOverlapSplit))
-		fmt.Printf("  reducer output pairs (plain):  %s\n", experiments.FormatBytes(r.OutputPairsPlain))
-		fmt.Printf("  reducer output pairs (reagg):  %s\n\n", experiments.FormatBytes(r.OutputPairsReagg))
+		fmt.Printf("  mapper aggregate pairs:        %s\n", stats.FormatBytes(r.MapperPairs))
+		fmt.Printf("  after partition splits:        %s\n", stats.FormatBytes(r.AfterPartitionSplit))
+		fmt.Printf("  after overlap splits:          %s\n", stats.FormatBytes(r.AfterOverlapSplit))
+		fmt.Printf("  reducer output pairs (plain):  %s\n", stats.FormatBytes(r.OutputPairsPlain))
+		fmt.Printf("  reducer output pairs (reagg):  %s\n\n", stats.FormatBytes(r.OutputPairsReagg))
 	}
 	if sel("a1") {
 		boxes := 100
@@ -379,7 +379,7 @@ func main() {
 		fmt.Printf("  %-14s %16s %16s %10s\n", "scheme", "materialized B", "total disk B", "amplif.")
 		for _, r := range rows {
 			fmt.Printf("  %-14s %16s %16s %9.1fx\n", r.Scheme,
-				experiments.FormatBytes(r.MaterializedBytes), experiments.FormatBytes(r.DiskBytes), r.Amplification)
+				stats.FormatBytes(r.MaterializedBytes), stats.FormatBytes(r.DiskBytes), r.Amplification)
 		}
 		fmt.Println()
 	}
@@ -396,7 +396,7 @@ func main() {
 				note = "  (paper)"
 			}
 			fmt.Printf("  %8d %15.1f%% %16s%s\n", r.MinActiveFactor, r.ResidualZeroPct,
-				experiments.FormatBytes(r.CompressedBytes), note)
+				stats.FormatBytes(r.CompressedBytes), note)
 		}
 		fmt.Println()
 	}
@@ -412,37 +412,24 @@ func main() {
 		fmt.Printf("== A4: detector parameter sensitivity (%d^3 walk) ==\n", n)
 		fmt.Printf("  %-20s %16s %16s\n", "setting", "residual zeros", "bzip2 bytes")
 		for _, row := range rows {
-			fmt.Printf("  %-20s %15.1f%% %16s\n", row.Label, row.ResidualZeroPct, experiments.FormatBytes(row.CompressedBytes))
+			fmt.Printf("  %-20s %15.1f%% %16s\n", row.Label, row.ResidualZeroPct, stats.FormatBytes(row.CompressedBytes))
 		}
 		fmt.Println()
 	}
 
 	if *traceOut != "" {
-		if err := writeFileWith(*traceOut, ob.T().WriteChromeTrace); err != nil {
+		if err := obs.WriteFile(*traceOut, ob.T().WriteChromeTrace); err != nil {
 			exitErr("trace-out", err)
 		}
 		fmt.Printf("trace written to %s (open in chrome://tracing or Perfetto)\n", *traceOut)
 	}
 }
 
-// writeFileWith streams a writer-taking renderer into a freshly created file.
-func writeFileWith(path string, render func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func printComparison(r experiments.StrategyComparison, paperReduction, paperRuntime string) {
 	fmt.Printf("  %-18s %18s %14s %12s %12s\n", "strategy", "materialized B", "records", "map est (s)", "total est (s)")
 	for _, rep := range []*core.Report{r.Baseline, r.Variant} {
 		fmt.Printf("  %-18s %18s %14s %12.1f %12.1f\n", rep.Strategy,
-			experiments.FormatBytes(rep.MaterializedBytes), experiments.FormatBytes(rep.MapOutputRecords),
+			stats.FormatBytes(rep.MaterializedBytes), stats.FormatBytes(rep.MapOutputRecords),
 			rep.Estimate.MapSeconds, rep.Estimate.Total())
 	}
 	fmt.Printf("  intermediate-data reduction: %.1f%% (paper: %s)\n", r.ReductionPct, paperReduction)

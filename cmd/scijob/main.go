@@ -24,7 +24,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -33,11 +32,11 @@ import (
 
 	"scikey/internal/cluster"
 	"scikey/internal/core"
-	"scikey/internal/experiments"
 	"scikey/internal/mapreduce"
 	"scikey/internal/obs"
 	"scikey/internal/queryd"
 	"scikey/internal/scihadoop"
+	"scikey/internal/stats"
 	"scikey/internal/workload"
 )
 
@@ -279,7 +278,6 @@ func main() {
 	inj := qcfg.Faults
 	qcfg.RunOptions = o.run
 	qcfg.Faults = inj
-	qcfg.Retry.Speculative = qcfg.Retry.SpeculativeAfter > 0
 	if o.shuffle.Mode != mapreduce.ShuffleMem {
 		qcfg.Shuffle = &o.shuffle
 	}
@@ -357,26 +355,26 @@ func main() {
 
 	fmt.Printf("job: %s %s on %dx%d grid, %d splits, %d reducers\n",
 		qcfg.Op, rep.Strategy, spec.Side, spec.Side, spec.Splits, spec.Reducers)
-	fmt.Printf("  map output records:            %s\n", experiments.FormatBytes(rep.MapOutputRecords))
-	fmt.Printf("  map output key bytes:          %s\n", experiments.FormatBytes(rep.KeyBytes))
-	fmt.Printf("  map output value bytes:        %s\n", experiments.FormatBytes(rep.ValueBytes))
-	fmt.Printf("  map output materialized bytes: %s\n", experiments.FormatBytes(rep.MaterializedBytes))
-	fmt.Printf("  reduce shuffle bytes:          %s\n", experiments.FormatBytes(rep.ShuffleBytes))
+	fmt.Printf("  map output records:            %s\n", stats.FormatBytes(rep.MapOutputRecords))
+	fmt.Printf("  map output key bytes:          %s\n", stats.FormatBytes(rep.KeyBytes))
+	fmt.Printf("  map output value bytes:        %s\n", stats.FormatBytes(rep.ValueBytes))
+	fmt.Printf("  map output materialized bytes: %s\n", stats.FormatBytes(rep.MaterializedBytes))
+	fmt.Printf("  reduce shuffle bytes:          %s\n", stats.FormatBytes(rep.ShuffleBytes))
 	if spec.Combine {
 		fmt.Printf("  in-node combining:             %s records folded, %s emitted, %s saved\n",
-			experiments.FormatBytes(rep.CombineMergedRecords),
-			experiments.FormatBytes(rep.CombineEmittedRecords),
-			experiments.FormatBytes(rep.CombineSavedBytes))
+			stats.FormatBytes(rep.CombineMergedRecords),
+			stats.FormatBytes(rep.CombineEmittedRecords),
+			stats.FormatBytes(rep.CombineSavedBytes))
 	}
-	fmt.Printf("  partition key splits:          %s\n", experiments.FormatBytes(rep.PartitionSplits))
-	fmt.Printf("  overlap key splits:            %s\n", experiments.FormatBytes(rep.OverlapSplits))
+	fmt.Printf("  partition key splits:          %s\n", stats.FormatBytes(rep.PartitionSplits))
+	fmt.Printf("  overlap key splits:            %s\n", stats.FormatBytes(rep.OverlapSplits))
 	fmt.Printf("  output sha256:                 %s\n", sha)
 	fmt.Printf("  modeled runtime (5-node cluster): map %.1fs + reduce %.1fs = %.1fs\n",
 		rep.Estimate.MapSeconds, rep.Estimate.ReduceSeconds, rep.Estimate.Total())
 	if rep.ShuffleFetches > 0 {
 		fmt.Printf("  shuffle transport: %d fetches, %d retries, %d resumed, %s wasted, %d breaker trips\n",
 			rep.ShuffleFetches, rep.ShuffleFetchRetries, rep.ShuffleFetchesResumed,
-			experiments.FormatBytes(rep.ShuffleFetchWastedBytes), rep.ShuffleBreakerTrips)
+			stats.FormatBytes(rep.ShuffleFetchWastedBytes), rep.ShuffleBreakerTrips)
 	}
 	if rep.FailedAttempts > 0 || rep.TaskRetries > 0 {
 		fmt.Printf("  recovery: %d failed attempts, %d retries, %d corrupt segments, %d maps recovered\n",
@@ -444,38 +442,17 @@ func (o *options) flagWasSet(name string) bool {
 // and failure alike, so a failed job still leaves its post-mortem evidence.
 func flushObs(ob *obs.Observer, traceOut, metricsOut string) {
 	if traceOut != "" {
-		if err := writeFileWith(traceOut, ob.T().WriteChromeTrace); err != nil {
+		if err := obs.WriteFile(traceOut, ob.T().WriteChromeTrace); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("trace written to %s (open in chrome://tracing or Perfetto)\n", traceOut)
 	}
 	if metricsOut != "" {
-		if err := writeFileWith(metricsOut, ob.R().WritePrometheus); err != nil {
+		if err := obs.WriteFile(metricsOut, ob.R().WritePrometheus); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("metrics written to %s\n", metricsOut)
 	}
-}
-
-// writeFileWith streams a writer-taking renderer into path atomically: the
-// bytes land in a temp file in the same directory and rename over the
-// target, so no reader — and no interrupted run — ever observes a
-// truncated render.
-func writeFileWith(path string, render func(w io.Writer) error) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return os.Rename(f.Name(), path)
 }
 
 func fatal(err error) {

@@ -11,8 +11,8 @@ import (
 
 	"scikey/internal/cluster"
 	"scikey/internal/core"
-	"scikey/internal/experiments"
 	"scikey/internal/scihadoop"
+	"scikey/internal/stats"
 	"scikey/internal/workload"
 )
 
@@ -51,9 +51,9 @@ func main() {
 			baseline = rep
 		}
 		fmt.Printf("%-18s %14s %12s %12s %10.2f\n", rep.Strategy,
-			experiments.FormatBytes(rep.MaterializedBytes),
-			experiments.FormatBytes(rep.MapOutputRecords),
-			experiments.FormatBytes(rep.PartitionSplits+rep.OverlapSplits),
+			stats.FormatBytes(rep.MaterializedBytes),
+			stats.FormatBytes(rep.MapOutputRecords),
+			stats.FormatBytes(rep.PartitionSplits+rep.OverlapSplits),
 			rep.Estimate.Total())
 		if rep != baseline {
 			fmt.Printf("%18s -> %.1f%% fewer intermediate bytes, %+.1f%% modeled runtime\n",

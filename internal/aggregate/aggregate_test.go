@@ -27,7 +27,7 @@ func mustMapping(t *testing.T, curve string, domain grid.Box) Mapping {
 func TestMappingBiasesNegativeCoords(t *testing.T) {
 	// Sliding-window halos produce coordinates like (-1,-1); the mapping
 	// must keep them in the curve's non-negative cube.
-	domain := grid.BoxFromCorners(grid.Coord{-1, -1}, grid.Coord{11, 11})
+	domain := grid.NewBox(grid.Coord{-1, -1}, []int{12, 12})
 	m := mustMapping(t, "zorder", domain)
 	grid.ForEach(domain, func(c grid.Coord) {
 		idx := m.Index(c)

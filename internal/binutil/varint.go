@@ -1,6 +1,6 @@
-// Package binutil implements the low-level binary encodings used throughout
+// Package binutil implements the low-level binary encoding used throughout
 // the intermediate-data pipeline: Hadoop-compatible variable-length integers
-// (VInt/VLong), zig-zag transforms, and fixed-width big-endian helpers.
+// (VInt/VLong).
 //
 // Hadoop's WritableUtils encodes a long in [-112, 127] as a single byte.
 // Larger magnitudes are encoded as a marker byte giving sign and byte count,
@@ -119,55 +119,3 @@ func DecodeVInt(b []byte) (int32, int, error) {
 	}
 	return int32(v), n, nil
 }
-
-// ReadVLong reads a VLong from r, one byte at a time.
-func ReadVLong(r io.ByteReader) (int64, error) {
-	b0, err := r.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	first := int8(b0)
-	if first >= -112 {
-		return int64(first), nil
-	}
-	var n int
-	neg := false
-	if first >= -120 {
-		n = int(-113-first) + 1
-	} else {
-		neg = true
-		n = int(-121-first) + 1
-	}
-	if n > 8 {
-		return 0, ErrVIntTooLong
-	}
-	var v int64
-	for i := 0; i < n; i++ {
-		c, err := r.ReadByte()
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, err
-		}
-		v = v<<8 | int64(c)
-	}
-	if neg {
-		v = ^v
-	}
-	return v, nil
-}
-
-// WriteVLong writes the VLong encoding of v to w.
-func WriteVLong(w io.Writer, v int64) (int, error) {
-	var buf [MaxVLongLen]byte
-	enc := AppendVLong(buf[:0], v)
-	return w.Write(enc)
-}
-
-// ZigZag encodes a signed integer so that small magnitudes of either sign
-// become small unsigned values (protobuf-style).
-func ZigZag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-// UnZigZag inverts ZigZag.
-func UnZigZag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

@@ -68,12 +68,7 @@ func TestVLongQuick(t *testing.T) {
 	f := func(v int64) bool {
 		enc := AppendVLong(nil, v)
 		dec, n, err := DecodeVLong(enc)
-		if err != nil || n != len(enc) || dec != v {
-			return false
-		}
-		r := bytes.NewReader(enc)
-		dec2, err := ReadVLong(r)
-		return err == nil && dec2 == v && r.Len() == 0
+		return err == nil && n == len(enc) && dec == v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
@@ -98,47 +93,36 @@ func TestDecodeTruncated(t *testing.T) {
 		if _, _, err := DecodeVLong(enc[:i]); err == nil {
 			t.Errorf("DecodeVLong on %d-byte prefix should fail", i)
 		}
-		if _, err := ReadVLong(bytes.NewReader(enc[:i])); err == nil {
-			t.Errorf("ReadVLong on %d-byte prefix should fail", i)
-		}
 	}
 }
 
+// TestReadVLongEOF pins which error a reader of truncated input sees: both
+// an empty buffer and a marker with a short payload report
+// io.ErrUnexpectedEOF, so callers can tell "ran out" from "malformed".
 func TestReadVLongEOF(t *testing.T) {
-	if _, err := ReadVLong(bytes.NewReader(nil)); err != io.EOF {
-		t.Errorf("empty input: got %v, want io.EOF", err)
+	if _, n, err := DecodeVLong(nil); err != io.ErrUnexpectedEOF || n != 0 {
+		t.Errorf("empty input: got n=%d err=%v, want 0, io.ErrUnexpectedEOF", n, err)
 	}
-	// Truncated payloads report ErrUnexpectedEOF, not bare EOF.
 	enc := AppendVLong(nil, 1<<20)
-	if _, err := ReadVLong(bytes.NewReader(enc[:1])); err != io.ErrUnexpectedEOF {
-		t.Errorf("truncated payload: got %v, want ErrUnexpectedEOF", err)
+	if _, n, err := DecodeVLong(enc[:1]); err != io.ErrUnexpectedEOF || n != 0 {
+		t.Errorf("truncated payload: got n=%d err=%v, want 0, io.ErrUnexpectedEOF", n, err)
+	}
+	if _, _, err := DecodeVLong([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0}); err != nil {
+		t.Errorf("full 8-byte negative payload: %v", err)
 	}
 }
 
+// TestWriteVLong: AppendVLong writes after whatever dst already holds — the
+// way serial.DataOutput.WriteVInt uses it, through AppendVInt — leaving the
+// prefix intact and adding exactly VLongLen bytes.
 func TestWriteVLong(t *testing.T) {
-	var buf bytes.Buffer
-	n, err := WriteVLong(&buf, 123456789)
-	if err != nil || n != buf.Len() {
-		t.Fatalf("WriteVLong: n=%d err=%v", n, err)
+	prefix := []byte{0xde, 0xad}
+	buf := AppendVLong(append([]byte(nil), prefix...), 123456789)
+	if !bytes.Equal(buf[:2], prefix) || len(buf) != 2+VLongLen(123456789) {
+		t.Fatalf("AppendVLong onto a prefix: % x", buf)
 	}
-	v, err := ReadVLong(&buf)
-	if err != nil || v != 123456789 {
-		t.Fatalf("readback: %d, %v", v, err)
-	}
-}
-
-func TestZigZag(t *testing.T) {
-	cases := map[int64]uint64{0: 0, -1: 1, 1: 2, -2: 3, 2: 4, math.MaxInt64: math.MaxUint64 - 1, math.MinInt64: math.MaxUint64}
-	for v, want := range cases {
-		if got := ZigZag(v); got != want {
-			t.Errorf("ZigZag(%d) = %d, want %d", v, got, want)
-		}
-		if back := UnZigZag(ZigZag(v)); back != v {
-			t.Errorf("UnZigZag(ZigZag(%d)) = %d", v, back)
-		}
-	}
-	f := func(v int64) bool { return UnZigZag(ZigZag(v)) == v }
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	v, n, err := DecodeVLong(buf[2:])
+	if err != nil || v != 123456789 || n != len(buf)-2 {
+		t.Fatalf("readback: %d, %d, %v", v, n, err)
 	}
 }

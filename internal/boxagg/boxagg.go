@@ -45,13 +45,6 @@ type Config struct {
 	Emit func(Pair)
 }
 
-// Stats reports aggregation effectiveness.
-type Stats struct {
-	CellsIn  int64
-	PairsOut int64
-	Flushes  int64
-}
-
 type entry struct {
 	coord grid.Coord
 	val   []byte
@@ -60,9 +53,8 @@ type entry struct {
 // Aggregator buffers cells and emits greedy n-D boxes. Build one per map
 // task; not safe for concurrent use.
 type Aggregator struct {
-	cfg   Config
-	buf   []entry
-	stats Stats
+	cfg Config
+	buf []entry
 }
 
 // New returns an Aggregator for cfg.
@@ -85,7 +77,6 @@ func (a *Aggregator) Add(c grid.Coord, val []byte) {
 		panic(fmt.Sprintf("boxagg: value is %d bytes, want %d", len(val), a.cfg.ElemSize))
 	}
 	a.buf = append(a.buf, entry{coord: c.Clone(), val: append([]byte(nil), val...)})
-	a.stats.CellsIn++
 	if len(a.buf) >= a.cfg.FlushCells {
 		a.Flush()
 	}
@@ -98,7 +89,6 @@ func (a *Aggregator) Flush() {
 	if len(a.buf) == 0 {
 		return
 	}
-	a.stats.Flushes++
 	sort.SliceStable(a.buf, func(i, j int) bool {
 		return a.buf[i].coord.Compare(a.buf[j].coord) < 0
 	})
@@ -136,7 +126,6 @@ func (a *Aggregator) emitLayer(layer []entry) {
 			vals = append(vals, lookup[c.String()]...)
 		})
 		a.cfg.Emit(Pair{Key: keys.BoxKey{Var: a.cfg.Var, Box: b}, Values: vals})
-		a.stats.PairsOut++
 	}
 }
 
@@ -150,9 +139,6 @@ func coordsOf(layer []entry) []grid.Coord {
 
 // Close flushes remaining cells.
 func (a *Aggregator) Close() { a.Flush() }
-
-// Stats returns aggregation statistics.
-func (a *Aggregator) Stats() Stats { return a.stats }
 
 // GreedyBoxes decomposes a sorted set of distinct coordinates into disjoint
 // boxes: maximal runs along the last dimension, then dimension-by-dimension

@@ -42,17 +42,6 @@ func NewSlabPartitioner(domain grid.Box, numReducers int) SlabPartitioner {
 	return SlabPartitioner{Slabs: grid.Partition(domain, numReducers)}
 }
 
-// PartitionOf returns the slab owning coordinate c, clamping outsiders to
-// the nearest slab.
-func (sp SlabPartitioner) PartitionOf(c grid.Coord) int {
-	for i, s := range sp.Slabs {
-		if c[0] < s.Corner[0]+s.Size[0] {
-			return i
-		}
-	}
-	return len(sp.Slabs) - 1
-}
-
 // SplitForPartition intersects p with each reducer slab (Section IV-B case
 // one, box flavor). Cells outside every slab are attached to the nearest
 // slab's fragment only when they fall before the first or after the last

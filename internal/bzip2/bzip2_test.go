@@ -311,15 +311,21 @@ func TestBuildLengthsCap(t *testing.T) {
 func TestCRC(t *testing.T) {
 	// bzip2's CRC of "123456789" with poly 0x04c11db7 (unreflected) is the
 	// CRC-32/BZIP2 check value 0xfc891918.
-	c := newBlockCRC().update([]byte("123456789"))
+	c := newBlockCRC()
+	for _, b := range []byte("123456789") {
+		c = c.updateByteRun(b, 1)
+	}
 	if c.sum() != 0xfc891918 {
 		t.Errorf("crc = %#x, want 0xfc891918", c.sum())
 	}
-	// updateByteRun must agree with update.
-	a := newBlockCRC().update([]byte("aaaa"))
+	// A run of n equals n runs of one.
+	a := newBlockCRC()
+	for i := 0; i < 4; i++ {
+		a = a.updateByteRun('a', 1)
+	}
 	b := newBlockCRC().updateByteRun('a', 4)
 	if a.sum() != b.sum() {
-		t.Error("updateByteRun disagrees with update")
+		t.Error("updateByteRun(b, 4) disagrees with four single-byte updates")
 	}
 }
 

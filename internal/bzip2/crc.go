@@ -35,14 +35,6 @@ type blockCRC uint32
 
 func newBlockCRC() blockCRC { return 0xffffffff }
 
-func (c blockCRC) update(p []byte) blockCRC {
-	v := uint32(c)
-	for _, b := range p {
-		v = v<<8 ^ crcTable[byte(v>>24)^b]
-	}
-	return blockCRC(v)
-}
-
 func (c blockCRC) updateByteRun(b byte, n int) blockCRC {
 	v := uint32(c)
 	for i := 0; i < n; i++ {

@@ -10,10 +10,7 @@
 // measure on the real implementations), and slot-limited parallelism.
 package cluster
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Config describes a simulated cluster.
 type Config struct {
@@ -67,13 +64,6 @@ type Task struct {
 	// CPUSeconds is measured compute time: map/reduce function, codec,
 	// transform, sort comparisons.
 	CPUSeconds float64
-}
-
-// Add accumulates another footprint.
-func (t *Task) Add(o Task) {
-	t.DiskBytes += o.DiskBytes
-	t.NetBytes += o.NetBytes
-	t.CPUSeconds += o.CPUSeconds
 }
 
 // Seconds converts a task footprint to modeled duration.
@@ -168,13 +158,4 @@ func (c Config) EstimateJobWithWaste(maps, reduces, wastedMaps, wastedReduces []
 		WastedMapSeconds:    sum(wm),
 		WastedReduceSeconds: sum(wr),
 	}
-}
-
-// MakespanLPT is longest-processing-time-first scheduling, a tighter bound
-// used by ablation benchmarks to separate scheduling noise from data-volume
-// effects.
-func MakespanLPT(durations []float64, slots int) float64 {
-	sorted := append([]float64(nil), durations...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	return Makespan(sorted, slots)
 }

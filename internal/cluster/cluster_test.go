@@ -24,14 +24,6 @@ func TestTaskSeconds(t *testing.T) {
 	}
 }
 
-func TestTaskAdd(t *testing.T) {
-	a := Task{DiskBytes: 1, NetBytes: 2, CPUSeconds: 3}
-	a.Add(Task{DiskBytes: 10, NetBytes: 20, CPUSeconds: 30})
-	if a.DiskBytes != 11 || a.NetBytes != 22 || a.CPUSeconds != 33 {
-		t.Errorf("Add = %+v", a)
-	}
-}
-
 func TestMakespan(t *testing.T) {
 	// 4 unit tasks on 2 slots: 2 rounds.
 	if got := Makespan([]float64{1, 1, 1, 1}, 2); got != 2 {
@@ -57,7 +49,7 @@ func TestMakespan(t *testing.T) {
 func TestMakespanLPT(t *testing.T) {
 	// FIFO order can be beaten by LPT: tasks {1,1,1,3} on 2 slots.
 	fifo := Makespan([]float64{1, 1, 1, 3}, 2)
-	lpt := MakespanLPT([]float64{1, 1, 1, 3}, 2)
+	lpt := Makespan([]float64{3, 1, 1, 1}, 2) // longest processing time first
 	if lpt > fifo {
 		t.Errorf("LPT (%f) must not exceed FIFO (%f)", lpt, fifo)
 	}

@@ -280,16 +280,3 @@ func E5StrideStrategies(n int) (E5Result, error) {
 		timeMode(predictor.Config{Mode: predictor.Adaptive, MaxStride: 1000})
 	return out, nil
 }
-
-// FormatBytes renders byte counts with thousands separators.
-func FormatBytes(n int64) string {
-	s := fmt.Sprintf("%d", n)
-	out := make([]byte, 0, len(s)+len(s)/3)
-	for i, c := range []byte(s) {
-		if i > 0 && (len(s)-i)%3 == 0 && c != '-' {
-			out = append(out, ',')
-		}
-		out = append(out, c)
-	}
-	return string(out)
-}

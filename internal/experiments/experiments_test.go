@@ -9,6 +9,7 @@ import (
 	"scikey/internal/mapreduce"
 	"scikey/internal/obs"
 	"scikey/internal/scihadoop"
+	"scikey/internal/stats"
 )
 
 func TestE1IntroOverheadExact(t *testing.T) {
@@ -263,6 +264,9 @@ func TestA4DetectorParams(t *testing.T) {
 	}
 }
 
+// TestFormatBytes pins the rendering every experiment table and scijob
+// counter goes through; the function lives in internal/stats so the service
+// binary does not link this package for it.
 func TestFormatBytes(t *testing.T) {
 	cases := map[int64]string{
 		0:        "0",
@@ -272,7 +276,7 @@ func TestFormatBytes(t *testing.T) {
 		-12345:   "-12,345",
 	}
 	for n, want := range cases {
-		if got := FormatBytes(n); got != want {
+		if got := stats.FormatBytes(n); got != want {
 			t.Errorf("FormatBytes(%d) = %q, want %q", n, got, want)
 		}
 	}

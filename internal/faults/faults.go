@@ -287,14 +287,6 @@ func NewFromSpec(spec string) (*Injector, error) {
 	return New(*s), nil
 }
 
-// Schedule returns the injector's schedule.
-func (in *Injector) Schedule() Schedule {
-	if in == nil {
-		return Schedule{}
-	}
-	return in.sched
-}
-
 func (in *Injector) record(r Rule) {
 	in.mu.Lock()
 	in.fired[string(r.Site)+"/"+string(r.Action)]++

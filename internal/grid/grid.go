@@ -69,16 +69,6 @@ func (c Coord) Add(o Coord) Coord {
 	return out
 }
 
-// Sub returns c - o elementwise. The ranks must match.
-func (c Coord) Sub(o Coord) Coord {
-	mustSameRank(len(c), len(o))
-	out := make(Coord, len(c))
-	for i := range c {
-		out[i] = c[i] - o[i]
-	}
-	return out
-}
-
 // String renders the coordinate as "(a,b,c)".
 func (c Coord) String() string {
 	var sb strings.Builder
@@ -119,19 +109,6 @@ func NewBox(corner Coord, size []int) Box {
 	return Box{Corner: corner.Clone(), Size: sz}
 }
 
-// BoxFromCorners builds the box spanning [lo, hi) in every dimension.
-func BoxFromCorners(lo, hi Coord) Box {
-	mustSameRank(len(lo), len(hi))
-	size := make([]int, len(lo))
-	for i := range lo {
-		if hi[i] < lo[i] {
-			panic(fmt.Sprintf("grid: inverted corners %v..%v", lo, hi))
-		}
-		size[i] = hi[i] - lo[i]
-	}
-	return Box{Corner: lo.Clone(), Size: size}
-}
-
 // Rank returns the dimensionality of the box.
 func (b Box) Rank() int { return len(b.Corner) }
 
@@ -152,15 +129,6 @@ func (b Box) Empty() bool {
 		}
 	}
 	return len(b.Size) == 0
-}
-
-// High returns the exclusive upper corner of the box.
-func (b Box) High() Coord {
-	out := make(Coord, len(b.Corner))
-	for i := range b.Corner {
-		out[i] = b.Corner[i] + b.Size[i]
-	}
-	return out
 }
 
 // Clone returns an independent copy of b.
@@ -248,23 +216,6 @@ func (b Box) Expand(pad int) Box {
 	return out
 }
 
-// AlignTo expands b outward so that both corners are multiples of align in
-// every dimension (Section IV-C's alignment expansion: keys may contain
-// empty space to make overlapping keys more likely to be exactly equal).
-func (b Box) AlignTo(align int) Box {
-	if align <= 1 {
-		return b.Clone()
-	}
-	lo := make(Coord, b.Rank())
-	size := make([]int, b.Rank())
-	for i := range lo {
-		lo[i] = floorDiv(b.Corner[i], align) * align
-		hi := ceilDiv(b.Corner[i]+b.Size[i], align) * align
-		size[i] = hi - lo[i]
-	}
-	return Box{Corner: lo, Size: size}
-}
-
 // String renders the box as "corner+size", e.g. "(0,0)+[10,10]".
 func (b Box) String() string {
 	var sb strings.Builder
@@ -280,13 +231,3 @@ func (b Box) String() string {
 	sb.WriteByte(']')
 	return sb.String()
 }
-
-func floorDiv(a, b int) int {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
-}
-
-func ceilDiv(a, b int) int { return -floorDiv(-a, b) }

@@ -1,10 +1,6 @@
 package grid
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestCoordBasics(t *testing.T) {
 	a := Coord{1, 2, 3}
@@ -26,9 +22,6 @@ func TestCoordBasics(t *testing.T) {
 	if got := a.Add(Coord{1, 1, 1}); !got.Equal(Coord{2, 3, 4}) {
 		t.Errorf("Add = %v", got)
 	}
-	if got := a.Sub(Coord{1, 1, 1}); !got.Equal(Coord{0, 1, 2}) {
-		t.Errorf("Sub = %v", got)
-	}
 	if a.String() != "(1,2,3)" {
 		t.Errorf("String = %q", a.String())
 	}
@@ -39,15 +32,8 @@ func TestBoxBasics(t *testing.T) {
 	if b.NumCells() != 200 || b.Empty() || b.Rank() != 2 {
 		t.Fatalf("basic properties wrong: %v", b)
 	}
-	if !b.High().Equal(Coord{10, 20}) {
-		t.Errorf("High = %v", b.High())
-	}
 	if !b.Contains(Coord{0, 0}) || !b.Contains(Coord{9, 19}) || b.Contains(Coord{10, 0}) || b.Contains(Coord{0, -1}) {
 		t.Error("Contains misbehaves")
-	}
-	c := BoxFromCorners(Coord{0, 0}, Coord{10, 20})
-	if !b.Equal(c) {
-		t.Errorf("BoxFromCorners = %v, want %v", c, b)
 	}
 	if b.String() != "(0,0)+[10,20]" {
 		t.Errorf("String = %q", b.String())
@@ -57,13 +43,13 @@ func TestBoxBasics(t *testing.T) {
 func TestBoxIntersect(t *testing.T) {
 	// The paper's Section IV-C example: mapper outputs (-1,-1)..(10,10) and
 	// (-1,9)..(10,20) overlap in (-1,9)..(10,10).
-	a := BoxFromCorners(Coord{-1, -1}, Coord{11, 11})
-	b := BoxFromCorners(Coord{-1, 9}, Coord{11, 21})
+	a := NewBox(Coord{-1, -1}, []int{12, 12})
+	b := NewBox(Coord{-1, 9}, []int{12, 12})
 	inter, ok := a.Intersect(b)
 	if !ok {
 		t.Fatal("expected overlap")
 	}
-	want := BoxFromCorners(Coord{-1, 9}, Coord{11, 11})
+	want := NewBox(Coord{-1, 9}, []int{12, 2})
 	if !inter.Equal(want) {
 		t.Errorf("Intersect = %v, want %v", inter, want)
 	}
@@ -101,42 +87,13 @@ func TestBoxExpand(t *testing.T) {
 	}
 }
 
-func TestBoxAlignTo(t *testing.T) {
-	b := BoxFromCorners(Coord{-1, 9}, Coord{11, 21})
-	a := b.AlignTo(8)
-	want := BoxFromCorners(Coord{-8, 8}, Coord{16, 24})
-	if !a.Equal(want) {
-		t.Errorf("AlignTo(8) = %v, want %v", a, want)
-	}
-	if !a.ContainsBox(b) {
-		t.Error("aligned box must contain the original")
-	}
-	if !b.AlignTo(1).Equal(b) || !b.AlignTo(0).Equal(b) {
-		t.Error("AlignTo(<=1) must be identity")
-	}
-}
-
 func TestIterRowMajor(t *testing.T) {
 	b := NewBox(Coord{1, 2}, []int{2, 3})
-	var got []Coord
-	it := NewIter(b)
-	for c, ok := it.Next(); ok; c, ok = it.Next() {
-		got = append(got, c.Clone())
-	}
 	want := []Coord{{1, 2}, {1, 3}, {1, 4}, {2, 2}, {2, 3}, {2, 4}}
-	if len(got) != len(want) {
-		t.Fatalf("got %d cells, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !got[i].Equal(want[i]) {
-			t.Errorf("cell %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// ForEach must visit identically.
 	i := 0
 	ForEach(b, func(c Coord) {
-		if !c.Equal(want[i]) {
-			t.Errorf("ForEach cell %d = %v, want %v", i, c, want[i])
+		if i >= len(want) || !c.Equal(want[i]) {
+			t.Fatalf("ForEach cell %d = %v, want %v", i, c, want)
 		}
 		i++
 	})
@@ -147,9 +104,6 @@ func TestIterRowMajor(t *testing.T) {
 
 func TestIterEmpty(t *testing.T) {
 	b := NewBox(Coord{0, 0}, []int{0, 5})
-	if _, ok := NewIter(b).Next(); ok {
-		t.Error("empty box iterator should be exhausted")
-	}
 	ForEach(b, func(Coord) { t.Error("ForEach on empty box must not call fn") })
 }
 
@@ -192,99 +146,5 @@ func TestPartition(t *testing.T) {
 	}
 	if got := Partition(b, 1); len(got) != 1 || !got[0].Equal(b) {
 		t.Errorf("Partition(1) = %v", got)
-	}
-}
-
-func TestPartitionBlocks(t *testing.T) {
-	b := NewBox(Coord{0, 0}, []int{5, 7})
-	blocks := PartitionBlocks(b, []int{2, 3})
-	var total int64
-	for i, blk := range blocks {
-		total += blk.NumCells()
-		if !b.ContainsBox(blk) {
-			t.Errorf("block %d %v escapes %v", i, blk, b)
-		}
-		for j := 0; j < i; j++ {
-			if blocks[j].Overlaps(blk) {
-				t.Errorf("blocks %d and %d overlap", j, i)
-			}
-		}
-	}
-	if total != b.NumCells() {
-		t.Errorf("blocks cover %d cells, want %d", total, b.NumCells())
-	}
-}
-
-func TestSubtract(t *testing.T) {
-	b := NewBox(Coord{0, 0}, []int{10, 10})
-	o := NewBox(Coord{3, 3}, []int{4, 4})
-	parts := Subtract(b, o)
-	var total int64
-	for i, p := range parts {
-		total += p.NumCells()
-		if p.Overlaps(o) {
-			t.Errorf("piece %v overlaps subtrahend", p)
-		}
-		for j := 0; j < i; j++ {
-			if parts[j].Overlaps(p) {
-				t.Errorf("pieces %d and %d overlap", j, i)
-			}
-		}
-	}
-	if total != b.NumCells()-o.NumCells() {
-		t.Errorf("Subtract covers %d cells, want %d", total, b.NumCells()-o.NumCells())
-	}
-	if got := Subtract(b, NewBox(Coord{50, 50}, []int{1, 1})); len(got) != 1 || !got[0].Equal(b) {
-		t.Error("Subtract of disjoint box must return the original")
-	}
-	if got := Subtract(o, b); got != nil {
-		t.Errorf("Subtract of containing box must be empty, got %v", got)
-	}
-}
-
-func TestSubtractQuick(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	randBox := func() Box {
-		c := Coord{rng.Intn(21) - 10, rng.Intn(21) - 10}
-		return NewBox(c, []int{1 + rng.Intn(10), 1 + rng.Intn(10)})
-	}
-	for trial := 0; trial < 300; trial++ {
-		b, o := randBox(), randBox()
-		parts := Subtract(b, o)
-		// Every cell of b is either in o or in exactly one part.
-		ForEach(b, func(c Coord) {
-			count := 0
-			for _, p := range parts {
-				if p.Contains(c) {
-					count++
-				}
-			}
-			if o.Contains(c) {
-				if count != 0 {
-					t.Fatalf("cell %v in subtrahend covered %d times", c, count)
-				}
-			} else if count != 1 {
-				t.Fatalf("cell %v covered %d times (b=%v o=%v)", c, count, b, o)
-			}
-		})
-	}
-}
-
-func TestFloorCeilDiv(t *testing.T) {
-	// For positive divisors, floorDiv(a,b) is the unique q with
-	// q*b <= a < (q+1)*b and ceilDiv the unique c with (c-1)*b < a <= c*b.
-	f := func(a int16, b int8) bool {
-		if b <= 0 {
-			return true
-		}
-		q := floorDiv(int(a), int(b))
-		if !(q*int(b) <= int(a) && int(a) < (q+1)*int(b)) {
-			return false
-		}
-		c := ceilDiv(int(a), int(b))
-		return c*int(b) >= int(a) && int(a) > (c-1)*int(b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
 	}
 }

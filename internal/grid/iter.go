@@ -1,47 +1,5 @@
 package grid
 
-// Iter walks the cells of a box in row-major order (last dimension fastest),
-// the order in which SciHadoop mappers emit keys when scanning a split.
-// The coordinate passed to each step is reused between iterations; clone it
-// if it must outlive the call.
-type Iter struct {
-	box  Box
-	cur  Coord
-	done bool
-}
-
-// NewIter returns an iterator positioned at the first cell of b.
-func NewIter(b Box) *Iter {
-	it := &Iter{box: b.Clone()}
-	if b.Empty() {
-		it.done = true
-		return it
-	}
-	it.cur = b.Corner.Clone()
-	return it
-}
-
-// Next advances to the next cell, returning the current coordinate and true,
-// or nil and false when exhausted. The first call returns the first cell.
-func (it *Iter) Next() (Coord, bool) {
-	if it.done {
-		return nil, false
-	}
-	out := it.cur
-	// Pre-compute the following position.
-	next := it.cur.Clone()
-	for d := len(next) - 1; d >= 0; d-- {
-		next[d]++
-		if next[d] < it.box.Corner[d]+it.box.Size[d] {
-			it.cur = next
-			return out, true
-		}
-		next[d] = it.box.Corner[d]
-	}
-	it.done = true
-	return out, true
-}
-
 // ForEach invokes fn for every cell of b in row-major order. The coordinate
 // is reused across invocations.
 func ForEach(b Box, fn func(Coord)) {
@@ -111,77 +69,6 @@ func Partition(b Box, n int) []Box {
 		piece.Size[0] = count
 		out = append(out, piece)
 		start += count
-	}
-	return out
-}
-
-// PartitionBlocks divides b into a grid of blocks of at most blockSize cells
-// per dimension, in row-major block order. SciHadoop uses this to produce
-// cache-sized working sets inside a mapper.
-func PartitionBlocks(b Box, blockSize []int) []Box {
-	mustSameRank(b.Rank(), len(blockSize))
-	if b.Empty() {
-		return nil
-	}
-	for _, s := range blockSize {
-		if s <= 0 {
-			panic("grid: non-positive block size")
-		}
-	}
-	var out []Box
-	c := b.Corner.Clone()
-	for {
-		size := make([]int, b.Rank())
-		for i := range size {
-			size[i] = min(blockSize[i], b.Corner[i]+b.Size[i]-c[i])
-		}
-		out = append(out, Box{Corner: c.Clone(), Size: size})
-		d := b.Rank() - 1
-		for ; d >= 0; d-- {
-			c[d] += blockSize[d]
-			if c[d] < b.Corner[d]+b.Size[d] {
-				break
-			}
-			c[d] = b.Corner[d]
-		}
-		if d < 0 {
-			return out
-		}
-	}
-}
-
-// Subtract returns b minus o as a set of disjoint boxes. It is used when
-// splitting overlapping aggregate keys along overlap boundaries (Fig. 7):
-// the overlap region plus the Subtract remainders of each key tile the
-// originals exactly.
-func Subtract(b, o Box) []Box {
-	inter, ok := b.Intersect(o)
-	if !ok {
-		return []Box{b.Clone()}
-	}
-	if inter.Equal(b) {
-		return nil
-	}
-	var out []Box
-	rem := b.Clone()
-	for d := 0; d < b.Rank(); d++ {
-		// Slice off the part of rem below the intersection in dimension d.
-		if rem.Corner[d] < inter.Corner[d] {
-			low := rem.Clone()
-			low.Size[d] = inter.Corner[d] - rem.Corner[d]
-			out = append(out, low)
-			rem.Size[d] -= low.Size[d]
-			rem.Corner[d] = inter.Corner[d]
-		}
-		// And the part above it.
-		interHi := inter.Corner[d] + inter.Size[d]
-		if rem.Corner[d]+rem.Size[d] > interHi {
-			high := rem.Clone()
-			high.Corner[d] = interHi
-			high.Size[d] = rem.Corner[d] + rem.Size[d] - interHi
-			out = append(out, high)
-			rem.Size[d] = interHi - rem.Corner[d]
-		}
 	}
 	return out
 }

@@ -14,9 +14,6 @@ import (
 	"sync/atomic"
 )
 
-// DefaultBlockSize mirrors the Hadoop-era 64 MB default.
-const DefaultBlockSize = 64 << 20
-
 // ErrNotFound reports a missing path.
 var ErrNotFound = errors.New("hdfs: file not found")
 
@@ -81,9 +78,6 @@ func New(blockSize int64, replication int, nodes []string) *FileSystem {
 		files:       make(map[string]*fileEntry),
 	}
 }
-
-// Nodes returns the datanode names.
-func (fs *FileSystem) Nodes() []string { return append([]string(nil), fs.nodes...) }
 
 // Create opens a new file for writing. The file becomes visible to readers
 // only after Close.

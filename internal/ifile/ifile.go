@@ -49,9 +49,6 @@ func (s Stats) Total() int64 {
 	return s.KeyBytes + s.ValBytes + s.FrameBytes + s.TrailerBytes
 }
 
-// Overhead returns all non-value bytes: keys plus framing plus trailer.
-func (s Stats) Overhead() int64 { return s.Total() - s.ValBytes }
-
 // Writer emits records in IFile framing. The zero value is not ready for
 // use; call NewWriter, or Reset to (re)bind an existing Writer — possibly a
 // pooled one — to a destination.

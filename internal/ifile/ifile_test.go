@@ -65,9 +65,6 @@ func TestStatsDecomposition(t *testing.T) {
 	if s.Total() != int64(buf.Len()) {
 		t.Errorf("Total() = %d, file is %d", s.Total(), buf.Len())
 	}
-	if s.Overhead() != s.Total()-8 {
-		t.Errorf("Overhead() = %d", s.Overhead())
-	}
 }
 
 // TestIntroFileSizes reproduces the introduction's numbers exactly: one

@@ -125,25 +125,6 @@ func (c *Codec) EncodeGrid(out *serial.DataOutput, k GridKey) {
 	}
 }
 
-// GridKeyBytes returns a fresh encoding of k.
-func (c *Codec) GridKeyBytes(k GridKey) []byte {
-	out := serial.NewDataOutput(c.GridKeySize(k))
-	c.EncodeGrid(out, k)
-	return out.Bytes()
-}
-
-// GridKeySize returns the encoded size of k without encoding it.
-func (c *Codec) GridKeySize(k GridKey) int {
-	n := 4 * c.Rank
-	switch c.Mode {
-	case VarByIndex:
-		n += 4
-	case VarByName:
-		n += 1 + len(k.Var.Name) // VInt(len) is 1 byte for names < 128 chars
-	}
-	return n
-}
-
 // DecodeGrid parses a GridKey from in.
 func (c *Codec) DecodeGrid(in *serial.DataInput) (GridKey, error) {
 	v, err := c.readVar(in)
@@ -281,23 +262,6 @@ func (k AggKey) String() string {
 		v = fmt.Sprintf("var%d", k.Var.Index)
 	}
 	return fmt.Sprintf("%s[%d,%d)", v, k.Range.Lo, k.Range.Hi)
-}
-
-// MetadataStrides derives candidate byte-transform strides from dataset
-// metadata, the alternative stride-selection method Section III sketches:
-// "the dimensionality of the data, the length of the variable name, and the
-// shape of the data" determine the serialized record length. It returns the
-// record stride for a raw key/value stream and for IFile-framed records
-// (two extra VInt length bytes for small records), plus 2x multiples, which
-// capture interleaved two-variable streams.
-func (c *Codec) MetadataStrides(varName string, valSize int) []int {
-	keySize := c.GridKeySize(GridKey{
-		Var:   VarRef{Name: varName},
-		Coord: make(grid.Coord, c.Rank),
-	})
-	raw := keySize + valSize
-	framed := raw + 2
-	return []int{raw, framed, 2 * raw, 2 * framed}
 }
 
 // AlignRange expands r outward to multiples of align (Section IV-C: keys

@@ -8,6 +8,13 @@ import (
 	"scikey/internal/sfc"
 )
 
+// gridKeyBytes encodes k the way a mapper does: EncodeGrid into a DataOutput.
+func gridKeyBytes(c *Codec, k GridKey) []byte {
+	out := serial.NewDataOutput(32)
+	c.EncodeGrid(out, k)
+	return out.Bytes()
+}
+
 func TestGridKeyEncodedSizes(t *testing.T) {
 	// The introduction's byte accounting: in 4-D, a key with a 4-byte
 	// variable index is 20 bytes; with Text "windspeed1" it is 27 bytes
@@ -15,21 +22,16 @@ func TestGridKeyEncodedSizes(t *testing.T) {
 	coord := grid.Coord{0, 1, 2, 3}
 	byIndex := &Codec{Rank: 4, Mode: VarByIndex}
 	k := GridKey{Var: VarRef{Name: "windspeed1", Index: 0}, Coord: coord}
-	if got := len(byIndex.GridKeyBytes(k)); got != 20 {
+	if got := len(gridKeyBytes(byIndex, k)); got != 20 {
 		t.Errorf("index-mode key = %d bytes, want 20", got)
 	}
 	byName := &Codec{Rank: 4, Mode: VarByName}
-	if got := len(byName.GridKeyBytes(k)); got != 27 {
+	if got := len(gridKeyBytes(byName, k)); got != 27 {
 		t.Errorf("name-mode key = %d bytes, want 27", got)
 	}
 	none := &Codec{Rank: 4, Mode: VarNone}
-	if got := len(none.GridKeyBytes(k)); got != 16 {
+	if got := len(gridKeyBytes(none, k)); got != 16 {
 		t.Errorf("no-var key = %d bytes, want 16", got)
-	}
-	for _, c := range []*Codec{byIndex, byName, none} {
-		if got := c.GridKeySize(k); got != len(c.GridKeyBytes(k)) {
-			t.Errorf("GridKeySize mode=%v = %d, want %d", c.Mode, got, len(c.GridKeyBytes(k)))
-		}
 	}
 }
 
@@ -37,7 +39,7 @@ func TestGridKeyRoundTrip(t *testing.T) {
 	for _, mode := range []VarMode{VarNone, VarByIndex, VarByName} {
 		c := &Codec{Rank: 3, Mode: mode, Names: []string{"temp", "windspeed1"}}
 		k := GridKey{Var: VarRef{Name: "windspeed1", Index: 1}, Coord: grid.Coord{-1, 5, 99}}
-		enc := c.GridKeyBytes(k)
+		enc := gridKeyBytes(c, k)
 		got, err := c.DecodeGrid(serial.NewDataInput(enc))
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
@@ -106,8 +108,8 @@ func TestCompareAgg(t *testing.T) {
 
 func TestRawComparators(t *testing.T) {
 	c := &Codec{Rank: 2, Mode: VarByName}
-	g1 := c.GridKeyBytes(GridKey{Var: VarRef{Name: "v"}, Coord: grid.Coord{-1, 0}})
-	g2 := c.GridKeyBytes(GridKey{Var: VarRef{Name: "v"}, Coord: grid.Coord{0, 0}})
+	g1 := gridKeyBytes(c, GridKey{Var: VarRef{Name: "v"}, Coord: grid.Coord{-1, 0}})
+	g2 := gridKeyBytes(c, GridKey{Var: VarRef{Name: "v"}, Coord: grid.Coord{0, 0}})
 	// Negative coordinates break naive byte comparison; the raw comparator
 	// must still order (-1,0) before (0,0).
 	if c.RawCompareGrid(g1, g2) >= 0 {
@@ -136,18 +138,15 @@ func TestAlignRange(t *testing.T) {
 	}
 }
 
+// TestMetadataStrides: the record stride the byte transform has to find is
+// fixed by dataset metadata (Section III: "the dimensionality of the data,
+// the length of the variable name, and the shape of the data"). A rank-3
+// "windspeed1" key is 11 (Text) + 12 (coords) = 23 bytes, so with a 4-byte
+// value the raw record stride is 27.
 func TestMetadataStrides(t *testing.T) {
-	// Rank-3 "windspeed1" key: 11 (Text) + 12 (coords) = 23 bytes; with a
-	// 4-byte value the raw record stride is 27 and the IFile-framed one 29.
 	c := &Codec{Rank: 3, Mode: VarByName}
-	got := c.MetadataStrides("windspeed1", 4)
-	want := []int{27, 29, 54, 58}
-	if len(got) != len(want) {
-		t.Fatalf("strides = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("stride %d = %d, want %d", i, got[i], want[i])
-		}
+	key := gridKeyBytes(c, GridKey{Var: VarRef{Name: "windspeed1"}, Coord: make(grid.Coord, c.Rank)})
+	if got := len(key) + 4; got != 27 {
+		t.Errorf("raw record stride = %d, want 27", got)
 	}
 }

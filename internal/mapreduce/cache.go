@@ -68,18 +68,6 @@ func (s *MapPhaseSnapshot) matches(job *Job) bool {
 		s.NumReducers == job.NumReducers
 }
 
-// Bytes sums the snapshot's segment payload sizes — what a byte-budgeted
-// cache charges for holding it.
-func (s *MapPhaseSnapshot) Bytes() int64 {
-	var n int64
-	for _, row := range s.Segments {
-		for _, seg := range row {
-			n += int64(len(seg.Data))
-		}
-	}
-	return n
-}
-
 // restoreSegments converts the snapshot's published view back into engine
 // segments, one row per map task, ready to install.
 func (s *MapPhaseSnapshot) restoreSegments() [][]segment {

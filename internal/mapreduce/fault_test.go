@@ -232,7 +232,6 @@ func TestCorruptSegmentWithoutRetriesFails(t *testing.T) {
 func TestSpeculativeExecution(t *testing.T) {
 	policy := RetryPolicy{
 		MaxAttempts:      2,
-		Speculative:      true,
 		SpeculativeAfter: 10 * time.Millisecond,
 	}
 	fs, res, err := runFaultJob(t, "map:0:slow=300ms@0", policy, 2)

@@ -85,7 +85,6 @@ func TestCountersMergeUnderSpeculation(t *testing.T) {
 	job.Parallelism = 3
 	job.Retry = RetryPolicy{
 		MaxAttempts:      2,
-		Speculative:      true,
 		SpeculativeAfter: 5 * time.Millisecond,
 	}
 	job.Faults = mustInjector(t, "map:0:slow=150ms@0")
@@ -140,7 +139,6 @@ func TestTraceDistinguishesAttemptFates(t *testing.T) {
 	job.Parallelism = 3
 	job.Retry = RetryPolicy{
 		MaxAttempts:      3,
-		Speculative:      true,
 		SpeculativeAfter: 5 * time.Millisecond,
 	}
 	job.Faults = mustInjector(t, "map:1:error@0;map:0:slow=150ms@0")
@@ -216,9 +214,10 @@ func TestTraceDistinguishesAttemptFates(t *testing.T) {
 }
 
 // TestCalibrateFromResult: every committed attempt leaves a calibration
-// sample, and Result.Calibrate either fits positive bandwidths or returns
-// the documented no-usable-samples error (in-process attempts are CPU-bound,
-// so wall ≈ cpu leaves no I/O residual to fit) — never a broken config.
+// sample, and cluster.Config.Fit over them either fits positive bandwidths
+// or returns the documented no-usable-samples error (in-process attempts
+// are CPU-bound, so wall ≈ cpu leaves no I/O residual to fit) — never a
+// broken config.
 func TestCalibrateFromResult(t *testing.T) {
 	res, _, err := runShuffleJob(t, nil, "", RetryPolicy{})
 	if err != nil {
@@ -234,7 +233,7 @@ func TestCalibrateFromResult(t *testing.T) {
 		}
 	}
 	base := clusterPaper()
-	got, err := res.Calibrate(base)
+	got, err := base.Fit(res.CalSamples)
 	if err != nil {
 		// Legitimate for an in-memory run; the config must come back intact.
 		if got.DiskMBps != base.DiskMBps || got.NetMBps != base.NetMBps {

@@ -37,14 +37,6 @@ type Result struct {
 	CalSamples []cluster.CalSample
 }
 
-// Calibrate fits the cost model's bandwidth constants to this run's
-// observed attempt durations (see cluster.Config.Fit). In-process runs
-// whose wall clock is all CPU have no I/O residual to fit and return an
-// error; runs with real transport and disk time calibrate.
-func (r *Result) Calibrate(base cluster.Config) (cluster.Config, error) {
-	return base.Fit(r.CalSamples)
-}
-
 // Estimate models the job's runtime on the given cluster, treating all map
 // input as node-local. Discarded attempts are charged as wasted slot time.
 func (r *Result) Estimate(cfg cluster.Config) cluster.JobEstimate {

@@ -28,13 +28,10 @@ type RetryPolicy struct {
 	// Seed drives the deterministic backoff jitter: the same
 	// (seed, task, failures) always produces the same delay.
 	Seed int64
-	// Speculative enables re-execution of straggler attempts: when an
-	// attempt runs longer than SpeculativeAfter and the job is parallel, a
+	// SpeculativeAfter > 0 enables re-execution of straggler attempts:
+	// when an attempt runs longer than this and the job is parallel, a
 	// backup attempt launches and the first finisher wins. The loser's
 	// output is discarded and its work charged as waste.
-	Speculative bool
-	// SpeculativeAfter is the straggler threshold. Required (> 0) for
-	// speculation to engage.
 	SpeculativeAfter time.Duration
 }
 
@@ -216,7 +213,7 @@ func (p *phaseRunner) sleepStop(d time.Duration) {
 }
 
 func (p *phaseRunner) speculating() bool {
-	return p.policy.Speculative && p.policy.SpeculativeAfter > 0 && p.limit > 1
+	return p.policy.SpeculativeAfter > 0 && p.limit > 1
 }
 
 // startSpan opens an attempt span under the phase's job span.

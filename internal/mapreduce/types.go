@@ -117,11 +117,6 @@ type TaskContext struct {
 	canceled   func() bool // non-nil when the scheduler may cancel this attempt
 }
 
-// Counters exposes this attempt's counters for user-code increments. The
-// engine folds them into the job totals only if the attempt wins, so
-// retried and speculatively-discarded attempts never double-count.
-func (c *TaskContext) Counters() *Counters { return c.counters }
-
 // Canceled reports whether this attempt's result is no longer wanted — the
 // job failed fatally elsewhere, or a speculative twin already finished.
 // The framework stops accepting emits once this turns true; long-running

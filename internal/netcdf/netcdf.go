@@ -19,14 +19,11 @@ import (
 	"math"
 )
 
-// Type tags from the classic format.
+// Type tags from the classic format (the ones this subset reads and writes).
 const (
-	ncByte   = 1
-	ncChar   = 2
-	ncShort  = 3
-	ncInt    = 4
-	ncFloat  = 5
-	ncDouble = 6
+	ncChar  = 2
+	ncInt   = 4
+	ncFloat = 5
 
 	tagDimension = 0x0a
 	tagVariable  = 0x0b
@@ -403,9 +400,4 @@ func ParseHeader(b []byte) (*File, error) {
 		return nil, r.err
 	}
 	return f, nil
-}
-
-// Float32At interprets cell i of a float variable.
-func (v *Var) Float32At(i int64) float32 {
-	return math.Float32frombits(uint32(v.Int32s[i]))
 }

@@ -122,8 +122,8 @@ func TestFloatVariable(t *testing.T) {
 	if !v.Float {
 		t.Error("float flag lost")
 	}
-	if v.Float32At(0) != 1.5 || v.Float32At(1) != -2.25 {
-		t.Errorf("floats = %v, %v", v.Float32At(0), v.Float32At(1))
+	if v.Int32s[0] != bits[0] || v.Int32s[1] != bits[1] {
+		t.Errorf("float bits = %#x, %#x; want %#x, %#x", v.Int32s[0], v.Int32s[1], bits[0], bits[1])
 	}
 }
 

@@ -114,13 +114,6 @@ func (g Gauge) Set(v int64) {
 	}
 }
 
-// Add shifts the gauge by n (which may be negative).
-func (g Gauge) Add(n int64) {
-	if g.m != nil {
-		g.m.v.Add(n)
-	}
-}
-
 // Value reads the gauge (0 for the zero handle).
 func (g Gauge) Value() int64 {
 	if g.m == nil {
@@ -163,14 +156,6 @@ func (h Histogram) Count() int64 {
 		n += h.m.buckets[i].Load()
 	}
 	return n
-}
-
-// Sum returns the total of all observed values.
-func (h Histogram) Sum() float64 {
-	if h.m == nil {
-		return 0
-	}
-	return math.Float64frombits(h.m.sumBits.Load())
 }
 
 // DefTimeBuckets are the default latency bounds in seconds: 100µs to ~100s,

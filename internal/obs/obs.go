@@ -30,6 +30,12 @@
 // TestObservabilityByteIdentity in internal/mapreduce).
 package obs
 
+import (
+	"io"
+	"os"
+	"path/filepath"
+)
+
 // Observer bundles the tracing and metrics sides of one observed job (or
 // process). A nil *Observer disables both.
 type Observer struct {
@@ -57,4 +63,25 @@ func (o *Observer) R() *Registry {
 		return nil
 	}
 	return o.Metrics
+}
+
+// WriteFile streams a renderer (WriteChromeTrace, WritePrometheus) into
+// path atomically: the bytes land in a temp file in the same directory and
+// rename over the target, so no reader — and no interrupted run — ever
+// observes a truncated render.
+func WriteFile(path string, render func(w io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return err
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(f.Name())
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }

@@ -2,8 +2,11 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -21,7 +24,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("g", "a gauge", "bytes")
 	g.Set(10)
-	g.Add(-3)
+	g.Set(7)
 	if got := g.Value(); got != 7 {
 		t.Errorf("gauge = %d, want 7", got)
 	}
@@ -63,7 +66,7 @@ func TestNilAndZeroHandlesNoOp(t *testing.T) {
 	c.Inc()
 	g.Set(5)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Error("nil-registry handles must read zero")
 	}
 	if r.Snapshot() != nil {
@@ -90,9 +93,6 @@ func TestHistogramBucketsAndSum(t *testing.T) {
 	if got := h.Count(); got != 4 {
 		t.Errorf("count = %d, want 4", got)
 	}
-	if got := h.Sum(); got != 106 {
-		t.Errorf("sum = %g, want 106", got)
-	}
 	snap := r.Snapshot()
 	if len(snap) != 1 {
 		t.Fatalf("snapshot has %d series", len(snap))
@@ -104,8 +104,8 @@ func TestHistogramBucketsAndSum(t *testing.T) {
 			t.Errorf("bucket[%d] = %d, want %d", i, s.Buckets[i], n)
 		}
 	}
-	if s.Count != 4 {
-		t.Errorf("snapshot count = %d, want 4", s.Count)
+	if s.Count != 4 || s.Sum != 106 {
+		t.Errorf("snapshot count = %d, sum = %g; want 4, 106", s.Count, s.Sum)
 	}
 }
 
@@ -364,5 +364,35 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if body, _ := get("/debug/vars"); !strings.Contains(body, "memstats") {
 		t.Errorf("/debug/vars = %q", body)
+	}
+}
+
+// TestWriteFileAtomic: an interrupted render leaves the previous file
+// untouched and no temp file behind; a completed one replaces it whole.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.json")
+	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("interrupted")
+	err := WriteFile(path, func(w io.Writer) error {
+		io.WriteString(w, "{\"half\":")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed render returned %v, want the render error", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "old" {
+		t.Errorf("failed render left %q, want the old content", got)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Errorf("failed render left %d directory entries, want 1", len(ents))
+	}
+	if err := WriteFile(path, func(w io.Writer) error { _, err := io.WriteString(w, "new"); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "new" {
+		t.Errorf("completed render left %q, want %q", got, "new")
 	}
 }

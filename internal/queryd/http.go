@@ -6,7 +6,14 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"time"
 )
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers (the debug server in internal/obs uses the same value);
+// without it one stalled client pins a connection of the resident service
+// forever.
+const readHeaderTimeout = 5 * time.Second
 
 // Server exposes a Service over HTTP: POST /query executes a QuerySpec,
 // GET /metrics scrapes Prometheus text, GET /healthz answers liveness.
@@ -19,12 +26,16 @@ type Server struct {
 // NewServer binds addr (pass host:0 for an ephemeral port) and serves in
 // the background until Close.
 func NewServer(addr string, svc *Service) (*Server, error) {
+	return newServer(addr, svc, readHeaderTimeout)
+}
+
+func newServer(addr string, svc *Service, headerTimeout time.Duration) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("queryd: listen %s: %w", addr, err)
 	}
 	mux := http.NewServeMux()
-	s := &Server{svc: svc, ln: ln, srv: &http.Server{Handler: mux}}
+	s := &Server{svc: svc, ln: ln, srv: &http.Server{Handler: mux, ReadHeaderTimeout: headerTimeout}}
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -274,6 +275,29 @@ func TestServiceRejectsFaultSpecs(t *testing.T) {
 	spec.Faults = "map:0:error@0"
 	if _, err := svc.Submit(spec); err == nil || !strings.Contains(err.Error(), "fault injection") {
 		t.Fatalf("faulty spec error = %v, want fault-injection rejection", err)
+	}
+}
+
+// TestServerClosesHeaderlessConnection: a client that connects and never
+// finishes its request headers is disconnected after the header timeout
+// instead of holding a connection of the resident service open forever.
+func TestServerClosesHeaderlessConnection(t *testing.T) {
+	srv, err := newServer("127.0.0.1:0", New(Config{Obs: obs.New()}), 100*time.Millisecond)
+	if err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /query HTTP/1.1\r\nHost: x\r\n"); err != nil { // no blank line: headers never end
+		t.Fatalf("write: %v", err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second)) // a deadline error means the server kept the connection
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on a stalled connection = %v, want io.EOF (server closed it)", err)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package serial provides Hadoop-Writable-style serialization: big-endian
-// fixed-width primitives, VInt/VLong variable-length integers, and Text
+// fixed-width primitives, VInt variable-length integers, and Text
 // strings, over simple in-memory DataOutput/DataInput buffers.
 //
 // The assumption this models (Section II-B(b)): "Keys are serialized
@@ -13,19 +13,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"scikey/internal/binutil"
 )
-
-// Writable is the unit of serialization, mirroring
-// org.apache.hadoop.io.Writable.
-type Writable interface {
-	// Write appends the byte form to out.
-	Write(out *DataOutput)
-	// Read replaces the receiver with a value decoded from in.
-	Read(in *DataInput) error
-}
 
 // DataOutput is an append-only byte buffer with big-endian primitive
 // writers. The zero value is ready to use.
@@ -68,18 +58,6 @@ func (o *DataOutput) WriteU64(v uint64) { o.buf = binary.BigEndian.AppendUint64(
 // WriteI32 appends a big-endian int32 (Hadoop DataOutput.writeInt).
 func (o *DataOutput) WriteI32(v int32) { o.WriteU32(uint32(v)) }
 
-// WriteI64 appends a big-endian int64 (writeLong).
-func (o *DataOutput) WriteI64(v int64) { o.WriteU64(uint64(v)) }
-
-// WriteF32 appends an IEEE-754 float32 (writeFloat).
-func (o *DataOutput) WriteF32(v float32) { o.WriteU32(math.Float32bits(v)) }
-
-// WriteF64 appends an IEEE-754 float64 (writeDouble).
-func (o *DataOutput) WriteF64(v float64) { o.WriteU64(math.Float64bits(v)) }
-
-// WriteVLong appends a Hadoop VLong.
-func (o *DataOutput) WriteVLong(v int64) { o.buf = binutil.AppendVLong(o.buf, v) }
-
 // WriteVInt appends a Hadoop VInt.
 func (o *DataOutput) WriteVInt(v int32) { o.buf = binutil.AppendVInt(o.buf, v) }
 
@@ -101,9 +79,6 @@ func NewDataInput(b []byte) *DataInput { return &DataInput{buf: b} }
 // Remaining returns the number of unread bytes.
 func (in *DataInput) Remaining() int { return len(in.buf) - in.pos }
 
-// Pos returns the current read offset.
-func (in *DataInput) Pos() int { return in.pos }
-
 func (in *DataInput) need(n int) error {
 	if in.Remaining() < n {
 		return io.ErrUnexpectedEOF
@@ -119,16 +94,6 @@ func (in *DataInput) ReadByte() (byte, error) {
 	b := in.buf[in.pos]
 	in.pos++
 	return b, nil
-}
-
-// ReadFull reads exactly len(p) bytes into p.
-func (in *DataInput) ReadFull(p []byte) error {
-	if err := in.need(len(p)); err != nil {
-		return err
-	}
-	copy(p, in.buf[in.pos:])
-	in.pos += len(p)
-	return nil
 }
 
 // ReadRaw returns the next n bytes without copying. The slice aliases the
@@ -171,34 +136,6 @@ func (in *DataInput) ReadI32() (int32, error) {
 	return int32(v), err
 }
 
-// ReadI64 reads a big-endian int64.
-func (in *DataInput) ReadI64() (int64, error) {
-	v, err := in.ReadU64()
-	return int64(v), err
-}
-
-// ReadF32 reads an IEEE-754 float32.
-func (in *DataInput) ReadF32() (float32, error) {
-	v, err := in.ReadU32()
-	return math.Float32frombits(v), err
-}
-
-// ReadF64 reads an IEEE-754 float64.
-func (in *DataInput) ReadF64() (float64, error) {
-	v, err := in.ReadU64()
-	return math.Float64frombits(v), err
-}
-
-// ReadVLong reads a Hadoop VLong.
-func (in *DataInput) ReadVLong() (int64, error) {
-	v, n, err := binutil.DecodeVLong(in.buf[in.pos:])
-	if err != nil {
-		return 0, err
-	}
-	in.pos += n
-	return v, nil
-}
-
 // ReadVInt reads a Hadoop VInt.
 func (in *DataInput) ReadVInt() (int32, error) {
 	v, n, err := binutil.DecodeVInt(in.buf[in.pos:])
@@ -220,25 +157,6 @@ func (in *DataInput) ReadText() (string, error) {
 		return "", err
 	}
 	return string(p), nil
-}
-
-// Encode serializes w to a fresh byte slice.
-func Encode(w Writable) []byte {
-	out := NewDataOutput(16)
-	w.Write(out)
-	return append([]byte(nil), out.Bytes()...)
-}
-
-// Decode fills w from b, requiring that all bytes are consumed.
-func Decode(w Writable, b []byte) error {
-	in := NewDataInput(b)
-	if err := w.Read(in); err != nil {
-		return err
-	}
-	if in.Remaining() != 0 {
-		return fmt.Errorf("serial: %d trailing bytes after %T", in.Remaining(), w)
-	}
-	return nil
 }
 
 // CompareBytes is the raw lexicographic comparator used by Hadoop's

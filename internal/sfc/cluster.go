@@ -16,12 +16,6 @@ type IndexRange struct {
 // Len returns the number of indices in the range.
 func (r IndexRange) Len() uint64 { return r.Hi - r.Lo }
 
-// Contains reports whether idx lies in the range.
-func (r IndexRange) Contains(idx uint64) bool { return idx >= r.Lo && idx < r.Hi }
-
-// Overlaps reports whether two ranges share an index.
-func (r IndexRange) Overlaps(o IndexRange) bool { return r.Lo < o.Hi && o.Lo < r.Hi }
-
 // Ranges maps every cell of box onto the curve and coalesces the resulting
 // indices into sorted disjoint contiguous ranges. The number of ranges is
 // the clustering number of Moon et al.: fewer ranges means fewer aggregate

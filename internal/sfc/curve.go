@@ -116,9 +116,6 @@ func (r *RowMajor) Name() string { return "rowmajor" }
 // Rank implements Curve.
 func (r *RowMajor) Rank() int { return r.rank }
 
-// Bits is the per-dimension bit width.
-func (r *RowMajor) Bits() int { return r.bits }
-
 // Side implements Curve.
 func (r *RowMajor) Side() int { return 1 << uint(r.bits) }
 

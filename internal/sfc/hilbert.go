@@ -23,9 +23,6 @@ func (h *Hilbert) Name() string { return "hilbert" }
 // Rank implements Curve.
 func (h *Hilbert) Rank() int { return h.rank }
 
-// Bits is the per-dimension bit width.
-func (h *Hilbert) Bits() int { return h.bits }
-
 // Side implements Curve.
 func (h *Hilbert) Side() int { return 1 << uint(h.bits) }
 

@@ -22,9 +22,6 @@ func (z *ZOrder) Name() string { return "zorder" }
 // Rank implements Curve.
 func (z *ZOrder) Rank() int { return z.rank }
 
-// Bits is the per-dimension bit width.
-func (z *ZOrder) Bits() int { return z.bits }
-
 // Side implements Curve.
 func (z *ZOrder) Side() int { return 1 << uint(z.bits) }
 

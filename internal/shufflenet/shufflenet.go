@@ -223,9 +223,6 @@ func NewService(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Nodes returns the shuffle node count.
-func (s *Service) Nodes() int { return s.cfg.nodes() }
-
 // NodeOf names the node hosting a map task's output.
 func (s *Service) NodeOf(mapTask int) int { return mapTask % s.cfg.nodes() }
 

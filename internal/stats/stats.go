@@ -1,27 +1,14 @@
 // Package stats provides the small statistical kernels used by the query
 // layer (sliding-window median is the paper's evaluation workload) and by
-// the experiment harness.
+// the experiment harness, and the thousands-separated rendering the CLIs
+// print counters with.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
-// Median returns the median of xs: the middle element for odd lengths, the
-// mean of the two middle elements (rounded toward zero, like Hadoop's
-// integer arithmetic) for even lengths. It does not modify xs.
-func Median(xs []int32) int32 {
-	if len(xs) == 0 {
-		panic("stats: median of empty slice")
-	}
-	tmp := make([]int32, len(xs))
-	copy(tmp, xs)
-	return MedianInPlace(tmp)
-}
-
-// MedianInPlace computes the median, reordering xs.
+// MedianInPlace returns the median of xs, reordering it: the middle element
+// for odd lengths, the mean of the two middle elements (rounded toward zero,
+// like Hadoop's integer arithmetic) for even lengths.
 func MedianInPlace(xs []int32) int32 {
 	n := len(xs)
 	if n == 0 {
@@ -83,58 +70,6 @@ func quickSelect(xs []int32, k int) {
 	}
 }
 
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N             int
-	Min, Max      float64
-	Mean, Stddev  float64
-	P50, P90, P99 float64
-}
-
-// Summarize computes a Summary of xs (which it does not modify).
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	tmp := make([]float64, len(xs))
-	copy(tmp, xs)
-	sort.Float64s(tmp)
-	var sum, sumsq float64
-	for _, v := range tmp {
-		sum += v
-		sumsq += v * v
-	}
-	n := float64(len(tmp))
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return Summary{
-		N:      len(tmp),
-		Min:    tmp[0],
-		Max:    tmp[len(tmp)-1],
-		Mean:   mean,
-		Stddev: math.Sqrt(variance),
-		P50:    percentileSorted(tmp, 0.50),
-		P90:    percentileSorted(tmp, 0.90),
-		P99:    percentileSorted(tmp, 0.99),
-	}
-}
-
-func percentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := p * float64(len(sorted)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[i]*(1-frac) + sorted[i+1]*frac
-}
-
 // LinearFit returns slope, intercept and R² of an ordinary least squares
 // fit of y on x — used to verify Fig. 4's "transform time is linear in file
 // size".
@@ -169,46 +104,15 @@ func LinearFit(x, y []float64) (slope, intercept, r2 float64) {
 	return slope, intercept, 1 - ssRes/ssTot
 }
 
-// Histogram is a fixed-width bucket counter.
-type Histogram struct {
-	lo, width float64
-	counts    []int64
-	under     int64
-	over      int64
-}
-
-// NewHistogram covers [lo, hi) with n equal buckets.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: bad histogram bounds")
+// FormatBytes renders a byte or record count with thousands separators.
+func FormatBytes(n int64) string {
+	s := fmt.Sprintf("%d", n)
+	out := make([]byte, 0, len(s)+len(s)/3)
+	for i, c := range []byte(s) {
+		if i > 0 && (len(s)-i)%3 == 0 && c != '-' {
+			out = append(out, ',')
+		}
+		out = append(out, c)
 	}
-	return &Histogram{lo: lo, width: (hi - lo) / float64(n), counts: make([]int64, n)}
-}
-
-// Add records v.
-func (h *Histogram) Add(v float64) {
-	switch {
-	case v < h.lo:
-		h.under++
-	case v >= h.lo+h.width*float64(len(h.counts)):
-		h.over++
-	default:
-		h.counts[int((v-h.lo)/h.width)]++
-	}
-}
-
-// Counts returns the per-bucket counts plus underflow/overflow.
-func (h *Histogram) Counts() (buckets []int64, under, over int64) {
-	out := make([]int64, len(h.counts))
-	copy(out, h.counts)
-	return out, h.under, h.over
-}
-
-// Total returns the number of recorded values.
-func (h *Histogram) Total() int64 {
-	t := h.under + h.over
-	for _, c := range h.counts {
-		t += c
-	}
-	return t
+	return string(out)
 }

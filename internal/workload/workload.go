@@ -95,18 +95,3 @@ func (f *Field) ValueBytes(c grid.Coord) []byte {
 	binary.BigEndian.PutUint32(b[:], uint32(f.Value(c)))
 	return b[:]
 }
-
-// MultiVarStream interleaves records of several variables with different
-// shapes — the "multiple variables ... may have different stride lengths
-// due to different shapes" difficulty from Section III.
-func MultiVarStream(codec *keys.Codec, vars []keys.VarRef, boxes []grid.Box) []byte {
-	out := serial.NewDataOutput(1024)
-	for i, v := range vars {
-		f := Field{Extent: boxes[i], Name: v.Name}
-		grid.ForEach(boxes[i], func(c grid.Coord) {
-			codec.EncodeGrid(out, keys.GridKey{Var: v, Coord: c})
-			out.Write(f.ValueBytes(c))
-		})
-	}
-	return append([]byte(nil), out.Bytes()...)
-}

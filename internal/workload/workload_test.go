@@ -85,6 +85,9 @@ func TestFieldDeterministic(t *testing.T) {
 	}
 }
 
+// TestMultiVarStream: records of several variables with different shapes
+// and name lengths — the "multiple variables ... may have different stride
+// lengths" difficulty from Section III — each cost key + value bytes.
 func TestMultiVarStream(t *testing.T) {
 	codec := &keys.Codec{Rank: 2, Mode: keys.VarByName}
 	vars := []keys.VarRef{{Name: "a"}, {Name: "longername"}}
@@ -92,7 +95,11 @@ func TestMultiVarStream(t *testing.T) {
 		grid.NewBox(grid.Coord{0, 0}, []int{2, 2}),
 		grid.NewBox(grid.Coord{0, 0}, []int{3, 3}),
 	}
-	data := MultiVarStream(codec, vars, boxes)
+	var data []byte
+	for i, v := range vars {
+		f := Field{Extent: boxes[i], Name: v.Name}
+		data = append(data, KeyValueStream(codec, v, boxes[i], f.ValueBytes)...)
+	}
 	// var "a": (1+1+8+4)*4 bytes; var "longername": (1+10+8+4)*9 bytes.
 	want := 14*4 + 23*9
 	if len(data) != want {
