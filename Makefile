@@ -4,11 +4,13 @@ GO ?= go
 
 # The full gate: compile everything, check docs and formatting, vet, run the
 # test suite under the race detector (the attempt scheduler and fault tests
-# exercise real concurrency), hold the reduce-path allocation budget, soak
-# the multi-process cluster runtime against real SIGKILLs — of workers (e14)
-# and of the coordinator itself (e15) — and smoke the in-node combining
-# experiment (e16) and the resident query service's segment cache (e17).
-check: build docs vet race bench-gate e14 e15 e16 e17
+# exercise real concurrency), hold the hot paths' allocation budgets, run
+# every benchmark workload for its exit code (output sha and shuffle bytes
+# reproduce; no timing), soak the multi-process cluster runtime against real
+# SIGKILLs — of workers (e14) and of the coordinator itself (e15) — and smoke
+# the in-node combining experiment (e16) and the resident query service's
+# segment cache (e17).
+check: build docs vet race bench-gate bench-e2e e14 e15 e16 e17
 
 # E14: worker-kill soak — a coordinator plus three real worker subprocesses,
 # scheduled SIGKILLs mid-map and mid-reduce; the killed run must verify and
@@ -65,6 +67,11 @@ race:
 # in BENCH_shuffle.json with the committed baseline's numbers embedded per
 # benchmark (speedup_mb_per_s / allocs_ratio > 1 means faster / fewer allocs
 # than the baseline).
+#
+# Re-pin policy: bench_baseline.json moves only in a PR that claims no gain.
+# A PR that claims one runs `make bench` against the pinned file, so its
+# ratios in BENCH_shuffle.json are the trajectory; re-pinning in the same PR
+# would reset them to 1.0 and erase what it claims.
 SHUFFLE_BENCH = BenchmarkTransformSteadyState|BenchmarkWriteSegmentPooled|BenchmarkMapSpillPipeline|BenchmarkMergeSegments|BenchmarkReducePath|BenchmarkShuffleFetch|BenchmarkE4_
 
 bench:
@@ -73,16 +80,20 @@ bench:
 	@rm -f bench.out
 	@echo wrote BENCH_shuffle.json
 
-# Regression gates: rerun the reduce-path and shuffle-fetch benchmarks
-# briefly and fail if allocs/op drifts >10% above the committed baseline —
-# the fetch path's alloc count is the zero-copy guarantee in CI form. The
-# steady-state transform additionally holds a loose throughput floor (25% of
-# baseline MB/s): wall-clock varies across machines, so the floor only
-# catches a hot path collapsing onto a slow reference, not percentage drift.
+# Regression gates: rerun the reduce-path, shuffle-fetch and map-spill
+# benchmarks briefly and fail if allocs/op drifts >10% above the committed
+# baseline — the fetch path's alloc count is the zero-copy guarantee in CI
+# form, and the map side's holds the final segment's right-sizing copy to one
+# allocation per partition, never one per record. The steady-state transform
+# additionally holds a loose throughput floor (25% of baseline MB/s):
+# wall-clock varies across machines, so the floor only catches a hot path
+# collapsing onto a slow reference, not percentage drift.
 bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkReducePath' -benchmem -benchtime 20x ./internal/mapreduce/ \
 		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -max-allocs-regress 1.10 > /dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkShuffleFetch' -benchmem -benchtime 20x ./internal/shufflenet/ \
+		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -max-allocs-regress 1.10 > /dev/null
+	$(GO) test -run '^$$' -bench 'BenchmarkMapSpillPipeline' -benchmem -benchtime 20x ./internal/mapreduce/ \
 		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -max-allocs-regress 1.10 > /dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkTransformSteadyState' -benchmem -benchtime 10x . \
 		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -min-mbps-ratio 0.25 > /dev/null

@@ -1,13 +1,16 @@
 package mapreduce
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
 
+	"scikey/internal/bufpool"
 	"scikey/internal/cluster"
+	"scikey/internal/codec"
 	"scikey/internal/faults"
 	"scikey/internal/obs"
 )
@@ -20,11 +23,17 @@ import (
 //
 // Spilling is pipelined: when the collection buffer fills, the filled
 // partition buffers are swapped out and handed to a single background
-// worker that sorts, combines, transforms and compresses them while the
+// worker that sorts, combines and writes them as raw IFile runs while the
 // mapper keeps collecting the next spill's records. One worker draining a
 // one-slot queue keeps spill segments in exactly the order a synchronous
 // spill would produce (the output bytes are identical) and bounds the
 // attempt at roughly three spill buffers of memory.
+//
+// A segment is coded if and only if it is the task's final map output:
+// spills are attempt-private scratch that never crosses the shuffle, so
+// Job.MapOutputCodec runs once per partition, in the pass of finalize that
+// writes the published segment — or directly in spillParts when the tail
+// flushed from finalize is the task's only spill.
 type mapTask struct {
 	job     *Job
 	id      int
@@ -210,7 +219,8 @@ func (t *mapTask) spillWorker() {
 	defer close(t.spillDone)
 	for parts := range t.spillCh {
 		if t.spillErr == nil {
-			if err := t.spillParts(parts); err != nil {
+			// Another spill may follow, so this one stays raw.
+			if err := t.spillParts(parts, codec.None); err != nil {
 				t.spillErr = err
 			}
 		}
@@ -234,13 +244,15 @@ func (t *mapTask) drainSpills() error {
 }
 
 // spillParts sorts, combines and writes each partition buffer as a segment
-// (steps 2-3 of Fig. 1). With a MapCombiner the sorted buffer streams
-// through combineStream on its way into the segment writer, so runs of equal
-// keys fold without an intermediate slice; SpilledRecords counts what the
-// segment holds, i.e. post-fold records. It runs on the spill worker
-// goroutine; everything it touches is either worker-owned until drainSpills
-// (spills, spillBytes) or concurrency-safe (counters, the buffer pools).
-func (t *mapTask) spillParts(parts []partBuffer) error {
+// (steps 2-3 of Fig. 1) through out: codec.None from the spill worker, whose
+// runs finalize merges and codes, the job's codec for a task's only spill.
+// With a MapCombiner the sorted buffer streams through combineStream on its
+// way into the segment writer, so runs of equal keys fold without an
+// intermediate slice; SpilledRecords counts what the segment holds, i.e.
+// post-fold records. On the spill worker goroutine everything it touches is
+// either worker-owned until drainSpills (spills, spillBytes) or
+// concurrency-safe (counters, the buffer pools).
+func (t *mapTask) spillParts(parts []partBuffer, out codec.Codec) error {
 	sp := t.tracer.Start(obs.CatPhase, "spill", t.span, t.id, t.attempt)
 	defer sp.End()
 	c := t.ctx.counters
@@ -257,11 +269,11 @@ func (t *mapTask) spillParts(parts []partBuffer) error {
 		var err error
 		if m := t.job.MapCombiner; m != nil {
 			fold := &combineStream{src: &sliceStream{pairs: pb.pairs}, cmp: t.job.Compare, m: m}
-			seg, err = writeSegmentStream(fold, t.job.codec(), segmentSizeBound(pb.pairs))
+			seg, err = writeSegmentStream(fold, out, segmentSizeBound(pb.pairs))
 			c.CombineInputRecords.Add(fold.inRecords)
 			c.CombineOutputRecords.Add(fold.outRecords)
 		} else {
-			seg, err = writeSegment(pb.pairs, t.job.codec())
+			seg, err = writeSegment(pb.pairs, out)
 		}
 		cs.End()
 		if err != nil {
@@ -275,13 +287,20 @@ func (t *mapTask) spillParts(parts []partBuffer) error {
 }
 
 // finalize flushes the last buffer, drains the spill pipeline, and merges
-// multi-spill partitions into one segment each — concurrently across
-// partitions, since they share nothing — producing the task's final map
-// output, tagged with this attempt's provenance. Segment-site fault rules
-// bit-flip the materialized bytes here — silently, exactly like at-rest
-// disk corruption: the counters record the intact size and nothing notices
-// until a reducer's CRC check.
+// each partition's spills into one segment — concurrently across partitions,
+// since they share nothing — producing the task's final map output, tagged
+// with this attempt's provenance. The worker's spills are raw, so the pass
+// that writes the final segment is the one place the job's codec runs, also
+// over a partition that got a single raw spill; a task whose only spill is
+// the tail flushed here wrote it coded and skips the merge. Raw spill bytes
+// and raw merge reads are the local-disk price, charged to the footprint.
+// Segment-site fault rules bit-flip the materialized bytes here — silently,
+// exactly like at-rest disk corruption: the counters record the intact size
+// and nothing notices until a reducer's CRC check.
 func (t *mapTask) finalize() error {
+	// spilled is the codec the spills were written with, final the one the
+	// published segments carry.
+	spilled, final := codec.None, t.job.codec()
 	tail := false
 	for p := range t.parts {
 		if len(t.parts[p].pairs) > 0 {
@@ -299,7 +318,8 @@ func (t *mapTask) finalize() error {
 			return err
 		}
 	} else if tail {
-		if err := t.spillParts(t.parts); err != nil {
+		spilled = final
+		if err := t.spillParts(t.parts, final); err != nil {
 			return err
 		}
 		putPartBuffers(t.parts)
@@ -311,7 +331,7 @@ func (t *mapTask) finalize() error {
 	ms := t.tracer.Start(obs.CatPhase, "merge", t.span, t.id, t.attempt)
 	defer ms.End()
 	c := t.ctx.counters
-	env := readEnv{codec: t.job.codec(), part: -1}
+	env := readEnv{codec: spilled, part: -1}
 	t.finals = make([]segment, t.job.NumReducers)
 	diskDelta := make([]int64, t.job.NumReducers)
 	merr := make([]error, t.job.NumReducers)
@@ -319,22 +339,23 @@ func (t *mapTask) finalize() error {
 	var wg sync.WaitGroup
 	for p := range t.spills {
 		segs := t.spills[p]
-		switch len(segs) {
-		case 0:
+		switch {
+		case len(segs) == 0:
 			// empty partition: no segment
-		case 1:
+		case len(segs) == 1 && spilled == final:
 			t.finals[p] = segs[0]
 		default:
 			// Multi-pass merge down to a single final segment. Hadoop
 			// counts records written during merge passes as spilled
-			// records too.
+			// records too — the pass that re-encodes a lone raw spill
+			// included.
 			wg.Add(1)
 			sem <- struct{}{}
 			go func(p int, segs []segment) {
 				defer wg.Done()
 				defer func() { <-sem }()
 				merged, err := mergeDown(segs, env, t.job.Compare,
-					t.job.mergeFactor(), 1, func(read, written, records int64) {
+					t.job.mergeFactor(), 1, final, func(read, written, records int64) {
 						diskDelta[p] += read + written
 						c.SpilledRecords.Add(records)
 					})
@@ -343,6 +364,13 @@ func (t *mapTask) finalize() error {
 					return
 				}
 				t.finals[p] = merged[0]
+				if spilled != final {
+					// The coded pass seeded its pooled buffer with the raw
+					// input size and a final output is never recycled: keep
+					// an exact-size copy and hand the buffer back.
+					t.finals[p].data = bytes.Clone(merged[0].data)
+					bufpool.Put(merged[0].data)
+				}
 			}(p, segs)
 		}
 	}

@@ -455,7 +455,14 @@ func (m *mergeStream) close() {
 // Every intermediate pass re-reads and re-writes its inputs; acct receives
 // those byte counts so the cost model sees why bulky intermediate data
 // hurts twice.
-func mergeDown(segs []segment, env readEnv, cmp func(a, b []byte) int, factor, target int, acct func(read, written, records int64)) ([]segment, error) {
+//
+// The inputs are coded with env.codec and so is what every intermediate pass
+// writes; last is the codec of the pass that reaches target. The reduce side
+// passes its read codec. The map side reads raw spills and passes the job's
+// codec with target 1, so the record stream is coded exactly once, in the
+// pass that writes the published segment — which a lone segment therefore
+// still takes.
+func mergeDown(segs []segment, env readEnv, cmp func(a, b []byte) int, factor, target int, last codec.Codec, acct func(read, written, records int64)) ([]segment, error) {
 	if factor < 2 {
 		factor = 2
 	}
@@ -468,8 +475,13 @@ func mergeDown(segs []segment, env readEnv, cmp func(a, b []byte) int, factor, t
 	// record per input segment and materializes nothing.
 	env.borrow = true
 	env.arena = nil
-	for len(segs) > target {
+	coded := last == env.codec
+	for len(segs) > target || !coded {
 		n := min(factor, len(segs))
+		out := env.codec
+		if len(segs)-n+1 <= target {
+			out, coded = last, true
+		}
 		// Hadoop merges the smallest segments first to minimize rewriting.
 		sortSegmentsBySize(segs)
 		batch := segs[:n]
@@ -481,7 +493,7 @@ func mergeDown(segs []segment, env readEnv, cmp func(a, b []byte) int, factor, t
 		if err != nil {
 			return nil, err
 		}
-		merged, err := writeSegmentStream(m, env.codec, int(read)+ifile.TrailerLen)
+		merged, err := writeSegmentStream(m, out, int(read)+ifile.TrailerLen)
 		m.close()
 		if err != nil {
 			return nil, err

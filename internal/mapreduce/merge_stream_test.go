@@ -14,14 +14,36 @@ import (
 // the instrument of the leak-regression tests. Each instance gets its own
 // engine-level reader pool (the pools are keyed per codec instance), so the
 // counts see exactly this test's traffic: once the pool is warm, a fixed
-// merge workload must construct zero new readers, however it fails.
+// merge workload must construct zero new readers, however it fails. Writers
+// are counted twice over: constructions (writersCreated, the leak signal)
+// and opens (writers — constructions plus pooled rebinds, i.e. how many
+// streams were coded).
 type countingCodec struct {
-	inner   codec.Codec
-	created atomic.Int64
+	inner          codec.Codec
+	created        atomic.Int64
+	writers        atomic.Int64
+	writersCreated atomic.Int64
 }
 
-func (c *countingCodec) Name() string                         { return "counting+" + c.inner.Name() }
-func (c *countingCodec) NewWriter(w io.Writer) io.WriteCloser { return c.inner.NewWriter(w) }
+func (c *countingCodec) Name() string { return "counting+" + c.inner.Name() }
+
+func (c *countingCodec) NewWriter(w io.Writer) io.WriteCloser {
+	c.writers.Add(1)
+	c.writersCreated.Add(1)
+	return &countingWriter{c.inner.NewWriter(w), c}
+}
+
+// countingWriter forwards Reset so the wrapped writer stays poolable; every
+// codec the tests wrap has a resettable writer.
+type countingWriter struct {
+	io.WriteCloser
+	c *countingCodec
+}
+
+func (w *countingWriter) Reset(dst io.Writer) {
+	w.c.writers.Add(1)
+	w.WriteCloser.(interface{ Reset(io.Writer) }).Reset(dst)
+}
 
 func (c *countingCodec) NewReader(r io.Reader) (io.ReadCloser, error) {
 	rc, err := c.inner.NewReader(r)
@@ -204,7 +226,7 @@ func TestMergeDownManySegments(t *testing.T) {
 	}
 	env := readEnv{codec: codec.None}
 	var passes int
-	out, err := mergeDown(segs, env, bytes.Compare, 3, 1, func(read, written, records int64) {
+	out, err := mergeDown(segs, env, bytes.Compare, 3, 1, env.codec, func(read, written, records int64) {
 		passes++
 	})
 	if err != nil {

@@ -133,7 +133,7 @@ func (t *reduceTask) run(src segmentSource) error {
 	// CRC; a mismatch surfaces as an ErrCorruptSegment naming the
 	// producing map attempt.
 	segs, err := mergeDown(segs, env, t.job.Compare,
-		t.job.mergeFactor(), t.job.mergeFactor(), func(read, written, _ int64) {
+		t.job.mergeFactor(), t.job.mergeFactor(), env.codec, func(read, written, _ int64) {
 			t.footprint.DiskBytes += read + written
 		})
 	if err != nil {

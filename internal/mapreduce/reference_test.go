@@ -45,7 +45,7 @@ func mergeSegments(segs []segment, env readEnv, cmp func(a, b []byte) int) ([]KV
 func referenceReduce(job *Job, ctx *TaskContext, segs []segment) ([]byte, error) {
 	c := ctx.counters
 	env := readEnv{codec: job.codec(), part: ctx.TaskID}
-	segs, err := mergeDown(segs, env, job.Compare, job.mergeFactor(), job.mergeFactor(), nil)
+	segs, err := mergeDown(segs, env, job.Compare, job.mergeFactor(), job.mergeFactor(), env.codec, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -181,8 +181,10 @@ type Job struct {
 	// correctness for arbitrary transforms by buffering the entire stream
 	// as one window — the transform's defining form.
 	MergeCut func() func(key []byte) bool
-	// MapOutputCodec compresses spill segments ("Map output materialized
-	// bytes" is measured after this codec). Nil means no compression.
+	// MapOutputCodec compresses each task's final map output segments, the
+	// ones the shuffle moves ("Map output materialized bytes" is measured
+	// after this codec); intermediate spills stay raw. Nil means no
+	// compression.
 	MapOutputCodec codec.Codec
 	// OutputPath is the HDFS directory for reducer output files.
 	OutputPath string

@@ -172,8 +172,9 @@ func encodeSnapshot(s *mapreduce.MapPhaseSnapshot) []byte {
 }
 
 // decodeSnapshot parses an encoded snapshot, verifying magic, version, and
-// the CRC trailer. Every length is bounds-checked so a truncated or corrupt
-// blob errors instead of panicking.
+// the CRC trailer. Every length and every element count is checked against
+// the bytes that remain, so a truncated or corrupt blob errors instead of
+// panicking or allocating for elements it cannot hold.
 func decodeSnapshot(b []byte) (*mapreduce.MapPhaseSnapshot, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("queryd: snapshot too short")
@@ -230,6 +231,22 @@ func decodeSnapshot(b []byte) (*mapreduce.MapPhaseSnapshot, error) {
 		return v
 	}
 
+	// bounded rejects an element count the bytes that remain cannot hold —
+	// every element takes at least minSize encoded bytes — before anything is
+	// allocated for it: the CRC vouches for the bytes, not for what they claim.
+	bounded := func(what string, n, minSize int) int {
+		if derr == nil && (n < 0 || n > (len(body)-off)/minSize) {
+			derr = fmt.Errorf("queryd: implausible %s count %d with %d snapshot bytes left", what, n, len(body)-off)
+		}
+		if derr != nil {
+			return 0
+		}
+		return n
+	}
+	// Minimum encoded sizes: a task row with no hosts and no segments, a
+	// host's length prefix, a segment with no data, a counter.
+	const minTask, minHost, minSegment, minCounter = 4 + 5*8 + 4 + 4, 4, 3*8 + 4, 8
+
 	if u32() != snapMagic {
 		return nil, fmt.Errorf("queryd: bad snapshot magic")
 	}
@@ -238,10 +255,7 @@ func decodeSnapshot(b []byte) (*mapreduce.MapPhaseSnapshot, error) {
 	}
 	n := int(u32())
 	s := &mapreduce.MapPhaseSnapshot{NumReducers: int(u32())}
-	const maxTasks = 1 << 20
-	if n < 0 || n > maxTasks {
-		return nil, fmt.Errorf("queryd: implausible task count %d", n)
-	}
+	n = bounded("task", n, minTask)
 	s.Segments = make([][]mapreduce.SegmentSnapshot, n)
 	s.Attempts = make([]int, n)
 	s.Footprints = make([]cluster.Task, n)
@@ -253,17 +267,11 @@ func decodeSnapshot(b []byte) (*mapreduce.MapPhaseSnapshot, error) {
 		s.Footprints[i] = cluster.Task{DiskBytes: i64(), NetBytes: i64(), CPUSeconds: f64()}
 		s.InputBytes[i] = i64()
 		s.WallSeconds[i] = f64()
-		nh := int(u32())
-		if nh < 0 || nh > maxTasks {
-			return nil, fmt.Errorf("queryd: implausible host count %d", nh)
-		}
+		nh := bounded("host", int(u32()), minHost)
 		for h := 0; h < nh && derr == nil; h++ {
 			s.Hosts[i] = append(s.Hosts[i], str())
 		}
-		np := int(u32())
-		if np < 0 || np > maxTasks {
-			return nil, fmt.Errorf("queryd: implausible partition count %d", np)
-		}
+		np := bounded("partition", int(u32()), minSegment)
 		s.Segments[i] = make([]mapreduce.SegmentSnapshot, 0, np)
 		for p := 0; p < np && derr == nil; p++ {
 			seg := mapreduce.SegmentSnapshot{Records: i64()}
@@ -273,10 +281,7 @@ func decodeSnapshot(b []byte) (*mapreduce.MapPhaseSnapshot, error) {
 			s.Segments[i] = append(s.Segments[i], seg)
 		}
 	}
-	nc := int(u32())
-	if nc < 0 || nc > maxTasks {
-		return nil, fmt.Errorf("queryd: implausible counter count %d", nc)
-	}
+	nc := bounded("counter", int(u32()), minCounter)
 	for i := 0; i < nc && derr == nil; i++ {
 		s.Counters = append(s.Counters, i64())
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"runtime"
 	"testing"
 
 	"scikey/internal/cluster"
@@ -37,6 +38,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	flipped := append([]byte(nil), real...)
 	flipped[len(flipped)-1] ^= 1
 	f.Add(flipped)
+	f.Add(overclaimedSnapshot())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(b []byte) {
 			s, err := decodeSnapshot(b)
@@ -53,4 +55,31 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			check(binary.BigEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body)))
 		}
 	})
+}
+
+// overclaimedSnapshot is a CRC-valid header claiming 2^20 tasks with no bytes
+// behind the claim — the input the fuzz target found making decodeSnapshot
+// allocate ~100 MB of per-task slices before its first bounds check failed.
+func overclaimedSnapshot() []byte {
+	var b []byte
+	for _, v := range []uint32{snapMagic, snapVersion, 1 << 20, 5} {
+		b = binary.BigEndian.AppendUint32(b, v)
+	}
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// TestDecodeSnapshotBoundsCountsByRemainingBytes: a count the remaining
+// bytes cannot hold is rejected before anything is allocated for it.
+func TestDecodeSnapshotBoundsCountsByRemainingBytes(t *testing.T) {
+	blob := overclaimedSnapshot()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeSnapshot(blob)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("decodeSnapshot accepted a 20-byte blob claiming 2^20 tasks")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Errorf("decodeSnapshot allocated %d B rejecting a %d B blob, want under 64 KiB", grew, len(blob))
+	}
 }
