@@ -437,9 +437,10 @@ func TestE12FaultRecovery(t *testing.T) {
 	if r.Faulty.Estimate.WastedMapSeconds <= 0 {
 		t.Error("recovery charged no wasted map slot time")
 	}
-	if r.RuntimeOverheadPct < 0 {
-		t.Errorf("recovery made the modeled runtime faster? %+v%%", r.RuntimeOverheadPct)
-	}
+	// RuntimeOverheadPct is not asserted: it is the difference of two modeled
+	// runtimes that each contain measured CPU seconds, so on a busy host the
+	// clean run can come out the slower one. The recovery tax that is
+	// deterministic is the wasted slot time and the counters above.
 }
 
 func TestE13ChaosSoak(t *testing.T) {

@@ -443,9 +443,9 @@ func (f *failingReader) Read(p []byte) (int, error) {
 
 // WrapReduceOutput applies out-site rules to a reduce attempt's output
 // writes. When a rule fires for (task, attempt) the returned writer fails
-// every Write with a transient error — the first record append (or the
-// IFile trailer of an empty output) hits it, failing the attempt the way a
-// full disk would; otherwise w is returned unchanged.
+// every Write with a transient error — the first block flush, or Close
+// (the IFile writer gathers records by the block), hits it, failing the
+// attempt the way a full disk would; otherwise w is returned unchanged.
 func (in *Injector) WrapReduceOutput(task, attempt int, w io.Writer) io.Writer {
 	if in == nil {
 		return w

@@ -16,7 +16,7 @@
 package ifile
 
 import (
-	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -49,14 +49,29 @@ func (s Stats) Total() int64 {
 	return s.KeyBytes + s.ValBytes + s.FrameBytes + s.TrailerBytes
 }
 
+// blockSize is the unit both ends work in: the Writer gathers this many
+// stream bytes before it checksums and writes them, the Reader reads ahead
+// this many and checksums them as one span. Per-record pieces are a few
+// bytes each; feeding those to crc32 one at a time costs more than the sum.
+const blockSize = 4096
+
 // Writer emits records in IFile framing. The zero value is not ready for
 // use; call NewWriter, or Reset to (re)bind an existing Writer — possibly a
 // pooled one — to a destination.
+//
+// Stream bytes are gathered into an owned block and reach the checksum and
+// the destination a block at a time, so a destination write error surfaces
+// at a later Append or at Close; once seen it is returned by every call.
 type Writer struct {
-	w       io.Writer
-	crc     uint32
-	stats   Stats
-	closed  bool
+	w      io.Writer
+	crc    uint32
+	stats  Stats
+	closed bool
+	err    error
+	n      int // bytes gathered in block
+	block  [blockSize]byte
+	// scratch holds a record header or the EOF marker on its way into the
+	// block (a stack buffer would escape through the destination's Write).
 	scratch [2 * binutil.MaxVLongLen]byte
 }
 
@@ -73,12 +88,35 @@ func (w *Writer) Reset(dst io.Writer) {
 	w.crc = 0
 	w.stats = Stats{}
 	w.closed = false
+	w.err = nil
+	w.n = 0
 }
 
-func (w *Writer) emit(p []byte) error {
+// emit sums p and hands it to the destination.
+func (w *Writer) emit(p []byte) {
+	if w.err != nil {
+		return
+	}
 	w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
-	_, err := w.w.Write(p)
-	return err
+	_, w.err = w.w.Write(p)
+}
+
+// put gathers p into the block, emitting the block each time it fills. A
+// piece that would fill an empty block by itself is emitted from where it is.
+func (w *Writer) put(p []byte) {
+	for len(p) > 0 {
+		if w.n == 0 && len(p) >= blockSize {
+			w.emit(p)
+			return
+		}
+		c := copy(w.block[w.n:], p)
+		w.n += c
+		p = p[c:]
+		if w.n == blockSize {
+			w.emit(w.block[:])
+			w.n = 0
+		}
+	}
 }
 
 // Append writes one record.
@@ -88,14 +126,11 @@ func (w *Writer) Append(key, value []byte) error {
 	}
 	hdr := binutil.AppendVLong(w.scratch[:0], int64(len(key)))
 	hdr = binutil.AppendVLong(hdr, int64(len(value)))
-	if err := w.emit(hdr); err != nil {
-		return err
-	}
-	if err := w.emit(key); err != nil {
-		return err
-	}
-	if err := w.emit(value); err != nil {
-		return err
+	w.put(hdr)
+	w.put(key)
+	w.put(value)
+	if w.err != nil {
+		return w.err
 	}
 	w.stats.Records++
 	w.stats.KeyBytes += int64(len(key))
@@ -104,25 +139,23 @@ func (w *Writer) Append(key, value []byte) error {
 	return nil
 }
 
-// Close writes the EOF marker and checksum. It does not close the
-// underlying writer.
+// Close writes the EOF marker and checksum, flushing the last block. It
+// does not close the underlying writer.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
 	w.scratch[0], w.scratch[1] = 0xff, 0xff // VInt(-1), VInt(-1)
-	if err := w.emit(w.scratch[:2]); err != nil {
-		return err
+	w.put(w.scratch[:2])
+	w.emit(w.block[:w.n])
+	w.n = 0
+	if w.err != nil {
+		return w.err
 	}
-	sum := w.crc
-	var tail [4]byte
-	tail[0] = byte(sum >> 24)
-	tail[1] = byte(sum >> 16)
-	tail[2] = byte(sum >> 8)
-	tail[3] = byte(sum)
-	if _, err := w.w.Write(tail[:]); err != nil {
-		return err
+	tail := binary.BigEndian.AppendUint32(w.block[:0], w.crc)
+	if _, w.err = w.w.Write(tail); w.err != nil {
+		return w.err
 	}
 	w.stats.TrailerBytes = TrailerLen
 	return nil
@@ -134,16 +167,21 @@ func (w *Writer) Stats() Stats { return w.stats }
 
 // Reader iterates the records of an IFile stream, verifying the checksum
 // when the EOF marker is reached.
+//
+// It reads ahead a block at a time into buf; buf[pos:end] is unread and
+// buf[summed:pos] is consumed stream content the checksum has not seen yet.
+// That span is summed once, when the buffer is about to be refilled or the
+// EOF marker has been consumed — never field by field.
 type Reader struct {
-	r    *bufio.Reader
-	crc  uint32
-	done bool
-	key  []byte
-	val  []byte
-	// scratch collects one VLong's framing bytes so they reach the CRC in
-	// a single update from Reader-owned storage (a stack buffer would
-	// escape into crc32.Update, one heap allocation per length field).
-	scratch [binutil.MaxVLongLen]byte
+	src    io.Reader
+	srcErr error // the source's terminal error, reported once buf drains
+	crc    uint32
+	done   bool
+	key    []byte
+	val    []byte
+
+	pos, end, summed int
+	buf              [blockSize]byte
 }
 
 // NewReader returns a Reader over r.
@@ -153,33 +191,94 @@ func NewReader(r io.Reader) *Reader {
 	return nr
 }
 
-// Reset rebinds the Reader to a new stream. The internal buffered reader and
-// the key/value scratch buffers are retained, so a pooled Reader iterates
+// Reset rebinds the Reader to a new stream. The read-ahead block and the
+// key/value scratch buffers are retained, so a pooled Reader iterates
 // segment after segment without per-segment allocation.
 func (r *Reader) Reset(src io.Reader) {
-	if r.r == nil {
-		r.r = bufio.NewReader(src)
-	} else {
-		r.r.Reset(src)
-	}
+	r.src = src
+	r.srcErr = nil
 	r.crc = 0
 	r.done = false
 	r.key = r.key[:0]
 	r.val = r.val[:0]
+	r.pos, r.end, r.summed = 0, 0, 0
 }
 
-// crcByteReader routes every byte consumed for record framing through the
-// checksum.
+// sum brings the checksum up to the read position.
+func (r *Reader) sum() {
+	r.crc = crc32.Update(r.crc, crc32.IEEETable, r.buf[r.summed:r.pos])
+	r.summed = r.pos
+}
+
+// fill replaces the drained buffer with the source's next bytes. It returns
+// the source's error when no byte arrived.
+func (r *Reader) fill() error {
+	r.sum()
+	r.pos, r.end, r.summed = 0, 0, 0
+	for tries := 0; r.srcErr == nil; tries++ {
+		if tries == maxEmptyReads {
+			r.srcErr = io.ErrNoProgress
+			break
+		}
+		var n int
+		n, r.srcErr = r.src.Read(r.buf[:])
+		if n > 0 {
+			r.end = n
+			return nil
+		}
+	}
+	return r.srcErr
+}
+
+// maxEmptyReads bounds how often a source may return (0, nil) in a row.
+const maxEmptyReads = 100
+
+func (r *Reader) readByte() (byte, error) {
+	if r.pos == r.end {
+		if err := r.fill(); err != nil {
+			return 0, err
+		}
+	}
+	c := r.buf[r.pos]
+	r.pos++
+	return c, nil
+}
+
+// readFull fills p from the stream and accounts it to the checksum: what
+// the read-ahead block holds is copied and summed with the block's span;
+// what it does not is read from the source straight into p and summed
+// there in one update.
+func (r *Reader) readFull(p []byte) error {
+	for len(p) > 0 {
+		if r.pos == r.end {
+			if len(p) >= blockSize && r.srcErr == nil {
+				r.sum()
+				n, err := io.ReadFull(r.src, p)
+				r.crc = crc32.Update(r.crc, crc32.IEEETable, p[:n])
+				if err != nil {
+					r.srcErr = err
+				}
+				return err
+			}
+			if err := r.fill(); err != nil {
+				return err
+			}
+		}
+		c := copy(p, r.buf[r.pos:r.end])
+		r.pos += c
+		p = p[c:]
+	}
+	return nil
+}
+
 func (r *Reader) readVLong() (int64, error) {
-	first, err := r.r.ReadByte()
+	first, err := r.readByte()
 	if err != nil {
 		// A well-formed stream always ends with the EOF marker and
 		// checksum, so running out of bytes here means truncation.
 		return 0, unexpected(err)
 	}
-	r.scratch[0] = first
 	if int8(first) >= -112 {
-		r.crc = crc32.Update(r.crc, crc32.IEEETable, r.scratch[:1])
 		return int64(int8(first)), nil
 	}
 	var n int
@@ -192,17 +291,12 @@ func (r *Reader) readVLong() (int64, error) {
 	}
 	var v int64
 	for i := 0; i < n; i++ {
-		c, err := r.r.ReadByte()
+		c, err := r.readByte()
 		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, err
+			return 0, unexpected(err)
 		}
-		r.scratch[1+i] = c
 		v = v<<8 | int64(c)
 	}
-	r.crc = crc32.Update(r.crc, crc32.IEEETable, r.scratch[:1+n])
 	if neg {
 		v = ^v
 	}
@@ -228,12 +322,16 @@ func (r *Reader) Next() (key, value []byte, err error) {
 		if valLen != -1 {
 			return nil, nil, fmt.Errorf("ifile: bad EOF marker (%d)", valLen)
 		}
+		r.sum()
 		want := r.crc
-		var tail [4]byte
-		if _, err := io.ReadFull(r.r, tail[:]); err != nil {
-			return nil, nil, unexpected(err)
+		var got uint32
+		for range 4 {
+			c, err := r.readByte()
+			if err != nil {
+				return nil, nil, unexpected(err)
+			}
+			got = got<<8 | uint32(c)
 		}
-		got := uint32(tail[0])<<24 | uint32(tail[1])<<16 | uint32(tail[2])<<8 | uint32(tail[3])
 		r.done = true
 		if got != want {
 			return nil, nil, ErrChecksum
@@ -247,27 +345,25 @@ func (r *Reader) Next() (key, value []byte, err error) {
 	if keyLen < 0 || valLen < 0 || keyLen > math.MaxInt32 || valLen > math.MaxInt32 {
 		return nil, nil, fmt.Errorf("ifile: implausible record lengths %d/%d", keyLen, valLen)
 	}
-	if r.key, err = readBody(r.r, r.key, keyLen); err != nil {
+	if r.key, err = r.readBody(r.key, keyLen); err != nil {
 		return nil, nil, err
 	}
-	if r.val, err = readBody(r.r, r.val, valLen); err != nil {
+	if r.val, err = r.readBody(r.val, valLen); err != nil {
 		return nil, nil, err
 	}
-	r.crc = crc32.Update(r.crc, crc32.IEEETable, r.key)
-	r.crc = crc32.Update(r.crc, crc32.IEEETable, r.val)
 	return r.key, r.val, nil
 }
 
 // readBody reads exactly n bytes into (a resized) buf. When the buffer must
 // grow it does so geometrically as bytes actually arrive — seeded at 1 MiB
 // and capped at n — so the steady-state path is a single capacity check and
-// one ReadFull, yet a corrupt header still cannot force an allocation more
+// one readFull, yet a corrupt header still cannot force an allocation more
 // than ~2x the bytes the stream really delivers.
-func readBody(r io.Reader, buf []byte, n int64) ([]byte, error) {
+func (r *Reader) readBody(buf []byte, n int64) ([]byte, error) {
 	const seed = 1 << 20
 	if int64(cap(buf)) >= n {
 		buf = buf[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
+		if err := r.readFull(buf); err != nil {
 			return buf[:0], unexpected(err)
 		}
 		return buf, nil
@@ -282,7 +378,7 @@ func readBody(r io.Reader, buf []byte, n int64) ([]byte, error) {
 		}
 		start := len(buf)
 		buf = buf[:min(int64(cap(buf)), n)]
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
+		if err := r.readFull(buf[start:]); err != nil {
 			return buf[:0], unexpected(err)
 		}
 	}

@@ -96,15 +96,27 @@ func CompareBox(a, b BoxKey) int {
 	return 0
 }
 
-// RawCompareBox compares encoded BoxKeys.
+// RawCompareBox compares two encoded BoxKeys: variable, then the corner and
+// the size as signed int32s. See RawCompareGrid for the shared rules.
 func (c *Codec) RawCompareBox(a, b []byte) int {
-	ka, err := c.DecodeBox(serial.NewDataInput(a))
-	if err != nil {
+	va, fa, oka := c.sections(a, 8*c.Rank)
+	vb, fb, okb := c.sections(b, 8*c.Rank)
+	if !oka || !okb || hasNegativeI32(fa[4*c.Rank:]) || hasNegativeI32(fb[4*c.Rank:]) {
 		return serial.CompareBytes(a, b)
 	}
-	kb, err := c.DecodeBox(serial.NewDataInput(b))
-	if err != nil {
-		return serial.CompareBytes(a, b)
+	if d := c.compareVarBytes(va, vb); d != 0 {
+		return d
 	}
-	return CompareBox(ka, kb)
+	return compareI32s(fa, fb)
+}
+
+// hasNegativeI32 reports whether any big-endian int32 in p has its sign bit
+// set — a box size DecodeBox rejects.
+func hasNegativeI32(p []byte) bool {
+	for i := 0; i+4 <= len(p); i += 4 {
+		if p[i]&0x80 != 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -16,8 +16,11 @@
 package keys
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 
+	"scikey/internal/binutil"
 	"scikey/internal/grid"
 	"scikey/internal/serial"
 	"scikey/internal/sfc"
@@ -175,14 +178,6 @@ func (c *Codec) DecodeAgg(in *serial.DataInput) (AggKey, error) {
 	return AggKey{Var: v, Range: sfc.IndexRange{Lo: lo, Hi: hi}}, nil
 }
 
-// CompareGrid orders GridKeys by variable then coordinate (row-major).
-func CompareGrid(a, b GridKey) int {
-	if c := compareVar(a.Var, b.Var); c != 0 {
-		return c
-	}
-	return a.Coord.Compare(b.Coord)
-}
-
 // CompareAgg orders AggKeys by variable, then Lo, then Hi. Sorting by Lo
 // first is what lets the reduce-side merge discover overlaps with a
 // bounded-lookahead sweep.
@@ -217,34 +212,90 @@ func compareVar(a, b VarRef) int {
 	return 0
 }
 
-// RawCompareGrid compares two encoded GridKeys without deserializing. Raw
-// byte comparison is semantically correct for the coordinate section only
-// when coordinates are non-negative (big-endian two's complement breaks
-// lexicographic order at the sign bit), so this decodes; the engine treats
-// it as the grouping comparator.
+// The raw comparators order encoded keys straight from their bytes, as
+// Hadoop's RawComparators do: sort, merge and grouping call one per record
+// pair, so they decode nothing and allocate nothing. A plain byte comparison
+// would be wrong for the coordinate section (big-endian two's complement
+// breaks lexicographic order at the sign bit), so each locates the variable
+// section, compares it, and then compares the fixed-width fields as the
+// integers they are. A key that would not decode — too short, a negative
+// name length, a negative box size — makes the pair fall back to
+// serial.CompareBytes; bytes past the last field are ignored.
+
+// RawCompareGrid compares two encoded GridKeys: variable, then the
+// coordinates as signed int32s in row-major order.
 func (c *Codec) RawCompareGrid(a, b []byte) int {
-	ka, err := c.DecodeGrid(serial.NewDataInput(a))
-	if err != nil {
+	va, fa, oka := c.sections(a, 4*c.Rank)
+	vb, fb, okb := c.sections(b, 4*c.Rank)
+	if !oka || !okb {
 		return serial.CompareBytes(a, b)
 	}
-	kb, err := c.DecodeGrid(serial.NewDataInput(b))
-	if err != nil {
-		return serial.CompareBytes(a, b)
+	if d := c.compareVarBytes(va, vb); d != 0 {
+		return d
 	}
-	return CompareGrid(ka, kb)
+	return compareI32s(fa, fb)
 }
 
-// RawCompareAgg compares two encoded AggKeys without full deserialization.
+// RawCompareAgg compares two encoded AggKeys: variable, then Lo, then Hi.
+// The bounds are unsigned and big-endian, so their 16 bytes already sort
+// in that order.
 func (c *Codec) RawCompareAgg(a, b []byte) int {
-	ka, err := c.DecodeAgg(serial.NewDataInput(a))
-	if err != nil {
+	va, fa, oka := c.sections(a, 16)
+	vb, fb, okb := c.sections(b, 16)
+	if !oka || !okb {
 		return serial.CompareBytes(a, b)
 	}
-	kb, err := c.DecodeAgg(serial.NewDataInput(b))
-	if err != nil {
-		return serial.CompareBytes(a, b)
+	if d := c.compareVarBytes(va, vb); d != 0 {
+		return d
 	}
-	return CompareAgg(ka, kb)
+	return bytes.Compare(fa, fb)
+}
+
+// sections splits an encoded key into the bytes that order its variable
+// (the 4-byte index, or the name without its length prefix) and the fixed
+// bytes of fields that follow. ok is false where decoding k would fail.
+func (c *Codec) sections(k []byte, fixed int) (v, f []byte, ok bool) {
+	start, end := 0, 0
+	switch c.Mode {
+	case VarNone:
+	case VarByIndex:
+		end = 4
+	case VarByName:
+		n, w, err := binutil.DecodeVInt(k)
+		if err != nil || n < 0 || int(n) > len(k)-w {
+			return nil, nil, false
+		}
+		start, end = w, w+int(n)
+	default:
+		return nil, nil, false
+	}
+	if len(k)-end < fixed {
+		return nil, nil, false
+	}
+	return k[start:end], k[end : end+fixed], true
+}
+
+// compareVarBytes orders two variable sections returned by sections.
+func (c *Codec) compareVarBytes(a, b []byte) int {
+	if c.Mode == VarByIndex {
+		return compareI32s(a, b)
+	}
+	return bytes.Compare(a, b)
+}
+
+// compareI32s orders two equally long runs of big-endian int32s, signed,
+// first difference wins.
+func compareI32s(a, b []byte) int {
+	for i := 0; i+4 <= len(a); i += 4 {
+		x, y := int32(binary.BigEndian.Uint32(a[i:])), int32(binary.BigEndian.Uint32(b[i:]))
+		if x != y {
+			if x < y {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
 }
 
 // String renders a GridKey for diagnostics.

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -256,14 +256,13 @@ func (t *mapTask) spillParts(parts []partBuffer, out codec.Codec) error {
 	sp := t.tracer.Start(obs.CatPhase, "spill", t.span, t.id, t.attempt)
 	defer sp.End()
 	c := t.ctx.counters
+	cmp := t.job.Compare
 	for p := range parts {
 		pb := &parts[p]
 		if len(pb.pairs) == 0 {
 			continue
 		}
-		sort.SliceStable(pb.pairs, func(i, j int) bool {
-			return t.job.Compare(pb.pairs[i].Key, pb.pairs[j].Key) < 0
-		})
+		slices.SortStableFunc(pb.pairs, func(a, b KV) int { return cmp(a.Key, b.Key) })
 		cs := t.tracer.Start(obs.CatPhase, "codec", sp.ID(), t.id, t.attempt)
 		var seg segment
 		var err error

@@ -201,7 +201,7 @@ func recycleSegment(seg segment) {
 }
 
 // segIter streams the records of one segment. Iterators are pooled: the
-// embedded bytes.Reader, IFile reader (with its buffered reader and
+// embedded bytes.Reader, IFile reader (with its read-ahead block and
 // key/value scratch) and the codec reader survive from segment to segment.
 type segIter struct {
 	br  bytes.Reader

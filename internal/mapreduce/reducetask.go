@@ -233,7 +233,9 @@ func (t *reduceTask) run(src segmentSource) error {
 		return errAttemptCanceled
 	}
 	if err := iw.Close(); err != nil {
-		return err
+		// The writer flushes by the block, so this may be the first a
+		// failing destination is heard of: the same failure emit names.
+		return fmt.Errorf("mapreduce: reduce task %d: reduce output write: %w", t.id, err)
 	}
 	if err := w.Close(); err != nil {
 		return err

@@ -115,10 +115,10 @@ type Service struct {
 	// the second waits, then hits the cache the first just filled.
 	flights map[string]*sync.Mutex
 
-	// holdExec, when non-nil (tests only), gates executors: each request
-	// blocks here before running, letting a test fill the queue
-	// deterministically.
-	holdExec chan struct{}
+	// holdExec, when non-nil (tests only), gates executors: each calls it
+	// with a request in hand before running it, so a test can learn that
+	// the request left the queue and park the executor there.
+	holdExec func()
 }
 
 // request is one admitted query waiting for an executor.
@@ -294,7 +294,7 @@ func (s *Service) executor() {
 	defer s.wg.Done()
 	for req := range s.queue {
 		if s.holdExec != nil {
-			<-s.holdExec
+			s.holdExec()
 		}
 		resp, err := s.run(req.spec)
 		req.done <- result{resp: resp, err: err}

@@ -215,9 +215,17 @@ func TestServiceQuotaRejection(t *testing.T) {
 // held work still completes once released.
 func TestServiceQueueFull(t *testing.T) {
 	svc := New(Config{Store: store.NewObject(), Obs: obs.New(), Workers: 1, QueueDepth: 1})
-	defer svc.Close()
-	hold := make(chan struct{})
-	svc.holdExec = hold
+	// The one executor parks in holdExec with a request in hand. Whatever
+	// way the test ends, release it before Close waits for it (cleanups run
+	// last-registered first).
+	t.Cleanup(svc.Close)
+	hold, parked := make(chan struct{}), make(chan struct{}, 2)
+	release := sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release)
+	svc.holdExec = func() {
+		parked <- struct{}{}
+		<-hold
+	}
 
 	spec := testSpec()
 	var wg sync.WaitGroup
@@ -230,10 +238,16 @@ func TestServiceQueueFull(t *testing.T) {
 		}()
 	}
 
-	// First query: wait until the (held) executor has drained it from the
-	// queue. Second query: wait until it occupies the only queue slot.
+	// First query: the executor says when it has taken it off the queue.
+	// From then on the queue has no consumer, so its length only grows and
+	// reading it is not a race against the executor: the second query is in
+	// the only slot once the length is 1.
 	submit(0)
-	waitFor(t, func() bool { return len(svc.queue) == 0 })
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("executor never picked up the first query")
+	}
 	submit(1)
 	waitFor(t, func() bool { return len(svc.queue) == 1 })
 
@@ -246,7 +260,7 @@ func TestServiceQueueFull(t *testing.T) {
 		t.Fatalf("QueueFullError.Depth = %d, want 1", fe.Depth)
 	}
 
-	close(hold)
+	release()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
