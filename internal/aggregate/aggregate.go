@@ -15,8 +15,8 @@ package aggregate
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
-	"sort"
 
 	"scikey/internal/grid"
 	"scikey/internal/keys"
@@ -69,7 +69,13 @@ type CurveMapping struct {
 
 // Index implements Mapping.
 func (m CurveMapping) Index(c grid.Coord) uint64 {
-	biased := make(grid.Coord, len(c))
+	return m.indexVia(make(grid.Coord, len(c)), c)
+}
+
+// indexVia is Index with the biased coordinate written into a scratch the
+// caller owns: the curve is reached through an interface, so a coordinate
+// built here would be a heap allocation per call.
+func (m CurveMapping) indexVia(biased, c grid.Coord) uint64 {
 	for i := range c {
 		biased[i] = c[i] - m.Origin[i]
 	}
@@ -117,15 +123,20 @@ type Config struct {
 	Var keys.VarRef
 	// ElemSize is the fixed per-cell value size in bytes.
 	ElemSize int
-	// FlushCells is the buffer capacity in cells; reaching it triggers a
-	// flush. Default 1 << 16.
+	// FlushCells is the flush threshold: the buffer is drained when it
+	// holds this many cells. A bound, not a size — the buffer grows with
+	// the cells added. Default 1 << 16; at most MaxUint32.
 	FlushCells int
 	// Align, when > 1, expands every emitted range to multiples of Align
 	// (Section IV-C's alignment expansion). Padding cells carry zeroed
 	// values and must be tolerated by the reducer; the engine's overlap
 	// splitting handles the rest.
 	Align uint64
-	// Emit receives each aggregate pair.
+	// Emit receives each aggregate pair. p.Values belongs to the receiver,
+	// which may keep it: the aggregator never writes to it or hands it out
+	// again. Without alignment the pairs of one layer are cut from one
+	// block (each capped at its own length), so keeping one pair keeps its
+	// layer's block alive.
 	Emit func(p keys.AggPair)
 }
 
@@ -141,17 +152,25 @@ type Stats struct {
 	PadCells int64
 }
 
+// entry is one buffered cell: its curve index and its arrival ordinal since
+// the last flush, which is also where its value sits in the arena.
 type entry struct {
 	idx uint64
-	val []byte
+	ord uint32
 }
 
 // Aggregator buffers (coordinate, value) cells and emits aggregate pairs.
 // Not safe for concurrent use; build one per map task.
 type Aggregator struct {
 	cfg   Config
-	buf   []entry
-	stats Stats
+	index func(grid.Coord) uint64
+	// buf holds the cells since the last flush and vals their values, cell
+	// ord at vals[ord*ElemSize:]. tmp is Flush's scratch: the radix sort's
+	// other half, then the layer being emitted. All three grow on demand
+	// and are reused across flushes.
+	buf, tmp []entry
+	vals     []byte
+	stats    Stats
 }
 
 // New returns an Aggregator for cfg.
@@ -165,12 +184,25 @@ func New(cfg Config) *Aggregator {
 	if cfg.FlushCells <= 0 {
 		cfg.FlushCells = 1 << 16
 	}
-	return &Aggregator{cfg: cfg, buf: make([]entry, 0, cfg.FlushCells)}
+	// Nothing is allocated for the threshold, and it stops where an
+	// entry's uint32 ordinal does.
+	if uint64(cfg.FlushCells) > math.MaxUint32 {
+		cfg.FlushCells = math.MaxUint32
+	}
+	a := &Aggregator{cfg: cfg}
+	if m, ok := cfg.Mapping.(CurveMapping); ok {
+		biased := make(grid.Coord, len(m.Origin))
+		a.index = func(c grid.Coord) uint64 { return m.indexVia(biased, c) }
+	} else if cfg.Mapping != nil {
+		a.index = cfg.Mapping.Index
+	}
+	return a
 }
 
-// Add buffers one cell. val must be exactly ElemSize bytes; it is copied.
+// Add buffers one cell. val must be exactly ElemSize bytes; it is copied,
+// and c is not retained.
 func (a *Aggregator) Add(c grid.Coord, val []byte) {
-	a.AddIndex(a.cfg.Mapping.Index(c), val)
+	a.AddIndex(a.index(c), val)
 }
 
 // AddIndex buffers one cell by curve index.
@@ -178,11 +210,24 @@ func (a *Aggregator) AddIndex(idx uint64, val []byte) {
 	if len(val) != a.cfg.ElemSize {
 		panic(fmt.Sprintf("aggregate: value is %d bytes, want %d", len(val), a.cfg.ElemSize))
 	}
-	a.buf = append(a.buf, entry{idx: idx, val: append([]byte(nil), val...)})
+	if len(a.buf) == cap(a.buf) {
+		a.grow()
+	}
+	a.buf = append(a.buf, entry{idx: idx, ord: uint32(len(a.buf))})
+	a.vals = append(a.vals, val...)
 	a.stats.CellsIn++
 	if len(a.buf) >= a.cfg.FlushCells {
 		a.Flush()
 	}
+}
+
+// grow doubles the buffer and its arena, stopping at the flush threshold:
+// append's own policy for large slices (a quarter at a time) would copy a
+// task's cells five times over on the way up, and overshoot the threshold.
+func (a *Aggregator) grow() {
+	n := min(max(2*cap(a.buf), 1024), a.cfg.FlushCells)
+	a.buf = append(make([]entry, 0, n), a.buf...)
+	a.vals = append(make([]byte, 0, n*a.cfg.ElemSize), a.vals...)
 }
 
 // Flush drains the buffer, emitting one aggregate pair per contiguous index
@@ -195,53 +240,98 @@ func (a *Aggregator) Flush() {
 		return
 	}
 	a.stats.Flushes++
-	sort.SliceStable(a.buf, func(i, j int) bool { return a.buf[i].idx < a.buf[j].idx })
+	if cap(a.tmp) != cap(a.buf) { // buf grew since the last flush
+		a.tmp = make([]entry, cap(a.buf))
+	}
+	a.sortByIndex()
 
 	rest := a.buf
-	layer := make([]entry, 0, len(rest))
-	var carry []entry
 	for len(rest) > 0 {
-		layer = layer[:0]
-		carry = carry[:0]
+		// The first of each run of equal indices joins this layer; the
+		// others are compacted to the front of rest (never ahead of the
+		// read position) for the next one.
+		layer, carry := a.tmp[:0], 0
 		for _, e := range rest {
 			if n := len(layer); n > 0 && layer[n-1].idx == e.idx {
-				carry = append(carry, e)
+				rest[carry] = e
+				carry++
 			} else {
 				layer = append(layer, e)
 			}
 		}
 		a.emitLayer(layer)
-		// carry has its own backing array, so copying it over rest's
-		// prefix is safe.
-		rest = append(rest[:0], carry...)
+		rest = rest[:carry]
 	}
 	a.buf = a.buf[:0]
+	a.vals = a.vals[:0]
 }
 
-// emitLayer coalesces a strictly-increasing index layer into runs.
-func (a *Aggregator) emitLayer(layer []entry) {
-	es := a.cfg.ElemSize
-	for i := 0; i < len(layer); {
-		j := i + 1
-		for j < len(layer) && layer[j].idx == layer[j-1].idx+1 {
-			j++
+// sortByIndex orders buf by curve index with an LSD radix sort, one pass per
+// index byte that differs anywhere in the buffer (a map task's cells share
+// their high bytes). Every pass is stable, so equal indices stay in arrival
+// order — which is what decides the layer a duplicate lands in, and with it
+// every emitted range.
+func (a *Aggregator) sortByIndex() {
+	src, dst := a.buf, a.tmp[:len(a.buf)]
+	var differ uint64
+	sorted := true
+	for i := 1; i < len(src); i++ {
+		differ |= src[i].idx ^ src[0].idx
+		sorted = sorted && src[i-1].idx <= src[i].idx
+	}
+	if sorted {
+		return
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if differ>>shift&0xff == 0 {
+			continue
 		}
+		var next [256]int
+		for _, e := range src {
+			next[e.idx>>shift&0xff]++
+		}
+		pos := 0
+		for b, n := range next {
+			next[b] = pos
+			pos += n
+		}
+		for _, e := range src {
+			b := e.idx >> shift & 0xff
+			dst[next[b]] = e
+			next[b]++
+		}
+		src, dst = dst, src
+	}
+	a.buf, a.tmp = src, dst
+}
+
+// emitLayer coalesces a strictly-increasing index layer into runs. The
+// layer's values are gathered once into one fresh block, and each pair's
+// Values is its slice of it; the block is never touched again (Config.Emit).
+// Alignment padding makes a layer's size unknown until its runs are walked,
+// so there each pair gets a block of its own.
+func (a *Aggregator) emitLayer(layer []entry) {
+	es := uint64(a.cfg.ElemSize)
+	var block []byte
+	if a.cfg.Align <= 1 {
+		block = make([]byte, uint64(len(layer))*es)
+	}
+	for i := 0; i < len(layer); {
+		j := runEnd(layer, i)
 		r := sfc.IndexRange{Lo: layer[i].idx, Hi: layer[j-1].idx + 1}
-		var vals []byte
+		n, pad := uint64(j-i), uint64(0)
 		if a.cfg.Align > 1 {
 			aligned := keys.AlignRange(r, a.cfg.Align)
-			vals = make([]byte, aligned.Len()*uint64(es))
-			for k := i; k < j; k++ {
-				off := (layer[k].idx - aligned.Lo) * uint64(es)
-				copy(vals[off:], layer[k].val)
-			}
 			a.stats.PadCells += int64(aligned.Len() - r.Len())
-			r = aligned
-		} else {
-			vals = make([]byte, 0, (j-i)*es)
-			for k := i; k < j; k++ {
-				vals = append(vals, layer[k].val...)
-			}
+			n, pad, r = aligned.Len(), r.Lo-aligned.Lo, aligned
+			block = make([]byte, n*es) // zeroed: padding cells need no write
+		}
+		vals := block[: n*es : n*es]
+		block = block[n*es:]
+		dst := vals[pad*es:]
+		for _, e := range layer[i:j] {
+			copy(dst, a.vals[uint64(e.ord)*es:][:es])
+			dst = dst[es:]
 		}
 		a.cfg.Emit(keys.AggPair{
 			Key:    keys.AggKey{Var: a.cfg.Var, Range: r},
@@ -250,6 +340,16 @@ func (a *Aggregator) emitLayer(layer []entry) {
 		a.stats.PairsOut++
 		i = j
 	}
+}
+
+// runEnd returns the end of the run of consecutive indices starting at
+// layer[i].
+func runEnd(layer []entry, i int) int {
+	j := i + 1
+	for j < len(layer) && layer[j].idx == layer[j-1].idx+1 {
+		j++
+	}
+	return j
 }
 
 // Close flushes any remaining cells.

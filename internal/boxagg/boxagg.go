@@ -20,6 +20,7 @@ package boxagg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"scikey/internal/grid"
@@ -39,7 +40,8 @@ type Config struct {
 	Var keys.VarRef
 	// ElemSize is the fixed per-cell value size.
 	ElemSize int
-	// FlushCells bounds the buffer; default 1 << 16.
+	// FlushCells bounds the buffer (a threshold, not a preallocation);
+	// default 1 << 16.
 	FlushCells int
 	// Emit receives each aggregate pair.
 	Emit func(Pair)
@@ -68,7 +70,7 @@ func New(cfg Config) *Aggregator {
 	if cfg.FlushCells <= 0 {
 		cfg.FlushCells = 1 << 16
 	}
-	return &Aggregator{cfg: cfg, buf: make([]entry, 0, cfg.FlushCells)}
+	return &Aggregator{cfg: cfg}
 }
 
 // Add buffers one cell; val is copied.
@@ -89,9 +91,7 @@ func (a *Aggregator) Flush() {
 	if len(a.buf) == 0 {
 		return
 	}
-	sort.SliceStable(a.buf, func(i, j int) bool {
-		return a.buf[i].coord.Compare(a.buf[j].coord) < 0
-	})
+	slices.SortStableFunc(a.buf, func(x, y entry) int { return x.coord.Compare(y.coord) })
 	rest := a.buf
 	layer := make([]entry, 0, len(rest))
 	var carry []entry

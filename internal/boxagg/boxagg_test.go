@@ -2,7 +2,9 @@ package boxagg
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"scikey/internal/grid"
@@ -128,6 +130,28 @@ func TestAggregatorDuplicateLayers(t *testing.T) {
 	// Layer 1: the 1x2 run; layer 2: the duplicate cell.
 	if pairs[0].Key.Box.NumCells() != 2 || pairs[1].Key.Box.NumCells() != 1 {
 		t.Errorf("layering wrong: %v", pairs)
+	}
+}
+
+// TestFlushThresholdIsNotAPreallocation: FlushCells used to size the buffer
+// up front (2 MiB per map task at the default, terabytes for a spec naming a
+// large one). It is a threshold; the buffer follows the cells added.
+func TestFlushThresholdIsNotAPreallocation(t *testing.T) {
+	for _, flush := range []int{0, math.MaxInt} {
+		var pairs []Pair
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		agg := New(Config{ElemSize: 1, FlushCells: flush, Emit: collect(&pairs)})
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+			t.Fatalf("FlushCells %d: New allocated %d bytes for a threshold", flush, got)
+		}
+		agg.Add(grid.Coord{0, 1}, []byte{2})
+		agg.Add(grid.Coord{0, 0}, []byte{1})
+		agg.Close()
+		if len(pairs) != 1 || !bytes.Equal(pairs[0].Values, []byte{1, 2}) {
+			t.Fatalf("FlushCells %d: pairs = %v", flush, pairs)
+		}
 	}
 }
 

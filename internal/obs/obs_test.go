@@ -244,8 +244,14 @@ func TestTracerRingWrap(t *testing.T) {
 		sp := tr.Start(CatPhase, "p", 0, i, 0)
 		sp.End()
 	}
-	if got := len(tr.Events()); got != 32 {
+	evs := tr.Events()
+	if got := len(evs); got != 32 {
 		t.Errorf("retained %d events, want 32", got)
+	}
+	for _, ev := range evs {
+		if ev.Task < 68 {
+			t.Errorf("span of task %d retained: a wrapping ring keeps the newest", ev.Task)
+		}
 	}
 	if got := tr.Dropped(); got != 68 {
 		t.Errorf("dropped = %d, want 68", got)

@@ -65,12 +65,14 @@ const traceShards = 16
 
 // traceShard is one ring of completed events. End() takes exactly one
 // shard lock; shards are chosen by span ID, so concurrent attempts spread
-// across locks.
+// across locks. The ring grows with the events recorded up to the tracer's
+// cap and only then wraps: the cap is a bound, not a size (a 416 KiB ring
+// zeroed inside the first End to reach a shard was a millisecond charged to
+// no span — a tenth of a small job).
 type traceShard struct {
 	mu   sync.Mutex
 	ring []Event
-	next int
-	full bool
+	next int // once the ring is at cap: the oldest event, overwritten next
 }
 
 // Tracer records span events into a bounded, lock-sharded in-memory ring.
@@ -155,17 +157,12 @@ func (s *Span) EndOutcome(outcome string) {
 func (t *Tracer) record(ev Event) {
 	sh := &t.shards[uint64(ev.ID)%traceShards]
 	sh.mu.Lock()
-	if sh.ring == nil {
-		sh.ring = make([]Event, t.cap)
-	}
-	if sh.full {
+	if len(sh.ring) < t.cap {
+		sh.ring = append(sh.ring, ev)
+	} else {
 		t.dropped.Add(1)
-	}
-	sh.ring[sh.next] = ev
-	sh.next++
-	if sh.next == len(sh.ring) {
-		sh.next = 0
-		sh.full = true
+		sh.ring[sh.next] = ev
+		sh.next = (sh.next + 1) % len(sh.ring)
 	}
 	sh.mu.Unlock()
 }
@@ -187,11 +184,7 @@ func (t *Tracer) Events() []Event {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		n := sh.next
-		if sh.full {
-			n = len(sh.ring)
-		}
-		out = append(out, sh.ring[:n]...)
+		out = append(out, sh.ring...)
 		sh.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool {

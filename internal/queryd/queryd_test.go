@@ -15,7 +15,9 @@ import (
 	"scikey/internal/core"
 	"scikey/internal/hdfs"
 	"scikey/internal/obs"
+	"scikey/internal/scihadoop"
 	"scikey/internal/store"
+	"scikey/internal/workload"
 )
 
 // testSpec is the small-but-real query every service test submits: explicit
@@ -465,5 +467,49 @@ func TestCacheKeyDefaultEquivalence(t *testing.T) {
 	}
 	if !strings.HasPrefix(paper.CacheKey(), "v2|") {
 		t.Errorf("key %q lacks the v2 prefix that retires v1 entries", paper.CacheKey())
+	}
+}
+
+// TestHugeFlushThresholdIsOnlyAThreshold: "flush" used to size the
+// aggregation buffer up front, so this spec — which core.ValidateQuery
+// accepts — asked a resident service for 32 TB before its first cell. It
+// must run like any other query: through Setup and the job, every output
+// cell equal to the reference (what scijob -verify checks), with the same
+// bytes as the default threshold, which no side-32 split reaches either.
+func TestHugeFlushThresholdIsOnlyAThreshold(t *testing.T) {
+	for _, strategy := range []string{"aggregation", "boxes"} {
+		t.Run(strategy, func(t *testing.T) {
+			var spec QuerySpec
+			wire := `{"side":32,"strategy":"` + strategy + `","flush":1099511627776,"op":"median","radius":1,"splits":4,"reducers":3}`
+			if err := json.Unmarshal([]byte(wire), &spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := spec.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			fs, qcfg, strat, err := spec.Setup()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := core.RunQuery(fs, qcfg, strat, cluster.Paper(), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			field := &workload.Field{Extent: qcfg.DS.Extent, Name: qcfg.DS.Var.Name}
+			want := scihadoop.Reference(field, qcfg.DS.Extent, qcfg.Radius, qcfg.Op)
+			if len(rep.Output) != len(want) {
+				t.Fatalf("%d output cells, reference has %d", len(rep.Output), len(want))
+			}
+			for k, w := range want {
+				if rep.Output[k] != w {
+					t.Fatalf("cell %s = %d, reference %d", k, rep.Output[k], w)
+				}
+			}
+			def := spec
+			def.Flush = 0
+			if huge, usual := oneShotSHA(t, spec), oneShotSHA(t, def); huge != usual {
+				t.Errorf("sha %s at flush 1<<40, %s at the default threshold", huge, usual)
+			}
+		})
 	}
 }

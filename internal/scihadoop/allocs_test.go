@@ -43,3 +43,47 @@ func TestBaselineQueryAllocsPerRecord(t *testing.T) {
 		t.Errorf("%.1f mallocs per map-output record, budget %d: does the job's comparator decode, or IFile allocate per record?", perRecord, budget)
 	}
 }
+
+// TestAggQueryAllocsPerCell is the same gate for the aggregation library.
+// The map function of an aggregate-key query feeds every cell to nine window
+// targets through aggregate.Add, and what it allocates must scale with
+// flushes and emitted ranges, not with cells: a target coordinate, a biased
+// copy of it and a value copy per Add were 3 mallocs a call before anything
+// was sorted. Only the map function is counted — its emit is replaced by one
+// that drops the pair — because at this size the engine's per-record costs
+// (one record per five cells) would drown it.
+func TestAggQueryAllocsPerCell(t *testing.T) {
+	const splits, flush, budget = 4, 500, 0.5
+	extent := grid.NewBox(grid.Coord{0, 0}, []int{32, 32})
+	fs, ds, _ := setup(t, extent)
+	job, _, err := AggKeyJob(fs, QueryConfig{DS: ds, Radius: 1, NumSplits: splits, NumReducers: 3, FlushCells: flush})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adds := extent.NumCells() * 9
+	if flushes := adds / (splits * flush); flushes < 3 {
+		t.Fatalf("about %d flushes per task: the run must cross the threshold at least 3 times", flushes)
+	}
+	var mallocs uint64
+	var pairs int
+	newMapper := job.NewMapper
+	job.NewMapper = func() mapreduce.Mapper {
+		inner := newMapper()
+		return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, split mapreduce.Split, _ mapreduce.Emit) error {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := inner.Map(ctx, split, func(k, v []byte) { pairs++ })
+			runtime.ReadMemStats(&after)
+			mallocs += after.Mallocs - before.Mallocs
+			return err
+		})
+	}
+	if _, err := mapreduce.Run(job); err != nil {
+		t.Fatal(err)
+	}
+	perAdd := float64(mallocs) / float64(adds)
+	t.Logf("%d Add calls, %d pairs, %.2f mallocs per call", adds, pairs, perAdd)
+	if pairs == 0 || perAdd > budget {
+		t.Errorf("%d pairs, %.2f mallocs per aggregate.Add, budget %.1f: does the mapper build a coordinate per target, or the aggregator copy per cell?", pairs, perAdd, budget)
+	}
+}

@@ -186,6 +186,24 @@ func window(rank, radius int) []grid.Coord {
 	return out
 }
 
+// eachWindowTarget is the aggregating mappers' walk: box in row-major order,
+// and for every cell one add per window offset with the target coordinate
+// and the cell's encoded value. Both are reused from call to call — add
+// copies what it keeps — so the walk allocates per task, not per target.
+func eachWindowTarget(slab []byte, box grid.Box, offsets []grid.Coord, add func(target grid.Coord, val []byte)) {
+	var vbuf [ElemSize]byte
+	target := make(grid.Coord, box.Rank())
+	grid.ForEach(box, func(c grid.Coord) {
+		binary.BigEndian.PutUint32(vbuf[:], uint32(cellValue(slab, box, c)))
+		for _, off := range offsets {
+			for d := range target {
+				target[d] = c[d] + off[d]
+			}
+			add(target, vbuf[:])
+		}
+	})
+}
+
 // SimpleKeyJob builds the baseline job: one GridKey per (window target,
 // source value) pair, hash-partitioned, with every key carrying the full
 // variable reference and coordinate — the formulation whose intermediate

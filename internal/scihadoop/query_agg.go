@@ -124,13 +124,7 @@ func AggKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, aggregate.
 					emit(kc.AggKeyBytes(p.Key), p.Values)
 				},
 			})
-			var vbuf [ElemSize]byte
-			grid.ForEach(box, func(c grid.Coord) {
-				binary.BigEndian.PutUint32(vbuf[:], uint32(cellValue(slab, box, c)))
-				for _, off := range offsets {
-					agg.Add(c.Add(off), vbuf[:])
-				}
-			})
+			eachWindowTarget(slab, box, offsets, agg.Add)
 			agg.Close()
 			return nil
 		})

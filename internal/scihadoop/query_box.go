@@ -109,13 +109,7 @@ func BoxKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, error) {
 					emit(kc.BoxKeyBytes(p.Key), p.Values)
 				},
 			})
-			var vbuf [ElemSize]byte
-			grid.ForEach(box, func(c grid.Coord) {
-				binary.BigEndian.PutUint32(vbuf[:], uint32(cellValue(slab, box, c)))
-				for _, off := range offsets {
-					agg.Add(c.Add(off), vbuf[:])
-				}
-			})
+			eachWindowTarget(slab, box, offsets, agg.Add)
 			agg.Close()
 			return nil
 		})
