@@ -156,30 +156,35 @@ type supervisor struct {
 }
 
 // startSupervisor spawns n subprocesses re-executing this binary with args
-// and begins supervising them.
-func startSupervisor(what string, n int, args []string) *supervisor {
+// and begins supervising them. If one cannot be spawned, those that were are
+// shut down again.
+func startSupervisor(what string, n int, args []string) (*supervisor, error) {
 	s := &supervisor{what: what, args: args, alive: make(map[*exec.Cmd]bool)}
 	for i := 0; i < n; i++ {
-		s.spawn()
+		if err := s.spawn(); err != nil {
+			s.shutdown()
+			return nil, err
+		}
 	}
-	return s
+	return s, nil
 }
 
-func (s *supervisor) spawn() {
+func (s *supervisor) spawn() error {
 	cmd := exec.Command(os.Args[0], s.args...)
 	cmd.Stdout = os.Stderr // a daemon's banner is driver-side noise
 	cmd.Stderr = os.Stderr
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return
+		return nil
 	}
 	if err := cmd.Start(); err != nil {
-		fatal(fmt.Errorf("spawning %s: %w", s.what, err))
+		return fmt.Errorf("spawning %s: %w", s.what, err)
 	}
 	s.alive[cmd] = true
 	s.wg.Add(1)
 	go s.reap(cmd)
+	return nil
 }
 
 // reap waits for one subprocess and respawns it if it died while the job
@@ -199,7 +204,11 @@ func (s *supervisor) reap(cmd *exec.Cmd) {
 	} else {
 		fmt.Fprintf(os.Stderr, "scijob: %s pid %d exited early; respawning\n", s.what, cmd.Process.Pid)
 	}
-	s.spawn()
+	// Exiting from here would skip the driver's shutdowns and leave the
+	// other subprocesses running; the job goes on with one fewer.
+	if err := s.spawn(); err != nil {
+		fmt.Fprintln(os.Stderr, "scijob:", err)
+	}
 }
 
 // shutdown SIGTERMs every live subprocess and waits for them to drain and

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -245,7 +246,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	spec := o.spec
 
 	if o.scrapeURL != "" {
 		runScrape(o.scrapeURL)
@@ -256,7 +256,7 @@ func main() {
 		return
 	}
 	if o.submitAddr != "" {
-		runSubmitMode(o.submitAddr, spec)
+		runSubmitMode(o.submitAddr, o.spec)
 		return
 	}
 	if o.workerAddr != "" {
@@ -268,12 +268,23 @@ func main() {
 		return
 	}
 
+	if err := runJob(o); err != nil {
+		fatal(err)
+	}
+}
+
+// runJob runs the query in this process or, under -cluster and -driver, on a
+// cluster, and reports it. Every failure is returned, never os.Exit, so the
+// deferred shutdowns run on all of them: a failed -cluster job takes its
+// coordinator and worker subprocesses down with it.
+func runJob(o *options) error {
+	spec := o.spec
 	// The query itself comes from the spec, exactly as the service, the
 	// cluster workers and the benchmark build it; only the run-time fields
 	// — scheduling, transport, observability — are layered on top.
 	fs, qcfg, strat, err := spec.Setup()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	inj := qcfg.Faults
 	qcfg.RunOptions = o.run
@@ -291,7 +302,7 @@ func main() {
 		var err error
 		dbg, err = obs.NewServer(o.debugAddr, ob)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("debug server on http://%s (metrics, trace, pprof)\n", dbg.Addr())
 	}
@@ -305,32 +316,38 @@ func main() {
 		if o.clusterN > 0 {
 			var err error
 			if addr, err = pickLoopbackAddr(); err != nil {
-				fatal(err)
+				return err
 			}
 			journal := o.journal
 			if journal == "" {
 				dir, err := os.MkdirTemp("", "scijob-coord-")
 				if err != nil {
-					fatal(err)
+					return err
 				}
 				defer os.RemoveAll(dir)
 				journal = filepath.Join(dir, "coord.journal")
 			}
 			// Respawned incarnations recover from the shared journal on the
 			// same fixed address.
-			coord := startSupervisor("coordinator", 1,
+			coord, err := startSupervisor("coordinator", 1,
 				append([]string{"-coordinator", addr, "-journal", journal}, o.coordinatorArgs()...))
+			if err != nil {
+				return err
+			}
 			defer coord.shutdown()
 			fmt.Printf("coordinator subprocess on %s (journal %s)\n", addr, journal)
 			workers = o.clusterN
-			pool := startSupervisor("worker", workers, []string{"-worker", addr})
+			pool, err := startSupervisor("worker", workers, []string{"-worker", addr})
+			if err != nil {
+				return err
+			}
 			defer pool.shutdown()
 			fmt.Printf("spawned %d worker processes\n", workers)
 			patience = 10 * time.Second // the subprocess may still be binding
 		}
 		cl, err := dialCoordinator(addr, patience)
 		if err != nil {
-			fatal(fmt.Errorf("dialing coordinator at %s: %w", addr, err))
+			return fmt.Errorf("dialing coordinator at %s: %w", addr, err)
 		}
 		defer cl.Close()
 		qcfg.Remote = cl
@@ -344,13 +361,12 @@ func main() {
 	// Flush observability before acting on the outcome: a failed job's trace
 	// and metrics are exactly what a post-mortem needs, so -trace-out and
 	// -metrics-out land on every exit path, not just success.
-	flushObs(ob, o.traceOut, o.metricsOut)
-	if err != nil {
-		fatal(err)
+	if err := errors.Join(err, flushObs(ob, o.traceOut, o.metricsOut)); err != nil {
+		return err
 	}
 	sha, err := queryd.OutputSHA(fs, res)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	fmt.Printf("job: %s %s on %dx%d grid, %d splits, %d reducers\n",
@@ -393,8 +409,8 @@ func main() {
 			}
 		}
 		if bad > 0 || len(rep.Output) != len(want) {
-			fatal(fmt.Errorf("verification FAILED: %d/%d cells wrong, %d/%d cells present",
-				bad, len(want), len(rep.Output), len(want)))
+			return fmt.Errorf("verification FAILED: %d/%d cells wrong, %d/%d cells present",
+				bad, len(want), len(rep.Output), len(want))
 		}
 		fmt.Printf("  verification: OK (%d cells match the reference)\n", len(want))
 	}
@@ -406,6 +422,7 @@ func main() {
 		<-ch
 		dbg.Close()
 	}
+	return nil
 }
 
 // validateCodecWorkers rejects a -codec-workers the job would ignore or
@@ -440,19 +457,20 @@ func (o *options) flagWasSet(name string) bool {
 
 // flushObs writes the requested trace and metrics files. It runs on success
 // and failure alike, so a failed job still leaves its post-mortem evidence.
-func flushObs(ob *obs.Observer, traceOut, metricsOut string) {
+func flushObs(ob *obs.Observer, traceOut, metricsOut string) error {
 	if traceOut != "" {
 		if err := obs.WriteFile(traceOut, ob.T().WriteChromeTrace); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("trace written to %s (open in chrome://tracing or Perfetto)\n", traceOut)
 	}
 	if metricsOut != "" {
 		if err := obs.WriteFile(metricsOut, ob.R().WritePrometheus); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("metrics written to %s\n", metricsOut)
 	}
+	return nil
 }
 
 func fatal(err error) {

@@ -152,105 +152,89 @@ type Stats struct {
 	PadCells int64
 }
 
-// entry is one buffered cell: its curve index and its arrival ordinal since
-// the last flush, which is also where its value sits in the arena.
+// entry is one buffered cell: its index and its arrival ordinal since the
+// last drain, which is also where its value sits in the arena.
 type entry struct {
 	idx uint64
 	ord uint32
 }
 
-// Aggregator buffers (coordinate, value) cells and emits aggregate pairs.
-// Not safe for concurrent use; build one per map task.
-type Aggregator struct {
-	cfg   Config
-	index func(grid.Coord) uint64
-	// buf holds the cells since the last flush and vals their values, cell
-	// ord at vals[ord*ElemSize:]. tmp is Flush's scratch: the radix sort's
+// Buffer is the bounded buffer of Section IV-A, the half of the library
+// that does not know what an aggregate key looks like: cells go in by index,
+// the value copied into one arena, and come out as index-sorted,
+// duplicate-free layers. Aggregator drains it into curve ranges; boxagg
+// indexes cells by row-major offset in the output domain — the order
+// grid.Coord.Compare gives them — and drains it into n-D boxes.
+type Buffer struct {
+	elemSize, flushCells int
+	// buf holds the cells since the last drain and vals their values, cell
+	// ord at vals[ord*elemSize:]. tmp is Drain's scratch: the radix sort's
 	// other half, then the layer being emitted. All three grow on demand
-	// and are reused across flushes.
+	// and are reused across drains.
 	buf, tmp []entry
 	vals     []byte
-	stats    Stats
 }
 
-// New returns an Aggregator for cfg.
-func New(cfg Config) *Aggregator {
-	if cfg.ElemSize <= 0 {
+// NewBuffer returns a Buffer of elemSize-byte values that reports full at
+// flushCells cells (default 1 << 16; at most MaxUint32).
+func NewBuffer(elemSize, flushCells int) Buffer {
+	if elemSize <= 0 {
 		panic("aggregate: ElemSize must be positive")
 	}
-	if cfg.Emit == nil {
-		panic("aggregate: Emit is required")
-	}
-	if cfg.FlushCells <= 0 {
-		cfg.FlushCells = 1 << 16
+	if flushCells <= 0 {
+		flushCells = 1 << 16
 	}
 	// Nothing is allocated for the threshold, and it stops where an
 	// entry's uint32 ordinal does.
-	if uint64(cfg.FlushCells) > math.MaxUint32 {
-		cfg.FlushCells = math.MaxUint32
+	if uint64(flushCells) > math.MaxUint32 {
+		flushCells = math.MaxUint32
 	}
-	a := &Aggregator{cfg: cfg}
-	if m, ok := cfg.Mapping.(CurveMapping); ok {
-		biased := make(grid.Coord, len(m.Origin))
-		a.index = func(c grid.Coord) uint64 { return m.indexVia(biased, c) }
-	} else if cfg.Mapping != nil {
-		a.index = cfg.Mapping.Index
-	}
-	return a
+	return Buffer{elemSize: elemSize, flushCells: flushCells}
 }
 
-// Add buffers one cell. val must be exactly ElemSize bytes; it is copied,
-// and c is not retained.
-func (a *Aggregator) Add(c grid.Coord, val []byte) {
-	a.AddIndex(a.index(c), val)
-}
+// Len returns the number of buffered cells.
+func (b *Buffer) Len() int { return len(b.buf) }
 
-// AddIndex buffers one cell by curve index.
-func (a *Aggregator) AddIndex(idx uint64, val []byte) {
-	if len(val) != a.cfg.ElemSize {
-		panic(fmt.Sprintf("aggregate: value is %d bytes, want %d", len(val), a.cfg.ElemSize))
+// Add buffers one cell. val must be exactly the element size; it is copied.
+// Add reports whether the buffer has reached its threshold, at which the
+// caller drains it.
+func (b *Buffer) Add(idx uint64, val []byte) (full bool) {
+	if len(val) != b.elemSize {
+		panic(fmt.Sprintf("aggregate: value is %d bytes, want %d", len(val), b.elemSize))
 	}
-	if len(a.buf) == cap(a.buf) {
-		a.grow()
+	if len(b.buf) == cap(b.buf) {
+		b.grow()
 	}
-	a.buf = append(a.buf, entry{idx: idx, ord: uint32(len(a.buf))})
-	a.vals = append(a.vals, val...)
-	a.stats.CellsIn++
-	if len(a.buf) >= a.cfg.FlushCells {
-		a.Flush()
-	}
+	b.buf = append(b.buf, entry{idx: idx, ord: uint32(len(b.buf))})
+	b.vals = append(b.vals, val...)
+	return len(b.buf) >= b.flushCells
 }
 
 // grow doubles the buffer and its arena, stopping at the flush threshold:
 // append's own policy for large slices (a quarter at a time) would copy a
 // task's cells five times over on the way up, and overshoot the threshold.
-func (a *Aggregator) grow() {
-	n := min(max(2*cap(a.buf), 1024), a.cfg.FlushCells)
-	a.buf = append(make([]entry, 0, n), a.buf...)
-	a.vals = append(make([]byte, 0, n*a.cfg.ElemSize), a.vals...)
+func (b *Buffer) grow() {
+	n := min(max(2*cap(b.buf), 1024), b.flushCells)
+	b.buf = append(make([]entry, 0, n), b.buf...)
+	b.vals = append(make([]byte, 0, n*b.elemSize), b.vals...)
 }
 
-// Flush drains the buffer, emitting one aggregate pair per contiguous index
-// run. Duplicate indices (a sliding window emits the same target cell from
-// several sources) are layered: the i-th occurrence of an index joins the
-// i-th pass over the runs, so every emitted range still carries exactly one
-// value per index.
-func (a *Aggregator) Flush() {
-	if len(a.buf) == 0 {
-		return
+// Drain empties the buffer into emit, one call per layer. Duplicate indices
+// (a sliding window emits the same target cell from several sources) are
+// layered: the i-th occurrence of an index joins the i-th layer, so every
+// layer carries exactly one value per index.
+func (b *Buffer) Drain(emit func(Layer)) {
+	if cap(b.tmp) != cap(b.buf) { // buf grew since the last drain
+		b.tmp = make([]entry, cap(b.buf))
 	}
-	a.stats.Flushes++
-	if cap(a.tmp) != cap(a.buf) { // buf grew since the last flush
-		a.tmp = make([]entry, cap(a.buf))
-	}
-	a.sortByIndex()
+	b.sortByIndex()
 
-	rest := a.buf
+	rest := b.buf
 	for len(rest) > 0 {
 		// The first of each run of equal indices joins this layer; the
 		// others are compacted to the front of rest (never ahead of the
 		// read position) for the next one.
-		layer, carry := a.tmp[:0], 0
+		layer, carry := b.tmp[:0], 0
 		for _, e := range rest {
 			if n := len(layer); n > 0 && layer[n-1].idx == e.idx {
 				rest[carry] = e
@@ -259,20 +243,20 @@ func (a *Aggregator) Flush() {
 				layer = append(layer, e)
 			}
 		}
-		a.emitLayer(layer)
+		emit(Layer{cells: layer, vals: b.vals, elemSize: b.elemSize})
 		rest = rest[:carry]
 	}
-	a.buf = a.buf[:0]
-	a.vals = a.vals[:0]
+	b.buf = b.buf[:0]
+	b.vals = b.vals[:0]
 }
 
-// sortByIndex orders buf by curve index with an LSD radix sort, one pass per
+// sortByIndex orders buf by index with an LSD radix sort, one pass per
 // index byte that differs anywhere in the buffer (a map task's cells share
 // their high bytes). Every pass is stable, so equal indices stay in arrival
 // order — which is what decides the layer a duplicate lands in, and with it
-// every emitted range.
-func (a *Aggregator) sortByIndex() {
-	src, dst := a.buf, a.tmp[:len(a.buf)]
+// every emitted key.
+func (b *Buffer) sortByIndex() {
+	src, dst := b.buf, b.tmp[:len(b.buf)]
 	var differ uint64
 	sorted := true
 	for i := 1; i < len(src); i++ {
@@ -291,34 +275,105 @@ func (a *Aggregator) sortByIndex() {
 			next[e.idx>>shift&0xff]++
 		}
 		pos := 0
-		for b, n := range next {
-			next[b] = pos
+		for d, n := range next {
+			next[d] = pos
 			pos += n
 		}
 		for _, e := range src {
-			b := e.idx >> shift & 0xff
-			dst[next[b]] = e
-			next[b]++
+			d := e.idx >> shift & 0xff
+			dst[next[d]] = e
+			next[d]++
 		}
 		src, dst = dst, src
 	}
-	a.buf, a.tmp = src, dst
+	b.buf, b.tmp = src, dst
 }
 
-// emitLayer coalesces a strictly-increasing index layer into runs. The
-// layer's values are gathered once into one fresh block, and each pair's
-// Values is its slice of it; the block is never touched again (Config.Emit).
-// Alignment padding makes a layer's size unknown until its runs are walked,
-// so there each pair gets a block of its own.
-func (a *Aggregator) emitLayer(layer []entry) {
+// Layer is one pass of a Drain: cells in strictly increasing index order,
+// their values still in the buffer's arena. It is valid only inside the
+// emit call it was passed to.
+type Layer struct {
+	cells    []entry
+	vals     []byte
+	elemSize int
+}
+
+// Len returns the number of cells in the layer.
+func (l Layer) Len() int { return len(l.cells) }
+
+// Index returns the index of cell i.
+func (l Layer) Index(i int) uint64 { return l.cells[i].idx }
+
+// CopyValues gathers the values of cells i..j-1, in that order, into dst.
+func (l Layer) CopyValues(dst []byte, i, j int) {
+	es := l.elemSize
+	for _, e := range l.cells[i:j] {
+		copy(dst, l.vals[int(e.ord)*es:][:es])
+		dst = dst[es:]
+	}
+}
+
+// Aggregator buffers (coordinate, value) cells and emits aggregate pairs.
+// Not safe for concurrent use; build one per map task.
+type Aggregator struct {
+	cfg   Config
+	index func(grid.Coord) uint64
+	buf   Buffer
+	stats Stats
+}
+
+// New returns an Aggregator for cfg.
+func New(cfg Config) *Aggregator {
+	if cfg.Emit == nil {
+		panic("aggregate: Emit is required")
+	}
+	a := &Aggregator{cfg: cfg, buf: NewBuffer(cfg.ElemSize, cfg.FlushCells)}
+	if m, ok := cfg.Mapping.(CurveMapping); ok {
+		biased := make(grid.Coord, len(m.Origin))
+		a.index = func(c grid.Coord) uint64 { return m.indexVia(biased, c) }
+	} else if cfg.Mapping != nil {
+		a.index = cfg.Mapping.Index
+	}
+	return a
+}
+
+// Add buffers one cell. val must be exactly ElemSize bytes; it is copied,
+// and c is not retained.
+func (a *Aggregator) Add(c grid.Coord, val []byte) {
+	a.stats.CellsIn++
+	if a.buf.Add(a.index(c), val) {
+		a.Flush()
+	}
+}
+
+// Flush drains the buffer, emitting one aggregate pair per contiguous index
+// run of each layer, so every emitted range carries exactly one value per
+// index.
+func (a *Aggregator) Flush() {
+	if a.buf.Len() == 0 {
+		return
+	}
+	a.stats.Flushes++
+	a.buf.Drain(a.emitLayer)
+}
+
+// emitLayer coalesces a layer into runs. The layer's values are gathered
+// once into one fresh block, and each pair's Values is its slice of it; the
+// block is never touched again (Config.Emit). Alignment padding makes a
+// layer's size unknown until its runs are walked, so there each pair gets a
+// block of its own.
+func (a *Aggregator) emitLayer(l Layer) {
 	es := uint64(a.cfg.ElemSize)
 	var block []byte
 	if a.cfg.Align <= 1 {
-		block = make([]byte, uint64(len(layer))*es)
+		block = make([]byte, uint64(l.Len())*es)
 	}
-	for i := 0; i < len(layer); {
-		j := runEnd(layer, i)
-		r := sfc.IndexRange{Lo: layer[i].idx, Hi: layer[j-1].idx + 1}
+	for i := 0; i < l.Len(); {
+		j := i + 1
+		for j < l.Len() && l.Index(j) == l.Index(j-1)+1 {
+			j++
+		}
+		r := sfc.IndexRange{Lo: l.Index(i), Hi: l.Index(j-1) + 1}
 		n, pad := uint64(j-i), uint64(0)
 		if a.cfg.Align > 1 {
 			aligned := keys.AlignRange(r, a.cfg.Align)
@@ -328,11 +383,7 @@ func (a *Aggregator) emitLayer(layer []entry) {
 		}
 		vals := block[: n*es : n*es]
 		block = block[n*es:]
-		dst := vals[pad*es:]
-		for _, e := range layer[i:j] {
-			copy(dst, a.vals[uint64(e.ord)*es:][:es])
-			dst = dst[es:]
-		}
+		l.CopyValues(vals[pad*es:], i, j)
 		a.cfg.Emit(keys.AggPair{
 			Key:    keys.AggKey{Var: a.cfg.Var, Range: r},
 			Values: vals,
@@ -340,16 +391,6 @@ func (a *Aggregator) emitLayer(layer []entry) {
 		a.stats.PairsOut++
 		i = j
 	}
-}
-
-// runEnd returns the end of the run of consecutive indices starting at
-// layer[i].
-func runEnd(layer []entry, i int) int {
-	j := i + 1
-	for j < len(layer) && layer[j].idx == layer[j-1].idx+1 {
-		j++
-	}
-	return j
 }
 
 // Close flushes any remaining cells.

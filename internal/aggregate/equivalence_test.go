@@ -31,6 +31,16 @@ type sink interface {
 	Stats() Stats
 }
 
+// AddIndex is Add for a caller that has the index already — the tests, whose
+// streams reach indices no coordinate of a test-sized domain maps to. No
+// binary adds by index, so it lives here.
+func (a *Aggregator) AddIndex(idx uint64, val []byte) {
+	a.stats.CellsIn++
+	if a.buf.Add(idx, val) {
+		a.Flush()
+	}
+}
+
 // feed sends the stream to s. Each cell's value is its ordinal in the
 // stream, so two sequences of pairs agree only when every duplicate of an
 // index landed in the same layer.
@@ -273,8 +283,8 @@ func TestFlushThresholdIsNotAPreallocation(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
 		t.Fatalf("New allocated %d bytes for a threshold", got)
 	}
-	if agg.cfg.FlushCells != math.MaxUint32 {
-		t.Fatalf("effective threshold %d, want what a uint32 ordinal addresses", agg.cfg.FlushCells)
+	if agg.buf.flushCells != math.MaxUint32 {
+		t.Fatalf("effective threshold %d, want what a uint32 ordinal addresses", agg.buf.flushCells)
 	}
 	// And the default too: a split with few cells pays for few cells.
 	runtime.ReadMemStats(&before)

@@ -19,10 +19,9 @@
 package boxagg
 
 import (
-	"fmt"
-	"slices"
 	"sort"
 
+	"scikey/internal/aggregate"
 	"scikey/internal/grid"
 	"scikey/internal/keys"
 )
@@ -36,6 +35,10 @@ type Pair struct {
 
 // Config parameterizes an Aggregator.
 type Config struct {
+	// Domain is the box every added cell lies in (the job's output domain,
+	// halo included). Cells are buffered under their row-major offset in
+	// it, which orders them as grid.Coord.Compare does.
+	Domain grid.Box
 	// Var tags emitted keys.
 	Var keys.VarRef
 	// ElemSize is the fixed per-cell value size.
@@ -47,39 +50,29 @@ type Config struct {
 	Emit func(Pair)
 }
 
-type entry struct {
-	coord grid.Coord
-	val   []byte
-}
-
 // Aggregator buffers cells and emits greedy n-D boxes. Build one per map
 // task; not safe for concurrent use.
 type Aggregator struct {
-	cfg Config
-	buf []entry
+	cfg    Config
+	domain aggregate.BoxMapping
+	buf    aggregate.Buffer
 }
 
 // New returns an Aggregator for cfg.
 func New(cfg Config) *Aggregator {
-	if cfg.ElemSize <= 0 {
-		panic("boxagg: ElemSize must be positive")
-	}
 	if cfg.Emit == nil {
 		panic("boxagg: Emit is required")
 	}
-	if cfg.FlushCells <= 0 {
-		cfg.FlushCells = 1 << 16
+	return &Aggregator{
+		cfg:    cfg,
+		domain: aggregate.BoxMapping{Domain: cfg.Domain},
+		buf:    aggregate.NewBuffer(cfg.ElemSize, cfg.FlushCells),
 	}
-	return &Aggregator{cfg: cfg}
 }
 
-// Add buffers one cell; val is copied.
+// Add buffers one cell of the domain; val is copied and c is not retained.
 func (a *Aggregator) Add(c grid.Coord, val []byte) {
-	if len(val) != a.cfg.ElemSize {
-		panic(fmt.Sprintf("boxagg: value is %d bytes, want %d", len(val), a.cfg.ElemSize))
-	}
-	a.buf = append(a.buf, entry{coord: c.Clone(), val: append([]byte(nil), val...)})
-	if len(a.buf) >= a.cfg.FlushCells {
+	if a.buf.Add(a.domain.Index(c), val) {
 		a.Flush()
 	}
 }
@@ -87,54 +80,29 @@ func (a *Aggregator) Add(c grid.Coord, val []byte) {
 // Flush drains the buffer. Duplicate coordinates are layered exactly as in
 // the curve aggregator: the i-th occurrence of a coordinate joins the i-th
 // greedy pass.
-func (a *Aggregator) Flush() {
-	if len(a.buf) == 0 {
-		return
-	}
-	slices.SortStableFunc(a.buf, func(x, y entry) int { return x.coord.Compare(y.coord) })
-	rest := a.buf
-	layer := make([]entry, 0, len(rest))
-	var carry []entry
-	for len(rest) > 0 {
-		layer = layer[:0]
-		carry = carry[:0]
-		for _, e := range rest {
-			if n := len(layer); n > 0 && layer[n-1].coord.Equal(e.coord) {
-				carry = append(carry, e)
-			} else {
-				layer = append(layer, e)
-			}
-		}
-		a.emitLayer(layer)
-		rest = append(rest[:0], carry...)
-	}
-	a.buf = a.buf[:0]
-}
+func (a *Aggregator) Flush() { a.buf.Drain(a.emitLayer) }
 
-// emitLayer greedily boxes a layer of strictly distinct sorted coords.
-func (a *Aggregator) emitLayer(layer []entry) {
-	boxes := GreedyBoxes(coordsOf(layer))
-	// Index the layer's values for payload assembly.
-	es := a.cfg.ElemSize
-	lookup := make(map[string][]byte, len(layer))
-	for _, e := range layer {
-		lookup[e.coord.String()] = e.val
+// emitLayer greedily boxes a layer. Boxes are merged only across the last
+// dimension, never along it, so each row of a box is one run of consecutive
+// offsets: consecutive cells of the layer, found by one search.
+func (a *Aggregator) emitLayer(l aggregate.Layer) {
+	coords := make([]grid.Coord, l.Len())
+	for i := range coords {
+		coords[i] = a.domain.Coord(l.Index(i))
 	}
-	for _, b := range boxes {
-		vals := make([]byte, 0, b.NumCells()*int64(es))
-		grid.ForEach(b, func(c grid.Coord) {
-			vals = append(vals, lookup[c.String()]...)
+	for _, b := range GreedyBoxes(coords) {
+		vals := make([]byte, b.NumCells()*int64(a.cfg.ElemSize))
+		last := b.Rank() - 1
+		rows, rowLen, dst := b.Clone(), b.Size[last], vals
+		rows.Size[last] = 1
+		grid.ForEach(rows, func(c grid.Coord) {
+			start := a.domain.Index(c)
+			i := sort.Search(l.Len(), func(i int) bool { return l.Index(i) >= start })
+			l.CopyValues(dst, i, i+rowLen)
+			dst = dst[rowLen*a.cfg.ElemSize:]
 		})
 		a.cfg.Emit(Pair{Key: keys.BoxKey{Var: a.cfg.Var, Box: b}, Values: vals})
 	}
-}
-
-func coordsOf(layer []entry) []grid.Coord {
-	out := make([]grid.Coord, len(layer))
-	for i, e := range layer {
-		out[i] = e.coord
-	}
-	return out
 }
 
 // Close flushes remaining cells.

@@ -11,6 +11,9 @@ import (
 	"scikey/internal/keys"
 )
 
+// testDomain is the output domain the aggregator tests index their cells in.
+var testDomain = grid.NewBox(grid.Coord{0, 0}, []int{2, 2})
+
 func collect(dst *[]Pair) func(Pair) {
 	return func(p Pair) { *dst = append(*dst, p) }
 }
@@ -99,7 +102,7 @@ func checkExactCover(t *testing.T, boxes []grid.Box, coords []grid.Coord) {
 
 func TestAggregatorPayloadOrder(t *testing.T) {
 	var pairs []Pair
-	agg := New(Config{Var: keys.VarRef{Name: "v"}, ElemSize: 1, Emit: collect(&pairs)})
+	agg := New(Config{Domain: testDomain, Var: keys.VarRef{Name: "v"}, ElemSize: 1, Emit: collect(&pairs)})
 	// 2x2 square added out of order; payload must come out row-major.
 	agg.Add(grid.Coord{1, 1}, []byte{4})
 	agg.Add(grid.Coord{0, 0}, []byte{1})
@@ -119,7 +122,7 @@ func TestAggregatorPayloadOrder(t *testing.T) {
 
 func TestAggregatorDuplicateLayers(t *testing.T) {
 	var pairs []Pair
-	agg := New(Config{ElemSize: 1, Emit: collect(&pairs)})
+	agg := New(Config{Domain: testDomain, ElemSize: 1, Emit: collect(&pairs)})
 	agg.Add(grid.Coord{0, 0}, []byte{1})
 	agg.Add(grid.Coord{0, 0}, []byte{2})
 	agg.Add(grid.Coord{0, 1}, []byte{9})
@@ -141,7 +144,7 @@ func TestFlushThresholdIsNotAPreallocation(t *testing.T) {
 		var pairs []Pair
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		agg := New(Config{ElemSize: 1, FlushCells: flush, Emit: collect(&pairs)})
+		agg := New(Config{Domain: testDomain, ElemSize: 1, FlushCells: flush, Emit: collect(&pairs)})
 		runtime.ReadMemStats(&after)
 		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
 			t.Fatalf("FlushCells %d: New allocated %d bytes for a threshold", flush, got)
@@ -327,6 +330,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	mustPanic("no emit", func() { New(Config{ElemSize: 1}) })
 	mustPanic("no elem", func() { New(Config{Emit: func(Pair) {}}) })
-	agg := New(Config{ElemSize: 2, Emit: func(Pair) {}})
-	mustPanic("bad val", func() { agg.Add(grid.Coord{0}, []byte{1}) })
+	agg := New(Config{Domain: testDomain, ElemSize: 2, Emit: func(Pair) {}})
+	mustPanic("bad val", func() { agg.Add(grid.Coord{0, 0}, []byte{1}) })
+	mustPanic("outside the domain", func() { agg.Add(grid.Coord{0, 2}, []byte{1, 2}) })
 }

@@ -99,6 +99,11 @@ type workerConn struct {
 	pid      int
 	draining bool
 	dead     bool
+	// welcomed is set once the welcome frame is written. The worker's
+	// handshake takes the next frame for the welcome, so until then the
+	// dispatcher must not pick this worker: a grant that overtook it would
+	// fail the handshake and lose its lease.
+	welcomed bool
 	lastBeat time.Time
 }
 
@@ -561,6 +566,9 @@ func (c *Coordinator) serveWorker(conn net.Conn, hello helloMsg) {
 		c.retireWorker(w)
 		return
 	}
+	c.mu.Lock()
+	w.welcomed = true
+	c.mu.Unlock()
 	c.logf("clusterd: worker %d registered (pid %d, %s, %d leases re-adopted)",
 		id, hello.PID, conn.RemoteAddr(), len(readopted))
 	c.wake() // a new worker can take pending grants
@@ -914,7 +922,7 @@ func (c *Coordinator) dispatchLoop() {
 			var best *workerConn
 			bestLoad := 0
 			for _, w := range c.workers {
-				if w.dead || w.draining {
+				if w.dead || w.draining || !w.welcomed {
 					continue
 				}
 				load := c.state.leases.load(w.id)

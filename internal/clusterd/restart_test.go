@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,6 +116,95 @@ func TestWorkerReregistrationReplacesGhost(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("attempt via replacement registration: %v", err)
+	}
+}
+
+// TestNoGrantBeforeWelcome forces the interleaving that used to lose a lease:
+// the dispatcher runs between a worker's registration and its welcome, with a
+// run request already pending. A worker's handshake takes the first frame for
+// the welcome, so a grant written ahead of it kills the session and the lease
+// goes with it. The coordinator logs the replacement of a stale registration
+// exactly inside that window, which is where the test kicks the dispatcher
+// and gives it time to act.
+func TestNoGrantBeforeWelcome(t *testing.T) {
+	var c *Coordinator
+	c, err := Start(Config{HeartbeatEvery: 50 * time.Millisecond, Logf: func(format string, _ ...any) {
+		if strings.Contains(format, "replaced stale registration") {
+			c.wake()
+			time.Sleep(20 * time.Millisecond)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cl := dialClient(t, c)
+
+	hello := func(id int) (net.Conn, byte, []byte) {
+		t.Helper()
+		conn, err := net.Dial("tcp", c.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if err := writeMsg(conn, kindHello, helloMsg{PID: 1, Worker: id}); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		kind, payload, err := readMsg(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn, kind, payload
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			c.mu.Lock()
+			ok := cond()
+			c.mu.Unlock()
+			if ok {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	// A registered but draining worker: it takes no grant, and its ID is
+	// there to be re-registered under.
+	old, kind, payload := hello(-1)
+	var first welcomeMsg
+	if kind != kindWelcome || decode(payload, &first) != nil {
+		t.Fatalf("first registration: frame kind %d", kind)
+	}
+	if err := writeMsg(old, kindGoodbye, goodbyeMsg{Draining: true}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the drain", func() bool { return c.workers[first.Worker].draining })
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.RunRemote(mapreduce.PhaseMap, 0, 0, nil)
+		done <- err
+	}()
+	waitFor("the pending run request", func() bool { return len(c.pending) == 1 })
+
+	conn, kind, _ := hello(first.Worker)
+	if kind != kindWelcome {
+		t.Fatalf("first frame after hello is kind %d, want the welcome (%d): a grant overtook it", kind, kindWelcome)
+	}
+	kind, payload, err = readMsg(conn)
+	var grant grantMsg
+	if err != nil || kind != kindGrant || decode(payload, &grant) != nil {
+		t.Fatalf("grant after the welcome: kind=%d err=%v", kind, err)
+	}
+	if err := writeMsg(conn, kindComplete, completeMsg{Lease: grant.Lease, Result: &mapreduce.RemoteResult{}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("the pending attempt: %v", err)
 	}
 }
 

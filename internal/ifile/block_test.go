@@ -116,8 +116,20 @@ func checkStream(t *testing.T, recs []rec) []byte {
 			}
 		}
 	}
-	if s, err := VerifyStream(bytes.NewReader(got)); err != nil || s != stats {
-		t.Fatalf("VerifyStream = %+v, %v; writer stats %+v", s, err, stats)
+	// What a Reader gets back decomposes into the bytes the Writer counted.
+	back, err := readStream(bytes.NewReader(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Stats{TrailerBytes: TrailerLen}
+	for _, r := range back {
+		s.Records++
+		s.KeyBytes += int64(len(r.k))
+		s.ValBytes += int64(len(r.v))
+		s.FrameBytes += int64(RecordOverhead(len(r.k), len(r.v)))
+	}
+	if s != stats {
+		t.Fatalf("a Reader sees %+v; writer stats %+v", s, stats)
 	}
 	return got
 }

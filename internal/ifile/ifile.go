@@ -397,27 +397,3 @@ func unexpected(err error) error {
 func RecordOverhead(keyLen, valLen int) int {
 	return binutil.VLongLen(int64(keyLen)) + binutil.VLongLen(int64(valLen))
 }
-
-// VerifyStream reads an IFile stream to its end — checking the framing and
-// the trailing checksum — without retaining any records, and returns the
-// stream's byte decomposition. The networked shuffle uses it to vouch for a
-// fetched segment (attributing corruption to its producing map attempt at
-// fetch time) before the segment enters a merge.
-func VerifyStream(r io.Reader) (Stats, error) {
-	var s Stats
-	rd := NewReader(r)
-	for {
-		k, v, err := rd.Next()
-		if err == io.EOF {
-			s.TrailerBytes = TrailerLen
-			return s, nil
-		}
-		if err != nil {
-			return s, err
-		}
-		s.Records++
-		s.KeyBytes += int64(len(k))
-		s.ValBytes += int64(len(v))
-		s.FrameBytes += int64(RecordOverhead(len(k), len(v)))
-	}
-}

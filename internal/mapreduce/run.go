@@ -428,7 +428,6 @@ func (r *jobRun) reducePhase() error {
 			n:         len(job.Splits),
 			stop:      rr.stop.ch,
 			attemptOf: r.pub.attemptOf,
-			verify:    canVerifyAtFetch(job),
 		})
 	}
 	rr.commit = func(task, attempt int, result any) error {

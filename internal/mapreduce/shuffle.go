@@ -1,13 +1,10 @@
 package mapreduce
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"time"
 
-	"scikey/internal/codec"
-	"scikey/internal/ifile"
 	"scikey/internal/shufflenet"
 )
 
@@ -122,10 +119,6 @@ type netSource struct {
 	// attemptOf names the currently committed attempt of a map task, for
 	// exhaustion reports (the transport never saw the segment's bytes).
 	attemptOf func(m int) int
-	// verify enables fetch-time IFile verification (only sound for
-	// uncompressed segments — compressed ones are checked by the merge's
-	// decode path).
-	verify bool
 }
 
 func (s *netSource) numMaps() int { return s.n }
@@ -144,25 +137,7 @@ func (s *netSource) fetch(m, part int) (segment, int64, error) {
 		}
 		return segment{}, res.WastedBytes, err
 	}
-	seg := segment{data: res.Data, src: m, attempt: res.Attempt}
-	if s.verify && len(res.Data) > 0 {
-		st, err := ifile.VerifyStream(bytes.NewReader(res.Data))
-		if err != nil {
-			// The transport delivered what the node stored, faithfully —
-			// this is producer-side corruption caught at fetch time.
-			return segment{}, res.WastedBytes, &ErrCorruptSegment{
-				MapTask: m, Partition: part, Attempt: res.Attempt, Err: err,
-			}
-		}
-		seg.records = st.Records
-	}
-	return seg, res.WastedBytes, nil
-}
-
-// canVerifyAtFetch reports whether fetched segments are plain IFile streams
-// the fetcher can verify without decoding.
-func canVerifyAtFetch(job *Job) bool {
-	return job.codec() == codec.None
+	return segment{data: res.Data, src: m, attempt: res.Attempt}, res.WastedBytes, nil
 }
 
 // mergeShuffleMetrics folds the transport's end-of-run metrics into the job

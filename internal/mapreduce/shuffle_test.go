@@ -176,7 +176,8 @@ func TestNetShuffleExhaustionWithoutRetriesFails(t *testing.T) {
 }
 
 // TestNetShuffleSegmentCorruptionAtRest: producer-side (at-rest) corruption
-// travels faithfully over the wire, is detected at fetch time, and recovers
+// travels faithfully over the wire, is detected by the reduce attempt's
+// validation pass before any record reaches user code, and recovers
 // through the existing re-execute-the-producer path.
 func TestNetShuffleSegmentCorruptionAtRest(t *testing.T) {
 	_, want := cleanBaseline(t)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"scikey/internal/grid"
+	"scikey/internal/hdfs"
 	"scikey/internal/mapreduce"
 )
 
@@ -53,10 +54,32 @@ func TestBaselineQueryAllocsPerRecord(t *testing.T) {
 // that drops the pair — because at this size the engine's per-record costs
 // (one record per five cells) would drown it.
 func TestAggQueryAllocsPerCell(t *testing.T) {
-	const splits, flush, budget = 4, 500, 0.5
+	build := func(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, error) {
+		job, _, err := AggKeyJob(fs, cfg)
+		return job, err
+	}
+	assertMapAllocsPerAdd(t, "aggregate.Add", build, 0.5,
+		"does the mapper build a coordinate per target, or the aggregator copy per cell?")
+}
+
+// TestBoxQueryAllocsPerCell: the box geometry drains the same buffer, so its
+// Add costs the same nothing; what is left per cell is the coordinate a
+// drained offset is turned back into for GreedyBoxes. With a buffer of its
+// own (a coordinate clone and a value copy per Add, a string per cell to
+// look its value up again) boxagg.Add cost 6.4 mallocs a call.
+func TestBoxQueryAllocsPerCell(t *testing.T) {
+	assertMapAllocsPerAdd(t, "boxagg.Add", BoxKeyJob, 2.0,
+		"does the aggregator copy per cell, or look values up by coordinate string?")
+}
+
+// assertMapAllocsPerAdd runs build's query with a flush threshold the map
+// tasks cross several times and holds the mallocs of its map function, per
+// cell it adds, to budget.
+func assertMapAllocsPerAdd(t *testing.T, add string, build func(*hdfs.FileSystem, QueryConfig) (*mapreduce.Job, error), budget float64, hint string) {
+	const splits, flush = 4, 500
 	extent := grid.NewBox(grid.Coord{0, 0}, []int{32, 32})
 	fs, ds, _ := setup(t, extent)
-	job, _, err := AggKeyJob(fs, QueryConfig{DS: ds, Radius: 1, NumSplits: splits, NumReducers: 3, FlushCells: flush})
+	job, err := build(fs, QueryConfig{DS: ds, Radius: 1, NumSplits: splits, NumReducers: 3, FlushCells: flush})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +107,6 @@ func TestAggQueryAllocsPerCell(t *testing.T) {
 	perAdd := float64(mallocs) / float64(adds)
 	t.Logf("%d Add calls, %d pairs, %.2f mallocs per call", adds, pairs, perAdd)
 	if pairs == 0 || perAdd > budget {
-		t.Errorf("%d pairs, %.2f mallocs per aggregate.Add, budget %.1f: does the mapper build a coordinate per target, or the aggregator copy per cell?", pairs, perAdd, budget)
+		t.Errorf("%d pairs, %.2f mallocs per %s, budget %.1f: %s", pairs, perAdd, add, budget, hint)
 	}
 }

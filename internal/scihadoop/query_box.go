@@ -102,6 +102,7 @@ func BoxKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, error) {
 				return err
 			}
 			agg := boxagg.New(boxagg.Config{
+				Domain:     domain,
 				Var:        v,
 				ElemSize:   ElemSize,
 				FlushCells: flush,

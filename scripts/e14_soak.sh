@@ -7,6 +7,8 @@
 # worker must actually have died by signal. Race-enabled end to end (workers
 # re-exec the same binary). Strict byte identity of the output files is
 # asserted by internal/clusterd's TestE2EKillRecoveryByteIdentical.
+# A third run is made to fail (one attempt allowed, the first map attempt
+# faulted): it must exit non-zero and take its coordinator and workers with it.
 set -eu
 
 dir="$(mktemp -d)"
@@ -40,4 +42,22 @@ grep -q 'recovery: ' "$dir/killed.txt" || {
     echo "e14: expected failed attempts reported in the killed run" >&2
     exit 1
 }
+
+echo "e14: failing cluster run (must exit non-zero and leave no subprocess)"
+if go run -race ./cmd/scijob -cluster 2 -side 32 -retries 1 \
+    -faults "seed=1;map:0:error@0" >"$dir/failed.txt" 2>"$dir/failed.err"; then
+    echo "e14: a job whose only map attempt was faulted exited 0" >&2
+    exit 1
+fi
+# Every subprocess of that run carries the run's own coordinator address.
+addr="$(sed -n 's/^coordinator subprocess on \([^ ]*\) .*/\1/p' "$dir/failed.txt")"
+[ -n "$addr" ] || {
+    echo "e14: the failing run never started its cluster" >&2
+    cat "$dir/failed.err" >&2
+    exit 1
+}
+if pgrep -af -- "-(worker|coordinator) $addr"; then
+    echo "e14: the failed run left those subprocesses behind" >&2
+    exit 1
+fi
 echo "e14 worker-kill soak OK"
