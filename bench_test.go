@@ -9,13 +9,18 @@
 package scikey
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"scikey/internal/codec"
 	"scikey/internal/experiments"
+	"scikey/internal/grid"
+	"scikey/internal/ifile"
+	"scikey/internal/keys"
 	"scikey/internal/predictor"
+	"scikey/internal/serial"
 	"scikey/internal/sfc"
 	"scikey/internal/workload"
 )
@@ -107,7 +112,11 @@ func BenchmarkE4_BlockPipeline(b *testing.B) {
 // locked-in regime: a long structured stream where the stride detector has
 // settled, so nearly every byte should travel the batch fast path. This is
 // the MB/s number the inline map→reduce transform of Section III lives or
-// dies by.
+// dies by. The inverse rows are the reduce side of the same bargain:
+// "inverse" undoes the same stream in one call, "inverse-records" the
+// stream a reducer actually decodes — 25-byte IFile records in fetched
+// segments, one Reset per segment, 4 KiB reads — where warm-up and the
+// selection cycle's probationary stride are a steady share of the bytes.
 func BenchmarkTransformSteadyState(b *testing.B) {
 	data := workload.GridWalkTriples(60) // 2.6 MB, stride-12 structure
 	cfgs := map[string]predictor.Config{
@@ -127,6 +136,68 @@ func BenchmarkTransformSteadyState(b *testing.B) {
 			}
 		})
 	}
+	inverse := func(b *testing.B, segs [][]byte, chunk int) {
+		tr := predictor.NewTransformer(predictor.Config{})
+		var total, longest int
+		res := make([][]byte, len(segs))
+		for i, seg := range segs {
+			tr.Reset()
+			res[i] = tr.Forward(nil, seg)
+			total += len(seg)
+			longest = max(longest, len(seg))
+		}
+		dst := make([]byte, 0, longest)
+		b.SetBytes(int64(total))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, r := range res {
+				tr.Reset()
+				dst = dst[:0]
+				for off := 0; off < len(r); off += chunk {
+					dst = tr.Inverse(dst, r[off:min(off+chunk, len(r))])
+				}
+			}
+		}
+		b.StopTimer()
+		if !bytes.Equal(dst, segs[len(segs)-1]) {
+			b.Fatal("inverse did not reconstruct the last segment")
+		}
+	}
+	b.Run("inverse", func(b *testing.B) { inverse(b, [][]byte{data}, len(data)) })
+	b.Run("inverse-records", func(b *testing.B) { inverse(b, recordSegments(b, 50), 4096) })
+}
+
+// recordSegments builds n map-output segments shaped like the baseline
+// sliding-median job's: sorted "windspeed1" GridKeys of one hash partition,
+// nine 4-byte values per key, framed by ifile.Writer — 25 bytes a record,
+// about 74 KB a segment.
+func recordSegments(tb testing.TB, n int) [][]byte {
+	kc := &keys.Codec{Rank: 2, Mode: keys.VarByName}
+	field := &workload.Field{Name: "windspeed1"}
+	out := serial.NewDataOutput(32)
+	segs := make([][]byte, n)
+	for g := range segs {
+		var buf bytes.Buffer
+		w := ifile.NewWriter(&buf)
+		for cell := 0; cell < 328; cell++ {
+			c := grid.Coord{13*g + cell/26, 5*(cell%26) + g%5}
+			out.Reset()
+			kc.EncodeGrid(out, keys.GridKey{Var: keys.VarRef{Name: field.Name}, Coord: c})
+			for dy := -1; dy <= 1; dy++ {
+				for dx := -1; dx <= 1; dx++ {
+					if err := w.Append(out.Bytes(), field.ValueBytes(grid.Coord{c[0] + dy, c[1] + dx})); err != nil {
+						tb.Fatal(err)
+					}
+				}
+			}
+		}
+		if err := w.Close(); err != nil {
+			tb.Fatal(err)
+		}
+		segs[g] = buf.Bytes()
+	}
+	return segs
 }
 
 // BenchmarkE5_StrideStrategies times the three stride-selection modes on

@@ -528,3 +528,88 @@ func TestClientOnlyDriver(t *testing.T) {
 		}
 	}
 }
+
+// captureRunner is a JobRunner that, while its first attempt holds a lease,
+// notes which driver connection the coordinator owes that attempt's answer.
+type captureRunner struct {
+	JobRunner
+	c    *Coordinator
+	once *sync.Once
+	d    **driverConn
+}
+
+func (r *captureRunner) Run(phase string, task, attempt int, canceled func() bool, fetch mapreduce.RemoteFetch) (*mapreduce.RemoteResult, error) {
+	r.once.Do(func() {
+		r.c.mu.Lock()
+		for _, g := range r.c.waiters {
+			*r.d = g.d
+		}
+		r.c.mu.Unlock()
+	})
+	return r.JobRunner.Run(phase, task, attempt, canceled, fetch)
+}
+
+// TestDriverReqsPrunedAfterJob runs a whole job the way scijob -cluster does
+// — one dialed Client as the job's Remote, every map and reduce attempt a
+// run request on that one connection — and requires the coordinator's
+// cancel-correlation map for the connection to be empty afterwards: an entry
+// lives only until its request is answered. A cancel that arrives for an
+// answered seq finds nothing and stays a no-op.
+func TestDriverReqsPrunedAfterJob(t *testing.T) {
+	spec := e2eSpecFixture
+	spec.SleepMs = 0
+	o := obs.New()
+	c, err := Start(Config{HeartbeatEvery: 20 * time.Millisecond, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	var d *driverConn
+	var once sync.Once
+	for i := 0; i < 2; i++ {
+		w := NewWorker(WorkerConfig{
+			Addr: c.Addr(),
+			Build: func([]byte) (Runner, error) {
+				return &captureRunner{JobRunner: JobRunner{Job: e2eJob(spec, e2eFS())}, c: c, once: &once, d: &d}, nil
+			},
+		})
+		go w.Run()
+		t.Cleanup(w.Stop)
+	}
+	cl := dialClient(t, c)
+	job := e2eJob(spec, e2eFS())
+	job.Remote = cl
+	job.Parallelism = 4
+	if _, err := mapreduce.Run(job); err != nil {
+		t.Fatal(err)
+	}
+	if d == nil {
+		t.Fatal("no attempt ran under a lease")
+	}
+	pending := func() int {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return len(d.reqs)
+	}
+	if n := pending(); n != 0 {
+		t.Fatalf("driver connection still holds %d answered run requests", n)
+	}
+
+	// Seq 1 was answered long ago. The driver loop serves frames in order,
+	// so once the next run request is answered the cancel has been handled.
+	cl.mu.Lock()
+	cc := cl.conn
+	cl.mu.Unlock()
+	if err := cc.send(kindCancel, cancelMsg{Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.RunRemote(mapreduce.PhaseMap, 0, 0, nil); err != nil {
+		t.Fatalf("run request after a late cancel: %v", err)
+	}
+	if n := transitionCount(o, "revoked"); n != 0 {
+		t.Errorf("late cancel revoked %d leases", n)
+	}
+	if n := pending(); n != 0 {
+		t.Errorf("driver connection holds %d run requests after the late cancel", n)
+	}
+}

@@ -111,8 +111,19 @@ type workerConn struct {
 type driverConn struct {
 	peer
 
-	mu   sync.Mutex
-	reqs map[int]*grantReq // seq → submission, for cancel correlation
+	mu sync.Mutex
+	// reqs maps seq → submission, for cancel correlation. An entry lives
+	// from its run request until the request is answered — outcome, error or
+	// honoured cancel — so the map is bounded by the driver's in-flight
+	// attempts however long the connection lasts.
+	reqs map[int]*grantReq
+}
+
+// forget drops the cancel-correlation entry of an answered run request.
+func (d *driverConn) forget(seq int) {
+	d.mu.Lock()
+	delete(d.reqs, seq)
+	d.mu.Unlock()
 }
 
 // Coordinator is the cluster control plane: worker registry, journaled lease
@@ -398,6 +409,7 @@ func (c *Coordinator) finish(g *grantReq, o *storedOutcome) {
 	c.mu.Lock()
 	d, seq := g.d, g.seq
 	c.mu.Unlock()
+	d.forget(seq)
 	err := d.send(kindRunResult, runResultMsg{
 		Seq: seq, Result: o.Result, Error: o.Error, Canceled: o.Canceled, Corrupt: o.Corrupt,
 	})
@@ -666,6 +678,7 @@ func (c *Coordinator) serveDriver(conn net.Conn) {
 				g := d.reqs[m.Seq]
 				d.mu.Unlock()
 				if g != nil && c.cancelGrant(g) {
+					d.forget(m.Seq)
 					d.send(kindRunResult, runResultMsg{Seq: m.Seq, Canceled: true})
 				}
 			}
@@ -698,6 +711,7 @@ func (c *Coordinator) handleRunReq(d *driverConn, m runReqMsg) {
 	d.mu.Unlock()
 	orphan, err := c.submit(g)
 	if err != nil {
+		d.forget(m.Seq)
 		d.send(kindRunResult, runResultMsg{Seq: m.Seq, Error: err.Error()})
 		return
 	}

@@ -3,11 +3,14 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"scikey/internal/codec"
 	"scikey/internal/faults"
 	"scikey/internal/hdfs"
 )
@@ -29,14 +32,21 @@ var faultDocs = []string{
 	"how vexingly quick daft zebras jump",
 }
 
-func runFaultJob(t *testing.T, spec string, policy RetryPolicy, parallelism int) (*hdfs.FileSystem, *Result, error) {
+// faultJob is the word count over faultDocs, two reducers, under a fault
+// schedule.
+func faultJob(t *testing.T, fs *hdfs.FileSystem, spec string, policy RetryPolicy, parallelism int) *Job {
 	t.Helper()
-	fs := testFS()
 	job := wordCountJob(fs, faultDocs, 2, false)
 	job.Parallelism = parallelism
 	job.Retry = policy
 	job.Faults = mustInjector(t, spec)
-	res, err := Run(job)
+	return job
+}
+
+func runFaultJob(t *testing.T, spec string, policy RetryPolicy, parallelism int) (*hdfs.FileSystem, *Result, error) {
+	t.Helper()
+	fs := testFS()
+	res, err := Run(faultJob(t, fs, spec, policy, parallelism))
 	return fs, res, err
 }
 
@@ -363,5 +373,138 @@ func TestCancellationReachesInFlightAttempts(t *testing.T) {
 	}
 	if !sawCancel.Load() {
 		t.Error("in-flight attempt never observed cancellation")
+	}
+}
+
+// codedFaultRun is what the coded-validation tests compare: the recovered
+// run's result, the map attempts in the order they started, and how often
+// each fault rule fired.
+type codedFaultRun struct {
+	fs      *hdfs.FileSystem
+	res     *Result
+	mapRuns []string
+	fired   map[string]int
+}
+
+// runCodedFaultJob is runFaultJob with the map output coded by c, attempts
+// run one at a time so the order producers re-run in is the order recovery
+// chose, and every map attempt noted as it starts.
+func runCodedFaultJob(t *testing.T, c codec.Codec, spec string, policy RetryPolicy) (codedFaultRun, error) {
+	t.Helper()
+	fs := testFS()
+	job := faultJob(t, fs, spec, policy, 1)
+	job.MapOutputCodec = c
+	var mu sync.Mutex
+	var mapRuns []string
+	newMapper := job.NewMapper
+	job.NewMapper = func() Mapper {
+		inner := newMapper()
+		return MapperFunc(func(ctx *TaskContext, split Split, emit Emit) error {
+			mu.Lock()
+			mapRuns = append(mapRuns, fmt.Sprintf("%d.%d", ctx.TaskID, ctx.Attempt))
+			mu.Unlock()
+			return inner.Map(ctx, split, emit)
+		})
+	}
+	res, err := Run(job)
+	return codedFaultRun{fs: fs, res: res, mapRuns: mapRuns, fired: job.Faults.Fired()}, err
+}
+
+// TestCodedValidationNamesLowestCorruptProducer: with the final level coded,
+// a reduce attempt validates its segments on several goroutines, and two of
+// reducer 0's three inputs are corrupt. Whichever scan finishes first, the
+// attempt must blame the lower map task, as a sequential scan does, so that
+// recovery re-runs the producers in the same order and charges the same
+// counters run after run (the pinned values are the sequential scan's).
+func TestCodedValidationNamesLowestCorruptProducer(t *testing.T) {
+	c := codec.NewTransform(codec.Zlib)
+	clean, err := runCodedFaultJob(t, c, "", RetryPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOut := readRawOutputs(t, clean.fs, clean.res.OutputPaths)
+	for round := 0; round < 5; round++ {
+		got, err := runCodedFaultJob(t, c, "seed=7;segment:0.0:corrupt@0;segment:2.0:corrupt@0", RetryPolicy{MaxAttempts: 4})
+		if err != nil {
+			t.Fatalf("recovery failed: %v", err)
+		}
+		if out := readRawOutputs(t, got.fs, got.res.OutputPaths); !slices.Equal(out, wantOut) {
+			t.Fatal("output differs from the fault-free run")
+		}
+		if want := []string{"0.0", "1.0", "2.0", "0.1", "2.1"}; !slices.Equal(got.mapRuns, want) {
+			t.Fatalf("map attempts ran as %v, want %v", got.mapRuns, want)
+		}
+		jc := got.res.Counters
+		if n := jc.CorruptSegmentsDetected.Value(); n != 2 {
+			t.Errorf("corrupt segments detected = %d, want 2", n)
+		}
+		if n := jc.MapTasksRecovered.Value(); n != 2 {
+			t.Errorf("map tasks recovered = %d, want 2", n)
+		}
+		if n := jc.TaskRetries.Value(); n != 4 {
+			t.Errorf("task retries = %d, want 4 (two re-run producers, two repeated reduce attempts)", n)
+		}
+	}
+
+	// Without a retry budget the job fails on the first attempt's verdict,
+	// which must be map 0's segment, never map 2's.
+	_, err = runCodedFaultJob(t, c, "seed=7;segment:0.0:corrupt@0;segment:2.0:corrupt@0", RetryPolicy{})
+	var ce *ErrCorruptSegment
+	if !errors.As(err, &ce) {
+		t.Fatalf("error chain has no ErrCorruptSegment: %v", err)
+	}
+	if ce.MapTask != 0 || ce.Attempt != 0 || ce.Partition != 0 {
+		t.Errorf("corruption blamed on map %d attempt %d partition %d, want map 0 attempt 0 partition 0",
+			ce.MapTask, ce.Attempt, ce.Partition)
+	}
+}
+
+// TestCodedValidationScansEverySegment pins the one place the fan-out shows
+// from outside. A codec-site rule fails the read of maps 0 and 2 in reduce
+// attempt 0. Raw segments are validated by a sequential scan that stops at
+// map 0's failure, so the rule fires once per reducer; coded segments are
+// all scanned, so it fires for map 2 as well. The attempt's verdict, the
+// retries and the output are the same either way. The raw job's count is
+// also the evidence that raw validation does not fan out: with codec.None
+// there is no codec seam to watch goroutines through, and a fan-out scans
+// every segment by construction.
+func TestCodedValidationScansEverySegment(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		codec codec.Codec
+		fired int
+	}{
+		{"raw", codec.None, 2},
+		{"transform+zlib", codec.NewTransform(codec.Zlib), 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clean, err := runCodedFaultJob(t, tc.codec, "", RetryPolicy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := runCodedFaultJob(t, tc.codec, "codec:0:error@0;codec:2:error@0", RetryPolicy{MaxAttempts: 2})
+			if err != nil {
+				t.Fatalf("recovery failed: %v", err)
+			}
+			if !slices.Equal(readRawOutputs(t, got.fs, got.res.OutputPaths), readRawOutputs(t, clean.fs, clean.res.OutputPaths)) {
+				t.Error("output differs from the fault-free run")
+			}
+			if n := got.fired["codec/error"]; n != tc.fired {
+				t.Errorf("codec-site rule fired %d times, want %d", n, tc.fired)
+			}
+			jc := got.res.Counters
+			if n := jc.TaskRetries.Value(); n != 2 {
+				t.Errorf("task retries = %d, want 2 (one per reducer)", n)
+			}
+			if n := jc.ReduceAttemptsFailed.Value(); n != 2 {
+				t.Errorf("failed reduce attempts = %d, want 2", n)
+			}
+			if n := jc.CorruptSegmentsDetected.Value(); n != 0 {
+				t.Errorf("a transient read error was counted as %d corrupt segments", n)
+			}
+			if want := []string{"0.0", "1.0", "2.0"}; !slices.Equal(got.mapRuns, want) {
+				t.Errorf("map attempts ran as %v, want %v: a transient read error re-runs no producer", got.mapRuns, want)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"container/heap"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -355,33 +356,68 @@ type mergeStream struct {
 // naming the producing attempt, never as whatever user code does with
 // garbage bytes mid-stream. Engine-internal segments (src < 0) were
 // produced by this attempt from already-validated inputs and are skipped.
-// Returns the bytes read, for disk accounting.
+// Returns the bytes read ahead of the first failure, for disk accounting.
+//
+// Validation is per segment, so it is per core where a scan costs a decode:
+// coded segments are scanned on up to GOMAXPROCS goroutines (the shape
+// finalize gives its per-partition merges), each holding one pooled
+// iterator. Every segment is scanned and the lowest-index failure is the one
+// reported, so the error names the producer a sequential scan would have
+// named however the scans interleave. Raw segments keep the sequential scan,
+// which stops at the first failure: a CRC at memory speed is cheaper than
+// the goroutines.
 func validateSegments(segs []segment, env readEnv) (int64, error) {
 	env.borrow = true
 	env.arena = nil
-	var read int64
-	for _, seg := range segs {
-		if seg.src < 0 || len(seg.data) == 0 {
-			continue
-		}
-		it, err := openSegment(seg, env)
-		if err != nil {
-			if it != nil {
-				it.release()
+	errs := make([]error, len(segs))
+	if env.codec == codec.None {
+		for i, seg := range segs {
+			if errs[i] = scanSegment(seg, env); errs[i] != nil {
+				break
 			}
-			return read, err
 		}
-		for it.ok {
-			it.advance()
+	} else {
+		sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
+		var wg sync.WaitGroup
+		for i, seg := range segs {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(i int, seg segment) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				errs[i] = scanSegment(seg, env)
+			}(i, seg)
 		}
-		err = it.err
-		it.release()
-		if err != nil {
-			return read, err
+		wg.Wait()
+	}
+	var read int64
+	for i, seg := range segs {
+		if errs[i] != nil {
+			return read, errs[i]
 		}
-		read += int64(len(seg.data))
+		if seg.src >= 0 {
+			read += int64(len(seg.data))
+		}
 	}
 	return read, nil
+}
+
+// scanSegment reads one provenance-tagged segment to its trailing CRC and
+// returns what the codec or the IFile framing had to say about it.
+func scanSegment(seg segment, env readEnv) error {
+	if seg.src < 0 || len(seg.data) == 0 {
+		return nil
+	}
+	it, err := openSegment(seg, env)
+	if it == nil {
+		return err
+	}
+	for it.ok {
+		it.advance()
+	}
+	err = it.err
+	it.release()
+	return err
 }
 
 // newMergeStream opens every segment and primes the heap. On error all

@@ -2,7 +2,9 @@ package predictor
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -27,8 +29,10 @@ func equivConfigs() []Config {
 
 // equivStreams are the input shapes: the paper's grid walk, random noise
 // (max eviction churn), constant and short-period streams (max fast-path
-// residency), a structure change mid-stream, and tiny/empty edges.
-func equivStreams() map[string][]byte {
+// residency), a structure change mid-stream, tiny/empty edges, and what a
+// reducer decodes. A stream is a list of segments; one transformer is Reset
+// between them, as the codec pool reuses it from segment to segment.
+func equivStreams() map[string][][]byte {
 	rng := rand.New(rand.NewSource(41))
 	random := make([]byte, 40<<10)
 	rng.Read(random)
@@ -39,101 +43,116 @@ func equivStreams() map[string][]byte {
 	multi := append([]byte{}, gridWalkStream(10)...)
 	multi = append(multi, random[:4096]...)
 	multi = append(multi, bytes.Repeat([]byte{3, 1, 4, 1, 5, 9}, 2000)...)
-	return map[string][]byte{
-		"grid":     gridWalkStream(14),
-		"random":   random,
-		"constant": bytes.Repeat([]byte{0x42}, 30000),
-		"period4":  bytes.Repeat([]byte{9, 8, 7, 6}, 8000),
-		"ramp":     ramp,
-		"multi":    multi,
-		"tiny":     {1, 2, 3},
-		"empty":    nil,
+	return map[string][][]byte{
+		"grid":     {gridWalkStream(14)},
+		"random":   {random},
+		"constant": {bytes.Repeat([]byte{0x42}, 30000)},
+		"period4":  {bytes.Repeat([]byte{9, 8, 7, 6}, 8000)},
+		"ramp":     {ramp},
+		"multi":    {multi},
+		"tiny":     {{1, 2, 3}},
+		"empty":    {nil},
+		"records":  {recordSegment(0, 328), recordSegment(1, 48)},
 	}
 }
 
-// diffCheck runs Transformer and Reference over the same stream with the
-// same chunking and fails on any divergence in output bytes or final
-// active-set state.
-func diffCheck(t *testing.T, cfg Config, data []byte, chunks []int) {
+// recordSegment is one fetched map-output segment of the baseline
+// sliding-median job, the stream the inverse transform meets in a reducer:
+// 25-byte IFile records — key length 19, value length 4, the Text
+// "windspeed1", two int32 coordinates, an int32 value below 1000 — nine
+// values to a key, about 74 KB at the workload's 328 keys. Strides 25, 50,
+// 75 and 100 all fit it, so the active set settles on those four plus the
+// stride on probation.
+func recordSegment(g, cells int) []byte {
+	rng := rand.New(rand.NewSource(int64(g)))
+	out := make([]byte, 0, cells*9*25)
+	for cell := 0; cell < cells; cell++ {
+		rec := append([]byte("\x13\x04\x0awindspeed1"), make([]byte, 12)...)
+		binary.BigEndian.PutUint32(rec[13:], uint32(13*g+cell/26))
+		binary.BigEndian.PutUint32(rec[17:], uint32(5*(cell%26)+g%5))
+		for v := 0; v < 9; v++ {
+			binary.BigEndian.PutUint32(rec[21:], uint32(rng.Intn(1000)))
+			out = append(out, rec...)
+		}
+	}
+	return out
+}
+
+// diffCheck runs Transformer and Reference over the same segments with the
+// same chunking, Reset between segments, and fails on any divergence in
+// output bytes or in the state that decides what happens next: the active
+// set, each surviving stride's hit accounting, and the predicted-byte count.
+func diffCheck(t *testing.T, cfg Config, segs [][]byte, chunks []int) {
 	t.Helper()
-	fast := NewTransformer(cfg)
-	ref := NewReference(cfg)
-	var fwdFast, fwdRef []byte
-	feed := func(fn func(chunk []byte)) {
-		off := 0
-		ci := 0
-		for off < len(data) {
-			n := len(data) - off
-			if len(chunks) > 0 {
-				if c := chunks[ci%len(chunks)]; c < n {
-					n = c
-				}
-				ci++
-			}
-			fn(data[off : off+n])
-			off += n
+	fwdFast, fwdRef := NewTransformer(cfg), NewReference(cfg)
+	invFast, invRef := NewTransformer(cfg), NewReference(cfg)
+	for si, data := range segs {
+		if si > 0 {
+			fwdFast.Reset()
+			fwdRef.Reset()
+			invFast.Reset()
+			invRef.Reset()
 		}
-	}
-	feed(func(chunk []byte) {
-		fwdFast = fast.Forward(fwdFast, chunk)
-		fwdRef = ref.Forward(fwdRef, chunk)
-	})
-	if !bytes.Equal(fwdFast, fwdRef) {
-		for i := range fwdRef {
-			if fwdFast[i] != fwdRef[i] {
-				t.Fatalf("Forward diverges at byte %d/%d: got %#x want %#x (cfg %+v)",
-					i, len(data), fwdFast[i], fwdRef[i], cfg)
-			}
-		}
-		t.Fatalf("Forward length mismatch: %d vs %d", len(fwdFast), len(fwdRef))
-	}
-	if got, want := fast.ActiveStrides(), ref.ActiveStrides(); !equalInts(got, want) {
-		t.Fatalf("active set diverges after Forward: got %v want %v (cfg %+v)", got, want, cfg)
-	}
+		var resFast, resRef []byte
+		eachChunk(data, chunks, func(chunk []byte) {
+			resFast = fwdFast.Forward(resFast, chunk)
+			resRef = fwdRef.Forward(resRef, chunk)
+		})
+		sameBytes(t, "Forward", cfg, resFast, resRef)
+		sameState(t, "Forward", cfg, fwdFast, fwdRef)
 
-	invFast := NewTransformer(cfg)
-	invRef := NewReference(cfg)
-	var backFast, backRef []byte
-	feedRes := func(fn func(chunk []byte)) {
-		off := 0
-		ci := 0
-		for off < len(fwdRef) {
-			n := len(fwdRef) - off
-			if len(chunks) > 0 {
-				if c := chunks[ci%len(chunks)]; c < n {
-					n = c
-				}
-				ci++
-			}
-			fn(fwdRef[off : off+n])
-			off += n
+		var backFast, backRef []byte
+		eachChunk(resRef, chunks, func(chunk []byte) {
+			backFast = invFast.Inverse(backFast, chunk)
+			backRef = invRef.Inverse(backRef, chunk)
+		})
+		if !bytes.Equal(backRef, data) {
+			t.Fatalf("reference Inverse failed to reconstruct (cfg %+v)", cfg)
 		}
-	}
-	feedRes(func(chunk []byte) {
-		backFast = invFast.Inverse(backFast, chunk)
-		backRef = invRef.Inverse(backRef, chunk)
-	})
-	if !bytes.Equal(backFast, data) {
-		t.Fatalf("fast Inverse failed to reconstruct (cfg %+v)", cfg)
-	}
-	if !bytes.Equal(backRef, data) {
-		t.Fatalf("reference Inverse failed to reconstruct (cfg %+v)", cfg)
-	}
-	if got, want := invFast.ActiveStrides(), invRef.ActiveStrides(); !equalInts(got, want) {
-		t.Fatalf("active set diverges after Inverse: got %v want %v (cfg %+v)", got, want, cfg)
+		sameBytes(t, "Inverse", cfg, backFast, backRef)
+		sameState(t, "Inverse", cfg, invFast, invRef)
 	}
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// eachChunk feeds data to fn in pieces whose sizes cycle through chunks
+// (nil: the whole of it at once).
+func eachChunk(data []byte, chunks []int, fn func(chunk []byte)) {
+	for off, ci := 0, 0; off < len(data); ci++ {
+		n := len(data) - off
+		if len(chunks) > 0 {
+			n = min(n, chunks[ci%len(chunks)])
+		}
+		fn(data[off : off+n])
+		off += n
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+}
+
+func sameBytes(t *testing.T, dir string, cfg Config, got, want []byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s length mismatch: %d vs %d (cfg %+v)", dir, len(got), len(want), cfg)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s diverges at byte %d/%d: got %#x want %#x (cfg %+v)",
+				dir, i, len(want), got[i], want[i], cfg)
 		}
 	}
-	return true
+}
+
+func sameState(t *testing.T, dir string, cfg Config, fast *Transformer, ref *Reference) {
+	t.Helper()
+	got := make([]strideCounters, 0, len(fast.actives))
+	for _, si := range fast.actives {
+		st := &fast.strides[si]
+		got = append(got, strideCounters{int(st.stride), st.hits, st.total})
+	}
+	if want := ref.counters(); !slices.Equal(got, want) {
+		t.Fatalf("active strides {stride hits total} diverge after %s:\n got %v\nwant %v\n(cfg %+v)", dir, got, want, cfg)
+	}
+	if got, want := fast.Stats().PredictedBytes, ref.predicted; got != want {
+		t.Fatalf("predicted bytes after %s: got %d want %d (cfg %+v)", dir, got, want, cfg)
+	}
 }
 
 // TestEquivalenceTable sweeps configs × streams × chunkings.
@@ -142,17 +161,42 @@ func TestEquivalenceTable(t *testing.T) {
 		nil,            // whole stream at once
 		{1},            // byte at a time
 		{7, 256, 3, 1}, // ragged, straddling cycle boundaries
-		{4096},
+		{4096},         // as ifile.Reader reads
 	}
-	for name, data := range equivStreams() {
-		for ci, chunks := range chunkings {
-			for _, cfg := range equivConfigs() {
-				diffCheck(t, cfg, data, chunks)
+	for name, segs := range equivStreams() {
+		for _, cfg := range equivConfigs() {
+			sweep := chunkings
+			if name == "records" {
+				sweep = chunkings[3:]
 			}
-			_ = ci
+			if name == "records" || name == "random" {
+				sweep = append(sweep[:len(sweep):len(sweep)], eventChunkings(cfg)...)
+			}
+			for _, chunks := range sweep {
+				diffCheck(t, cfg, segs, chunks)
+			}
 		}
-		_ = name
 	}
+}
+
+// eventChunkings cuts a stream where the inverse's quiet spans end: a chunk
+// that stops one byte short of a selection-cycle boundary, on it, and one
+// byte past it; and, since a stride q admitted on a boundary can be evicted
+// 2q bytes later, chunks that stop one byte either side of that horizon.
+// Only an adaptive transformer has such events.
+func eventChunkings(cfg Config) [][]int {
+	cfg = cfg.withDefaults()
+	if cfg.Mode != Adaptive {
+		return nil
+	}
+	c := cfg.SelectionCycle
+	out := [][]int{{c - 1, c + 1}, {c + 1, c - 1}}
+	for _, q := range []int{3, 12} {
+		if h := cfg.MinActiveFactor * q; h+1 < c {
+			out = append(out, []int{h - 1, 2, c - h - 1})
+		}
+	}
+	return out
 }
 
 // TestEquivalenceResetReuse checks that a Reset transformer replays exactly
@@ -202,13 +246,14 @@ func TestEquivalenceLongAdaptive(t *testing.T) {
 		}
 	}
 	for _, cfg := range []Config{{}, {MaxStride: 50, SelectionCycle: 64}, {MaxStride: 34, MinActiveFactor: 8}} {
-		diffCheck(t, cfg, data, []int{5000, 1, 997})
+		diffCheck(t, cfg, [][]byte{data}, []int{5000, 1, 997})
 	}
 }
 
 // FuzzEquivalence drives arbitrary streams, parameters, and chunk sizes
-// through both implementations: outputs must match byte-for-byte and the
-// pair must stay lossless.
+// through both implementations, in both directions: residuals and
+// reconstructions must match the reference byte for byte, chunk for chunk,
+// and leave the same counters behind.
 func FuzzEquivalence(f *testing.F) {
 	f.Add([]byte("windspeed1windspeed1windspeed1"), 10, 3, 16, 0, 64)
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3}, 4, 1, 8, 1, 3)
@@ -233,23 +278,6 @@ func FuzzEquivalence(f *testing.F) {
 			cfg.Mode = Fixed
 			cfg.Strides = []int{1 + maxStride/3, maxStride}
 		}
-		fast := NewTransformer(cfg)
-		ref := NewReference(cfg)
-		var resFast, resRef []byte
-		for off := 0; off < len(data); off += chunk {
-			end := off + chunk
-			if end > len(data) {
-				end = len(data)
-			}
-			resFast = fast.Forward(resFast, data[off:end])
-			resRef = ref.Forward(resRef, data[off:end])
-		}
-		if !bytes.Equal(resFast, resRef) {
-			t.Fatal("Forward diverges from reference")
-		}
-		back := NewTransformer(cfg).Inverse(nil, resFast)
-		if !bytes.Equal(back, data) {
-			t.Fatal("roundtrip mismatch")
-		}
+		diffCheck(t, cfg, [][]byte{data}, []int{chunk})
 	})
 }

@@ -50,8 +50,18 @@
 //     order, same strict-greater tie-break), and per-stride eviction is
 //     simulated at the exact byte it would fire. Batches stop at selection-
 //     cycle boundaries so admissions happen at the same positions as the
-//     reference. Inverse cannot be loop-interchanged (each reconstructed
-//     byte feeds the history the next byte needs) and stays scalar.
+//     reference.
+//
+//   - Inverse cannot be loop-interchanged (each reconstructed byte is
+//     history the next byte's prediction may need), so it goes byte by byte
+//     — but not event by event. The active set can change at two kinds of
+//     position only, a selection-cycle boundary and the eviction horizon
+//     above; Inverse cuts the stream into the quiet spans between them and,
+//     inside one, runs a loop that carries no active-set bookkeeping at
+//     all: history linearised so a stride's previous byte is one index
+//     away, each stride's table cursor and hit count in a compact scratch,
+//     the update for one byte fused with the prediction for the next. The
+//     events run once per span, through the code the scalar path uses.
 package predictor
 
 import "fmt"
@@ -207,6 +217,11 @@ type Transformer struct {
 	// bestRun/bestPred are the forward batch's per-byte argmax scratch.
 	bestRun  []int32
 	bestPred []byte
+	// lin/span are the inverse span's scratch: MaxStride bytes of history
+	// followed by the span's reconstructed bytes, and the active strides'
+	// hoisted cursors.
+	lin  []byte
+	span []spanStride
 }
 
 // NewTransformer returns a Transformer for cfg (zero-value fields take the
@@ -327,14 +342,22 @@ func (t *Transformer) step(x byte) {
 	t.pos++
 
 	if t.cfg.Mode == Adaptive {
-		if t.pos >= t.evictCheckAt {
-			t.evictSweep()
-		}
-		if t.pos%int64(t.cfg.SelectionCycle) == 0 {
-			t.cycle++
-			t.admit()
-			t.updateEvictHorizon()
-		}
+		t.settle()
+	}
+}
+
+// settle runs the two active-set events that can be due at the current
+// position: the eviction sweep once pos has reached the horizon, and the
+// selection cycle's admission on a cycle boundary. Between two such
+// positions the active set cannot change.
+func (t *Transformer) settle() {
+	if t.pos >= t.evictCheckAt {
+		t.evictSweep()
+	}
+	if t.pos%int64(t.cfg.SelectionCycle) == 0 {
+		t.cycle++
+		t.admit()
+		t.updateEvictHorizon()
 	}
 }
 
@@ -602,19 +625,7 @@ func (t *Transformer) forwardBatch(dst *[]byte, src []byte, i int) int {
 	t.predicted += predicted
 	*dst = out
 
-	// Advance the history window by the batch's last min(L, MaxStride)
-	// original bytes: the byte at batch offset j belongs at ring slot
-	// (wpos+1+j) mod MaxStride.
-	start := L - min(L, maxS)
-	w := (t.wpos + start) % maxS
-	for j := start; j < L; j++ {
-		if w++; w == maxS {
-			w = 0
-		}
-		t.window[w] = src[i+j]
-	}
-	t.wpos = w
-	t.pos += int64(L)
+	t.pushHistory(b)
 
 	if adaptive {
 		if t.pos%int64(t.cfg.SelectionCycle) == 0 {
@@ -686,22 +697,176 @@ func (t *Transformer) forwardStrideEvictable(st *strideState, b []byte, bestRun 
 // reconstructed history, so a fresh Transformer with the same Config
 // inverts any Forward stream.
 //
-// Inverse stays on the scalar path: each reconstructed byte becomes the
-// history the next byte's prediction needs, so the stride-major loop
-// interchange of the forward batch does not apply.
+// Each reconstructed byte is history the next byte's prediction may need, so
+// the forward batch's stride-major interchange does not apply; a warm stream
+// is instead cut into quiet spans (see inverseSpan), inside which the per-byte
+// loop carries no active-set bookkeeping. The scalar predict/step pair covers
+// the warm-up prefix and spans too short to be worth hoisting.
 func (t *Transformer) Inverse(dst, src []byte) []byte {
-	for _, y := range src {
-		var x byte
+	for len(src) > 0 {
+		if n := t.inverseSpan(&dst, src); n > 0 {
+			src = src[n:]
+			continue
+		}
+		x := src[0]
 		if p, ok := t.predict(); ok {
-			x = y + p
+			x += p
 			t.predicted++
-		} else {
-			x = y
 		}
 		dst = append(dst, x)
 		t.step(x)
+		src = src[1:]
 	}
 	return dst
+}
+
+// minSpan is the shortest quiet span worth hoisting for: below it the copy
+// of MaxStride history bytes and of the active strides' cursors costs more
+// than the scalar path's per-byte bookkeeping.
+const minSpan = 8
+
+// spanStride is one active stride's table cursor, hoisted out of its
+// strideState for the length of a quiet span: e walks the stride's sequence
+// entries [lo, hi) in place of phase, and q is what the stride predicts for
+// the byte about to be reconstructed.
+type spanStride struct {
+	e, lo, hi int32
+	stride    int32
+	hits      int32
+	q         byte
+}
+
+// inverseSpan reconstructs the longest quiet span at the head of src and
+// returns its length, or 0 when the stream is still warming up or the span is
+// shorter than minSpan. A quiet span ends at the next selection-cycle
+// boundary or at the eviction horizon, whichever comes first: admission
+// happens only on the former, and evictBound proves the eviction predicate
+// cannot hold before the latter, so between the two the active set is fixed
+// and every stride is warm. That makes everything step and predict re-derive
+// per byte a loop invariant. The history ring is linearised into lin so a
+// stride's previous byte is lin[p-stride] with no wrapping cursor, each
+// stride's table cursor and hit count live in a compact scratch, and the
+// events themselves run once, after the span, through the same settle step
+// uses.
+//
+// The per-byte loop is fused across bytes: one walk of the scratch records
+// byte j in each stride's sequence entry and then reads that stride's next
+// entry to predict byte j+1. A stride's entries are its own, so its
+// prediction depends on no other stride's update, and the argmax keeps the
+// reference's order and strict-greater tie-break.
+func (t *Transformer) inverseSpan(dst *[]byte, src []byte) int {
+	maxS := t.cfg.MaxStride
+	if t.pos < int64(maxS) {
+		return 0
+	}
+	L := min(len(src), batchCap)
+	adaptive := t.cfg.Mode == Adaptive
+	if adaptive {
+		cyc := int64(t.cfg.SelectionCycle)
+		L = int(min(int64(L), cyc-t.pos%cyc, t.evictCheckAt-t.pos))
+	}
+	if L < minSpan {
+		return 0
+	}
+
+	if t.lin == nil {
+		longest := batchCap
+		if adaptive {
+			longest = min(longest, t.cfg.SelectionCycle)
+		}
+		t.lin = make([]byte, maxS+longest)
+		t.span = make([]spanStride, 0, len(t.strides))
+	}
+	lin := t.lin[:maxS+L]
+	n := copy(lin, t.window[t.wpos+1:])
+	copy(lin[n:], t.window[:t.wpos+1])
+
+	span := t.span[:0]
+	for _, si := range t.actives {
+		st := &t.strides[si]
+		span = append(span, spanStride{e: st.seqOff + st.phase, lo: st.seqOff, hi: st.seqOff + st.stride, stride: st.stride})
+	}
+	// -1 is "no active stride" and must never predict (see forwardBatch).
+	thr := max(int32(t.cfg.RunThreshold), -1)
+	predicted := inverseQuiet(lin, src[:L], span, t.runs, t.deltas, thr)
+
+	for k, si := range t.actives {
+		st := &t.strides[si]
+		st.phase = span[k].e - span[k].lo
+		st.back = int32((int(st.back) + L) % maxS)
+		st.hits += int64(span[k].hits)
+		st.total += int64(L)
+	}
+	t.predicted += int64(predicted)
+	*dst = append(*dst, lin[maxS:]...)
+	t.pushHistory(lin[maxS:])
+	if adaptive {
+		t.settle()
+	}
+	return L
+}
+
+// inverseQuiet is inverseSpan's per-byte loop, kept in a function of its own
+// so its few live values stay in registers: it reconstructs src into the
+// tail of lin (whose head is the history before the span) against a fixed
+// set of strides and returns how many bytes were predicted.
+func inverseQuiet(lin, src []byte, span []spanStride, runs []int32, deltas []byte, thr int32) (predicted int) {
+	base := len(lin) - len(src)
+	deltas = deltas[:len(runs)] // one bounds check per entry, not two
+	bestRun, pred := int32(-1), byte(0)
+	for k := range span {
+		s := &span[k]
+		s.q = lin[base-int(s.stride)] + deltas[s.e]
+		if r := runs[s.e]; r > bestRun {
+			bestRun, pred = r, s.q
+		}
+	}
+	for j, x := range src {
+		if bestRun > thr {
+			x += pred
+			predicted++
+		}
+		lin[base+j] = x
+		// hist ends with x: the next byte's history. The last round predicts
+		// the byte after the span; settle may change the active set before
+		// that byte arrives, so that prediction is dropped.
+		hist := lin[:base+j+1]
+		bestRun = -1
+		for k := range span {
+			s := &span[k]
+			e := s.e
+			// x - prev == delta exactly when x is what the stride predicted;
+			// on a miss the new delta x - prev is the old one plus x - q.
+			if x == s.q {
+				runs[e]++
+				s.hits++
+			} else {
+				deltas[e] += x - s.q
+				runs[e] = 0
+			}
+			if e++; e == s.hi {
+				e = s.lo
+			}
+			s.e = e
+			s.q = hist[len(hist)-int(s.stride)] + deltas[e]
+			if r := runs[e]; r > bestRun {
+				bestRun, pred = r, s.q
+			}
+		}
+	}
+	return predicted
+}
+
+// pushHistory advances the history ring and the stream position by b, whose
+// last min(len(b), MaxStride) bytes are all the ring keeps: the byte at
+// offset j of b belongs at ring slot (wpos+1+j) mod MaxStride.
+func (t *Transformer) pushHistory(b []byte) {
+	maxS := t.cfg.MaxStride
+	start := len(b) - min(len(b), maxS)
+	n := copy(t.window[(t.wpos+1+start)%maxS:], b[start:])
+	copy(t.window, b[start+n:])
+	t.wpos = (t.wpos + len(b)) % maxS
+	t.pos += int64(len(b))
 }
 
 // Stats is the transformer's adaptive-set telemetry for one stream (i.e.

@@ -46,6 +46,9 @@ type Reference struct {
 	wpos    int               // ring index of the most recently written byte
 	pos     int64             // bytes processed
 	cycle   int64             // selection cycles elapsed
+	// predicted counts the bytes that traveled as residuals; it feeds no
+	// decision, only the differential tests' comparison with Stats.
+	predicted int64
 }
 
 // NewReference returns a Reference for cfg (zero-value fields take the
@@ -82,6 +85,7 @@ func NewReference(cfg Config) *Reference {
 func (t *Reference) Reset() {
 	t.pos = 0
 	t.cycle = 0
+	t.predicted = 0
 	t.wpos = t.cfg.MaxStride - 1
 	t.actives = t.actives[:0]
 	for _, st := range t.strides {
@@ -215,6 +219,7 @@ func (t *Reference) Forward(dst, src []byte) []byte {
 	for _, x := range src {
 		if p, ok := t.predict(); ok {
 			dst = append(dst, x-p)
+			t.predicted++
 		} else {
 			dst = append(dst, x)
 		}
@@ -232,6 +237,7 @@ func (t *Reference) Inverse(dst, src []byte) []byte {
 		var x byte
 		if p, ok := t.predict(); ok {
 			x = y + p
+			t.predicted++
 		} else {
 			x = y
 		}
@@ -246,6 +252,23 @@ func (t *Reference) ActiveStrides() []int {
 	out := make([]int, 0, len(t.actives))
 	for _, st := range t.actives {
 		out = append(out, st.stride)
+	}
+	return out
+}
+
+// strideCounters is one active stride's hit accounting — the numbers the
+// eviction predicate reads, so two implementations that agree on them (and
+// on the active set) agree on every eviction still to come.
+type strideCounters struct {
+	stride      int
+	hits, total int64
+}
+
+// counters lists the active strides' hit accounting, in active-set order.
+func (t *Reference) counters() []strideCounters {
+	out := make([]strideCounters, 0, len(t.actives))
+	for _, st := range t.actives {
+		out = append(out, strideCounters{st.stride, st.hits, st.total})
 	}
 	return out
 }
