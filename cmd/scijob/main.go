@@ -6,7 +6,7 @@
 //	scijob -side 256 -strategy transform -codec zlib
 //	scijob -side 256 -strategy aggregation -curve zorder -verify
 //	scijob -side 128 -faults "seed=7;map:1:error@0;segment:2.0:corrupt@0" -retries 3 -verify
-//	scijob -side 128 -shuffle net -faults "seed=7;net:*:cut@0;node:0:down=50ms" -retries 5 -backoff 10ms -verify
+//	scijob -side 128 -shuffle tcp -faults "seed=7;net:*:cut@0;node:0:down=50ms" -retries 5 -backoff 10ms -verify
 //	scijob -side 256 -strategy transform -debug-addr 127.0.0.1:6060 -trace-out trace.json
 //
 // Cluster mode runs the same job across real processes — a coordinator
@@ -28,7 +28,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"scikey/internal/cluster"
@@ -75,7 +74,7 @@ const (
 	ownCoord   = "-cluster or -coordinator"
 	ownServe   = "-serve"
 	ownSubmit  = "-submit"
-	ownShuffle = "-shuffle net|tcp"
+	ownShuffle = "-shuffle tcp"
 )
 
 // bindFlags registers every scijob flag on fs.
@@ -96,7 +95,6 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&s.Side, "side", 128, "grid side length (side x side int32 cells)")
 	fs.StringVar(&s.Strategy, "strategy", "baseline", "baseline | transform | aggregation | boxes")
 	fs.StringVar(&s.Codec, "codec", "zlib", "inner codec for -strategy transform; a block+ prefix (e.g. block+zlib) runs the stack through the parallel block pipeline")
-	fs.IntVar(&s.CodecWorkers, "codec-workers", 0, "parallel block codec width for block+ codecs: 0 = GOMAXPROCS, 1 = sequential reference path, n = n workers")
 	fs.StringVar(&s.Curve, "curve", def.Curve, "curve for -strategy aggregation: zorder | hilbert | rowmajor")
 	fs.StringVar(&s.Op, "op", def.Op.String(), "window operator: median | max")
 	fs.BoolVar(&s.Combine, "combine", false, "in-node combining: pool committed map outputs per node group and fold duplicate keys with the operator's value monoid before the shuffle; requires -op max (median is holistic — no monoid exists)")
@@ -119,9 +117,9 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.run.Retry.MaxAttempts, "retries", 1, "max attempts per task (1 = fail fast)")
 	fs.DurationVar(&o.run.Retry.Backoff, "backoff", 0, "base retry backoff as a duration, e.g. 10ms; doubles per failure with seeded jitter (0 = retry immediately)")
 	fs.DurationVar(&o.run.Retry.SpeculativeAfter, "speculate", 0, "straggler threshold for speculative re-execution as a duration, e.g. 500ms (0 = off)")
-	fs.StringVar(&o.shuffle.Mode, "shuffle", mapreduce.ShuffleMem, "shuffle transport: mem | net (in-process pipes) | tcp (loopback sockets)")
+	fs.StringVar(&o.shuffle.Mode, "shuffle", mapreduce.ShuffleMem, "shuffle transport: mem (in-process hand-off) | tcp (per-node segment servers on loopback sockets)")
 	own(ownShuffle, func() {
-		fs.IntVar(&o.shuffle.Nodes, "nodes", 0, "simulated shuffle-server count for -shuffle net|tcp (0 = default 3)")
+		fs.IntVar(&o.shuffle.Nodes, "nodes", 0, "simulated shuffle-server count for -shuffle tcp (0 = default 3)")
 		fs.IntVar(&o.shuffle.FetchAttempts, "fetch-attempts", 0, "per-segment fetch attempts before the map output counts as lost (0 = default 4)")
 		fs.DurationVar(&o.shuffle.FetchTimeout, "fetch-timeout", 0, "per-attempt fetch deadline as a duration, e.g. 500ms (0 = default 2s)")
 	})
@@ -167,9 +165,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 		// buffer shared by all of a node's mappers.
 		o.spec.CombineNodes = o.clusterN
 	}
-	if err := o.validateCodecWorkers(); err != nil {
-		return nil, err
-	}
 	if err := o.spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -179,9 +174,9 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 // checkModes rejects flag combinations no mode honours.
 func (o *options) checkModes() error {
 	switch o.shuffle.Mode {
-	case mapreduce.ShuffleMem, mapreduce.ShuffleNet, mapreduce.ShuffleTCP:
+	case mapreduce.ShuffleMem, mapreduce.ShuffleTCP:
 	default:
-		return fmt.Errorf("unknown -shuffle transport %q (want mem, net, or tcp)", o.shuffle.Mode)
+		return fmt.Errorf("unknown -shuffle transport %q (want mem or tcp)", o.shuffle.Mode)
 	}
 	count := func(on ...bool) (n int) {
 		for _, b := range on {
@@ -227,14 +222,13 @@ func (o *options) checkModes() error {
 func (o *options) clusterMode() bool { return o.driverAddr != "" || o.clusterN > 0 }
 
 // coordinatorArgs renders the forwarded flags for the -cluster coordinator
-// subprocess, so the daemon builds the identical job: each one that was set
-// on the command line (an explicit "-codec-workers 0" must stay explicit) or
-// whose bound value differs from its default (the -combine-nodes cluster
-// default lands in the spec, not on the command line).
+// subprocess, so the daemon builds the identical job: each one whose bound
+// value differs from its default (the -combine-nodes cluster default lands in
+// the spec, not on the command line).
 func (o *options) coordinatorArgs() []string {
 	var args []string
 	for _, name := range o.forwarded {
-		if f := o.fs.Lookup(name); o.flagWasSet(name) || f.Value.String() != f.DefValue {
+		if f := o.fs.Lookup(name); f.Value.String() != f.DefValue {
 			args = append(args, "-"+name+"="+f.Value.String())
 		}
 	}
@@ -423,36 +417,6 @@ func runJob(o *options) error {
 		dbg.Close()
 	}
 	return nil
-}
-
-// validateCodecWorkers rejects a -codec-workers the job would ignore or
-// misread, before any machinery starts. Negative widths are always wrong;
-// an explicitly set width (flag.Visit distinguishes "-codec-workers 0" from
-// an untouched default) demands a block+ transform codec to act on.
-func (o *options) validateCodecWorkers() error {
-	s := o.spec
-	if s.CodecWorkers < 0 {
-		return fmt.Errorf("-codec-workers must be >= 0, got %d", s.CodecWorkers)
-	}
-	if !o.flagWasSet("codec-workers") {
-		return nil
-	}
-	if s.Strategy != "transform" || !strings.HasPrefix(strings.ToLower(s.Codec), "block+") {
-		return fmt.Errorf("-codec-workers only applies to -strategy transform with a block+ codec (got -strategy %s -codec %s)", s.Strategy, s.Codec)
-	}
-	return nil
-}
-
-// flagWasSet reports whether the named flag appeared on the command line,
-// distinguishing an explicit zero from an untouched default.
-func (o *options) flagWasSet(name string) bool {
-	set := false
-	o.fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 // flushObs writes the requested trace and metrics files. It runs on success

@@ -35,7 +35,6 @@ func TestValidationParity(t *testing.T) {
 		mut  func(*queryd.QuerySpec)
 	}{
 		{"combine_nodes_without_combine", func(s *queryd.QuerySpec) { s.CombineNodes = 3 }},
-		{"codec_workers_without_block_codec", func(s *queryd.QuerySpec) { s.CodecWorkers = 2 }},
 		{"negative_splits", func(s *queryd.QuerySpec) { s.Splits = -1 }},
 		{"negative_reducers", func(s *queryd.QuerySpec) { s.Reducers = -2 }},
 		{"negative_radius", func(s *queryd.QuerySpec) { s.Radius = -1 }},
@@ -107,12 +106,10 @@ func TestSetupHonoursEverySpecField(t *testing.T) {
 		"Side":     both(nil, func(s *spec) { s.Side = 32 }),
 		"Strategy": both(nil, func(s *spec) { s.Strategy = "boxes" }),
 		"Codec":    both(func(s *spec) { s.Strategy = "transform" }, func(s *spec) { s.Codec = "gzip" }),
-		"CodecWorkers": both(func(s *spec) { s.Strategy, s.Codec = "transform", "block+zlib" },
-			func(s *spec) { s.CodecWorkers = 2 }),
-		"Curve":   both(agg, func(s *spec) { s.Curve = "hilbert" }),
-		"Flush":   both(agg, func(s *spec) { s.Flush = 64 }),
-		"Op":      both(nil, func(s *spec) { s.Op = "max" }),
-		"Combine": both(func(s *spec) { s.Op = "max" }, func(s *spec) { s.Combine = true }),
+		"Curve":    both(agg, func(s *spec) { s.Curve = "hilbert" }),
+		"Flush":    both(agg, func(s *spec) { s.Flush = 64 }),
+		"Op":       both(nil, func(s *spec) { s.Op = "max" }),
+		"Combine":  both(func(s *spec) { s.Op = "max" }, func(s *spec) { s.Combine = true }),
 		"CombineNodes": both(func(s *spec) { s.Op, s.Combine = "max", true },
 			func(s *spec) { s.CombineNodes = 2 }),
 		"Radius":   both(nil, func(s *spec) { s.Radius = 2 }),
@@ -196,8 +193,9 @@ func TestModeValidation(t *testing.T) {
 		{"-scrape 127.0.0.1:1/metrics -verify", "act on the job this invocation runs"},
 		{"-coordinator 127.0.0.1:1 -verify", "act on the job this invocation runs"},
 		{"-shuffle udp", "unknown -shuffle transport"},
+		{"-shuffle net", "want mem or tcp"},
 		{"-cluster 3 -shuffle tcp", "cluster modes use the in-memory shuffle"},
-		{"-worker 127.0.0.1:1 -shuffle net", "cluster modes use the in-memory shuffle"},
+		{"-worker 127.0.0.1:1 -shuffle tcp", "cluster modes use the in-memory shuffle"},
 		{"-serve 127.0.0.1:0 -submit 127.0.0.1:1", "mutually exclusive"},
 		{"-cluster -1", "positive worker count"},
 		{"-journal j", "-journal belongs to the coordinator"},
@@ -205,7 +203,7 @@ func TestModeValidation(t *testing.T) {
 		{"-coordinator 127.0.0.1:1 -lease-ttl 2s", ""},
 		{"-serve 127.0.0.1:0 -store object -queue-depth 4 -serve-workers 1 -quota 3 -quotas bob=5", ""},
 		{"-submit 127.0.0.1:1 -tenant bob", ""},
-		{"-shuffle net -nodes 7 -fetch-attempts 2 -fetch-timeout 1s", ""},
+		{"-shuffle tcp -nodes 7 -fetch-attempts 2 -fetch-timeout 1s", ""},
 		{"-shuffle tcp -nodes 2", ""},
 		{"-side 32 -heartbeat 5s -store object -tenant bob -nodes 7 -fetch-timeout 1s -quota 3", "only takes effect with"},
 		{"-heartbeat 5s", "-heartbeat only takes effect with -cluster or -coordinator"},
@@ -217,9 +215,9 @@ func TestModeValidation(t *testing.T) {
 		{"-submit 127.0.0.1:1 -quotas bob=5", "-quotas only takes effect with -serve"},
 		{"-tenant bob", "-tenant only takes effect with -submit"},
 		{"-serve 127.0.0.1:0 -tenant bob", "-tenant only takes effect with -submit"},
-		{"-nodes 7", "-nodes only takes effect with -shuffle net|tcp"},
-		{"-shuffle mem -fetch-attempts 2", "-fetch-attempts only takes effect with -shuffle net|tcp"},
-		{"-fetch-timeout 1s", "-fetch-timeout only takes effect with -shuffle net|tcp"},
+		{"-nodes 7", "-nodes only takes effect with -shuffle tcp"},
+		{"-shuffle mem -fetch-attempts 2", "-fetch-attempts only takes effect with -shuffle tcp"},
+		{"-fetch-timeout 1s", "-fetch-timeout only takes effect with -shuffle tcp"},
 	}
 	for _, tc := range cases {
 		_, err := parse(t, strings.Fields(tc.args)...)
@@ -237,12 +235,12 @@ func TestModeValidation(t *testing.T) {
 // TestClusterForwarding: the -cluster supervisor forwards the query-shaping
 // and daemon flags by iterating the bound set, so the coordinator
 // subprocess, parsing them through the same bindings, must end up with the
-// identical QuerySpec and daemon settings — including an explicit
-// "-codec-workers 0" and the -combine-nodes value -cluster defaulted.
+// identical QuerySpec and daemon settings — including the -combine-nodes
+// value -cluster defaulted.
 func TestClusterForwarding(t *testing.T) {
 	cases := [][]string{
 		{"-cluster", "3"},
-		{"-cluster", "3", "-strategy", "transform", "-codec", "block+zlib", "-codec-workers", "0"},
+		{"-cluster", "3", "-strategy", "transform", "-codec", "block+zlib"},
 		{"-cluster", "3", "-op", "max", "-combine"},
 		{"-cluster", "2", "-side", "64", "-strategy", "aggregation", "-curve", "hilbert", "-flush", "64",
 			"-radius", "2", "-splits", "4", "-reducers", "3"},
@@ -270,12 +268,10 @@ func TestClusterForwarding(t *testing.T) {
 			t.Errorf("%v: driver-only flags leaked into forwarded args %v", args, fwd)
 		}
 	}
-	// The two cases a "forward what differs from the default" rule alone
-	// would miss in one direction or the other: a value that is never on the
-	// command line, only in the spec, and an explicit zero.
+	// A value that is never on the command line, only in the spec, must be
+	// forwarded too.
 	for _, tc := range []struct{ args, want string }{
 		{"-cluster 3 -op max -combine", "-combine-nodes=3"},
-		{"-cluster 3 -strategy transform -codec block+zlib -codec-workers 0", "-codec-workers=0"},
 	} {
 		o, err := parse(t, strings.Fields(tc.args)...)
 		if err != nil {

@@ -31,11 +31,12 @@ type WorkerConfig struct {
 // Worker is one worker process's connection to the coordinator: it
 // registers, heartbeats, executes granted attempts, and reconnects on the
 // package's redial schedule when the session drops. Leases belong to the
-// Worker, not the session: an attempt keeps running through a coordinator outage, the next
-// hello presents its (lease, epoch) claim, and if the restarted coordinator
-// re-adopts it the buffered outcome is delivered as if nothing happened.
-// Drain (the SIGTERM path) stops new grants, lets in-flight attempts finish,
-// and deregisters so no lease is left to time out.
+// Worker, not the session: an attempt keeps running through a coordinator
+// outage, the next hello presents its (lease, epoch) claim, and if the
+// restarted coordinator re-adopts it the attempt's outcome is delivered as if
+// nothing happened. Drain (the SIGTERM path) stops new grants, lets in-flight
+// attempts finish and their outcomes be acknowledged, and deregisters so no
+// lease is left to time out.
 type Worker struct {
 	cfg WorkerConfig
 
@@ -44,14 +45,13 @@ type Worker struct {
 	id       int // coordinator-assigned identity; -1 until first welcome
 	runner   Runner
 	leases   map[int]*workerLease
-	outbox   []outMsg // outcomes finished while disconnected, keyed to leases
 	draining bool
 	stopped  bool
 	stop     chan struct{}
 	stopOnce sync.Once
 }
 
-// outMsg is one buffered outcome frame awaiting a live session.
+// outMsg is one lease's outcome frame: a complete or a fail.
 type outMsg struct {
 	lease int
 	kind  byte
@@ -72,13 +72,25 @@ type session struct {
 	closeOnce  sync.Once
 }
 
-// workerLease is one granted attempt executing in this process. epoch is the
+// workerLease is one granted attempt in this process. epoch is the
 // coordinator incarnation that granted it — the re-adoption claim.
+//
+// A lease outlives its attempt: once the attempt finishes, out holds its
+// outcome until the coordinator acknowledges the settle by revoking the
+// lease — its reply to the first heartbeat that names the lease after the
+// settle, which on the one ordered connection cannot overtake it. A write
+// that succeeded is not an outcome delivered: it may have gone into the
+// socket of a coordinator that is already dead, or that was closing and
+// dropped it. Until the ack the lease stays claimed, so a restarted
+// coordinator re-adopts it (its settle was never journaled) and the outcome
+// is sent again, or does not (the settle was journaled, and the driver's
+// re-ask gets the journaled outcome).
 type workerLease struct {
 	id      int
 	epoch   int
 	revoked chan struct{}
 	once    sync.Once
+	out     *outMsg // guarded by Worker.mu; nil while the attempt runs
 }
 
 func (l *workerLease) revoke() { l.once.Do(func() { close(l.revoked) }) }
@@ -186,8 +198,9 @@ func (w *Worker) claims() []leaseClaim {
 }
 
 // register opens one connection epoch: dial, present identity and lease
-// claims, build the runner on first welcome, reconcile the claims, and flush
-// outcomes buffered during the outage. Dial and handshake failures return
+// claims, build the runner on first welcome, reconcile the claims, and send
+// the outcome of every re-adopted lease whose attempt has finished — sent
+// before or not, none was acknowledged. Dial and handshake failures return
 // the error (they count against the redial budget).
 func (w *Worker) register() (*session, error) {
 	w.mu.Lock()
@@ -210,8 +223,8 @@ func (w *Worker) register() (*session, error) {
 		segWaiters: make(map[int]chan segDataMsg), done: make(chan struct{})}
 
 	// Reconcile claims: leases the coordinator re-adopted live on; the rest
-	// were forfeited while we were away — revoke them so their attempts stop
-	// and their buffered outcomes are dropped.
+	// were settled or forfeited while we were away — revoke them so their
+	// attempts stop and their outcomes are dropped.
 	readopted := make(map[int]bool, len(welcome.Readopted))
 	for _, id := range welcome.Readopted {
 		readopted[id] = true
@@ -222,27 +235,22 @@ func (w *Worker) register() (*session, error) {
 	w.sess = s
 	draining := w.draining
 	var abandoned []*workerLease
+	var flush []*outMsg
 	for id, l := range w.leases {
-		if !readopted[id] {
+		switch {
+		case !readopted[id]:
 			abandoned = append(abandoned, l)
 			delete(w.leases, id)
+		case l.out != nil:
+			flush = append(flush, l.out)
 		}
 	}
-	flush := w.outbox
-	w.outbox = nil
 	w.mu.Unlock()
 	for _, l := range abandoned {
 		l.revoke()
 	}
-	for _, m := range flush {
-		if !readopted[m.lease] {
-			continue // forfeited while away; the outcome is stale
-		}
-		if s.send(m.kind, m.v) == nil {
-			w.removeLease(m.lease)
-		} else {
-			w.bufferOutcome(m) // session died already; keep for the next one
-		}
+	for _, out := range flush {
+		s.report(out) // a failed send leaves it for the next registration
 	}
 	if draining { // Drain raced the dial; bow out before taking work
 		s.send(kindGoodbye, goodbyeMsg{Draining: true})
@@ -271,8 +279,8 @@ func (s *session) serve() {
 	s.w.mu.Unlock()
 }
 
-// closeIfIdle hangs up a draining worker's session once no attempt is in
-// flight.
+// closeIfIdle hangs up a draining worker's session once it holds no lease:
+// no attempt is in flight and every outcome has been acknowledged.
 func (w *Worker) closeIfIdle(s *session) {
 	w.mu.Lock()
 	idle := len(w.leases) == 0
@@ -282,16 +290,15 @@ func (w *Worker) closeIfIdle(s *session) {
 	}
 }
 
-func (w *Worker) removeLease(id int) {
-	w.mu.Lock()
-	delete(w.leases, id)
-	w.mu.Unlock()
-}
-
-func (w *Worker) bufferOutcome(m outMsg) {
-	w.mu.Lock()
-	w.outbox = append(w.outbox, m)
-	w.mu.Unlock()
+// report sends a finished attempt's outcome, then a heartbeat naming only its
+// lease. The coordinator handles the two in order, so that heartbeat finds the
+// lease settled and is answered with the revoke that acknowledges the outcome
+// — within a round trip rather than at the next tick, which would hold the
+// outcome (a map attempt's whole output) for up to a heartbeat interval.
+func (s *session) report(out *outMsg) {
+	if s.send(out.kind, out.v) == nil {
+		s.send(kindHeartbeat, heartbeatMsg{Leases: []int{out.lease}})
+	}
 }
 
 // liveSession returns the current registered session, or nil.
@@ -359,21 +366,20 @@ func (s *session) readLoop() {
 				s.w.startGrant(s.runner, m)
 			}
 		case kindRevoke:
+			// Either the coordinator withdrew a running attempt, or it is
+			// acknowledging a settled one; the lease goes either way.
 			var m revokeMsg
 			if decode(payload, &m) == nil {
 				s.w.mu.Lock()
 				l := s.w.leases[m.Lease]
 				delete(s.w.leases, m.Lease)
-				var keep []outMsg
-				for _, om := range s.w.outbox {
-					if om.lease != m.Lease {
-						keep = append(keep, om)
-					}
-				}
-				s.w.outbox = keep
+				draining := s.w.draining
 				s.w.mu.Unlock()
 				if l != nil {
 					l.revoke()
+				}
+				if draining {
+					s.w.closeIfIdle(s)
 				}
 			}
 		case kindSegData:
@@ -413,9 +419,11 @@ func (w *Worker) startGrant(runner Runner, m grantMsg) {
 	}
 }
 
-// runGrant executes one granted attempt and reports its outcome. An outcome
-// that cannot be sent (the session died) is buffered; the next registration
-// delivers it if the lease was re-adopted.
+// runGrant executes one granted attempt and reports its outcome. The outcome
+// stays on the lease until the coordinator acknowledges it (see
+// workerLease); one that cannot be sent now goes out with the next
+// registration if that re-adopts the lease. A lease revoked while its attempt
+// ran has nothing left to report.
 func (w *Worker) runGrant(runner Runner, m grantMsg, l *workerLease) {
 	if s := w.liveSession(); s != nil {
 		s.send(kindStarted, startedMsg{Lease: m.Lease})
@@ -424,27 +432,19 @@ func (w *Worker) runGrant(runner Runner, m grantMsg, l *workerLease) {
 		return w.fetch(l, mapTask, part)
 	})
 
-	var out outMsg
+	out := &outMsg{lease: m.Lease, kind: kindComplete, v: completeMsg{Lease: m.Lease, Result: rr}}
 	if err != nil {
-		out = outMsg{lease: m.Lease, kind: kindFail, v: classifyFailure(m.Lease, err)}
-	} else {
-		out = outMsg{lease: m.Lease, kind: kindComplete, v: completeMsg{Lease: m.Lease, Result: rr}}
+		out = &outMsg{lease: m.Lease, kind: kindFail, v: classifyFailure(m.Lease, err)}
 	}
-	s := w.liveSession()
-	if s != nil && s.send(out.kind, out.v) == nil {
-		w.removeLease(m.Lease)
-	} else {
-		w.bufferOutcome(out)
-	}
-
-	// A draining worker hangs up once the last in-flight attempt ends.
 	w.mu.Lock()
-	draining := w.draining
-	idle := len(w.leases) == 0
-	s = w.sess
+	held := w.leases[m.Lease] == l
+	if held {
+		l.out = out
+	}
+	s := w.sess
 	w.mu.Unlock()
-	if draining && idle && s != nil {
-		s.close()
+	if held && s != nil {
+		s.report(out)
 	}
 }
 

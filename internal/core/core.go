@@ -65,8 +65,9 @@ type Strategy struct {
 	// only; default "zlib", the paper's choice in Section III-E). A
 	// "block+" prefix (e.g. "block+zlib") wraps the whole transform stack
 	// in the parallel block pipeline — each block runs the predictive
-	// transform and the generic codec independently on a worker, with
-	// QueryConfig.CodecWorkers setting the width.
+	// transform and the generic codec independently on one of GOMAXPROCS
+	// workers (position-determined framing: every width yields the same
+	// bytes).
 	Codec string
 	// Curve names the space-filling curve (Aggregation only; default
 	// "zorder").
@@ -170,13 +171,6 @@ func ValidateQuery(qcfg scihadoop.QueryConfig, strat Strategy) error {
 	if qcfg.Radius < 0 {
 		return fmt.Errorf("core: Radius must be >= 0, got %d", qcfg.Radius)
 	}
-	if qcfg.CodecWorkers < 0 {
-		return fmt.Errorf("core: CodecWorkers must be >= 0, got %d", qcfg.CodecWorkers)
-	}
-	if qcfg.CodecWorkers > 0 &&
-		(strat.Kind != ByteTransform || !strings.HasPrefix(strings.ToLower(strat.Codec), "block+")) {
-		return fmt.Errorf("core: CodecWorkers is set but strategy %q has no block+ codec", strat.Name())
-	}
 	if qcfg.CombineNodes < 0 {
 		return fmt.Errorf("core: CombineNodes must be >= 0, got %d", qcfg.CombineNodes)
 	}
@@ -221,7 +215,6 @@ func BuildJob(fs *hdfs.FileSystem, qcfg scihadoop.QueryConfig, strat Strategy) (
 				// the predictive transform and the generic codec on its own
 				// worker, so the expensive predictor parallelizes too.
 				blk := codec.NewBlock(t)
-				blk.Workers = qcfg.CodecWorkers
 				bm = new(codec.BlockMetrics)
 				blk.Metrics = bm
 				qcfg.MapOutputCodec = blk

@@ -50,7 +50,7 @@ type E13Result struct {
 }
 
 // E13ChaosSoak runs the sliding-median query over the networked shuffle
-// transport under each chaos schedule and checks the robustness invariant:
+// (loopback TCP) under each chaos schedule and checks the robustness invariant:
 // with a sufficient retry budget, deadlines + retry/backoff + partial-fetch
 // resume + producer re-execution reconstruct the exact fault-free result, so
 // chaos shows up only in the transport and waste counters — never in the
@@ -95,7 +95,7 @@ func E13ChaosSoak(side int, ob *obs.Observer) (E13Result, error) {
 	res := E13Result{Clean: clean}
 	for _, s := range E13Schedules {
 		sc := &mapreduce.ShuffleConfig{
-			Mode: mapreduce.ShuffleNet,
+			Mode: mapreduce.ShuffleTCP,
 			// Small chunks make mid-stream faults land inside transfers, so
 			// resume-from-verified-offset actually carries bytes forward.
 			ChunkBytes:    1024,

@@ -32,15 +32,13 @@ func TestBlockCodecDifferential(t *testing.T) {
 		parallel int
 	}{
 		{name: "mem"},
-		{name: "net", parallel: 2,
-			shuffle: &ShuffleConfig{Mode: ShuffleNet, Nodes: 2, FetchAttempts: 4}},
 		{name: "tcp", parallel: 2,
 			shuffle: &ShuffleConfig{Mode: ShuffleTCP, Nodes: 2, FetchAttempts: 4}},
 		{name: "mem-faults",
 			spec:   "seed=9;map:1:error@0;segment:0.1:corrupt@0;codec:2:error@0",
 			policy: RetryPolicy{MaxAttempts: 3}},
 		{name: "net-faults", parallel: 2,
-			shuffle: &ShuffleConfig{Mode: ShuffleNet, Nodes: 2, FetchAttempts: 4},
+			shuffle: &ShuffleConfig{Mode: ShuffleTCP, Nodes: 2, FetchAttempts: 4},
 			spec:    "seed=3;net:1:cut@0;net:0.1:corrupt@0",
 			policy:  RetryPolicy{MaxAttempts: 3}},
 	}

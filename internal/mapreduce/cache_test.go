@@ -143,7 +143,7 @@ func TestMapCacheDifferential(t *testing.T) {
 			job.Combine = &CombineConfig{Combiner: SumInt32, Nodes: 2}
 		}},
 		{"net_shuffle", func(job *Job) {
-			job.Shuffle = &ShuffleConfig{Mode: ShuffleNet, Nodes: 3}
+			job.Shuffle = &ShuffleConfig{Mode: ShuffleTCP, Nodes: 3}
 		}},
 	}
 	for _, tc := range cases {

@@ -16,6 +16,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+
+	"scikey/internal/shufflenet"
 )
 
 // Monoid is the algebraic contract for mergeable aggregate values: a binary
@@ -129,16 +131,15 @@ type CombineConfig struct {
 
 // combineGroupCount resolves the node-group count for this job: an explicit
 // Combine.Nodes wins; otherwise networked shuffles combine per shuffle node
-// (matching shufflenet's "map task t serves from node t % Nodes" placement,
-// default 3) and everything else uses one group. Never more groups than
-// map tasks.
+// (matching shufflenet's "map task t serves from node t % Nodes" placement)
+// and everything else uses one group. Never more groups than map tasks.
 func (j *Job) combineGroupCount() int {
 	n := j.Combine.Nodes
 	if n <= 0 {
 		n = 1
 		if j.Shuffle.networked() {
 			if n = j.Shuffle.Nodes; n <= 0 {
-				n = 3 // shufflenet's default node count
+				n = shufflenet.DefaultNodes
 			}
 		}
 	}

@@ -325,7 +325,7 @@ func TestCombineGroupCount(t *testing.T) {
 		t.Errorf("groups not clamped to splits: %d, want 10", got)
 	}
 	j.Combine.Nodes = 0
-	j.Shuffle = &ShuffleConfig{Mode: ShuffleNet}
+	j.Shuffle = &ShuffleConfig{Mode: ShuffleTCP}
 	if got := j.combineGroupCount(); got != 3 {
 		t.Errorf("networked default groups = %d, want shufflenet default 3", got)
 	}

@@ -37,10 +37,6 @@ type readEnv struct {
 	attempt int
 	// part is the reducer partition being read, or -1 on the map side.
 	part int
-	// arena, when non-nil, receives the record copies the merge produces
-	// instead of per-record heap allocations. The caller owns the arena's
-	// lifetime: merged pairs are only valid until it is reset or recycled.
-	arena *kvArena
 	// borrow, when set, skips record copies entirely: each iterator's
 	// current pair aliases its IFile reader's scratch buffers and is valid
 	// only until that iterator advances. The merge-pass rewrite loop runs in
@@ -270,9 +266,6 @@ func (it *segIter) advance() {
 	switch {
 	case it.env.borrow:
 		it.cur = KV{Key: k, Value: v}
-	case it.env.arena != nil:
-		a := it.env.arena
-		it.cur = KV{Key: a.copy(k), Value: a.copy(v)}
 	default:
 		it.cur = KV{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)}
 	}
@@ -368,7 +361,6 @@ type mergeStream struct {
 // the goroutines.
 func validateSegments(segs []segment, env readEnv) (int64, error) {
 	env.borrow = true
-	env.arena = nil
 	errs := make([]error, len(segs))
 	if env.codec == codec.None {
 		for i, seg := range segs {
@@ -510,7 +502,6 @@ func mergeDown(segs []segment, env readEnv, cmp func(a, b []byte) int, factor, t
 	// output before its iterator advances, so a pass holds one in-flight
 	// record per input segment and materializes nothing.
 	env.borrow = true
-	env.arena = nil
 	coded := last == env.codec
 	for len(segs) > target || !coded {
 		n := min(factor, len(segs))

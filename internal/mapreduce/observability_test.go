@@ -250,7 +250,7 @@ func TestCalibrateFromResult(t *testing.T) {
 func TestShuffleMetricsExposition(t *testing.T) {
 	fs := testFS()
 	job := wordCountJob(fs, faultDocs, 2, false)
-	job.Shuffle = &ShuffleConfig{Mode: ShuffleNet, Nodes: 2}
+	job.Shuffle = &ShuffleConfig{Mode: ShuffleTCP, Nodes: 2}
 	ob := obs.New()
 	job.Obs = ob
 	res, err := Run(job)

@@ -251,7 +251,7 @@ func TestRemoteExhaustedBudgetFails(t *testing.T) {
 func TestRemoteRejectsNetworkedShuffle(t *testing.T) {
 	fs := testFS()
 	job := wordCountJob(fs, remoteDocs, 2, false)
-	job.Shuffle = &ShuffleConfig{Mode: "net"}
+	job.Shuffle = &ShuffleConfig{Mode: ShuffleTCP}
 	job.Remote = newLoopbackRemote(func() *Job { return nil })
 	_, err := Run(job)
 	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {

@@ -13,17 +13,15 @@ const (
 	// ShuffleMem hands committed segments to reducers in-process (the
 	// historical data path; the byte-identity baseline).
 	ShuffleMem = "mem"
-	// ShuffleNet runs the networked shuffle over in-process pipes:
-	// deterministic and fast, but every transport failure mode is real.
-	ShuffleNet = "net"
-	// ShuffleTCP runs the networked shuffle over loopback TCP sockets.
+	// ShuffleTCP runs the networked shuffle: per-node segment servers on
+	// loopback TCP sockets.
 	ShuffleTCP = "tcp"
 )
 
 // ShuffleConfig selects and tunes the shuffle transport. The zero value of
 // every field takes the shufflenet default.
 type ShuffleConfig struct {
-	// Mode is ShuffleMem (default when empty), ShuffleNet, or ShuffleTCP.
+	// Mode is ShuffleMem (default when empty) or ShuffleTCP.
 	Mode string
 	// Nodes is the simulated shuffle-server count; map task t serves from
 	// node t % Nodes.
@@ -43,15 +41,15 @@ type ShuffleConfig struct {
 
 func (sc *ShuffleConfig) validate() error {
 	switch sc.Mode {
-	case "", ShuffleMem, ShuffleNet, ShuffleTCP:
+	case "", ShuffleMem, ShuffleTCP:
 		return nil
 	}
-	return fmt.Errorf("shuffle mode %q is not %s|%s|%s", sc.Mode, ShuffleMem, ShuffleNet, ShuffleTCP)
+	return fmt.Errorf("shuffle mode %q is not %s|%s", sc.Mode, ShuffleMem, ShuffleTCP)
 }
 
 // networked reports whether the job shuffles over shufflenet.
 func (sc *ShuffleConfig) networked() bool {
-	return sc != nil && (sc.Mode == ShuffleNet || sc.Mode == ShuffleTCP)
+	return sc != nil && sc.Mode == ShuffleTCP
 }
 
 // newShuffleService starts the job's shuffle service, or returns nil for the
@@ -61,14 +59,7 @@ func newShuffleService(job *Job) (*shufflenet.Service, error) {
 		return nil, nil
 	}
 	sc := job.Shuffle
-	var tr shufflenet.Transport
-	if sc.Mode == ShuffleTCP {
-		tr = shufflenet.NewTCPTransport()
-	} else {
-		tr = shufflenet.NewMemTransport()
-	}
-	svc, err := shufflenet.NewService(shufflenet.Config{
-		Transport:        tr,
+	svc := shufflenet.NewService(shufflenet.Config{
 		Nodes:            sc.Nodes,
 		ChunkBytes:       sc.ChunkBytes,
 		FetchTimeout:     sc.FetchTimeout,
@@ -78,9 +69,6 @@ func newShuffleService(job *Job) (*shufflenet.Service, error) {
 		Injector:         job.Faults,
 		Obs:              job.Obs,
 	})
-	if err != nil {
-		return nil, err
-	}
 	if err := svc.Start(); err != nil {
 		return nil, err
 	}

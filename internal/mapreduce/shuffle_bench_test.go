@@ -115,17 +115,33 @@ func BenchmarkMergeSegments(b *testing.B) {
 		segs = append(segs, seg)
 		bytes += int64(len(seg.data))
 	}
-	// Merge through an arena, the way the engine's merge passes do.
-	arena := &kvArena{}
-	env := readEnv{codec: c, part: -1, arena: arena}
+	// Drain a borrow-mode merge stream, the way mergeDown's passes and the
+	// reduce stream consume theirs: each record is used before its iterator
+	// advances, so none is copied.
+	env := readEnv{codec: c, part: -1, borrow: true}
 	cmp := func(a, b []byte) int { return compareBytes(a, b) }
 	b.SetBytes(bytes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arena.reset()
-		if _, err := mergeSegments(segs, env, cmp); err != nil {
+		m, err := newMergeStream(segs, env, cmp)
+		if err != nil {
 			b.Fatal(err)
+		}
+		records := 0
+		for {
+			_, ok, err := m.next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			records++
+		}
+		m.close()
+		if records != nSegs*2048 {
+			b.Fatalf("merged %d records, want %d", records, nSegs*2048)
 		}
 	}
 }

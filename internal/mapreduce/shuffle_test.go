@@ -40,7 +40,7 @@ func cleanBaseline(t *testing.T) (*Result, []string) {
 // produces byte-identical output and identical payload counters.
 func TestNetShuffleCleanByteIdentical(t *testing.T) {
 	clean, want := cleanBaseline(t)
-	for _, mode := range []string{ShuffleMem, ShuffleNet, ShuffleTCP} {
+	for _, mode := range []string{ShuffleMem, ShuffleTCP} {
 		t.Run(mode, func(t *testing.T) {
 			res, out, err := runShuffleJob(t, &ShuffleConfig{Mode: mode}, "", RetryPolicy{})
 			if err != nil {
@@ -100,7 +100,7 @@ func TestNetShuffleFaultMatrix(t *testing.T) {
 			t.Run(pname+"/"+f.name, func(t *testing.T) {
 				// Small chunks so mid-segment faults leave a verified prefix
 				// behind — the thing resume exists to exploit.
-				sc := &ShuffleConfig{Mode: ShuffleNet, FetchTimeout: 80 * time.Millisecond, ChunkBytes: 16}
+				sc := &ShuffleConfig{Mode: ShuffleTCP, FetchTimeout: 80 * time.Millisecond, ChunkBytes: 16}
 				res, out, err := runShuffleJob(t, sc, f.spec, policy)
 				if err != nil {
 					t.Fatalf("faulty networked run failed: %v", err)
@@ -131,7 +131,7 @@ func TestNetShuffleFaultMatrix(t *testing.T) {
 func TestNetShuffleNodeOutageRecovers(t *testing.T) {
 	_, want := cleanBaseline(t)
 	sc := &ShuffleConfig{
-		Mode:             ShuffleNet,
+		Mode:             ShuffleTCP,
 		FetchAttempts:    2,
 		BreakerThreshold: -1, // isolate the lost-output path from breaker timing
 	}
@@ -161,7 +161,7 @@ func TestNetShuffleNodeOutageRecovers(t *testing.T) {
 // task-retry budget is spent, the job fails with the lost segment's typed
 // error naming the producing map task.
 func TestNetShuffleExhaustionWithoutRetriesFails(t *testing.T) {
-	sc := &ShuffleConfig{Mode: ShuffleNet, FetchAttempts: 2, BreakerThreshold: -1}
+	sc := &ShuffleConfig{Mode: ShuffleTCP, FetchAttempts: 2, BreakerThreshold: -1}
 	_, _, err := runShuffleJob(t, sc, "net:1:refuse@*", RetryPolicy{})
 	if err == nil {
 		t.Fatal("expected a permanently refused fetch to fail the job")
@@ -181,7 +181,7 @@ func TestNetShuffleExhaustionWithoutRetriesFails(t *testing.T) {
 // through the existing re-execute-the-producer path.
 func TestNetShuffleSegmentCorruptionAtRest(t *testing.T) {
 	_, want := cleanBaseline(t)
-	sc := &ShuffleConfig{Mode: ShuffleNet}
+	sc := &ShuffleConfig{Mode: ShuffleTCP}
 	res, out, err := runShuffleJob(t, sc, "seed=7;segment:2.0:corrupt@0", RetryPolicy{MaxAttempts: 3})
 	if err != nil {
 		t.Fatalf("at-rest corruption not recovered over the network: %v", err)

@@ -144,7 +144,7 @@ func TestStreamingReduceDifferential(t *testing.T) {
 			spec:   "seed=9;map:1:error@0;segment:0.1:corrupt@0;codec:2:error@0",
 			policy: RetryPolicy{MaxAttempts: 3}},
 		{name: "chaos-net", codec: nil, parallel: 2,
-			shuffle: &ShuffleConfig{Mode: ShuffleNet, Nodes: 2, FetchAttempts: 4},
+			shuffle: &ShuffleConfig{Mode: ShuffleTCP, Nodes: 2, FetchAttempts: 4},
 			spec:    "seed=3;net:1:cut@0;net:0.1:corrupt@0",
 			policy:  RetryPolicy{MaxAttempts: 3}},
 	}

@@ -220,10 +220,10 @@ type RunOptions struct {
 	// chaos runs use. Nil disables injection.
 	Faults *faults.Injector
 	// Shuffle selects the map→reduce segment transport. Nil (or mode "mem")
-	// hands committed segments to reducers in-process; the net modes run
-	// the full shufflenet data path — per-node servers, CRC-framed chunked
-	// responses, deadlines, retries with resume, circuit breakers — over
-	// in-process pipes ("net") or loopback TCP ("tcp").
+	// hands committed segments to reducers in-process; mode "tcp" runs the
+	// full shufflenet data path — per-node servers on loopback TCP,
+	// CRC-framed chunked responses, deadlines, retries with resume, circuit
+	// breakers.
 	Shuffle *ShuffleConfig
 	// Timeout bounds the whole job's wall-clock time. When it expires, all
 	// in-flight attempts (including their backoff and straggler waits) are

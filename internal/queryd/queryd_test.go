@@ -402,6 +402,14 @@ func TestCacheKeyDefaultEquivalence(t *testing.T) {
 	paper := QuerySpec{Side: 24, Strategy: "baseline", Op: "median", Radius: 1, Splits: 10, Reducers: 5}
 	agg := mut(paper, func(s *QuerySpec) { s.Strategy, s.Curve = "aggregation", "zorder" })
 	tr := mut(paper, func(s *QuerySpec) { s.Strategy, s.Codec = "transform", "zlib" })
+	// A spec written while the block codec's width was still a spec field:
+	// every width framed the same bytes, so the field decodes to nothing and
+	// the spec keys as it always did.
+	var widthSpec QuerySpec
+	wire := `{"side":24,"strategy":"transform","codec":"block+zlib","codec_workers":2,"op":"median","radius":1,"splits":10,"reducers":5}`
+	if err := json.Unmarshal([]byte(wire), &widthSpec); err != nil {
+		t.Fatal(err)
+	}
 
 	same := map[string][2]QuerySpec{
 		"splits_0":              {paper, mut(paper, func(s *QuerySpec) { s.Splits = 0 })},
@@ -416,7 +424,7 @@ func TestCacheKeyDefaultEquivalence(t *testing.T) {
 		"codec_on_baseline":     {paper, mut(paper, func(s *QuerySpec) { s.Codec = "zlib" })},
 		"tenant":                {paper, mut(paper, func(s *QuerySpec) { s.Tenant = "alice" })},
 		"everything_defaulted":  {paper, {Side: 24, Strategy: "baseline"}},
-		"codec_workers_ignored": {mut(tr, func(s *QuerySpec) { s.Codec = "block+zlib" }), mut(tr, func(s *QuerySpec) { s.Codec, s.CodecWorkers = "block+zlib", 2 })},
+		"codec_workers_ignored": {mut(tr, func(s *QuerySpec) { s.Codec = "block+zlib" }), widthSpec},
 	}
 	for name, pair := range same {
 		t.Run("same/"+name, func(t *testing.T) {

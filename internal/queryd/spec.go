@@ -28,14 +28,9 @@ type QuerySpec struct {
 	Side     int    `json:"side"`
 	Strategy string `json:"strategy"`
 	Codec    string `json:"codec,omitempty"`
-	// CodecWorkers sets the block+ codec's pipeline width. Any width
-	// produces the same bytes (position-determined framing), so it shapes
-	// wall-clock only — and is excluded from the cache key for the same
-	// reason.
-	CodecWorkers int    `json:"codec_workers,omitempty"`
-	Curve        string `json:"curve,omitempty"`
-	Flush        int    `json:"flush,omitempty"`
-	Op           string `json:"op"`
+	Curve    string `json:"curve,omitempty"`
+	Flush    int    `json:"flush,omitempty"`
+	Op       string `json:"op"`
 	// Combine/CombineNodes enable in-node combining. Both travel in the
 	// spec so every process builds the identical job.
 	Combine      bool `json:"combine,omitempty"`
@@ -78,7 +73,6 @@ func (s QuerySpec) queryConfig() (scihadoop.QueryConfig, core.Strategy, error) {
 		NumSplits:    s.Splits,
 		NumReducers:  s.Reducers,
 		Radius:       s.Radius,
-		CodecWorkers: s.CodecWorkers,
 		Combine:      s.Combine,
 		CombineNodes: s.CombineNodes,
 		OutputPath:   "/out/scijob",
@@ -135,11 +129,10 @@ func (s QuerySpec) Setup() (*hdfs.FileSystem, scihadoop.QueryConfig, core.Strate
 // configuration — each read from the defaulted config and the parsed
 // strategy, so specs that build the same job (an omitted radius and radius
 // 1, "transform" and "transform -codec zlib", a flush threshold on a
-// strategy that ignores it) share a key. It deliberately EXCLUDES
-// CodecWorkers (block+ framing is position-determined: every width yields
-// identical bytes), Tenant (cache entries are shared across tenants — same
-// bytes either way), and returns "" for a spec with faults, disabling
-// caching (fault schedules must execute real attempts).
+// strategy that ignores it) share a key. It deliberately EXCLUDES Tenant
+// (cache entries are shared across tenants — same bytes either way), and
+// returns "" for a spec with faults, disabling caching (fault schedules must
+// execute real attempts).
 func (s QuerySpec) CacheKey() string {
 	if s.Faults != "" {
 		return ""

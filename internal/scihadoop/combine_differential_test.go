@@ -64,7 +64,6 @@ func TestCombineDifferentialQueries(t *testing.T) {
 		cfg  *mapreduce.ShuffleConfig
 	}{
 		{"mem", nil},
-		{"net", &mapreduce.ShuffleConfig{Mode: mapreduce.ShuffleNet}},
 		{"tcp", &mapreduce.ShuffleConfig{Mode: mapreduce.ShuffleTCP}},
 	}
 

@@ -66,12 +66,6 @@ type QueryConfig struct {
 	// MapOutputCodec compresses spills (Section III-E's custom codec slots
 	// in here). Nil disables compression.
 	MapOutputCodec codec.Codec
-	// CodecWorkers is the parallel block codec's pipeline width, meaningful
-	// only when the map-output codec is a block+ stack: 0 means GOMAXPROCS,
-	// 1 means the sequential in-line reference path, n>1 means n workers.
-	// The framing is position-determined, so every width produces the same
-	// bytes.
-	CodecWorkers int
 	// Curve names the space-filling curve for aggregate keys (default
 	// "zorder").
 	Curve string

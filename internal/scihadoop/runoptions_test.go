@@ -30,7 +30,7 @@ func TestRunOptionsReachEveryJob(t *testing.T) {
 		Parallelism: 3,
 		Retry:       mapreduce.RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond},
 		Faults:      inj,
-		Shuffle:     &mapreduce.ShuffleConfig{Mode: mapreduce.ShuffleNet},
+		Shuffle:     &mapreduce.ShuffleConfig{Mode: mapreduce.ShuffleTCP},
 		Timeout:     time.Minute,
 		Remote:      stubRemote{},
 		MapCache:    stubCache{},

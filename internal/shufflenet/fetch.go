@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 	"time"
 )
 
@@ -17,6 +18,7 @@ var (
 	errChunkCRC     = errors.New("chunk crc mismatch")
 	errProtocol     = errors.New("protocol violation")
 	errNodeDown     = errors.New("node down")
+	errRefused      = errors.New("connection refused: node not listening")
 	errBreakerOpen  = errors.New("circuit breaker open")
 )
 
@@ -130,7 +132,11 @@ func (s *Service) fetchOnce(node, mapTask, part, fetchAttempt int, st *fetchStat
 	if s.cfg.Injector.NodeDown(node) {
 		return fmt.Errorf("%w: node %d", errNodeDown, node)
 	}
-	conn, err := s.cfg.Transport.Dial(node, s.cfg.fetchTimeout())
+	addr, ok := s.addr(node)
+	if !ok {
+		return fmt.Errorf("%w: node %d", errRefused, node)
+	}
+	conn, err := net.DialTimeout("tcp", addr, s.cfg.fetchTimeout())
 	if err != nil {
 		return err
 	}

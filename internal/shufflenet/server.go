@@ -106,8 +106,7 @@ func (s *Service) handle(conn net.Conn) {
 		crcIdx = int(start / int64(cb))
 	}
 	crcs := pub.crcs[req.partition]
-	var hdr [8]byte
-	bufs := make(net.Buffers, 0, 2)
+	var sc chunkScratch
 
 	sent := int64(0)
 	first := true
@@ -142,7 +141,7 @@ func (s *Service) handle(conn net.Conn) {
 		} else {
 			crc = crc32.ChecksumIEEE(chunk)
 		}
-		if err := writeChunk(conn, &hdr, &bufs, chunk, corrupted, crc); err != nil {
+		if err := writeChunk(conn, &sc, chunk, corrupted, crc); err != nil {
 			return
 		}
 		first = false

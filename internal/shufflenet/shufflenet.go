@@ -6,13 +6,11 @@
 //
 // The moving parts:
 //
-//   - A Transport abstracts the byte pipes: localhost TCP for realism, an
-//     in-memory net.Pipe transport for fast deterministic tests. Both honor
-//     deadlines.
-//   - One Server per simulated node holds the committed map-output segments
-//     of the map tasks it hosts and serves them over a CRC-framed chunk
-//     protocol that supports byte-offset range reads, so an interrupted
-//     fetch resumes from its last verified offset instead of from zero.
+//   - One server per simulated node listens on its own loopback TCP port,
+//     holds the committed map-output segments of the map tasks it hosts and
+//     serves them over a CRC-framed chunk protocol that supports byte-offset
+//     range reads, so an interrupted fetch resumes from its last verified
+//     offset instead of from zero.
 //   - The reduce-side fetcher bounds per-node concurrency, applies a
 //     per-fetch deadline, retries with the engine's deterministic
 //     backoff/jitter, and keeps a per-node circuit breaker so one sick node
@@ -39,13 +37,13 @@ import (
 	"scikey/internal/obs"
 )
 
+// DefaultNodes is the shuffle server count when Config.Nodes is unset.
+const DefaultNodes = 3
+
 // Config parameterizes a shuffle Service.
 type Config struct {
-	// Transport supplies the byte pipes. Required: NewMemTransport or
-	// NewTCPTransport.
-	Transport Transport
 	// Nodes is the shuffle server count; map task t publishes to node
-	// t % Nodes. Default 3.
+	// t % Nodes. Default DefaultNodes.
 	Nodes int
 	// ChunkBytes is the response chunk size (each chunk carries its own
 	// CRC; the verified-resume granularity). Default 64 KiB.
@@ -78,7 +76,7 @@ func (c Config) nodes() int {
 	if c.Nodes > 0 {
 		return c.Nodes
 	}
-	return 3
+	return DefaultNodes
 }
 
 func (c Config) chunkBytes() int {
@@ -191,10 +189,7 @@ type Service struct {
 }
 
 // NewService builds a Service; call Start to begin listening.
-func NewService(cfg Config) (*Service, error) {
-	if cfg.Transport == nil {
-		return nil, fmt.Errorf("shufflenet: Config.Transport is required")
-	}
+func NewService(cfg Config) *Service {
 	s := &Service{
 		cfg:      cfg,
 		segments: make(map[int]published),
@@ -220,7 +215,7 @@ func NewService(cfg Config) (*Service, error) {
 		s.fetchHist[i] = r.Histogram("scikey_shuffle_fetch_seconds",
 			"Latency of individual shuffle fetch attempts by serving node", "seconds", nil, node)
 	}
-	return s, nil
+	return s
 }
 
 // NodeOf names the node hosting a map task's output.
@@ -229,7 +224,7 @@ func (s *Service) NodeOf(mapTask int) int { return mapTask % s.cfg.nodes() }
 // Metrics exposes the service's counters.
 func (s *Service) Metrics() MetricsSnapshot { return s.metrics.Snapshot() }
 
-// Start brings up one server per node.
+// Start brings up one server per node, each on an ephemeral loopback port.
 func (s *Service) Start() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -238,7 +233,7 @@ func (s *Service) Start() error {
 	}
 	s.started = true
 	for node := 0; node < s.cfg.nodes(); node++ {
-		l, err := s.cfg.Transport.Listen(node)
+		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			s.closeLocked()
 			return fmt.Errorf("shufflenet: node %d listen: %w", node, err)
@@ -270,6 +265,17 @@ func (s *Service) lookup(mapTask int) (published, bool) {
 	defer s.mu.Unlock()
 	p, ok := s.segments[mapTask]
 	return p, ok
+}
+
+// addr returns a node's listening address; false means the node is not
+// listening — before Start or after Close — and a dial must be refused.
+func (s *Service) addr(node int) (string, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || node >= len(s.listeners) {
+		return "", false
+	}
+	return s.listeners[node].Addr().String(), true
 }
 
 // Close shuts the servers down and waits for in-flight handlers to exit.

@@ -22,15 +22,9 @@ func testBytes(n int, seed byte) []byte {
 	return b
 }
 
-func newTestService(t *testing.T, cfg Config) *Service {
+func newTestService(t testing.TB, cfg Config) *Service {
 	t.Helper()
-	if cfg.Transport == nil {
-		cfg.Transport = NewMemTransport()
-	}
-	s, err := NewService(cfg)
-	if err != nil {
-		t.Fatalf("NewService: %v", err)
-	}
+	s := NewService(cfg)
 	if err := s.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -48,45 +42,51 @@ func injector(t *testing.T, spec string) *faults.Injector {
 }
 
 // TestRoundTrip publishes multi-chunk segments and fetches them back over
-// both transports.
+// loopback TCP.
 func TestRoundTrip(t *testing.T) {
-	transports := map[string]func() Transport{
-		"mem": func() Transport { return NewMemTransport() },
-		"tcp": func() Transport { return NewTCPTransport() },
-	}
-	for name, mk := range transports {
-		t.Run(name, func(t *testing.T) {
-			s := newTestService(t, Config{Transport: mk(), Nodes: 3, ChunkBytes: 64})
-			want := make(map[[2]int][]byte)
-			for m := 0; m < 5; m++ {
-				parts := [][]byte{
-					testBytes(200+m*37, byte(m)), // ~4 chunks
-					nil,                          // empty partition
-					testBytes(63, byte(m+1)),     // sub-chunk
-				}
-				s.Publish(m, 0, parts)
-				for p := range parts {
-					want[[2]int{m, p}] = parts[p]
-				}
+	t.Run("tcp", func(t *testing.T) {
+		s := newTestService(t, Config{Nodes: 3, ChunkBytes: 64})
+		want := make(map[[2]int][]byte)
+		for m := 0; m < 5; m++ {
+			parts := [][]byte{
+				testBytes(200+m*37, byte(m)), // ~4 chunks
+				nil,                          // empty partition
+				testBytes(63, byte(m+1)),     // sub-chunk
 			}
-			for m := 0; m < 5; m++ {
-				for p := 0; p < 3; p++ {
-					res, err := s.Fetch(nil, m, p)
-					if err != nil {
-						t.Fatalf("Fetch(%d,%d): %v", m, p, err)
-					}
-					if !bytes.Equal(res.Data, want[[2]int{m, p}]) {
-						t.Fatalf("Fetch(%d,%d): got %d bytes, want %d", m, p, len(res.Data), len(want[[2]int{m, p}]))
-					}
-					if res.Attempt != 0 {
-						t.Fatalf("Fetch(%d,%d): attempt %d, want 0", m, p, res.Attempt)
-					}
+			s.Publish(m, 0, parts)
+			for p := range parts {
+				want[[2]int{m, p}] = parts[p]
+			}
+		}
+		for m := 0; m < 5; m++ {
+			for p := 0; p < 3; p++ {
+				res, err := s.Fetch(nil, m, p)
+				if err != nil {
+					t.Fatalf("Fetch(%d,%d): %v", m, p, err)
+				}
+				if !bytes.Equal(res.Data, want[[2]int{m, p}]) {
+					t.Fatalf("Fetch(%d,%d): got %d bytes, want %d", m, p, len(res.Data), len(want[[2]int{m, p}]))
+				}
+				if res.Attempt != 0 {
+					t.Fatalf("Fetch(%d,%d): attempt %d, want 0", m, p, res.Attempt)
 				}
 			}
-			if got := s.Metrics(); got.Fetches != 15 || got.Retries != 0 || got.WastedBytes != 0 {
-				t.Fatalf("metrics after clean run: %+v", got)
-			}
-		})
+		}
+		if got := s.Metrics(); got.Fetches != 15 || got.Retries != 0 || got.WastedBytes != 0 {
+			t.Fatalf("metrics after clean run: %+v", got)
+		}
+	})
+}
+
+// TestClosedServiceRefusesDial: once Close has run, a fetch is refused at
+// the dial — the closed node's port is not dialed at all.
+func TestClosedServiceRefusesDial(t *testing.T) {
+	s := newTestService(t, Config{Nodes: 1, FetchAttempts: 1})
+	s.Publish(0, 0, [][]byte{testBytes(10, 1)})
+	s.Close()
+	_, err := s.Fetch(nil, 0, 0)
+	if !errors.Is(err, errRefused) {
+		t.Fatalf("fetch from a closed service: %v, want errRefused", err)
 	}
 }
 

@@ -127,22 +127,32 @@ func chunkCRCs(data []byte, chunkBytes int) []uint32 {
 	return crcs
 }
 
+// chunkScratch is one handler's framing state, reused across its chunks.
+// net.Buffers.WriteTo consumes the vector it is handed down to zero
+// capacity, so bufs is rebuilt over vec for every chunk; appending to the
+// consumed vector instead reallocated it once per chunk.
+type chunkScratch struct {
+	hdr  [8]byte
+	vec  [2][]byte
+	bufs net.Buffers
+}
+
 // writeChunk frames one payload chunk with its precomputed CRC, handing the
 // header and the committed payload bytes to the connection in a single
-// writev-style call (net.Buffers) — the payload is never copied into a
-// user-space staging buffer. hdr and bufs are caller-owned scratch reused
-// across chunks. corrupted, when non-nil, is sent in place of the payload
+// writev call (net.Buffers) — the payload is never copied into a user-space
+// staging buffer. corrupted, when non-nil, is sent in place of the payload
 // while the CRC still covers the original bytes — the injected bit-flip a
 // client-side CRC check must catch.
-func writeChunk(w io.Writer, hdr *[8]byte, bufs *net.Buffers, payload, corrupted []byte, crc uint32) error {
-	binary.BigEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc)
+func writeChunk(w io.Writer, sc *chunkScratch, payload, corrupted []byte, crc uint32) error {
+	binary.BigEndian.PutUint32(sc.hdr[0:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(sc.hdr[4:], crc)
 	body := payload
 	if corrupted != nil {
 		body = corrupted
 	}
-	*bufs = append((*bufs)[:0], hdr[:], body)
-	_, err := bufs.WriteTo(w)
+	sc.vec = [2][]byte{sc.hdr[:], body}
+	sc.bufs = sc.vec[:]
+	_, err := sc.bufs.WriteTo(w)
 	return err
 }
 
