@@ -32,10 +32,10 @@ e15:
 e16:
 	@$(GO) run ./cmd/expdriver -run e16
 
-# E17: resident-service smoke — start scijob -serve with the object-store
-# cache backend, fire concurrent submissions of one query (repeats race the
-# cold run), and assert every response is byte-identical to a one-shot run
-# with scikey_cache_hit_total > 0 on /metrics.
+# E17: resident-service smoke — start scijob -serve, fire concurrent
+# submissions of one query (repeats race the cold run), and assert every
+# response is byte-identical to a one-shot run with scikey_cache_hit_total > 0
+# on /metrics.
 e17:
 	@sh scripts/e17_smoke.sh
 

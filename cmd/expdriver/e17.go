@@ -1,6 +1,6 @@
 // E17 (extension): resident query service cache behavior — a repeated-query
-// mix against each Store backend, verifying that every repeat skips the map
-// phase via the shared segment cache while staying byte-identical to an
+// mix against one service, verifying that every repeat skips the map phase
+// via the shared segment cache while staying byte-identical to an
 // independent one-shot run. Lives in the driver (not internal/experiments)
 // because queryd already imports experiments for dataset setup.
 package main
@@ -16,9 +16,8 @@ import (
 	"scikey/internal/store"
 )
 
-// e17Row is one backend's measured service behavior.
+// e17Row is the service's measured cache behavior.
 type e17Row struct {
-	Backend    string
 	Submitted  int
 	ColdRuns   int
 	CacheHits  int64
@@ -56,8 +55,8 @@ func e17OneShot(spec queryd.QuerySpec) (string, error) {
 	return queryd.OutputSHA(fs, res)
 }
 
-// runE17 exercises the service's cache on both Store backends.
-func runE17(side int) ([]e17Row, error) {
+// runE17 exercises the service's cache over the HDFS-backed store.
+func runE17(side int) (e17Row, error) {
 	specs := e17Specs(side)
 	// One-shot baselines, one per distinct cache key.
 	baseline := make(map[string]string)
@@ -68,52 +67,40 @@ func runE17(side int) ([]e17Row, error) {
 		}
 		sha, err := e17OneShot(spec)
 		if err != nil {
-			return nil, err
+			return e17Row{}, err
 		}
 		baseline[key] = sha
 	}
 
-	backends := []struct {
-		name string
-		mk   func() store.Store
-	}{
-		{"local", func() store.Store {
-			return store.NewLocal(hdfs.New(256<<20, 3, []string{"c0", "c1", "c2"}), "/store")
-		}},
-		{"object", func() store.Store { return store.NewObject() }},
+	ob := obs.New()
+	svc := queryd.New(queryd.Config{
+		Store: store.NewLocal(hdfs.New(256<<20, 3, []string{"c0", "c1", "c2"}), "/store"),
+		Obs:   ob,
+	})
+	defer svc.Close()
+	row := e17Row{Submitted: len(specs), Identical: true, MapSkipped: true}
+	mapAttempts := func() int64 {
+		return ob.R().Histogram("scikey_attempt_seconds",
+			"Duration of task attempts by phase", "seconds", nil, obs.L("phase", "map")).Count()
 	}
-
-	var rows []e17Row
-	for _, be := range backends {
-		ob := obs.New()
-		svc := queryd.New(queryd.Config{Store: be.mk(), Obs: ob})
-		row := e17Row{Backend: be.name, Submitted: len(specs), Identical: true, MapSkipped: true}
-		mapAttempts := func() int64 {
-			return ob.R().Histogram("scikey_attempt_seconds",
-				"Duration of task attempts by phase", "seconds", nil, obs.L("phase", "map")).Count()
+	for _, spec := range specs {
+		before := mapAttempts()
+		resp, err := svc.Submit(spec)
+		if err != nil {
+			return e17Row{}, fmt.Errorf("submit: %w", err)
 		}
-		for _, spec := range specs {
-			before := mapAttempts()
-			resp, err := svc.Submit(spec)
-			if err != nil {
-				svc.Close()
-				return nil, fmt.Errorf("%s submit: %w", be.name, err)
-			}
-			if resp.OutputSHA != baseline[spec.CacheKey()] {
-				row.Identical = false
-			}
-			if resp.CacheHit {
-				if mapAttempts() != before {
-					row.MapSkipped = false
-				}
-			} else {
-				row.ColdRuns++
-			}
+		if resp.OutputSHA != baseline[spec.CacheKey()] {
+			row.Identical = false
 		}
-		row.CacheHits = ob.R().Counter("scikey_cache_hit_total", "Map-output cache hits", "").Value()
-		row.HitRate = float64(row.CacheHits) / float64(len(specs)) * 100
-		svc.Close()
-		rows = append(rows, row)
+		if resp.CacheHit {
+			if mapAttempts() != before {
+				row.MapSkipped = false
+			}
+		} else {
+			row.ColdRuns++
+		}
 	}
-	return rows, nil
+	row.CacheHits = ob.R().Counter("scikey_cache_hit_total", "Map-output cache hits", "").Value()
+	row.HitRate = float64(row.CacheHits) / float64(len(specs)) * 100
+	return row, nil
 }

@@ -131,7 +131,6 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.submitAddr, "submit", "", "submit this invocation's query flags to the resident service at this address and print its response (empty = off)")
 	fs.StringVar(&o.scrapeURL, "scrape", "", "GET this URL (e.g. a -serve /metrics endpoint) and print the body — a curl stand-in for scripts (empty = off)")
 	own(ownServe, func() {
-		fs.StringVar(&o.serve.storeKind, "store", "local", "segment-cache backend for -serve: local (HDFS-backed files) | object (S3-style chunked objects with CRC framing)")
 		fs.IntVar(&o.serve.queueDepth, "queue-depth", 0, "bound on queued-but-not-executing queries for -serve (0 = default 16)")
 		fs.IntVar(&o.serve.workers, "serve-workers", 0, "concurrent query executors for -serve (0 = default 2)")
 		fs.Float64Var(&o.serve.quota, "quota", 0, "default per-tenant quota in modeled seconds for -serve (0 = unlimited)")

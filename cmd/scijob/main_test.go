@@ -201,14 +201,14 @@ func TestModeValidation(t *testing.T) {
 		{"-journal j", "-journal belongs to the coordinator"},
 		{"-cluster 3 -heartbeat 50ms -lease-ttl 400ms", ""},
 		{"-coordinator 127.0.0.1:1 -lease-ttl 2s", ""},
-		{"-serve 127.0.0.1:0 -store object -queue-depth 4 -serve-workers 1 -quota 3 -quotas bob=5", ""},
+		{"-serve 127.0.0.1:0 -queue-depth 4 -serve-workers 1 -quota 3 -quotas bob=5", ""},
 		{"-submit 127.0.0.1:1 -tenant bob", ""},
 		{"-shuffle tcp -nodes 7 -fetch-attempts 2 -fetch-timeout 1s", ""},
 		{"-shuffle tcp -nodes 2", ""},
-		{"-side 32 -heartbeat 5s -store object -tenant bob -nodes 7 -fetch-timeout 1s -quota 3", "only takes effect with"},
+		{"-side 32 -heartbeat 5s -tenant bob -nodes 7 -fetch-timeout 1s -quota 3", "only takes effect with"},
 		{"-heartbeat 5s", "-heartbeat only takes effect with -cluster or -coordinator"},
 		{"-driver 127.0.0.1:1 -lease-ttl 1s", "-lease-ttl only takes effect with -cluster or -coordinator"},
-		{"-store object", "-store only takes effect with -serve"},
+		{"-store object", "flag provided but not defined: -store"},
 		{"-submit 127.0.0.1:1 -queue-depth 4", "-queue-depth only takes effect with -serve"},
 		{"-cluster 3 -serve-workers 2", "-serve-workers only takes effect with -serve"},
 		{"-quota 3", "-quota only takes effect with -serve"},

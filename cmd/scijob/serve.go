@@ -24,26 +24,10 @@ import (
 // serveConfig is the -serve daemon's flags, bound in bindFlags.
 type serveConfig struct {
 	addr       string
-	storeKind  string // local | object
 	queueDepth int
 	workers    int
 	quota      float64 // default per-tenant quota in modeled seconds
 	quotas     string  // "name=seconds,..." overrides
-}
-
-// newStore builds the segment-cache backend the -store flag names.
-func newStore(kind string) (store.Store, error) {
-	switch kind {
-	case "local":
-		// A dedicated HDFS instance: cache blobs are infrastructure, not
-		// query data, and live in their own namespace.
-		fs := hdfs.New(256<<20, 3, []string{"cache0", "cache1", "cache2"})
-		return store.NewLocal(fs, "/store"), nil
-	case "object":
-		return store.NewObject(), nil
-	default:
-		return nil, fmt.Errorf("unknown -store backend %q (want local or object)", kind)
-	}
 }
 
 // parseQuotas decodes "alice=30,bob=5" into per-tenant modeled-second
@@ -70,16 +54,15 @@ func parseQuotas(s string) (map[string]float64, error) {
 // runServeMode is the -serve entrypoint: host the resident query service
 // until SIGTERM, then drain the queue and exit.
 func runServeMode(cfg serveConfig) {
-	st, err := newStore(cfg.storeKind)
-	if err != nil {
-		fatal(err)
-	}
 	quotas, err := parseQuotas(cfg.quotas)
 	if err != nil {
 		fatal(err)
 	}
+	// The segment cache gets a dedicated HDFS instance: cache blobs are
+	// infrastructure, not query data, and live in their own namespace.
+	cacheFS := hdfs.New(256<<20, 3, []string{"cache0", "cache1", "cache2"})
 	svc := queryd.New(queryd.Config{
-		Store:               st,
+		Store:               store.NewLocal(cacheFS, "/store"),
 		Obs:                 obs.New(),
 		QueueDepth:          cfg.queueDepth,
 		Workers:             cfg.workers,
@@ -90,7 +73,7 @@ func runServeMode(cfg serveConfig) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("query service on http://%s (store %s)\n", srv.Addr(), cfg.storeKind)
+	fmt.Printf("query service on http://%s\n", srv.Addr())
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
 	<-sig

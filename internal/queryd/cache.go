@@ -25,8 +25,9 @@ const (
 
 // SegmentCache is the service's shared map-output cache: an engine-facing
 // mapreduce.MapOutputCache that serializes MapPhaseSnapshots into a
-// store.Store, one object per cache key. Swapping the backend (local HDFS
-// directory vs S3-style object store) never changes the cached bytes.
+// store.Store, one CRC-trailed object per cache key. An object that fails to
+// decode is a miss: Get deletes it and counts a decode error, so the next
+// Put stores fresh segments under the key.
 type SegmentCache struct {
 	store store.Store
 
@@ -54,7 +55,7 @@ func NewSegmentCache(s store.Store, reg *obs.Registry) *SegmentCache {
 		entries:      reg.Gauge("scikey_cache_entries", "Map-output cache entries stored by this process", ""),
 		bytes:        reg.Gauge("scikey_cache_bytes", "Segment payload bytes held by this process's cache entries", ""),
 	}
-	// Adopt entries a previous incarnation left in a durable backend.
+	// Adopt entries already in the store, so the gauges count what it holds.
 	if keys, err := s.List(cacheKeyPrefix); err == nil {
 		for _, k := range keys {
 			if n, err := s.Stat(k); err == nil {
@@ -79,12 +80,14 @@ func storeKey(key string) string {
 }
 
 // Get implements mapreduce.MapOutputCache. Store misses and snapshots that
-// fail integrity checks both report a miss.
+// fail integrity checks both report a miss; a snapshot that fails is deleted
+// and its bytes leave the entry gauges.
 func (c *SegmentCache) Get(key string) (*mapreduce.MapPhaseSnapshot, bool) {
 	if c == nil {
 		return nil, false
 	}
-	blob, err := c.store.Get(storeKey(key))
+	sk := storeKey(key)
+	blob, err := c.store.Get(sk)
 	if err != nil {
 		c.misses.Add(1)
 		return nil, false
@@ -93,6 +96,9 @@ func (c *SegmentCache) Get(key string) (*mapreduce.MapPhaseSnapshot, bool) {
 	if err != nil {
 		c.decodeErrors.Add(1)
 		c.misses.Add(1)
+		if c.store.Delete(sk) == nil {
+			c.account(-1, -int64(len(blob)))
+		}
 		return nil, false
 	}
 	c.hits.Add(1)
@@ -115,18 +121,23 @@ func (c *SegmentCache) Put(key string, snap *mapreduce.MapPhaseSnapshot) error {
 		n = 0
 	}
 	c.puts.Add(1)
-	c.mu.Lock()
 	if existed {
-		c.byteCount -= prevBytes
+		c.account(0, n-prevBytes)
 	} else {
-		c.entryCount++
+		c.account(1, n)
 	}
-	c.byteCount += n
-	entries, bytes := c.entryCount, c.byteCount
+	return nil
+}
+
+// account moves the entry and byte gauges by the given deltas.
+func (c *SegmentCache) account(entries, bytes int64) {
+	c.mu.Lock()
+	c.entryCount += entries
+	c.byteCount += bytes
+	entries, bytes = c.entryCount, c.byteCount
 	c.mu.Unlock()
 	c.entries.Set(entries)
 	c.bytes.Set(bytes)
-	return nil
 }
 
 // encodeSnapshot serializes a snapshot: header, per-task rows, counters,

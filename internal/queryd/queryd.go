@@ -110,10 +110,11 @@ type Service struct {
 	// keys: the best admission predictor for a repeated query is the last
 	// identical run.
 	costByKey map[string]float64
-	// flights serializes cold executions per cache key (singleflight): two
+	// flights serializes executions per cache key (singleflight): two
 	// identical queries racing on a cold key run exactly one map phase —
-	// the second waits, then hits the cache the first just filled.
-	flights map[string]*sync.Mutex
+	// the second waits, then hits the cache the first just filled. An entry
+	// lives while some query of its key holds or waits for it.
+	flights map[string]*flight
 
 	// holdExec, when non-nil (tests only), gates executors: each calls it
 	// with a request in hand before running it, so a test can learn that
@@ -146,7 +147,7 @@ func New(cfg Config) *Service {
 		tenants:   make(map[string]*tenantState),
 		clus:      cluster.Paper(),
 		costByKey: make(map[string]float64),
-		flights:   make(map[string]*sync.Mutex),
+		flights:   make(map[string]*flight),
 	}
 	if cfg.Store != nil {
 		s.cache = NewSegmentCache(cfg.Store, cfg.Obs.R())
@@ -301,32 +302,44 @@ func (s *Service) executor() {
 	}
 }
 
-// flight returns the singleflight mutex for a cache key.
-func (s *Service) flight(key string) *sync.Mutex {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.flights[key]
-	if !ok {
-		m = &sync.Mutex{}
-		s.flights[key] = m
-	}
-	return m
+// flight is one cache key's singleflight lock. refs, guarded by Service.mu,
+// counts the queries holding or waiting for mu.
+type flight struct {
+	mu   sync.Mutex
+	refs int
 }
 
-// run executes one admitted query. Cold identical queries serialize per
-// cache key so exactly one runs the map phase; everything else (different
-// keys, warm keys) runs concurrently up to the worker count.
+// lockFlight takes the singleflight lock for a cache key and returns its
+// unlock, which drops the key's entry once no other query holds or waits
+// for it.
+func (s *Service) lockFlight(key string) (unlock func()) {
+	s.mu.Lock()
+	f, ok := s.flights[key]
+	if !ok {
+		f = &flight{}
+		s.flights[key] = f
+	}
+	f.refs++
+	s.mu.Unlock()
+	f.mu.Lock()
+	return func() {
+		f.mu.Unlock()
+		s.mu.Lock()
+		if f.refs--; f.refs == 0 {
+			delete(s.flights, key)
+		}
+		s.mu.Unlock()
+	}
+}
+
+// run executes one admitted query. Identical queries serialize per cache
+// key, so of racers over a cold (or corrupt) key exactly one runs the map
+// phase and the rest restore its segments; different keys run concurrently
+// up to the worker count.
 func (s *Service) run(spec QuerySpec) (*Response, error) {
 	key := spec.CacheKey()
 	if s.cache != nil && key != "" {
-		// Warm path: a cached snapshot means no map work, so skip the
-		// flight lock and run immediately.
-		if _, ok := s.cache.store.Stat(storeKey(key)); ok != nil {
-			// Cold: serialize with other cold submissions of the same key.
-			m := s.flight(key)
-			m.Lock()
-			defer m.Unlock()
-		}
+		defer s.lockFlight(key)()
 	}
 	return s.execute(spec, key)
 }

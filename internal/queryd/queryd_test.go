@@ -34,15 +34,15 @@ func testSpec() QuerySpec {
 	}
 }
 
-// serviceBackends builds one fresh Store per pluggable backend.
+// localStore returns a fresh cache store over its own HDFS instance, as
+// scijob -serve wires it.
+func localStore() store.Store {
+	return store.NewLocal(hdfs.New(64<<20, 3, []string{"s0", "s1", "s2"}), "/store")
+}
+
+// serviceBackends builds one fresh Store per backend.
 func serviceBackends() map[string]func() store.Store {
-	return map[string]func() store.Store{
-		"local": func() store.Store {
-			fs := hdfs.New(64<<20, 3, []string{"s0", "s1", "s2"})
-			return store.NewLocal(fs, "/store")
-		},
-		"object": func() store.Store { return store.NewObject() },
-	}
+	return map[string]func() store.Store{"local": localStore}
 }
 
 // mapAttempts reads the map-phase attempt histogram count — zero added
@@ -126,7 +126,7 @@ func TestServiceCacheHitBothBackends(t *testing.T) {
 func TestServiceColdRaceSingleflight(t *testing.T) {
 	spec := testSpec()
 	ob := obs.New()
-	svc := New(Config{Store: store.NewObject(), Obs: ob, Workers: 2})
+	svc := New(Config{Store: localStore(), Obs: ob, Workers: 2})
 	defer svc.Close()
 
 	var wg sync.WaitGroup
@@ -163,6 +163,113 @@ func TestServiceColdRaceSingleflight(t *testing.T) {
 	}
 }
 
+// submitAll submits every spec concurrently and fails the test on any error.
+func submitAll(t *testing.T, svc *Service, specs []QuerySpec) []*Response {
+	t.Helper()
+	var wg sync.WaitGroup
+	resps := make([]*Response, len(specs))
+	errs := make([]error, len(specs))
+	for i, spec := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i], errs[i] = svc.Submit(spec)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+	}
+	return resps
+}
+
+// flightCount reads how many per-key flight entries the service holds.
+func flightCount(s *Service) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.flights)
+}
+
+// TestServiceCorruptSnapshotRunsOneMapPhase: a cached blob that fails to
+// decode is a miss, and it must not be one for every racer. Four identical
+// queries racing over a corrupt snapshot run exactly one map phase — the
+// first deletes the blob, counts one decode error and caches fresh
+// segments; the other three wait on the flight lock and hit — and every
+// response matches the one-shot run. The cache gauges end equal to what the
+// store holds, so the deleted blob's bytes were not counted twice.
+func TestServiceCorruptSnapshotRunsOneMapPhase(t *testing.T) {
+	spec := testSpec()
+	want := oneShotSHA(t, spec)
+	st := localStore()
+	if err := st.Put(storeKey(spec.CacheKey()), []byte("not a snapshot")); err != nil {
+		t.Fatal(err)
+	}
+	ob := obs.New()
+	svc := New(Config{Store: st, Obs: ob, Workers: 4})
+	defer svc.Close()
+
+	resps := submitAll(t, svc, []QuerySpec{spec, spec, spec, spec})
+	for i, r := range resps {
+		if r.OutputSHA != want {
+			t.Errorf("submission %d sha %s != one-shot sha %s", i, r.OutputSHA, want)
+		}
+	}
+	if n := mapAttempts(ob); n != int64(spec.Splits) {
+		t.Errorf("%d map attempts over a corrupt snapshot, want exactly %d (one map phase)", n, spec.Splits)
+	}
+	reg := ob.R()
+	if n := reg.Counter("scikey_cache_decode_errors_total", "", "").Value(); n != 1 {
+		t.Errorf("scikey_cache_decode_errors_total = %d, want 1", n)
+	}
+	if n := reg.Counter("scikey_cache_hit_total", "", "").Value(); n != 3 {
+		t.Errorf("scikey_cache_hit_total = %d, want 3", n)
+	}
+
+	keys, err := st.List(cacheKeyPrefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	for _, k := range keys {
+		n, err := st.Stat(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += n
+	}
+	if g := reg.Gauge("scikey_cache_entries", "", "").Value(); g != int64(len(keys)) {
+		t.Errorf("scikey_cache_entries = %d, store holds %d", g, len(keys))
+	}
+	if g := reg.Gauge("scikey_cache_bytes", "", "").Value(); g != size {
+		t.Errorf("scikey_cache_bytes = %d, store holds %d", g, size)
+	}
+	if n := flightCount(svc); n != 0 {
+		t.Errorf("%d flight entries left on an idle service, want 0", n)
+	}
+}
+
+// TestServiceFlightsPruned: a flight entry lives only while some query of
+// its key is running or waiting, so distinct keys do not accumulate one
+// mutex each for the life of the service.
+func TestServiceFlightsPruned(t *testing.T) {
+	svc := New(Config{Store: localStore(), Obs: obs.New(), Workers: 2})
+	defer svc.Close()
+	for i := 0; i < 20; i++ {
+		spec := testSpec()
+		spec.Side = 16 + i
+		if _, err := svc.Submit(spec); err != nil {
+			t.Fatalf("side %d: %v", spec.Side, err)
+		}
+	}
+	spec := testSpec()
+	submitAll(t, svc, []QuerySpec{spec, spec})
+	if n := flightCount(svc); n != 0 {
+		t.Fatalf("%d flight entries left after 22 submissions on an idle service, want 0", n)
+	}
+}
+
 // TestServiceQuotaRejection: a tenant whose remaining quota is below the
 // predicted cost gets an immediate typed *QuotaError — not a stall, not a
 // queue slot — while a tenant with headroom sails through.
@@ -170,7 +277,7 @@ func TestServiceQuotaRejection(t *testing.T) {
 	spec := testSpec()
 	spec.Tenant = "starved"
 	svc := New(Config{
-		Store:  store.NewObject(),
+		Store:  localStore(),
 		Obs:    obs.New(),
 		Quotas: map[string]float64{"starved": 1e-12},
 	})
@@ -216,7 +323,7 @@ func TestServiceQuotaRejection(t *testing.T) {
 // occupied, the next submit fails fast with a typed *QueueFullError; the
 // held work still completes once released.
 func TestServiceQueueFull(t *testing.T) {
-	svc := New(Config{Store: store.NewObject(), Obs: obs.New(), Workers: 1, QueueDepth: 1})
+	svc := New(Config{Store: localStore(), Obs: obs.New(), Workers: 1, QueueDepth: 1})
 	// The one executor parks in holdExec with a request in hand. Whatever
 	// way the test ends, release it before Close waits for it (cleanups run
 	// last-registered first).
@@ -322,7 +429,7 @@ func TestServerClosesHeaderlessConnection(t *testing.T) {
 // /metrics exposing the cache-hit counter.
 func TestHTTPServer(t *testing.T) {
 	svc := New(Config{
-		Store:  store.NewObject(),
+		Store:  localStore(),
 		Obs:    obs.New(),
 		Quotas: map[string]float64{"starved": 1e-12},
 	})
@@ -431,7 +538,7 @@ func TestCacheKeyDefaultEquivalence(t *testing.T) {
 			if a, b := pair[0].CacheKey(), pair[1].CacheKey(); a != b || a == "" {
 				t.Fatalf("default-equivalent specs got different keys:\n %s\n %s", a, b)
 			}
-			svc := New(Config{Store: store.NewObject(), Obs: obs.New()})
+			svc := New(Config{Store: localStore(), Obs: obs.New()})
 			defer svc.Close()
 			cold, err := svc.Submit(pair[0])
 			if err != nil {

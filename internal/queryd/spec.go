@@ -2,9 +2,11 @@
 // daemon that accepts sliding-window query specs, prices them with the
 // calibrated cluster cost model before admission, bounds concurrent work
 // with a job queue, and reuses published map output across identical
-// queries through a shared segment cache over a pluggable store.Store —
-// repeated queries over a hot (dataset, split, transform, codec) key skip
-// the map phase entirely while returning byte-identical results.
+// queries through a shared segment cache over a store.Store — repeated
+// queries over a hot (dataset, split, transform, codec) key skip the map
+// phase entirely while returning byte-identical results. Identical queries
+// serialize on a per-key flight lock, so racers over a cold or corrupt
+// entry run one map phase between them.
 package queryd
 
 import (

@@ -1,21 +1,15 @@
-// Package store abstracts the segment-persistence backends behind the query
-// service's shared map-output cache: a small put/get object interface with
-// whole-object overwrite semantics, implemented over the simulated HDFS
-// (Local) and over an S3-style in-memory object service (Object). The query
-// service encodes a job's published map-phase snapshot into one blob per
-// cache key and round-trips it through a Store, so swapping the backend
-// never changes the cached bytes — the byte-identity differentials run on
-// both.
+// Package store is the blob store behind the query service's shared
+// map-output cache: a small put/get object interface with whole-object
+// overwrite semantics (Store) and its one implementation over the simulated
+// HDFS (Local). The query service encodes a job's published map-phase
+// snapshot into one blob per cache key and round-trips it through a Store;
+// the blob carries its own CRC, so the store adds no framing of its own.
 package store
 
 import "errors"
 
 // ErrNotFound reports a Get/Stat/Delete of a key the store does not hold.
 var ErrNotFound = errors.New("store: object not found")
-
-// ErrCorrupt reports stored bytes that failed the backend's integrity
-// checks (CRC framing) and could not be recovered by retrying.
-var ErrCorrupt = errors.New("store: object corrupt")
 
 // Store is a flat keyed blob store. Put overwrites atomically with respect
 // to Get: a concurrent reader sees either the old object or the new one,

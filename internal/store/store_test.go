@@ -12,14 +12,11 @@ import (
 func backends(t *testing.T) map[string]Store {
 	t.Helper()
 	fs := hdfs.New(1<<20, 2, []string{"node0", "node1", "node2"})
-	return map[string]Store{
-		"local":  NewLocal(fs, "/store"),
-		"object": NewObject(),
-	}
+	return map[string]Store{"local": NewLocal(fs, "/store")}
 }
 
 func TestRoundTrip(t *testing.T) {
-	payload := bytes.Repeat([]byte("scihadoop segment bytes "), 10_000) // spans chunks
+	payload := bytes.Repeat([]byte("scihadoop segment bytes "), 10_000)
 	for name, s := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			if err := s.Put("seg/a", payload); err != nil {
@@ -120,71 +117,5 @@ func TestLocalDoesNotPinReaders(t *testing.T) {
 	}
 	if n := fs.PinnedBytes(); n != 0 {
 		t.Fatalf("PinnedBytes = %d after store traffic; want 0", n)
-	}
-}
-
-func TestObjectResumeOnTransientFault(t *testing.T) {
-	o := NewObject()
-	payload := bytes.Repeat([]byte("resume me "), 20_000) // several chunks
-	if err := o.Put("big", payload); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-
-	// Fail the first read that reaches chunk 2, once. The retry must resume
-	// at chunk 2 (never re-reading chunks 0-1) and complete.
-	var fired bool
-	minChunkSeen := 1 << 30
-	o.SetReadFault(func(key string, chunk int) error {
-		if fired && chunk < minChunkSeen {
-			minChunkSeen = chunk
-		}
-		if !fired && chunk == 2 {
-			fired = true
-			return errors.New("transient: connection reset")
-		}
-		return nil
-	})
-	got, err := o.Get("big")
-	if err != nil {
-		t.Fatalf("Get with transient fault: %v", err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("resumed Get mismatch: got %d bytes want %d", len(got), len(payload))
-	}
-	if !fired {
-		t.Fatal("fault hook never fired; test is vacuous")
-	}
-	if minChunkSeen < 2 {
-		t.Fatalf("retry re-read chunk %d; want resume from verified offset (chunk 2)", minChunkSeen)
-	}
-	if o.Resumes() != 1 {
-		t.Fatalf("Resumes = %d; want 1", o.Resumes())
-	}
-}
-
-func TestObjectPersistentFaultExhaustsBudget(t *testing.T) {
-	o := NewObject()
-	if err := o.Put("k", []byte("data")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	o.SetReadFault(func(string, int) error { return errors.New("still down") })
-	if _, err := o.Get("k"); err == nil {
-		t.Fatal("Get with persistent fault succeeded; want error")
-	} else if errors.Is(err, ErrCorrupt) {
-		t.Fatalf("persistent transient fault reported as corruption: %v", err)
-	}
-}
-
-func TestObjectCorruptionDetected(t *testing.T) {
-	o := NewObject()
-	payload := bytes.Repeat([]byte("integrity"), 1000)
-	if err := o.Put("k", payload); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if !o.Corrupt("k") {
-		t.Fatal("Corrupt helper found no object")
-	}
-	if _, err := o.Get("k"); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Get of corrupted object = %v; want ErrCorrupt", err)
 	}
 }

@@ -1,11 +1,11 @@
 #!/bin/sh
 # E17 resident-service smoke: build scijob once, take a one-shot run's
 # output sha256 as the byte-identity baseline, start the query service on an
-# ephemeral port with the object-store cache backend, fire concurrent
-# submissions of the same query (so repeats race the cold run), and assert
-# that every response's sha matches the one-shot baseline and that the
-# segment cache recorded hits (scikey_cache_hit_total > 0 on /metrics,
-# scraped with the binary's own -scrape mode — no curl needed).
+# ephemeral port, fire concurrent submissions of the same query (so repeats
+# race the cold run), and assert that every response's sha matches the
+# one-shot baseline and that the segment cache recorded hits
+# (scikey_cache_hit_total > 0 on /metrics, scraped with the binary's own
+# -scrape mode — no curl needed).
 set -eu
 
 dir="$(mktemp -d)"
@@ -27,8 +27,8 @@ echo "e17: one-shot baseline run"
 want="$(sed -n 's/.*output sha256: *//p' "$dir/oneshot.txt")"
 [ -n "$want" ] || { echo "e17: one-shot run printed no output sha" >&2; exit 1; }
 
-echo "e17: starting query service (object store backend)"
-"$dir/scijob" -serve 127.0.0.1:0 -store object >"$dir/serve.txt" 2>"$dir/serve.err" &
+echo "e17: starting query service"
+"$dir/scijob" -serve 127.0.0.1:0 >"$dir/serve.txt" 2>"$dir/serve.err" &
 srv_pid=$!
 addr=""
 for _ in $(seq 1 100); do
