@@ -99,8 +99,8 @@ func CompareBox(a, b BoxKey) int {
 // RawCompareBox compares two encoded BoxKeys: variable, then the corner and
 // the size as signed int32s. See RawCompareGrid for the shared rules.
 func (c *Codec) RawCompareBox(a, b []byte) int {
-	va, fa, oka := c.sections(a, 8*c.Rank)
-	vb, fb, okb := c.sections(b, 8*c.Rank)
+	va, fa, _, oka := c.sections(a, 8*c.Rank)
+	vb, fb, _, okb := c.sections(b, 8*c.Rank)
 	if !oka || !okb || hasNegativeI32(fa[4*c.Rank:]) || hasNegativeI32(fb[4*c.Rank:]) {
 		return serial.CompareBytes(a, b)
 	}

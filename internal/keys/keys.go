@@ -225,8 +225,8 @@ func compareVar(a, b VarRef) int {
 // RawCompareGrid compares two encoded GridKeys: variable, then the
 // coordinates as signed int32s in row-major order.
 func (c *Codec) RawCompareGrid(a, b []byte) int {
-	va, fa, oka := c.sections(a, 4*c.Rank)
-	vb, fb, okb := c.sections(b, 4*c.Rank)
+	va, fa, _, oka := c.sections(a, 4*c.Rank)
+	vb, fb, _, okb := c.sections(b, 4*c.Rank)
 	if !oka || !okb {
 		return serial.CompareBytes(a, b)
 	}
@@ -240,8 +240,8 @@ func (c *Codec) RawCompareGrid(a, b []byte) int {
 // The bounds are unsigned and big-endian, so their 16 bytes already sort
 // in that order.
 func (c *Codec) RawCompareAgg(a, b []byte) int {
-	va, fa, oka := c.sections(a, 16)
-	vb, fb, okb := c.sections(b, 16)
+	va, fa, _, oka := c.sections(a, 16)
+	vb, fb, _, okb := c.sections(b, 16)
 	if !oka || !okb {
 		return serial.CompareBytes(a, b)
 	}
@@ -251,11 +251,39 @@ func (c *Codec) RawCompareAgg(a, b []byte) int {
 	return bytes.Compare(fa, fb)
 }
 
+// AggBounds reads an encoded AggKey in place, for the Section IV rewrites
+// that split keys without decoding them. prefix is the variable section as
+// encoded (a VarByName length prefix included), so prefix ‖ lo ‖ hi —
+// AppendAggKey — is a key of the same variable. ok is false unless k is
+// exactly one AggKey of at least one cell: too short, a negative or
+// overlong name length, bytes after hi (which a pass-through would
+// otherwise ship), or hi <= lo.
+func (c *Codec) AggBounds(k []byte) (prefix []byte, lo, hi uint64, ok bool) {
+	_, f, end, ok := c.sections(k, 16)
+	if !ok || len(k) != end+16 {
+		return nil, 0, 0, false
+	}
+	lo, hi = binary.BigEndian.Uint64(f), binary.BigEndian.Uint64(f[8:])
+	if hi <= lo {
+		return nil, 0, 0, false
+	}
+	return k[:end], lo, hi, true
+}
+
+// AppendAggKey appends the AggKey prefix ‖ lo ‖ hi to dst, where prefix is
+// a variable section AggBounds returned.
+func AppendAggKey(dst, prefix []byte, lo, hi uint64) []byte {
+	dst = append(dst, prefix...)
+	dst = binary.BigEndian.AppendUint64(dst, lo)
+	return binary.BigEndian.AppendUint64(dst, hi)
+}
+
 // sections splits an encoded key into the bytes that order its variable
 // (the 4-byte index, or the name without its length prefix) and the fixed
-// bytes of fields that follow. ok is false where decoding k would fail.
-func (c *Codec) sections(k []byte, fixed int) (v, f []byte, ok bool) {
-	start, end := 0, 0
+// bytes of fields that follow; k[:end] is the variable section as encoded.
+// ok is false where decoding k would fail.
+func (c *Codec) sections(k []byte, fixed int) (v, f []byte, end int, ok bool) {
+	start := 0
 	switch c.Mode {
 	case VarNone:
 	case VarByIndex:
@@ -263,16 +291,16 @@ func (c *Codec) sections(k []byte, fixed int) (v, f []byte, ok bool) {
 	case VarByName:
 		n, w, err := binutil.DecodeVInt(k)
 		if err != nil || n < 0 || int(n) > len(k)-w {
-			return nil, nil, false
+			return nil, nil, 0, false
 		}
 		start, end = w, w+int(n)
 	default:
-		return nil, nil, false
+		return nil, nil, 0, false
 	}
 	if len(k)-end < fixed {
-		return nil, nil, false
+		return nil, nil, 0, false
 	}
-	return k[start:end], k[end : end+fixed], true
+	return k[start:end], k[end : end+fixed], end, true
 }
 
 // compareVarBytes orders two variable sections returned by sections.

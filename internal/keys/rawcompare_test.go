@@ -216,3 +216,79 @@ func TestRawCompareDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestAggBounds: on any key DecodeAgg reads with nothing left over and a
+// non-empty range, AggBounds reads the same bounds and a variable section
+// that AppendAggKey turns back into the same bytes; on any other key it
+// says no.
+func TestAggBounds(t *testing.T) {
+	for _, mode := range comparatorModes {
+		c := &Codec{Mode: mode, Names: []string{"temp", "windspeed1", "wind"}}
+		for _, k := range haloKeys(c, "agg", 2000, rand.New(rand.NewSource(int64(mode)))) {
+			for _, k := range [][]byte{k, k[:len(k)-1], append(slices.Clip(k), 0)} {
+				in := serial.NewDataInput(k)
+				want, err := c.DecodeAgg(in)
+				valid := err == nil && in.Remaining() == 0 && want.Range.Hi > want.Range.Lo
+				prefix, lo, hi, ok := c.AggBounds(k)
+				if ok != valid {
+					t.Fatalf("mode=%v: AggBounds(%x) ok=%v, want %v", mode, k, ok, valid)
+				}
+				if !ok {
+					continue
+				}
+				if lo != want.Range.Lo || hi != want.Range.Hi {
+					t.Fatalf("mode=%v: AggBounds(%x) = [%d,%d), DecodeAgg %v", mode, k, lo, hi, want)
+				}
+				if got := AppendAggKey(nil, prefix, lo, hi); !slices.Equal(got, k) {
+					t.Fatalf("mode=%v: AppendAggKey(AggBounds(%x)) = %x", mode, k, got)
+				}
+			}
+		}
+	}
+}
+
+// TestAggBoundsRejectsMalformed names each way a key can fail to be one
+// AggKey. A name length only exists under VarByName.
+func TestAggBoundsRejectsMalformed(t *testing.T) {
+	u64s := func(vs ...uint64) []byte {
+		out := serial.NewDataOutput(8 * len(vs))
+		for _, v := range vs {
+			out.WriteU64(v)
+		}
+		return out.Bytes()
+	}
+	type badKey struct {
+		name string
+		key  []byte
+	}
+	for _, mode := range comparatorModes {
+		c := &Codec{Mode: mode}
+		prefix := c.AggKeyBytes(AggKey{Var: VarRef{Name: "windspeed1", Index: 1}})
+		prefix = prefix[:len(prefix)-16]
+		cases := []badKey{
+			{"empty", nil},
+			{"short", slices.Concat(prefix, u64s(3, 9))[:len(prefix)+15]},
+			{"lo only", slices.Concat(prefix, u64s(3))},
+			{"trailing byte", slices.Concat(prefix, u64s(3, 9), []byte{0})},
+			{"trailing word", slices.Concat(prefix, u64s(3, 9, 9))},
+			{"empty range", slices.Concat(prefix, u64s(9, 9))},
+			{"inverted range", slices.Concat(prefix, u64s(9, 3))},
+		}
+		if mode == VarByName {
+			cases = append(cases,
+				badKey{"negative name length", slices.Concat([]byte{0xff}, u64s(3, 9))},
+				badKey{"two-byte negative name length", slices.Concat([]byte{0x87, 0x01}, u64s(3, 9))},
+				badKey{"overlong name length", slices.Concat([]byte{40}, []byte("windspeed1"), u64s(3, 9))},
+				badKey{"truncated length", []byte{0x8f}},
+			)
+		}
+		for _, tc := range cases {
+			if _, _, _, ok := c.AggBounds(tc.key); ok {
+				t.Errorf("mode=%v %s: AggBounds(%x) ok", mode, tc.name, tc.key)
+			}
+		}
+		if _, lo, hi, ok := c.AggBounds(slices.Concat(prefix, u64s(3, 9))); !ok || lo != 3 || hi != 9 {
+			t.Errorf("mode=%v: the well-formed key reads [%d,%d) ok=%v", mode, lo, hi, ok)
+		}
+	}
+}

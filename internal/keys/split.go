@@ -3,7 +3,7 @@ package keys
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 
 	"scikey/internal/sfc"
 )
@@ -167,8 +167,10 @@ func SplitOverlaps(in []AggPair, elemSize int) []AggPair {
 }
 
 // splitCluster splits every member of a transitively-overlapping cluster at
-// every other member's boundaries, then returns the fragments in sorted
-// order.
+// every other member's boundaries, then returns the fragments in CompareAgg
+// order. The sort is stable, so fragments with equal keys keep cluster-member
+// order: that defines the order the reduce-side split on encoded keys
+// (scihadoop's MergeTransform) reproduces without sorting.
 func splitCluster(cluster []AggPair, elemSize int) []AggPair {
 	if len(cluster) == 1 {
 		return []AggPair{cluster[0]}
@@ -178,8 +180,8 @@ func splitCluster(cluster []AggPair, elemSize int) []AggPair {
 	for _, p := range cluster {
 		cuts = append(cuts, p.Key.Range.Lo, p.Key.Range.Hi)
 	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
-	cuts = dedupU64(cuts)
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
 
 	var frags []AggPair
 	for _, p := range cluster {
@@ -198,18 +200,6 @@ func splitCluster(cluster []AggPair, elemSize int) []AggPair {
 		}
 		frags = append(frags, rest)
 	}
-	sort.Slice(frags, func(i, j int) bool {
-		return CompareAgg(frags[i].Key, frags[j].Key) < 0
-	})
+	slices.SortStableFunc(frags, func(a, b AggPair) int { return CompareAgg(a.Key, b.Key) })
 	return frags
-}
-
-func dedupU64(s []uint64) []uint64 {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -2,7 +2,9 @@ package keys
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scikey/internal/sfc"
@@ -198,6 +200,27 @@ func TestSplitOverlapsProperty(t *testing.T) {
 				t.Fatalf("trial %d: cell %v count %d, want %d", trial, k, got[k], v)
 			}
 		}
+	}
+}
+
+// TestSplitOverlapsEqualKeysKeepMemberOrder: fragments with equal keys come
+// out in the order of the members they were cut from — the order the
+// reduce-side split on encoded keys reproduces byte for byte.
+func TestSplitOverlapsEqualKeysKeepMemberOrder(t *testing.T) {
+	in := []AggPair{mkPair(0, 8, 'a'), mkPair(0, 8, 'b'), mkPair(2, 6, 'c'), mkPair(2, 6, 'd'), mkPair(4, 10, 'e')}
+	var got []string
+	for _, p := range SplitOverlaps(in, 1) {
+		got = append(got, fmt.Sprintf("[%d,%d)%c", p.Key.Range.Lo, p.Key.Range.Hi, p.Values[0]))
+	}
+	want := []string{
+		"[0,2)a", "[0,2)b",
+		"[2,4)a", "[2,4)b", "[2,4)c", "[2,4)d",
+		"[4,6)a", "[4,6)b", "[4,6)c", "[4,6)d", "[4,6)e",
+		"[6,8)a", "[6,8)b", "[6,8)e",
+		"[8,10)e",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fragments %v\nwant      %v", got, want)
 	}
 }
 

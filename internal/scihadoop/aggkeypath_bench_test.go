@@ -1,0 +1,105 @@
+package scihadoop
+
+import (
+	"slices"
+	"sync"
+	"testing"
+
+	"scikey/internal/grid"
+	"scikey/internal/hdfs"
+	"scikey/internal/keys"
+	"scikey/internal/mapreduce"
+	"scikey/internal/workload"
+)
+
+// BenchmarkAggKeyPath times Section IV's key rewrites on the traffic of the
+// oneshot-agg query (side 128, 3×3 median, Z-order, 10 splits, 5 reducers):
+// partition-split is one recorded map task's emits through PartitionSplit,
+// merge is reducer 0's merged stream cut by MergeCut and rewritten window by
+// window with MergeTransform. MB/s is key and value bytes in.
+func BenchmarkAggKeyPath(b *testing.B) {
+	job, emits, stream := recordAggKeyPath(b)
+	bytesIn := func(kvs []mapreduce.KV) (n int64) {
+		for _, kv := range kvs {
+			n += int64(len(kv.Key) + len(kv.Value))
+		}
+		return n
+	}
+	b.Run("partition-split", func(b *testing.B) {
+		b.SetBytes(bytesIn(emits))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, kv := range emits {
+				job.PartitionSplit(kv.Key, kv.Value, job.NumReducers)
+			}
+		}
+		b.ReportMetric(float64(len(emits)), "records/op")
+	})
+	b.Run("merge", func(b *testing.B) {
+		b.SetBytes(bytesIn(stream))
+		b.ReportAllocs()
+		window := make([]mapreduce.KV, 0, 64)
+		for i := 0; i < b.N; i++ {
+			cut := job.MergeCut()
+			window = window[:0]
+			for _, kv := range stream {
+				if cut(kv.Key) && len(window) > 0 {
+					job.MergeTransform(window)
+					window = window[:0]
+				}
+				window = append(window, kv)
+			}
+			job.MergeTransform(window)
+		}
+		b.ReportMetric(float64(len(stream)), "records/op")
+	})
+}
+
+// recordAggKeyPath runs the query once and returns its job, map task 0's
+// emits, and reducer 0's input in merged order: every task's emits routed
+// by PartitionSplit, sorted stably by the job's comparator.
+func recordAggKeyPath(b *testing.B) (*mapreduce.Job, []mapreduce.KV, []mapreduce.KV) {
+	b.Helper()
+	extent := grid.NewBox(grid.Coord{0, 0}, []int{128, 128})
+	fs := hdfs.New(1<<20, 1, []string{"n0", "n1", "n2", "n3", "n4"})
+	ds := Dataset{Path: "/data/windspeed1.arr", Var: keys.VarRef{Name: "windspeed1"}, Extent: extent}
+	if err := Store(fs, ds, &workload.Field{Extent: extent, Name: ds.Var.Name}); err != nil {
+		b.Fatal(err)
+	}
+	job, _, err := AggKeyJob(fs, QueryConfig{DS: ds, Radius: 1, NumSplits: 10, NumReducers: 5, Curve: "zorder"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var mu sync.Mutex
+	emits := map[int][]mapreduce.KV{}
+	newMapper := job.NewMapper
+	job.NewMapper = func() mapreduce.Mapper {
+		inner := newMapper()
+		return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, split mapreduce.Split, emit mapreduce.Emit) error {
+			var mine []mapreduce.KV
+			err := inner.Map(ctx, split, func(k, v []byte) {
+				mine = append(mine, mapreduce.KV{Key: slices.Clone(k), Value: slices.Clone(v)})
+				emit(k, v)
+			})
+			mu.Lock()
+			emits[split.ID] = mine
+			mu.Unlock()
+			return err
+		})
+	}
+	if _, err := mapreduce.Run(job); err != nil {
+		b.Fatal(err)
+	}
+	var stream []mapreduce.KV
+	for id := range len(emits) {
+		for _, kv := range emits[id] {
+			for _, r := range job.PartitionSplit(kv.Key, kv.Value, job.NumReducers) {
+				if r.Partition == 0 {
+					stream = append(stream, r.KV)
+				}
+			}
+		}
+	}
+	slices.SortStableFunc(stream, func(a, b mapreduce.KV) int { return job.Compare(a.Key, b.Key) })
+	return job, emits[0], stream
+}

@@ -3,6 +3,7 @@ package scihadoop
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"scikey/internal/aggregate"
 	"scikey/internal/grid"
@@ -48,65 +49,7 @@ func AggKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, aggregate.
 	job.Name = fmt.Sprintf("%s-agg-%s", op, cfg.Curve)
 	job.Compare = kc.RawCompareAgg
 
-	// Section IV-B, case one: split aggregate keys at routing time.
-	job.PartitionSplit = func(key, value []byte, n int) []mapreduce.RoutedKV {
-		k, err := kc.DecodeAgg(serial.NewDataInput(key))
-		if err != nil {
-			panic(fmt.Sprintf("scihadoop: bad agg key: %v", err))
-		}
-		frags := rp.SplitForPartition(keys.AggPair{Key: k, Values: value}, ElemSize)
-		out := make([]mapreduce.RoutedKV, len(frags))
-		for i, f := range frags {
-			out[i] = mapreduce.RoutedKV{
-				Partition: f.Partition,
-				KV:        mapreduce.KV{Key: kc.AggKeyBytes(f.Pair.Key), Value: f.Pair.Values},
-			}
-		}
-		return out
-	}
-
-	// Section IV-B, case two: split overlapping keys at the reducer.
-	job.MergeTransform = func(pairs []mapreduce.KV) []mapreduce.KV {
-		aps := make([]keys.AggPair, len(pairs))
-		for i, p := range pairs {
-			k, err := kc.DecodeAgg(serial.NewDataInput(p.Key))
-			if err != nil {
-				panic(fmt.Sprintf("scihadoop: bad agg key in merge: %v", err))
-			}
-			aps[i] = keys.AggPair{Key: k, Values: p.Value}
-		}
-		split := keys.SplitOverlaps(aps, ElemSize)
-		out := make([]mapreduce.KV, len(split))
-		for i, p := range split {
-			out[i] = mapreduce.KV{Key: kc.AggKeyBytes(p.Key), Value: p.Values}
-		}
-		return out
-	}
-
-	// Streaming window cut for the transform above: SplitOverlaps
-	// rewrites transitively-overlapping clusters independently, starting
-	// a new cluster exactly when a key's range begins at or past the
-	// running max Hi (or the variable changes). Cutting the merged
-	// stream on that same boundary keeps the windowed transform
-	// byte-identical to running it over the whole partition.
-	job.MergeCut = func() func(key []byte) bool {
-		started := false
-		var curVar keys.VarRef
-		var maxHi uint64
-		return func(key []byte) bool {
-			k, err := kc.DecodeAgg(serial.NewDataInput(key))
-			if err != nil {
-				panic(fmt.Sprintf("scihadoop: bad agg key in merge cut: %v", err))
-			}
-			cut := started && (k.Var != curVar || k.Range.Lo >= maxHi)
-			if cut || !started {
-				curVar, maxHi, started = k.Var, k.Range.Hi, true
-			} else if k.Range.Hi > maxHi {
-				maxHi = k.Range.Hi
-			}
-			return cut
-		}
-	}
+	aggKeyHooks(job, kc, rp)
 
 	job.NewMapper = func() mapreduce.Mapper {
 		return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, split mapreduce.Split, emit mapreduce.Emit) error {
@@ -115,13 +58,17 @@ func AggKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, aggregate.
 			if err != nil {
 				return err
 			}
+			// emit copies the key, so one scratch key serves the task.
+			scratch := serial.NewDataOutput(24)
 			agg := aggregate.New(aggregate.Config{
 				Mapping:    mapping,
 				Var:        v,
 				ElemSize:   ElemSize,
 				FlushCells: flush,
 				Emit: func(p keys.AggPair) {
-					emit(kc.AggKeyBytes(p.Key), p.Values)
+					scratch.Reset()
+					kc.EncodeAgg(scratch, p.Key)
+					emit(scratch.Bytes(), p.Values)
 				},
 			})
 			eachWindowTarget(slab, box, offsets, agg.Add)
@@ -136,6 +83,64 @@ func AggKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, aggregate.
 	return job, mapping, nil
 }
 
+// aggKeyHooks installs Section IV-B's two key splits and the window cut
+// that streams the second, on encoded keys: AggBounds reads a key's
+// variable section and bounds in place, a key that stays whole is passed
+// on as the bytes it arrived as, and a fragment's key is a fresh header
+// over the same variable section while its value is a sub-slice of the
+// whole key's value.
+func aggKeyHooks(job *mapreduce.Job, kc *keys.Codec, rp keys.RangePartitioner) {
+	// Case one: split aggregate keys at routing time.
+	boundaries := rp.Boundaries()
+	job.PartitionSplit = func(key, value []byte, n int) []mapreduce.RoutedKV {
+		prefix, lo, hi := aggBounds(kc, key)
+		first := rp.PartitionOf(lo)
+		if first == rp.PartitionOf(hi-1) {
+			return []mapreduce.RoutedKV{{Partition: first, KV: mapreduce.KV{Key: key, Value: value}}}
+		}
+		var out []mapreduce.RoutedKV
+		at := lo
+		for _, b := range boundaries {
+			if b <= at {
+				continue
+			}
+			if b >= hi {
+				break
+			}
+			out = append(out, fragment(prefix, lo, at, b, value, rp.PartitionOf(at)))
+			at = b
+		}
+		return append(out, fragment(prefix, lo, at, hi, value, rp.PartitionOf(at)))
+	}
+
+	// Case two: split overlapping keys at the reducer (Fig. 7).
+	job.MergeTransform = func(pairs []mapreduce.KV) []mapreduce.KV {
+		return splitOverlapsRaw(kc, pairs)
+	}
+
+	// Streaming window cut for the transform above: it rewrites
+	// transitively-overlapping clusters independently, starting a new
+	// cluster exactly when a key's range begins at or past the running max
+	// Hi (or the variable changes). Cutting the merged stream on that same
+	// boundary keeps the windowed transform byte-identical to running it
+	// over the whole partition.
+	job.MergeCut = func() func(key []byte) bool {
+		started := false
+		var curVar []byte
+		var maxHi uint64
+		return func(key []byte) bool {
+			prefix, lo, hi := aggBounds(kc, key)
+			cut := started && (string(prefix) != string(curVar) || lo >= maxHi)
+			if cut || !started {
+				curVar, maxHi, started = append(curVar[:0], prefix...), hi, true
+			} else if hi > maxHi {
+				maxHi = hi
+			}
+			return cut
+		}
+	}
+}
+
 // aggReducer folds each cell of an aggregate-key group across its layered
 // values. With reagg set it additionally re-aggregates its output: since
 // groups arrive in curve order, output ranges that became fragmented by key
@@ -148,18 +153,22 @@ type aggReducer struct {
 	op    Op
 	reagg bool
 
-	pending     keys.AggKey
+	// The pending output range: its variable section (owned), bounds and
+	// folded values.
+	pendingVar  []byte
+	pendingLo   uint64
+	pendingHi   uint64
 	pendingVals []byte
 	hasPending  bool
 }
 
 // Reduce implements mapreduce.Reducer.
 func (r *aggReducer) Reduce(ctx *mapreduce.TaskContext, key []byte, values [][]byte, emit mapreduce.Emit) error {
-	k, err := r.kc.DecodeAgg(serial.NewDataInput(key))
-	if err != nil {
-		return err
+	prefix, lo, hi, ok := r.kc.AggBounds(key)
+	if !ok {
+		return fmt.Errorf("scihadoop: bad agg key %x", key)
 	}
-	n := int(k.Range.Len())
+	n := int(hi - lo)
 	out := make([]byte, 0, n*ElemSize)
 	cell := make([]int32, 0, len(values))
 	for i := 0; i < n; i++ {
@@ -173,13 +182,14 @@ func (r *aggReducer) Reduce(ctx *mapreduce.TaskContext, key []byte, values [][]b
 		emit(key, out)
 		return nil
 	}
-	if r.hasPending && r.pending.Var == k.Var && r.pending.Range.Hi == k.Range.Lo {
-		r.pending.Range.Hi = k.Range.Hi
+	if r.hasPending && string(r.pendingVar) == string(prefix) && r.pendingHi == lo {
+		r.pendingHi = hi
 		r.pendingVals = append(r.pendingVals, out...)
 		return nil
 	}
 	r.flush(emit)
-	r.pending = k
+	r.pendingVar = append(r.pendingVar[:0], prefix...)
+	r.pendingLo, r.pendingHi = lo, hi
 	r.pendingVals = out
 	r.hasPending = true
 	return nil
@@ -195,7 +205,128 @@ func (r *aggReducer) flush(emit mapreduce.Emit) {
 	if !r.hasPending {
 		return
 	}
-	emit(r.kc.AggKeyBytes(r.pending), r.pendingVals)
+	emit(keys.AppendAggKey(nil, r.pendingVar, r.pendingLo, r.pendingHi), r.pendingVals)
 	r.hasPending = false
 	r.pendingVals = nil
+}
+
+// aggBounds is Codec.AggBounds for the hooks, which cannot return an error:
+// a key that is not exactly one AggKey panics with its bytes.
+func aggBounds(kc *keys.Codec, key []byte) (prefix []byte, lo, hi uint64) {
+	prefix, lo, hi, ok := kc.AggBounds(key)
+	if !ok {
+		panic(fmt.Sprintf("scihadoop: bad agg key %x", key))
+	}
+	return prefix, lo, hi
+}
+
+// fragment routes the [a,b) part of the key prefix ‖ lo ‖ hi whose value
+// is value.
+func fragment(prefix []byte, lo, a, b uint64, value []byte, part int) mapreduce.RoutedKV {
+	return mapreduce.RoutedKV{Partition: part, KV: mapreduce.KV{
+		Key:   keys.AppendAggKey(make([]byte, 0, len(prefix)+16), prefix, a, b),
+		Value: value[(a-lo)*ElemSize : (b-lo)*ElemSize],
+	}}
+}
+
+// splitOverlapsRaw is keys.SplitOverlaps on a CompareAgg-sorted run of
+// encoded pairs, and yields the same bytes in the same order. A cluster of
+// one passes through as it is, and a window with no larger cluster is
+// returned unchanged; a larger cluster is cut by splitClusterRaw.
+func splitOverlapsRaw(kc *keys.Codec, pairs []mapreduce.KV) []mapreduce.KV {
+	var out []mapreduce.KV // nil while every cluster so far passed through
+	for start := 0; start < len(pairs); {
+		prefix, _, maxHi := aggBounds(kc, pairs[start].Key)
+		end := start + 1
+		for ; end < len(pairs); end++ {
+			p, lo, hi := aggBounds(kc, pairs[end].Key)
+			if string(p) != string(prefix) || lo >= maxHi {
+				break
+			}
+			maxHi = max(maxHi, hi)
+		}
+		switch {
+		case end-start > 1:
+			if out == nil {
+				out = append([]mapreduce.KV(nil), pairs[:start]...)
+			}
+			out = splitClusterRaw(out, pairs[start:end], len(prefix))
+		case out != nil:
+			out = append(out, pairs[start])
+		}
+		start = end
+	}
+	if out == nil {
+		return pairs
+	}
+	return out
+}
+
+// splitClusterRaw appends the fragments of one cluster of transitively
+// overlapping keys (same variable section, varLen bytes long) to out.
+// Between two consecutive distinct bounds [a,b) it emits every member that
+// covers the interval, in member order: intervals ascend and members arrive
+// sorted, which is the order keys.SplitOverlaps' stable sort produces, so
+// nothing is sorted here. A fragment that is its whole key reuses the
+// member's bytes; the others take their headers from one arena.
+func splitClusterRaw(out, members []mapreduce.KV, varLen int) []mapreduce.KV {
+	bounds := func(kv mapreduce.KV) (lo, hi uint64) {
+		return binary.BigEndian.Uint64(kv.Key[varLen:]), binary.BigEndian.Uint64(kv.Key[varLen+8:])
+	}
+	cuts := make([]uint64, 0, 2*len(members))
+	for _, m := range members {
+		lo, hi := bounds(m)
+		cuts = append(cuts, lo, hi)
+	}
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
+
+	// Size the output and the arena: a member spans the intervals between
+	// its two bounds' positions among the cuts.
+	frags, split := 0, 0
+	for _, m := range members {
+		lo, hi := bounds(m)
+		i, _ := slices.BinarySearch(cuts, lo)
+		j, _ := slices.BinarySearch(cuts, hi)
+		frags += j - i
+		if j-i > 1 {
+			split += j - i
+		}
+	}
+	out = slices.Grow(out, frags)
+	hdr := varLen + 16
+	arena := make([]byte, 0, split*hdr)
+
+	active := make([]int, 0, len(members)) // members covering [a,b), in order
+	next := 0
+	for c := 0; c+1 < len(cuts); c++ {
+		a, b := cuts[c], cuts[c+1]
+		live := active[:0]
+		for _, m := range active {
+			if _, hi := bounds(members[m]); hi > a {
+				live = append(live, m)
+			}
+		}
+		active = live
+		for ; next < len(members); next++ {
+			if lo, _ := bounds(members[next]); lo > a {
+				break
+			}
+			active = append(active, next)
+		}
+		for _, m := range active {
+			kv := members[m]
+			lo, hi := bounds(kv)
+			if lo == a && hi == b {
+				out = append(out, kv)
+				continue
+			}
+			arena = keys.AppendAggKey(arena, kv.Key[:varLen], a, b)
+			out = append(out, mapreduce.KV{
+				Key:   arena[len(arena)-hdr : len(arena) : len(arena)],
+				Value: kv.Value[(a-lo)*ElemSize : (b-lo)*ElemSize],
+			})
+		}
+	}
+	return out
 }
