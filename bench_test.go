@@ -81,9 +81,9 @@ func BenchmarkE4_TransformTimeVsSize(b *testing.B) {
 
 // BenchmarkE4_BlockPipeline measures the parallel block codec around the
 // steady-state transform: the Fig. 4 stream encoded as block+transform+none
-// at pipeline widths 1 (the sequential reference — no goroutines), 2, and
-// GOMAXPROCS. Every width emits identical bytes; the MB/s spread is the
-// tentpole's speedup on the machine at hand (flat on a single-core box).
+// with GOMAXPROCS — the pipeline's width — set to 1, 2, and the machine's
+// own value. Every width emits identical bytes; the MB/s spread is the
+// pipeline's speedup on the machine at hand (flat on a single-core box).
 func BenchmarkE4_BlockPipeline(b *testing.B) {
 	data := workload.GridWalkTriples(60)
 	widths := []int{1}
@@ -94,8 +94,9 @@ func BenchmarkE4_BlockPipeline(b *testing.B) {
 	}
 	for _, w := range widths {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			prev := runtime.GOMAXPROCS(w)
+			b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 			blk := codec.NewBlock(codec.NewTransform(codec.None))
-			blk.Workers = w
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -26,13 +26,7 @@ func main() {
 	run := flag.String("run", "all", "comma-separated experiment ids or 'all'")
 	scale := flag.String("scale", "quick", "quick | full (full uses the paper's input sizes)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON of the instrumented experiments (e4, e10, e13) to this file (empty = off)")
-	codecWorkers := flag.Int("codec-workers", 0, "widest block-codec width for e4's parallel-pipeline sweep (0 = GOMAXPROCS)")
 	flag.Parse()
-
-	if *codecWorkers < 0 {
-		fmt.Fprintf(os.Stderr, "expdriver: -codec-workers must be >= 0, got %d\n", *codecWorkers)
-		os.Exit(1)
-	}
 
 	// A nil observer keeps every experiment on its untraced path; the
 	// instrumented ones (e4, e10, e13) accept it either way.
@@ -103,26 +97,17 @@ func main() {
 		fmt.Printf("  linear fit: %.1f MiB/s, R^2=%.4f (paper: linear)\n\n", r.MBPerSec, r.R2)
 
 		n := ns[len(ns)-1]
-		wide := *codecWorkers
-		if wide == 0 {
-			wide = runtime.GOMAXPROCS(0)
-		}
-		widths := []int{1}
-		for _, w := range []int{2, wide} {
-			if w > widths[len(widths)-1] {
-				widths = append(widths, w)
-			}
-		}
-		rows, err := experiments.E4ParallelPipeline(n, widths)
+		rows, err := experiments.E4ParallelPipeline(n)
 		if err != nil {
 			exitErr("e4", err)
 		}
-		fmt.Printf("== E4b (extension): parallel block pipeline, transform inside block+ (%d^3 walk) ==\n", n)
-		fmt.Printf("  %8s %12s %9s %10s %8s %8s %6s\n", "workers", "bytes", "seconds", "MiB/s", "blocks", "stalls", "ident")
+		fmt.Printf("== E4b (extension): the transform inside the parallel block pipeline (%d^3 walk, GOMAXPROCS %d) ==\n",
+			n, runtime.GOMAXPROCS(0))
+		fmt.Printf("  %-22s %12s %12s %9s %10s %6s\n", "codec", "bytes in", "bytes out", "seconds", "MiB/s", "ident")
 		for _, row := range rows {
-			fmt.Printf("  %8d %12s %9.3f %10.1f %8d %8d %6v\n", row.Workers,
-				stats.FormatBytes(row.Bytes), row.Seconds, row.MBPerSec,
-				row.Blocks, row.EncodeStalls, row.Identical)
+			fmt.Printf("  %-22s %12s %12s %9.3f %10.1f %6v\n", row.Codec,
+				stats.FormatBytes(row.Bytes), stats.FormatBytes(row.OutBytes), row.Seconds, row.MBPerSec,
+				row.Identical)
 		}
 		fmt.Println()
 	}

@@ -94,7 +94,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	s, def := &o.spec, scihadoop.QueryConfig{}.WithDefaults()
 	fs.IntVar(&s.Side, "side", 128, "grid side length (side x side int32 cells)")
 	fs.StringVar(&s.Strategy, "strategy", "baseline", "baseline | transform | aggregation | boxes")
-	fs.StringVar(&s.Codec, "codec", "zlib", "inner codec for -strategy transform; a block+ prefix (e.g. block+zlib) runs the stack through the parallel block pipeline")
+	fs.StringVar(&s.Codec, "codec", "zlib", "generic codec under -strategy transform: none | gzip | zlib | bzip2, optionally prefixed block+ (e.g. block+zlib) to run the whole stack through the parallel block pipeline")
 	fs.StringVar(&s.Curve, "curve", def.Curve, "curve for -strategy aggregation: zorder | hilbert | rowmajor")
 	fs.StringVar(&s.Op, "op", def.Op.String(), "window operator: median | max")
 	fs.BoolVar(&s.Combine, "combine", false, "in-node combining: pool committed map outputs per node group and fold duplicate keys with the operator's value monoid before the shuffle; requires -op max (median is holistic — no monoid exists)")

@@ -39,6 +39,9 @@ func TestValidationParity(t *testing.T) {
 		{"negative_reducers", func(s *queryd.QuerySpec) { s.Reducers = -2 }},
 		{"negative_radius", func(s *queryd.QuerySpec) { s.Radius = -1 }},
 		{"combine_holistic_op", func(s *queryd.QuerySpec) { s.Combine = true }},
+		{"unknown_codec", func(s *queryd.QuerySpec) { s.Strategy, s.Codec = "transform", "nope" }},
+		{"transform_stack_as_codec", func(s *queryd.QuerySpec) { s.Strategy, s.Codec = "transform", "transform+zlib" }},
+		{"nested_block_codec", func(s *queryd.QuerySpec) { s.Strategy, s.Codec = "transform", "block+block+zlib" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,22 +7,21 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"scikey/internal/bufpool"
 )
 
 // The block pipeline splits a stream into independent fixed-size blocks and
-// runs the inner codec (typically transform+X) over them on a worker pool.
-// The predictive transform is self-synchronizing and bzip2 is
+// codes each with the inner codec (typically transform+X) on its own
+// goroutine. The predictive transform is self-synchronizing and bzip2 is
 // block-structured, so restarting the inner stream every BlockBytes of raw
 // input costs a little ratio and buys embarrassing parallelism.
 //
 // Framing is position-determined, never scheduling-determined: block
 // boundaries fall at exact multiples of BlockBytes of raw input, and each
 // block is a complete, independent inner-codec stream. The encoded bytes are
-// therefore identical for every worker count — workers only change who
-// compresses a block, not what the block is.
+// therefore identical for every GOMAXPROCS — the width only changes how many
+// blocks are in flight, not what a block is.
 //
 // Wire format, all lengths big-endian:
 //
@@ -31,8 +30,8 @@ import (
 //	end    := rawLen=0 compLen=0 (eight zero bytes)
 
 // DefaultBlockBytes is the raw-input block size when Block.BlockBytes is 0.
-// 256 KiB keeps per-block codec restart cost under ~1% while giving a
-// GOMAXPROCS-sized pool plenty of blocks to overlap on real segments.
+// 256 KiB keeps per-block codec restart cost under ~1% while giving every
+// core plenty of blocks to overlap on real segments.
 const DefaultBlockBytes = 256 << 10
 
 // maxBlockLen bounds the frame lengths a reader will believe, so a corrupt
@@ -40,21 +39,11 @@ const DefaultBlockBytes = 256 << 10
 // bufpool size class.
 const maxBlockLen = 64 << 20
 
-// BlockMetrics counts block-pipeline traffic and stalls. Stalls measure
-// pipeline occupancy: an encode stall means the ordered-reassembly ring was
-// full of still-compressing blocks (writer ahead of workers); a decode stall
-// means the consumer outran the prefetching decoder.
-type BlockMetrics struct {
-	BlocksEncoded atomic.Int64
-	BlocksDecoded atomic.Int64
-	EncodeStalls  atomic.Int64
-	DecodeStalls  atomic.Int64
-}
-
-// Block runs Inner over independent fixed-size blocks on a worker pool with
-// ordered reassembly. It implements Codec; Name() is "block+<inner>".
-// A Block must be used by pointer and is safe for concurrent use; writers
-// and readers it creates are each single-goroutine like any codec stream.
+// Block runs Inner over independent fixed-size blocks, up to GOMAXPROCS of
+// them at once, with in-order reassembly. It implements Codec; Name() is
+// "block+<inner>". A Block must be used by pointer and is safe for
+// concurrent use; writers and readers it creates are each single-goroutine
+// like any codec stream.
 type Block struct {
 	// Inner compresses each block as one complete stream.
 	Inner Codec
@@ -62,19 +51,13 @@ type Block struct {
 	// It is part of the wire layout: both sides see the same bytes for any
 	// value, but the value chosen at encode time determines the frames.
 	BlockBytes int
-	// Workers is the pipeline width: 0 means GOMAXPROCS, 1 means
-	// sequential in-line encode/decode (the differential reference — no
-	// goroutines at all), n>1 means n workers.
-	Workers int
-	// Metrics, when non-nil, receives traffic and stall counts.
-	Metrics *BlockMetrics
 
 	initPools sync.Once
 	wpool     *WriterPool
 	rpool     *ReaderPool
 }
 
-// NewBlock wraps inner with default block size and GOMAXPROCS workers.
+// NewBlock wraps inner with the default block size.
 func NewBlock(inner Codec) *Block { return &Block{Inner: inner} }
 
 // Name implements Codec.
@@ -87,129 +70,161 @@ func (b *Block) blockBytes() int {
 	return b.BlockBytes
 }
 
-func (b *Block) workers() int {
-	if b.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return b.Workers
-}
-
 // pools lazily builds the inner-codec stream pools shared by all of this
-// Block's writers, readers, and their workers.
-func (b *Block) pools() (*WriterPool, *ReaderPool) {
+// Block's writers, readers, and their block goroutines.
+func (b *Block) pools() {
 	b.initPools.Do(func() {
 		b.wpool = NewWriterPool(b.Inner)
 		b.rpool = NewReaderPool(b.Inner)
 	})
-	return b.wpool, b.rpool
 }
 
 // NewWriter implements Codec.
 func (b *Block) NewWriter(w io.Writer) io.WriteCloser {
 	b.pools()
-	return &blockWriter{b: b, dst: w}
+	return &blockWriter{b: b, dst: w, q: newRing()}
 }
 
 // NewReader implements Codec. The reader validates frames lazily: a corrupt
 // stream surfaces on Read, not here.
 func (b *Block) NewReader(r io.Reader) (io.ReadCloser, error) {
 	b.pools()
-	return &blockReader{b: b, src: r, br: new(bytes.Reader)}, nil
+	return &blockReader{b: b, src: r, q: newRing()}, nil
 }
 
-// sliceWriter accumulates a compressed block in a bufpool buffer.
-type sliceWriter struct{ buf []byte }
+// slot is one block in flight. The stream hands in to a goroutine, which
+// fills out or err, recycles in, and signals done; the stream receives from
+// done before it touches the slot again. A stream dropped without Close
+// leaves nothing waiting: done is buffered, so the goroutine still exits.
+type slot struct {
+	done   chan struct{}
+	in     []byte // raw block (encode) or compressed payload (decode); bufpool
+	rawLen int
+	out    []byte // compressed block (encode) or raw block (decode); bufpool
+	err    error
+	br     bytes.Reader
+}
 
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
+// Write appends to out: the slot is its inner encoder's destination.
+func (s *slot) Write(p []byte) (int, error) {
+	s.out = append(s.out, p...)
 	return len(p), nil
 }
 
-// encodeBlock compresses one raw block as a complete inner stream into a
-// bufpool buffer. Safe for concurrent calls (workers share the pools).
-func (b *Block) encodeBlock(raw []byte, sw *sliceWriter) ([]byte, error) {
-	sw.buf = bufpool.Get(len(raw)/2 + 64)[:0]
-	w := b.wpool.Get(sw)
-	_, err := w.Write(raw)
+// encode compresses s.in as one complete inner stream into s.out.
+func (b *Block) encode(s *slot) {
+	s.rawLen = len(s.in)
+	s.out = bufpool.Get(len(s.in)/2 + 64)[:0]
+	w := b.wpool.Get(s)
+	_, err := w.Write(s.in)
 	if cerr := w.Close(); err == nil {
 		err = cerr
 	}
 	b.wpool.Put(w)
-	if err != nil {
-		bufpool.Put(sw.buf)
-		sw.buf = nil
-		return nil, err
-	}
-	if m := b.Metrics; m != nil {
-		m.BlocksEncoded.Add(1)
-	}
-	comp := sw.buf
-	sw.buf = nil
-	return comp, nil
+	s.finish(err)
 }
 
-// decodeBlock inflates one compressed block, verifying the inner stream
-// holds exactly rawLen bytes. br is a caller-owned scratch bytes.Reader so
-// each worker reuses one. Safe for concurrent calls.
-func (b *Block) decodeBlock(br *bytes.Reader, comp []byte, rawLen int) ([]byte, error) {
-	br.Reset(comp)
-	rc, err := b.rpool.Get(br)
-	if err != nil {
-		return nil, err
-	}
-	out := bufpool.Get(rawLen)[:rawLen]
-	_, err = io.ReadFull(rc, out)
+// decode inflates s.in into s.out, verifying that the inner stream holds
+// exactly s.rawLen bytes.
+func (b *Block) decode(s *slot) {
+	s.br.Reset(s.in)
+	rc, err := b.rpool.Get(&s.br)
 	if err == nil {
-		var one [1]byte
-		if n, terr := io.ReadFull(rc, one[:]); n != 0 {
-			err = fmt.Errorf("codec: block stream longer than declared %d bytes", rawLen)
-		} else if terr != io.EOF {
-			err = terr
+		s.out = bufpool.Get(s.rawLen)[:s.rawLen]
+		_, err = io.ReadFull(rc, s.out)
+		if err == nil {
+			var one [1]byte
+			if n, terr := io.ReadFull(rc, one[:]); n != 0 {
+				err = fmt.Errorf("codec: block stream longer than declared %d bytes", s.rawLen)
+			} else if terr != io.EOF {
+				err = terr
+			}
 		}
+		if cerr := rc.Close(); err == nil {
+			err = cerr
+		}
+		b.rpool.Put(rc)
 	}
-	if cerr := rc.Close(); err == nil {
-		err = cerr
-	}
-	b.rpool.Put(rc)
-	if err != nil {
-		bufpool.Put(out)
-		return nil, err
-	}
-	if m := b.Metrics; m != nil {
-		m.BlocksDecoded.Add(1)
-	}
-	return out, nil
+	s.finish(err)
 }
 
-// encJob hands one raw block to an encode worker; the 1-buffered res channel
-// is the block's reassembly slot.
-type encJob struct {
-	raw []byte
-	res chan encResult
+// finish recycles the input, drops the output of a failed block, and
+// signals done.
+func (s *slot) finish(err error) {
+	if err != nil && s.out != nil {
+		bufpool.Put(s.out)
+		s.out = nil
+	}
+	s.err = err
+	bufpool.Put(s.in)
+	s.in = nil
+	s.done <- struct{}{}
 }
 
-type encResult struct {
-	rawLen int
-	comp   []byte
-	err    error
+// ring is a stream's in-order window of blocks in flight: at most width
+// slots, oldest first, each coded on its own goroutine. width is GOMAXPROCS,
+// read once per stream.
+type ring struct {
+	width int
+	busy  []*slot
+	free  []*slot
 }
 
-// blockWriter buffers raw input to BlockBytes boundaries and compresses each
-// block — inline when Workers is 1 (or when a tiny stream closes before the
-// pool was ever needed), otherwise on the worker pool with an ordered ring
-// of one pending slot per worker bounding memory to ~2·workers blocks.
+func newRing() ring { return ring{width: runtime.GOMAXPROCS(0)} }
+
+func (q *ring) full() bool { return len(q.busy) >= q.width }
+
+// start queues a slot carrying in; the caller hands it to a goroutine.
+func (q *ring) start(in []byte, rawLen int) *slot {
+	var s *slot
+	if n := len(q.free); n > 0 {
+		s, q.free = q.free[n-1], q.free[:n-1]
+	} else {
+		s = &slot{done: make(chan struct{}, 1)}
+	}
+	s.in, s.rawLen = in, rawLen
+	q.busy = append(q.busy, s)
+	return s
+}
+
+// pop waits for the oldest slot and dequeues it.
+func (q *ring) pop() *slot {
+	s := q.busy[0]
+	<-s.done
+	n := copy(q.busy, q.busy[1:])
+	q.busy[n] = nil
+	q.busy = q.busy[:n]
+	return s
+}
+
+// recycle returns a popped slot's output buffer and the slot itself.
+func (q *ring) recycle(s *slot) {
+	if s.out != nil {
+		bufpool.Put(s.out)
+	}
+	s.out, s.err = nil, nil
+	q.free = append(q.free, s)
+}
+
+// drain waits for every slot in flight and recycles it, leaving the ring
+// empty and its width re-read for the next stream.
+func (q *ring) drain() {
+	for len(q.busy) > 0 {
+		q.recycle(q.pop())
+	}
+	q.width = runtime.GOMAXPROCS(0)
+}
+
+// blockWriter buffers raw input to BlockBytes boundaries and hands each
+// block to its own goroutine. When the ring is full it writes out the
+// oldest block's frame first, so memory stays at about two blocks per slot.
 type blockWriter struct {
 	b   *Block
 	dst io.Writer
-	err error
-
-	raw     []byte           // current block being filled (bufpool)
-	ring    []chan encResult // FIFO of in-flight blocks, ≤ workers entries
-	jobs    chan encJob
-	wg      sync.WaitGroup
-	started bool
-	sw      sliceWriter // inline-encode scratch
-	hdr     [8]byte
+	err error  // sticky
+	raw []byte // block being filled (bufpool)
+	q   ring
+	hdr [8]byte
 }
 
 func (w *blockWriter) Write(p []byte) (int, error) {
@@ -222,16 +237,13 @@ func (w *blockWriter) Write(p []byte) (int, error) {
 		if w.raw == nil {
 			w.raw = bufpool.Get(bb)[:0]
 		}
-		n := bb - len(w.raw)
-		if n > len(p) {
-			n = len(p)
-		}
+		n := min(bb-len(w.raw), len(p))
 		w.raw = append(w.raw, p[:n]...)
 		consumed += n
 		p = p[n:]
 		if len(w.raw) == bb {
-			if err := w.flushBlock(false); err != nil {
-				w.fail(err)
+			if err := w.push(); err != nil {
+				w.stop(err)
 				return consumed, err
 			}
 		}
@@ -239,377 +251,183 @@ func (w *blockWriter) Write(p []byte) (int, error) {
 	return consumed, nil
 }
 
-// flushBlock ships the current raw block. closing flushes inline when the
-// pool never started (tiny streams skip goroutines entirely).
-func (w *blockWriter) flushBlock(closing bool) error {
-	raw := w.raw
+// push hands the current block to its own goroutine, writing out the
+// oldest block first when the ring is full.
+func (w *blockWriter) push() error {
+	if w.q.full() {
+		if err := w.writeOldest(); err != nil {
+			return err
+		}
+	}
+	go w.b.encode(w.q.start(w.raw, 0))
 	w.raw = nil
-	if len(raw) == 0 {
-		bufpool.Put(raw)
-		return nil
-	}
-	if w.b.workers() == 1 || (closing && !w.started) {
-		comp, err := w.b.encodeBlock(raw, &w.sw)
-		bufpool.Put(raw)
-		if err != nil {
-			return err
-		}
-		err = w.writeFrame(len(raw), comp)
-		bufpool.Put(comp)
-		return err
-	}
-	w.startWorkers()
-	if len(w.ring) == w.b.workers() {
-		if err := w.drainOldest(); err != nil {
-			return err
-		}
-	}
-	res := make(chan encResult, 1)
-	w.ring = append(w.ring, res)
-	w.jobs <- encJob{raw: raw, res: res}
 	return nil
 }
 
-func (w *blockWriter) startWorkers() {
-	if w.started {
-		return
+// writeOldest waits for the oldest block in flight and writes its frame.
+func (w *blockWriter) writeOldest() error {
+	s := w.q.pop()
+	defer w.q.recycle(s)
+	if s.err != nil {
+		return s.err
 	}
-	w.started = true
-	w.jobs = make(chan encJob)
-	for i := 0; i < w.b.workers(); i++ {
-		w.wg.Add(1)
-		go func() {
-			defer w.wg.Done()
-			var sw sliceWriter
-			for j := range w.jobs {
-				comp, err := w.b.encodeBlock(j.raw, &sw)
-				rl := len(j.raw)
-				bufpool.Put(j.raw)
-				j.res <- encResult{rawLen: rl, comp: comp, err: err}
-			}
-		}()
-	}
-}
-
-// drainOldest pops the oldest in-flight block, in order, and writes its
-// frame. Blocking here is the writer outrunning the pool — an encode stall.
-func (w *blockWriter) drainOldest() error {
-	res := w.ring[0]
-	w.ring = w.ring[1:]
-	var r encResult
-	select {
-	case r = <-res:
-	default:
-		if m := w.b.Metrics; m != nil {
-			m.EncodeStalls.Add(1)
-		}
-		r = <-res
-	}
-	if r.err != nil {
-		return r.err
-	}
-	err := w.writeFrame(r.rawLen, r.comp)
-	bufpool.Put(r.comp)
-	return err
-}
-
-func (w *blockWriter) writeFrame(rawLen int, comp []byte) error {
-	binary.BigEndian.PutUint32(w.hdr[0:4], uint32(rawLen))
-	binary.BigEndian.PutUint32(w.hdr[4:8], uint32(len(comp)))
+	binary.BigEndian.PutUint32(w.hdr[0:4], uint32(s.rawLen))
+	binary.BigEndian.PutUint32(w.hdr[4:8], uint32(len(s.out)))
 	if _, err := w.dst.Write(w.hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.dst.Write(comp)
+	_, err := w.dst.Write(s.out)
 	return err
 }
 
-// fail records a sticky error and releases everything in flight.
-func (w *blockWriter) fail(err error) {
+// stop waits for every block in flight, recycles all buffers, and sets the
+// sticky error (nil to start a new stream).
+func (w *blockWriter) stop(err error) {
 	w.err = err
-	for _, res := range w.ring {
-		if r := <-res; r.comp != nil {
-			bufpool.Put(r.comp)
-		}
-	}
-	w.ring = nil
-	w.stopWorkers()
-}
-
-func (w *blockWriter) stopWorkers() {
-	if !w.started {
-		return
-	}
-	close(w.jobs)
-	w.wg.Wait()
-	w.jobs = nil
-	w.started = false
-}
-
-// Close flushes the final partial block, drains the ring in order, stops the
-// workers, and writes the end marker. The underlying writer is not closed.
-func (w *blockWriter) Close() error {
-	if w.err != nil {
-		return w.err
-	}
-	if err := w.flushBlock(true); err != nil {
-		w.fail(err)
-		return err
-	}
-	for len(w.ring) > 0 {
-		if err := w.drainOldest(); err != nil {
-			w.fail(err)
-			return err
-		}
-	}
-	w.stopWorkers()
-	var end [8]byte
-	if _, err := w.dst.Write(end[:]); err != nil {
-		w.err = err
-		return err
-	}
-	return nil
-}
-
-// Reset rebinds the writer to a new destination stream for pooled reuse.
-func (w *blockWriter) Reset(dst io.Writer) {
+	w.q.drain()
 	if w.raw != nil {
 		bufpool.Put(w.raw)
 		w.raw = nil
 	}
+}
+
+// Close pushes the final partial block, writes every frame in order, and
+// writes the end marker. The underlying writer is not closed.
+func (w *blockWriter) Close() error {
+	if w.err != nil {
+		return w.err
+	}
+	var err error
+	if w.raw != nil {
+		err = w.push()
+	}
+	for err == nil && len(w.q.busy) > 0 {
+		err = w.writeOldest()
+	}
+	if err == nil {
+		var end [8]byte
+		_, err = w.dst.Write(end[:])
+	}
+	if err != nil {
+		w.stop(err)
+	}
+	return err
+}
+
+// Reset rebinds the writer to a new destination stream for pooled reuse.
+func (w *blockWriter) Reset(dst io.Writer) {
+	w.stop(nil)
 	w.dst = dst
-	w.err = nil
 }
 
-type decJob struct {
-	comp   []byte
-	rawLen int
-	res    chan decResult
-}
-
-type decResult struct {
-	out []byte
-	err error // io.EOF for the end marker
-}
-
-// blockReader decodes a block stream. Workers==1 reads and inflates frames
-// in line. Otherwise a fetch goroutine reads frames sequentially from the
-// source (so fault and corruption positions match the sequential reader
-// exactly) and fans decode jobs out to a worker pool; results are consumed
-// strictly in frame order, so errors surface at the same output offset for
-// every worker count.
+// blockReader decodes a block stream. It reads frames from the source on
+// the caller's goroutine, in order, so fault and corruption positions are
+// exactly the sequential ones; it decodes up to a ring's width of frames
+// ahead and serves them strictly in frame order, so an error surfaces after
+// the same delivered prefix at every width.
 type blockReader struct {
 	b   *Block
 	src io.Reader
 	err error // sticky, io.EOF included
-
-	cur []byte // decoded current block (bufpool)
+	end error // terminal frame (end marker or read error), served after every queued block
+	cur *slot // block being served
 	pos int
-
-	// sequential path scratch
-	br  *bytes.Reader
+	q   ring
 	hdr [8]byte
-
-	// parallel pipeline
-	started bool
-	results chan chan decResult
-	stop    chan struct{}
-	wg      sync.WaitGroup
 }
 
 func (r *blockReader) Read(p []byte) (int, error) {
 	if r.err != nil {
 		return 0, r.err
 	}
-	for r.pos == len(r.cur) {
-		if r.cur != nil {
-			bufpool.Put(r.cur)
-			r.cur = nil
-		}
-		var out []byte
-		var err error
-		if r.b.workers() == 1 {
-			out, err = r.nextSeq()
-		} else {
-			out, err = r.nextPar()
-		}
-		if err != nil {
+	for r.cur == nil || r.pos == len(r.cur.out) {
+		if err := r.next(); err != nil {
 			r.err = err
 			return 0, err
 		}
-		r.cur, r.pos = out, 0
 	}
-	n := copy(p, r.cur[r.pos:])
+	n := copy(p, r.cur.out[r.pos:])
 	r.pos += n
 	return n, nil
 }
 
-// readFrame reads and validates one frame header from src. It returns
-// io.EOF exactly at the end marker; a source that ends anywhere else is
-// corrupt and surfaces as io.ErrUnexpectedEOF.
-func readFrame(src io.Reader, hdr *[8]byte) (rawLen, compLen int, err error) {
+// next recycles the served block, tops the ring up with frames read from
+// the source, and makes the oldest decoded block current.
+func (r *blockReader) next() error {
+	if r.cur != nil {
+		r.q.recycle(r.cur)
+		r.cur = nil
+	}
+	for r.end == nil && !r.q.full() {
+		rawLen, comp, err := readFrame(r.src, &r.hdr)
+		if err != nil {
+			r.end = err
+			break
+		}
+		go r.b.decode(r.q.start(comp, rawLen))
+	}
+	if len(r.q.busy) == 0 {
+		return r.end
+	}
+	s := r.q.pop()
+	if err := s.err; err != nil {
+		r.q.recycle(s)
+		return err
+	}
+	r.cur, r.pos = s, 0
+	return nil
+}
+
+// readFrame reads and validates one frame from src, returning its payload
+// in a bufpool buffer. It returns io.EOF exactly at the end marker; a
+// source that ends anywhere else is corrupt and surfaces as
+// io.ErrUnexpectedEOF.
+func readFrame(src io.Reader, hdr *[8]byte) (rawLen int, comp []byte, err error) {
 	if _, err := io.ReadFull(src, hdr[:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, 0, err
+		return 0, nil, err
 	}
 	rawLen = int(binary.BigEndian.Uint32(hdr[0:4]))
-	compLen = int(binary.BigEndian.Uint32(hdr[4:8]))
+	compLen := int(binary.BigEndian.Uint32(hdr[4:8]))
 	if rawLen == 0 && compLen == 0 {
-		return 0, 0, io.EOF
+		return 0, nil, io.EOF
 	}
 	if rawLen == 0 || compLen == 0 || rawLen > maxBlockLen || compLen > maxBlockLen {
-		return 0, 0, fmt.Errorf("codec: corrupt block frame header (raw=%d comp=%d)", rawLen, compLen)
+		return 0, nil, fmt.Errorf("codec: corrupt block frame header (raw=%d comp=%d)", rawLen, compLen)
 	}
-	return rawLen, compLen, nil
-}
-
-func (r *blockReader) nextSeq() ([]byte, error) {
-	rawLen, compLen, err := readFrame(r.src, &r.hdr)
-	if err != nil {
-		return nil, err
-	}
-	comp := bufpool.Get(compLen)[:compLen]
-	if _, err := io.ReadFull(r.src, comp); err != nil {
+	comp = bufpool.Get(compLen)[:compLen]
+	if _, err := io.ReadFull(src, comp); err != nil {
 		bufpool.Put(comp)
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return 0, nil, err
 	}
-	out, err := r.b.decodeBlock(r.br, comp, rawLen)
-	bufpool.Put(comp)
-	return out, err
+	return rawLen, comp, nil
 }
 
-func (r *blockReader) nextPar() ([]byte, error) {
-	if !r.started {
-		r.startPipeline()
-	}
-	res := <-r.results
-	var d decResult
-	select {
-	case d = <-res:
-	default:
-		if m := r.b.Metrics; m != nil {
-			m.DecodeStalls.Add(1)
-		}
-		d = <-res
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return d.out, nil
-}
-
-// startPipeline spawns the frame fetcher and decode workers. The fetcher is
-// the only goroutine touching the source; it pushes each block's result slot
-// into the ordered results queue before dispatching the decode, then stops
-// at the first terminal frame (end marker or read error), delivering that
-// terminal as the final in-order result.
-func (r *blockReader) startPipeline() {
-	r.started = true
-	n := r.b.workers()
-	r.results = make(chan chan decResult, n)
-	r.stop = make(chan struct{})
-	jobs := make(chan decJob)
-	for i := 0; i < n; i++ {
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			br := new(bytes.Reader)
-			for j := range jobs {
-				out, err := r.b.decodeBlock(br, j.comp, j.rawLen)
-				bufpool.Put(j.comp)
-				j.res <- decResult{out: out, err: err}
-			}
-		}()
-	}
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		defer close(jobs)
-		var hdr [8]byte
-		for {
-			rawLen, compLen, err := readFrame(r.src, &hdr)
-			if err == nil {
-				comp := bufpool.Get(compLen)[:compLen]
-				if _, rerr := io.ReadFull(r.src, comp); rerr != nil {
-					bufpool.Put(comp)
-					if rerr == io.EOF {
-						rerr = io.ErrUnexpectedEOF
-					}
-					err = rerr
-				} else {
-					res := make(chan decResult, 1)
-					select {
-					case r.results <- res:
-					case <-r.stop:
-						bufpool.Put(comp)
-						return
-					}
-					select {
-					case jobs <- decJob{comp: comp, rawLen: rawLen, res: res}:
-					case <-r.stop:
-						bufpool.Put(comp)
-						res <- decResult{}
-						return
-					}
-					continue
-				}
-			}
-			res := make(chan decResult, 1)
-			res <- decResult{err: err}
-			select {
-			case r.results <- res:
-			case <-r.stop:
-			}
-			return
-		}
-	}()
-}
-
-// shutdown tears the pipeline down (safe mid-stream: abandoned merges close
-// readers early) and recycles every buffer still in flight.
-func (r *blockReader) shutdown() {
-	if r.started {
-		close(r.stop)
-		r.wg.Wait()
-	drain:
-		for {
-			select {
-			case res := <-r.results:
-				select {
-				case d := <-res:
-					if d.out != nil {
-						bufpool.Put(d.out)
-					}
-				default:
-				}
-			default:
-				break drain
-			}
-		}
-		r.results = nil
-		r.stop = nil
-		r.started = false
-	}
+// release waits for every block in flight and recycles all buffers.
+func (r *blockReader) release() {
 	if r.cur != nil {
-		bufpool.Put(r.cur)
+		r.q.recycle(r.cur)
 		r.cur = nil
 	}
+	r.q.drain()
+	r.end = nil
 	r.pos = 0
 }
 
-// Close stops the pipeline; the underlying reader is not closed.
+// Close waits for the blocks in flight; the underlying reader is not closed.
 func (r *blockReader) Close() error {
-	r.shutdown()
+	r.release()
 	return nil
 }
 
 // Reset rebinds the reader to a new source stream for pooled reuse.
 func (r *blockReader) Reset(src io.Reader) error {
-	r.shutdown()
+	r.release()
 	r.src = src
 	r.err = nil
 	return nil

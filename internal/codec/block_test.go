@@ -2,11 +2,76 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
+
+// refBlockEncode is the block framing in its plainest form: every
+// blockBytes of input compressed as one complete inner stream behind its
+// two lengths, then the end marker. The pipeline must match it byte for
+// byte at every GOMAXPROCS.
+func refBlockEncode(inner Codec, blockBytes int, data []byte) ([]byte, error) {
+	var out []byte
+	for len(data) > 0 {
+		n := min(blockBytes, len(data))
+		comp, err := Compress(inner, data[:n])
+		if err != nil {
+			return nil, err
+		}
+		out = binary.BigEndian.AppendUint32(out, uint32(n))
+		out = binary.BigEndian.AppendUint32(out, uint32(len(comp)))
+		out = append(out, comp...)
+		data = data[n:]
+	}
+	return append(out, make([]byte, 8)...), nil
+}
+
+// refBlockDecode reads frames one at a time and inflates each in turn,
+// returning what it decoded before the first error.
+func refBlockDecode(inner Codec, src io.Reader) ([]byte, error) {
+	var out []byte
+	var hdr [8]byte
+	for {
+		if _, err := io.ReadFull(src, hdr[:]); err != nil {
+			return out, err
+		}
+		rawLen, compLen := binary.BigEndian.Uint32(hdr[0:4]), binary.BigEndian.Uint32(hdr[4:8])
+		if rawLen == 0 && compLen == 0 {
+			return out, nil
+		}
+		if rawLen > maxBlockLen || compLen > maxBlockLen {
+			return out, fmt.Errorf("frame lengths %d/%d out of range", rawLen, compLen)
+		}
+		comp := make([]byte, compLen)
+		if _, err := io.ReadFull(src, comp); err != nil {
+			return out, err
+		}
+		block, err := Decompress(inner, comp)
+		if err != nil {
+			return out, err
+		}
+		if len(block) != int(rawLen) {
+			return out, fmt.Errorf("block holds %d bytes, frame declares %d", len(block), rawLen)
+		}
+		out = append(out, block...)
+	}
+}
+
+// setProcs sets GOMAXPROCS — the pipeline's width, read once per stream —
+// for the rest of the test.
+func setProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// widths are the GOMAXPROCS values the block tests sweep.
+var widths = []int{1, 2, 4, 8}
 
 // blockInners are the inner stacks the pipeline is used with in anger.
 func blockInners() map[string]func() Codec {
@@ -33,29 +98,26 @@ func blockTestInputs() map[string][]byte {
 }
 
 // TestBlockByteIdenticalAcrossWorkers is the core determinism contract:
-// framing is position-determined, so every worker count emits the same
-// bytes, and any worker count decodes any other's output.
+// framing is position-determined, so every width emits refBlockEncode's
+// bytes, and every width decodes them.
 func TestBlockByteIdenticalAcrossWorkers(t *testing.T) {
-	workerCounts := []int{1, 2, 4, 8}
 	for innerName, mk := range blockInners() {
 		for _, bb := range []int{1 << 10, 4096, DefaultBlockBytes} {
 			for label, data := range blockTestInputs() {
-				var want []byte
-				for _, w := range workerCounts {
-					b := &Block{Inner: mk(), BlockBytes: bb, Workers: w}
+				want, err := refBlockEncode(mk(), bb, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range widths {
+					setProcs(t, w)
+					b := &Block{Inner: mk(), BlockBytes: bb}
 					comp, err := Compress(b, data)
 					if err != nil {
 						t.Fatalf("%s/bb=%d/%s/w=%d: %v", innerName, bb, label, w, err)
 					}
-					if want == nil {
-						want = comp
-					} else if !bytes.Equal(want, comp) {
-						t.Fatalf("%s/bb=%d/%s: workers=%d bytes differ from workers=1", innerName, bb, label, w)
+					if !bytes.Equal(want, comp) {
+						t.Fatalf("%s/bb=%d/%s: width %d bytes differ from refBlockEncode", innerName, bb, label, w)
 					}
-				}
-				// Cross-decode: every worker count reads the shared bytes.
-				for _, w := range workerCounts {
-					b := &Block{Inner: mk(), BlockBytes: bb, Workers: w}
 					back, err := Decompress(b, want)
 					if err != nil {
 						t.Fatalf("%s/bb=%d/%s/w=%d decode: %v", innerName, bb, label, w, err)
@@ -72,8 +134,9 @@ func TestBlockByteIdenticalAcrossWorkers(t *testing.T) {
 // TestBlockChunkedWriteInvariance: block boundaries depend on stream
 // position only, never on how the caller chunks Write calls.
 func TestBlockChunkedWriteInvariance(t *testing.T) {
+	setProcs(t, 3)
 	data := gridWalkStream(16)
-	b := &Block{Inner: NewTransform(Zlib), BlockBytes: 3000, Workers: 3}
+	b := &Block{Inner: NewTransform(Zlib), BlockBytes: 3000}
 	oneShot, err := Compress(b, data)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +164,8 @@ func TestBlockChunkedWriteInvariance(t *testing.T) {
 // TestBlockPooledReuse: block streams recycle through the generic codec
 // pools (Reset(io.Writer) / Reset(io.Reader) error) byte-identically.
 func TestBlockPooledReuse(t *testing.T) {
-	b := &Block{Inner: NewTransform(Zlib), BlockBytes: 2048, Workers: 4}
+	setProcs(t, 4)
+	b := &Block{Inner: NewTransform(Zlib), BlockBytes: 2048}
 	wp, rp := NewWriterPool(b), NewReaderPool(b)
 	data := gridWalkStream(14)
 	var want []byte
@@ -162,57 +226,54 @@ func (e *errAfterReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestBlockErrorParityAcrossWorkers: an injected source fault surfaces the
-// same error after the same delivered prefix for every worker count —
-// the parallel prefetcher may hit the fault early in wall time, but results
-// are consumed strictly in frame order.
+// TestBlockErrorParityAcrossWorkers: an injected source fault surfaces
+// after refBlockDecode's delivered prefix, with the same error text at
+// every width — blocks decode ahead, but they are served strictly in frame
+// order and frames are read in order on the caller's goroutine.
 func TestBlockErrorParityAcrossWorkers(t *testing.T) {
 	data := gridWalkStream(18)
-	b := &Block{Inner: NewTransform(Zlib), BlockBytes: 2000, Workers: 1}
-	comp, err := Compress(b, data)
+	inner := NewTransform(Zlib)
+	comp, err := refBlockEncode(inner, 2000, data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, limit := range []int{0, 5, len(comp) / 3, len(comp) / 2, len(comp) - 4} {
-		type outcome struct {
-			prefix []byte
-			err    error
+		want, werr := refBlockDecode(inner, &errAfterReader{r: bytes.NewReader(comp), limit: limit})
+		if !errors.Is(werr, errBoom) {
+			t.Fatalf("limit=%d: reference error %v, want the injected fault", limit, werr)
 		}
-		var want *outcome
-		for _, w := range []int{1, 2, 4} {
-			b := &Block{Inner: NewTransform(Zlib), BlockBytes: 2000, Workers: w}
+		var firstErr string
+		for _, w := range widths {
+			setProcs(t, w)
+			b := &Block{Inner: NewTransform(Zlib), BlockBytes: 2000}
 			r, err := b.NewReader(&errAfterReader{r: bytes.NewReader(comp), limit: limit})
 			if err != nil {
 				t.Fatal(err)
 			}
 			prefix, rerr := io.ReadAll(r)
 			r.Close()
-			if rerr == nil {
-				t.Fatalf("limit=%d w=%d: fault did not surface", limit, w)
+			if !errors.Is(rerr, errBoom) {
+				t.Fatalf("limit=%d w=%d: error %v, want the injected fault", limit, w, rerr)
 			}
-			got := &outcome{prefix: prefix, err: rerr}
-			if want == nil {
-				want = got
-				continue
+			if !bytes.Equal(want, prefix) {
+				t.Fatalf("limit=%d w=%d: delivered prefix %d bytes, reference delivered %d",
+					limit, w, len(prefix), len(want))
 			}
-			if !bytes.Equal(want.prefix, got.prefix) {
-				t.Fatalf("limit=%d w=%d: delivered prefix %d bytes, workers=1 delivered %d",
-					limit, w, len(got.prefix), len(want.prefix))
-			}
-			if !errors.Is(got.err, errBoom) != !errors.Is(want.err, errBoom) ||
-				got.err.Error() != want.err.Error() {
-				t.Fatalf("limit=%d w=%d: error %v, workers=1 got %v", limit, w, got.err, want.err)
+			if firstErr == "" {
+				firstErr = rerr.Error()
+			} else if rerr.Error() != firstErr {
+				t.Fatalf("limit=%d w=%d: error %q, width 1 got %q", limit, w, rerr, firstErr)
 			}
 		}
 	}
 }
 
 // TestBlockCorruptStream: truncation, header garbage, payload corruption,
-// and over-long inner streams all error out instead of returning bad bytes.
+// and over-long inner streams all error out instead of returning bad bytes,
+// at every width and in the reference.
 func TestBlockCorruptStream(t *testing.T) {
 	data := gridWalkStream(12)
-	b := &Block{Inner: Zlib, BlockBytes: 1500, Workers: 2}
-	comp, err := Compress(b, data)
+	comp, err := refBlockEncode(Zlib, 1500, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +288,12 @@ func TestBlockCorruptStream(t *testing.T) {
 		"corrupt-payload-byte": flipPayloadByte(comp),
 	}
 	for name, stream := range cases {
+		if _, err := refBlockDecode(Zlib, bytes.NewReader(stream)); err == nil {
+			t.Errorf("%s: reference decoded a corrupt stream without error", name)
+		}
 		for _, w := range []int{1, 4} {
-			b := &Block{Inner: Zlib, BlockBytes: 1500, Workers: w}
+			setProcs(t, w)
+			b := &Block{Inner: Zlib, BlockBytes: 1500}
 			if _, err := Decompress(b, stream); err == nil {
 				t.Errorf("%s w=%d: corrupt stream decoded without error", name, w)
 			}
@@ -253,10 +318,11 @@ func flipPayloadByte(comp []byte) []byte {
 }
 
 // TestBlockAbandonedReader: closing mid-stream (the merge abandon path)
-// must tear the pipeline down without deadlocking or leaking buffers.
+// must wait out the blocks in flight without deadlocking.
 func TestBlockAbandonedReader(t *testing.T) {
+	setProcs(t, 4)
 	data := gridWalkStream(24)
-	b := &Block{Inner: NewTransform(Zlib), BlockBytes: 1 << 10, Workers: 4}
+	b := &Block{Inner: NewTransform(Zlib), BlockBytes: 1 << 10}
 	comp, err := Compress(b, data)
 	if err != nil {
 		t.Fatal(err)
@@ -276,23 +342,41 @@ func TestBlockAbandonedReader(t *testing.T) {
 	}
 }
 
-// TestBlockMetrics: traffic counters see every block on both sides.
-func TestBlockMetrics(t *testing.T) {
-	m := &BlockMetrics{}
-	b := &Block{Inner: Zlib, BlockBytes: 1000, Workers: 2, Metrics: m}
-	data := make([]byte, 10500) // 11 blocks
+// TestBlockAbandonedStreamsLeaveNoGoroutines: a stream dropped mid-way
+// without Close — a writer the engine discards on a fill error, a reader a
+// pool lets go of — leaves no goroutine behind once its blocks finish.
+func TestBlockAbandonedStreamsLeaveNoGoroutines(t *testing.T) {
+	setProcs(t, 2)
+	const bb = 4 << 10
+	data := gridWalkStream(24) // ~40 blocks
+	b := &Block{Inner: NewTransform(Zlib), BlockBytes: bb}
 	comp, err := Compress(b, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decompress(b, comp); err != nil {
-		t.Fatal(err)
+	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		r, err := b.NewReader(bytes.NewReader(comp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(r, make([]byte, 1)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := m.BlocksEncoded.Load(); got != 11 {
-		t.Errorf("BlocksEncoded = %d, want 11", got)
+	for i := 0; i < 20; i++ {
+		w := b.NewWriter(io.Discard)
+		if _, err := w.Write(data[:3*bb]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := m.BlocksDecoded.Load(); got != 11 {
-		t.Errorf("BlocksDecoded = %d, want 11", got)
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running 2 s after dropping 40 streams, %d before",
+				runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -322,31 +406,31 @@ func TestBlockGet(t *testing.T) {
 	}
 }
 
-// FuzzBlockRoundTrip: random payloads, block sizes, and worker counts must
-// roundtrip and stay byte-identical to the sequential reference encode.
+// FuzzBlockRoundTrip: random payloads, block sizes, and widths must
+// roundtrip and stay byte-identical to refBlockEncode.
 func FuzzBlockRoundTrip(f *testing.F) {
 	f.Add([]byte("hello world"), 64, uint8(2))
 	f.Add(gridWalkStream(6), 1000, uint8(4))
 	f.Add([]byte{}, 1, uint8(3))
-	f.Fuzz(func(t *testing.T, data []byte, blockBytes int, workers uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, blockBytes int, procs uint8) {
 		if blockBytes <= 0 || blockBytes > 1<<20 {
 			blockBytes = 1 + (blockBytes&0xffff+0x10000)%0xffff
 		}
-		w := int(workers%8) + 1
-		ref := &Block{Inner: NewTransform(Zlib), BlockBytes: blockBytes, Workers: 1}
-		par := &Block{Inner: NewTransform(Zlib), BlockBytes: blockBytes, Workers: w}
-		want, err := Compress(ref, data)
+		w := int(procs%8) + 1
+		setProcs(t, w)
+		want, err := refBlockEncode(NewTransform(Zlib), blockBytes, data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Compress(par, data)
+		b := &Block{Inner: NewTransform(Zlib), BlockBytes: blockBytes}
+		got, err := Compress(b, data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(want, got) {
-			t.Fatalf("workers=%d encode differs from sequential (bb=%d)", w, blockBytes)
+			t.Fatalf("width %d encode differs from refBlockEncode (bb=%d)", w, blockBytes)
 		}
-		back, err := Decompress(par, got)
+		back, err := Decompress(b, got)
 		if err != nil {
 			t.Fatal(err)
 		}

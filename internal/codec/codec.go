@@ -7,7 +7,7 @@
 // and "transform+X" stacks that run the Section III predictive transform
 // before a generic codec. Any name accepts a "block+" prefix wrapping the
 // stack in the parallel block pipeline (independent fixed-size blocks,
-// ordered reassembly across a worker pool — see Block).
+// up to GOMAXPROCS coded at once, reassembled in order — see Block).
 package codec
 
 import (
@@ -233,9 +233,8 @@ func registry() map[string]func() Codec {
 }
 
 // Get returns the codec registered under name. A "block+" prefix wraps any
-// registered codec in the parallel block pipeline with default block size
-// and GOMAXPROCS workers (e.g. "block+transform+bzip2"); tune via the Block
-// fields.
+// registered codec in the parallel block pipeline with the default block
+// size (e.g. "block+transform+bzip2").
 func Get(name string) (Codec, error) {
 	lname := strings.ToLower(name)
 	if rest, ok := strings.CutPrefix(lname, "block+"); ok {

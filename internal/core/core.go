@@ -24,6 +24,7 @@ import (
 	"scikey/internal/hdfs"
 	"scikey/internal/keys"
 	"scikey/internal/mapreduce"
+	"scikey/internal/obs"
 	"scikey/internal/scihadoop"
 )
 
@@ -62,12 +63,12 @@ func (k StrategyKind) String() string {
 type Strategy struct {
 	Kind StrategyKind
 	// Codec names the generic codec under the transform (ByteTransform
-	// only; default "zlib", the paper's choice in Section III-E). A
-	// "block+" prefix (e.g. "block+zlib") wraps the whole transform stack
-	// in the parallel block pipeline — each block runs the predictive
-	// transform and the generic codec independently on one of GOMAXPROCS
-	// workers (position-determined framing: every width yields the same
-	// bytes).
+	// only): none, gzip, zlib or bzip2, default "zlib", the paper's choice
+	// in Section III-E. A "block+" prefix (e.g. "block+zlib") wraps the
+	// whole transform stack in the parallel block pipeline — each block
+	// runs the predictive transform and the generic codec independently,
+	// up to GOMAXPROCS blocks at once (position-determined framing: every
+	// width yields the same bytes).
 	Codec string
 	// Curve names the space-filling curve (Aggregation only; default
 	// "zorder").
@@ -149,84 +150,94 @@ type JobPlan struct {
 	Job    *mapreduce.Job
 	Codec  *keys.Codec
 	Decode func(*mapreduce.Result) (scihadoop.CellResults, error)
-	// BlockMetrics is the parallel block pipeline's traffic/stall counters
-	// when the strategy uses a block+ codec; nil otherwise. RunQuery
-	// publishes them into the observer after the job completes.
-	BlockMetrics *codec.BlockMetrics
 }
 
-// ValidateQuery checks a query configuration against a strategy without
-// building anything. BuildJob calls it first, so every execution path — the
-// one-shot CLI, the resident query service, and a coordinator rebuilding a
-// job from a wire spec — rejects a bad configuration with the same error
-// text. Front-ends wanting to fail before touching datasets or daemons call
-// it directly.
+// mapOutputCodec parses Strategy.Codec — an optional "block+", then one of
+// none, gzip, zlib or bzip2, "" meaning zlib — into the stack a
+// ByteTransform job's map output goes through.
+func mapOutputCodec(name string, o *obs.Observer) (codec.Codec, error) {
+	if name == "" {
+		name = "zlib"
+	}
+	rest, block := strings.CutPrefix(strings.ToLower(name), "block+")
+	switch rest {
+	case "none", "gzip", "zlib", "bzip2":
+	default:
+		return nil, fmt.Errorf("core: unknown strategy codec %q (want none, gzip, zlib or bzip2, optionally prefixed block+)", name)
+	}
+	base, err := codec.Get(rest)
+	if err != nil {
+		return nil, err
+	}
+	t := codec.NewTransform(base)
+	t.StatsFunc = predictorStatsFunc(o)
+	if block {
+		// block+ wraps the WHOLE transform stack: each block runs the
+		// predictive transform and the generic codec on its own goroutine,
+		// so the expensive predictor parallelizes too.
+		return codec.NewBlock(t), nil
+	}
+	return t, nil
+}
+
+// ValidateQuery checks a query configuration against a strategy, its codec
+// name included, without building a job. BuildJob calls it first, so every
+// execution path — the one-shot CLI, the resident query service, and a
+// coordinator rebuilding a job from a wire spec — rejects a bad
+// configuration with the same error text. Front-ends wanting to fail before
+// touching datasets or daemons call it directly.
 func ValidateQuery(qcfg scihadoop.QueryConfig, strat Strategy) error {
+	_, err := validate(qcfg, strat)
+	return err
+}
+
+// validate is ValidateQuery returning the parsed map-output codec (nil
+// unless strat is ByteTransform), which BuildJob builds with.
+func validate(qcfg scihadoop.QueryConfig, strat Strategy) (codec.Codec, error) {
 	if qcfg.NumSplits < 0 {
-		return fmt.Errorf("core: NumSplits must be >= 0, got %d", qcfg.NumSplits)
+		return nil, fmt.Errorf("core: NumSplits must be >= 0, got %d", qcfg.NumSplits)
 	}
 	if qcfg.NumReducers < 0 {
-		return fmt.Errorf("core: NumReducers must be >= 0, got %d", qcfg.NumReducers)
+		return nil, fmt.Errorf("core: NumReducers must be >= 0, got %d", qcfg.NumReducers)
 	}
 	if qcfg.Radius < 0 {
-		return fmt.Errorf("core: Radius must be >= 0, got %d", qcfg.Radius)
+		return nil, fmt.Errorf("core: Radius must be >= 0, got %d", qcfg.Radius)
 	}
 	if qcfg.CombineNodes < 0 {
-		return fmt.Errorf("core: CombineNodes must be >= 0, got %d", qcfg.CombineNodes)
+		return nil, fmt.Errorf("core: CombineNodes must be >= 0, got %d", qcfg.CombineNodes)
 	}
 	if qcfg.CombineNodes > 0 && !qcfg.Combine {
-		return fmt.Errorf("core: CombineNodes is set but combining is off")
+		return nil, fmt.Errorf("core: CombineNodes is set but combining is off")
 	}
 	if qcfg.Combine {
 		// Fail fast with the operator's own diagnosis (holistic operators
 		// have no monoid) before any dataset machinery is touched.
 		if _, err := scihadoop.CombinerFor(qcfg.Op); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	if strat.Kind == ByteTransform {
+		return mapOutputCodec(strat.Codec, qcfg.Obs)
+	}
+	return nil, nil
 }
 
 // BuildJob constructs the query job for a strategy without running it.
 func BuildJob(fs *hdfs.FileSystem, qcfg scihadoop.QueryConfig, strat Strategy) (*JobPlan, error) {
-	if err := ValidateQuery(qcfg, strat); err != nil {
+	mc, err := validate(qcfg, strat)
+	if err != nil {
 		return nil, err
 	}
 	switch strat.Kind {
 	case Baseline, ByteTransform:
-		var bm *codec.BlockMetrics
-		if strat.Kind == ByteTransform {
-			inner := strat.Codec
-			if inner == "" {
-				inner = "zlib"
-			}
-			rest, blocked := strings.CutPrefix(strings.ToLower(inner), "block+")
-			if blocked {
-				inner = rest
-			}
-			base, cerr := codec.Get(inner)
-			if cerr != nil {
-				return nil, cerr
-			}
-			t := codec.NewTransform(base)
-			t.StatsFunc = predictorStatsFunc(qcfg.Obs)
-			if blocked {
-				// block+ wraps the WHOLE transform stack: each block runs
-				// the predictive transform and the generic codec on its own
-				// worker, so the expensive predictor parallelizes too.
-				blk := codec.NewBlock(t)
-				bm = new(codec.BlockMetrics)
-				blk.Metrics = bm
-				qcfg.MapOutputCodec = blk
-			} else {
-				qcfg.MapOutputCodec = t
-			}
+		if mc != nil {
+			qcfg.MapOutputCodec = mc
 		}
 		job, kc, err := scihadoop.SimpleKeyJob(fs, qcfg)
 		if err != nil {
 			return nil, err
 		}
-		return &JobPlan{Job: job, Codec: kc, BlockMetrics: bm, Decode: func(r *mapreduce.Result) (scihadoop.CellResults, error) {
+		return &JobPlan{Job: job, Codec: kc, Decode: func(r *mapreduce.Result) (scihadoop.CellResults, error) {
 			return scihadoop.ReadSimpleOutput(fs, r, kc)
 		}}, nil
 	case Aggregation:
@@ -281,7 +292,6 @@ func RunQueryResult(fs *hdfs.FileSystem, qcfg scihadoop.QueryConfig, strat Strat
 	if err != nil {
 		return nil, nil, err
 	}
-	publishBlockMetrics(qcfg.Obs, plan.BlockMetrics)
 	c := res.Counters
 	rep := &Report{
 		Strategy:                strat.Name(),

@@ -117,6 +117,26 @@ func TestUnknownCodecFails(t *testing.T) {
 	}
 }
 
+// TestValidateStrategyCodec: the strategy codec is one generic codec with an
+// optional block+ in front, checked before anything is built.
+func TestValidateStrategyCodec(t *testing.T) {
+	_, qcfg, _ := setup(t, 8)
+	for name, ok := range map[string]bool{
+		"": true, "zlib": true, "none": true, "gzip": true, "bzip2": true,
+		"block+zlib": true, "BLOCK+Bzip2": true,
+		"nope": false, "block+": false, "transform+zlib": false,
+		"block+block+zlib": false, "block+transform+none": false,
+	} {
+		err := ValidateQuery(qcfg, Strategy{Kind: ByteTransform, Codec: name})
+		if (err == nil) != ok {
+			t.Errorf("codec %q: ValidateQuery error %v, want accepted=%v", name, err, ok)
+		}
+	}
+	if err := ValidateQuery(qcfg, Strategy{Kind: Baseline, Codec: "nope"}); err != nil {
+		t.Errorf("baseline ignores its codec field, got %v", err)
+	}
+}
+
 func TestNoDecodeSkipsOutput(t *testing.T) {
 	fs, qcfg, _ := setup(t, 8)
 	rep, err := RunQuery(fs, qcfg, Strategy{Kind: Baseline}, cluster.Paper(), false)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"scikey/internal/codec"
 	"scikey/internal/obs"
 	"scikey/internal/predictor"
 )
@@ -40,23 +39,4 @@ func predictorStatsFunc(o *obs.Observer) func(predictor.Stats) {
 		hits.Add(s.SeqHits)
 		checks.Add(s.SeqChecks)
 	}
-}
-
-// publishBlockMetrics merges the parallel block pipeline's counters into the
-// observer's registry once, after a job completes. The pipeline's own
-// counters are plain atomics (the codec package stays observer-free); this
-// bridge is how their totals reach /metrics. Both nils are tolerated.
-func publishBlockMetrics(o *obs.Observer, m *codec.BlockMetrics) {
-	if o == nil || m == nil {
-		return
-	}
-	r := o.R()
-	r.Counter("scikey_block_codec_blocks_encoded_total",
-		"Blocks pushed through the parallel block codec's encode pipeline", "").Add(m.BlocksEncoded.Load())
-	r.Counter("scikey_block_codec_blocks_decoded_total",
-		"Blocks pushed through the parallel block codec's decode pipeline", "").Add(m.BlocksDecoded.Load())
-	r.Counter("scikey_block_codec_encode_stalls_total",
-		"Encode submissions that waited for the ordered-reassembly ring (writer ahead of workers)", "").Add(m.EncodeStalls.Load())
-	r.Counter("scikey_block_codec_decode_stalls_total",
-		"Decode pulls that waited for the prefetching pipeline (consumer ahead of workers)", "").Add(m.DecodeStalls.Load())
 }

@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -178,53 +179,44 @@ func E4TransformTimeVsSize(ns []int, ob *obs.Observer) E4Result {
 	return res
 }
 
-// E4PipelineRow is one sample of the parallel block-pipeline sweep: the n^3
-// walk pushed through block+transform+none at one worker width.
+// E4PipelineRow is one codec of the parallel block-pipeline comparison:
+// the n^3 walk encoded once and decoded back.
 type E4PipelineRow struct {
-	Workers      int
-	Bytes        int64
-	Seconds      float64
-	MBPerSec     float64
-	Blocks       int64
-	EncodeStalls int64
-	// Identical reports whether this width's output is byte-identical to
-	// the first width swept (callers lead with workers=1, the sequential
-	// reference) — it must always be true; the framing is
-	// position-determined.
+	Codec    string
+	Bytes    int64 // raw input
+	OutBytes int64 // encoded
+	Seconds  float64
+	MBPerSec float64
+	// Identical reports that the encoded stream decodes to the input.
 	Identical bool
 }
 
 // E4ParallelPipeline extends Fig. 4's throughput question to the parallel
-// block codec: the same n^3 walk is encoded through the predictive transform
-// inside the block pipeline at each worker width. The inner codec is
-// transform+none so the sweep isolates what the tentpole parallelizes — the
-// transform itself — from generic-codec cost. Outputs are checked
-// byte-identical against the sequential reference at every width.
-func E4ParallelPipeline(n int, workerCounts []int) ([]E4PipelineRow, error) {
+// block codec: the same n^3 walk is encoded through the predictive
+// transform alone (transform+none) and inside the block pipeline
+// (block+transform+none), which codes up to GOMAXPROCS blocks at once. The
+// inner codec is none, so the comparison isolates what the pipeline
+// parallelizes — the transform itself — from generic-codec cost.
+func E4ParallelPipeline(n int) ([]E4PipelineRow, error) {
 	data := workload.GridWalkTriples(n)
-	var ref []byte
-	rows := make([]E4PipelineRow, 0, len(workerCounts))
-	for i, w := range workerCounts {
-		var m codec.BlockMetrics
-		blk := codec.NewBlock(codec.NewTransform(codec.None))
-		blk.Workers = w
-		blk.Metrics = &m
+	rows := make([]E4PipelineRow, 0, 2)
+	for _, c := range []codec.Codec{codec.NewTransform(codec.None), codec.NewBlock(codec.NewTransform(codec.None))} {
 		t0 := time.Now()
-		comp, err := codec.Compress(blk, data)
+		comp, err := codec.Compress(c, data)
 		dt := time.Since(t0).Seconds()
 		if err != nil {
-			return nil, fmt.Errorf("workers=%d: %w", w, err)
+			return nil, fmt.Errorf("%s: %w", c.Name(), err)
 		}
-		if i == 0 {
-			ref = comp
+		back, err := codec.Decompress(c, comp)
+		if err != nil {
+			return nil, fmt.Errorf("%s decode: %w", c.Name(), err)
 		}
 		row := E4PipelineRow{
-			Workers:      w,
-			Bytes:        int64(len(data)),
-			Seconds:      dt,
-			Blocks:       m.BlocksEncoded.Load(),
-			EncodeStalls: m.EncodeStalls.Load(),
-			Identical:    string(comp) == string(ref),
+			Codec:     c.Name(),
+			Bytes:     int64(len(data)),
+			OutBytes:  int64(len(comp)),
+			Seconds:   dt,
+			Identical: bytes.Equal(back, data),
 		}
 		if dt > 0 {
 			row.MBPerSec = float64(len(data)) / dt / (1 << 20)

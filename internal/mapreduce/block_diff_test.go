@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"scikey/internal/codec"
@@ -11,17 +12,16 @@ import (
 // the engine: for every pipeline width the job's output files and payload
 // counters are byte-identical to the materialized test oracle — across
 // shuffle transports and under fault schedules that force retries, segment
-// corruption, and codec errors. The framing is position-determined, so
-// widths 1 (sequential in-line), 2, and 4 must all produce the same
-// intermediate bytes; any divergence is an ordering or reassembly bug in the
-// pipeline, not data-dependent flakiness.
+// corruption, and codec errors. The pipeline's width is GOMAXPROCS and the
+// framing is position-determined, so widths 1, 2, and 4 must all produce
+// the same intermediate bytes; any divergence is an ordering or reassembly
+// bug in the pipeline, not data-dependent flakiness.
 func TestBlockCodecDifferential(t *testing.T) {
-	blockCodec := func(workers int) codec.Codec {
+	blockCodec := func() codec.Codec {
 		blk := codec.NewBlock(codec.NewTransform(codec.Zlib))
 		// Small blocks force many frames through the pipeline even on
 		// word-count-sized segments.
 		blk.BlockBytes = 1 << 10
-		blk.Workers = workers
 		return blk
 	}
 	variants := []struct {
@@ -44,13 +44,15 @@ func TestBlockCodecDifferential(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			ref := diffCase{name: v.name, codec: blockCodec(1), shuffle: v.shuffle,
+			ref := diffCase{name: v.name, codec: blockCodec(), shuffle: v.shuffle,
 				spec: v.spec, policy: v.policy, parallel: v.parallel}
 			refOuts, refCounters := refDiff(t, ref)
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					prev := runtime.GOMAXPROCS(workers)
+					t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 					dc := ref
-					dc.codec = blockCodec(workers)
+					dc.codec = blockCodec()
 					outs, counters := runDiff(t, dc)
 					if len(outs) != len(refOuts) {
 						t.Fatalf("partition counts differ: reference %d, workers=%d %d",

@@ -127,7 +127,6 @@ func TestCodeOnceDifferential(t *testing.T) {
 		{"block+transform+zlib", func() codec.Codec {
 			blk := codec.NewBlock(codec.NewTransform(codec.Zlib))
 			blk.BlockBytes = 1 << 10 // many frames even on these segments
-			blk.Workers = 2
 			return blk
 		}()},
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"scikey/internal/cluster"
 	"scikey/internal/obs"
 )
 
@@ -214,7 +215,7 @@ func TestTraceDistinguishesAttemptFates(t *testing.T) {
 }
 
 // TestCalibrateFromResult: every committed attempt leaves a calibration
-// sample, and cluster.Config.Fit over them either fits positive bandwidths
+// sample, and a cluster.Calibration over them either fits positive bandwidths
 // or returns the documented no-usable-samples error (in-process attempts
 // are CPU-bound, so wall ≈ cpu leaves no I/O residual to fit) — never a
 // broken config.
@@ -233,7 +234,9 @@ func TestCalibrateFromResult(t *testing.T) {
 		}
 	}
 	base := clusterPaper()
-	got, err := base.Fit(res.CalSamples)
+	var cal cluster.Calibration
+	cal.Add(res.CalSamples...)
+	got, err := cal.Fit(base)
 	if err != nil {
 		// Legitimate for an in-memory run; the config must come back intact.
 		if got.DiskMBps != base.DiskMBps || got.NetMBps != base.NetMBps {

@@ -103,9 +103,10 @@ type Service struct {
 	closed  bool
 	tenants map[string]*tenantState
 	// clus prices admission: cluster.Paper() to start, its bandwidths re-fit
-	// from completed runs' calibration samples as evidence accumulates.
-	clus    cluster.Config
-	samples []cluster.CalSample
+	// from completed runs' calibration samples as evidence accumulates in
+	// cal, which keeps their sums rather than the samples.
+	clus cluster.Config
+	cal  cluster.Calibration
 	// costByKey remembers the observed modeled cost of completed cache
 	// keys: the best admission predictor for a repeated query is the last
 	// identical run.
@@ -383,8 +384,8 @@ func (s *Service) execute(spec QuerySpec, key string) (*Response, error) {
 	}
 	// Recalibrate the cost model as real samples accumulate; Fit errors
 	// (all-CPU runs with no I/O residual) keep the current model.
-	s.samples = append(s.samples, res.CalSamples...)
-	if fitted, err := s.clus.Fit(s.samples); err == nil {
+	s.cal.Add(res.CalSamples...)
+	if fitted, err := s.cal.Fit(s.clus); err == nil {
 		s.clus = fitted
 	}
 	s.mu.Unlock()

@@ -498,6 +498,39 @@ func TestHTTPServer(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsUnknownCodec: a strategy codec outside none|gzip|zlib|bzip2
+// (with an optional block+) is a bad spec, answered 400 at admission — it
+// neither counts as submitted nor reaches an executor to fail there.
+func TestHTTPRejectsUnknownCodec(t *testing.T) {
+	o := obs.New()
+	svc := New(Config{Store: localStore(), Obs: o})
+	srv, err := NewServer("127.0.0.1:0", svc)
+	if err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	defer srv.Close()
+	for _, c := range []string{"nope", "transform+zlib", "block+block+zlib"} {
+		spec := testSpec()
+		spec.Codec, spec.Tenant = c, "typo"
+		body, _ := json.Marshal(spec)
+		resp, err := http.Post("http://"+srv.Addr()+"/query", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatalf("POST /query: %v", err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "unknown strategy codec") {
+			t.Fatalf("codec %q: %d %s, want 400 naming the codec", c, resp.StatusCode, data)
+		}
+	}
+	lbl := obs.L("tenant", "typo")
+	for _, name := range []string{"scikey_tenant_submitted_total", "scikey_tenant_failed_total"} {
+		if v := o.R().Counter(name, "", "", lbl).Value(); v != 0 {
+			t.Errorf("%s{tenant=typo} = %d, want 0", name, v)
+		}
+	}
+}
+
 // TestCacheKeyDefaultEquivalence: specs that differ only in how they spell
 // a default — or in a field their strategy never reads — build byte-identical
 // map output, so they must share a cache key, and the second submission must
