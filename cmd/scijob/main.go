@@ -141,7 +141,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.driverAddr, "driver", "", "cluster driver mode: run the job's scheduler against the coordinator daemon at this address (empty = off)")
 	fs.StringVar(&o.journal, "journal", "", "coordinator journal file for crash-restart recovery; with -cluster, empty means a temp file (with -coordinator, empty disables the journal)")
 	fs.IntVar(&o.clusterN, "cluster", 0, "local cluster mode: start a coordinator plus N real worker subprocesses and run the job across them (0 = off)")
-	fs.IntVar(&o.run.Parallelism, "par", 0, "concurrent task attempts (0 = sequential; cluster modes default to 2x worker count)")
+	fs.IntVar(&o.run.Parallelism, "par", 0, "concurrent task attempts (0 = one at a time; cluster modes default to 2x worker count); however many run, at most GOMAXPROCS compute at once, and an attempt's measured time starts when it gets a core")
 	return o
 }
 

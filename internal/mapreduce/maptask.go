@@ -1,10 +1,9 @@
 package mapreduce
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"runtime"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"scikey/internal/cluster"
 	"scikey/internal/codec"
 	"scikey/internal/faults"
+	"scikey/internal/ifile"
 	"scikey/internal/obs"
 )
 
@@ -22,13 +22,15 @@ import (
 // counters, so concurrent attempts of the same task (retries racing
 // speculative twins) never share state; the scheduler commits exactly one.
 //
-// Spilling is pipelined: when the collection buffer fills, the filled
-// partition buffers are swapped out and handed to a single background
-// worker that sorts, combines and writes them as raw IFile runs while the
-// mapper keeps collecting the next spill's records. One worker draining a
-// one-slot queue keeps spill segments in exactly the order a synchronous
-// spill would produce (the output bytes are identical) and bounds the
-// attempt at roughly three spill buffers of memory.
+// Spilling is pipelined when a core is spare: at the first spill that finds
+// a free token in the process's CPU pool, the filled partition buffers are
+// swapped out and handed to a single background worker that sorts, combines
+// and writes them as raw IFile runs while the mapper keeps collecting the
+// next spill's records. One worker draining a one-slot queue keeps spill
+// segments in exactly the order a synchronous spill would produce (the
+// output bytes are identical) and bounds the attempt at three spill buffer
+// sets. Without a free token the attempt spills in place on its own
+// goroutine and holds one set.
 //
 // A segment is coded if and only if it is the task's final map output:
 // spills are attempt-private scratch that never crosses the shuffle, so
@@ -41,12 +43,13 @@ type mapTask struct {
 	attempt int
 	ctx     *TaskContext
 
-	parts    []partBuffer
+	parts    []partBuffer // the collecting set; nil once run returns
 	buffered int
 	spills   [][]segment // per partition; owned by the spill worker until drained
 
-	// Spill pipeline state. spillErr and spillBytes are written only by the
-	// worker goroutine and read only after drainSpills observes spillDone.
+	// Spill pipeline state. Once the worker runs, spillErr and spillBytes are
+	// written only by it and read only after drainSpills observes spillDone;
+	// before that the attempt's goroutine spills in place and owns them.
 	spillCh     chan []partBuffer
 	spillDone   chan struct{}
 	spillClosed bool
@@ -65,17 +68,77 @@ type mapTask struct {
 	wallSeconds float64
 }
 
-// partBuffer collects one partition's records. Key/value copies
-// bump-allocate into the arena, so steady-state collection costs no
+// partBuffer collects one partition's records: each record's key and value
+// are appended next to each other in the arena, and a 12-byte kvRef locates
+// them. No slice into the arena is handed out while it collects, so arena
+// growth leaves nothing pinned, and steady-state collection costs no
 // per-record heap allocations.
 type partBuffer struct {
-	pairs []KV
-	arena kvArena
-	bytes int
+	refs  []kvRef
+	arena []byte
 }
 
+// kvRef locates one buffered record: its key at arena[off:off+klen], its
+// value right after. Job.validate keeps every offset within 32 bits.
+type kvRef struct{ off, klen, vlen uint32 }
+
+// newKVRef builds the reference for a record appended at offset off; a
+// record that cannot be addressed in 32 bits panics with its sizes.
+func newKVRef(off, klen, vlen int) kvRef {
+	if uint64(off) > math.MaxUint32 || uint64(klen) > math.MaxUint32 || uint64(vlen) > math.MaxUint32 {
+		panic(fmt.Sprintf("mapreduce: a record with a %d-byte key and a %d-byte value at spill-buffer offset %d does not fit a 32-bit reference", klen, vlen, off))
+	}
+	return kvRef{off: uint32(off), klen: uint32(klen), vlen: uint32(vlen)}
+}
+
+func (pb *partBuffer) key(r kvRef) []byte {
+	return pb.arena[int(r.off) : int(r.off)+int(r.klen)]
+}
+
+// record returns r's key and value as capacity-capped views of the arena.
+func (pb *partBuffer) record(r kvRef) KV {
+	k := int(r.off)
+	v := k + int(r.klen)
+	e := v + int(r.vlen)
+	return KV{Key: pb.arena[k:v:v], Value: pb.arena[v:e:e]}
+}
+
+// sizeBound upper-bounds the encoded size of the buffered records (payload
+// + max framing + trailer) so the pooled output buffer never regrows
+// through unpooled reallocations.
+func (pb *partBuffer) sizeBound() int {
+	est := ifile.TrailerLen + len(pb.arena)
+	for _, r := range pb.refs {
+		est += ifile.RecordOverhead(int(r.klen), int(r.vlen))
+	}
+	return est
+}
+
+func (pb *partBuffer) reset() {
+	pb.refs = pb.refs[:0]
+	pb.arena = pb.arena[:0]
+}
+
+// refStream streams a sorted partition buffer's records, the source a
+// spill writes (through combineStream when the job combines at spill time).
+type refStream struct {
+	pb  *partBuffer
+	pos int
+}
+
+func (s *refStream) next() (KV, bool, error) {
+	if s.pos >= len(s.pb.refs) {
+		return KV{}, false, nil
+	}
+	kv := s.pb.record(s.pb.refs[s.pos])
+	s.pos++
+	return kv, true, nil
+}
+
+func (s *refStream) close() {}
+
 // partBufferPool recycles whole partition-buffer sets (including each
-// buffer's pairs slice and arena storage) between spills and attempts.
+// buffer's refs and arena storage) between spills and attempts.
 var partBufferPool sync.Pool
 
 func getPartBuffers(n int) []partBuffer {
@@ -89,11 +152,7 @@ func getPartBuffers(n int) []partBuffer {
 
 func putPartBuffers(parts []partBuffer) {
 	for i := range parts {
-		pb := &parts[i]
-		clear(pb.pairs) // drop record references so the pool pins no arenas
-		pb.pairs = pb.pairs[:0]
-		pb.arena.reset()
-		pb.bytes = 0
+		parts[i].reset()
 	}
 	v := new([]partBuffer)
 	*v = parts
@@ -124,6 +183,12 @@ func newMapTask(ctx context.Context, job *Job, id, attempt int) *mapTask {
 func (t *mapTask) counters() *Counters { return t.ctx.counters }
 
 func (t *mapTask) run(split Split) error {
+	if !cpu.acquire(t.ctx.done) {
+		return ErrAttemptCanceled
+	}
+	defer cpu.release()
+	// The clock starts once the attempt holds a core, so neither the cost
+	// model's samples nor its footprint count the wait for one.
 	start := time.Now()
 	// Charge elapsed compute on every exit so failed attempts still show
 	// up as wasted work in the cost model.
@@ -131,7 +196,10 @@ func (t *mapTask) run(split Split) error {
 		t.footprint.CPUSeconds += time.Since(start).Seconds()
 		t.wallSeconds = time.Since(start).Seconds()
 	}()
-	// Never leave the spill worker running, whatever exit path is taken.
+	// Never leave the spill worker running or a buffer set pinned to a
+	// finished attempt (a committed one lives until the job ends), whatever
+	// exit path is taken.
+	defer t.releaseParts()
 	defer t.drainSpills()
 	t.hosts = split.Hosts
 	if err := t.job.Faults.Attempt(faults.SiteMap, t.id, t.attempt); err != nil {
@@ -154,6 +222,14 @@ func (t *mapTask) run(split Split) error {
 	// locality-aware estimate may later re-route the input bytes).
 	t.footprint.DiskBytes += t.ctx.inputBytes
 	return nil
+}
+
+// releaseParts returns the collecting buffer set to the pool.
+func (t *mapTask) releaseParts() {
+	if t.parts != nil {
+		putPartBuffers(t.parts)
+		t.parts = nil
+	}
 }
 
 // emit is the mapper-facing output path (step 2 of Fig. 1). Once the
@@ -188,72 +264,83 @@ func (t *mapTask) buffer(part int, key, value []byte) {
 	}
 	// Copy: mappers legitimately reuse their serialization buffers.
 	pb := &t.parts[part]
-	kv := KV{Key: pb.arena.copy(key), Value: pb.arena.copy(value)}
-	pb.pairs = append(pb.pairs, kv)
-	pb.bytes += len(kv.Key) + len(kv.Value)
-	t.buffered += len(kv.Key) + len(kv.Value)
+	pb.refs = append(pb.refs, newKVRef(len(pb.arena), len(key), len(value)))
+	pb.arena = append(append(pb.arena, key...), value...)
+	// Only key and value bytes count toward the limit, so spill boundaries
+	// (and with them a combining job's bytes) do not depend on the layout.
+	t.buffered += len(key) + len(value)
 	if t.buffered >= t.job.spillLimit() {
 		// Spill failures (like combiner merge errors) surface at finalize.
-		t.enqueueSpill()
+		t.spill()
 	}
 }
 
-// enqueueSpill hands the filled partition buffers to the spill worker and
-// installs fresh ones. The one-slot queue means a second enqueue while a
-// spill is in flight blocks — the pipeline never holds more than one
-// collecting, one queued, and one in-flight buffer set.
-func (t *mapTask) enqueueSpill() {
-	if t.spillCh == nil {
+// spill empties the filled partition buffers. With a spill worker running,
+// or a spare token to start one on, the set goes to the worker and a fresh
+// set is installed; the one-slot queue means a second spill while one is in
+// flight blocks, so the pipeline never holds more than one collecting, one
+// queued, and one in-flight set. Without a spare token the attempt spills in
+// place and keeps collecting into the same set.
+func (t *mapTask) spill() {
+	t.buffered = 0
+	if t.spillCh == nil && cpu.tryAcquire() {
 		t.spillCh = make(chan []partBuffer, 1)
 		t.spillDone = make(chan struct{})
 		go t.spillWorker()
 	}
+	if t.spillCh == nil {
+		if t.spillErr == nil {
+			t.spillErr = t.spillParts(t.parts, codec.None)
+		}
+		for p := range t.parts {
+			t.parts[p].reset()
+		}
+		return
+	}
 	parts := t.parts
 	t.parts = getPartBuffers(t.job.NumReducers)
-	t.buffered = 0
 	t.spillCh <- parts
 }
 
-// spillWorker drains queued spills in FIFO order. The first error is sticky
-// — later spills are skipped (their buffers still recycled) and the error
-// is reported by drainSpills.
+// spillWorker drains queued spills in FIFO order, holding its token until
+// the queue closes. The first error is sticky — later spills are skipped
+// (their buffers still recycled) and the error is reported by drainSpills.
 func (t *mapTask) spillWorker() {
 	defer close(t.spillDone)
+	defer cpu.release()
 	for parts := range t.spillCh {
 		if t.spillErr == nil {
 			// Another spill may follow, so this one stays raw.
-			if err := t.spillParts(parts, codec.None); err != nil {
-				t.spillErr = err
-			}
+			t.spillErr = t.spillParts(parts, codec.None)
 		}
 		putPartBuffers(parts)
 	}
 }
 
-// drainSpills shuts down the spill pipeline (idempotently) and returns its
-// sticky error. After it returns, spills, spillErr and spillBytes are safe
-// to read from the caller's goroutine.
+// drainSpills shuts down the spill pipeline (idempotently) and returns the
+// sticky spill error. After it returns, spills, spillErr and spillBytes are
+// safe to read from the caller's goroutine.
 func (t *mapTask) drainSpills() error {
-	if t.spillCh == nil {
-		return nil
+	if t.spillCh != nil {
+		if !t.spillClosed {
+			t.spillClosed = true
+			close(t.spillCh)
+		}
+		<-t.spillDone
 	}
-	if !t.spillClosed {
-		t.spillClosed = true
-		close(t.spillCh)
-	}
-	<-t.spillDone
 	return t.spillErr
 }
 
 // spillParts sorts, combines and writes each partition buffer as a segment
-// (steps 2-3 of Fig. 1) through out: codec.None from the spill worker, whose
-// runs finalize merges and codes, the job's codec for a task's only spill.
-// With a MapCombiner the sorted buffer streams through combineStream on its
-// way into the segment writer, so runs of equal keys fold without an
-// intermediate slice; SpilledRecords counts what the segment holds, i.e.
-// post-fold records. On the spill worker goroutine everything it touches is
-// either worker-owned until drainSpills (spills, spillBytes) or
-// concurrency-safe (counters, the buffer pools).
+// (steps 2-3 of Fig. 1) through out: codec.None for spills that finalize
+// merges and codes, the job's codec for a task's only spill. The sort moves
+// 12-byte refs, comparing the keys in place. With a MapCombiner the sorted
+// buffer streams through combineStream on its way into the segment writer,
+// so runs of equal keys fold without an intermediate slice; SpilledRecords
+// counts what the segment holds, i.e. post-fold records. On the spill
+// worker goroutine everything it touches is either worker-owned until
+// drainSpills (spills, spillBytes) or concurrency-safe (counters, the
+// buffer pools).
 func (t *mapTask) spillParts(parts []partBuffer, out codec.Codec) error {
 	sp := t.tracer.Start(obs.CatPhase, "spill", t.span, t.id, t.attempt)
 	defer sp.End()
@@ -261,20 +348,21 @@ func (t *mapTask) spillParts(parts []partBuffer, out codec.Codec) error {
 	cmp := t.job.Compare
 	for p := range parts {
 		pb := &parts[p]
-		if len(pb.pairs) == 0 {
+		if len(pb.refs) == 0 {
 			continue
 		}
-		slices.SortStableFunc(pb.pairs, func(a, b KV) int { return cmp(a.Key, b.Key) })
+		slices.SortStableFunc(pb.refs, func(a, b kvRef) int { return cmp(pb.key(a), pb.key(b)) })
 		cs := t.tracer.Start(obs.CatPhase, "codec", sp.ID(), t.id, t.attempt)
-		var seg segment
-		var err error
+		var src kvStream = &refStream{pb: pb}
+		var fold *combineStream
 		if m := t.job.MapCombiner; m != nil {
-			fold := &combineStream{src: &sliceStream{pairs: pb.pairs}, cmp: t.job.Compare, m: m}
-			seg, err = writeSegmentStream(fold, out, segmentSizeBound(pb.pairs))
+			fold = &combineStream{src: src, cmp: cmp, m: m}
+			src = fold
+		}
+		seg, err := writeSegmentStream(src, out, pb.sizeBound())
+		if fold != nil {
 			c.CombineInputRecords.Add(fold.inRecords)
 			c.CombineOutputRecords.Add(fold.outRecords)
-		} else {
-			seg, err = writeSegment(pb.pairs, out)
 		}
 		cs.End()
 		if err != nil {
@@ -288,44 +376,48 @@ func (t *mapTask) spillParts(parts []partBuffer, out codec.Codec) error {
 }
 
 // finalize flushes the last buffer, drains the spill pipeline, and merges
-// each partition's spills into one segment — concurrently across partitions,
-// since they share nothing — producing the task's final map output, tagged
-// with this attempt's provenance. The worker's spills are raw, so the pass
-// that writes the final segment is the one place the job's codec runs, also
-// over a partition that got a single raw spill; a task whose only spill is
-// the tail flushed here wrote it coded and skips the merge. Raw spill bytes
-// and raw merge reads are the local-disk price, charged to the footprint.
-// Segment-site fault rules bit-flip the materialized bytes here — silently,
-// exactly like at-rest disk corruption: the counters record the intact size
-// and nothing notices until a reducer's CRC check.
+// each partition's spills into one segment — side by side across
+// partitions on spare tokens, since they share nothing — producing the
+// task's final map output, tagged with this attempt's provenance. Spills are
+// raw, so the pass that writes the final segment is the one place the job's
+// codec runs, also over a partition that got a single raw spill; a task
+// whose only spill is the tail flushed here writes it coded and skips the
+// merge. Every published segment is an exact-size copy: it lives until the
+// job ends, and the pooled buffer it was written into goes back to the
+// pool. Raw spill bytes and raw merge reads are the local-disk price,
+// charged to the footprint. Segment-site fault rules bit-flip the
+// materialized bytes here — silently, exactly like at-rest disk corruption:
+// the counters record the intact size and nothing notices until a reducer's
+// CRC check.
 func (t *mapTask) finalize() error {
 	// spilled is the codec the spills were written with, final the one the
 	// published segments carry.
 	spilled, final := codec.None, t.job.codec()
 	tail := false
 	for p := range t.parts {
-		if len(t.parts[p].pairs) > 0 {
+		if len(t.parts[p].refs) > 0 {
 			tail = true
 			break
 		}
 	}
-	if t.spillCh != nil {
+	if tail && t.spillCh != nil {
 		// A worker is running: route the tail through it to keep spill
-		// order, then wait it out.
-		if tail {
-			t.enqueueSpill()
-		}
-		if err := t.drainSpills(); err != nil {
-			return err
-		}
-	} else if tail {
-		spilled = final
-		if err := t.spillParts(t.parts, final); err != nil {
-			return err
-		}
-		putPartBuffers(t.parts)
+		// order.
+		t.spillCh <- t.parts
 		t.parts = nil
 	}
+	if err := t.drainSpills(); err != nil {
+		return err
+	}
+	if tail && t.spillCh == nil {
+		if t.spillBytes == 0 {
+			spilled = final // no earlier spill: the tail is the only one
+		}
+		if err := t.spillParts(t.parts, spilled); err != nil {
+			return err
+		}
+	}
+	t.releaseParts()
 	t.footprint.DiskBytes += t.spillBytes
 	t.spillBytes = 0
 
@@ -336,7 +428,6 @@ func (t *mapTask) finalize() error {
 	t.finals = make([]segment, t.job.NumReducers)
 	diskDelta := make([]int64, t.job.NumReducers)
 	merr := make([]error, t.job.NumReducers)
-	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
 	var wg sync.WaitGroup
 	for p := range t.spills {
 		segs := t.spills[p]
@@ -350,11 +441,7 @@ func (t *mapTask) finalize() error {
 			// counts records written during merge passes as spilled
 			// records too — the pass that re-encodes a lone raw spill
 			// included.
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(p int, segs []segment) {
-				defer wg.Done()
-				defer func() { <-sem }()
+			cpu.fork(&wg, func() {
 				merged, err := mergeDown(segs, env, t.job.Compare,
 					t.job.mergeFactor(), 1, final, func(read, written, records int64) {
 						diskDelta[p] += read + written
@@ -365,14 +452,7 @@ func (t *mapTask) finalize() error {
 					return
 				}
 				t.finals[p] = merged[0]
-				if spilled != final {
-					// The coded pass seeded its pooled buffer with the raw
-					// input size and a final output is never recycled: keep
-					// an exact-size copy and hand the buffer back.
-					t.finals[p].data = bytes.Clone(merged[0].data)
-					bufpool.Put(merged[0].data)
-				}
-			}(p, segs)
+			})
 		}
 	}
 	wg.Wait()
@@ -382,12 +462,19 @@ func (t *mapTask) finalize() error {
 		}
 	}
 	for p := range t.finals {
+		f := &t.finals[p]
+		if cap(f.data) != len(f.data) {
+			pooled := f.data
+			f.data = make([]byte, len(pooled))
+			copy(f.data, pooled)
+			bufpool.Put(pooled)
+		}
 		t.footprint.DiskBytes += diskDelta[p]
-		c.MapOutputMaterializedBytes.Add(int64(len(t.finals[p].data)))
-		t.finals[p].src = t.id
-		t.finals[p].attempt = t.attempt
-		if data, ok := t.job.Faults.CorruptSegment(t.id, p, t.attempt, t.finals[p].data); ok {
-			t.finals[p].data = data
+		c.MapOutputMaterializedBytes.Add(int64(len(f.data)))
+		f.src = t.id
+		f.attempt = t.attempt
+		if data, ok := t.job.Faults.CorruptSegment(t.id, p, t.attempt, f.data); ok {
+			f.data = data
 		}
 	}
 	t.spills = nil

@@ -5,7 +5,6 @@ import (
 	"container/heap"
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -143,29 +142,6 @@ func encodeSegment(c codec.Codec, sizeHint int, fill func(iw *ifile.Writer) (rec
 	sw.aw.buf = nil
 	segWriterStatePool.Put(sw)
 	return segment{data: data, records: records, src: -1}, nil
-}
-
-// writeSegment encodes sorted pairs through the codec into IFile form.
-func writeSegment(pairs []KV, c codec.Codec) (segment, error) {
-	return encodeSegment(c, segmentSizeBound(pairs), func(iw *ifile.Writer) (int64, error) {
-		for _, p := range pairs {
-			if err := iw.Append(p.Key, p.Value); err != nil {
-				return 0, err
-			}
-		}
-		return int64(len(pairs)), nil
-	})
-}
-
-// segmentSizeBound upper-bounds the encoded size of pairs (payload + max
-// framing + trailer) so the pooled output buffer never regrows through
-// unpooled reallocations.
-func segmentSizeBound(pairs []KV) int {
-	est := ifile.TrailerLen
-	for _, p := range pairs {
-		est += len(p.Key) + len(p.Value) + ifile.RecordOverhead(len(p.Key), len(p.Value))
-	}
-	return est
 }
 
 // writeSegmentStream encodes a sorted record stream through the codec into
@@ -308,24 +284,6 @@ type kvStream interface {
 	close()
 }
 
-// sliceStream adapts an in-memory sorted run — a spill's sorted partition
-// buffer — to kvStream.
-type sliceStream struct {
-	pairs []KV
-	pos   int
-}
-
-func (s *sliceStream) next() (KV, bool, error) {
-	if s.pos >= len(s.pairs) {
-		return KV{}, false, nil
-	}
-	kv := s.pairs[s.pos]
-	s.pos++
-	return kv, true, nil
-}
-
-func (s *sliceStream) close() {}
-
 // mergeStream is the pull-based k-way merge over sorted segments — the
 // reducer-side "merge sort" of Fig. 1 step 5 as a stream, so a reduce
 // attempt holds one record per open segment (O(mergeFactor · record))
@@ -352,13 +310,13 @@ type mergeStream struct {
 // Returns the bytes read ahead of the first failure, for disk accounting.
 //
 // Validation is per segment, so it is per core where a scan costs a decode:
-// coded segments are scanned on up to GOMAXPROCS goroutines (the shape
-// finalize gives its per-partition merges), each holding one pooled
-// iterator. Every segment is scanned and the lowest-index failure is the one
-// reported, so the error names the producer a sequential scan would have
-// named however the scans interleave. Raw segments keep the sequential scan,
-// which stops at the first failure: a CRC at memory speed is cheaper than
-// the goroutines.
+// each coded segment is scanned on a helper holding a spare CPU-pool token,
+// or inline on the caller's goroutine when none is free, each holding one
+// pooled iterator. Every segment is scanned and the lowest-index failure is
+// the one reported, so the error names the producer a sequential scan would
+// have named however the scans interleave. Raw segments keep the sequential
+// scan, which stops at the first failure: a CRC at memory speed is cheaper
+// than the goroutines.
 func validateSegments(segs []segment, env readEnv) (int64, error) {
 	env.borrow = true
 	errs := make([]error, len(segs))
@@ -369,16 +327,9 @@ func validateSegments(segs []segment, env readEnv) (int64, error) {
 			}
 		}
 	} else {
-		sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
 		var wg sync.WaitGroup
 		for i, seg := range segs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, seg segment) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				errs[i] = scanSegment(seg, env)
-			}(i, seg)
+			cpu.fork(&wg, func() { errs[i] = scanSegment(seg, env) })
 		}
 		wg.Wait()
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"scikey/internal/codec"
+	"scikey/internal/ifile"
 )
 
 // countingCodec wraps a codec and counts successful reader constructions —
@@ -261,3 +262,37 @@ func TestMergeDownManySegments(t *testing.T) {
 		got[k]--
 	}
 }
+
+// writeSegment encodes sorted pairs through the codec into IFile form: a
+// test-side producer of segments, over the encodeSegment the spill and merge
+// paths share.
+func writeSegment(pairs []KV, c codec.Codec) (segment, error) {
+	return writeSegmentStream(&sliceStream{pairs: pairs}, c, segmentSizeBound(pairs))
+}
+
+// segmentSizeBound upper-bounds the encoded size of pairs, as
+// partBuffer.sizeBound does for a spill buffer.
+func segmentSizeBound(pairs []KV) int {
+	est := ifile.TrailerLen
+	for _, p := range pairs {
+		est += len(p.Key) + len(p.Value) + ifile.RecordOverhead(len(p.Key), len(p.Value))
+	}
+	return est
+}
+
+// sliceStream adapts an in-memory sorted run to kvStream.
+type sliceStream struct {
+	pairs []KV
+	pos   int
+}
+
+func (s *sliceStream) next() (KV, bool, error) {
+	if s.pos >= len(s.pairs) {
+		return KV{}, false, nil
+	}
+	kv := s.pairs[s.pos]
+	s.pos++
+	return kv, true, nil
+}
+
+func (s *sliceStream) close() {}

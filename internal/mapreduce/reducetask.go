@@ -86,6 +86,11 @@ func (t *reduceTask) abort() {
 }
 
 func (t *reduceTask) run(src segmentSource) error {
+	if !cpu.acquire(t.ctx.done) {
+		return ErrAttemptCanceled
+	}
+	defer cpu.release()
+	// The clock starts once the attempt holds a core; see mapTask.run.
 	wallStart := time.Now()
 	defer func() { t.wallSeconds = time.Since(wallStart).Seconds() }()
 	c := t.ctx.counters

@@ -340,7 +340,13 @@ func (r *jobRun) rerunMap(m int) bool {
 func (r *jobRun) combineGroup(g int) error {
 	budget := r.job.Retry.maxAttempts()*r.nb.groupSize(g) + 1
 	for try := 0; try < budget; try++ {
+		// The combine computes like an attempt, so it holds a core like one;
+		// it gives the token back before any re-run takes its own.
+		if !cpu.acquire(r.ctx.Done()) {
+			return context.Cause(r.ctx)
+		}
 		rows, err := r.nb.combine(g)
+		cpu.release()
 		if err == nil {
 			for _, nr := range rows {
 				r.pub.install(nr.task, nr.attempt, nr.row)

@@ -28,6 +28,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"scikey/internal/codec"
@@ -196,7 +197,9 @@ type Job struct {
 	// OutputPath is the HDFS directory for reducer output files.
 	OutputPath string
 	// SpillBufferBytes bounds the in-memory map output buffer before a
-	// sort-and-spill (Hadoop's io.sort.mb). Default 16 MiB.
+	// sort-and-spill (Hadoop's io.sort.mb). Default 16 MiB; at most
+	// math.MaxUint32, since buffered records are addressed by 32-bit
+	// offsets.
 	SpillBufferBytes int
 	// MergeFactor bounds how many segments one merge pass combines
 	// (Hadoop's io.sort.factor); more segments than this trigger extra
@@ -214,9 +217,14 @@ type Job struct {
 // run-time setting is declared here and nowhere else.
 type RunOptions struct {
 	// Parallelism caps concurrently executing task attempts. Default 1:
-	// tasks run sequentially, which keeps per-task CPU measurements clean
-	// for the cost model. Benchmarks wanting wall-clock speed raise it, and
-	// cluster mode wants it above 1 so several workers hold grants at once.
+	// tasks run one at a time, and the spare cores go to the attempt's own
+	// spill worker and per-partition merges. Whatever its value, an attempt
+	// computes only while it holds a token of the process's CPU pool (one
+	// per core, see cpu), and its clock (footprint CPU seconds, calibration
+	// wall) starts once it holds one, so raising it never inflates
+	// per-task measurements. The query service runs one attempt per core,
+	// and cluster mode wants it above 1 so several workers hold grants at
+	// once.
 	Parallelism int
 	// Retry configures the attempt scheduler: per-task retry budgets,
 	// deterministic backoff, and speculative execution. The zero value
@@ -301,6 +309,10 @@ func (j *Job) validate() error {
 		if j.Combine.Nodes < 0 {
 			return fmt.Errorf("mapreduce: job %q: Combine.Nodes must be >= 0, got %d", j.Name, j.Combine.Nodes)
 		}
+	}
+	if j.SpillBufferBytes > 0 && uint64(j.SpillBufferBytes) > math.MaxUint32 {
+		// A buffered record's 32-bit arena offset stays below the limit.
+		return fmt.Errorf("mapreduce: job %q: SpillBufferBytes %d exceeds the 32-bit spill-buffer limit of %d", j.Name, j.SpillBufferBytes, uint64(math.MaxUint32))
 	}
 	if j.MapCache != nil && j.CacheKey != "" && j.Faults != nil {
 		return fmt.Errorf("mapreduce: job %q: MapCache and Faults are mutually exclusive (cached map output would mix fault schedules)", j.Name)

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -382,6 +383,11 @@ func (s *Service) execute(spec QuerySpec, key string) (*Response, error) {
 		return nil, err
 	}
 	qcfg.Obs = s.cfg.Obs
+	// A query's attempts run on every core. The engine's process-wide CPU
+	// pool bounds compute across all executors to GOMAXPROCS, and an
+	// attempt that finds no spare core spills in place with one buffer set,
+	// so side-by-side attempts cost little more memory than sequential ones.
+	qcfg.Parallelism = runtime.GOMAXPROCS(0)
 	if s.cache != nil && key != "" {
 		qcfg.MapCache = s.cache
 		qcfg.CacheKey = key
