@@ -170,14 +170,22 @@ func (fs *FileSystem) OpenReaders() int64 { return fs.openReaders.Load() }
 // memory a leaked reader would keep alive.
 func (fs *FileSystem) PinnedBytes() int64 { return fs.pinnedBytes.Load() }
 
-// ReadAll returns the whole contents of path.
+// ReadAll returns the whole contents of path as one exact-size copy
+// (len == cap == the file's size) that the caller owns. The read pins the
+// file's blocks exactly as an Open/Close pair does.
 func (fs *FileSystem) ReadAll(path string) ([]byte, error) {
 	r, err := fs.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	return io.ReadAll(r)
+	fr := r.(*fileReader)
+	defer fr.Close()
+	out := make([]byte, fr.size)
+	n := 0
+	for _, b := range fr.entry.blocks {
+		n += copy(out[n:], b)
+	}
+	return out, nil
 }
 
 // WriteFile creates path with the given contents.
@@ -214,6 +222,24 @@ func (r *fileReader) Read(p []byte) (int, error) {
 	n := copy(p, r.entry.blocks[r.block][r.off:])
 	r.off += n
 	return n, nil
+}
+
+// WriteTo writes the unread rest of the file to w block by block, so
+// io.Copy from a reader stages nothing through a buffer of its own.
+func (r *fileReader) WriteTo(w io.Writer) (int64, error) {
+	if r.entry == nil {
+		return 0, ErrClosed
+	}
+	var total int64
+	for ; r.block < len(r.entry.blocks); r.block, r.off = r.block+1, 0 {
+		n, err := w.Write(r.entry.blocks[r.block][r.off:])
+		total += int64(n)
+		r.off += n
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
 }
 
 // Close releases the reader's block snapshot so the bytes stop counting as

@@ -317,3 +317,60 @@ func TestReaderCloseReleasesSnapshot(t *testing.T) {
 		t.Errorf("PinnedBytes after holdout Close = %d, want 0", fs.PinnedBytes())
 	}
 }
+
+// TestReadAllExactSize: ReadAll hands back one exact-size copy — len and
+// cap both equal the file's size, so the caller owns no regrowth slack — for
+// an empty file, a one-byte file, a file of exactly one block and one that
+// spans many blocks. Each read releases its pin, and so does a failed one.
+func TestReadAllExactSize(t *testing.T) {
+	fs := testFS()
+	rng := rand.New(rand.NewSource(1))
+	for _, size := range []int{0, 1, 1024, 1025, 5000, 8192} {
+		data := make([]byte, size)
+		rng.Read(data)
+		path := "/data/exact"
+		if err := fs.WriteFile(path, data); err != nil {
+			t.Fatal(err)
+		}
+		got, err := fs.ReadAll(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := fs.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(got)) != n || int64(cap(got)) != n {
+			t.Errorf("size %d: ReadAll len %d cap %d, want both %d", size, len(got), cap(got), n)
+		}
+		if !bytes.Equal(got, data) {
+			t.Errorf("size %d: ReadAll returned different bytes", size)
+		}
+		if r, p := fs.OpenReaders(), fs.PinnedBytes(); r != 0 || p != 0 {
+			t.Errorf("size %d: after ReadAll OpenReaders %d PinnedBytes %d, want 0 and 0", size, r, p)
+		}
+		if err := fs.Delete(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Error paths: a missing file, and a file whose writer is not closed yet.
+	w, err := fs.Create("/data/open")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write([]byte("unpublished")); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/data/missing", "/data/open"} {
+		if _, err := fs.ReadAll(path); !errors.Is(err, ErrNotFound) {
+			t.Errorf("ReadAll(%s) = %v, want ErrNotFound", path, err)
+		}
+		if r, p := fs.OpenReaders(), fs.PinnedBytes(); r != 0 || p != 0 {
+			t.Errorf("after failed ReadAll(%s): OpenReaders %d PinnedBytes %d, want 0 and 0", path, r, p)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

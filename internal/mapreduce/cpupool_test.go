@@ -404,6 +404,36 @@ func TestCommittedMapTasksReleaseBuffers(t *testing.T) {
 	if mt.parts != nil {
 		t.Error("a failed map attempt still holds a partition-buffer set")
 	}
+
+	// An attempt queued on a full pool holds no set, and one canceled while
+	// it waits returns without ever taking one.
+	setProcs(t, 1)
+	if !cpu.acquire(nil) {
+		t.Fatal("could not take the only token")
+	}
+	defer cpu.release()
+	job := wordCountJob(testFS(), poolDocs(1, 2000), 3, false)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	queued := newMapTask(ctx, job, 0, 0)
+	done := make(chan error, 1)
+	go func() { done <- queued.run(job.Splits[0]) }()
+	for waiting := 0; waiting == 0; {
+		cpu.mu.Lock()
+		waiting = len(cpu.waiters)
+		cpu.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	if queued.parts != nil {
+		t.Error("a map attempt waiting for a CPU token holds a partition-buffer set")
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, ErrAttemptCanceled) {
+		t.Fatalf("canceled wait returned %v, want ErrAttemptCanceled", err)
+	}
+	if queued.parts != nil {
+		t.Error("a map attempt canceled while waiting for a CPU token holds a partition-buffer set")
+	}
 }
 
 // TestFinalSegmentsExactSize: a published map output lives until the job

@@ -43,7 +43,7 @@ type mapTask struct {
 	attempt int
 	ctx     *TaskContext
 
-	parts    []partBuffer // the collecting set; nil once run returns
+	parts    []partBuffer // the collecting set; nil until run holds a token and once it returns
 	buffered int
 	spills   [][]segment // per partition; owned by the spill worker until drained
 
@@ -160,6 +160,8 @@ func putPartBuffers(parts []partBuffer) {
 }
 
 // newMapTask prepares one attempt of map task id; canceling ctx stops it.
+// The attempt takes its partition-buffer set only once run holds a CPU
+// token, so an attempt queued for a core pins no buffers.
 func newMapTask(ctx context.Context, job *Job, id, attempt int) *mapTask {
 	return &mapTask{
 		job:     job,
@@ -173,7 +175,6 @@ func newMapTask(ctx context.Context, job *Job, id, attempt int) *mapTask {
 			counters: &Counters{},
 			done:     ctx.Done(),
 		},
-		parts:  getPartBuffers(job.NumReducers),
 		spills: make([][]segment, job.NumReducers),
 	}
 }
@@ -199,6 +200,7 @@ func (t *mapTask) run(split Split) error {
 	// Never leave the spill worker running or a buffer set pinned to a
 	// finished attempt (a committed one lives until the job ends), whatever
 	// exit path is taken.
+	t.parts = getPartBuffers(t.job.NumReducers)
 	defer t.releaseParts()
 	defer t.drainSpills()
 	t.hosts = split.Hosts

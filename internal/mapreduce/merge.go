@@ -511,9 +511,11 @@ func sortSegmentsBySize(segs []segment) {
 // reads live memory while the stream advances underneath — and the
 // per-record heap copies the non-borrowed path pays disappear. Arguments
 // passed to Reduce are only valid during the call in either mode (Hadoop's
-// iterator-reuse contract).
+// iterator-reuse contract), and the values slice itself is reused from
+// group to group, so an attempt allocates it once, not once per group.
 func groupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red Reducer, emit Emit, bail func() error, borrowed bool) error {
 	var ga, gb *kvArena // current group arena, boundary arena
+	var values [][]byte
 	if borrowed {
 		ga, gb = &kvArena{}, &kvArena{}
 	}
@@ -534,7 +536,7 @@ func groupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red 
 			}
 		}
 		key := cur.Key
-		values := [][]byte{cur.Value}
+		values = append(values[:0], cur.Value)
 		ok = false
 		for {
 			nxt, more, err := src.next()

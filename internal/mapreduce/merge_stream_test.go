@@ -296,3 +296,44 @@ func (s *sliceStream) next() (KV, bool, error) {
 }
 
 func (s *sliceStream) close() {}
+
+// TestGroupReduceAllocsIndependentOfGroups: in borrow mode a reduce
+// attempt's allocations do not grow with its group count. The two group
+// arenas and the values slice handed to Reduce are reused from group to
+// group, under the Reducer contract TestReducerRetention enforces.
+func TestGroupReduceAllocsIndependentOfGroups(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	cmp := func(a, b []byte) int { return compareBytes(a, b) }
+	var sum byte
+	red := ReducerFunc(func(ctx *TaskContext, key []byte, values [][]byte, emit Emit) error {
+		for _, v := range values {
+			sum += v[0]
+		}
+		return nil
+	})
+	allocs := func(groups int) float64 {
+		const perGroup = 9
+		pairs := make([]KV, 0, groups*perGroup)
+		for g := 0; g < groups; g++ {
+			key := fmt.Appendf(nil, "key-%08d", g)
+			for v := 0; v < perGroup; v++ {
+				pairs = append(pairs, KV{Key: key, Value: []byte{byte(v)}})
+			}
+		}
+		src := &sliceStream{pairs: pairs}
+		ctx := &TaskContext{counters: &Counters{}}
+		return testing.AllocsPerRun(5, func() {
+			src.pos = 0
+			if err := groupReduce(ctx, src, cmp, red, nil, nil, true); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1<<10), allocs(8<<10)
+	t.Logf("allocs per attempt: %.0f at 1k groups, %.0f at 8k", small, large)
+	if large > small+1 {
+		t.Errorf("groupReduce allocates %.0f times over 8k groups but %.0f over 1k: something is allocated per group", large, small)
+	}
+}

@@ -86,6 +86,7 @@ func BenchmarkMapSpillPipeline(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t := newMapTask(context.Background(), job, 0, 0)
+				t.parts = getPartBuffers(job.NumReducers) // as run does
 				for _, p := range pairs {
 					t.emit(p.Key, p.Value)
 				}

@@ -186,6 +186,14 @@ func encodeSnapshot(s *mapreduce.MapPhaseSnapshot) []byte {
 // the CRC trailer. Every length and every element count is checked against
 // the bytes that remain, so a truncated or corrupt blob errors instead of
 // panicking or allocating for elements it cannot hold.
+//
+// The snapshot takes ownership of b: each segment's Data is decoded in
+// place, a slice of b whose capacity is capped at its length, so an append
+// by any consumer reallocates rather than overwriting the next segment. The
+// caller must own b (Store.Get returns a copy) and must not write to it
+// afterwards. Every restored segment names a producing map task (Src >= 0),
+// so the engine treats it as published output and never recycles its bytes
+// into the buffer pool; a blob claiming otherwise is rejected.
 func decodeSnapshot(b []byte) (*mapreduce.MapPhaseSnapshot, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("queryd: snapshot too short")
@@ -237,7 +245,7 @@ func decodeSnapshot(b []byte) (*mapreduce.MapPhaseSnapshot, error) {
 		if !need(n) {
 			return nil
 		}
-		v := append([]byte(nil), body[off:off+n]...)
+		v := body[off : off+n : off+n]
 		off += n
 		return v
 	}
@@ -287,6 +295,9 @@ func decodeSnapshot(b []byte) (*mapreduce.MapPhaseSnapshot, error) {
 		for p := 0; p < np && derr == nil; p++ {
 			seg := mapreduce.SegmentSnapshot{Records: i64()}
 			seg.Src = int(i64())
+			if derr == nil && seg.Src < 0 {
+				derr = fmt.Errorf("queryd: snapshot segment with negative source task %d", seg.Src)
+			}
 			seg.Attempt = int(i64())
 			seg.Data = bs()
 			s.Segments[i] = append(s.Segments[i], seg)

@@ -1,0 +1,116 @@
+package queryd
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"scikey/internal/cluster"
+	"scikey/internal/core"
+	"scikey/internal/hdfs"
+	"scikey/internal/mapreduce"
+)
+
+// TestOutputSHAStreamsMultiBlockFiles: OutputSHA streams each output
+// through the hash and still equals its definition, SHA-256 over the
+// ReadAll bytes of the outputs in sorted path order, for outputs that span
+// several blocks; it leaves no reader open.
+func TestOutputSHAStreamsMultiBlockFiles(t *testing.T) {
+	fs := hdfs.New(1024, 2, []string{"n0", "n1", "n2"})
+	rng := rand.New(rand.NewSource(7))
+	var paths []string
+	for i, size := range []int{5000, 0, 1024, 3333, 1} {
+		data := make([]byte, size)
+		rng.Read(data)
+		p := fmt.Sprintf("/out/part-%05d", i)
+		if err := fs.WriteFile(p, data); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	// Result order is not partition order; OutputSHA sorts.
+	res := &mapreduce.Result{OutputPaths: []string{paths[3], paths[0], paths[4], paths[2], paths[1]}}
+	got, err := OutputSHA(fs, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := append([]string(nil), paths...)
+	sort.Strings(sorted)
+	var all bytes.Buffer
+	for _, p := range sorted {
+		data, err := fs.ReadAll(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all.Write(data)
+	}
+	sum := sha256.Sum256(all.Bytes())
+	if want := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("OutputSHA %s, SHA-256 of the concatenated outputs %s", got, want)
+	}
+	if n := fs.OpenReaders(); n != 0 {
+		t.Errorf("%d readers left open after OutputSHA", n)
+	}
+	res.OutputPaths = append(res.OutputPaths, "/out/missing")
+	if _, err := OutputSHA(fs, res); err == nil {
+		t.Error("OutputSHA hashed a missing output")
+	}
+	if n := fs.OpenReaders(); n != 0 {
+		t.Errorf("%d readers left open after a failed OutputSHA", n)
+	}
+}
+
+// TestDecodeSnapshotRejectsEngineInternalSegment: a restored segment aliases
+// the blob, so it must never reach the buffer pool, which takes only
+// engine-internal segments (Src < 0). A CRC-valid blob that claims one is a
+// miss, not a segment.
+func TestDecodeSnapshotRejectsEngineInternalSegment(t *testing.T) {
+	snap := &mapreduce.MapPhaseSnapshot{
+		Segments:    [][]mapreduce.SegmentSnapshot{{{Records: 1, Src: -1, Data: []byte("seg")}}},
+		Attempts:    []int{0},
+		Footprints:  []cluster.Task{{}},
+		InputBytes:  []int64{0},
+		Hosts:       [][]string{nil},
+		WallSeconds: []float64{0},
+		NumReducers: 1,
+	}
+	if _, err := decodeSnapshot(encodeSnapshot(snap)); err == nil {
+		t.Fatal("decodeSnapshot accepted a segment with Src -1")
+	}
+	snap.Segments[0][0].Src = 0
+	if _, err := decodeSnapshot(encodeSnapshot(snap)); err != nil {
+		t.Fatalf("decodeSnapshot rejected the same snapshot with Src 0: %v", err)
+	}
+}
+
+// BenchmarkSegmentCacheHit is the service's warm read path up to the
+// engine: SegmentCache.Get (store.Get, then decodeSnapshot) of the
+// side-64 baseline query's map-phase snapshot.
+func BenchmarkSegmentCacheHit(b *testing.B) {
+	spec := QuerySpec{Side: 64, Strategy: "baseline", Op: "median", Radius: 1, Splits: 10, Reducers: 5}
+	fs, qcfg, strat, err := spec.Setup()
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewSegmentCache(localStore(), nil)
+	qcfg.MapCache, qcfg.CacheKey = c, spec.CacheKey()
+	if _, _, err := core.RunQueryResult(fs, qcfg, strat, cluster.Paper(), false); err != nil {
+		b.Fatal(err)
+	}
+	n, err := c.store.Stat(storeKey(qcfg.CacheKey))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.Get(qcfg.CacheKey); !ok {
+			b.Fatal("cache miss")
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"scikey/internal/cluster"
 	"scikey/internal/mapreduce"
@@ -15,9 +16,12 @@ import (
 // FuzzDecodeSnapshot: whatever bytes the store hands back, decodeSnapshot
 // either rejects them or returns a snapshot that re-encodes to exactly the
 // input — never a panic, and never a silently different snapshot (the cache
-// contract is "corrupt entries are misses"). Each input is tried twice, as
-// given and with its last four bytes replaced by the matching CRC, so the
-// fuzzer also explores the parser behind the checksum gate.
+// contract is "corrupt entries are misses"). An accepted snapshot's segments
+// alias the input, each inside it with cap == len, so an append by any
+// consumer reallocates instead of overwriting the next segment. Each input
+// is tried twice, as given and with its last four bytes replaced by the
+// matching CRC, so the fuzzer also explores the parser behind the checksum
+// gate.
 func FuzzDecodeSnapshot(f *testing.F) {
 	real := encodeSnapshot(&mapreduce.MapPhaseSnapshot{
 		Segments: [][]mapreduce.SegmentSnapshot{
@@ -49,6 +53,16 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			if again := encodeSnapshot(s); !bytes.Equal(again, b) {
 				t.Fatalf("decode accepted %d bytes that re-encode to %d different bytes", len(b), len(again))
 			}
+			for i, row := range s.Segments {
+				for p, seg := range row {
+					if cap(seg.Data) != len(seg.Data) {
+						t.Fatalf("segment %d.%d: cap %d != len %d", i, p, cap(seg.Data), len(seg.Data))
+					}
+					if !inside(seg.Data, b) {
+						t.Fatalf("segment %d.%d (%d B) does not lie inside the %d-byte input", i, p, len(seg.Data), len(b))
+					}
+				}
+			}
 		}
 		check(data)
 		if len(data) >= 4 {
@@ -56,6 +70,13 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			check(binary.BigEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body)))
 		}
 	})
+}
+
+// inside reports whether sub's bytes lie within b's.
+func inside(sub, b []byte) bool {
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(sub)))
+	return p >= start && p+uintptr(len(sub)) <= start+uintptr(len(b))
 }
 
 // overclaimedSnapshot is a CRC-valid header claiming 2^20 tasks with no bytes

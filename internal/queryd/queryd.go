@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -447,17 +448,26 @@ func (s *Service) TenantSpent(tenant string) float64 {
 
 // OutputSHA hashes a result's output files — partition order, contents
 // only — into the byte-identity handle one-shot runs print and service
-// responses carry.
+// responses carry. Each file streams through the hash; none is copied out.
 func OutputSHA(fs *hdfs.FileSystem, res *mapreduce.Result) (string, error) {
 	h := sha256.New()
 	paths := append([]string(nil), res.OutputPaths...)
 	sort.Strings(paths)
 	for _, p := range paths {
-		data, err := fs.ReadAll(p)
-		if err != nil {
+		if err := hashFile(h, fs, p); err != nil {
 			return "", fmt.Errorf("queryd: hashing output %s: %w", p, err)
 		}
-		h.Write(data)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// hashFile streams path's contents into h.
+func hashFile(h io.Writer, fs *hdfs.FileSystem, path string) error {
+	r, err := fs.Open(path)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	_, err = io.Copy(h, r)
+	return err
 }

@@ -237,12 +237,14 @@ func SimpleKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, *keys.C
 		})
 	}
 	job.NewReducer = func() mapreduce.Reducer {
+		// One scratch slice per task: fold works in place and emit copies.
+		var vals []int32
+		var ob [ElemSize]byte
 		return mapreduce.ReducerFunc(func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, emit mapreduce.Emit) error {
-			vals := make([]int32, len(values))
-			for i, vb := range values {
-				vals[i] = int32(binary.BigEndian.Uint32(vb))
+			vals = vals[:0]
+			for _, vb := range values {
+				vals = append(vals, int32(binary.BigEndian.Uint32(vb)))
 			}
-			var ob [ElemSize]byte
 			binary.BigEndian.PutUint32(ob[:], uint32(op.fold(vals)))
 			emit(key, ob[:])
 			return nil
