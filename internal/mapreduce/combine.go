@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sync"
 
+	"scikey/internal/codec"
 	"scikey/internal/shufflenet"
 )
 
@@ -283,12 +284,19 @@ func (b *NodeBuffer) combine(g int) ([]nodeRow, error) {
 		// surfaces as an ErrCorruptSegment naming the producing attempt —
 		// never as the Combiner choking on (or worse, folding) a
 		// garbage-but-parseable record the trailer check hasn't reached yet.
+		// On a coded job that scan is the one decode and the merge reads
+		// its plaintext raw.
 		env := readEnv{codec: b.job.codec(), part: p, borrow: true}
-		if _, err := validateSegments(segs, env); err != nil {
+		level, _, err := validateSegments(segs, env)
+		if err != nil {
 			return nil, err
 		}
-		ms, err := newMergeStream(segs, env, b.job.Compare)
+		env.codec = codec.None
+		ms, err := newMergeStream(level, env, b.job.Compare)
 		if err != nil {
+			for _, s := range level {
+				recycleSegment(s)
+			}
 			return nil, err
 		}
 		var cut func(key []byte) bool
@@ -298,6 +306,9 @@ func (b *NodeBuffer) combine(g int) ([]nodeRow, error) {
 		cs := &combineStream{src: ms, cmp: b.job.Compare, m: b.job.Combine.Combiner, cut: cut}
 		seg, err := writeSegmentStream(cs, b.job.codec(), int(rawBytes))
 		cs.close()
+		for _, s := range level {
+			recycleSegment(s)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"scikey/internal/bufpool"
 	"scikey/internal/codec"
@@ -24,7 +25,15 @@ type segment struct {
 	records int64
 	src     int // producing map task, or -1 for engine-internal segments
 	attempt int // producing map attempt (meaningful when src >= 0)
+	// decoded marks the plaintext validateSegments decoded from a coded
+	// segment; it is counted in decodedLive until recycled.
+	decoded bool
 }
+
+// decodedLive counts decoded final-level buffers not yet handed back to the
+// buffer pool. It reads zero whenever no reduce attempt or node combine is
+// running; the buffer-ownership tests hold every exit path to that.
+var decodedLive atomic.Int64
 
 // readEnv bundles what the segment read path needs: the codec, the optional
 // fault injector, and the reading attempt's coordinates for fault rules and
@@ -169,6 +178,9 @@ func writeSegmentStream(src kvStream, c codec.Codec, sizeHint int) (segment, err
 // and speculative reduce attempts re-read them.
 func recycleSegment(seg segment) {
 	if seg.src < 0 {
+		if seg.decoded {
+			decodedLive.Add(-1)
+		}
 		bufpool.Put(seg.data)
 	}
 }
@@ -299,27 +311,38 @@ type mergeStream struct {
 	closed  bool
 }
 
-// validateSegments scans each provenance-tagged segment (src >= 0) to its
-// end in borrow mode — no record copies — forcing the codec and IFile CRC
-// checks before any record is handed to user code. The reduce path runs
-// this over its final merge level, where grouping interleaves with
-// decoding: a corrupted map output must surface as an ErrCorruptSegment
-// naming the producing attempt, never as whatever user code does with
-// garbage bytes mid-stream. Engine-internal segments (src < 0) were
-// produced by this attempt from already-validated inputs and are skipped.
-// Returns the bytes read ahead of the first failure, for disk accounting.
+// validateSegments checks a final merge level before any of its records
+// reaches user code: grouping interleaves with decoding from there on, so a
+// corrupted map output must surface here as an ErrCorruptSegment naming the
+// producing attempt, never as whatever user code does with garbage bytes
+// mid-stream. Each provenance-tagged segment (src >= 0) is read to its
+// trailing CRC in borrow mode — no record copies; engine-internal ones
+// (src < 0) came from already-validated inputs and are not scanned. It
+// returns the level the final merge reads, always raw, and the fetched
+// bytes read, for disk accounting.
+//
+// On a coded level the scan is the one decode (decodeSegmentOnce): every
+// segment, mergeDown's outputs included, comes back as pooled plaintext
+// with src -1, and the coded engine-internal inputs are recycled. Fetched
+// map outputs are never recycled: retries and twins re-read them. A raw
+// level comes back as it went in.
+//
+// Ownership: the level is consumed. On success the caller recycles what
+// comes back once the merge over it is closed; on failure every
+// engine-internal buffer is already back in the pool.
 //
 // Validation is per segment, so it is per core where a scan costs a decode:
-// each coded segment is scanned on a helper holding a spare CPU-pool token,
-// or inline on the caller's goroutine when none is free, each holding one
-// pooled iterator. Every segment is scanned and the lowest-index failure is
-// the one reported, so the error names the producer a sequential scan would
-// have named however the scans interleave. Raw segments keep the sequential
+// each coded segment is decoded and scanned on a helper holding a spare
+// CPU-pool token, or inline on the caller's goroutine when none is free.
+// Every segment is scanned and the lowest-index failure is the one
+// reported, so the error names the producer a sequential scan would have
+// named however the scans interleave. Raw segments keep the sequential
 // scan, which stops at the first failure: a CRC at memory speed is cheaper
 // than the goroutines.
-func validateSegments(segs []segment, env readEnv) (int64, error) {
+func validateSegments(segs []segment, env readEnv) ([]segment, int64, error) {
 	env.borrow = true
 	errs := make([]error, len(segs))
+	level := segs
 	if env.codec == codec.None {
 		for i, seg := range segs {
 			if errs[i] = scanSegment(seg, env); errs[i] != nil {
@@ -327,22 +350,82 @@ func validateSegments(segs []segment, env readEnv) (int64, error) {
 			}
 		}
 	} else {
+		level = make([]segment, len(segs))
 		var wg sync.WaitGroup
 		for i, seg := range segs {
-			cpu.fork(&wg, func() { errs[i] = scanSegment(seg, env) })
+			cpu.fork(&wg, func() { level[i], errs[i] = decodeSegmentOnce(seg, env) })
 		}
 		wg.Wait()
+		for _, seg := range segs {
+			recycleSegment(seg)
+		}
 	}
 	var read int64
 	for i, seg := range segs {
 		if errs[i] != nil {
-			return read, errs[i]
+			for _, s := range level {
+				recycleSegment(s)
+			}
+			return nil, read, errs[i]
 		}
 		if seg.src >= 0 {
 			read += int64(len(seg.data))
 		}
 	}
-	return read, nil
+	return level, read, nil
+}
+
+// decodeSegmentOnce drains seg's codec stream, through the fault injector's
+// codec-site wrapper, into a pooled buffer, then scans that buffer raw with
+// scanSegment under seg's provenance — without the injector, which has
+// already had its one read. Errors from either step name seg's producer.
+func decodeSegmentOnce(seg segment, env readEnv) (segment, error) {
+	if len(seg.data) == 0 {
+		return segment{src: -1}, nil
+	}
+	br := bytes.NewReader(seg.data)
+	raw := env.inj.WrapSegmentRead(seg.src, env.attempt, len(seg.data), br)
+	rc, err := readerPoolFor(env.codec).Get(raw)
+	if err != nil {
+		return segment{src: -1}, env.wrapErr(seg.src, seg.attempt, err)
+	}
+	plain, err := drainPooled(rc, 4*len(seg.data))
+	rc.Close()
+	readerPoolFor(env.codec).Put(rc)
+	if err != nil {
+		return segment{src: -1}, env.wrapErr(seg.src, seg.attempt, err)
+	}
+	decodedLive.Add(1)
+	out := segment{data: plain, records: seg.records, src: -1, decoded: true}
+	renv := readEnv{codec: codec.None, attempt: env.attempt, part: env.part, borrow: true}
+	if err := scanSegment(segment{data: plain, src: seg.src, attempt: seg.attempt}, renv); err != nil {
+		recycleSegment(out)
+		return segment{src: -1}, err
+	}
+	return out, nil
+}
+
+// drainPooled reads r to EOF into a buffer-pool buffer of at least hint
+// bytes, doubling through the pool when the stream outgrows it. On error
+// the buffer is already back in the pool.
+func drainPooled(r io.Reader, hint int) ([]byte, error) {
+	buf := bufpool.Get(hint)
+	for {
+		if len(buf) == cap(buf) {
+			grown := append(bufpool.Get(2*cap(buf)), buf...)
+			bufpool.Put(buf)
+			buf = grown
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			bufpool.Put(buf)
+			return nil, err
+		}
+	}
 }
 
 // scanSegment reads one provenance-tagged segment to its trailing CRC and

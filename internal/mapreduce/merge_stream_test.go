@@ -18,12 +18,14 @@ import (
 // merge workload must construct zero new readers, however it fails. Writers
 // are counted twice over: constructions (writersCreated, the leak signal)
 // and opens (writers — constructions plus pooled rebinds, i.e. how many
-// streams were coded).
+// streams were coded). decoded sums the plaintext bytes every reader
+// yielded: how many times the job decoded what it shuffled.
 type countingCodec struct {
 	inner          codec.Codec
 	created        atomic.Int64
 	writers        atomic.Int64
 	writersCreated atomic.Int64
+	decoded        atomic.Int64
 }
 
 func (c *countingCodec) Name() string { return "counting+" + c.inner.Name() }
@@ -52,7 +54,7 @@ func (c *countingCodec) NewReader(r io.Reader) (io.ReadCloser, error) {
 		return nil, err
 	}
 	c.created.Add(1)
-	return &countingReader{rc}, nil
+	return &countingReader{rc, c}, nil
 }
 
 // leakIters / leakSlack size the leak assertions: after warmup each failing
@@ -67,8 +69,18 @@ const (
 	leakSlack = 3 * leakIters
 )
 
-// countingReader forwards Reset so the wrapped reader stays poolable.
-type countingReader struct{ io.ReadCloser }
+// countingReader counts the bytes it yields and forwards Reset so the
+// wrapped reader stays poolable.
+type countingReader struct {
+	io.ReadCloser
+	c *countingCodec
+}
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	n, err := r.ReadCloser.Read(p)
+	r.c.decoded.Add(int64(n))
+	return n, err
+}
 
 func (r *countingReader) Reset(src io.Reader) error {
 	return r.ReadCloser.(interface{ Reset(io.Reader) error }).Reset(src)

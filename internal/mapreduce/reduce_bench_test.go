@@ -12,8 +12,9 @@ import (
 )
 
 // benchReduceSegments builds nSegs interleaved sorted runs totaling n
-// records, the shape a reducer's fetched map outputs arrive in.
-func benchReduceSegments(b *testing.B, n, nSegs int) []segment {
+// records, coded with c, the shape a reducer's fetched map outputs arrive
+// in: segment s carries map task s's provenance.
+func benchReduceSegments(b *testing.B, n, nSegs int, c codec.Codec) []segment {
 	b.Helper()
 	all := benchPairs(n)
 	segs := make([]segment, 0, nSegs)
@@ -22,10 +23,11 @@ func benchReduceSegments(b *testing.B, n, nSegs int) []segment {
 		for i := s; i < n; i += nSegs {
 			pairs = append(pairs, all[i])
 		}
-		seg, err := writeSegment(pairs, codec.None)
+		seg, err := writeSegment(pairs, c)
 		if err != nil {
 			b.Fatal(err)
 		}
+		seg.src = s
 		segs = append(segs, seg)
 	}
 	return segs
@@ -82,7 +84,10 @@ func (s *heapSampler) finish() float64 {
 // partition sizes. allocs/op is the gated
 // headline; peak-B (sampled live heap over baseline) is the memory-model
 // evidence — flat across sizes for stream, scaling with the partition for
-// reference.
+// reference. coded runs transform+zlib segments through the production
+// sequence of a coded reduce attempt: the decode-once validation scan, the
+// raw merge over its plaintext, then groupReduce; its peak-B includes the
+// partition's plaintext, which the attempt holds by design.
 func BenchmarkReducePath(b *testing.B) {
 	cmp := func(a, b []byte) int { return compareBytes(a, b) }
 	red := ReducerFunc(func(ctx *TaskContext, key []byte, values [][]byte, emit Emit) error {
@@ -97,7 +102,7 @@ func BenchmarkReducePath(b *testing.B) {
 		name string
 		n    int
 	}{{"8k", 8192}, {"64k", 65536}} {
-		segs := benchReduceSegments(b, size.n, 8)
+		segs := benchReduceSegments(b, size.n, 8, codec.None)
 		env := readEnv{codec: codec.None, part: -1}
 		// The production streaming path borrows decoder scratch straight
 		// through the merge into groupReduce's group arenas.
@@ -128,6 +133,36 @@ func BenchmarkReducePath(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(sampler.finish(), "peak-B")
 		})
+		if size.name == "8k" {
+			cenv := readEnv{codec: codec.NewTransform(codec.Zlib), part: -1}
+			coded := benchReduceSegments(b, size.n, 8, cenv.codec)
+			b.Run("coded/"+size.name, func(b *testing.B) {
+				b.ReportAllocs()
+				sampler := startHeapSampler()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ctx := &TaskContext{counters: &Counters{}}
+					level, _, err := validateSegments(coded, cenv)
+					if err != nil {
+						b.Fatal(err)
+					}
+					m, err := newMergeStream(level, benv, cmp)
+					if err != nil {
+						b.Fatal(err)
+					}
+					iw.Reset(io.Discard)
+					if err := groupReduce(ctx, m, cmp, red, emit, nil, true); err != nil {
+						b.Fatal(err)
+					}
+					m.close()
+					for _, s := range level {
+						recycleSegment(s)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(sampler.finish(), "peak-B")
+			})
+		}
 		b.Run("reference/"+size.name, func(b *testing.B) {
 			b.ReportAllocs()
 			sampler := startHeapSampler()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"scikey/internal/cluster"
+	"scikey/internal/codec"
 	"scikey/internal/faults"
 	"scikey/internal/ifile"
 	"scikey/internal/obs"
@@ -148,20 +149,31 @@ func (t *reduceTask) run(src segmentSource) error {
 		return fmt.Errorf("mapreduce: reduce task %d merge pass: %w", t.id, err)
 	}
 	// The final merge level is a stream: grouping pulls records out of the
-	// k-way merge one at a time, so peak memory is one record per open
-	// segment plus the current group — never the partition.
+	// k-way merge one at a time, so beyond the level's own bytes (fetched
+	// segments, or their plaintext on a coded job) peak memory is one record
+	// per open segment plus the current group — never a copy of the
+	// partition.
 	// ReduceInputRecords and the MergeTransform split surplus accumulate as
 	// the stream drains.
 	//
 	// Validate the final level's fetched segments before any record can
 	// reach the reducer: grouping interleaves with decoding from here on,
 	// and user code must never see bytes the trailing CRC would have
-	// rejected.
-	read, err := validateSegments(segs, env)
+	// rejected. On a coded job that scan is the one decode, and the level
+	// it hands back is raw.
+	level, read, err := validateSegments(segs, env)
 	t.footprint.DiskBytes += read
 	if err != nil {
 		return fmt.Errorf("mapreduce: reduce task %d merge: %w", t.id, err)
 	}
+	// The level's engine-internal buffers stay alive while the stream reads
+	// them; recycle only once it is closed. Fetched map outputs (src >= 0)
+	// stay untouched for retries.
+	defer func() {
+		for _, s := range level {
+			recycleSegment(s)
+		}
+	}()
 	// With no merge transform in the way, the final merge runs in borrow
 	// mode: records alias decoder scratch (fetched chunk memory decodes
 	// straight through, no per-record heap copies) and groupReduce lands
@@ -169,20 +181,13 @@ func (t *reduceTask) run(src segmentSource) error {
 	// whole windows of records, so it keeps the owning merge.
 	borrowed := t.job.MergeTransform == nil
 	fenv := env
+	fenv.codec = codec.None
 	fenv.borrow = borrowed
-	ms, err := newMergeStream(segs, fenv, t.job.Compare)
+	ms, err := newMergeStream(level, fenv, t.job.Compare)
 	if err != nil {
 		return fmt.Errorf("mapreduce: reduce task %d merge: %w", t.id, err)
 	}
-	// Merge-pass intermediates stay alive while the stream reads them;
-	// recycle only once it is closed. Fetched map outputs (src >= 0) stay
-	// untouched for retries.
-	defer func() {
-		ms.close()
-		for _, s := range segs {
-			recycleSegment(s)
-		}
-	}()
+	defer ms.close()
 	var stream kvStream = &countStream{src: ms, n: &c.ReduceInputRecords}
 	if t.job.MergeTransform != nil {
 		var cut func(key []byte) bool

@@ -143,6 +143,14 @@ func TestStreamingReduceDifferential(t *testing.T) {
 		{name: "chaos-local", codec: codec.Gzip, transform: true,
 			spec:   "seed=9;map:1:error@0;segment:0.1:corrupt@0;codec:2:error@0",
 			policy: RetryPolicy{MaxAttempts: 3}},
+		// The coded final level is decoded once, by the validation scan,
+		// and merged raw; retries re-read the intact fetched outputs.
+		{name: "chaos-transform-zlib", codec: codec.NewTransform(codec.Zlib),
+			spec:   "seed=9;map:1:error@0;segment:0.1:corrupt@0;codec:2:error@0",
+			policy: RetryPolicy{MaxAttempts: 3}},
+		{name: "chaos-block-transform-zlib", codec: decodeOnceCodecs()[1].c, transform: true, cut: true,
+			spec:   "seed=5;segment:2.0:corrupt@0;codec:0:error@0",
+			policy: RetryPolicy{MaxAttempts: 3}},
 		{name: "chaos-net", codec: nil, parallel: 2,
 			shuffle: &ShuffleConfig{Mode: ShuffleTCP, Nodes: 2, FetchAttempts: 4},
 			spec:    "seed=3;net:1:cut@0;net:0.1:corrupt@0",
