@@ -61,7 +61,17 @@ func writeStream(t *testing.T, recs []rec) ([]byte, Stats) {
 
 // readStream drains src and returns its records, or the first non-EOF error.
 func readStream(src io.Reader) ([]rec, error) {
-	r := NewReader(src)
+	return drain(NewReader(src))
+}
+
+// readInPlace is readStream over a stream held in memory.
+func readInPlace(data []byte) ([]rec, error) {
+	var r Reader
+	r.ResetBytes(data)
+	return drain(&r)
+}
+
+func drain(r *Reader) ([]rec, error) {
 	var recs []rec
 	for {
 		k, v, err := r.Next()
@@ -84,8 +94,8 @@ func fill(n int, seed byte) []byte {
 }
 
 // checkStream writes recs, compares the bytes with the reference framing,
-// and reads them back through sources that refill the Reader at different
-// offsets: whole blocks, single bytes, and odd-sized chunks.
+// and reads them back in place and through sources that refill the Reader
+// at different offsets: whole blocks, single bytes, and odd-sized chunks.
 func checkStream(t *testing.T, recs []rec) []byte {
 	t.Helper()
 	got, stats := writeStream(t, recs)
@@ -102,8 +112,12 @@ func checkStream(t *testing.T, recs []rec) []byte {
 		"chunk4k": func() io.Reader { return &chunkReader{data: got, size: blockSize + 1} },
 		"dataerr": func() io.Reader { return iotest.DataErrReader(bytes.NewReader(got)) },
 	}
+	reads := map[string]func() ([]rec, error){"inplace": func() ([]rec, error) { return readInPlace(got) }}
 	for name, open := range sources {
-		back, err := readStream(open())
+		reads[name] = func() ([]rec, error) { return readStream(open()) }
+	}
+	for name, read := range reads {
+		back, err := read()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -273,8 +287,12 @@ func TestBitFlipsAcrossBlocks(t *testing.T) {
 		for bit := range 8 {
 			bad := bytes.Clone(clean)
 			bad[at.off] ^= 1 << bit
-			for _, src := range []io.Reader{bytes.NewReader(bad), &chunkReader{data: bad, size: 100}} {
-				_, err := readStream(src)
+			for _, read := range []func() ([]rec, error){
+				func() ([]rec, error) { return readStream(bytes.NewReader(bad)) },
+				func() ([]rec, error) { return readStream(&chunkReader{data: bad, size: 100}) },
+				func() ([]rec, error) { return readInPlace(bad) },
+			} {
+				_, err := read()
 				if err == nil {
 					t.Fatalf("%s bit %d: damaged stream read to a clean EOF", at.name, bit)
 				}
@@ -295,6 +313,39 @@ func TestTruncationAtEveryOffset(t *testing.T) {
 		if _, err := readStream(bytes.NewReader(clean[:cut])); err != io.ErrUnexpectedEOF {
 			t.Fatalf("cut at %d: %v, want io.ErrUnexpectedEOF", cut, err)
 		}
+		if _, err := readInPlace(clean[:cut]); err != io.ErrUnexpectedEOF {
+			t.Fatalf("cut at %d, in place: %v, want io.ErrUnexpectedEOF", cut, err)
+		}
+	}
+}
+
+// TestInPlaceReadAllocatesNothing: a stream held in memory is read where
+// it lies — every record a capacity-capped sub-slice of the stream — and
+// reading all of it, checksum included, allocates nothing.
+func TestInPlaceReadAllocatesNothing(t *testing.T) {
+	data, stats := writeStream(t, threeBlocks())
+	var r Reader
+	var records int64
+	allocs := testing.AllocsPerRun(20, func() {
+		r.ResetBytes(data)
+		records = 0
+		for off := 0; ; records++ {
+			k, v, err := r.Next()
+			if err == io.EOF {
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			off += RecordOverhead(len(k), len(v))
+			if cap(k) != len(k) || cap(v) != len(v) || &k[0] != &data[off] || &v[0] != &data[off+len(k)] {
+				t.Fatalf("record %d is not two capped sub-slices of the stream", records)
+			}
+			off += len(k) + len(v)
+		}
+	})
+	if allocs != 0 || records != stats.Records {
+		t.Fatalf("%.1f allocations reading %d of %d records in place, want 0", allocs, records, stats.Records)
 	}
 }
 

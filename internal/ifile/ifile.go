@@ -168,10 +168,13 @@ func (w *Writer) Stats() Stats { return w.stats }
 // Reader iterates the records of an IFile stream, verifying the checksum
 // when the EOF marker is reached.
 //
-// It reads ahead a block at a time into buf; buf[pos:end] is unread and
-// buf[summed:pos] is consumed stream content the checksum has not seen yet.
-// That span is summed once, when the buffer is about to be refilled or the
-// EOF marker has been consumed — never field by field.
+// buf[pos:end] is the window of unread bytes and buf[summed:pos] is
+// consumed stream content the checksum has not seen yet. That span is
+// summed once, when the window is about to be refilled or the EOF marker
+// has been consumed — never field by field. A stream read from an
+// io.Reader (Reset) is windowed through block, a block at a time; one
+// already in memory (ResetBytes) is its own window, so it is never copied
+// and its checksum is one update at the EOF marker.
 type Reader struct {
 	src    io.Reader
 	srcErr error // the source's terminal error, reported once buf drains
@@ -180,8 +183,9 @@ type Reader struct {
 	key    []byte
 	val    []byte
 
+	buf              []byte
 	pos, end, summed int
-	buf              [blockSize]byte
+	block            [blockSize]byte
 }
 
 // NewReader returns a Reader over r.
@@ -195,13 +199,26 @@ func NewReader(r io.Reader) *Reader {
 // key/value scratch buffers are retained, so a pooled Reader iterates
 // segment after segment without per-segment allocation.
 func (r *Reader) Reset(src io.Reader) {
+	r.rebind(src, nil, r.block[:], 0)
+}
+
+// ResetBytes rebinds the Reader to a stream held whole in data, which must
+// not change while it is read. Records are read where they lie: Next
+// returns sub-slices of data, capacity-capped so an append cannot reach
+// the next record.
+func (r *Reader) ResetBytes(data []byte) {
+	r.rebind(nil, io.EOF, data, len(data))
+}
+
+func (r *Reader) rebind(src io.Reader, srcErr error, buf []byte, end int) {
 	r.src = src
-	r.srcErr = nil
+	r.srcErr = srcErr
 	r.crc = 0
 	r.done = false
 	r.key = r.key[:0]
 	r.val = r.val[:0]
-	r.pos, r.end, r.summed = 0, 0, 0
+	r.buf = buf
+	r.pos, r.end, r.summed = 0, end, 0
 }
 
 // sum brings the checksum up to the read position.
@@ -210,7 +227,7 @@ func (r *Reader) sum() {
 	r.summed = r.pos
 }
 
-// fill replaces the drained buffer with the source's next bytes. It returns
+// fill replaces the drained window with the source's next bytes. It returns
 // the source's error when no byte arrived.
 func (r *Reader) fill() error {
 	r.sum()
@@ -221,7 +238,7 @@ func (r *Reader) fill() error {
 			break
 		}
 		var n int
-		n, r.srcErr = r.src.Read(r.buf[:])
+		n, r.srcErr = r.src.Read(r.buf)
 		if n > 0 {
 			r.end = n
 			return nil
@@ -303,22 +320,35 @@ func (r *Reader) readVLong() (int64, error) {
 	return v, nil
 }
 
+// lengths reads a record header. Both lengths below 128, the common case,
+// are two bytes read in place when the window holds them.
+func (r *Reader) lengths() (keyLen, valLen int64, err error) {
+	if r.end-r.pos >= 2 {
+		if k, v := int8(r.buf[r.pos]), int8(r.buf[r.pos+1]); k >= 0 && v >= 0 {
+			r.pos += 2
+			return int64(k), int64(v), nil
+		}
+	}
+	if keyLen, err = r.readVLong(); err != nil {
+		return 0, 0, err
+	}
+	valLen, err = r.readVLong()
+	return keyLen, valLen, err
+}
+
 // Next returns the next record. The returned slices are owned by the Reader
-// and valid until the following call. At end of stream it verifies the
-// checksum and returns io.EOF.
+// (or are sub-slices of the window it reads from) and valid until the
+// following call. At end of stream it verifies the checksum and returns
+// io.EOF.
 func (r *Reader) Next() (key, value []byte, err error) {
 	if r.done {
 		return nil, nil, io.EOF
 	}
-	keyLen, err := r.readVLong()
+	keyLen, valLen, err := r.lengths()
 	if err != nil {
 		return nil, nil, err
 	}
 	if keyLen == -1 {
-		valLen, err := r.readVLong()
-		if err != nil {
-			return nil, nil, err
-		}
 		if valLen != -1 {
 			return nil, nil, fmt.Errorf("ifile: bad EOF marker (%d)", valLen)
 		}
@@ -338,12 +368,13 @@ func (r *Reader) Next() (key, value []byte, err error) {
 		}
 		return nil, nil, io.EOF
 	}
-	valLen, err := r.readVLong()
-	if err != nil {
-		return nil, nil, err
-	}
 	if keyLen < 0 || valLen < 0 || keyLen > math.MaxInt32 || valLen > math.MaxInt32 {
 		return nil, nil, fmt.Errorf("ifile: implausible record lengths %d/%d", keyLen, valLen)
+	}
+	if keyLen+valLen <= int64(r.end-r.pos) {
+		k, v, e := r.pos, r.pos+int(keyLen), r.pos+int(keyLen+valLen)
+		r.pos = e
+		return r.buf[k:v:v], r.buf[v:e:e], nil
 	}
 	if r.key, err = r.readBody(r.key, keyLen); err != nil {
 		return nil, nil, err

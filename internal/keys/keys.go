@@ -17,6 +17,7 @@ package keys
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 
@@ -221,12 +222,21 @@ func compareVar(a, b VarRef) int {
 // integers they are. A key that would not decode — too short, a negative
 // name length, a negative box size — makes the pair fall back to
 // serial.CompareBytes; bytes past the last field are ignored.
+//
+// Nearly every pair a job compares names one variable twice, so the grid
+// and agg comparators first try sameVar: when both keys' variable sections
+// are the same bytes and both keys hold their fields, the order is the
+// fields' alone. Every other pair takes the general path.
 
 // RawCompareGrid compares two encoded GridKeys: variable, then the
 // coordinates as signed int32s in row-major order.
 func (c *Codec) RawCompareGrid(a, b []byte) int {
-	va, fa, _, oka := c.sections(a, 4*c.Rank)
-	vb, fb, _, okb := c.sections(b, 4*c.Rank)
+	fixed := 4 * c.Rank
+	if end, ok := c.sameVar(a, b, fixed); ok {
+		return compareI32s(a[end:end+fixed], b[end:end+fixed])
+	}
+	va, fa, _, oka := c.sections(a, fixed)
+	vb, fb, _, okb := c.sections(b, fixed)
 	if !oka || !okb {
 		return serial.CompareBytes(a, b)
 	}
@@ -240,6 +250,9 @@ func (c *Codec) RawCompareGrid(a, b []byte) int {
 // The bounds are unsigned and big-endian, so their 16 bytes already sort
 // in that order.
 func (c *Codec) RawCompareAgg(a, b []byte) int {
+	if end, ok := c.sameVar(a, b, 16); ok {
+		return compareU64s(a[end:end+16], b[end:end+16])
+	}
 	va, fa, _, oka := c.sections(a, 16)
 	vb, fb, _, okb := c.sections(b, 16)
 	if !oka || !okb {
@@ -248,7 +261,7 @@ func (c *Codec) RawCompareAgg(a, b []byte) int {
 	if d := c.compareVarBytes(va, vb); d != 0 {
 		return d
 	}
-	return bytes.Compare(fa, fb)
+	return compareU64s(fa, fb)
 }
 
 // AggBounds reads an encoded AggKey in place, for the Section IV rewrites
@@ -311,17 +324,57 @@ func (c *Codec) compareVarBytes(a, b []byte) int {
 	return bytes.Compare(a, b)
 }
 
-// compareI32s orders two equally long runs of big-endian int32s, signed,
-// first difference wins.
-func compareI32s(a, b []byte) int {
-	for i := 0; i+4 <= len(a); i += 4 {
-		x, y := int32(binary.BigEndian.Uint32(a[i:])), int32(binary.BigEndian.Uint32(b[i:]))
-		if x != y {
-			if x < y {
-				return -1
-			}
-			return 1
+// sameVar reports whether a and b encode one variable in the same bytes
+// and both hold fixed bytes of fields after it, which then start at end.
+// It answers only where the variable section ends at a constant offset or
+// after one length byte (a name shorter than 128 bytes); false sends the
+// pair to the general path, which orders it the same way.
+func (c *Codec) sameVar(a, b []byte, fixed int) (end int, ok bool) {
+	switch c.Mode {
+	case VarNone:
+	case VarByIndex:
+		end = 4
+	case VarByName:
+		if len(a) == 0 || a[0] >= 0x80 {
+			return 0, false
 		}
+		end = 1 + int(a[0])
+	default:
+		return 0, false
+	}
+	if len(a) < end+fixed || len(b) < end+fixed || string(a[:end]) != string(b[:end]) {
+		return 0, false
+	}
+	return end, true
+}
+
+// compareI32s orders two equally long runs of big-endian int32s, signed,
+// first difference wins. It reads them 8 bytes at a time: with each sign
+// bit flipped, two int32s compare as one uint64.
+func compareI32s(a, b []byte) int {
+	const sign = 0x8000_0000
+	for len(a) >= 8 && len(b) >= 8 {
+		x, y := binary.BigEndian.Uint64(a)^(sign<<32|sign), binary.BigEndian.Uint64(b)^(sign<<32|sign)
+		if x != y {
+			return cmp.Compare(x, y)
+		}
+		a, b = a[8:], b[8:]
+	}
+	if len(a) >= 4 && len(b) >= 4 {
+		return cmp.Compare(binary.BigEndian.Uint32(a)^sign, binary.BigEndian.Uint32(b)^sign)
+	}
+	return 0
+}
+
+// compareU64s orders two equally long runs of big-endian uint64s, first
+// difference wins.
+func compareU64s(a, b []byte) int {
+	for len(a) >= 8 && len(b) >= 8 {
+		x, y := binary.BigEndian.Uint64(a), binary.BigEndian.Uint64(b)
+		if x != y {
+			return cmp.Compare(x, y)
+		}
+		a, b = a[8:], b[8:]
 	}
 	return 0
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"scikey/internal/grid"
@@ -129,6 +130,19 @@ func FuzzRawCompare(f *testing.F) {
 				f.Add(mode, rank, kind, cat(name("wind"), i32(9, 9, 9, 9, 5, 6, 7, 8)), cat(name("windspeed1"), i32(0, 0, 0, 0, 5, 6, 7, 8)))
 				// Variable indices either side of zero.
 				f.Add(mode, rank, kind, i32(-1, 1, 2, 3, 4, 5, 6, 7, 8), i32(1, 1, 2, 3, 4, 5, 6, 7, 8))
+				// Equal variables, then coordinates either side of the sign
+				// boundary, in the first and in a later field.
+				f.Add(mode, rank, kind, cat(name("v"), i32(0x7fffffff, 0, 0, 0, 1, 1, 1, 1)), cat(name("v"), i32(-0x80000000, 0, 0, 0, 1, 1, 1, 1)))
+				f.Add(mode, rank, kind, cat(name("v"), i32(3, 0x7fffffff, -0x80000000, 0x7fffffff, 1, 1, 1, 1)), cat(name("v"), i32(3, -0x80000000, 0x7fffffff, -0x80000000, 1, 1, 1, 1)))
+				// Equal 128-byte names: the length is a two-byte VInt.
+				long := strings.Repeat("w", 128)
+				f.Add(mode, rank, kind, cat(name(long), i32(-1, 2, 3, 4, 5, 6, 7, 8)), cat(name(long), i32(1, 2, 3, 4, 5, 6, 7, 8)))
+				// Equal names, one key cut short inside the fields.
+				f.Add(mode, rank, kind, cat(name("windspeed1"), i32(1, 2, 3, 4, 5, 6, 7, 8)[:5]), cat(name("windspeed1"), i32(1, 2, 3, 4, 5, 6, 7, 8)))
+				f.Add(mode, rank, kind, cat(name("windspeed1"), i32(9)[:3]), cat(name("windspeed1"), i32(-9)[:2]))
+				// Equal names, trailing bytes after equal and unequal fields.
+				f.Add(mode, rank, kind, cat(name("windspeed1"), i32(1, 2, 3, 4, 5, 6, 7, 8), []byte{0}), cat(name("windspeed1"), i32(1, 2, 3, 4, 5, 6, 7, 8), []byte{1, 2}))
+				f.Add(mode, rank, kind, cat(name("windspeed1"), i32(-1, 2, 3, 4, 5, 6, 7, 8), []byte{0}), cat(name("windspeed1"), i32(1, 2, 3, 4, 5, 6, 7, 8)))
 			}
 		}
 	}
@@ -289,6 +303,44 @@ func TestAggBoundsRejectsMalformed(t *testing.T) {
 		}
 		if _, lo, hi, ok := c.AggBounds(slices.Concat(prefix, u64s(3, 9))); !ok || lo != 3 || hi != 9 {
 			t.Errorf("mode=%v: the well-formed key reads [%d,%d) ok=%v", mode, lo, hi, ok)
+		}
+	}
+}
+
+// BenchmarkRawCompare times one comparison of two keys of the same
+// variable, the pair sort, merge and grouping compare almost always: keys
+// of one variable in row-major order, each compared with its successor.
+// Rank 2 is the benchmark queries' grid; agg keys are 16-cell ranges.
+func BenchmarkRawCompare(b *testing.B) {
+	const n = 1024
+	for _, kind := range []string{"grid", "agg"} {
+		for _, mode := range comparatorModes {
+			b.Run(fmt.Sprintf("%s/%v", kind, mode), func(b *testing.B) {
+				c := &Codec{Rank: 2, Mode: mode, Names: []string{"windspeed1"}}
+				v := VarRef{Name: "windspeed1"}
+				ks := make([][]byte, n)
+				for i := range ks {
+					if kind == "grid" {
+						ks[i] = gridKeyBytes(c, GridKey{Var: v, Coord: grid.Coord{i / 32, i%32 - 1}})
+					} else {
+						lo := uint64(16 * i)
+						ks[i] = c.AggKeyBytes(AggKey{Var: v, Range: sfc.IndexRange{Lo: lo, Hi: lo + 16}})
+					}
+				}
+				raw := (*Codec).RawCompareGrid
+				if kind == "agg" {
+					raw = (*Codec).RawCompareAgg
+				}
+				sink := 0
+				b.ResetTimer()
+				for i := range b.N {
+					j := i % (n - 1)
+					sink += raw(c, ks[j], ks[j+1])
+				}
+				if sink != -b.N {
+					b.Fatalf("%d keys in order compared %d, want -%d", b.N, sink, b.N)
+				}
+			})
 		}
 	}
 }

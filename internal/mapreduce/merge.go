@@ -46,8 +46,9 @@ type readEnv struct {
 	// part is the reducer partition being read, or -1 on the map side.
 	part int
 	// borrow, when set, skips record copies entirely: each iterator's
-	// current pair aliases its IFile reader's scratch buffers and is valid
-	// only until that iterator advances. The merge-pass rewrite loop runs in
+	// current pair aliases its IFile reader's buffers (or the segment
+	// itself, read in place) and is valid only until that iterator
+	// advances. The merge-pass rewrite loop runs in
 	// this mode — it consumes each record before pulling the next — so a
 	// pass allocates nothing per record.
 	borrow bool
@@ -188,6 +189,7 @@ func recycleSegment(seg segment) {
 // segIter streams the records of one segment. Iterators are pooled: the
 // embedded bytes.Reader, IFile reader (with its read-ahead block and
 // key/value scratch) and the codec reader survive from segment to segment.
+// rc is nil while the IFile reader parses the segment in place.
 type segIter struct {
 	br  bytes.Reader
 	rc  io.ReadCloser
@@ -205,18 +207,25 @@ type segIter struct {
 
 var segIterPool = sync.Pool{New: func() any { return new(segIter) }}
 
+// openSegment positions an iterator on seg's first record. A raw segment
+// whose read no codec-site fault rule wraps is parsed where it lies
+// (ifile.Reader.ResetBytes); everything else streams through the codec
+// reader and the IFile read-ahead block.
 func openSegment(seg segment, env readEnv) (*segIter, error) {
 	it := segIterPool.Get().(*segIter)
 	it.br.Reset(seg.data)
-	var raw io.Reader = &it.br
-	raw = env.inj.WrapSegmentRead(seg.src, env.attempt, len(seg.data), raw)
-	rc, err := readerPoolFor(env.codec).Get(raw)
-	if err != nil {
-		it.release()
-		return nil, env.wrapErr(seg.src, seg.attempt, err)
+	raw := env.inj.WrapSegmentRead(seg.src, env.attempt, len(seg.data), &it.br)
+	if env.codec == codec.None && raw == io.Reader(&it.br) {
+		it.ir.ResetBytes(seg.data)
+	} else {
+		rc, err := readerPoolFor(env.codec).Get(raw)
+		if err != nil {
+			it.release()
+			return nil, env.wrapErr(seg.src, seg.attempt, err)
+		}
+		it.rc = rc
+		it.ir.Reset(rc)
 	}
-	it.rc = rc
-	it.ir.Reset(rc)
 	it.env = env
 	it.src, it.srcAttempt = seg.src, seg.attempt
 	it.err = nil
@@ -240,15 +249,14 @@ func (it *segIter) release() {
 
 func (it *segIter) advance() {
 	k, v, err := it.ir.Next()
-	if err == io.EOF {
-		it.ok = false
-		it.rc.Close()
-		return
-	}
 	if err != nil {
-		it.err = it.env.wrapErr(it.src, it.srcAttempt, err)
+		if err != io.EOF {
+			it.err = it.env.wrapErr(it.src, it.srcAttempt, err)
+		}
 		it.ok = false
-		it.rc.Close()
+		if it.rc != nil {
+			it.rc.Close()
+		}
 		return
 	}
 	switch {

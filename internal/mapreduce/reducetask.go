@@ -175,9 +175,9 @@ func (t *reduceTask) run(src segmentSource) error {
 		}
 	}()
 	// With no merge transform in the way, the final merge runs in borrow
-	// mode: records alias decoder scratch (fetched chunk memory decodes
-	// straight through, no per-record heap copies) and groupReduce lands
-	// each record in its group arena on arrival. transformStream buffers
+	// mode: records alias the level's bytes, which the raw merge parses in
+	// place (no per-record heap copies), and groupReduce lands each record
+	// in its group arena on arrival. transformStream buffers
 	// whole windows of records, so it keeps the owning merge.
 	borrowed := t.job.MergeTransform == nil
 	fenv := env

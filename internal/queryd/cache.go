@@ -141,9 +141,11 @@ func (c *SegmentCache) account(entries, bytes int64) {
 }
 
 // encodeSnapshot serializes a snapshot: header, per-task rows, counters,
-// and a CRC32 trailer over everything before it.
+// and a CRC32 trailer over everything before it. The blob is allocated
+// once, at its exact size: it is mostly segment bytes, megabytes per query,
+// which growing by append would copy about twice over.
 func encodeSnapshot(s *mapreduce.MapPhaseSnapshot) []byte {
-	var b []byte
+	b := make([]byte, 0, snapshotSize(s))
 	u32 := func(v uint32) { b = binary.BigEndian.AppendUint32(b, v) }
 	u64 := func(v uint64) { b = binary.BigEndian.AppendUint64(b, v) }
 	i64 := func(v int64) { u64(uint64(v)) }
@@ -180,6 +182,22 @@ func encodeSnapshot(s *mapreduce.MapPhaseSnapshot) []byte {
 	}
 	u32(crc32.ChecksumIEEE(b))
 	return b
+}
+
+// snapshotSize is the length of encodeSnapshot(s), field for field.
+func snapshotSize(s *mapreduce.MapPhaseSnapshot) int {
+	n := 4 * 4 // magic, version, task count, reducers
+	for i := range s.Segments {
+		n += 4 + 5*8 + 4 // attempt, footprint, input bytes, wall, host count
+		for _, h := range s.Hosts[i] {
+			n += 4 + len(h)
+		}
+		n += 4 // segment count
+		for _, seg := range s.Segments[i] {
+			n += 3*8 + 4 + len(seg.Data)
+		}
+	}
+	return n + 4 + 8*len(s.Counters) + 4 // counters, CRC
 }
 
 // decodeSnapshot parses an encoded snapshot, verifying magic, version, and

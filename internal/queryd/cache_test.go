@@ -87,6 +87,36 @@ func TestDecodeSnapshotRejectsEngineInternalSegment(t *testing.T) {
 	}
 }
 
+// TestEncodeSnapshotAllocatesOnce: the blob is sized before it is written,
+// so encoding is one allocation of exactly the bytes it returns.
+func TestEncodeSnapshotAllocatesOnce(t *testing.T) {
+	data := bytes.Repeat([]byte{7}, 100_000)
+	snap := &mapreduce.MapPhaseSnapshot{
+		Segments: [][]mapreduce.SegmentSnapshot{
+			{{Records: 3, Src: 0, Data: data[:40_000]}, {Records: 0, Src: 0}},
+			{{Records: 9, Src: 1, Attempt: 2, Data: data}},
+		},
+		Attempts:    []int{0, 2},
+		Footprints:  []cluster.Task{{DiskBytes: 1}, {CPUSeconds: 0.5}},
+		InputBytes:  []int64{10, 20},
+		Hosts:       [][]string{{"node0", "node12"}, nil},
+		WallSeconds: []float64{0.25, 1},
+		Counters:    []int64{1, -2, 3},
+		NumReducers: 2,
+	}
+	var b []byte
+	if allocs := testing.AllocsPerRun(10, func() { b = encodeSnapshot(snap) }); allocs != 1 {
+		t.Errorf("encodeSnapshot made %.1f allocations, want 1", allocs)
+	}
+	if cap(b) != len(b) {
+		t.Errorf("blob has len %d, cap %d", len(b), cap(b))
+	}
+	back, err := decodeSnapshot(b)
+	if err != nil || !bytes.Equal(encodeSnapshot(back), b) {
+		t.Fatalf("the blob does not decode to the snapshot: %v", err)
+	}
+}
+
 // BenchmarkSegmentCacheHit is the service's warm read path up to the
 // engine: SegmentCache.Get (store.Get, then decodeSnapshot) of the
 // side-64 baseline query's map-phase snapshot.
