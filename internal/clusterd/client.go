@@ -185,19 +185,19 @@ func (cl *Client) resend(cc *peer, call *clientCall) {
 // readLoop dispatches responses on one connection until it dies.
 func (cl *Client) readLoop(cc *peer) {
 	for {
-		kind, payload, err := readMsg(cc.conn)
+		msg, err := readMsg(cc.conn)
 		if err != nil {
 			cc.conn.Close()
 			return
 		}
-		if kind != kindRunResult && kind != kindPubAck {
+		if msg.kind != kindRunResult && msg.kind != kindPubAck {
 			cc.conn.Close()
 			return
 		}
 		// Either answer completes the call its Seq names; a pubAck decodes
 		// as a result carrying nothing else.
 		var m runResultMsg
-		if decode(payload, &m) == nil {
+		if msg.decode(&m) == nil {
 			cl.mu.Lock()
 			call := cl.calls[m.Seq]
 			cl.mu.Unlock()

@@ -242,12 +242,12 @@ func TestHeartbeatLapseExpiresAndStaleCompletionIsDropped(t *testing.T) {
 	if err := writeMsg(conn, kindHello, helloMsg{PID: 12345}); err != nil {
 		t.Fatal(err)
 	}
-	kind, payload, err := readMsg(conn)
-	if err != nil || kind != kindWelcome {
-		t.Fatalf("welcome: kind=%d err=%v", kind, err)
+	msg, err := readMsg(conn)
+	if err != nil || msg.kind != kindWelcome {
+		t.Fatalf("welcome: kind=%d err=%v", msg.kind, err)
 	}
 	var welcome welcomeMsg
-	if err := decode(payload, &welcome); err != nil {
+	if err := msg.decode(&welcome); err != nil {
 		t.Fatal(err)
 	}
 
@@ -257,12 +257,12 @@ func TestHeartbeatLapseExpiresAndStaleCompletionIsDropped(t *testing.T) {
 		done <- err
 	}()
 
-	kind, payload, err = readMsg(conn)
-	if err != nil || kind != kindGrant {
-		t.Fatalf("grant: kind=%d err=%v", kind, err)
+	msg, err = readMsg(conn)
+	if err != nil || msg.kind != kindGrant {
+		t.Fatalf("grant: kind=%d err=%v", msg.kind, err)
 	}
 	var grant grantMsg
-	if err := decode(payload, &grant); err != nil {
+	if err := msg.decode(&grant); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeMsg(conn, kindStarted, startedMsg{Lease: grant.Lease}); err != nil {
@@ -372,7 +372,7 @@ func TestRevokeAbandonsPendingSegmentFetch(t *testing.T) {
 	t.Cleanup(func() { worker.Close(); coord.Close() })
 	go func() { // the coordinator reads requests and never answers
 		for {
-			if _, _, err := readMsg(coord); err != nil {
+			if _, err := readMsg(coord); err != nil {
 				return
 			}
 		}
@@ -410,7 +410,7 @@ func TestFrameCRCRejectsCorruption(t *testing.T) {
 	}
 	raw := []byte(buf.String())
 	raw[len(raw)-1] ^= 0x40
-	if _, _, err := readMsg(strings.NewReader(string(raw))); err == nil || !strings.Contains(err.Error(), "CRC") {
+	if _, err := readMsg(strings.NewReader(string(raw))); err == nil || !strings.Contains(err.Error(), "CRC") {
 		t.Errorf("corrupted frame error = %v", err)
 	}
 
@@ -419,7 +419,7 @@ func TestFrameCRCRejectsCorruption(t *testing.T) {
 	hdr[0] = kindHello
 	binary.BigEndian.PutUint32(hdr[1:], maxFrame+1)
 	binary.BigEndian.PutUint32(hdr[5:], crc32.ChecksumIEEE(nil))
-	if _, _, err := readMsg(strings.NewReader(string(hdr[:]))); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	if _, err := readMsg(strings.NewReader(string(hdr[:]))); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Errorf("oversized frame error = %v", err)
 	}
 }
@@ -477,8 +477,8 @@ func TestForfeitCauses(t *testing.T) {
 				t.Fatal(err)
 			}
 			var welcome welcomeMsg
-			if kind, payload, err := readMsg(conn); err != nil || kind != kindWelcome || decode(payload, &welcome) != nil {
-				t.Fatalf("welcome: kind=%d err=%v", kind, err)
+			if msg, err := readMsg(conn); err != nil || msg.kind != kindWelcome || msg.decode(&welcome) != nil {
+				t.Fatalf("welcome: kind=%d err=%v", msg.kind, err)
 			}
 
 			type outcome struct {
@@ -490,8 +490,8 @@ func TestForfeitCauses(t *testing.T) {
 				rr, err := cl.RunRemote(mapreduce.PhaseMap, 4, 0, nil)
 				done <- outcome{rr, err}
 			}()
-			if kind, _, err := readMsg(conn); err != nil || kind != kindGrant {
-				t.Fatalf("grant: kind=%d err=%v", kind, err)
+			if msg, err := readMsg(conn); err != nil || msg.kind != kindGrant {
+				t.Fatalf("grant: kind=%d err=%v", msg.kind, err)
 			}
 			time.Sleep(2 * time.Millisecond) // the lease occupies the worker for a measurable while
 			tc.cause(t, c.Addr(), conn, welcome.Worker)

@@ -26,7 +26,6 @@
 package clusterd
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -316,23 +315,24 @@ func (c *Coordinator) logf(format string, args ...any) {
 
 // journalApply is the single choke point for durable state transitions: it
 // applies the event to the live state and appends it, fsynced, to the
-// journal. Replay calls the same apply with the same payloads, which is what
-// makes a restarted coordinator converge on this one's state. Caller holds
-// c.mu.
+// journal. Replay calls the same apply with the same record, which is what
+// makes a restarted coordinator converge on this one's state; live, apply
+// decodes only the small header and keeps the event's byte fields as they
+// are. Caller holds c.mu.
 func (c *Coordinator) journalApply(kind byte, ev any) {
-	payload, err := json.Marshal(ev)
+	m, err := encodeMsg(kind, ev)
 	if err != nil {
-		c.logf("clusterd: marshal journal event %d: %v", kind, err)
+		c.logf("%v", err)
 		return
 	}
-	if err := c.state.apply(kind, payload, time.Now()); err != nil {
+	if err := c.state.apply(m, time.Now()); err != nil {
 		c.logf("clusterd: apply journal event %d: %v", kind, err)
 		return
 	}
 	if c.jnl == nil || c.closed {
 		return
 	}
-	if err := c.jnl.append(kind, payload); err != nil {
+	if err := c.jnl.append(m); err != nil {
 		c.logf("%v", err)
 		return
 	}
@@ -494,15 +494,15 @@ func (c *Coordinator) servePeer(conn net.Conn) {
 		delete(c.peers, conn)
 		c.mu.Unlock()
 	}()
-	kind, payload, err := readMsg(conn)
+	msg, err := readMsg(conn)
 	if err != nil {
 		conn.Close()
 		return
 	}
-	switch kind {
+	switch msg.kind {
 	case kindHello:
 		var hello helloMsg
-		if decode(payload, &hello) != nil {
+		if msg.decode(&hello) != nil {
 			conn.Close()
 			return
 		}
@@ -586,42 +586,42 @@ func (c *Coordinator) serveWorker(conn net.Conn, hello helloMsg) {
 	c.wake() // a new worker can take pending grants
 
 	for {
-		kind, payload, err := readMsg(conn)
+		msg, err := readMsg(conn)
 		if err != nil {
 			c.retireWorker(w)
 			return
 		}
-		switch kind {
+		switch msg.kind {
 		case kindHeartbeat:
 			var m heartbeatMsg
-			if decode(payload, &m) == nil {
+			if msg.decode(&m) == nil {
 				c.handleHeartbeat(w, m)
 			}
 		case kindStarted:
 			var m startedMsg
-			if decode(payload, &m) == nil {
+			if msg.decode(&m) == nil {
 				c.handleStarted(w, m)
 			}
 		case kindComplete:
 			var m completeMsg
-			if decode(payload, &m) == nil {
+			if msg.decode(&m) == nil {
 				c.settleWorker(w, m.Lease, &storedOutcome{State: "completed", Result: m.Result})
 			}
 		case kindFail:
 			var m failMsg
-			if decode(payload, &m) == nil {
+			if msg.decode(&m) == nil {
 				c.settleWorker(w, m.Lease, &storedOutcome{
 					State: "failed", Error: m.Error, Canceled: m.Canceled, Corrupt: m.Corrupt,
 				})
 			}
 		case kindSegReq:
 			var m segReqMsg
-			if decode(payload, &m) == nil {
+			if msg.decode(&m) == nil {
 				c.handleSegReq(w, m)
 			}
 		case kindGoodbye:
 			var m goodbyeMsg
-			if decode(payload, &m) == nil && m.Draining {
+			if msg.decode(&m) == nil && m.Draining {
 				c.mu.Lock()
 				w.draining = true
 				c.mu.Unlock()
@@ -659,21 +659,21 @@ func (c *Coordinator) serveDriver(conn net.Conn) {
 	c.logf("clusterd: driver connected (%s)", conn.RemoteAddr())
 
 	for {
-		kind, payload, err := readMsg(conn)
+		msg, err := readMsg(conn)
 		if err != nil {
 			conn.Close()
 			c.logf("clusterd: driver disconnected")
 			return
 		}
-		switch kind {
+		switch msg.kind {
 		case kindRunReq:
 			var m runReqMsg
-			if decode(payload, &m) == nil {
+			if msg.decode(&m) == nil {
 				c.handleRunReq(d, m)
 			}
 		case kindCancel:
 			var m cancelMsg
-			if decode(payload, &m) == nil {
+			if msg.decode(&m) == nil {
 				d.mu.Lock()
 				g := d.reqs[m.Seq]
 				d.mu.Unlock()
@@ -688,7 +688,7 @@ func (c *Coordinator) serveDriver(conn net.Conn) {
 			// higher attempt, which replaces the corrupt original. Journaled
 			// before the ack, so acked map output survives a crash.
 			var m publishMsg
-			if decode(payload, &m) == nil {
+			if msg.decode(&m) == nil {
 				c.mu.Lock()
 				c.journalApply(jkPublish, evPublish{MapTask: m.MapTask, Attempt: m.Attempt, Parts: m.Parts})
 				c.mu.Unlock()

@@ -1,7 +1,6 @@
 package clusterd
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -17,9 +16,11 @@ import (
 // durable state transition — worker ID assignment, lease grant, lease
 // settlement (completion, failure, expiry, loss, revocation) with its full
 // outcome, outcome delivery to the driver, and map-output publication — is
-// appended as a CRC-framed record (the exact ifile/shufflenet frame shape:
-// kind | len | crc32 | payload) and fsynced before the transition takes
-// externally visible effect. Heartbeat renewals are deliberately NOT
+// appended as a record and fsynced before the transition takes externally
+// visible effect. A record is exactly a wire message (see wire.go): a
+// CRC-framed JSON header, then one CRC-framed blob per byte field, so a
+// settle's or a publish's segments sit in the file verbatim. One record is
+// one vectored write and one fsync. Heartbeat renewals are deliberately NOT
 // journaled: deadlines are volatile, and replay resets every surviving
 // lease's deadline to replay-time+TTL — the grace window in which its worker
 // must reconnect and re-adopt it.
@@ -27,9 +28,10 @@ import (
 // Replay is O(live state), not O(history): every checkpointEvery appended
 // events the journal compacts itself by atomically replacing the file with a
 // single checkpoint record (write tmp, fsync, rename), after which replay
-// loads the checkpoint and applies only the suffix. A torn tail — the frame
-// a crash interrupted mid-append — is detected by the frame CRC and
-// truncated; everything before it replays intact.
+// loads the checkpoint and applies only the suffix. A torn tail — the record
+// a crash interrupted mid-append, its header or any of its blobs — is
+// detected by the frame CRCs and truncated whole; everything before it
+// replays intact.
 //
 // All mutations, live or replayed, flow through coordState.apply, and every
 // apply is idempotent (re-applying any prefix of events converges on the
@@ -37,8 +39,9 @@ import (
 // the event stream replayed into a fresh state equals the live state at that
 // point.
 
-// Journal record kinds (distinct from the wire kind space; readFrame does
-// not interpret kinds, so the two spaces share the framing helpers only).
+// Journal record kinds (distinct from the wire kind space; readRecord does
+// not interpret header kinds, so the two spaces share the framing helpers
+// and kindBlob only).
 const (
 	jkHeader byte = iota + 100
 	jkCheckpoint
@@ -50,14 +53,30 @@ const (
 	jkPublish
 )
 
-// journalMagic identifies a journal file (and its format version).
-const journalMagic = "scikey-coord-journal-v1"
+// journalMagic identifies a journal file and its format version: in v2 a
+// record's byte fields follow its header as blob frames. A build that knows
+// only v1 refuses a v2 file rather than truncating its first blob as a torn
+// tail.
+const journalMagic = "scikey-coord-journal-v2"
+
+// journalMagicV1 marks a journal whose records carry their byte fields
+// inline in the JSON header (base64). Such a record is a header with no
+// blobs, so it replays through the same decoder; opening a v1 file rewrites
+// it as a v2 checkpoint before anything is appended, so no file mixes the
+// two.
+const journalMagicV1 = "scikey-coord-journal-v1"
 
 // checkpointEvery is the compaction cadence in appended events.
 const checkpointEvery = 256
 
 type jHeader struct {
 	Magic string
+}
+
+// fileHeader is the record that opens a journal file.
+func fileHeader() message {
+	m, _ := encodeMsg(jkHeader, jHeader{Magic: journalMagic}) // a constant string always marshals
+	return m
 }
 
 // attemptKey identifies one submitted attempt — the idempotency key a
@@ -108,6 +127,7 @@ type evGrant struct {
 }
 
 type evSettle struct {
+	blobList
 	Lease   int
 	Outcome storedOutcome
 }
@@ -121,6 +141,7 @@ type evDeliver struct {
 // evPublish installs one map task's published output; a checkpoint lists the
 // segment store in the same form.
 type evPublish struct {
+	blobList
 	MapTask int
 	Attempt int
 	Parts   [][]byte
@@ -128,6 +149,7 @@ type evPublish struct {
 
 // evCheckpoint is the compacted whole-state record.
 type evCheckpoint struct {
+	blobList
 	Epoch      int
 	NextWorker int
 	NextLease  int
@@ -135,6 +157,50 @@ type evCheckpoint struct {
 	Leases     []leaseInfo
 	Outcomes   []storedOutcome
 	Segs       []evPublish
+}
+
+func (e evSettle) detach() (any, [][]byte) {
+	var b [][]byte
+	e.Outcome.Result = detachResult(e.Outcome.Result, &b)
+	e.Blobs = announce(b)
+	return e, b
+}
+
+func (e *evSettle) fields() []*[]byte { return resultFields(nil, e.Outcome.Result) }
+
+func (e evPublish) detach() (any, [][]byte) {
+	var b [][]byte
+	e.Parts = detachParts(e.Parts, &b)
+	e.Blobs = announce(b)
+	return e, b
+}
+
+func (e *evPublish) fields() []*[]byte { return partsFields(nil, e.Parts) }
+
+// A checkpoint's blobs are its outcomes' results, then its segments' parts.
+func (e evCheckpoint) detach() (any, [][]byte) {
+	var b [][]byte
+	e.Outcomes = slices.Clone(e.Outcomes)
+	for i := range e.Outcomes {
+		e.Outcomes[i].Result = detachResult(e.Outcomes[i].Result, &b)
+	}
+	e.Segs = slices.Clone(e.Segs)
+	for i := range e.Segs {
+		e.Segs[i].Parts = detachParts(e.Segs[i].Parts, &b)
+	}
+	e.Blobs = announce(b)
+	return e, b
+}
+
+func (e *evCheckpoint) fields() []*[]byte {
+	var f []*[]byte
+	for i := range e.Outcomes {
+		f = resultFields(f, e.Outcomes[i].Result)
+	}
+	for i := range e.Segs {
+		f = partsFields(f, e.Segs[i].Parts)
+	}
+	return f
 }
 
 // coordState is the durable control-plane state: coordinator epoch, worker
@@ -157,14 +223,16 @@ func newCoordState(ttl time.Duration) *coordState {
 	}
 }
 
-// apply folds one event into the state. Every branch is idempotent: applying
-// the same event again (or replaying any journal prefix) converges on the
-// same state. now is the application time, used only for volatile deadlines.
-func (s *coordState) apply(kind byte, payload []byte, now time.Time) error {
-	switch kind {
+// apply folds one event, encoded as a journal record, into the state. Its
+// blobs become the state's byte fields as they are. Every branch is
+// idempotent: applying the same event again (or replaying any journal
+// prefix) converges on the same state. now is the application time, used
+// only for volatile deadlines.
+func (s *coordState) apply(m message, now time.Time) error {
+	switch m.kind {
 	case jkBoot:
 		var e evBoot
-		if err := json.Unmarshal(payload, &e); err != nil {
+		if err := m.decode(&e); err != nil {
 			return err
 		}
 		if e.Epoch > s.epoch {
@@ -172,7 +240,7 @@ func (s *coordState) apply(kind byte, payload []byte, now time.Time) error {
 		}
 	case jkWorker:
 		var e evWorker
-		if err := json.Unmarshal(payload, &e); err != nil {
+		if err := m.decode(&e); err != nil {
 			return err
 		}
 		if e.ID >= s.nextWorker {
@@ -180,13 +248,13 @@ func (s *coordState) apply(kind byte, payload []byte, now time.Time) error {
 		}
 	case jkGrant:
 		var e evGrant
-		if err := json.Unmarshal(payload, &e); err != nil {
+		if err := m.decode(&e); err != nil {
 			return err
 		}
 		s.leases.install(&e.Lease, now)
 	case jkSettle:
 		var e evSettle
-		if err := json.Unmarshal(payload, &e); err != nil {
+		if err := m.decode(&e); err != nil {
 			return err
 		}
 		if _, ok := s.leases.complete(e.Lease); ok {
@@ -195,13 +263,13 @@ func (s *coordState) apply(kind byte, payload []byte, now time.Time) error {
 		}
 	case jkDeliver:
 		var e evDeliver
-		if err := json.Unmarshal(payload, &e); err != nil {
+		if err := m.decode(&e); err != nil {
 			return err
 		}
 		delete(s.outcomes, attemptKey{Phase: e.Phase, Task: e.Task, Attempt: e.Attempt})
 	case jkPublish:
 		var e evPublish
-		if err := json.Unmarshal(payload, &e); err != nil {
+		if err := m.decode(&e); err != nil {
 			return err
 		}
 		if cur, ok := s.segs[e.MapTask]; ok && cur.attempt > e.Attempt {
@@ -210,7 +278,7 @@ func (s *coordState) apply(kind byte, payload []byte, now time.Time) error {
 		s.segs[e.MapTask] = &segEntry{attempt: e.Attempt, parts: e.Parts}
 	case jkCheckpoint:
 		var e evCheckpoint
-		if err := json.Unmarshal(payload, &e); err != nil {
+		if err := m.decode(&e); err != nil {
 			return err
 		}
 		ttl := s.leases.ttl
@@ -226,7 +294,7 @@ func (s *coordState) apply(kind byte, payload []byte, now time.Time) error {
 			s.segs[seg.MapTask] = &segEntry{attempt: seg.Attempt, parts: seg.Parts}
 		}
 	default:
-		return fmt.Errorf("clusterd: unknown journal record kind %d", kind)
+		return fmt.Errorf("clusterd: unknown journal record kind %d", m.kind)
 	}
 	return nil
 }
@@ -290,9 +358,10 @@ type replayStats struct {
 }
 
 // openJournal opens (or creates) the journal at path and replays it into a
-// fresh coordState. A torn tail — a partial or corrupt trailing frame from a
-// crash mid-append — is truncated; the state reflects every record before
-// it. The returned journal is positioned for appending.
+// fresh coordState. A torn tail — a partial or corrupt trailing record from
+// a crash mid-append — is truncated; the state reflects every record before
+// it. A v1 journal is compacted into a v2 checkpoint once replayed. The
+// returned journal is positioned for appending.
 func openJournal(path string, ttl time.Duration, now time.Time) (*journal, *coordState, replayStats, error) {
 	state := newCoordState(ttl)
 	var stats replayStats
@@ -310,8 +379,7 @@ func openJournal(path string, ttl time.Duration, now time.Time) (*journal, *coor
 	}
 	if info.Size() == 0 {
 		// Fresh journal: stamp the header.
-		hdr, _ := json.Marshal(jHeader{Magic: journalMagic})
-		if err := j.writeRecord(jkHeader, hdr); err != nil {
+		if err := j.writeRecord(fileHeader()); err != nil {
 			f.Close()
 			return nil, nil, stats, err
 		}
@@ -320,7 +388,7 @@ func openJournal(path string, ttl time.Duration, now time.Time) (*journal, *coor
 
 	// Replay. Track the offset of the last intact record so a torn tail can
 	// be truncated precisely.
-	good, err := replayInto(f, state, &stats, now)
+	good, v1, err := replayInto(f, state, &stats, now)
 	if err != nil {
 		f.Close()
 		return nil, nil, stats, err
@@ -337,36 +405,45 @@ func openJournal(path string, ttl time.Duration, now time.Time) (*journal, *coor
 		return nil, nil, stats, err
 	}
 	j.eventsSinceCkpt = stats.Events
+	if v1 {
+		if err := j.compact(state); err != nil {
+			j.Close()
+			return nil, nil, stats, err
+		}
+	}
 	return j, state, stats, nil
 }
 
-// replayInto reads records from r applying each to state, returning the
-// offset just past the last intact record. Frame errors (torn tail, CRC
-// mismatch, bad payload) end the replay without failing it; a bad header
-// does fail — the file is not a journal.
-func replayInto(f *os.File, state *coordState, stats *replayStats, now time.Time) (int64, error) {
+// replayInto reads records from f applying each to state, returning the
+// offset just past the last intact record and whether the file is a v1
+// journal. Record errors (torn tail, CRC mismatch, a blob group cut short,
+// bad header) end the replay without failing it, dropping that record
+// whole; a bad file header does fail — the file is not a journal.
+func replayInto(f *os.File, state *coordState, stats *replayStats, now time.Time) (int64, bool, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	cr := &countingReader{r: f}
-	kind, payload, err := readFrame(cr)
+	m, err := readRecord(cr)
 	if err != nil {
-		return 0, fmt.Errorf("clusterd: journal %s has no header: %w", f.Name(), err)
+		return 0, false, fmt.Errorf("clusterd: journal %s has no header: %w", f.Name(), err)
 	}
 	var hdr jHeader
-	if kind != jkHeader || json.Unmarshal(payload, &hdr) != nil || hdr.Magic != journalMagic {
-		return 0, fmt.Errorf("clusterd: %s is not a coordinator journal", f.Name())
+	if m.kind != jkHeader || m.decode(&hdr) != nil ||
+		(hdr.Magic != journalMagic && hdr.Magic != journalMagicV1) {
+		return 0, false, fmt.Errorf("clusterd: %s is not a coordinator journal", f.Name())
 	}
+	v1 := hdr.Magic == journalMagicV1
 	good := cr.n
 	for {
-		kind, payload, err := readFrame(cr)
+		m, err := readRecord(cr)
 		if err != nil {
-			return good, nil // torn or corrupt tail: cut here
+			return good, v1, nil // torn or corrupt tail: cut here
 		}
-		if err := state.apply(kind, payload, now); err != nil {
-			return good, nil // undecodable record: treat as tail tear
+		if err := state.apply(m, now); err != nil {
+			return good, v1, nil // undecodable record: treat as tail tear
 		}
-		if kind == jkCheckpoint {
+		if m.kind == jkCheckpoint {
 			stats.Checkpoint = true
 			stats.Events = 0
 		} else {
@@ -387,24 +464,26 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// writeRecord frames, appends, and fsyncs one pre-marshaled record.
-func (j *journal) writeRecord(kind byte, payload []byte) error {
-	if err := writeFrame(j.f, kind, payload); err != nil {
+// writeRecord appends one record — its header frame and blob frames, in one
+// vectored write — and fsyncs it.
+func (j *journal) writeRecord(m message) error {
+	n, err := m.writeTo(j.f)
+	if err != nil {
 		return fmt.Errorf("clusterd: append journal record: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("clusterd: fsync journal: %w", err)
 	}
 	if j.onAppend != nil {
-		j.onAppend(9 + len(payload))
+		j.onAppend(int(n))
 	}
 	return nil
 }
 
-// append journals one event payload. The caller applies the same payload to
+// append journals one encoded event. The caller applies the same record to
 // the state; when due() turns true it should follow with compact(state).
-func (j *journal) append(kind byte, payload []byte) error {
-	if err := j.writeRecord(kind, payload); err != nil {
+func (j *journal) append(m message) error {
+	if err := j.writeRecord(m); err != nil {
 		return err
 	}
 	j.eventsSinceCkpt++
@@ -423,14 +502,13 @@ func (j *journal) compact(state *coordState) error {
 	if err != nil {
 		return fmt.Errorf("clusterd: checkpoint: %w", err)
 	}
-	hdrPayload, _ := json.Marshal(jHeader{Magic: journalMagic})
-	ckPayload, err := json.Marshal(state.checkpoint())
+	ck, err := encodeMsg(jkCheckpoint, state.checkpoint())
 	if err != nil {
 		nf.Close()
-		return fmt.Errorf("clusterd: marshal checkpoint: %v", err)
+		return err
 	}
-	if err := writeFrame(nf, jkHeader, hdrPayload); err == nil {
-		err = writeFrame(nf, jkCheckpoint, ckPayload)
+	if _, err = fileHeader().writeTo(nf); err == nil {
+		_, err = ck.writeTo(nf)
 	}
 	if err == nil {
 		err = nf.Sync()

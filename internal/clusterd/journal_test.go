@@ -2,6 +2,7 @@ package clusterd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -32,14 +33,14 @@ func stateFingerprint(t *testing.T, s *coordState) string {
 // live state, append to the journal.
 func applyAndAppend(t *testing.T, j *journal, s *coordState, kind byte, ev any, now time.Time) {
 	t.Helper()
-	payload, err := json.Marshal(ev)
+	m, err := encodeMsg(kind, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.apply(kind, payload, now); err != nil {
+	if err := s.apply(m, now); err != nil {
 		t.Fatalf("apply kind %d: %v", kind, err)
 	}
-	if err := j.append(kind, payload); err != nil {
+	if err := j.append(m); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -117,14 +118,29 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		{"partial frame", func() []byte {
 			var buf bytes.Buffer
 			payload, _ := json.Marshal(evWorker{ID: 9})
-			writeFrame(&buf, jkWorker, payload)
+			message{kind: jkWorker, header: payload}.writeTo(&buf)
 			return buf.Bytes()[:buf.Len()-3]
 		}},
 		{"corrupt frame", func() []byte {
 			var buf bytes.Buffer
 			payload, _ := json.Marshal(evWorker{ID: 9})
-			writeFrame(&buf, jkWorker, payload)
+			message{kind: jkWorker, header: payload}.writeTo(&buf)
 			raw := buf.Bytes()
+			raw[len(raw)-1] ^= 0x40
+			return raw
+		}},
+		// A record with blobs is dropped whole, header included, when any
+		// of its blobs is missing, cut short or corrupt.
+		{"header without its blobs", func() []byte {
+			raw := publishRecord(t)
+			return raw[:frameHeader+binary.BigEndian.Uint32(raw[1:5])]
+		}},
+		{"blob group cut short", func() []byte {
+			raw := publishRecord(t)
+			return raw[:len(raw)-3]
+		}},
+		{"corrupt blob", func() []byte {
+			raw := publishRecord(t)
 			raw[len(raw)-1] ^= 0x40
 			return raw
 		}},
@@ -155,6 +171,17 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		}
 		j2.Close()
 	}
+}
+
+// publishRecord is a journaled publish of one two-part map output, framed.
+func publishRecord(t *testing.T) []byte {
+	m, err := encodeMsg(jkPublish, evPublish{MapTask: 9, Parts: [][]byte{[]byte("part-zero"), []byte("part-one")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	m.writeTo(&buf)
+	return buf.Bytes()
 }
 
 func TestJournalCompactionKeepsReplaySmall(t *testing.T) {
@@ -268,21 +295,17 @@ func TestReplayPrefixDeterminism(t *testing.T) {
 		now := time.Unix(9000, 0)
 		live := newCoordState(time.Second)
 
-		type record struct {
-			kind    byte
-			payload []byte
-		}
-		var log []record
+		var log []message
 		var wantAt []string // live fingerprint after each event
 		emit := func(kind byte, ev any) {
-			payload, err := json.Marshal(ev)
+			m, err := encodeMsg(kind, ev)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := live.apply(kind, payload, now); err != nil {
+			if err := live.apply(m, now); err != nil {
 				t.Fatalf("seed %d: live apply kind %d: %v", seed, kind, err)
 			}
-			log = append(log, record{kind, payload})
+			log = append(log, m)
 			wantAt = append(wantAt, stateFingerprint(t, live))
 		}
 
@@ -330,7 +353,7 @@ func TestReplayPrefixDeterminism(t *testing.T) {
 		for prefix := 0; prefix <= len(log); prefix++ {
 			replayed := newCoordState(time.Second)
 			for _, r := range log[:prefix] {
-				if err := replayed.apply(r.kind, r.payload, now); err != nil {
+				if err := replayed.apply(r, now); err != nil {
 					t.Fatalf("seed %d: replay apply kind %d: %v", seed, r.kind, err)
 				}
 			}
@@ -345,7 +368,7 @@ func TestReplayPrefixDeterminism(t *testing.T) {
 			// Idempotence: re-applying the last event must change nothing.
 			if prefix > 0 {
 				r := log[prefix-1]
-				if err := replayed.apply(r.kind, r.payload, now); err != nil {
+				if err := replayed.apply(r, now); err != nil {
 					t.Fatalf("seed %d: re-apply kind %d: %v", seed, r.kind, err)
 				}
 				if got := stateFingerprint(t, replayed); got != want {
@@ -388,5 +411,132 @@ func TestJournalReplaysParentFile(t *testing.T) {
 	}
 	if got := stateFingerprint(t, state); got != string(want) {
 		t.Errorf("parent journal replayed to a different checkpoint:\n got %s\nwant %s", got, want)
+	}
+}
+
+// transcodeJournal re-records a journal's events with this build's writer:
+// every record is decoded into its event and appended as journalApply would
+// append it, under this build's magic. Applied to testdata/parent.journal it
+// yields testdata/parent.v2.journal.
+func transcodeJournal(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	events := map[byte]func() any{
+		jkCheckpoint: func() any { return new(evCheckpoint) },
+		jkBoot:       func() any { return new(evBoot) },
+		jkWorker:     func() any { return new(evWorker) },
+		jkGrant:      func() any { return new(evGrant) },
+		jkSettle:     func() any { return new(evSettle) },
+		jkDeliver:    func() any { return new(evDeliver) },
+		jkPublish:    func() any { return new(evPublish) },
+	}
+	var out bytes.Buffer
+	fileHeader().writeTo(&out)
+	r := bytes.NewReader(raw)
+	if m, err := readRecord(r); err != nil || m.kind != jkHeader {
+		t.Fatalf("journal header: kind %d, %v", m.kind, err)
+	}
+	for r.Len() > 0 {
+		m, err := readRecord(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := events[m.kind]()
+		if err := m.decode(ev); err != nil {
+			t.Fatal(err)
+		}
+		if m, err = encodeMsg(m.kind, ev); err != nil {
+			t.Fatal(err)
+		}
+		m.writeTo(&out)
+	}
+	return out.Bytes()
+}
+
+// TestJournalReplaysParentV2File pins v2 the way TestJournalReplaysParentFile
+// pins v1: testdata/parent.v2.journal is the parent scenario recorded by
+// this format's writer (transcodeJournal over testdata/parent.journal), and
+// it must replay to the same checkpoint. Its segments sit in the file as
+// raw bytes, not base64.
+func TestJournalReplaysParentV2File(t *testing.T) {
+	raw, err := os.ReadFile("testdata/parent.v2.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/parent.checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := os.ReadFile("testdata/parent.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(transcodeJournal(t, v1), raw) {
+		t.Error("this build no longer writes testdata/parent.v2.journal for the parent scenario; a deliberate format change needs a new magic")
+	}
+	if !bytes.Contains(raw, []byte("partition-two")) || bytes.Contains(raw, []byte("cGFydGl0aW9uLXR3bw==")) {
+		t.Error("the v2 journal's segments are not raw bytes")
+	}
+	path := filepath.Join(t.TempDir(), "coord.journal")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, state, stats, err := openJournal(path, time.Second, time.Unix(5000, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if !stats.Checkpoint || stats.Events != 7 || stats.Truncated != 0 {
+		t.Errorf("replay stats = %+v, want the checkpoint plus 7 events, nothing torn", stats)
+	}
+	if got := stateFingerprint(t, state); got != string(want) {
+		t.Errorf("v2 journal replayed to a different checkpoint:\n got %s\nwant %s", got, want)
+	}
+	if onDisk, _ := os.ReadFile(path); !bytes.Equal(onDisk, raw) {
+		t.Error("opening a v2 journal rewrote it")
+	}
+}
+
+// TestJournalUpgradesV1OnOpen: opening a v1 journal compacts it into a v2
+// checkpoint before anything is appended, so no file mixes the formats and
+// an older build refuses the file instead of truncating its blobs.
+func TestJournalUpgradesV1OnOpen(t *testing.T) {
+	raw, err := os.ReadFile("testdata/parent.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "coord.journal")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(5000, 0)
+	j, live, _, err := openJournal(path, time.Second, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyAndAppend(t, j, live, jkPublish, evPublish{MapTask: 3, Parts: [][]byte{[]byte("after-upgrade")}}, now)
+	j.Close()
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	m, err := readRecord(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr jHeader
+	if err := m.decode(&hdr); err != nil || hdr.Magic != journalMagic {
+		t.Fatalf("upgraded journal header %s, want magic %q", m.header, journalMagic)
+	}
+	_, replayed, stats, err := openJournal(path, time.Second, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Checkpoint || stats.Events != 1 {
+		t.Errorf("replay stats = %+v, want the upgrade checkpoint plus 1 event", stats)
+	}
+	if got, want := stateFingerprint(t, replayed), stateFingerprint(t, live); got != want {
+		t.Errorf("upgraded journal replayed to a different state:\n got %s\nwant %s", got, want)
 	}
 }

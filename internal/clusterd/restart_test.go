@@ -59,12 +59,12 @@ func TestWorkerReregistrationReplacesGhost(t *testing.T) {
 		if err := writeMsg(conn, kindHello, helloMsg{PID: pid, Worker: id}); err != nil {
 			t.Fatal(err)
 		}
-		kind, payload, err := readMsg(conn)
-		if err != nil || kind != kindWelcome {
-			t.Fatalf("welcome: kind=%d err=%v", kind, err)
+		msg, err := readMsg(conn)
+		if err != nil || msg.kind != kindWelcome {
+			t.Fatalf("welcome: kind=%d err=%v", msg.kind, err)
 		}
 		var w welcomeMsg
-		if err := decode(payload, &w); err != nil {
+		if err := msg.decode(&w); err != nil {
 			t.Fatal(err)
 		}
 		return conn, w
@@ -92,7 +92,7 @@ func TestWorkerReregistrationReplacesGhost(t *testing.T) {
 
 	// The ghost's connection was closed by the coordinator.
 	conn1.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := readMsg(conn1); err == nil {
+	if _, err := readMsg(conn1); err == nil {
 		t.Error("stale connection still delivered a frame after replacement")
 	}
 
@@ -104,12 +104,12 @@ func TestWorkerReregistrationReplacesGhost(t *testing.T) {
 		done <- err
 	}()
 	conn2.SetReadDeadline(time.Now().Add(5 * time.Second))
-	kind, payload, err := readMsg(conn2)
-	if err != nil || kind != kindGrant {
-		t.Fatalf("grant on replacement conn: kind=%d err=%v", kind, err)
+	msg, err := readMsg(conn2)
+	if err != nil || msg.kind != kindGrant {
+		t.Fatalf("grant on replacement conn: kind=%d err=%v", msg.kind, err)
 	}
 	var grant grantMsg
-	if err := decode(payload, &grant); err != nil {
+	if err := msg.decode(&grant); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeMsg(conn2, kindComplete, completeMsg{Lease: grant.Lease, Result: &mapreduce.RemoteResult{}}); err != nil {
@@ -141,7 +141,7 @@ func TestNoGrantBeforeWelcome(t *testing.T) {
 	defer c.Close()
 	cl := dialClient(t, c)
 
-	hello := func(id int) (net.Conn, byte, []byte) {
+	hello := func(id int) (net.Conn, message) {
 		t.Helper()
 		conn, err := net.Dial("tcp", c.Addr())
 		if err != nil {
@@ -152,11 +152,11 @@ func TestNoGrantBeforeWelcome(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		kind, payload, err := readMsg(conn)
+		msg, err := readMsg(conn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return conn, kind, payload
+		return conn, msg
 	}
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()
@@ -175,10 +175,10 @@ func TestNoGrantBeforeWelcome(t *testing.T) {
 
 	// A registered but draining worker: it takes no grant, and its ID is
 	// there to be re-registered under.
-	old, kind, payload := hello(-1)
+	old, msg := hello(-1)
 	var first welcomeMsg
-	if kind != kindWelcome || decode(payload, &first) != nil {
-		t.Fatalf("first registration: frame kind %d", kind)
+	if msg.kind != kindWelcome || msg.decode(&first) != nil {
+		t.Fatalf("first registration: frame kind %d", msg.kind)
 	}
 	if err := writeMsg(old, kindGoodbye, goodbyeMsg{Draining: true}); err != nil {
 		t.Fatal(err)
@@ -192,14 +192,14 @@ func TestNoGrantBeforeWelcome(t *testing.T) {
 	}()
 	waitFor("the pending run request", func() bool { return len(c.pending) == 1 })
 
-	conn, kind, _ := hello(first.Worker)
-	if kind != kindWelcome {
-		t.Fatalf("first frame after hello is kind %d, want the welcome (%d): a grant overtook it", kind, kindWelcome)
+	conn, msg := hello(first.Worker)
+	if msg.kind != kindWelcome {
+		t.Fatalf("first frame after hello is kind %d, want the welcome (%d): a grant overtook it", msg.kind, kindWelcome)
 	}
-	kind, payload, err = readMsg(conn)
+	msg, err = readMsg(conn)
 	var grant grantMsg
-	if err != nil || kind != kindGrant || decode(payload, &grant) != nil {
-		t.Fatalf("grant after the welcome: kind=%d err=%v", kind, err)
+	if err != nil || msg.kind != kindGrant || msg.decode(&grant) != nil {
+		t.Fatalf("grant after the welcome: kind=%d err=%v", msg.kind, err)
 	}
 	if err := writeMsg(conn, kindComplete, completeMsg{Lease: grant.Lease, Result: &mapreduce.RemoteResult{}}); err != nil {
 		t.Fatal(err)

@@ -22,13 +22,26 @@ import (
 //
 //	kind u8 | len u32 | crc32 u32 | payload [len]byte
 //
-// (integers big-endian, CRC32 IEEE over the payload, payloads JSON). The
-// frame CRC is the same end-to-end integrity idiom the shufflenet transport
-// uses: a corrupted frame is detected at the reader and tears the session
-// down rather than delivering garbage into the lease state machine. The
-// coordinator journal appends the identical frame shape to disk (its own
-// kind space), so replay shares the torn/corrupt-frame detection with the
-// wire.
+// (integers big-endian, CRC32 IEEE over the payload). A message is one
+// header frame — its kind and a JSON payload — followed by one blob frame
+// (kindBlob) per byte field it carries:
+//
+//	message := header blob*
+//	header  := kind | len | crc32 | JSON (its "Blobs" member: one length per blob, -1 for a nil field)
+//	blob    := kindBlob | len | crc32 | raw bytes
+//
+// A message without byte fields has no "Blobs" member and is a lone
+// header. Byte fields — map segments, a reduce's output — cross the
+// connection raw: they are never base64-encoded, never scanned by the JSON
+// decoder, and the reader hands each blob's buffer to the field it fills.
+// The writer sends a header and its blobs with one vectored write.
+//
+// The frame CRC is the same end-to-end integrity idiom the shufflenet
+// transport uses: a corrupted frame is detected at the reader and tears the
+// session down rather than delivering garbage into the lease state machine.
+// The coordinator journal appends the identical message shape to disk (its
+// own header kinds, the same kindBlob), so replay shares the
+// torn/corrupt-frame detection with the wire.
 //
 // Two peer roles share the connection grammar:
 //
@@ -74,14 +87,30 @@ const (
 	kindPubAck
 )
 
-// maxFrame bounds one frame's payload so a corrupt length field cannot make
-// the reader allocate unbounded memory.
+// kindBlob marks a blob frame: one byte field of the message whose header
+// frame precedes it. The wire and the journal share it.
+const kindBlob byte = 0xFF
+
+// frameHeader is the size of a frame's kind, length and CRC fields.
+const frameHeader = 9
+
+// maxFrame bounds one frame's payload, and one message's frames together,
+// so a corrupt length field cannot make the reader allocate unbounded
+// memory.
 const maxFrame = 1 << 30
 
 // frameAllocChunk bounds the reader's up-front allocation: a frame header
 // claiming a huge length only grows the buffer as bytes actually arrive, so
 // a truncated or hostile frame cannot balloon memory before its CRC check.
 const frameAllocChunk = 1 << 20
+
+// blobList is a header's announcement of the blob frames that follow it:
+// one length per byte field, in the order the message's fields method lists
+// them, -1 for a nil field (whose blob frame is empty). Messages with byte
+// fields embed it; empty, it is left out of the header.
+type blobList struct {
+	Blobs []int `json:",omitempty"`
+}
 
 // leaseClaim is one lease a re-registering worker still holds: its ID and
 // the coordinator epoch it was granted under. A claim is re-adopted only if
@@ -135,6 +164,7 @@ type startedMsg struct {
 }
 
 type completeMsg struct {
+	blobList
 	Lease  int
 	Result *mapreduce.RemoteResult
 }
@@ -166,6 +196,7 @@ type segReqMsg struct {
 }
 
 type segDataMsg struct {
+	blobList
 	Seq     int
 	Attempt int
 	Data    []byte
@@ -199,6 +230,7 @@ type runReqMsg struct {
 // runResultMsg is one attempt's outcome. Result and Error may both be set:
 // a forfeited lease still reports the partial footprint charged as waste.
 type runResultMsg struct {
+	blobList
 	Seq      int
 	Result   *mapreduce.RemoteResult
 	Error    string
@@ -232,6 +264,7 @@ type cancelMsg struct {
 }
 
 type publishMsg struct {
+	blobList
 	Seq     int
 	MapTask int
 	Attempt int
@@ -242,65 +275,149 @@ type pubAckMsg struct {
 	Seq int
 }
 
-// writeFrame frames and writes one raw payload: kind, big-endian length,
-// CRC32 of the payload, payload bytes. Callers serialize writes per
+// message is one protocol unit as it travels, on the wire or as a journal
+// record: its kind, its JSON header and the blobs the header announces.
+type message struct {
+	kind   byte
+	header []byte
+	blobs  [][]byte
+}
+
+// writeTo writes the message as framed: the header frame, then one blob
+// frame per byte field, with a single vectored write (writev on a socket).
+// Nothing is concatenated, so a blob's bytes go out from the buffer that
+// holds them. It returns the bytes written. Callers serialize writes per
 // destination themselves.
-func writeFrame(w io.Writer, kind byte, payload []byte) error {
-	hdr := make([]byte, 9, 9+len(payload))
-	hdr[0] = kind
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[5:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(append(hdr, payload...))
-	return err
+func (m message) writeTo(w io.Writer) (int64, error) {
+	hdrs := make([]byte, frameHeader*(1+len(m.blobs)))
+	bufs := make(net.Buffers, 0, 2*(1+len(m.blobs)))
+	frame := func(i int, kind byte, payload []byte) {
+		h := hdrs[i*frameHeader : (i+1)*frameHeader]
+		h[0] = kind
+		binary.BigEndian.PutUint32(h[1:], uint32(len(payload)))
+		binary.BigEndian.PutUint32(h[5:], crc32.ChecksumIEEE(payload))
+		bufs = append(bufs, h, payload)
+	}
+	frame(0, m.kind, m.header)
+	for i, b := range m.blobs {
+		frame(i+1, kindBlob, b)
+	}
+	return bufs.WriteTo(w)
 }
 
 // readFrame reads one frame and returns its kind and CRC-verified payload.
-// The payload buffer grows only as bytes arrive, so a corrupt or hostile
-// length field cannot force a large allocation up front.
 func readFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [9]byte
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	kind := hdr[0]
-	n := binary.BigEndian.Uint32(hdr[1:])
+	payload, err := readPayload(r, &hdr)
+	return hdr[0], payload, err
+}
+
+// readPayload reads the payload of the frame whose header is hdr and checks
+// its CRC. The buffer grows in place and only as bytes arrive: it starts at
+// one chunk at most and, once full, grows to four times what has arrived
+// (or to the frame's length), so a corrupt or hostile length field costs
+// at most one chunk beyond the input, and a 3 MiB frame costs 4 MiB.
+func readPayload(r io.Reader, hdr *[frameHeader]byte) ([]byte, error) {
+	n := int(binary.BigEndian.Uint32(hdr[1:]))
 	if n > maxFrame {
-		return 0, nil, fmt.Errorf("clusterd: frame of %d bytes exceeds limit", n)
+		return nil, fmt.Errorf("clusterd: frame of %d bytes exceeds limit", n)
 	}
 	payload := make([]byte, 0, min(n, frameAllocChunk))
-	for uint32(len(payload)) < n {
-		step := min(n-uint32(len(payload)), frameAllocChunk)
-		old := len(payload)
-		payload = append(payload, make([]byte, step)...)
-		if _, err := io.ReadFull(r, payload[old:]); err != nil {
-			return 0, nil, err
+	for len(payload) < n {
+		if len(payload) == cap(payload) {
+			// Not slices.Grow: under the race detector its append of a
+			// fresh slice allocates that slice too.
+			grown := make([]byte, len(payload), min(n, 4*len(payload)))
+			copy(grown, payload)
+			payload = grown
+		}
+		got, err := io.ReadFull(r, payload[len(payload):cap(payload)])
+		payload = payload[:len(payload)+got]
+		if err != nil {
+			return nil, err
 		}
 	}
-	if got := crc32.ChecksumIEEE(payload); got != binary.BigEndian.Uint32(hdr[5:]) {
-		return 0, nil, fmt.Errorf("clusterd: frame CRC mismatch on kind %d", kind)
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[5:]) {
+		return nil, fmt.Errorf("clusterd: frame CRC mismatch on kind %d", hdr[0])
 	}
-	return kind, payload, nil
+	return payload, nil
+}
+
+// readRecord reads one message, from the wire or the journal: a header
+// frame and the blob frames its Blobs member announces. Only that member is
+// decoded. A blob frame where a header is due, a header frame where a blob
+// is due, a blob whose length differs from its announcement, or an
+// announcement beyond maxFrame fails the read. A nil field's blob comes
+// back nil, an empty one empty.
+func readRecord(r io.Reader) (message, error) {
+	kind, header, err := readFrame(r)
+	if err != nil {
+		return message{}, err
+	}
+	if kind == kindBlob {
+		return message{}, errors.New("clusterd: blob frame where a header is due")
+	}
+	var ann blobList
+	if err := json.Unmarshal(header, &ann); err != nil {
+		return message{}, fmt.Errorf("clusterd: bad header on kind %d: %v", kind, err)
+	}
+	total := frameHeader + len(header)
+	for _, n := range ann.Blobs {
+		if n < -1 {
+			return message{}, fmt.Errorf("clusterd: header announces a blob of %d bytes", n)
+		}
+		if total += frameHeader + max(n, 0); total > maxFrame {
+			return message{}, fmt.Errorf("clusterd: message of %d blobs exceeds limit", len(ann.Blobs))
+		}
+	}
+	m := message{kind: kind, header: header}
+	if len(ann.Blobs) > 0 {
+		m.blobs = make([][]byte, len(ann.Blobs))
+	}
+	for i, n := range ann.Blobs {
+		var hdr [frameHeader]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return message{}, err
+		}
+		if hdr[0] != kindBlob {
+			return message{}, fmt.Errorf("clusterd: frame kind %d where blob %d of %d is due", hdr[0], i, len(m.blobs))
+		}
+		if got := binary.BigEndian.Uint32(hdr[1:]); got != uint32(max(n, 0)) {
+			return message{}, fmt.Errorf("clusterd: blob %d is %d bytes, header announced %d", i, got, n)
+		}
+		b, err := readPayload(r, &hdr)
+		if err != nil {
+			return message{}, err
+		}
+		if n >= 0 {
+			m.blobs[i] = b
+		}
+	}
+	return m, nil
 }
 
 // writeMsg frames and writes one wire message.
 func writeMsg(w io.Writer, kind byte, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("clusterd: marshal kind %d: %v", kind, err)
+	m, err := encodeMsg(kind, v)
+	if err == nil {
+		_, err = m.writeTo(w)
 	}
-	return writeFrame(w, kind, payload)
+	return err
 }
 
-// readMsg reads one wire frame and returns its kind and verified payload.
-func readMsg(r io.Reader) (byte, []byte, error) {
-	kind, payload, err := readFrame(r)
+// readMsg reads one wire message.
+func readMsg(r io.Reader) (message, error) {
+	m, err := readRecord(r)
 	if err != nil {
-		return 0, nil, err
+		return message{}, err
 	}
-	if kind < kindHello || kind > kindPubAck {
-		return 0, nil, fmt.Errorf("clusterd: unknown frame kind %d", kind)
+	if m.kind < kindHello || m.kind > kindPubAck {
+		return message{}, fmt.Errorf("clusterd: unknown frame kind %d", m.kind)
 	}
-	return kind, payload, nil
+	return m, nil
 }
 
 // peer is one end of a connection; every role (the coordinator's view of a
@@ -327,16 +444,15 @@ func handshake(addr string, helloKind byte, hello any, welcomeKind byte, welcome
 	}
 	p := &peer{conn: conn}
 	err = p.send(helloKind, hello)
-	var kind byte
-	var payload []byte
+	var m message
 	if err == nil {
-		kind, payload, err = readMsg(conn)
+		m, err = readMsg(conn)
 	}
-	if err == nil && kind != welcomeKind {
-		err = fmt.Errorf("clusterd: expected frame kind %d, got frame kind %d", welcomeKind, kind)
+	if err == nil && m.kind != welcomeKind {
+		err = fmt.Errorf("clusterd: expected frame kind %d, got frame kind %d", welcomeKind, m.kind)
 	}
 	if err == nil {
-		err = decode(payload, welcome)
+		err = m.decode(welcome)
 	}
 	if err != nil {
 		conn.Close()
@@ -374,10 +490,145 @@ func redial(role int64, stop context.Context, dial func() error) error {
 	}
 }
 
-// decode unmarshals a frame payload into v.
-func decode(payload []byte, v any) error {
-	if err := json.Unmarshal(payload, v); err != nil {
+// A carrier is a message with byte fields: completeMsg, runResultMsg,
+// publishMsg and segDataMsg on the wire, evSettle, evPublish and
+// evCheckpoint in the journal. detach (value receiver) returns the copy its
+// header frame carries — every byte field nil, the slices that hold them
+// kept at full length, Blobs announcing them — and the fields' bytes, which
+// travel as blob frames; fields (pointer receiver) points at the byte fields
+// of a decoded header in the same order. A nil field stays distinct from an
+// empty one.
+type carrier interface {
+	detach() (any, [][]byte)
+}
+
+// blobSink is a decoded carrier.
+type blobSink interface {
+	fields() []*[]byte
+}
+
+// encodeMsg builds the message of kind for v: v's header, and its byte
+// fields as blobs.
+func encodeMsg(kind byte, v any) (message, error) {
+	m := message{kind: kind}
+	if c, ok := v.(carrier); ok {
+		v, m.blobs = c.detach()
+	}
+	var err error
+	if m.header, err = json.Marshal(v); err != nil {
+		return message{}, fmt.Errorf("clusterd: marshal kind %d: %v", kind, err)
+	}
+	return m, nil
+}
+
+// decode unmarshals the message's header into v and hands each blob to the
+// byte field it fills, without a copy. A header that came without blobs —
+// a v1 journal record — keeps the byte fields it carries inline (base64),
+// which only a reader ever sees.
+func (m message) decode(v any) error {
+	if err := json.Unmarshal(m.header, v); err != nil {
 		return fmt.Errorf("clusterd: bad frame payload: %v", err)
+	}
+	if len(m.blobs) == 0 {
+		return nil
+	}
+	var fields []*[]byte
+	if s, ok := v.(blobSink); ok {
+		fields = s.fields()
+	}
+	if len(fields) != len(m.blobs) {
+		return fmt.Errorf("clusterd: header has %d byte fields for %d blobs", len(fields), len(m.blobs))
+	}
+	for i, f := range fields {
+		*f = m.blobs[i]
 	}
 	return nil
 }
+
+// announce is the Blobs member for a message's byte fields.
+func announce(blobs [][]byte) []int {
+	if len(blobs) == 0 {
+		return nil
+	}
+	lens := make([]int, len(blobs))
+	for i, b := range blobs {
+		lens[i] = len(b)
+		if b == nil {
+			lens[i] = -1
+		}
+	}
+	return lens
+}
+
+// detachResult returns the header copy of r and appends its byte fields
+// (Output, then Parts) to blobs.
+func detachResult(r *mapreduce.RemoteResult, blobs *[][]byte) *mapreduce.RemoteResult {
+	if r == nil {
+		return nil
+	}
+	c := *r
+	*blobs = append(*blobs, r.Output)
+	c.Output = nil
+	c.Parts = detachParts(r.Parts, blobs)
+	return &c
+}
+
+func resultFields(f []*[]byte, r *mapreduce.RemoteResult) []*[]byte {
+	if r == nil {
+		return f
+	}
+	return partsFields(append(f, &r.Output), r.Parts)
+}
+
+// detachParts returns the header copy of parts — as many nil entries — and
+// appends the parts to blobs.
+func detachParts(parts [][]byte, blobs *[][]byte) [][]byte {
+	*blobs = append(*blobs, parts...)
+	if parts == nil {
+		return nil
+	}
+	return make([][]byte, len(parts))
+}
+
+func partsFields(f []*[]byte, parts [][]byte) []*[]byte {
+	for i := range parts {
+		f = append(f, &parts[i])
+	}
+	return f
+}
+
+func (m completeMsg) detach() (any, [][]byte) {
+	var b [][]byte
+	m.Result = detachResult(m.Result, &b)
+	m.Blobs = announce(b)
+	return m, b
+}
+
+func (m *completeMsg) fields() []*[]byte { return resultFields(nil, m.Result) }
+
+func (m runResultMsg) detach() (any, [][]byte) {
+	var b [][]byte
+	m.Result = detachResult(m.Result, &b)
+	m.Blobs = announce(b)
+	return m, b
+}
+
+func (m *runResultMsg) fields() []*[]byte { return resultFields(nil, m.Result) }
+
+func (m publishMsg) detach() (any, [][]byte) {
+	var b [][]byte
+	m.Parts = detachParts(m.Parts, &b)
+	m.Blobs = announce(b)
+	return m, b
+}
+
+func (m *publishMsg) fields() []*[]byte { return partsFields(nil, m.Parts) }
+
+func (m segDataMsg) detach() (any, [][]byte) {
+	b := [][]byte{m.Data}
+	m.Data = nil
+	m.Blobs = announce(b)
+	return m, b
+}
+
+func (m *segDataMsg) fields() []*[]byte { return []*[]byte{&m.Data} }

@@ -350,21 +350,21 @@ func (s *session) readLoop() {
 		}
 	}()
 	for {
-		kind, payload, err := readMsg(s.conn)
+		msg, err := readMsg(s.conn)
 		if err != nil {
 			return
 		}
-		switch kind {
+		switch msg.kind {
 		case kindGrant:
 			var m grantMsg
-			if decode(payload, &m) == nil {
+			if msg.decode(&m) == nil {
 				s.w.startGrant(s.runner, m)
 			}
 		case kindRevoke:
 			// Either the coordinator withdrew a running attempt, or it is
 			// acknowledging a settled one; the lease goes either way.
 			var m revokeMsg
-			if decode(payload, &m) == nil {
+			if msg.decode(&m) == nil {
 				s.w.mu.Lock()
 				l := s.w.leases[m.Lease]
 				delete(s.w.leases, m.Lease)
@@ -379,7 +379,7 @@ func (s *session) readLoop() {
 			}
 		case kindSegData:
 			var m segDataMsg
-			if decode(payload, &m) == nil {
+			if msg.decode(&m) == nil {
 				s.mu.Lock()
 				ch := s.segWaiters[m.Seq]
 				delete(s.segWaiters, m.Seq)
