@@ -72,7 +72,7 @@ race:
 # A PR that claims one runs `make bench` against the pinned file, so its
 # ratios in BENCH_shuffle.json are the trajectory; re-pinning in the same PR
 # would reset them to 1.0 and erase what it claims.
-SHUFFLE_BENCH = BenchmarkAggregatorMapPattern|BenchmarkAggKeyPath|BenchmarkTransformSteadyState|BenchmarkWriteSegmentPooled|BenchmarkMapSpillPipeline|BenchmarkMergeSegments|BenchmarkReducePath|BenchmarkShuffleFetch|BenchmarkSegmentCacheHit|BenchmarkE4_
+SHUFFLE_BENCH = BenchmarkAggregatorMapPattern|BenchmarkAggKeyPath|BenchmarkTransformSteadyState|BenchmarkWriteSegmentPooled|BenchmarkMapSpillPipeline|BenchmarkSpillSort|BenchmarkMergeSegments|BenchmarkReducePath|BenchmarkShuffleFetch|BenchmarkSegmentCacheHit|BenchmarkE4_
 
 bench:
 	$(GO) test -run '^$$' -bench '$(SHUFFLE_BENCH)' -benchmem ./... > bench.out

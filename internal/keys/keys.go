@@ -324,28 +324,67 @@ func (c *Codec) compareVarBytes(a, b []byte) int {
 	return bytes.Compare(a, b)
 }
 
-// sameVar reports whether a and b encode one variable in the same bytes
-// and both hold fixed bytes of fields after it, which then start at end.
-// It answers only where the variable section ends at a constant offset or
-// after one length byte (a name shorter than 128 bytes); false sends the
-// pair to the general path, which orders it the same way.
-func (c *Codec) sameVar(a, b []byte, fixed int) (end int, ok bool) {
+// varEnd returns where k's variable section ends, when that is a
+// constant offset (VarNone 0, VarByIndex 4) or one length byte away
+// (VarByName, a name shorter than 128 bytes), and -1 for every other key.
+// sameVar and GridWords both place the section here, so the two agree on
+// which keys share one.
+func (c *Codec) varEnd(k []byte) int {
 	switch c.Mode {
 	case VarNone:
+		return 0
 	case VarByIndex:
-		end = 4
+		return 4
 	case VarByName:
-		if len(a) == 0 || a[0] >= 0x80 {
-			return 0, false
+		if len(k) > 0 && k[0] < 0x80 {
+			return 1 + int(k[0])
 		}
-		end = 1 + int(a[0])
-	default:
-		return 0, false
 	}
-	if len(a) < end+fixed || len(b) < end+fixed || string(a[:end]) != string(b[:end]) {
+	return -1
+}
+
+// sameVar reports whether a and b encode one variable in the same bytes
+// and both hold fixed bytes of fields after it, which then start at end.
+// It answers only where varEnd places the variable section; false sends
+// the pair to the general path, which orders it the same way.
+func (c *Codec) sameVar(a, b []byte, fixed int) (end int, ok bool) {
+	end = c.varEnd(a)
+	if end < 0 || len(a) < end+fixed || len(b) < end+fixed || string(a[:end]) != string(b[:end]) {
 		return 0, false
 	}
 	return end, true
+}
+
+// GridWords returns an encoded GridKey's coordinates as two words that
+// order the way RawCompareGrid orders keys of one variable: each int32 with
+// its sign bit flipped, two to a uint64 in row-major order (hi holds
+// coordinates 0 and 1, lo 2 and 3), and what the rank leaves of the words
+// zero. end is where k's variable section ends, so two keys whose k[:end]
+// are the same bytes compare as their (hi, lo) do, unsigned. ok is false
+// where sameVar would not answer for k (a variable section varEnd cannot
+// place, a key cut short in its coordinates) and for a rank outside 1–4.
+// Bytes past the last coordinate are ignored, as the comparator ignores
+// them.
+func (c *Codec) GridWords(k []byte) (hi, lo uint64, end int, ok bool) {
+	const sign = 0x8000_0000
+	end = c.varEnd(k)
+	if end < 0 || c.Rank < 1 || c.Rank > 4 || len(k) < end+4*c.Rank {
+		return 0, 0, 0, false
+	}
+	f := k[end:]
+	switch c.Rank {
+	case 1:
+		hi = uint64(binary.BigEndian.Uint32(f)^sign) << 32
+	case 2:
+		hi = binary.BigEndian.Uint64(f) ^ (sign<<32 | sign)
+	case 3:
+		hi = binary.BigEndian.Uint64(f) ^ (sign<<32 | sign)
+		lo = uint64(binary.BigEndian.Uint32(f[8:])^sign) << 32
+	case 4:
+		hi = binary.BigEndian.Uint64(f) ^ (sign<<32 | sign)
+		lo = binary.BigEndian.Uint64(f[8:]) ^ (sign<<32 | sign)
+	}
+	return hi, lo, end, true
 }
 
 // compareI32s orders two equally long runs of big-endian int32s, signed,

@@ -231,6 +231,55 @@ func TestRawCompareDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestGridWordsOrderLikeRawCompare: GridWords answers exactly where
+// sameVar does, and two keys whose variable sections are the same bytes
+// compare as their words do. The keys mix three variables, a 127- and a
+// 128-byte name, halo coordinates across the sign boundary, keys cut short
+// and keys with trailing bytes.
+func TestGridWordsOrderLikeRawCompare(t *testing.T) {
+	for _, mode := range comparatorModes {
+		for rank := 1; rank <= 4; rank++ {
+			c := &Codec{Rank: rank, Mode: mode, Names: []string{"temp", "windspeed1", "wind"}}
+			rng := rand.New(rand.NewSource(int64(rank)*3 + int64(mode)))
+			ks := haloKeys(c, "grid", 2000, rng)
+			for i, k := range ks {
+				switch i % 7 {
+				case 1:
+					ks[i] = k[:rng.Intn(len(k))]
+				case 2:
+					ks[i] = append(k, 0xff, byte(i))
+				case 3:
+					ks[i] = gridKeyBytes(c, GridKey{Var: VarRef{Name: strings.Repeat("n", 127+i%2)}, Coord: make(grid.Coord, rank)})
+				}
+			}
+			words := func(k []byte) ([2]uint64, int, bool) {
+				hi, lo, end, ok := c.GridWords(k)
+				if _, same := c.sameVar(k, k, 4*rank); same != ok {
+					t.Fatalf("mode=%v rank=%d: GridWords ok=%v but sameVar ok=%v for %x", mode, rank, ok, same, k)
+				}
+				return [2]uint64{hi, lo}, end, ok
+			}
+			compared := 0
+			for i := range ks {
+				a, b := ks[i], ks[rng.Intn(len(ks))]
+				wa, ea, oka := words(a)
+				wb, eb, okb := words(b)
+				if !oka || !okb || string(a[:ea]) != string(b[:eb]) {
+					continue
+				}
+				got := cmp.Or(cmp.Compare(wa[0], wb[0]), cmp.Compare(wa[1], wb[1]))
+				if want := c.RawCompareGrid(a, b); cmp.Compare(want, 0) != got {
+					t.Fatalf("mode=%v rank=%d: words order %x, %x as %d, RawCompareGrid %d", mode, rank, a, b, got, want)
+				}
+				compared++
+			}
+			if compared < len(ks)/10 {
+				t.Fatalf("mode=%v rank=%d: only %d of %d pairs shared a variable section", mode, rank, compared, len(ks))
+			}
+		}
+	}
+}
+
 // TestAggBounds: on any key DecodeAgg reads with nothing left over and a
 // non-empty range, AggBounds reads the same bounds and a variable section
 // that AppendAggKey turns back into the same bytes; on any other key it

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -43,14 +42,14 @@ type mapTask struct {
 	attempt int
 	ctx     *TaskContext
 
-	parts    []partBuffer // the collecting set; nil until run holds a token and once it returns
+	parts    *partSet // the collecting set; nil until run holds a token and once it returns
 	buffered int
 	spills   [][]segment // per partition; owned by the spill worker until drained
 
 	// Spill pipeline state. Once the worker runs, spillErr and spillBytes are
 	// written only by it and read only after drainSpills observes spillDone;
 	// before that the attempt's goroutine spills in place and owns them.
-	spillCh     chan []partBuffer
+	spillCh     chan *partSet
 	spillDone   chan struct{}
 	spillClosed bool
 	spillErr    error
@@ -137,26 +136,33 @@ func (s *refStream) next() (KV, bool, error) {
 
 func (s *refStream) close() {}
 
-// partBufferPool recycles whole partition-buffer sets (including each
-// buffer's refs and arena storage) between spills and attempts.
-var partBufferPool sync.Pool
-
-func getPartBuffers(n int) []partBuffer {
-	if v := partBufferPool.Get(); v != nil {
-		if parts := *(v.(*[]partBuffer)); len(parts) == n {
-			return parts
-		}
-	}
-	return make([]partBuffer, n)
+// partSet is one spill buffer set: a partition buffer per reducer, and the
+// word sort's scratch, which a spill shares between the set's partitions
+// because it sorts them one after another.
+type partSet struct {
+	bufs  []partBuffer
+	words wordSort
 }
 
-func putPartBuffers(parts []partBuffer) {
-	for i := range parts {
-		parts[i].reset()
+// partBufferPool recycles whole partition-buffer sets (including each
+// buffer's refs and arena storage, and the sort scratch) between spills and
+// attempts.
+var partBufferPool sync.Pool
+
+func getPartBuffers(n int) *partSet {
+	if v := partBufferPool.Get(); v != nil {
+		if set := v.(*partSet); len(set.bufs) == n {
+			return set
+		}
 	}
-	v := new([]partBuffer)
-	*v = parts
-	partBufferPool.Put(v)
+	return &partSet{bufs: make([]partBuffer, n)}
+}
+
+func putPartBuffers(set *partSet) {
+	for i := range set.bufs {
+		set.bufs[i].reset()
+	}
+	partBufferPool.Put(set)
 }
 
 // newMapTask prepares one attempt of map task id; canceling ctx stops it.
@@ -265,7 +271,7 @@ func (t *mapTask) buffer(part int, key, value []byte) {
 		panic(fmt.Sprintf("mapreduce: partition %d out of [0,%d)", part, t.job.NumReducers))
 	}
 	// Copy: mappers legitimately reuse their serialization buffers.
-	pb := &t.parts[part]
+	pb := &t.parts.bufs[part]
 	pb.refs = append(pb.refs, newKVRef(len(pb.arena), len(key), len(value)))
 	pb.arena = append(append(pb.arena, key...), value...)
 	// Only key and value bytes count toward the limit, so spill boundaries
@@ -286,7 +292,7 @@ func (t *mapTask) buffer(part int, key, value []byte) {
 func (t *mapTask) spill() {
 	t.buffered = 0
 	if t.spillCh == nil && cpu.tryAcquire() {
-		t.spillCh = make(chan []partBuffer, 1)
+		t.spillCh = make(chan *partSet, 1)
 		t.spillDone = make(chan struct{})
 		go t.spillWorker()
 	}
@@ -294,14 +300,14 @@ func (t *mapTask) spill() {
 		if t.spillErr == nil {
 			t.spillErr = t.spillParts(t.parts, codec.None)
 		}
-		for p := range t.parts {
-			t.parts[p].reset()
+		for p := range t.parts.bufs {
+			t.parts.bufs[p].reset()
 		}
 		return
 	}
-	parts := t.parts
+	set := t.parts
 	t.parts = getPartBuffers(t.job.NumReducers)
-	t.spillCh <- parts
+	t.spillCh <- set
 }
 
 // spillWorker drains queued spills in FIFO order, holding its token until
@@ -310,12 +316,12 @@ func (t *mapTask) spill() {
 func (t *mapTask) spillWorker() {
 	defer close(t.spillDone)
 	defer cpu.release()
-	for parts := range t.spillCh {
+	for set := range t.spillCh {
 		if t.spillErr == nil {
 			// Another spill may follow, so this one stays raw.
-			t.spillErr = t.spillParts(parts, codec.None)
+			t.spillErr = t.spillParts(set, codec.None)
 		}
-		putPartBuffers(parts)
+		putPartBuffers(set)
 	}
 }
 
@@ -333,27 +339,27 @@ func (t *mapTask) drainSpills() error {
 	return t.spillErr
 }
 
-// spillParts sorts, combines and writes each partition buffer as a segment
-// (steps 2-3 of Fig. 1) through out: codec.None for spills that finalize
-// merges and codes, the job's codec for a task's only spill. The sort moves
-// 12-byte refs, comparing the keys in place. With a MapCombiner the sorted
+// spillParts sorts, combines and writes each partition buffer of set as a
+// segment (steps 2-3 of Fig. 1) through out: codec.None for spills that
+// finalize merges and codes, the job's codec for a task's only spill. The
+// sort (Job.sortPartition) moves 12-byte refs. With a MapCombiner the sorted
 // buffer streams through combineStream on its way into the segment writer,
 // so runs of equal keys fold without an intermediate slice; SpilledRecords
 // counts what the segment holds, i.e. post-fold records. On the spill
 // worker goroutine everything it touches is either worker-owned until
 // drainSpills (spills, spillBytes) or concurrency-safe (counters, the
 // buffer pools).
-func (t *mapTask) spillParts(parts []partBuffer, out codec.Codec) error {
+func (t *mapTask) spillParts(set *partSet, out codec.Codec) error {
 	sp := t.tracer.Start(obs.CatPhase, "spill", t.span, t.id, t.attempt)
 	defer sp.End()
 	c := t.ctx.counters
 	cmp := t.job.Compare
-	for p := range parts {
-		pb := &parts[p]
+	for p := range set.bufs {
+		pb := &set.bufs[p]
 		if len(pb.refs) == 0 {
 			continue
 		}
-		slices.SortStableFunc(pb.refs, func(a, b kvRef) int { return cmp(pb.key(a), pb.key(b)) })
+		t.job.sortPartition(pb, &set.words)
 		cs := t.tracer.Start(obs.CatPhase, "codec", sp.ID(), t.id, t.attempt)
 		var src kvStream = &refStream{pb: pb}
 		var fold *combineStream
@@ -396,8 +402,8 @@ func (t *mapTask) finalize() error {
 	// published segments carry.
 	spilled, final := codec.None, t.job.codec()
 	tail := false
-	for p := range t.parts {
-		if len(t.parts[p].refs) > 0 {
+	for p := range t.parts.bufs {
+		if len(t.parts.bufs[p].refs) > 0 {
 			tail = true
 			break
 		}

@@ -215,6 +215,7 @@ func SimpleKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, *keys.C
 
 	job.Name = fmt.Sprintf("%s-simple", op)
 	job.Compare = kc.RawCompareGrid
+	job.SortWords = kc.GridWords
 	job.Partition = keys.HashPartition
 	job.NewMapper = func() mapreduce.Mapper {
 		return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, split mapreduce.Split, emit mapreduce.Emit) error {
