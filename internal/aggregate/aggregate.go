@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"scikey/internal/grid"
 	"scikey/internal/keys"
@@ -70,6 +71,17 @@ type CurveMapping struct {
 // Index implements Mapping.
 func (m CurveMapping) Index(c grid.Coord) uint64 {
 	return m.indexVia(make(grid.Coord, len(c)), c)
+}
+
+// IndexFunc returns m.Index for one goroutine's use: a CurveMapping biases
+// each coordinate into a scratch the function owns, so a call allocates
+// nothing. c is not retained.
+func IndexFunc(m Mapping) func(c grid.Coord) uint64 {
+	if cm, ok := m.(CurveMapping); ok {
+		biased := make(grid.Coord, len(cm.Origin))
+		return func(c grid.Coord) uint64 { return cm.indexVia(biased, c) }
+	}
+	return m.Index
 }
 
 // indexVia is Index with the biased coordinate written into a scratch the
@@ -167,13 +179,28 @@ type entry struct {
 // grid.Coord.Compare gives them — and drains it into n-D boxes.
 type Buffer struct {
 	elemSize, flushCells int
-	// buf holds the cells since the last drain and vals their values, cell
-	// ord at vals[ord*elemSize:]. tmp is Drain's scratch: the radix sort's
-	// other half, then the layer being emitted. All three grow on demand
-	// and are reused across drains.
-	buf, tmp []entry
-	vals     []byte
+	storage
+	// held is the pool's wrapper the storage last travelled in, reused to
+	// send it back so that Release allocates nothing.
+	held *storage
 }
+
+// storage is what a Buffer grows. buf holds the cells since the last drain
+// and vals their values, cell ord at vals[ord*elemSize:]. tmp is Drain's
+// scratch: the radix sort's other half, then the layer being emitted.
+// gather is where Layer.values collects a run's values before copying them
+// out. All four grow on demand and are reused across drains, and across
+// tasks through pool.
+type storage struct {
+	buf, tmp     []entry
+	vals, gather []byte
+}
+
+// pool holds the storage of released Buffers, so that a map task starts
+// with what an earlier task grew instead of regrowing it from nothing.
+// Nothing handed to a caller — no Layer.values block, no emitted pair —
+// ever comes from it.
+var pool sync.Pool // of *storage
 
 // NewBuffer returns a Buffer of elemSize-byte values that reports full at
 // flushCells cells (default 1 << 16; at most MaxUint32).
@@ -213,10 +240,48 @@ func (b *Buffer) Add(idx uint64, val []byte) (full bool) {
 // grow doubles the buffer and its arena, stopping at the flush threshold:
 // append's own policy for large slices (a quarter at a time) would copy a
 // task's cells five times over on the way up, and overshoot the threshold.
+// An empty buffer first takes released storage from the pool.
 func (b *Buffer) grow() {
+	if cap(b.buf) == 0 && b.take() {
+		return
+	}
 	n := min(max(2*cap(b.buf), 1024), b.flushCells)
 	b.buf = append(make([]entry, 0, n), b.buf...)
 	b.vals = append(make([]byte, 0, n*b.elemSize), b.vals...)
+}
+
+// take adopts storage from the pool, and reports whether the buffer now has
+// room. An arena sized for a smaller element is replaced.
+func (b *Buffer) take() bool {
+	s, _ := pool.Get().(*storage)
+	if s == nil {
+		return false
+	}
+	b.storage, b.held = *s, s
+	*s = storage{}
+	if cap(b.vals) < cap(b.buf)*b.elemSize {
+		b.vals = make([]byte, 0, cap(b.buf)*b.elemSize)
+	}
+	return cap(b.buf) > 0
+}
+
+// Release hands the buffer's storage to the pool for the next Buffer, in
+// this task or another. The buffer must be empty (drained); it stays usable,
+// and its next Add takes storage from the pool again.
+func (b *Buffer) Release() {
+	if len(b.buf) > 0 {
+		panic("aggregate: Release of a buffer holding cells")
+	}
+	if cap(b.buf) == 0 {
+		return
+	}
+	s := b.held
+	if s == nil {
+		s = new(storage)
+	}
+	*s = b.storage
+	b.storage, b.held = storage{}, nil
+	pool.Put(s)
 }
 
 // Drain empties the buffer into emit, one call per layer. Duplicate indices
@@ -243,7 +308,7 @@ func (b *Buffer) Drain(emit func(Layer)) {
 				layer = append(layer, e)
 			}
 		}
-		emit(Layer{cells: layer, vals: b.vals, elemSize: b.elemSize})
+		emit(Layer{cells: layer, b: b})
 		rest = rest[:carry]
 	}
 	b.buf = b.buf[:0]
@@ -293,9 +358,8 @@ func (b *Buffer) sortByIndex() {
 // their values still in the buffer's arena. It is valid only inside the
 // emit call it was passed to.
 type Layer struct {
-	cells    []entry
-	vals     []byte
-	elemSize int
+	cells []entry
+	b     *Buffer
 }
 
 // Len returns the number of cells in the layer.
@@ -306,11 +370,31 @@ func (l Layer) Index(i int) uint64 { return l.cells[i].idx }
 
 // CopyValues gathers the values of cells i..j-1, in that order, into dst.
 func (l Layer) CopyValues(dst []byte, i, j int) {
-	es := l.elemSize
+	es, vals := l.b.elemSize, l.b.vals
+	if es == 4 { // every query's cell: no copy call per value
+		for k, e := range l.cells[i:j] {
+			*(*[4]byte)(dst[4*k:]) = *(*[4]byte)(vals[4*int(e.ord):])
+		}
+		return
+	}
 	for _, e := range l.cells[i:j] {
-		copy(dst, l.vals[int(e.ord)*es:][:es])
+		copy(dst, vals[int(e.ord)*es:][:es])
 		dst = dst[es:]
 	}
+}
+
+// values returns the values of cells i..j-1, in that order, in a fresh
+// block (its capacity may run past them) that the buffer never touches
+// again. They are gathered in the buffer's own scratch and copied out in one
+// piece, so the block is not zeroed only to be overwritten.
+func (l Layer) values(i, j int) []byte {
+	n := (j - i) * l.b.elemSize
+	if cap(l.b.gather) < n {
+		l.b.gather = make([]byte, n)
+	}
+	g := l.b.gather[:n]
+	l.CopyValues(g, i, j)
+	return append([]byte(nil), g...)
 }
 
 // Aggregator buffers (coordinate, value) cells and emits aggregate pairs.
@@ -328,20 +412,28 @@ func New(cfg Config) *Aggregator {
 		panic("aggregate: Emit is required")
 	}
 	a := &Aggregator{cfg: cfg, buf: NewBuffer(cfg.ElemSize, cfg.FlushCells)}
-	if m, ok := cfg.Mapping.(CurveMapping); ok {
-		biased := make(grid.Coord, len(m.Origin))
-		a.index = func(c grid.Coord) uint64 { return m.indexVia(biased, c) }
-	} else if cfg.Mapping != nil {
-		a.index = cfg.Mapping.Index
+	if cfg.Mapping != nil {
+		a.index = IndexFunc(cfg.Mapping)
 	}
 	return a
 }
 
 // Add buffers one cell. val must be exactly ElemSize bytes; it is copied,
-// and c is not retained.
+// and c is not retained. It is AddIndex written out again: AddIndex is over
+// the inliner's budget, and a call level costs a coordinate-walking caller
+// one more call per cell.
 func (a *Aggregator) Add(c grid.Coord, val []byte) {
 	a.stats.CellsIn++
 	if a.buf.Add(a.index(c), val) {
+		a.Flush()
+	}
+}
+
+// AddIndex is Add for a caller that has the cell's index under the mapping
+// already, as the mappers do.
+func (a *Aggregator) AddIndex(idx uint64, val []byte) {
+	a.stats.CellsIn++
+	if a.buf.Add(idx, val) {
 		a.Flush()
 	}
 }
@@ -358,15 +450,15 @@ func (a *Aggregator) Flush() {
 }
 
 // emitLayer coalesces a layer into runs. The layer's values are gathered
-// once into one fresh block, and each pair's Values is its slice of it; the
-// block is never touched again (Config.Emit). Alignment padding makes a
-// layer's size unknown until its runs are walked, so there each pair gets a
-// block of its own.
+// once into one fresh block (Layer.values), and each pair's Values is its
+// slice of it; the block is never touched again (Config.Emit). Alignment
+// padding makes a layer's size unknown until its runs are walked, so there
+// each pair gets a zeroed block of its own and its cells are copied in.
 func (a *Aggregator) emitLayer(l Layer) {
 	es := uint64(a.cfg.ElemSize)
 	var block []byte
 	if a.cfg.Align <= 1 {
-		block = make([]byte, uint64(l.Len())*es)
+		block = l.values(0, l.Len())
 	}
 	for i := 0; i < l.Len(); {
 		j := i + 1
@@ -374,16 +466,16 @@ func (a *Aggregator) emitLayer(l Layer) {
 			j++
 		}
 		r := sfc.IndexRange{Lo: l.Index(i), Hi: l.Index(j-1) + 1}
-		n, pad := uint64(j-i), uint64(0)
+		n := uint64(j - i)
 		if a.cfg.Align > 1 {
 			aligned := keys.AlignRange(r, a.cfg.Align)
 			a.stats.PadCells += int64(aligned.Len() - r.Len())
-			n, pad, r = aligned.Len(), r.Lo-aligned.Lo, aligned
+			n, r = aligned.Len(), aligned
 			block = make([]byte, n*es) // zeroed: padding cells need no write
+			l.CopyValues(block[(l.Index(i)-r.Lo)*es:], i, j)
 		}
 		vals := block[: n*es : n*es]
 		block = block[n*es:]
-		l.CopyValues(vals[pad*es:], i, j)
 		a.cfg.Emit(keys.AggPair{
 			Key:    keys.AggKey{Var: a.cfg.Var, Range: r},
 			Values: vals,
@@ -393,8 +485,12 @@ func (a *Aggregator) emitLayer(l Layer) {
 	}
 }
 
-// Close flushes any remaining cells.
-func (a *Aggregator) Close() { a.Flush() }
+// Close flushes any remaining cells and hands the buffer's storage to the
+// next aggregator. The aggregator stays usable.
+func (a *Aggregator) Close() {
+	a.Flush()
+	a.buf.Release()
+}
 
 // Stats returns the aggregation statistics so far.
 func (a *Aggregator) Stats() Stats { return a.stats }

@@ -275,29 +275,3 @@ func TestConfigValidation(t *testing.T) {
 	agg := New(Config{Mapping: m, ElemSize: 2, Emit: func(keys.AggPair) {}})
 	mustPanic("bad value size", func() { agg.Add(grid.Coord{0}, []byte{1}) })
 }
-
-// BenchmarkAggregatorMapPattern is one map task of the aggregate-key query
-// as the library sees it: a row-major walk of the task's slab (26 rows of a
-// 256-wide grid), every cell added at its nine window targets on Z-order —
-// 59 904 cells, in layers nine deep — then Close. (Its predecessor added
-// 1024 fixed coordinates and never reached a flush, which is how a
-// reflection sort over slice headers stayed out of sight.) MB/s is value
-// bytes through Add: divide by four for Mcells/s.
-func BenchmarkAggregatorMapPattern(b *testing.B) {
-	extent := grid.NewBox(grid.Coord{0, 0}, []int{256, 256})
-	m, err := MappingFor("zorder", extent.Expand(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	slab := grid.Partition(extent, 10)[0]
-	val := []byte{1, 2, 3, 4}
-	var pairs int64
-	b.SetBytes(slab.NumCells() * 9 * int64(len(val)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		agg := New(Config{Mapping: m, ElemSize: len(val), Emit: func(keys.AggPair) { pairs++ }})
-		eachWindowTarget(slab, func(target grid.Coord) { agg.Add(target, val) })
-		agg.Close()
-	}
-	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
-}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"scikey/internal/grid"
@@ -29,16 +30,6 @@ type sink interface {
 	Flush()
 	Close()
 	Stats() Stats
-}
-
-// AddIndex is Add for a caller that has the index already — the tests, whose
-// streams reach indices no coordinate of a test-sized domain maps to. No
-// binary adds by index, so it lives here.
-func (a *Aggregator) AddIndex(idx uint64, val []byte) {
-	a.stats.CellsIn++
-	if a.buf.Add(idx, val) {
-		a.Flush()
-	}
 }
 
 // feed sends the stream to s. Each cell's value is its ordinal in the
@@ -230,21 +221,61 @@ func FuzzFlushEquivalence(f *testing.F) {
 	})
 }
 
-// TestEmittedValuesAreNeverReused keeps every pair across several flushes
-// and checks each against the copy taken when it arrived: the arena and the
-// sort scratch are reused, the blocks handed to Emit are not.
-func TestEmittedValuesAreNeverReused(t *testing.T) {
-	type kept struct {
-		pair keys.AggPair
-		then []byte
-	}
-	var all []kept
-	agg := New(Config{ElemSize: 4, FlushCells: 300, Emit: func(p keys.AggPair) {
+// kept is an emitted pair beside the copy of its values taken when it
+// arrived.
+type kept struct {
+	pair keys.AggPair
+	then []byte
+}
+
+// keepAll returns an Emit that keeps every pair in *all. It reports, through
+// errorf, a pair whose capacity reaches past its length, since an append to
+// it would then reach the next pair.
+func keepAll(all *[]kept, errorf func(string, ...any)) func(keys.AggPair) {
+	return func(p keys.AggPair) {
 		if cap(p.Values) != len(p.Values) {
-			t.Fatalf("pair %v: cap %d over len %d lets an append reach the next pair", p.Key, cap(p.Values), len(p.Values))
+			errorf("pair %v: cap %d over len %d lets an append reach the next pair", p.Key, cap(p.Values), len(p.Values))
 		}
-		all = append(all, kept{pair: p, then: bytes.Clone(p.Values)})
-	}})
+		*all = append(*all, kept{pair: p, then: bytes.Clone(p.Values)})
+	}
+}
+
+// checkKept reports every kept pair whose values changed after it was
+// emitted.
+func checkKept(t *testing.T, label string, all []kept) {
+	t.Helper()
+	for i, k := range all {
+		if !bytes.Equal(k.pair.Values, k.then) {
+			t.Fatalf("%s: pair %d (%v) changed after it was emitted: %x, was %x", label, i, k.pair.Key, k.pair.Values, k.then)
+		}
+	}
+}
+
+// randomTask is one map task's traffic: cells random cells with random
+// values into a fresh aggregator, which is then closed. It reports whether
+// the aggregator's storage came from the pool.
+func randomTask(rng *rand.Rand, cells int, emit func(keys.AggPair)) (pooled bool) {
+	agg := New(Config{ElemSize: 4, FlushCells: 300, Emit: emit})
+	var val [4]byte
+	for i := 0; i < cells; i++ {
+		rng.Read(val[:])
+		agg.AddIndex(uint64(rng.Intn(400)), val[:])
+		if i == 0 {
+			pooled = agg.buf.held != nil
+		}
+	}
+	agg.Close()
+	return pooled
+}
+
+// TestEmittedValuesAreNeverReused keeps every pair of a task across several
+// flushes, and across later tasks that reuse the storage the first one
+// released, and checks each against the copy taken when it arrived: the
+// arena, the sort scratch and the gather scratch are reused, within a task
+// and between tasks; the blocks handed to Emit are not.
+func TestEmittedValuesAreNeverReused(t *testing.T) {
+	var all []kept
+	agg := New(Config{ElemSize: 4, FlushCells: 300, Emit: keepAll(&all, t.Fatalf)})
 	rng := rand.New(rand.NewSource(5))
 	var val [4]byte
 	for i := 0; i < 2000; i++ {
@@ -264,10 +295,45 @@ func TestEmittedValuesAreNeverReused(t *testing.T) {
 		agg.AddIndex(uint64(i%7), []byte{0xee, 0xee, 0xee, 0xee})
 	}
 	agg.Close()
-	for i, k := range all {
-		if !bytes.Equal(k.pair.Values, k.then) {
-			t.Fatalf("pair %d (%v) changed after it was emitted: %x, was %x", i, k.pair.Key, k.pair.Values, k.then)
+	checkKept(t, "task A", all)
+
+	// Tasks B and C: fresh aggregators, as a process's next map tasks are,
+	// on the storage task A released. The pool may drop what it is given
+	// (the race detector makes it drop a quarter), so tasks run until two
+	// of them started on pooled storage.
+	var later []kept
+	for pooled, task := 0, 0; pooled < 2; task++ {
+		if task == 64 {
+			t.Fatal("fewer than two of 64 later tasks took their storage from the pool")
 		}
+		if randomTask(rng, 2000, keepAll(&later, t.Fatalf)) {
+			pooled++
+		}
+	}
+	checkKept(t, "task A after tasks B and C", all)
+	checkKept(t, "tasks B and C", later)
+}
+
+// TestEmittedValuesAreNeverReusedConcurrently runs the map tasks of four
+// workers at once over the one pool: no pair any of them kept may change,
+// and under the race detector no two of them may share storage.
+func TestEmittedValuesAreNeverReusedConcurrently(t *testing.T) {
+	const workers, tasks = 4, 8
+	all := make([][]kept, workers)
+	var wg sync.WaitGroup
+	for w := range all {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for range tasks {
+				randomTask(rng, 1000, keepAll(&all[w], t.Errorf))
+			}
+		}()
+	}
+	wg.Wait()
+	for w, k := range all {
+		checkKept(t, fmt.Sprintf("worker %d", w), k)
 	}
 }
 

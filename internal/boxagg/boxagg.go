@@ -70,9 +70,10 @@ func New(cfg Config) *Aggregator {
 	}
 }
 
-// Add buffers one cell of the domain; val is copied and c is not retained.
-func (a *Aggregator) Add(c grid.Coord, val []byte) {
-	if a.buf.Add(a.domain.Index(c), val) {
+// AddIndex buffers one cell of the domain by its row-major offset in it
+// (aggregate.BoxMapping's Index); val is copied.
+func (a *Aggregator) AddIndex(idx uint64, val []byte) {
+	if a.buf.Add(idx, val) {
 		a.Flush()
 	}
 }
@@ -105,8 +106,13 @@ func (a *Aggregator) emitLayer(l aggregate.Layer) {
 	}
 }
 
-// Close flushes remaining cells.
-func (a *Aggregator) Close() { a.Flush() }
+// Close flushes remaining cells and hands the buffer's storage to the next
+// aggregator, as aggregate.Aggregator's Close does. The aggregator stays
+// usable.
+func (a *Aggregator) Close() {
+	a.Flush()
+	a.buf.Release()
+}
 
 // GreedyBoxes decomposes a sorted set of distinct coordinates into disjoint
 // boxes: maximal runs along the last dimension, then dimension-by-dimension

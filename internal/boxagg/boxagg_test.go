@@ -2,11 +2,14 @@ package boxagg
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
+	"scikey/internal/aggregate"
 	"scikey/internal/grid"
 	"scikey/internal/keys"
 )
@@ -333,4 +336,97 @@ func TestConfigValidation(t *testing.T) {
 	agg := New(Config{Domain: testDomain, ElemSize: 2, Emit: func(Pair) {}})
 	mustPanic("bad val", func() { agg.Add(grid.Coord{0, 0}, []byte{1}) })
 	mustPanic("outside the domain", func() { agg.Add(grid.Coord{0, 2}, []byte{1, 2}) })
+}
+
+// boxTask is one map task's traffic in domain: cells random cells with
+// random values into a fresh aggregator, which is then closed.
+func boxTask(rng *rand.Rand, domain grid.Box, cells int, emit func(Pair)) {
+	agg := New(Config{Domain: domain, ElemSize: 4, FlushCells: 200, Emit: emit})
+	var val [4]byte
+	for i := 0; i < cells; i++ {
+		rng.Read(val[:])
+		agg.AddIndex(uint64(rng.Int63n(domain.NumCells())), val[:])
+	}
+	agg.Close()
+}
+
+// keptBox is an emitted pair beside the copy of its values taken when it
+// arrived.
+type keptBox struct {
+	pair Pair
+	then []byte
+}
+
+func keepBoxes(all *[]keptBox) func(Pair) {
+	return func(p Pair) { *all = append(*all, keptBox{pair: p, then: bytes.Clone(p.Values)}) }
+}
+
+func checkKeptBoxes(t *testing.T, label string, all []keptBox) {
+	t.Helper()
+	for i, k := range all {
+		if !bytes.Equal(k.pair.Values, k.then) {
+			t.Fatalf("%s: pair %d (%v) changed after it was emitted: %x, was %x", label, i, k.pair.Key.Box, k.pair.Values, k.then)
+		}
+	}
+}
+
+// TestEmittedValuesAreNeverReused is aggregate's test of the same name for
+// the box geometry: the pairs of task A, kept across its flushes, must not
+// change while tasks B and C run on the buffer storage A released to the
+// pool both packages share (aggregate's test asserts the pool hands it on).
+func TestEmittedValuesAreNeverReused(t *testing.T) {
+	domain := grid.NewBox(grid.Coord{-1, -1}, []int{20, 20})
+	rng := rand.New(rand.NewSource(7))
+	var a, later []keptBox
+	boxTask(rng, domain, 2000, keepBoxes(&a))
+	for range 2 {
+		boxTask(rng, domain, 2000, keepBoxes(&later))
+	}
+	checkKeptBoxes(t, "task A after tasks B and C", a)
+	checkKeptBoxes(t, "tasks B and C", later)
+}
+
+// TestEmittedValuesAreNeverReusedConcurrently runs four workers' map tasks
+// at once, box and curve aggregators alternating, over the one pool: no
+// pair any of them kept may change, and under the race detector no two of
+// them may share storage.
+func TestEmittedValuesAreNeverReusedConcurrently(t *testing.T) {
+	const workers, tasks = 4, 8
+	domain := grid.NewBox(grid.Coord{-1, -1}, []int{20, 20})
+	boxes := make([][]keptBox, workers)
+	ranges := make([][]keys.AggPair, workers)
+	rangeVals := make([][][]byte, workers)
+	var wg sync.WaitGroup
+	for w := range boxes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for task := range tasks {
+				if (w+task)%2 == 0 {
+					boxTask(rng, domain, 1000, keepBoxes(&boxes[w]))
+					continue
+				}
+				agg := aggregate.New(aggregate.Config{ElemSize: 4, FlushCells: 200, Emit: func(p keys.AggPair) {
+					ranges[w] = append(ranges[w], p)
+					rangeVals[w] = append(rangeVals[w], bytes.Clone(p.Values))
+				}})
+				var val [4]byte
+				for range 1000 {
+					rng.Read(val[:])
+					agg.AddIndex(uint64(rng.Intn(400)), val[:])
+				}
+				agg.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range boxes {
+		checkKeptBoxes(t, fmt.Sprintf("worker %d", w), boxes[w])
+		for i, p := range ranges[w] {
+			if !bytes.Equal(p.Values, rangeVals[w][i]) {
+				t.Fatalf("worker %d: range pair %d (%v) changed after it was emitted", w, i, p.Key)
+			}
+		}
+	}
 }

@@ -21,6 +21,11 @@ var domains = []grid.Box{
 	grid.NewBox(grid.Coord{-2, -1, -3}, []int{5, 6, 7}),
 }
 
+// Add is AddIndex by coordinate, the entry point the tests drive; c is not
+// retained. The mapper has each target's offset already (scihadoop's
+// window walk), so no binary adds by coordinate and it lives here.
+func (a *Aggregator) Add(c grid.Coord, val []byte) { a.AddIndex(a.domain.Index(c), val) }
+
 // cell is one step of a stream: a coordinate to add, or (nil) an explicit
 // Flush.
 type cell = grid.Coord

@@ -180,22 +180,106 @@ func window(rank, radius int) []grid.Coord {
 	return out
 }
 
-// eachWindowTarget is the aggregating mappers' walk: box in row-major order,
-// and for every cell one add per window offset with the target coordinate
-// and the cell's encoded value. Both are reused from call to call — add
-// copies what it keeps — so the walk allocates per task, not per target.
-func eachWindowTarget(slab []byte, box grid.Box, offsets []grid.Coord, add func(target grid.Coord, val []byte)) {
-	var vbuf [ElemSize]byte
-	target := make(grid.Coord, box.Rank())
-	grid.ForEach(box, func(c grid.Coord) {
-		binary.BigEndian.PutUint32(vbuf[:], uint32(cellValue(slab, box, c)))
-		for _, off := range offsets {
-			for d := range target {
-				target[d] = c[d] + off[d]
+// eachWindowIndex is the aggregating mappers' walk: box in row-major order,
+// and for every cell one add per window offset, in window's order, with the
+// target's index and the cell's value as it lies in slab (add copies what it
+// keeps). That is the order and the indices of a walk that maps every target
+// coordinate it visits, so every layer an aggregator drains is the same; but
+// each cell of box expanded by radius is mapped once, not once per source
+// that reaches it. The indices live in a ring of 2*radius+1 slices of the
+// expanded box along dimension 0 — the rows a source row's window spans —
+// and the row the window enters overwrites the one it left, so a task holds
+// one band of its slab in indices, not its whole split.
+func eachWindowIndex(slab []byte, box grid.Box, radius int, index func(grid.Coord) uint64, add func(idx uint64, val []byte)) {
+	if box.Empty() {
+		return
+	}
+	rank, ext, width := box.Rank(), box.Expand(radius), 2*radius+1
+	// Strides of one slice: the expanded box without dimension 0.
+	stride := make([]int, rank)
+	sliceLen := 1
+	for d := rank - 1; d >= 1; d-- {
+		stride[d] = sliceLen
+		sliceLen *= ext.Size[d]
+	}
+	// The window's offsets in window's order — dimension 0 slowest, each
+	// from -radius to radius. Offset k reaches the slice ahead[k] rows below
+	// the first row of the source's window, shift[k] cells from the source.
+	n := 1
+	for range rank {
+		n *= width
+	}
+	ahead, shift := make([]int, n), make([]int, n)
+	for k := range n {
+		digits := k
+		for d := rank - 1; d >= 0; d-- {
+			off := digits%width - radius
+			digits /= width
+			if d == 0 {
+				ahead[k] = off + radius
+			} else {
+				shift[k] += off * stride[d]
 			}
-			add(target, vbuf[:])
 		}
-	})
+	}
+	// Each source cell's position within its row's slice, in row-major order.
+	inner := make([]int, 0, box.NumCells()/int64(box.Size[0]))
+	c := box.Corner.Clone()
+	for {
+		p := 0
+		for d := 1; d < rank; d++ {
+			p += (c[d] - ext.Corner[d]) * stride[d]
+		}
+		inner = append(inner, p)
+		if !nextInner(c, box) {
+			break
+		}
+	}
+
+	ring := make([]uint64, width*sliceLen)
+	fill := func(r int) { // row r of ext, counted from its corner
+		s := ring[r%width*sliceLen:][:sliceLen]
+		copy(c, ext.Corner)
+		c[0] += r
+		for i := range s {
+			s[i] = index(c)
+			nextInner(c, ext)
+		}
+	}
+	for r := 0; r < width-1; r++ {
+		fill(r)
+	}
+	base := make([]int, n)
+	v := 0
+	for x := 0; x < box.Size[0]; x++ {
+		// Source row x spans the expanded rows x .. x+2*radius; the last
+		// one enters the ring now.
+		fill(x + width - 1)
+		for k := range base {
+			base[k] = (x+ahead[k])%width*sliceLen + shift[k]
+		}
+		for _, p := range inner {
+			val := slab[v : v+ElemSize : v+ElemSize]
+			v += ElemSize
+			for _, b := range base {
+				add(ring[b+p], val)
+			}
+		}
+	}
+}
+
+// nextInner steps c to the next cell of b in row-major order without
+// leaving c's row (dimension 0), and reports false when it wraps back to the
+// row's first cell.
+func nextInner(c grid.Coord, b grid.Box) bool {
+	for d := len(c) - 1; d >= 1; d-- {
+		c[d]++
+		if c[d] < b.Corner[d]+b.Size[d] {
+			return true
+		}
+		c[d] = b.Corner[d]
+	}
+	return false
 }
 
 // SimpleKeyJob builds the baseline job: one GridKey per (window target,

@@ -34,7 +34,7 @@ func AggKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, aggregate.
 		return nil, nil, err
 	}
 	kc := &keys.Codec{Rank: cfg.DS.Extent.Rank(), Mode: cfg.KeyMode}
-	offsets := window(cfg.DS.Extent.Rank(), cfg.Radius)
+	radius := cfg.Radius
 	rp := keys.RangePartitioner{Total: mapping.Total(), NumReducers: cfg.NumReducers}
 	ds := cfg.DS
 	v := cfg.DS.Var
@@ -71,7 +71,7 @@ func AggKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, aggregate.
 					emit(scratch.Bytes(), p.Values)
 				},
 			})
-			eachWindowTarget(slab, box, offsets, agg.Add)
+			eachWindowIndex(slab, box, radius, aggregate.IndexFunc(mapping), agg.AddIndex)
 			agg.Close()
 			return nil
 		})

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"scikey/internal/aggregate"
 	"scikey/internal/boxagg"
 	"scikey/internal/grid"
 	"scikey/internal/hdfs"
@@ -26,7 +27,8 @@ func BoxKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, error) {
 	}
 	domain := cfg.DS.Extent.Expand(cfg.Radius)
 	kc := &keys.Codec{Rank: cfg.DS.Extent.Rank(), Mode: cfg.KeyMode}
-	offsets := window(cfg.DS.Extent.Rank(), cfg.Radius)
+	mapping := aggregate.BoxMapping{Domain: domain}
+	radius := cfg.Radius
 	sp := boxagg.NewSlabPartitioner(domain, cfg.NumReducers)
 	ds := cfg.DS
 	v := cfg.DS.Var
@@ -110,7 +112,7 @@ func BoxKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, error) {
 					emit(kc.BoxKeyBytes(p.Key), p.Values)
 				},
 			})
-			eachWindowTarget(slab, box, offsets, agg.Add)
+			eachWindowIndex(slab, box, radius, mapping.Index, agg.AddIndex)
 			agg.Close()
 			return nil
 		})
