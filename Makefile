@@ -80,12 +80,13 @@ bench:
 	@rm -f bench.out
 	@echo wrote BENCH_shuffle.json
 
-# Regression gates: rerun the reduce-path, shuffle-fetch and map-spill
-# benchmarks briefly and fail if allocs/op drifts >10% above the committed
-# baseline — the fetch path's alloc count is the zero-copy guarantee in CI
-# form, and the map side's holds the final segment's right-sizing copy to one
-# allocation per partition, never one per record. The steady-state transform
-# additionally holds a loose throughput floor (25% of baseline MB/s):
+# Regression gates: rerun the reduce-path, shuffle-fetch, map-spill and
+# segment-cache benchmarks briefly and fail if allocs/op drifts >10% above
+# the committed baseline — the fetch path's alloc count is the zero-copy
+# guarantee in CI form, the map side's holds the final segment's
+# right-sizing copy to one allocation per partition, never one per record,
+# and a cache hit's holds the snapshot decode in place, never a copy per
+# segment. The steady-state transform additionally holds a loose throughput floor (25% of baseline MB/s):
 # wall-clock varies across machines, so the floor only catches a hot path
 # collapsing onto a slow reference, not percentage drift.
 bench-gate:
@@ -94,6 +95,8 @@ bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkShuffleFetch' -benchmem -benchtime 20x ./internal/shufflenet/ \
 		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -max-allocs-regress 1.10 > /dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkMapSpillPipeline' -benchmem -benchtime 20x ./internal/mapreduce/ \
+		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -max-allocs-regress 1.10 > /dev/null
+	$(GO) test -run '^$$' -bench 'BenchmarkSegmentCacheHit' -benchmem -benchtime 20x ./internal/queryd/ \
 		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -max-allocs-regress 1.10 > /dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkTransformSteadyState' -benchmem -benchtime 10x . \
 		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -min-mbps-ratio 0.25 > /dev/null

@@ -33,9 +33,10 @@ type stubRunner struct {
 func (r *stubRunner) Run(ctx context.Context, phase string, task, attempt int, fetch mapreduce.RemoteFetch) (*mapreduce.RemoteResult, error) {
 	r.mu.Lock()
 	r.calls = append(r.calls, fmt.Sprintf("%s/%d/%d", phase, task, attempt))
+	hook := r.hook
 	r.mu.Unlock()
-	if r.hook != nil {
-		return r.hook(ctx, phase, task, attempt, fetch)
+	if hook != nil {
+		return hook(ctx, phase, task, attempt, fetch)
 	}
 	return &mapreduce.RemoteResult{Output: []byte(fmt.Sprintf("%s:%d:%d", phase, task, attempt))}, nil
 }
@@ -129,11 +130,15 @@ func TestSegmentFetchThroughCoordinator(t *testing.T) {
 		t.Errorf("reduce fetched %q, want \"seg-new/3\"", got)
 	}
 
-	// Fetching an unpublished map task fails cleanly.
+	// Fetching an unpublished map task fails cleanly. The hook is swapped
+	// under the runner's lock: a worker goroutine started for an earlier
+	// grant may read it concurrently.
+	runner.mu.Lock()
 	runner.hook = func(ctx context.Context, phase string, task, attempt int, fetch mapreduce.RemoteFetch) (*mapreduce.RemoteResult, error) {
 		_, _, err := fetch(99, 0)
 		return nil, err
 	}
+	runner.mu.Unlock()
 	if _, err := cl.RunRemote(mapreduce.PhaseReduce, 1, 0, nil); err == nil || !strings.Contains(err.Error(), "not published") {
 		t.Errorf("unpublished fetch error = %v", err)
 	}

@@ -274,19 +274,18 @@ func (b *NodeBuffer) combine(g int) ([]nodeRow, error) {
 		if len(segs) == 0 {
 			continue
 		}
-		// The members' raw segments are read in borrow mode — combineStream
-		// owns its pending copies — without fault injection: the bytes were
-		// already written (corruption is in the data); injected transient
-		// read faults keep firing where they always did, at the reduce
-		// attempts. Validate-then-combine, mirroring the reduce side's
-		// validate-then-reduce: each member segment is scanned to its end
-		// first, forcing the codec and IFile CRC checks, so corruption
+		// The members' raw segments are read without fault injection: the
+		// bytes were already written (corruption is in the data); injected
+		// transient read faults keep firing where they always did, at the
+		// reduce attempts. Validate-then-combine, mirroring the reduce
+		// side's validate-then-reduce: each member segment is scanned to its
+		// end first, forcing the codec and IFile CRC checks, so corruption
 		// surfaces as an ErrCorruptSegment naming the producing attempt —
 		// never as the Combiner choking on (or worse, folding) a
 		// garbage-but-parseable record the trailer check hasn't reached yet.
 		// On a coded job that scan is the one decode and the merge reads
 		// its plaintext raw.
-		env := readEnv{codec: b.job.codec(), part: p, borrow: true}
+		env := readEnv{codec: b.job.codec(), part: p}
 		level, _, err := validateSegments(segs, env)
 		if err != nil {
 			return nil, err
@@ -355,8 +354,8 @@ func (b *NodeBuffer) fold(jc *Counters) {
 // never across a cut-window boundary: the cut predicate (the job's MergeCut,
 // fed every incoming key once, in stream order) marks keys that start an
 // independent window, and a pending aggregate is flushed — not merged —
-// when one arrives. Input records may be borrow-mode (valid only until the
-// next pull); the stream owns its pending and emitted copies, and each
+// when one arrives. Input records are valid only until the next pull (the
+// kvStream rule); the stream owns its pending and emitted copies, and each
 // emitted record stays valid until the next call, which is all
 // writeSegmentStream needs.
 type combineStream struct {

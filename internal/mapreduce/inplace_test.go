@@ -12,8 +12,8 @@ import (
 
 // TestInPlaceMergeMatchesStreamed: a merge over raw segments parsed where
 // they lie returns the records a merge streaming the same bytes through a
-// codec reader returns, owned and borrowed alike. Borrowed records point
-// into the segments themselves.
+// codec reader returns, and its records point into the segments
+// themselves.
 func TestInPlaceMergeMatchesStreamed(t *testing.T) {
 	segs := leakSegments(t, codec.None, 4, 300, func(i, s int) string {
 		return fmt.Sprintf("k%04d", 4*i+s*(i%3))
@@ -34,24 +34,22 @@ func TestInPlaceMergeMatchesStreamed(t *testing.T) {
 			if !ok {
 				return out
 			}
-			if env.borrow && env.codec == codec.None && !inSegment(segs, kv.Key) {
-				t.Fatalf("borrowed key %q is not read in place", kv.Key)
+			if env.codec == codec.None && !inSegment(segs, kv.Key) {
+				t.Fatalf("key %q is not read in place", kv.Key)
 			}
 			out = append(out, KV{Key: bytes.Clone(kv.Key), Value: bytes.Clone(kv.Value)})
 		}
 	}
 	streamed := &countingCodec{inner: codec.None}
-	for _, borrow := range []bool{false, true} {
-		want := merge(readEnv{codec: streamed, borrow: borrow})
-		if len(want) != 4*300 || streamed.decoded.Load() == 0 {
-			t.Fatalf("the streamed merge read %d records through the codec seam", len(want))
-		}
-		got := merge(readEnv{codec: codec.None, borrow: borrow})
-		if !slices.EqualFunc(got, want, func(a, b KV) bool {
-			return bytes.Equal(a.Key, b.Key) && bytes.Equal(a.Value, b.Value)
-		}) {
-			t.Fatalf("borrow=%v: the in-place merge differs from the streamed one", borrow)
-		}
+	want := merge(readEnv{codec: streamed})
+	if len(want) != 4*300 || streamed.decoded.Load() == 0 {
+		t.Fatalf("the streamed merge read %d records through the codec seam", len(want))
+	}
+	got := merge(readEnv{codec: codec.None})
+	if !slices.EqualFunc(got, want, func(a, b KV) bool {
+		return bytes.Equal(a.Key, b.Key) && bytes.Equal(a.Value, b.Value)
+	}) {
+		t.Fatal("the in-place merge differs from the streamed one")
 	}
 }
 
@@ -84,7 +82,7 @@ func TestInPlaceReadKeepsCodecFaults(t *testing.T) {
 		{"codec:0:error@1", true},
 		{"codec:1:error@0", true},
 	} {
-		env := readEnv{codec: codec.None, inj: mustInjector(t, tc.spec), part: 0, borrow: true}
+		env := readEnv{codec: codec.None, inj: mustInjector(t, tc.spec), part: 0}
 		it, err := openSegment(seg, env)
 		if err != nil {
 			t.Fatalf("%q: opening: %v", tc.spec, err)

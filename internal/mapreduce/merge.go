@@ -45,13 +45,6 @@ type readEnv struct {
 	attempt int
 	// part is the reducer partition being read, or -1 on the map side.
 	part int
-	// borrow, when set, skips record copies entirely: each iterator's
-	// current pair aliases its IFile reader's buffers (or the segment
-	// itself, read in place) and is valid only until that iterator
-	// advances. The merge-pass rewrite loop runs in
-	// this mode — it consumes each record before pulling the next — so a
-	// pass allocates nothing per record.
-	borrow bool
 }
 
 // kvArena bump-allocates record copies into one contiguous buffer,
@@ -198,8 +191,8 @@ type segIter struct {
 	// src/attempt are the segment's provenance, for corruption reports.
 	src        int
 	srcAttempt int
-	// cur holds copies of the current record (the ifile reader reuses its
-	// buffers).
+	// cur is the current record. It aliases the IFile reader's buffers,
+	// or the segment itself when read in place, until the next advance.
 	cur KV
 	ok  bool
 	err error
@@ -259,12 +252,7 @@ func (it *segIter) advance() {
 		}
 		return
 	}
-	switch {
-	case it.env.borrow:
-		it.cur = KV{Key: k, Value: v}
-	default:
-		it.cur = KV{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)}
-	}
+	it.cur = KV{Key: k, Value: v}
 	it.ok = true
 }
 
@@ -296,9 +284,11 @@ func (h *mergeHeap) Pop() any {
 // whole reduce path consumes, so one partition is never materialized as a
 // slice. next returns the next record until (KV{}, false, nil) at end of
 // stream; after an error or end of stream the stream must not be advanced
-// again. close releases pooled resources and is idempotent; it must be
-// called exactly when no previously returned record is still referenced
-// (streams that hand out owned copies can be closed any time).
+// again. A returned record is valid until the next pull: its bytes may
+// alias decoder scratch or the segment itself, so a consumer that keeps a
+// record past that copies it. close releases pooled resources and is
+// idempotent; it must be called exactly when no previously returned record
+// is still referenced.
 type kvStream interface {
 	next() (KV, bool, error)
 	close()
@@ -314,7 +304,7 @@ type mergeStream struct {
 	h mergeHeap
 	// pending marks that the heap head's cur was handed out by the last
 	// next call and the iterator must advance before the next record is
-	// chosen — deferred so borrow-mode callers can use the record first.
+	// chosen — deferred so the caller can use the record first.
 	pending bool
 	closed  bool
 }
@@ -324,7 +314,7 @@ type mergeStream struct {
 // corrupted map output must surface here as an ErrCorruptSegment naming the
 // producing attempt, never as whatever user code does with garbage bytes
 // mid-stream. Each provenance-tagged segment (src >= 0) is read to its
-// trailing CRC in borrow mode — no record copies; engine-internal ones
+// trailing CRC without copying a record; engine-internal ones
 // (src < 0) came from already-validated inputs and are not scanned. It
 // returns the level the final merge reads, always raw, and the fetched
 // bytes read, for disk accounting.
@@ -348,7 +338,6 @@ type mergeStream struct {
 // scan, which stops at the first failure: a CRC at memory speed is cheaper
 // than the goroutines.
 func validateSegments(segs []segment, env readEnv) ([]segment, int64, error) {
-	env.borrow = true
 	errs := make([]error, len(segs))
 	level := segs
 	if env.codec == codec.None {
@@ -405,7 +394,7 @@ func decodeSegmentOnce(seg segment, env readEnv) (segment, error) {
 	}
 	decodedLive.Add(1)
 	out := segment{data: plain, records: seg.records, src: -1, decoded: true}
-	renv := readEnv{codec: codec.None, attempt: env.attempt, part: env.part, borrow: true}
+	renv := readEnv{codec: codec.None, attempt: env.attempt, part: env.part}
 	if err := scanSegment(segment{data: plain, src: seg.src, attempt: seg.attempt}, renv); err != nil {
 		recycleSegment(out)
 		return segment{src: -1}, err
@@ -539,11 +528,10 @@ func mergeDown(segs []segment, env readEnv, cmp func(a, b []byte) int, factor, t
 	if target < 1 {
 		target = 1
 	}
-	// Each pass streams borrowed records straight from the batch's codec
+	// Each pass streams records straight from the batch's codec
 	// readers into the rewritten segment — every record is appended to the
 	// output before its iterator advances, so a pass holds one in-flight
 	// record per input segment and materializes nothing.
-	env.borrow = true
 	coded := last == env.codec
 	for len(segs) > target || !coded {
 		n := min(factor, len(segs))
@@ -594,27 +582,22 @@ func sortSegmentsBySize(segs []segment) {
 // downstream error, so a failed reduce-output write stops the attempt
 // promptly instead of reducing on into a dead writer.
 //
-// With borrowed set the stream's records are valid only until its next pull
-// (a borrow-mode merge aliasing decoder scratch); each record is then landed
-// in a group-owned arena the moment it arrives. Two arenas ping-pong: the
-// current group's key and values accumulate in one while a group boundary
-// copies the next group's first record into the other, so Reduce always
-// reads live memory while the stream advances underneath — and the
-// per-record heap copies the non-borrowed path pays disappear. Arguments
-// passed to Reduce are only valid during the call in either mode (Hadoop's
+// Each record is landed in a group-owned arena the moment it arrives, since
+// the stream's records are valid only until its next pull. Two arenas
+// ping-pong: the current group's key and values accumulate in one while a
+// group boundary copies the next group's first record into the other, so
+// Reduce always reads live memory while the stream advances underneath.
+// Arguments passed to Reduce are only valid during the call (Hadoop's
 // iterator-reuse contract), and the values slice itself is reused from
 // group to group, so an attempt allocates it once, not once per group.
-func groupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red Reducer, emit Emit, bail func() error, borrowed bool) error {
-	var ga, gb *kvArena // current group arena, boundary arena
+func groupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red Reducer, emit Emit, bail func() error) error {
+	ga, gb := &kvArena{}, &kvArena{} // current group arena, boundary arena
 	var values [][]byte
-	if borrowed {
-		ga, gb = &kvArena{}, &kvArena{}
-	}
 	cur, ok, err := src.next()
 	if err != nil {
 		return err
 	}
-	if ok && borrowed {
+	if ok {
 		cur = KV{Key: ga.copy(cur.Key), Value: ga.copy(cur.Value)}
 	}
 	for ok {
@@ -638,17 +621,11 @@ func groupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red 
 				break
 			}
 			if cmp(key, nxt.Key) != 0 {
-				if borrowed {
-					gb.reset()
-					nxt = KV{Key: gb.copy(nxt.Key), Value: gb.copy(nxt.Value)}
-				}
-				cur, ok = nxt, true
+				gb.reset()
+				cur, ok = KV{Key: gb.copy(nxt.Key), Value: gb.copy(nxt.Value)}, true
 				break
 			}
-			if borrowed {
-				nxt.Value = ga.copy(nxt.Value)
-			}
-			values = append(values, nxt.Value)
+			values = append(values, ga.copy(nxt.Value))
 		}
 		ctx.counters.ReduceInputGroups.Add(1)
 		if err := red.Reduce(ctx, key, values, emit); err != nil {
@@ -656,9 +633,7 @@ func groupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red 
 		}
 		// The finished group's arena becomes the next boundary scratch; the
 		// next group's first record already lives in the other one.
-		if borrowed {
-			ga, gb = gb, ga
-		}
+		ga, gb = gb, ga
 	}
 	return nil
 }
@@ -687,9 +662,10 @@ func (s *countStream) close() { s.src.close() }
 // interact with it, runs the transform over that window, and streams the
 // rewritten records out. With a nil cut the whole stream is one window —
 // the transform's defining form, for transforms with unknown locality. The
-// transform keeps its func([]KV) []KV signature either way; windows are
-// never reused as backing storage since the transform may retain its
-// argument (an identity transform returns it unchanged).
+// transform keeps its func([]KV) []KV signature either way. Each record is
+// copied into one reused arena as it arrives, into one reused window slice;
+// both are reset at the next fill, once the previous window's output has
+// been drained, so the transform's argument is valid until then.
 //
 // The split counter is settled once at end of stream: windows partition
 // the input, so the summed output-minus-input surplus equals the surplus
@@ -700,6 +676,8 @@ type transformStream struct {
 	cut       func(key []byte) bool
 	splits    *Counter
 
+	arena   kvArena
+	window  []KV
 	out     []KV
 	pos     int
 	pending KV
@@ -721,10 +699,8 @@ func (t *transformStream) next() (KV, bool, error) {
 		if t.eof && !t.have {
 			if !t.counted {
 				t.counted = true
-				if t.splits != nil {
-					if d := t.totalOut - t.totalIn; d > 0 {
-						t.splits.Add(d)
-					}
+				if d := t.totalOut - t.totalIn; d > 0 {
+					t.splits.Add(d)
 				}
 			}
 			return KV{}, false, nil
@@ -738,11 +714,13 @@ func (t *transformStream) next() (KV, bool, error) {
 // fill gathers the next window and runs the transform over it. The cut
 // predicate sees every key exactly once, in stream order; returning true
 // seals the window before that key, which becomes the next window's first
-// record.
+// record. The pending record is still valid when the next fill copies it:
+// the source is not pulled in between.
 func (t *transformStream) fill() error {
-	var window []KV
+	t.arena.reset()
+	t.window = t.window[:0]
 	if t.have {
-		window = append(window, t.pending)
+		t.window = append(t.window, KV{Key: t.arena.copy(t.pending.Key), Value: t.arena.copy(t.pending.Value)})
 		t.pending, t.have = KV{}, false
 	}
 	for !t.eof {
@@ -754,18 +732,18 @@ func (t *transformStream) fill() error {
 			t.eof = true
 			break
 		}
-		if t.cut != nil && t.cut(kv.Key) && len(window) > 0 {
+		if t.cut != nil && t.cut(kv.Key) && len(t.window) > 0 {
 			t.pending, t.have = kv, true
 			break
 		}
-		window = append(window, kv)
+		t.window = append(t.window, KV{Key: t.arena.copy(kv.Key), Value: t.arena.copy(kv.Value)})
 	}
-	if len(window) == 0 {
+	if len(t.window) == 0 {
 		t.out, t.pos = nil, 0
 		return nil
 	}
-	t.out, t.pos = t.transform(window), 0
-	t.totalIn += int64(len(window))
+	t.out, t.pos = t.transform(t.window), 0
+	t.totalIn += int64(len(t.window))
 	t.totalOut += int64(len(t.out))
 	return nil
 }

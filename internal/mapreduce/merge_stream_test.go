@@ -309,10 +309,12 @@ func (s *sliceStream) next() (KV, bool, error) {
 
 func (s *sliceStream) close() {}
 
-// TestGroupReduceAllocsIndependentOfGroups: in borrow mode a reduce
-// attempt's allocations do not grow with its group count. The two group
-// arenas and the values slice handed to Reduce are reused from group to
-// group, under the Reducer contract TestReducerRetention enforces.
+// TestGroupReduceAllocsIndependentOfGroups: a reduce attempt's allocations
+// do not grow with its group count, straight off the merge or through a
+// merge transform cut at every group. The two group arenas, the values
+// slice handed to Reduce and the transform's window arena and slice are
+// reused from group to group, under the Reducer contract
+// TestReducerRetention enforces.
 func TestGroupReduceAllocsIndependentOfGroups(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -325,27 +327,38 @@ func TestGroupReduceAllocsIndependentOfGroups(t *testing.T) {
 		}
 		return nil
 	})
-	allocs := func(groups int) float64 {
-		const perGroup = 9
-		pairs := make([]KV, 0, groups*perGroup)
-		for g := 0; g < groups; g++ {
-			key := fmt.Appendf(nil, "key-%08d", g)
-			for v := 0; v < perGroup; v++ {
-				pairs = append(pairs, KV{Key: key, Value: []byte{byte(v)}})
+	for _, src := range []struct {
+		name string
+		wrap func(kvStream) kvStream
+	}{
+		{"merge", func(s kvStream) kvStream { return s }},
+		{"transform", func(s kvStream) kvStream {
+			identity := func(w []KV) []KV { return w }
+			return &transformStream{src: s, transform: identity, cut: keyChangeCut(), splits: &Counter{}}
+		}},
+	} {
+		allocs := func(groups int) float64 {
+			const perGroup = 9
+			pairs := make([]KV, 0, groups*perGroup)
+			for g := 0; g < groups; g++ {
+				key := fmt.Appendf(nil, "key-%08d", g)
+				for v := 0; v < perGroup; v++ {
+					pairs = append(pairs, KV{Key: key, Value: []byte{byte(v)}})
+				}
 			}
+			ss := &sliceStream{pairs: pairs}
+			ctx := &TaskContext{counters: &Counters{}}
+			return testing.AllocsPerRun(5, func() {
+				ss.pos = 0
+				if err := groupReduce(ctx, src.wrap(ss), cmp, red, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-		src := &sliceStream{pairs: pairs}
-		ctx := &TaskContext{counters: &Counters{}}
-		return testing.AllocsPerRun(5, func() {
-			src.pos = 0
-			if err := groupReduce(ctx, src, cmp, red, nil, nil, true); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	small, large := allocs(1<<10), allocs(8<<10)
-	t.Logf("allocs per attempt: %.0f at 1k groups, %.0f at 8k", small, large)
-	if large > small+1 {
-		t.Errorf("groupReduce allocates %.0f times over 8k groups but %.0f over 1k: something is allocated per group", large, small)
+		small, large := allocs(1<<10), allocs(8<<10)
+		t.Logf("%s: allocs per attempt: %.0f at 1k groups, %.0f at 8k", src.name, small, large)
+		if large > small+1 {
+			t.Errorf("%s: groupReduce allocates %.0f times over 8k groups but %.0f over 1k: something is allocated per group", src.name, large, small)
+		}
 	}
 }

@@ -104,10 +104,6 @@ func BenchmarkReducePath(b *testing.B) {
 	}{{"8k", 8192}, {"64k", 65536}} {
 		segs := benchReduceSegments(b, size.n, 8, codec.None)
 		env := readEnv{codec: codec.None, part: -1}
-		// The production streaming path borrows decoder scratch straight
-		// through the merge into groupReduce's group arenas.
-		benv := env
-		benv.borrow = true
 		var iw ifile.Writer
 		emit := func(k, v []byte) {
 			if err := iw.Append(k, v); err != nil {
@@ -120,12 +116,12 @@ func BenchmarkReducePath(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ctx := &TaskContext{counters: &Counters{}}
-				m, err := newMergeStream(segs, benv, cmp)
+				m, err := newMergeStream(segs, env, cmp)
 				if err != nil {
 					b.Fatal(err)
 				}
 				iw.Reset(io.Discard)
-				if err := groupReduce(ctx, m, cmp, red, emit, nil, true); err != nil {
+				if err := groupReduce(ctx, m, cmp, red, emit, nil); err != nil {
 					b.Fatal(err)
 				}
 				m.close()
@@ -146,12 +142,12 @@ func BenchmarkReducePath(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					m, err := newMergeStream(level, benv, cmp)
+					m, err := newMergeStream(level, env, cmp)
 					if err != nil {
 						b.Fatal(err)
 					}
 					iw.Reset(io.Discard)
-					if err := groupReduce(ctx, m, cmp, red, emit, nil, true); err != nil {
+					if err := groupReduce(ctx, m, cmp, red, emit, nil); err != nil {
 						b.Fatal(err)
 					}
 					m.close()
@@ -175,7 +171,7 @@ func BenchmarkReducePath(b *testing.B) {
 				}
 				iw.Reset(io.Discard)
 				src := &sliceStream{pairs: pairs}
-				if err := groupReduce(ctx, src, cmp, red, emit, nil, false); err != nil {
+				if err := groupReduce(ctx, src, cmp, red, emit, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

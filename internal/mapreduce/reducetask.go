@@ -174,15 +174,8 @@ func (t *reduceTask) run(src segmentSource) error {
 			recycleSegment(s)
 		}
 	}()
-	// With no merge transform in the way, the final merge runs in borrow
-	// mode: records alias the level's bytes, which the raw merge parses in
-	// place (no per-record heap copies), and groupReduce lands each record
-	// in its group arena on arrival. transformStream buffers
-	// whole windows of records, so it keeps the owning merge.
-	borrowed := t.job.MergeTransform == nil
 	fenv := env
 	fenv.codec = codec.None
-	fenv.borrow = borrowed
 	ms, err := newMergeStream(level, fenv, t.job.Compare)
 	if err != nil {
 		return fmt.Errorf("mapreduce: reduce task %d merge: %w", t.id, err)
@@ -231,7 +224,7 @@ func (t *reduceTask) run(src segmentSource) error {
 	defer reduceSpan.End()
 	red := t.job.NewReducer()
 	bail := func() error { return emitErr }
-	if err := groupReduce(t.ctx, stream, t.job.Compare, red, emit, bail, borrowed); err != nil {
+	if err := groupReduce(t.ctx, stream, t.job.Compare, red, emit, bail); err != nil {
 		return fmt.Errorf("mapreduce: reduce task %d: %w", t.id, err)
 	}
 	if f, ok := red.(Finalizer); ok {

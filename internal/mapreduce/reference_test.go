@@ -15,7 +15,8 @@ import (
 // differential suite and the peak-memory benchmarks compare against.
 
 // mergeSegments k-way merges sorted segments into one sorted in-memory run —
-// the materializing form of mergeStream.
+// the materializing form of mergeStream. The merge's records are valid only
+// until its next pull, so it clones each one it collects.
 func mergeSegments(segs []segment, env readEnv, cmp func(a, b []byte) int) ([]KV, error) {
 	var total int64
 	for _, s := range segs {
@@ -35,7 +36,7 @@ func mergeSegments(segs []segment, env readEnv, cmp func(a, b []byte) int) ([]KV
 		if !ok {
 			return out, nil
 		}
-		out = append(out, kv)
+		out = append(out, KV{Key: bytes.Clone(kv.Key), Value: bytes.Clone(kv.Value)})
 	}
 }
 
@@ -73,7 +74,7 @@ func referenceReduce(job *Job, ctx *TaskContext, segs []segment) ([]byte, error)
 		c.ReduceOutputBytes.Add(int64(len(k) + len(v)))
 	}
 	red := job.NewReducer()
-	if err := groupReduce(ctx, &sliceStream{pairs: pairs}, job.Compare, red, emit, nil, false); err != nil {
+	if err := groupReduce(ctx, &sliceStream{pairs: pairs}, job.Compare, red, emit, nil); err != nil {
 		return nil, err
 	}
 	if f, ok := red.(Finalizer); ok {

@@ -146,10 +146,10 @@ func BenchmarkMergeSegments(b *testing.B) {
 		segs = append(segs, seg)
 		bytes += int64(len(seg.data))
 	}
-	// Drain a borrow-mode merge stream, the way mergeDown's passes and the
-	// reduce stream consume theirs: each record is used before its iterator
-	// advances, so none is copied.
-	env := readEnv{codec: c, part: -1, borrow: true}
+	// Drain a merge stream the way mergeDown's passes and the reduce stream
+	// consume theirs: each record is used before its iterator advances, so
+	// none is copied.
+	env := readEnv{codec: c, part: -1}
 	cmp := func(a, b []byte) int { return compareBytes(a, b) }
 	b.SetBytes(bytes)
 	b.ReportAllocs()

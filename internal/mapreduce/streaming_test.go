@@ -182,55 +182,92 @@ func TestStreamingReduceDifferential(t *testing.T) {
 // TestTransformStreamWindows checks the transform adapter
 // at the unit level: windows must partition the stream in order, every
 // record must pass through exactly once, and the split counter must settle
-// on the whole-stream surplus.
+// on the whole-stream surplus. The scribbling source holds the adapter to
+// the kvStream rule: a record it keeps past the next pull must be a copy.
 func TestTransformStreamWindows(t *testing.T) {
 	var pairs []KV
 	for i := 0; i < 10; i++ {
 		k := []byte(fmt.Sprintf("k%02d", i/2)) // two records per key
 		pairs = append(pairs, KV{Key: k, Value: []byte{byte(i)}})
 	}
-	var c Counter
-	var windows [][]KV
-	ts := &transformStream{
-		src: &sliceStream{pairs: pairs},
-		transform: func(w []KV) []KV {
-			cp := append([]KV(nil), w...)
-			windows = append(windows, cp)
-			return dupTransform(w)
-		},
-		cut:    keyChangeCut(),
-		splits: &c,
-	}
-	var got []KV
-	for {
-		kv, ok, err := ts.next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, kv)
-	}
-	ts.close()
-	if len(windows) != 5 {
-		t.Errorf("got %d windows, want 5 (one per distinct key)", len(windows))
-	}
-	for _, w := range windows {
-		if len(w) != 2 {
-			t.Errorf("window size %d, want 2", len(w))
-		}
-	}
-	if len(got) != 20 {
-		t.Fatalf("drained %d records, want 20", len(got))
-	}
-	for i, kv := range got {
-		want := pairs[i/2]
-		if !bytes.Equal(kv.Key, want.Key) || !bytes.Equal(kv.Value, want.Value) {
-			t.Fatalf("record %d = %q/%v, want %q/%v", i, kv.Key, kv.Value, want.Key, want.Value)
-		}
-	}
-	if c.Value() != 10 {
-		t.Errorf("split surplus = %d, want 10", c.Value())
+	for _, src := range []struct {
+		name string
+		s    kvStream
+	}{
+		{"slice", &sliceStream{pairs: pairs}},
+		{"scribble", &scribbleStream{pairs: pairs}},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			var c Counter
+			var windows [][]KV
+			ts := &transformStream{
+				src: src.s,
+				transform: func(w []KV) []KV {
+					cp := make([]KV, len(w))
+					for i, kv := range w {
+						cp[i] = KV{Key: bytes.Clone(kv.Key), Value: bytes.Clone(kv.Value)}
+					}
+					windows = append(windows, cp)
+					return dupTransform(w)
+				},
+				cut:    keyChangeCut(),
+				splits: &c,
+			}
+			got := drainStream(t, ts)
+			ts.close()
+			if len(windows) != 5 {
+				t.Errorf("got %d windows, want 5 (one per distinct key)", len(windows))
+			}
+			var seen []KV
+			for _, w := range windows {
+				if len(w) != 2 {
+					t.Errorf("window size %d, want 2", len(w))
+				}
+				seen = append(seen, w...)
+			}
+			for i, kv := range seen {
+				if want := pairs[i]; !bytes.Equal(kv.Key, want.Key) || !bytes.Equal(kv.Value, want.Value) {
+					t.Fatalf("window record %d = %q/%v, want %q/%v", i, kv.Key, kv.Value, want.Key, want.Value)
+				}
+			}
+			if len(got) != 20 {
+				t.Fatalf("drained %d records, want 20", len(got))
+			}
+			for i, kv := range got {
+				want := pairs[i/2]
+				if !bytes.Equal(kv.Key, want.Key) || !bytes.Equal(kv.Value, want.Value) {
+					t.Fatalf("record %d = %q/%v, want %q/%v", i, kv.Key, kv.Value, want.Key, want.Value)
+				}
+			}
+			if c.Value() != 10 {
+				t.Errorf("split surplus = %d, want 10", c.Value())
+			}
+		})
 	}
 }
+
+// scribbleStream hands out every record in one buffer and overwrites the
+// previously returned record's bytes on each pull, as a merge reading
+// decoder scratch may: a consumer that keeps a record without copying it
+// sees garbage.
+type scribbleStream struct {
+	pairs []KV
+	pos   int
+	buf   []byte
+}
+
+func (s *scribbleStream) next() (KV, bool, error) {
+	for i := range s.buf {
+		s.buf[i] = 0xee
+	}
+	if s.pos >= len(s.pairs) {
+		return KV{}, false, nil
+	}
+	kv := s.pairs[s.pos]
+	s.pos++
+	s.buf = append(append(s.buf[:0], kv.Key...), kv.Value...)
+	n := len(kv.Key)
+	return KV{Key: s.buf[:n:n], Value: s.buf[n:]}, true, nil
+}
+
+func (s *scribbleStream) close() {}

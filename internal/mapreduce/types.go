@@ -185,7 +185,9 @@ type Job struct {
 	// stream before grouping (Section IV-B, case two: overlap splitting).
 	// The reduce path feeds it bounded windows of the stream (cut by
 	// MergeCut; the whole stream when MergeCut is nil), so the slice
-	// signature keeps working without materializing the partition.
+	// signature keeps working without materializing the partition. Its
+	// argument is valid until its output has been consumed: the output may
+	// alias it, but the transform must not keep it past that.
 	MergeTransform func(pairs []KV) []KV
 	// MergeCut, set alongside MergeTransform, builds one cut predicate per
 	// reduce attempt. The predicate is fed every merged key in stream order
