@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-all bench-gate bench-e2e docs e14 e15 e16 e17
+.PHONY: check build vet test race bench bench-all bench-gate bench-e2e bench-claim docs e14 e15 e16 e17
 
 # The full gate: compile everything, check docs and formatting, vet, run the
 # test suite under the race detector (the attempt scheduler and fault tests
@@ -72,7 +72,7 @@ race:
 # A PR that claims one runs `make bench` against the pinned file, so its
 # ratios in BENCH_shuffle.json are the trajectory; re-pinning in the same PR
 # would reset them to 1.0 and erase what it claims.
-SHUFFLE_BENCH = BenchmarkAggregatorMapPattern|BenchmarkAggKeyPath|BenchmarkTransformSteadyState|BenchmarkWriteSegmentPooled|BenchmarkMapSpillPipeline|BenchmarkSpillSort|BenchmarkMergeSegments|BenchmarkReducePath|BenchmarkShuffleFetch|BenchmarkSegmentCacheHit|BenchmarkE4_
+SHUFFLE_BENCH = BenchmarkAggregatorMapPattern|BenchmarkAggKeyPath|BenchmarkTransformSteadyState|BenchmarkWriteSegmentPooled|BenchmarkMapSpillPipeline|BenchmarkSpillSort|BenchmarkMergeSegments|BenchmarkMergeGrid|BenchmarkReducePath|BenchmarkShuffleFetch|BenchmarkSegmentCacheHit|BenchmarkE4_
 
 bench:
 	$(GO) test -run '^$$' -bench '$(SHUFFLE_BENCH)' -benchmem ./... > bench.out
@@ -116,6 +116,20 @@ bench-e2e:
 		$(GO) run ./bench -workload $$w -seconds 3 -trace 0 || exit 1; \
 	done
 	@echo bench e2e OK
+
+# A performance claim in one command: the paired-run rule of bench/README.md
+# (scripts/paired) between PARENT and the working tree on one workload —
+# PAIRS alternating parent/change pairs of BENCHMARK.json's 10 s runs at SEED.
+# Prints one JSON record per end-to-end metric and exits non-zero unless
+# METRIC's verdict is "claim met" and both sides printed one output sha.
+# About 4 minutes at 10 pairs.
+PAIRS ?= 10
+SEED ?= 0
+
+bench-claim:
+	@test -n "$(PARENT)" && test -n "$(WORKLOAD)" && test -n "$(METRIC)" || \
+		{ echo 'usage: make bench-claim PARENT=<commit> WORKLOAD=<workload> METRIC=<metric> [PAIRS=10] [SEED=0]'; exit 2; }
+	$(GO) run ./scripts/paired -parent $(PARENT) -workloads $(WORKLOAD) -claim $(METRIC) -pairs $(PAIRS) -seed $(SEED)
 
 # All benchmarks, raw text output.
 bench-all:

@@ -208,7 +208,7 @@ func TestCodeOnceDifferential(t *testing.T) {
 			segs := leakSegments(t, raw, 11, 40, func(i, s int) string {
 				return fmt.Sprintf("k%03d-%02d", i, s)
 			})
-			if _, err := mergeDown(segs, env, bytes.Compare, 6, 1, failing, nil); !errors.Is(err, errFailingWriter) {
+			if _, err := mergeDown(segs, env, keyOrder{compare: bytes.Compare}, 6, 1, failing, nil); !errors.Is(err, errFailingWriter) {
 				t.Fatalf("mergeDown error = %v, want the injected write error", err)
 			}
 		}

@@ -291,7 +291,7 @@ func (b *NodeBuffer) combine(g int) ([]nodeRow, error) {
 			return nil, err
 		}
 		env.codec = codec.None
-		ms, err := newMergeStream(level, env, b.job.Compare)
+		ms, err := newMergeStream(level, env, b.job.order())
 		if err != nil {
 			for _, s := range level {
 				recycleSegment(s)

@@ -168,7 +168,7 @@ func TestCombineStreamFoldsRuns(t *testing.T) {
 		{Key: []byte("a"), Value: laneValue(4)},
 		{Key: []byte("c"), Value: laneValue(200)},
 	}, 1, 0)
-	ms, err := newMergeStream([]segment{segA, segB}, readEnv{codec: codec.None}, bytes.Compare)
+	ms, err := newMergeStream([]segment{segA, segB}, readEnv{codec: codec.None}, keyOrder{compare: bytes.Compare})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestCombineStreamRespectsCuts(t *testing.T) {
 	segB := mustWriteSegment(t, []KV{
 		{Key: []byte("a"), Value: laneValue(4)},
 	}, 1, 0)
-	ms, err := newMergeStream([]segment{segA, segB}, readEnv{codec: codec.None}, bytes.Compare)
+	ms, err := newMergeStream([]segment{segA, segB}, readEnv{codec: codec.None}, keyOrder{compare: bytes.Compare})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestInPlaceMergeMatchesStreamed(t *testing.T) {
 	})
 	merge := func(env readEnv) []KV {
 		t.Helper()
-		m, err := newMergeStream(segs, env, bytes.Compare)
+		m, err := newMergeStream(segs, env, keyOrder{compare: bytes.Compare})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,6 +45,9 @@ type mapTask struct {
 	parts    *partSet // the collecting set; nil until run holds a token and once it returns
 	buffered int
 	spills   [][]segment // per partition; owned by the spill worker until drained
+	// emitted tallies the map output counters per attempt; run adds it to
+	// the attempt's counters once Map returns.
+	emitted struct{ records, keyBytes, valueBytes int64 }
 
 	// Spill pipeline state. Once the worker runs, spillErr and spillBytes are
 	// written only by it and read only after drainSpills observes spillDone;
@@ -217,6 +220,11 @@ func (t *mapTask) run(split Split) error {
 	sp := t.tracer.Start(obs.CatPhase, "map", t.span, t.id, t.attempt)
 	err := mapper.Map(t.ctx, split, t.emit)
 	sp.End()
+	c := t.ctx.counters
+	c.MapOutputRecords.Add(t.emitted.records)
+	c.MapOutputBytes.Add(t.emitted.keyBytes + t.emitted.valueBytes)
+	c.MapOutputKeyBytes.Add(t.emitted.keyBytes)
+	c.MapOutputValueBytes.Add(t.emitted.valueBytes)
 	if err != nil {
 		return fmt.Errorf("mapreduce: map task %d: %w", t.id, err)
 	}
@@ -247,16 +255,14 @@ func (t *mapTask) emit(key, value []byte) {
 	if t.ctx.Canceled() {
 		return
 	}
-	c := t.ctx.counters
-	c.MapOutputRecords.Add(1)
-	c.MapOutputBytes.Add(int64(len(key) + len(value)))
-	c.MapOutputKeyBytes.Add(int64(len(key)))
-	c.MapOutputValueBytes.Add(int64(len(value)))
+	t.emitted.records++
+	t.emitted.keyBytes += int64(len(key))
+	t.emitted.valueBytes += int64(len(value))
 
 	if t.job.PartitionSplit != nil {
 		routed := t.job.PartitionSplit(key, value, t.job.NumReducers)
 		if len(routed) > 1 {
-			c.PartitionKeySplits.Add(int64(len(routed) - 1))
+			t.ctx.counters.PartitionKeySplits.Add(int64(len(routed) - 1))
 		}
 		for _, r := range routed {
 			t.buffer(r.Partition, r.Key, r.Value)
@@ -450,7 +456,7 @@ func (t *mapTask) finalize() error {
 			// records too — the pass that re-encodes a lone raw spill
 			// included.
 			cpu.fork(&wg, func() {
-				merged, err := mergeDown(segs, env, t.job.Compare,
+				merged, err := mergeDown(segs, env, t.job.order(),
 					t.job.mergeFactor(), 1, final, func(read, written, records int64) {
 						diskDelta[p] += read + written
 						c.SpilledRecords.Add(records)

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"bytes"
-	"container/heap"
 	"fmt"
 	"io"
 	"slices"
@@ -196,6 +195,9 @@ type segIter struct {
 	cur KV
 	ok  bool
 	err error
+	// hi/lo are cur's key words while the merge reading this iterator
+	// compares by words (mergeHeap.note).
+	hi, lo uint64
 }
 
 var segIterPool = sync.Pool{New: func() any { return new(segIter) }}
@@ -256,27 +258,100 @@ func (it *segIter) advance() {
 	it.ok = true
 }
 
-// mergeHeap orders segment iterators by their current key.
+// keyOrder is what a merge orders keys by: the job's Compare, and its
+// SortWords where the job has them.
+type keyOrder struct {
+	compare func(a, b []byte) int
+	words   func(key []byte) (hi, lo uint64, end int, ok bool)
+}
+
+// order is the job's key order for its merges.
+func (j *Job) order() keyOrder { return keyOrder{j.Compare, j.SortWords} }
+
+// mergeHeap is a binary min-heap of segment iterators by their current
+// key. init, down(0) and pop make exactly the comparisons and swaps of
+// container/heap's Init, Fix(0) and Pop (Fix(0) never sifts up), so equal
+// keys leave in the order they always have: the bytes every merge pass
+// writes depend on it (DESIGN §6 "Merge heap").
+//
+// While every key it has seen yields words under the first key's variable
+// section, it compares each iterator's cached (hi, lo), read once per
+// record when the iterator advances. The first key that does not switches
+// the merge to compare for good. The switch never changes an answer less
+// gave — SortWords orders same-section keys as Compare does, equality
+// included — so the heap stays valid across it.
 type mergeHeap struct {
-	its []*segIter
-	cmp func(a, b []byte) int
+	its     []*segIter
+	ord     keyOrder
+	byWords bool
+	sec     []byte // the first key's variable section, while byWords
 }
 
-func (h *mergeHeap) Len() int { return len(h.its) }
-
-func (h *mergeHeap) Less(i, j int) bool {
-	return h.cmp(h.its[i].cur.Key, h.its[j].cur.Key) < 0
+func (h *mergeHeap) less(a, b *segIter) bool {
+	if h.byWords {
+		return a.hi < b.hi || a.hi == b.hi && a.lo < b.lo
+	}
+	return h.ord.compare(a.cur.Key, b.cur.Key) < 0
 }
 
-func (h *mergeHeap) Swap(i, j int) { h.its[i], h.its[j] = h.its[j], h.its[i] }
+// note caches the words of it.cur's key, or ends the merge's words mode
+// when that key has none under the merge's variable section.
+func (h *mergeHeap) note(it *segIter) {
+	if !h.byWords {
+		return
+	}
+	hi, lo, end, ok := h.ord.words(it.cur.Key)
+	if !ok || string(it.cur.Key[:end]) != string(h.sec) {
+		h.byWords = false
+		return
+	}
+	it.hi, it.lo = hi, lo
+}
 
-func (h *mergeHeap) Push(x any) { h.its = append(h.its, x.(*segIter)) }
+// init heapifies its, in words mode when the job has words and the first
+// iterator's key yields them.
+func (h *mergeHeap) init() {
+	if h.ord.words != nil && len(h.its) > 0 {
+		k := h.its[0].cur.Key
+		if _, _, end, ok := h.ord.words(k); ok {
+			h.sec, h.byWords = bytes.Clone(k[:end]), true
+			for _, it := range h.its {
+				h.note(it)
+			}
+		}
+	}
+	for i := len(h.its)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
 
-func (h *mergeHeap) Pop() any {
-	old := h.its
-	n := len(old)
-	it := old[n-1]
-	h.its = old[:n-1]
+// down is container/heap's sift-down: the smaller child, the left one on a
+// tie, moves up while it is less than i.
+func (h *mergeHeap) down(i int) {
+	its, n := h.its, len(h.its)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if j2 := j + 1; j2 < n && h.less(its[j2], its[j]) {
+			j = j2
+		}
+		if !h.less(its[j], its[i]) {
+			return
+		}
+		its[i], its[j] = its[j], its[i]
+		i = j
+	}
+}
+
+// pop removes the head: the last iterator takes its place and sifts down.
+func (h *mergeHeap) pop() *segIter {
+	n := len(h.its) - 1
+	h.its[0], h.its[n] = h.its[n], h.its[0]
+	it := h.its[n]
+	h.its = h.its[:n]
+	h.down(0)
 	return it
 }
 
@@ -445,8 +520,8 @@ func scanSegment(seg segment, env readEnv) error {
 
 // newMergeStream opens every segment and primes the heap. On error all
 // already-opened iterators are released back to their pools.
-func newMergeStream(segs []segment, env readEnv, cmp func(a, b []byte) int) (*mergeStream, error) {
-	m := &mergeStream{h: mergeHeap{cmp: cmp}}
+func newMergeStream(segs []segment, env readEnv, ord keyOrder) (*mergeStream, error) {
+	m := &mergeStream{h: mergeHeap{ord: ord}}
 	for _, s := range segs {
 		if len(s.data) == 0 {
 			continue
@@ -467,7 +542,7 @@ func newMergeStream(segs []segment, env readEnv, cmp func(a, b []byte) int) (*me
 			it.release()
 		}
 	}
-	heap.Init(&m.h)
+	m.h.init()
 	return m, nil
 }
 
@@ -482,9 +557,10 @@ func (m *mergeStream) next() (KV, bool, error) {
 			return KV{}, false, err
 		}
 		if it.ok {
-			heap.Fix(&m.h, 0)
+			m.h.note(it)
+			m.h.down(0)
 		} else {
-			heap.Pop(&m.h).(*segIter).release()
+			m.h.pop().release()
 		}
 	}
 	if len(m.h.its) == 0 {
@@ -521,7 +597,7 @@ func (m *mergeStream) close() {
 // codec with target 1, so the record stream is coded exactly once, in the
 // pass that writes the published segment — which a lone segment therefore
 // still takes.
-func mergeDown(segs []segment, env readEnv, cmp func(a, b []byte) int, factor, target int, last codec.Codec, acct func(read, written, records int64)) ([]segment, error) {
+func mergeDown(segs []segment, env readEnv, ord keyOrder, factor, target int, last codec.Codec, acct func(read, written, records int64)) ([]segment, error) {
 	if factor < 2 {
 		factor = 2
 	}
@@ -546,7 +622,7 @@ func mergeDown(segs []segment, env readEnv, cmp func(a, b []byte) int, factor, t
 		for _, s := range batch {
 			read += int64(len(s.data))
 		}
-		m, err := newMergeStream(batch, env, cmp)
+		m, err := newMergeStream(batch, env, ord)
 		if err != nil {
 			return nil, err
 		}
@@ -638,23 +714,35 @@ func groupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red 
 	return nil
 }
 
-// countStream counts records as they drain: ReduceInputRecords advances
-// with the stream, and a fully drained (winning) attempt lands on exactly
-// the partition's record count.
+// countStream counts records as they drain into a local tally, added to
+// ReduceInputRecords at end of stream and at close: a fully drained
+// (winning) attempt lands on exactly the partition's record count, and the
+// attempt's counters are private to it until commit.
 type countStream struct {
 	src kvStream
 	n   *Counter
+	got int64
 }
 
 func (s *countStream) next() (KV, bool, error) {
 	kv, ok, err := s.src.next()
 	if ok {
-		s.n.Add(1)
+		s.got++
+	} else {
+		s.flush()
 	}
 	return kv, ok, err
 }
 
-func (s *countStream) close() { s.src.close() }
+func (s *countStream) flush() {
+	s.n.Add(s.got)
+	s.got = 0
+}
+
+func (s *countStream) close() {
+	s.flush()
+	s.src.close()
+}
 
 // transformStream adapts the whole-slice MergeTransform hook to the
 // streaming reduce: it buffers a bounded lookahead window of records,

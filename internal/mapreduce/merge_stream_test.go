@@ -177,7 +177,7 @@ func TestMergeStreamAbandonReleasesReaders(t *testing.T) {
 	})
 	env := readEnv{codec: cc}
 	run := func() {
-		m, err := newMergeStream(segs, env, bytes.Compare)
+		m, err := newMergeStream(segs, env, keyOrder{compare: bytes.Compare})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func TestMergeDownManySegments(t *testing.T) {
 	}
 	env := readEnv{codec: codec.None}
 	var passes int
-	out, err := mergeDown(segs, env, bytes.Compare, 3, 1, env.codec, func(read, written, records int64) {
+	out, err := mergeDown(segs, env, keyOrder{compare: bytes.Compare}, 3, 1, env.codec, func(read, written, records int64) {
 		passes++
 	})
 	if err != nil {

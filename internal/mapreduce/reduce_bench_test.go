@@ -116,7 +116,7 @@ func BenchmarkReducePath(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ctx := &TaskContext{counters: &Counters{}}
-				m, err := newMergeStream(segs, env, cmp)
+				m, err := newMergeStream(segs, env, keyOrder{compare: cmp})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -142,7 +142,7 @@ func BenchmarkReducePath(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					m, err := newMergeStream(level, env, cmp)
+					m, err := newMergeStream(level, env, keyOrder{compare: cmp})
 					if err != nil {
 						b.Fatal(err)
 					}

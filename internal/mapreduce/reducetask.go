@@ -141,7 +141,7 @@ func (t *reduceTask) run(src segmentSource) error {
 	// Reading every fetched segment to its end also verifies its IFile
 	// CRC; a mismatch surfaces as an ErrCorruptSegment naming the
 	// producing map attempt.
-	segs, err := mergeDown(segs, env, t.job.Compare,
+	segs, err := mergeDown(segs, env, t.job.order(),
 		t.job.mergeFactor(), t.job.mergeFactor(), env.codec, func(read, written, _ int64) {
 			t.footprint.DiskBytes += read + written
 		})
@@ -176,11 +176,10 @@ func (t *reduceTask) run(src segmentSource) error {
 	}()
 	fenv := env
 	fenv.codec = codec.None
-	ms, err := newMergeStream(level, fenv, t.job.Compare)
+	ms, err := newMergeStream(level, fenv, t.job.order())
 	if err != nil {
 		return fmt.Errorf("mapreduce: reduce task %d merge: %w", t.id, err)
 	}
-	defer ms.close()
 	var stream kvStream = &countStream{src: ms, n: &c.ReduceInputRecords}
 	if t.job.MergeTransform != nil {
 		var cut func(key []byte) bool
@@ -194,6 +193,9 @@ func (t *reduceTask) run(src segmentSource) error {
 			splits:    &c.OverlapKeySplits,
 		}
 	}
+	// Closing the outermost stream closes every layer under it, down to the
+	// merge's iterators.
+	defer stream.close()
 	mergeSpan.End()
 
 	w, err := t.job.FS.Create(t.tmpPath)

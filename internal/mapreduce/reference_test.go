@@ -2,9 +2,12 @@ package mapreduce
 
 import (
 	"bytes"
+	"container/heap"
 	"context"
+	"fmt"
 	"testing"
 
+	"scikey/internal/codec"
 	"scikey/internal/ifile"
 )
 
@@ -15,14 +18,15 @@ import (
 // differential suite and the peak-memory benchmarks compare against.
 
 // mergeSegments k-way merges sorted segments into one sorted in-memory run —
-// the materializing form of mergeStream. The merge's records are valid only
-// until its next pull, so it clones each one it collects.
+// the materializing form of mergeStream, over refMergeStream. The merge's
+// records are valid only until its next pull, so it clones each one it
+// collects.
 func mergeSegments(segs []segment, env readEnv, cmp func(a, b []byte) int) ([]KV, error) {
 	var total int64
 	for _, s := range segs {
 		total += s.records
 	}
-	m, err := newMergeStream(segs, env, cmp)
+	m, err := newRefMergeStream(segs, env, cmp)
 	if err != nil {
 		return nil, err
 	}
@@ -43,11 +47,12 @@ func mergeSegments(segs []segment, env readEnv, cmp func(a, b []byte) int) ([]KV
 // referenceReduce reduces one partition's fetched segments the materialized
 // way and returns the output file's bytes; the attempt's counters land in
 // ctx. The multi-pass merge down to the merge factor runs first, exactly as
-// in a reduce attempt, so equal keys meet in the same order.
+// in a reduce attempt, so equal keys meet in the same order. Every merge in
+// it is refMergeStream's.
 func referenceReduce(job *Job, ctx *TaskContext, segs []segment) ([]byte, error) {
 	c := ctx.counters
 	env := readEnv{codec: job.codec(), part: ctx.TaskID}
-	segs, err := mergeDown(segs, env, job.Compare, job.mergeFactor(), job.mergeFactor(), env.codec, nil)
+	segs, err := refMergeDown(segs, env, job.Compare, job.mergeFactor(), job.mergeFactor(), env.codec)
 	if err != nil {
 		return nil, err
 	}
@@ -128,4 +133,138 @@ func referenceRun(t *testing.T, job *Job) ([]string, *Counters) {
 		total.Merge(ctx.counters)
 	}
 	return outs, total
+}
+
+// The k-way merge as it ran before mergeHeap: container/heap over an
+// interface, every comparison a Compare call on the iterators' raw keys. It
+// is the order oracle for the engine's merge — the same records, equal keys
+// in the same order — kept verbatim apart from its names.
+
+// refMergeHeap orders segment iterators by their current key.
+type refMergeHeap struct {
+	its []*segIter
+	cmp func(a, b []byte) int
+}
+
+func (h *refMergeHeap) Len() int { return len(h.its) }
+
+func (h *refMergeHeap) Less(i, j int) bool {
+	return h.cmp(h.its[i].cur.Key, h.its[j].cur.Key) < 0
+}
+
+func (h *refMergeHeap) Swap(i, j int) { h.its[i], h.its[j] = h.its[j], h.its[i] }
+
+func (h *refMergeHeap) Push(x any) { h.its = append(h.its, x.(*segIter)) }
+
+func (h *refMergeHeap) Pop() any {
+	old := h.its
+	n := len(old)
+	it := old[n-1]
+	h.its = old[:n-1]
+	return it
+}
+
+// refMergeStream is the pull-based k-way merge over sorted segments.
+type refMergeStream struct {
+	h refMergeHeap
+	// pending marks that the heap head's cur was handed out by the last
+	// next call and the iterator must advance before the next record is
+	// chosen — deferred so the caller can use the record first.
+	pending bool
+	closed  bool
+}
+
+// newRefMergeStream opens every segment and primes the heap. On error all
+// already-opened iterators are released back to their pools.
+func newRefMergeStream(segs []segment, env readEnv, cmp func(a, b []byte) int) (*refMergeStream, error) {
+	m := &refMergeStream{h: refMergeHeap{cmp: cmp}}
+	for _, s := range segs {
+		if len(s.data) == 0 {
+			continue
+		}
+		it, err := openSegment(s, env)
+		if err != nil {
+			if it != nil {
+				it.release()
+			}
+			m.close()
+			return nil, fmt.Errorf("mapreduce: opening segment: %w", err)
+		}
+		if it.ok {
+			m.h.its = append(m.h.its, it)
+		} else {
+			it.release()
+		}
+	}
+	heap.Init(&m.h)
+	return m, nil
+}
+
+func (m *refMergeStream) next() (KV, bool, error) {
+	if m.pending {
+		m.pending = false
+		it := m.h.its[0]
+		it.advance()
+		if it.err != nil {
+			err := it.err
+			m.close()
+			return KV{}, false, err
+		}
+		if it.ok {
+			heap.Fix(&m.h, 0)
+		} else {
+			heap.Pop(&m.h).(*segIter).release()
+		}
+	}
+	if len(m.h.its) == 0 {
+		return KV{}, false, nil
+	}
+	m.pending = true
+	return m.h.its[0].cur, true, nil
+}
+
+func (m *refMergeStream) close() {
+	if m.closed {
+		return
+	}
+	m.closed = true
+	for _, it := range m.h.its {
+		it.release()
+	}
+	m.h.its = nil
+	m.pending = false
+}
+
+// refMergeDown is mergeDown's pass loop over refMergeStream: the same
+// batches, smallest segments first, coded the same way.
+func refMergeDown(segs []segment, env readEnv, cmp func(a, b []byte) int, factor, target int, last codec.Codec) ([]segment, error) {
+	factor, target = max(factor, 2), max(target, 1)
+	coded := last == env.codec
+	for len(segs) > target || !coded {
+		n := min(factor, len(segs))
+		out := env.codec
+		if len(segs)-n+1 <= target {
+			out, coded = last, true
+		}
+		sortSegmentsBySize(segs)
+		batch := segs[:n]
+		var read int64
+		for _, s := range batch {
+			read += int64(len(s.data))
+		}
+		m, err := newRefMergeStream(batch, env, cmp)
+		if err != nil {
+			return nil, err
+		}
+		merged, err := writeSegmentStream(m, out, int(read)+ifile.TrailerLen)
+		m.close()
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range batch {
+			recycleSegment(s)
+		}
+		segs = append([]segment{merged}, segs[n:]...)
+	}
+	return segs, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"scikey/internal/codec"
+	"scikey/internal/keys"
 )
 
 // benchPairs builds n sorted key/value pairs shaped like the paper's
@@ -136,7 +137,6 @@ func BenchmarkMergeSegments(b *testing.B) {
 		b.Fatal(err)
 	}
 	var segs []segment
-	var bytes int64
 	for s := 0; s < nSegs; s++ {
 		pairs := benchPairs(2048)
 		seg, err := writeSegment(pairs, c)
@@ -144,22 +144,46 @@ func BenchmarkMergeSegments(b *testing.B) {
 			b.Fatal(err)
 		}
 		segs = append(segs, seg)
-		bytes += int64(len(seg.data))
 	}
-	// Drain a merge stream the way mergeDown's passes and the reduce stream
-	// consume theirs: each record is used before its iterator advances, so
-	// none is copied.
-	env := readEnv{codec: c, part: -1}
 	cmp := func(a, b []byte) int { return compareBytes(a, b) }
+	benchMerge(b, segs, readEnv{codec: c, part: -1}, keyOrder{compare: cmp})
+}
+
+// BenchmarkMergeGrid merges one reduce attempt's raw final level of
+// SimpleKeyJob keys (gridSegments) with the job's key order: words with
+// SortWords set, so the merge heap compares cached words, and compare with
+// it nil, one RawCompareGrid call per comparison.
+func BenchmarkMergeGrid(b *testing.B) {
+	kc, segs := gridSegments(b, 8)
+	for _, path := range []string{"words", "compare"} {
+		b.Run(path, func(b *testing.B) {
+			ord := keyOrder{compare: kc.RawCompareGrid}
+			if path == "words" {
+				ord.words = kc.GridWords
+			}
+			benchMerge(b, segs, readEnv{codec: codec.None, part: -1}, ord)
+		})
+	}
+}
+
+// benchMerge drains one merge over segs per iteration the way mergeDown's
+// passes and the reduce stream consume theirs: each record is used before
+// its iterator advances, so none is copied.
+func benchMerge(b *testing.B, segs []segment, env readEnv, ord keyOrder) {
+	var bytes, records int64
+	for _, s := range segs {
+		bytes += int64(len(s.data))
+		records += s.records
+	}
 	b.SetBytes(bytes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := newMergeStream(segs, env, cmp)
+		m, err := newMergeStream(segs, env, ord)
 		if err != nil {
 			b.Fatal(err)
 		}
-		records := 0
+		var n int64
 		for {
 			_, ok, err := m.next()
 			if err != nil {
@@ -168,13 +192,35 @@ func BenchmarkMergeSegments(b *testing.B) {
 			if !ok {
 				break
 			}
-			records++
+			n++
 		}
 		m.close()
-		if records != nSegs*2048 {
-			b.Fatalf("merged %d records, want %d", records, nSegs*2048)
+		if n != records {
+			b.Fatalf("merged %d records, want %d", n, records)
 		}
 	}
+}
+
+// gridSegments is what one reducer of SimpleKeyJob fetches from n map
+// tasks: simpleKeyPartition's keys for a 64-row grid (about 14 700
+// records), cut into n row bands in arrival order — the map tasks' splits —
+// each spill-sorted and written raw.
+func gridSegments(b *testing.B, n int) (*keys.Codec, []segment) {
+	kc, pb := simpleKeyPartition(64, 128)
+	job := &Job{Compare: kc.RawCompareGrid, SortWords: kc.GridWords}
+	var ws wordSort
+	segs := make([]segment, n)
+	for s := range segs {
+		band := &partBuffer{arena: pb.arena, refs: slices.Clone(pb.refs[s*len(pb.refs)/n : (s+1)*len(pb.refs)/n])}
+		job.sortPartition(band, &ws)
+		seg, err := writeSegmentStream(&refStream{pb: band}, codec.None, band.sizeBound())
+		if err != nil {
+			b.Fatal(err)
+		}
+		seg.src = s
+		segs[s] = seg
+	}
+	return kc, segs
 }
 
 func compareBytes(a, b []byte) int {

@@ -167,13 +167,15 @@ type Job struct {
 	NumReducers int
 	// Compare is the intermediate-key sort and grouping comparator.
 	Compare func(a, b []byte) int
-	// SortWords, when set, gives the spill sort a key's words: two
-	// fixed-width integers that order keys of one variable section as
-	// Compare does, compared unsigned, hi first. end is where the variable
-	// section ends; ok is false for a key it cannot answer. A partition
-	// whose every key yields words under the first key's variable section
-	// bytes is radix-sorted on them; any other partition, and every merge
-	// and grouping, uses Compare.
+	// SortWords, when set, gives the spill sort and the merges a key's
+	// words: two fixed-width integers that order keys of one variable
+	// section as Compare does, equality included, compared unsigned, hi
+	// first. end is where the variable section ends; ok is false for a key
+	// it cannot answer. A partition whose every key yields words under the
+	// first key's variable section bytes is radix-sorted on them, and a
+	// merge compares words for as long as every key it has read does so;
+	// any other partition, the rest of such a merge, and grouping use
+	// Compare.
 	SortWords func(key []byte) (hi, lo uint64, end int, ok bool)
 	// Partition routes one key to a reducer. Ignored when PartitionSplit
 	// is set.

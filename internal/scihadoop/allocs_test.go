@@ -9,15 +9,18 @@ import (
 	"scikey/internal/mapreduce"
 )
 
-// TestBaselineQueryAllocsPerRecord holds the production comparator and the
-// IFile path to an allocation budget per map-output record. Every
+// TestBaselineQueryAllocsPerRecord holds a simple-key query's whole record
+// path — the map function, collection, the spill sort, both merges, IFile
+// and grouping — to an allocation budget per map-output record. Every
 // micro-benchmark sorts with a byte comparator, so nothing else in the tree
-// notices when keys.RawCompareGrid — the Compare of every simple-key query,
-// called ~20 times per record across the spill sort, both merges and the
-// grouping loop — starts allocating: decoding both keys cost 48 mallocs a
-// record here, in place it is about 2. A count, so the host does not matter.
+// notices when a per-record cost comes back: a target coordinate allocated
+// per emitted key was about one malloc a record here, and a
+// keys.RawCompareGrid that decodes its keys was 48. That comparator now runs
+// only in grouping and wherever a partition or a merge falls back from
+// GridWords to it; the spill sort and the merges compare words. What is
+// left is about 0.1 a record. A count, so the host does not matter.
 func TestBaselineQueryAllocsPerRecord(t *testing.T) {
-	const splits, spill, budget = 4, 8192, 6
+	const splits, spill, budget = 4, 8192, 0.5
 	extent := grid.NewBox(grid.Coord{0, 0}, []int{32, 32})
 	fs, ds, _ := setup(t, extent)
 	job, _, err := SimpleKeyJob(fs, QueryConfig{DS: ds, Radius: 1, NumSplits: splits, NumReducers: 3})
@@ -39,9 +42,9 @@ func TestBaselineQueryAllocsPerRecord(t *testing.T) {
 			spills, c.SpilledRecords.Value(), records)
 	}
 	perRecord := float64(after.Mallocs-before.Mallocs) / float64(records)
-	t.Logf("%d records, %.1f mallocs per record", records, perRecord)
+	t.Logf("%d records, %.2f mallocs per record", records, perRecord)
 	if perRecord > budget {
-		t.Errorf("%.1f mallocs per map-output record, budget %d: does the job's comparator decode, or IFile allocate per record?", perRecord, budget)
+		t.Errorf("%.2f mallocs per map-output record, budget %.1f: does the map function build a key's coordinate, the comparator decode, or IFile allocate per record?", perRecord, budget)
 	}
 }
 

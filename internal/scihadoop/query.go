@@ -310,11 +310,17 @@ func SimpleKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, *keys.C
 			}
 			var vbuf [ElemSize]byte
 			out := serial.NewDataOutput(64)
+			// One target coordinate for the whole task: EncodeGrid copies it
+			// into the key, so nothing is allocated per emitted record.
+			tgt := make(grid.Coord, len(box.Corner))
 			grid.ForEach(box, func(c grid.Coord) {
 				binary.BigEndian.PutUint32(vbuf[:], uint32(cellValue(slab, box, c)))
 				for _, off := range offsets {
+					for d := range tgt {
+						tgt[d] = c[d] + off[d]
+					}
 					out.Reset()
-					kc.EncodeGrid(out, keys.GridKey{Var: v, Coord: c.Add(off)})
+					kc.EncodeGrid(out, keys.GridKey{Var: v, Coord: tgt})
 					emit(out.Bytes(), vbuf[:])
 				}
 			})
