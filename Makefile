@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-all bench-gate bench-e2e bench-claim docs e14 e15 e16 e17
+.PHONY: check build vet test race mutants bench bench-all bench-gate bench-e2e bench-claim docs e14 e15 e16 e17
 
 # The full gate: compile everything, check docs and formatting, vet, run the
 # test suite under the race detector (the attempt scheduler and fault tests
@@ -9,8 +9,9 @@ GO ?= go
 # reproduce; no timing), soak the multi-process cluster runtime against real
 # SIGKILLs — of workers (e14) and of the coordinator itself (e15) — and smoke
 # the in-node combining experiment (e16) and the resident query service's
-# segment cache (e17).
-check: build docs vet race bench-gate bench-e2e e14 e15 e16 e17
+# segment cache (e17). The mutation gate runs after the race suite: the
+# engine's configuration lattice must kill every patch under scripts/mutants.
+check: build docs vet race mutants bench-gate bench-e2e e14 e15 e16 e17
 
 # E14: worker-kill soak — a coordinator plus three real worker subprocesses,
 # scheduled SIGKILLs mid-map and mid-reduce; the killed run must verify and
@@ -62,6 +63,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The mutation gate: each patch under scripts/mutants breaks non-test code in
+# a way a per-feature differential table the configuration lattice replaced
+# used to catch; TestConfigLattice must fail on every one (~1 min).
+mutants:
+	@sh scripts/mutants.sh
 
 # The shuffle/transform hot-path benchmarks tracked across PRs. Results land
 # in BENCH_shuffle.json with the committed baseline's numbers embedded per

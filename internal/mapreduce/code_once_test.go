@@ -53,14 +53,45 @@ func decodeSegment(t *testing.T, c codec.Codec, data []byte) []byte {
 }
 
 // codeOnceCheck holds build(c) to the rule "a segment is coded iff it is a
-// task's final map output", against build(nil) as the oracle: every published
-// segment decodes to the codec.None job's segment of the same (task,
-// partition); the map side opens one codec writer per non-empty one and no
-// codec reader; and the whole job's output and payload counters equal the
-// codec.None job's, the two byte counters the codec exists to shrink aside —
-// SpilledRecords plus extraSpilled, the records of lone raw spills, whose
-// re-encode is a merge pass the codec.None job does not need.
+// task's final map output", against build(nil) as the oracle: the map side
+// passes codeOnceMapSide, and the whole job's output and payload counters
+// equal the codec.None job's, the two byte counters the codec exists to
+// shrink aside — SpilledRecords plus extraSpilled, the records of lone raw
+// spills, whose re-encode is a merge pass the codec.None job does not need.
 func codeOnceCheck(t *testing.T, c codec.Codec, build func(codec.Codec) *Job, extraSpilled int64) {
+	t.Helper()
+	codeOnceMapSide(t, c, build)
+	run := func(c codec.Codec) ([]string, map[string]int64) {
+		job := build(c)
+		res, err := Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return readRawOutputs(t, job.FS, res.OutputPaths), payload(res.Counters)
+	}
+	wantOuts, want := run(nil)
+	gotOuts, got := run(c)
+	for i := range wantOuts {
+		if gotOuts[i] != wantOuts[i] {
+			t.Errorf("partition %d output differs from the codec.None job's", i)
+		}
+	}
+	want["Spilled records"] += extraSpilled
+	for name, w := range want {
+		if name == "Map output materialized bytes" || name == "Reduce shuffle bytes" {
+			continue
+		}
+		if got[name] != w {
+			t.Errorf("counter %s = %d, codec.None job %d", name, got[name], w)
+		}
+	}
+}
+
+// codeOnceMapSide runs every map task of build(nil) and build(c) once: every
+// segment the coded job publishes decodes to the codec.None job's segment of
+// the same (task, partition), and its map side opens one codec writer per
+// non-empty one and no codec reader.
+func codeOnceMapSide(t *testing.T, c codec.Codec, build func(codec.Codec) *Job) {
 	t.Helper()
 	plain := mapFinals(t, build(nil))
 	cc := &countingCodec{inner: c}
@@ -87,143 +118,61 @@ func codeOnceCheck(t *testing.T, c codec.Codec, build func(codec.Codec) *Job, ex
 	if got := cc.created.Load(); got != 0 {
 		t.Errorf("map side opened %d codec readers, want 0", got)
 	}
-
-	run := func(c codec.Codec) ([]string, map[string]int64) {
-		job := build(c)
-		res, err := Run(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return readRawOutputs(t, job.FS, res.OutputPaths), payloadSnapshot(res.Counters)
-	}
-	wantOuts, want := run(nil)
-	gotOuts, got := run(c)
-	for i := range wantOuts {
-		if gotOuts[i] != wantOuts[i] {
-			t.Errorf("partition %d output differs from the codec.None job's", i)
-		}
-	}
-	want["SpilledRecords"] += extraSpilled
-	for name, w := range want {
-		if name == "MapOutputMaterializedBytes" || name == "ReduceShuffleBytes" {
-			continue
-		}
-		if got[name] != w {
-			t.Errorf("counter %s = %d, codec.None job %d", name, got[name], w)
-		}
-	}
 }
 
-// TestCodeOnceDifferential checks the code-once rule over codec × spill
-// regime × map-side combiner, then on a partition that gets a single raw
-// spill inside a multi-spill task, then that a merge failing mid-pass leaks
-// no pooled codec stream.
-func TestCodeOnceDifferential(t *testing.T) {
-	codecs := []struct {
-		name string
-		c    codec.Codec
-	}{
-		{"zlib", codec.Zlib},
-		{"transform+zlib", codec.NewTransform(codec.Zlib)},
-		{"block+transform+zlib", func() codec.Codec {
-			blk := codec.NewBlock(codec.NewTransform(codec.Zlib))
-			blk.BlockBytes = 1 << 10 // many frames even on these segments
-			return blk
-		}()},
-	}
-	regimes := []struct {
-		name          string
-		spill, factor int
-	}{
-		{"tiny-factor2", 128, 2},
-		{"tiny-factor10", 128, 10},
-		{"default", 0, 0}, // one spill: the tail, coded directly
-	}
-	for _, rg := range regimes {
-		for _, comb := range []bool{false, true} {
-			build := func(c codec.Codec) *Job {
-				job := wordCountJob(testFS(), codeOnceDocs, 2, comb)
-				job.SpillBufferBytes = rg.spill
-				job.MergeFactor = rg.factor
-				job.MapOutputCodec = c
-				return job
+// TestCodeOnceLoneRawSpill: "solo" is alone in partition 1 and lands in
+// exactly one of the task's many spills, so that partition reaches finalize
+// as a single raw run: the same mergeDown pass re-encodes it, and counts its
+// record as spilled.
+func TestCodeOnceLoneRawSpill(t *testing.T) {
+	build := func(c codec.Codec) *Job {
+		docs := []string{"solo " + strings.Repeat("alpha beta gamma ", 100)}
+		job := wordCountJob(testFS(), docs, 2, false)
+		job.Partition = func(key []byte, _ int) int {
+			if string(key) == "solo" {
+				return 1
 			}
-			t.Run(fmt.Sprintf("%s/comb=%v", rg.name, comb), func(t *testing.T) {
-				// The regime is what its name says: one write per record with
-				// the default buffer; with the tiny one, more than a spill and
-				// a final merge, i.e. intermediate passes.
-				res, err := Run(build(nil))
-				if err != nil {
-					t.Fatal(err)
-				}
-				perSpill := res.Counters.MapOutputRecords.Value()
-				if comb {
-					perSpill = res.Counters.CombineOutputRecords.Value()
-				}
-				spilled := res.Counters.SpilledRecords.Value()
-				if rg.spill == 0 && spilled != perSpill || rg.spill > 0 && spilled <= 2*perSpill {
-					t.Fatalf("SpilledRecords %d for %d spilled once: not the %s regime", spilled, perSpill, rg.name)
-				}
-				for _, cd := range codecs {
-					t.Run(cd.name, func(t *testing.T) { codeOnceCheck(t, cd.c, build, 0) })
-				}
-			})
+			return 0
 		}
+		job.SpillBufferBytes = 128
+		job.MapOutputCodec = c
+		return job
 	}
+	codeOnceCheck(t, codec.NewTransform(codec.Zlib), build, 1)
+}
 
-	// "solo" is alone in partition 1 and lands in exactly one of the task's
-	// many spills, so that partition reaches finalize as a single raw run: the
-	// same mergeDown pass re-encodes it, and counts its record as spilled.
-	t.Run("lone-raw-spill", func(t *testing.T) {
-		build := func(c codec.Codec) *Job {
-			docs := []string{"solo " + strings.Repeat("alpha beta gamma ", 100)}
-			job := wordCountJob(testFS(), docs, 2, false)
-			job.Partition = func(key []byte, _ int) int {
-				if string(key) == "solo" {
-					return 1
-				}
-				return 0
-			}
-			job.SpillBufferBytes = 128
-			job.MapOutputCodec = c
-			return job
+// TestCodeOnceMergeError: a two-pass merge whose coded last pass fails
+// partway through its output: repeated, it must run from the warm pools —
+// the six raw readers of the failing pass and the raw writer of the pass
+// before it all went back. (The failed writer itself is dropped by design:
+// mid-stream codec state is not pooled.) A run opens twelve raw readers and
+// twelve raw writers, twice the leak tests' six, so the race detector's
+// dropped pool Puts cost ~72 constructions over leakIters runs; stranding
+// the failing pass's readers would cost ~180.
+func TestCodeOnceMergeError(t *testing.T) {
+	const slack = 5 * leakIters
+	raw := &countingCodec{inner: codec.None}
+	failing := &failingCodec{Codec: codec.Zlib, after: 64}
+	env := readEnv{codec: raw, part: -1}
+	run := func() {
+		segs := leakSegments(t, raw, 11, 40, func(i, s int) string {
+			return fmt.Sprintf("k%03d-%02d", i, s)
+		})
+		if _, err := mergeDown(segs, env, keyOrder{compare: bytes.Compare}, 6, 1, failing, nil); !errors.Is(err, errFailingWriter) {
+			t.Fatalf("mergeDown error = %v, want the injected write error", err)
 		}
-		codeOnceCheck(t, codec.NewTransform(codec.Zlib), build, 1)
-	})
-
-	// A two-pass merge whose coded last pass fails partway through its
-	// output: repeated, it must run from the warm pools — the six raw readers
-	// of the failing pass and the raw writer of the pass before it all went
-	// back. (The failed writer itself is dropped by design: mid-stream codec
-	// state is not pooled.) A run opens twelve raw readers and twelve raw
-	// writers, twice the leak tests' six, so the race detector's dropped
-	// pool Puts cost ~72 constructions over leakIters runs; stranding the
-	// failing pass's readers would cost ~180.
-	t.Run("merge-error", func(t *testing.T) {
-		const slack = 5 * leakIters
-		raw := &countingCodec{inner: codec.None}
-		failing := &failingCodec{Codec: codec.Zlib, after: 64}
-		env := readEnv{codec: raw, part: -1}
-		run := func() {
-			segs := leakSegments(t, raw, 11, 40, func(i, s int) string {
-				return fmt.Sprintf("k%03d-%02d", i, s)
-			})
-			if _, err := mergeDown(segs, env, keyOrder{compare: bytes.Compare}, 6, 1, failing, nil); !errors.Is(err, errFailingWriter) {
-				t.Fatalf("mergeDown error = %v, want the injected write error", err)
-			}
-		}
-		run() // warm the pools
-		readers, writers := raw.created.Load(), raw.writersCreated.Load()
-		for i := 0; i < leakIters; i++ {
-			run()
-		}
-		if grown := raw.created.Load() - readers; grown > slack {
-			t.Errorf("raw readers leaked: %d constructed across %d failing merges, want ~0", grown, leakIters)
-		}
-		if grown := raw.writersCreated.Load() - writers; grown > slack {
-			t.Errorf("raw writers leaked: %d constructed across %d failing merges, want ~0", grown, leakIters)
-		}
-	})
+	}
+	run() // warm the pools
+	readers, writers := raw.created.Load(), raw.writersCreated.Load()
+	for i := 0; i < leakIters; i++ {
+		run()
+	}
+	if grown := raw.created.Load() - readers; grown > slack {
+		t.Errorf("raw readers leaked: %d constructed across %d failing merges, want ~0", grown, leakIters)
+	}
+	if grown := raw.writersCreated.Load() - writers; grown > slack {
+		t.Errorf("raw writers leaked: %d constructed across %d failing merges, want ~0", grown, leakIters)
+	}
 }
 
 var errFailingWriter = errors.New("injected codec write error")

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -367,70 +366,6 @@ func runCombineWordCount(t *testing.T, nodes int, spec string, policy RetryPolic
 	return res.Counters, readRawOutputs(t, fs, res.OutputPaths)
 }
 
-// TestCombineDifferential is the engine-level byte-identity proof: the same
-// job with in-node combining off, on with one group, and on with several
-// groups produces byte-identical reducer output files, identical map-side
-// and reduce-output payload counters, and strictly fewer shuffle bytes and
-// reduce input records when duplicates fold.
-func TestCombineDifferential(t *testing.T) {
-	fs := testFS()
-	ref := wordCountJob(fs, faultDocs, 2, false)
-	refRes, err := Run(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refOut := readRawOutputs(t, fs, refRes.OutputPaths)
-	rc := refRes.Counters
-
-	for _, nodes := range []int{1, 2, 3} {
-		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
-			c, out := runCombineWordCount(t, nodes, "", RetryPolicy{})
-			if len(out) != len(refOut) {
-				t.Fatalf("output file count %d, want %d", len(out), len(refOut))
-			}
-			for i := range out {
-				if out[i] != refOut[i] {
-					t.Errorf("output file %d differs from uncombined run", i)
-				}
-			}
-			// Payload counters the combine phase must not disturb.
-			same := []struct {
-				name      string
-				got, want int64
-			}{
-				{"MapOutputRecords", c.MapOutputRecords.Value(), rc.MapOutputRecords.Value()},
-				{"MapOutputBytes", c.MapOutputBytes.Value(), rc.MapOutputBytes.Value()},
-				{"MapOutputMaterializedBytes", c.MapOutputMaterializedBytes.Value(), rc.MapOutputMaterializedBytes.Value()},
-				{"ReduceInputGroups", c.ReduceInputGroups.Value(), rc.ReduceInputGroups.Value()},
-				{"ReduceOutputRecords", c.ReduceOutputRecords.Value(), rc.ReduceOutputRecords.Value()},
-				{"ReduceOutputBytes", c.ReduceOutputBytes.Value(), rc.ReduceOutputBytes.Value()},
-			}
-			for _, s := range same {
-				if s.got != s.want {
-					t.Errorf("%s = %d, uncombined run = %d", s.name, s.got, s.want)
-				}
-			}
-			// Combining must actually shrink the shuffle: the docs share
-			// words, so every group has cross-task duplicates to fold.
-			if got, want := c.ReduceShuffleBytes.Value(), rc.ReduceShuffleBytes.Value(); got >= want {
-				t.Errorf("ReduceShuffleBytes = %d, want < uncombined %d", got, want)
-			}
-			if got, want := c.ReduceInputRecords.Value(), rc.ReduceInputRecords.Value(); got >= want {
-				t.Errorf("ReduceInputRecords = %d, want < uncombined %d", got, want)
-			}
-			if c.CombineMergedRecords.Value() <= 0 {
-				t.Error("CombineMergedRecords = 0: the differential exercises nothing")
-			}
-			if got := c.CombineEmittedRecords.Value(); got != c.ReduceInputRecords.Value() {
-				t.Errorf("CombineEmittedRecords = %d, want = ReduceInputRecords %d", got, c.ReduceInputRecords.Value())
-			}
-			if got, want := c.CombineSavedBytes.Value(), rc.ReduceShuffleBytes.Value()-c.ReduceShuffleBytes.Value(); got != want {
-				t.Errorf("CombineSavedBytes = %d, want shuffle delta %d", got, want)
-			}
-		})
-	}
-}
-
 // TestCombineRecoversCorruptCombinedSegment corrupts the combined segment at
 // reduce time: provenance names the group representative, whose re-execution
 // re-feeds the buffer, the group recombines, and the job finishes with
@@ -456,73 +391,5 @@ func TestCombineRecoversCorruptCombinedSegment(t *testing.T) {
 	}
 	if got, want := c.CombineSavedBytes.Value(), clean.CombineSavedBytes.Value(); got != want {
 		t.Errorf("recovered CombineSavedBytes = %d, fault-free = %d", got, want)
-	}
-}
-
-// TestRemoteCombineByteIdentical runs the combining job over the remote
-// execution path: map attempts execute in loopback "worker" processes, the
-// driver-side combine phase pools their committed output, and the published
-// table's PublishRemote leg ships combined segments (and the members' empty rows) to
-// the segment store reducers fetch from. Output must be byte-identical to
-// the uncombined remote run, with the combined topology visible in the
-// store: only representatives hold data.
-func TestRemoteCombineByteIdentical(t *testing.T) {
-	refFS, refRes, _ := runRemoteJob(t, 2)
-	refOuts := readRawOutputs(t, refFS, refRes.OutputPaths)
-
-	fs := testFS()
-	job := wordCountJob(fs, remoteDocs, 3, true)
-	job.Parallelism = 2
-	job.Retry = RetryPolicy{MaxAttempts: 3}
-	job.Combine = &CombineConfig{Combiner: SumInt32, Nodes: 2}
-	remote := newLoopbackRemote(func() *Job {
-		return wordCountJob(testFS(), remoteDocs, 3, true)
-	})
-	job.Remote = remote
-	res, err := Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs := readRawOutputs(t, fs, res.OutputPaths)
-	for i := range refOuts {
-		if outs[i] != refOuts[i] {
-			t.Errorf("output %d differs from uncombined remote run", i)
-		}
-	}
-	c := res.Counters
-	if c.CombineMergedRecords.Value() <= 0 {
-		t.Error("remote combining folded nothing; test exercises nothing")
-	}
-	if got, want := c.ReduceShuffleBytes.Value(), refRes.Counters.ReduceShuffleBytes.Value(); got >= want {
-		t.Errorf("remote ReduceShuffleBytes = %d, want < uncombined %d", got, want)
-	}
-	// Groups are {0,2} and {1,3}: tasks 2 and 3 publish only empty parts.
-	remote.mu.Lock()
-	defer remote.mu.Unlock()
-	for _, member := range []int{2, 3} {
-		e, ok := remote.segs[member]
-		if !ok {
-			t.Errorf("member task %d published nothing", member)
-			continue
-		}
-		for p, data := range e.parts {
-			if len(data) != 0 {
-				t.Errorf("member task %d partition %d holds %d bytes, want empty", member, p, len(data))
-			}
-		}
-	}
-	for _, rep := range []int{0, 1} {
-		e, ok := remote.segs[rep]
-		if !ok {
-			t.Errorf("representative task %d published nothing", rep)
-			continue
-		}
-		var bytes int
-		for _, data := range e.parts {
-			bytes += len(data)
-		}
-		if bytes == 0 {
-			t.Errorf("representative task %d published no combined data", rep)
-		}
 	}
 }

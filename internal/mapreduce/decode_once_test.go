@@ -71,7 +71,7 @@ func TestCodedReduceDecodesEachByteOnce(t *testing.T) {
 				t.Fatal("the node combine saved nothing: not a combining job")
 			}
 			plain := jb.plain(raw)
-			want := payloadSnapshot(raw)
+			want := payload(raw)
 			for _, cd := range decodeOnceCodecs() {
 				t.Run(cd.name, func(t *testing.T) {
 					cc := &countingCodec{inner: cd.c}
@@ -82,15 +82,18 @@ func TestCodedReduceDecodesEachByteOnce(t *testing.T) {
 					if !slices.Equal(gotOuts, wantOuts) {
 						t.Error("output differs from the codec.None job's")
 					}
-					got := payloadSnapshot(coded)
+					got := payload(coded)
 					for name, w := range want {
 						switch name {
-						case "MapOutputMaterializedBytes", "ReduceShuffleBytes", "CombineSavedBytes":
+						case "Map output materialized bytes", "Reduce shuffle bytes":
 							continue
 						}
 						if got[name] != w {
 							t.Errorf("counter %s = %d, codec.None job %d", name, got[name], w)
 						}
+					}
+					if m, e := coded.CombineMergedRecords.Value(), coded.CombineEmittedRecords.Value(); m != raw.CombineMergedRecords.Value() || e != raw.CombineEmittedRecords.Value() {
+						t.Errorf("combine folded %d into %d records, codec.None job %d into %d", m, e, raw.CombineMergedRecords.Value(), raw.CombineEmittedRecords.Value())
 					}
 				})
 			}

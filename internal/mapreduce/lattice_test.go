@@ -1,0 +1,681 @@
+package mapreduce
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"scikey/internal/codec"
+	"scikey/internal/hdfs"
+	"scikey/internal/obs"
+)
+
+// The configuration lattice is the engine's one "same bytes as the
+// reference" suite. Every run-time feature is an axis, a row picks one value
+// per axis, and one oracle holds every row to referenceRun of its job with
+// the run-time axes at their defaults. The rows are those of the per-feature
+// tables the lattice replaced, plus the rows a seeded greedy generator adds
+// until every pair of axis values some valid row can hold appears in one. A
+// new run-time feature adds an axis value here, and mutants under
+// scripts/mutants that the lattice must kill — not a table of its own.
+
+// Axes. Value 0 of each is its default.
+const (
+	axCodec     = iota
+	axSpill     // SpillBufferBytes × MergeFactor
+	axShape     // documents and reducers: what the job computes
+	axComb      // map-side combiner
+	axNodes     // in-node combine groups
+	axTransform // merge transform
+	axShuffle
+	axExec   // in-process or a loopbackRemote
+	axPar    // Parallelism
+	axProcs  // GOMAXPROCS
+	axCache  // off, or a cold run then a warm one on the same MapCache
+	axFaults // fault schedule, with three attempts per task
+	axObs    // tracing: an Observer attached
+	numAxes
+)
+
+var latticeAxes = [numAxes]struct {
+	name   string
+	values []string
+}{
+	axCodec:     {"codec", []string{"none", "gzip", "bzip2", "zlib", "transform+zlib", "block+transform+zlib"}},
+	axSpill:     {"spill", []string{"default", "128Bx2", "128Bx10"}},
+	axShape:     {"shape", []string{"faultDocs", "codeOnceDocs", "manyDocs-1r", "oneDoc", "routeAll0"}},
+	axComb:      {"comb", []string{"off", "on"}},
+	axNodes:     {"nodes", []string{"off", "1", "2", "3"}},
+	axTransform: {"transform", []string{"none", "whole", "windowed"}},
+	axShuffle:   {"shuffle", []string{"default", "mem", "tcp"}},
+	axExec:      {"exec", []string{"local", "remote"}},
+	axPar:       {"par", []string{"1", "2", "3"}},
+	axProcs:     {"procs", []string{"2", "1", "4"}},
+	axCache:     {"cache", []string{"off", "cold+warm"}},
+	axFaults:    {"faults", []string{"none", "local", "block", "net"}},
+	axObs:       {"obs", []string{"off", "on"}},
+}
+
+var manyDocs = append(slices.Clone(faultDocs),
+	"sphinx of black quartz judge my vow",
+	"the five boxing wizards jump quickly",
+	"jackdaws love my big sphinx of quartz",
+)
+
+// latticeShapes are the shapes' documents and reducers; routeAll0 sends
+// every key to partition 0, so the others take the empty-stream path.
+var latticeShapes = []struct {
+	docs     []string
+	reducers int
+}{{faultDocs, 2}, {codeOnceDocs, 2}, {manyDocs, 1}, {faultDocs[:1], 1}, {faultDocs, 3}}
+
+var latticeSpills = [][2]int{{0, 0}, {128, 2}, {128, 10}}
+
+// latticeProcs are the GOMAXPROCS values; the default is two, a CI
+// runner's, so the block pipeline has frames in flight side by side.
+var latticeProcs = []int{2, 1, 4}
+
+var latticeFaults = []string{
+	"",
+	"seed=9;map:1:error@0;segment:0.1:corrupt@0;codec:2:error@0",
+	"seed=5;segment:2.0:corrupt@0;codec:0:error@0",
+	"seed=3;net:1:cut@0;net:0.1:corrupt@0",
+}
+
+func latticeCodec(v int) codec.Codec {
+	c, _ := codec.Get(latticeAxes[axCodec].values[v])
+	if blk, ok := c.(*codec.Block); ok {
+		blk.BlockBytes = 1 << 10 // many frames even on word-count segments
+	}
+	return c
+}
+
+// axisValue is one value of one axis; a latticePair is two, lower axis first.
+type axisValue struct{ axis, value int }
+
+type latticePair [2]axisValue
+
+func (v axisValue) String() string {
+	return latticeAxes[v.axis].name + "=" + latticeAxes[v.axis].values[v.value]
+}
+
+func pairOf(p, q axisValue) latticePair {
+	if p.axis > q.axis {
+		p, q = q, p
+	}
+	return latticePair{p, q}
+}
+
+// latticeRow holds one value per axis; -1 marks one not chosen yet.
+type latticeRow [numAxes]int
+
+// lrow is the row with the given axis, value pairs set.
+func lrow(kv ...int) latticeRow {
+	var r latticeRow
+	for i := 0; i < len(kv); i += 2 {
+		r[kv[i]] = kv[i+1]
+	}
+	return r
+}
+
+func (r latticeRow) String() string {
+	var parts []string
+	for a, v := range r {
+		if v != 0 {
+			parts = append(parts, axisValue{a, v}.String())
+		}
+	}
+	if parts == nil {
+		return "defaults"
+	}
+	return strings.Join(parts, ",")
+}
+
+func (r latticeRow) pairs() []latticePair {
+	var out []latticePair
+	for a := range numAxes {
+		for b := a + 1; b < numAxes; b++ {
+			out = append(out, latticePair{{a, r[a]}, {b, r[b]}})
+		}
+	}
+	return out
+}
+
+// job builds the row's job on fs. A cache row stores into cache; a remote
+// row runs its attempts on a loopbackRemote over fresh worker-side jobs.
+func (r latticeRow) job(t *testing.T, fs *hdfs.FileSystem, cache MapOutputCache) (*Job, *loopbackRemote) {
+	sh := latticeShapes[r[axShape]]
+	job := wordCountJob(fs, sh.docs, sh.reducers, r[axComb] == 1)
+	if r[axShape] == 4 {
+		job.Partition = func([]byte, int) int { return 0 }
+	}
+	job.MapOutputCodec = latticeCodec(r[axCodec])
+	job.SpillBufferBytes, job.MergeFactor = latticeSpills[r[axSpill]][0], latticeSpills[r[axSpill]][1]
+	if n := r[axNodes]; n > 0 {
+		job.Combine = &CombineConfig{Combiner: SumInt32, Nodes: n}
+	}
+	if r[axTransform] > 0 {
+		job.MergeTransform = dupTransform
+	}
+	if r[axTransform] == 2 {
+		job.MergeCut = keyChangeCut
+	}
+	if r[axShuffle] > 0 {
+		job.Shuffle = &ShuffleConfig{Mode: latticeAxes[axShuffle].values[r[axShuffle]], Nodes: 2, FetchAttempts: 4}
+	}
+	job.Parallelism = r[axPar] + 1
+	if spec := latticeFaults[r[axFaults]]; spec != "" {
+		job.Faults = mustInjector(t, spec)
+		job.Retry = RetryPolicy{MaxAttempts: 3}
+	}
+	if r[axCache] == 1 {
+		job.MapCache, job.CacheKey = cache, "lattice"
+	}
+	if r[axObs] == 1 {
+		job.Obs = obs.New()
+	}
+	var remote *loopbackRemote
+	if r[axExec] == 1 {
+		worker := r
+		worker[axExec], worker[axCache] = 0, 0
+		remote = newLoopbackRemote(func() *Job {
+			job, _ := worker.job(t, testFS(), nil)
+			return job
+		})
+		job.Remote = remote
+	}
+	return job, remote
+}
+
+// reference keeps the axes that fix a row's reference — what the job
+// computes and how often it spills — and sets every other to its default.
+func (r latticeRow) reference() latticeRow {
+	return lrow(axSpill, r[axSpill], axShape, r[axShape], axComb, r[axComb], axTransform, r[axTransform])
+}
+
+// payload is a run's payload counters by label: counterTable's rows before
+// MapAttemptsFailed, where the scheduler's bookkeeping starts.
+func payload(c *Counters) map[string]int64 {
+	out := make(map[string]int64)
+	for _, row := range counterTable {
+		if row.at(c) == &c.MapAttemptsFailed {
+			break
+		}
+		out[row.label] = row.at(c).Value()
+	}
+	return out
+}
+
+// lattice checks rows, computing each reference and each map-side
+// code-once check once.
+type lattice struct {
+	refs  map[latticeRow]latticeRef
+	coded map[latticeRow]bool
+}
+
+// latticeRef is referenceRun's output bytes and counters.
+type latticeRef struct {
+	outs []string
+	c    *Counters
+}
+
+func newLattice() *lattice {
+	return &lattice{refs: make(map[latticeRow]latticeRef), coded: make(map[latticeRow]bool)}
+}
+
+// reference is referenceRun of r.reference().
+func (l *lattice) reference(t *testing.T, r latticeRow) latticeRef {
+	key := r.reference()
+	if ref, ok := l.refs[key]; ok {
+		return ref
+	}
+	job, _ := key.job(t, testFS(), nil)
+	outs, c := referenceRun(t, job)
+	// The spill regime is what its name says: one write per record with
+	// the default buffer; with the tiny one — on the only documents long
+	// enough — more than a spill and a final merge.
+	perSpill, spilled := c.MapOutputRecords.Value(), c.SpilledRecords.Value()
+	if key[axComb] == 1 {
+		perSpill = c.CombineOutputRecords.Value()
+	}
+	if key[axSpill] == 0 && spilled != perSpill || key[axSpill] > 0 && key[axShape] == 1 && spilled <= 2*perSpill {
+		t.Fatalf("%s: SpilledRecords %d for %d spilled once: not its spill regime", key, spilled, perSpill)
+	}
+	l.refs[key] = latticeRef{outs, c}
+	return l.refs[key]
+}
+
+// check runs row r — twice for a cache row, cold then warm — and holds each
+// run to the reference: the same output bytes and payload counters, except
+// where an axis is defined to change them, by an exact rule of its own.
+func (l *lattice) check(t *testing.T, r latticeRow) {
+	prev := runtime.GOMAXPROCS(latticeProcs[r[axProcs]])
+	defer runtime.GOMAXPROCS(prev)
+	ref := l.reference(t, r)
+	key := r.reference()
+	if key[axCodec] = r[axCodec]; key[axCodec] != 0 && !l.coded[key] {
+		l.coded[key] = true
+		codeOnceMapSide(t, latticeCodec(key[axCodec]), func(c codec.Codec) *Job {
+			job, _ := key.job(t, testFS(), nil)
+			job.MapOutputCodec = c
+			return job
+		})
+	}
+	cache := &memCache{}
+	var cold *Result
+	for run := 0; run <= r[axCache]; run++ {
+		fs := testFS()
+		job, remote := r.job(t, fs, cache)
+		var mapped atomic.Int64
+		newMapper := job.NewMapper
+		job.NewMapper = func() Mapper { mapped.Add(1); return newMapper() }
+		res, err := Run(job)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if outs := readRawOutputs(t, fs, res.OutputPaths); !slices.Equal(outs, ref.outs) {
+			t.Errorf("run %d: output bytes differ from the reference", run)
+		}
+		if job.Obs != nil && len(job.Obs.T().Events()) == 0 || r[axShuffle] == 2 && res.Counters.ShuffleFetches.Value() == 0 {
+			t.Errorf("run %d: no span traced or no fetch counted", run)
+		}
+		c, want := res.Counters, payload(ref.c)
+		if r[axCodec] != 0 {
+			// What a codec exists to shrink.
+			delete(want, "Map output materialized bytes")
+			delete(want, "Reduce shuffle bytes")
+		}
+		if merged := c.CombineMergedRecords.Value(); r[axNodes] != 0 {
+			// In-node combining leaves the reducers one record per distinct
+			// key of each node group, with or without a map combiner; the
+			// rest it folds away (dupTransform then splits each one fewer
+			// time), saving shuffle bytes once anything folded.
+			want["Reduce input records"] -= merged
+			if r[axTransform] != 0 {
+				want["Overlap key splits"] -= merged
+			}
+			if _, ok := want["Reduce shuffle bytes"]; ok {
+				want["Reduce shuffle bytes"] -= c.CombineSavedBytes.Value()
+				if merged > 0 && c.CombineSavedBytes.Value() <= 0 {
+					t.Errorf("run %d: %d records folded, %d shuffle bytes saved", run, merged, c.CombineSavedBytes.Value())
+				}
+			}
+			keys := nodeGroupKeys(latticeShapes[r[axShape]].docs, min(r[axNodes], len(job.Splits)))
+			if c.ReduceInputRecords.Value() != keys || c.CombineEmittedRecords.Value() != keys {
+				t.Errorf("run %d: %d records folded, %d emitted for %d reduce input records; the node groups hold %d keys",
+					run, merged, c.CombineEmittedRecords.Value(), c.ReduceInputRecords.Value(), keys)
+			}
+		}
+		got := payload(c)
+		for name, w := range want {
+			if got[name] != w {
+				t.Errorf("run %d: counter %q = %d, want %d", run, name, got[name], w)
+			}
+		}
+		maps := len(job.Splits)
+		if r[axCache] == 1 {
+			warm := run == 1
+			if warm {
+				maps = 0
+			}
+			if res.MapPhaseCached != warm || cache.puts != 1 || cache.hits != run || warm && !slices.Equal(res.MapTasks, cold.MapTasks) {
+				t.Errorf("run %d: MapPhaseCached %v after %d puts and %d hits", run, res.MapPhaseCached, cache.puts, cache.hits)
+			}
+			cold = res
+		}
+		if r[axFaults] == 0 {
+			// A clean run records no waste: an attempt per map task (none
+			// on a cache hit), no failed, retried, speculative or recovered
+			// attempt, no fetch retry.
+			for _, row := range counterTable[len(got):] {
+				if v := row.at(c).Value(); v != 0 && row.at(c) != &c.ShuffleFetches && !strings.HasPrefix(row.label, "Node combine") {
+					t.Errorf("run %d: a clean run counted %s = %d", run, row.label, v)
+				}
+			}
+			if len(res.WastedMapTasks)+len(res.WastedReduceTasks) != 0 || remote == nil && mapped.Load() != int64(maps) ||
+				job.Obs != nil && mapAttemptCount(job.Obs) != int64(maps) {
+				t.Errorf("run %d: %d map attempts for %d map tasks, %d wasted", run, mapped.Load(), maps, len(res.WastedMapTasks)+len(res.WastedReduceTasks))
+			}
+		}
+		if remote == nil {
+			continue
+		}
+		// Every attempt ran remotely: a clean run's one per task.
+		if want := maps + job.NumReducers; remote.runs < want || r[axFaults] == 0 && remote.runs != want {
+			t.Errorf("run %d: %d remote attempts for %d tasks", run, remote.runs, want)
+		}
+		// Every map task published; with in-node combining, data only
+		// under a node group's representative, its lowest task.
+		groups := len(job.Splits)
+		if r[axNodes] != 0 {
+			groups = min(r[axNodes], groups)
+		}
+		for m := range job.Splits {
+			n := -1 // unpublished
+			if e, ok := remote.segs[m]; ok {
+				n = 0
+				for _, p := range e.parts {
+					n += len(p)
+				}
+			}
+			if n < 0 || (n > 0) != (m < groups) {
+				t.Errorf("run %d: map task %d of %d node groups published %d B", run, m, groups, n)
+			}
+		}
+	}
+}
+
+// nodeGroupKeys counts the distinct words of each node group of docs, map
+// task m joining group m mod groups.
+func nodeGroupKeys(docs []string, groups int) int64 {
+	type groupKey struct {
+		g int
+		w string
+	}
+	seen := make(map[groupKey]bool)
+	for m, d := range docs {
+		for _, w := range strings.Fields(d) {
+			seen[groupKey{m % groups, w}] = true
+		}
+	}
+	return int64(len(seen))
+}
+
+// latticeRejected are the pairs of axis values Job.validate rejects.
+var latticeRejected = []latticePair{
+	{{axShuffle, 2}, {axExec, 1}},
+	{{axCache, 1}, {axFaults, 1}},
+	{{axCache, 1}, {axFaults, 2}},
+	{{axCache, 1}, {axFaults, 3}},
+}
+
+// latticeExcluded is every pair no row holds: rejected; net faults without
+// the networked shuffle, which have no site to fire at (the row would be the
+// faults=none row); and the pairs those imply — two values exclude each
+// other when some third axis has no value both allow.
+func latticeExcluded(rejected []latticePair) map[latticePair]bool {
+	ex := map[latticePair]bool{{{axShuffle, 0}, {axFaults, 3}}: true, {{axShuffle, 1}, {axFaults, 3}}: true}
+	for _, p := range rejected {
+		ex[p] = true
+	}
+	for _, p := range latticePairs() {
+		for c := range numAxes {
+			free := c == p[0].axis || c == p[1].axis
+			for v := range latticeAxes[c].values {
+				cv := axisValue{c, v}
+				free = free || !ex[pairOf(p[0], cv)] && !ex[pairOf(p[1], cv)]
+			}
+			if !free {
+				ex[p] = true
+			}
+		}
+	}
+	return ex
+}
+
+// latticePairs lists every pair of values of two axes, in a fixed order.
+func latticePairs() []latticePair {
+	var out []latticePair
+	for a := range numAxes {
+		for b := a + 1; b < numAxes; b++ {
+			for va := range latticeAxes[a].values {
+				for vb := range latticeAxes[b].values {
+					out = append(out, latticePair{{a, va}, {b, vb}})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// fill chooses, in order, every axis r has not set: pick gets the values ex
+// lets join the axes already set.
+func fill(r *latticeRow, ex map[latticePair]bool, order []int, pick func(a int, ok []int) int) {
+	for _, a := range order {
+		if r[a] >= 0 {
+			continue
+		}
+		var ok []int
+		for v := range latticeAxes[a].values {
+			free := true
+			for b, vb := range r {
+				free = free && (vb < 0 || b == a || !ex[pairOf(axisValue{a, v}, axisValue{b, vb})])
+			}
+			if free {
+				ok = append(ok, v)
+			}
+		}
+		r[a] = pick(a, ok)
+	}
+}
+
+func unsetRow() latticeRow {
+	var r latticeRow
+	for a := range r {
+		r[a] = -1
+	}
+	return r
+}
+
+const latticeSeed = 1
+
+// latticeRows is the lattice when Job.validate rejects rejected: the
+// retired tables' rows, then, for each pair of axis values no row holds yet,
+// a row that holds it, its other axes set — in an order drawn from seed — to
+// the value holding most new pairs, the lowest on a tie.
+func latticeRows(seed int64, rejected []latticePair) []latticeRow {
+	ex := latticeExcluded(rejected)
+	var rows []latticeRow
+	covered := make(map[latticePair]bool)
+	add := func(r latticeRow) {
+		rows = append(rows, r)
+		for _, p := range r.pairs() {
+			covered[p] = true
+		}
+	}
+	for _, nr := range retiredRows() {
+		if !slices.Contains(rows, nr.row) {
+			add(nr.row)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for _, p := range latticePairs() {
+		if covered[p] || ex[p] {
+			continue
+		}
+		r := unsetRow()
+		r[p[0].axis], r[p[1].axis] = p[0].value, p[1].value
+		fill(&r, ex, rng.Perm(numAxes), func(a int, ok []int) int {
+			best, most := ok[0], -1
+			for _, v := range ok {
+				n := 0
+				for b, vb := range r {
+					if vb >= 0 && b != a && !covered[pairOf(axisValue{a, v}, axisValue{b, vb})] {
+						n++
+					}
+				}
+				if n > most {
+					best, most = v, n
+				}
+			}
+			return best
+		})
+		add(r)
+	}
+	return rows
+}
+
+// namedRow is one row of a table the lattice replaced, under its old name.
+type namedRow struct {
+	name string
+	row  latticeRow
+}
+
+// retiredRows are the rows of the per-feature differential tables the
+// lattice replaced — the block codec at three pipeline widths, the streaming
+// reduce, code-once over codec × spill regime × combiner, the map cache,
+// in-node combining, remote execution with and without it, the networked
+// shuffle and tracing — under their old test names.
+func retiredRows() []namedRow {
+	var rs []namedRow
+	add := func(name string, kv ...int) { rs = append(rs, namedRow{name, lrow(kv...)}) }
+	for p, w := range latticeProcs {
+		name := func(v string) string { return fmt.Sprintf("TestBlockCodecDifferential/%s/workers=%d", v, w) }
+		add(name("mem"), axCodec, 5, axProcs, p)
+		add(name("tcp"), axCodec, 5, axProcs, p, axShuffle, 2, axPar, 1)
+		add(name("mem-faults"), axCodec, 5, axProcs, p, axFaults, 1)
+		add(name("net-faults"), axCodec, 5, axProcs, p, axShuffle, 2, axPar, 1, axFaults, 3)
+	}
+	add("TestStreamingReduceDifferential/codec-none")
+	add("TestStreamingReduceDifferential/codec-gzip", axCodec, 1)
+	add("TestStreamingReduceDifferential/codec-bzip2", axCodec, 2)
+	add("TestStreamingReduceDifferential/combiner", axCodec, 1, axComb, 1)
+	add("TestStreamingReduceDifferential/transform-whole-stream", axCodec, 1, axTransform, 1)
+	add("TestStreamingReduceDifferential/transform-windowed", axTransform, 2)
+	add("TestStreamingReduceDifferential/transform-windowed-bzip2", axCodec, 2, axTransform, 2)
+	add("TestStreamingReduceDifferential/multi-pass-merge", axShape, 2)
+	add("TestStreamingReduceDifferential/single-segment", axShape, 3)
+	add("TestStreamingReduceDifferential/empty-partitions", axShape, 4)
+	add("TestStreamingReduceDifferential/empty-partitions-transform", axShape, 4, axTransform, 2)
+	add("TestStreamingReduceDifferential/chaos-local", axCodec, 1, axTransform, 1, axFaults, 1)
+	add("TestStreamingReduceDifferential/chaos-transform-zlib", axCodec, 4, axFaults, 1)
+	add("TestStreamingReduceDifferential/chaos-block-transform-zlib", axCodec, 5, axTransform, 2, axFaults, 2)
+	add("TestStreamingReduceDifferential/chaos-net", axShuffle, 2, axPar, 1, axFaults, 3)
+	for s, regime := range []string{"default", "tiny-factor2", "tiny-factor10"} {
+		for comb := range 2 {
+			for _, cd := range []int{3, 4, 5} {
+				add(fmt.Sprintf("TestCodeOnceDifferential/%s/comb=%v/%s", regime, comb == 1, latticeAxes[axCodec].values[cd]),
+					axShape, 1, axSpill, s, axComb, comb, axCodec, cd)
+			}
+		}
+	}
+	add("TestMapCacheDifferential/plain", axCache, 1)
+	add("TestMapCacheDifferential/map_side_combiner", axCache, 1, axComb, 1)
+	add("TestMapCacheDifferential/in_node_combine", axCache, 1, axNodes, 2)
+	add("TestMapCacheDifferential/net_shuffle", axCache, 1, axShuffle, 2)
+	for n := 1; n <= 3; n++ {
+		add(fmt.Sprintf("TestCombineDifferential/nodes=%d", n), axNodes, n)
+	}
+	add("TestRemoteExecutionByteIdentical/par=1", axExec, 1, axComb, 1)
+	add("TestRemoteExecutionByteIdentical/par=3", axExec, 1, axComb, 1, axPar, 2)
+	add("TestRemoteCombineByteIdentical/nodes=2", axExec, 1, axComb, 1, axNodes, 2, axPar, 1)
+	add("TestNetShuffleCleanByteIdentical/mem", axShuffle, 1)
+	add("TestNetShuffleCleanByteIdentical/tcp", axShuffle, 2)
+	add("TestObservabilityByteIdentity/clean", axPar, 1, axObs, 1)
+	add("TestObservabilityByteIdentity/faulty", axPar, 1, axFaults, 1, axObs, 1)
+	return rs
+}
+
+// TestConfigLattice runs every lattice row through the one oracle.
+func TestConfigLattice(t *testing.T) {
+	l := newLattice()
+	for i, r := range latticeRows(latticeSeed, latticeRejected) {
+		t.Run(fmt.Sprintf("%03d:%s", i, r), func(t *testing.T) { l.check(t, r) })
+	}
+}
+
+// FuzzConfigLattice draws one valid row per input and checks it.
+func FuzzConfigLattice(f *testing.F) {
+	for _, seed := range []int64{1, 7, 42} {
+		f.Add(seed)
+	}
+	ex := latticeExcluded(latticeRejected)
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		r := unsetRow()
+		fill(&r, ex, rng.Perm(numAxes), func(_ int, ok []int) int { return ok[rng.Intn(len(ok))] })
+		t.Log(r)
+		newLattice().check(t, r)
+	})
+}
+
+// TestConfigLatticeCoversEveryPair is the generator's self-test: every row
+// is a job Job.validate accepts; every pair of axis values not excluded
+// appears in a row; and Job.validate rejects a pair, on otherwise default
+// axes, exactly when latticeRejected lists it. A pair it starts to accept
+// is named with the rows the lattice gains once its exclusion goes.
+func TestConfigLatticeCoversEveryPair(t *testing.T) {
+	rows := latticeRows(latticeSeed, latticeRejected)
+	covered := make(map[latticePair]bool)
+	for _, r := range rows {
+		if job, _ := r.job(t, testFS(), &memCache{}); job.validate() != nil {
+			t.Errorf("row %s: %v", r, job.validate())
+		}
+		for _, p := range r.pairs() {
+			covered[p] = true
+		}
+	}
+	ex := latticeExcluded(latticeRejected)
+	for _, p := range latticePairs() {
+		if covered[p] == ex[p] {
+			t.Errorf("%s with %s: excluded %v, held by a row %v", p[0], p[1], ex[p], covered[p])
+		}
+		r := lrow(p[0].axis, p[0].value, p[1].axis, p[1].value)
+		job, _ := r.job(t, testFS(), &memCache{})
+		rejected := slices.Contains(latticeRejected, p)
+		if (job.validate() != nil) == rejected {
+			continue
+		}
+		var gained []string
+		for _, nr := range latticeRows(latticeSeed, slices.DeleteFunc(slices.Clone(latticeRejected), func(q latticePair) bool { return q == p })) {
+			if nr[p[0].axis] == p[0].value && nr[p[1].axis] == p[1].value {
+				gained = append(gained, nr.String())
+			}
+		}
+		t.Errorf("Job.validate error %v on %s, listed as rejected %v; without the exclusion the lattice gains %q",
+			job.validate(), r, rejected, gained)
+	}
+	t.Logf("%d rows hold %d pairs; %d excluded", len(rows), len(covered), len(ex))
+}
+
+// The tables the lattice replaced keep their test names: each runs the
+// lattice rows that stand for its old cases, under the old subtest names —
+// the same axis values, on the lattice's shapes and fault schedules rather
+// than the old tables' own — so these rows run once more next to
+// TestConfigLattice.
+
+func TestBlockCodecDifferential(t *testing.T)       { replayRetired(t) }
+func TestStreamingReduceDifferential(t *testing.T)  { replayRetired(t) }
+func TestCodeOnceDifferential(t *testing.T)         { replayRetired(t) }
+func TestMapCacheDifferential(t *testing.T)         { replayRetired(t) }
+func TestCombineDifferential(t *testing.T)          { replayRetired(t) }
+func TestRemoteExecutionByteIdentical(t *testing.T) { replayRetired(t) }
+func TestRemoteCombineByteIdentical(t *testing.T)   { replayRetired(t) }
+func TestNetShuffleCleanByteIdentical(t *testing.T) { replayRetired(t) }
+func TestObservabilityByteIdentity(t *testing.T)    { replayRetired(t) }
+
+func replayRetired(t *testing.T) {
+	var rows []namedRow
+	for _, nr := range retiredRows() {
+		if rest, ok := strings.CutPrefix(nr.name, t.Name()+"/"); ok {
+			rows = append(rows, namedRow{rest, nr.row})
+		}
+	}
+	replayNested(t, newLattice(), rows)
+}
+
+// replayNested runs rows as nested subtests, a level per "/" in their names.
+func replayNested(t *testing.T, l *lattice, rows []namedRow) {
+	var heads []string
+	sub := make(map[string][]namedRow)
+	for _, nr := range rows {
+		head, rest, _ := strings.Cut(nr.name, "/")
+		if sub[head] == nil {
+			heads = append(heads, head)
+		}
+		sub[head] = append(sub[head], namedRow{rest, nr.row})
+	}
+	for _, head := range heads {
+		t.Run(head, func(t *testing.T) {
+			if rs := sub[head]; len(rs) == 1 && rs[0].name == "" {
+				l.check(t, rs[0].row)
+			} else {
+				replayNested(t, l, rs)
+			}
+		})
+	}
+}

@@ -9,68 +9,6 @@ import (
 	"scikey/internal/obs"
 )
 
-// TestObservabilityByteIdentity is the obs package's engine-wide invariant:
-// attaching an Observer never alters the data path. Output bytes and payload
-// counters must be byte-identical with tracing on or off — on clean runs and
-// on runs that exercise retries and corruption recovery.
-func TestObservabilityByteIdentity(t *testing.T) {
-	type variant struct {
-		name   string
-		spec   string
-		policy RetryPolicy
-	}
-	for _, v := range []variant{
-		{"clean", "", RetryPolicy{}},
-		{"faulty", "map:1:error@0;segment:2.0:corrupt@0", RetryPolicy{MaxAttempts: 3}},
-	} {
-		t.Run(v.name, func(t *testing.T) {
-			run := func(ob *obs.Observer) (*Result, []string) {
-				fs := testFS()
-				job := wordCountJob(fs, faultDocs, 2, false)
-				job.Parallelism = 2
-				job.Retry = v.policy
-				job.Obs = ob
-				if v.spec != "" {
-					job.Faults = mustInjector(t, v.spec)
-				}
-				res, err := Run(job)
-				if err != nil {
-					t.Fatalf("run (obs=%v): %v", ob != nil, err)
-				}
-				return res, readRawOutputs(t, fs, res.OutputPaths)
-			}
-			plain, plainOut := run(nil)
-			ob := obs.New()
-			traced, tracedOut := run(ob)
-
-			for i := range plainOut {
-				if plainOut[i] != tracedOut[i] {
-					t.Errorf("output %d differs between traced and untraced runs", i)
-				}
-			}
-			p, q := plain.Counters, traced.Counters
-			pairs := []struct {
-				name string
-				a, b int64
-			}{
-				{"map output records", p.MapOutputRecords.Value(), q.MapOutputRecords.Value()},
-				{"materialized bytes", p.MapOutputMaterializedBytes.Value(), q.MapOutputMaterializedBytes.Value()},
-				{"shuffle bytes", p.ReduceShuffleBytes.Value(), q.ReduceShuffleBytes.Value()},
-				{"reduce output bytes", p.ReduceOutputBytes.Value(), q.ReduceOutputBytes.Value()},
-				{"spilled records", p.SpilledRecords.Value(), q.SpilledRecords.Value()},
-			}
-			for _, pr := range pairs {
-				if pr.a != pr.b {
-					t.Errorf("%s: untraced %d, traced %d", pr.name, pr.a, pr.b)
-				}
-			}
-			if len(ob.T().Events()) == 0 {
-				t.Error("traced run recorded no spans")
-			}
-		})
-	}
-}
-
 // TestCountersMergeUnderSpeculation: with concurrent speculative attempts,
 // only winners merge payload counters, so the published scikey_* series
 // match the (speculation-free) reference values exactly — no double counting

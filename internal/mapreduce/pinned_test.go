@@ -70,7 +70,7 @@ func TestSpillCombinePinned(t *testing.T) {
 // that move is the rule, not a regression: a merge pass takes the smallest
 // stored segments first, the parent ranked spills by their coded size, and
 // raw spills rank by plaintext size — as the codec.None job always did, whose
-// 3742 this now equals under every codec (TestCodeOnceDifferential). The pass
+// 3742 this now equals under every codec (TestConfigLattice). The pass
 // that re-encodes a lone raw spill counts as the merge pass it is; no
 // partition here has one.
 func TestCodedSpillsPinned(t *testing.T) {

@@ -98,8 +98,8 @@ func referenceReduce(job *Job, ctx *TaskContext, segs []segment) ([]byte, error)
 
 // referenceRun is the whole-job oracle: every map task runs once,
 // fault-free, through the engine's own map side, and every partition is
-// reduced by referenceReduce. It returns the per-partition output bytes and
-// the merged payload counters. A run of job under any fault schedule,
+// reduced by referenceReduce over every segment, fetched once. It returns
+// the per-partition output bytes and the merged payload counters. A run of job under any fault schedule,
 // shuffle transport or parallelism must reproduce both exactly — recovery
 // leaves no trace in the payload.
 func referenceRun(t *testing.T, job *Job) ([]string, *Counters) {
@@ -122,6 +122,7 @@ func referenceRun(t *testing.T, job *Job) ([]string, *Counters) {
 		for m := range finals {
 			if len(finals[m][p].data) > 0 {
 				segs = append(segs, finals[m][p])
+				total.ReduceShuffleBytes.Add(int64(len(finals[m][p].data)))
 			}
 		}
 		ctx := &TaskContext{TaskID: p, FS: clean.FS, counters: &Counters{}}

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -150,90 +149,25 @@ func runRemoteJob(t *testing.T, par int, failOnce ...string) (*hdfs.FileSystem, 
 	return fs, res, remote
 }
 
-// remotePayloadCounters is the length of the snapshot prefix that
-// describes the data path (as opposed to scheduler bookkeeping like retry
-// counts): everything before MapAttemptsFailed.
-func remotePayloadCounters(res *Result) int {
-	for i, row := range counterTable {
-		if row.at(res.Counters) == &res.Counters.MapAttemptsFailed {
-			return i
-		}
-	}
-	return len(counterTable)
-}
-
-// outputsAndCounters fingerprints a run: every output file's bytes plus the
-// full payload-counter snapshot.
-func outputsAndCounters(t *testing.T, fs *hdfs.FileSystem, res *Result) ([][]byte, []int64) {
-	t.Helper()
-	outs := make([][]byte, len(res.OutputPaths))
-	for i, p := range res.OutputPaths {
-		data, err := fs.ReadAll(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs[i] = data
-	}
-	return outs, res.Counters.Snapshot()
-}
-
-// TestRemoteExecutionByteIdentical: the remote data path (attempts executed
-// against separate per-worker job instances, segments travelling through
-// the coordinator's store) produces exactly the bytes and payload counters
-// of the in-process reference run.
-func TestRemoteExecutionByteIdentical(t *testing.T) {
-	refFS := testFS()
-	refJob := wordCountJob(refFS, remoteDocs, 3, true)
-	refRes, err := Run(refJob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refOuts, refCounts := outputsAndCounters(t, refFS, refRes)
-
-	for _, par := range []int{1, 3} {
-		fs, res, remote := runRemoteJob(t, par)
-		outs, counts := outputsAndCounters(t, fs, res)
-		for i := range refOuts {
-			if !bytes.Equal(outs[i], refOuts[i]) {
-				t.Errorf("par=%d: output %d differs from in-process run (%d vs %d bytes)",
-					par, i, len(outs[i]), len(refOuts[i]))
-			}
-		}
-		for i := range refCounts {
-			if counts[i] != refCounts[i] {
-				t.Errorf("par=%d: counter %d = %d, want %d", par, i, counts[i], refCounts[i])
-			}
-		}
-		wantRuns := len(remoteDocs) + 3 // every attempt ran remotely
-		if remote.runs != wantRuns {
-			t.Errorf("par=%d: %d remote runs, want %d", par, remote.runs, wantRuns)
-		}
-		if len(res.WastedMapTasks)+len(res.WastedReduceTasks) != 0 {
-			t.Errorf("par=%d: clean run charged waste", par)
-		}
-	}
-}
-
 // TestRemoteLeaseLossRetriesAndChargesWaste: a lease lost mid-map and one
 // lost mid-reduce retry under fresh attempts; output stays byte-identical
 // and the lost attempts' footprints land in the waste ledger.
 func TestRemoteLeaseLossRetriesAndChargesWaste(t *testing.T) {
 	refFS, refRes, _ := runRemoteJob(t, 1)
-	refOuts, refCounts := outputsAndCounters(t, refFS, refRes)
+	refOuts, refCounts := readRawOutputs(t, refFS, refRes.OutputPaths), payload(refRes.Counters)
 
 	fs, res, _ := runRemoteJob(t, 2, "map/1/0", "reduce/2/0")
-	outs, counts := outputsAndCounters(t, fs, res)
+	outs, counts := readRawOutputs(t, fs, res.OutputPaths), payload(res.Counters)
 	for i := range refOuts {
-		if !bytes.Equal(outs[i], refOuts[i]) {
+		if outs[i] != refOuts[i] {
 			t.Errorf("output %d differs after lease losses", i)
 		}
 	}
-	// Payload counters (everything up to the scheduler bookkeeping rows)
-	// must match the clean run exactly: lost attempts never double-count.
-	payload := remotePayloadCounters(res)
-	for i := 0; i < payload; i++ {
-		if counts[i] != refCounts[i] {
-			t.Errorf("counter %d = %d, want %d (lost attempts must not double-count)", i, counts[i], refCounts[i])
+	// Payload counters must match the clean run exactly: lost attempts
+	// never double-count.
+	for name, want := range refCounts {
+		if counts[name] != want {
+			t.Errorf("counter %s = %d, want %d (lost attempts must not double-count)", name, counts[name], want)
 		}
 	}
 	if res.Counters.MapAttemptsFailed.Value() != 1 || res.Counters.ReduceAttemptsFailed.Value() != 1 {

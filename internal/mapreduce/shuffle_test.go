@@ -36,41 +36,6 @@ func cleanBaseline(t *testing.T) (*Result, []string) {
 	return res, out
 }
 
-// TestNetShuffleCleanByteIdentical: with no faults, every shuffle mode
-// produces byte-identical output and identical payload counters.
-func TestNetShuffleCleanByteIdentical(t *testing.T) {
-	clean, want := cleanBaseline(t)
-	for _, mode := range []string{ShuffleMem, ShuffleTCP} {
-		t.Run(mode, func(t *testing.T) {
-			res, out, err := runShuffleJob(t, &ShuffleConfig{Mode: mode}, "", RetryPolicy{})
-			if err != nil {
-				t.Fatalf("%s run: %v", mode, err)
-			}
-			for i := range want {
-				if out[i] != want[i] {
-					t.Errorf("output %d differs from in-memory run", i)
-				}
-			}
-			c, cc := res.Counters, clean.Counters
-			if got, want := c.ReduceShuffleBytes.Value(), cc.ReduceShuffleBytes.Value(); got != want {
-				t.Errorf("reduce shuffle bytes = %d, in-memory run = %d", got, want)
-			}
-			if got, want := c.MapOutputMaterializedBytes.Value(), cc.MapOutputMaterializedBytes.Value(); got != want {
-				t.Errorf("materialized bytes = %d, in-memory run = %d", got, want)
-			}
-			if mode != ShuffleMem {
-				if c.ShuffleFetches.Value() == 0 {
-					t.Error("networked run recorded no shuffle fetches")
-				}
-				if c.ShuffleFetchRetries.Value() != 0 || c.ShuffleFetchWastedBytes.Value() != 0 {
-					t.Errorf("clean run shows transport waste: retries=%d wasted=%d",
-						c.ShuffleFetchRetries.Value(), c.ShuffleFetchWastedBytes.Value())
-				}
-			}
-		})
-	}
-}
-
 // TestNetShuffleFaultMatrix is the acceptance matrix: every network fault
 // site, crossed with the retry policies, must still yield byte-identical
 // output — with the recovery work visible in the shuffle counters.

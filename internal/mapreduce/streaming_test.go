@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-
-	"scikey/internal/codec"
 )
 
 // dupTransform duplicates every pair — a merge transform whose output is
@@ -30,152 +28,6 @@ func keyChangeCut() func(key []byte) bool {
 		last = append(last[:0], k...)
 		started = true
 		return cut
-	}
-}
-
-// diffCase is one engine-vs-oracle configuration.
-type diffCase struct {
-	name      string
-	codec     codec.Codec
-	comb      bool
-	transform bool // install dupTransform
-	cut       bool // ... with the per-key window cut
-	spec      string
-	policy    RetryPolicy
-	shuffle   *ShuffleConfig
-	reducers  int
-	docs      []string
-	// routeAll0, when set, sends every key to partition 0 so the other
-	// partitions exercise the empty-stream path end to end.
-	routeAll0 bool
-	parallel  int
-}
-
-func (dc diffCase) build(t *testing.T) *Job {
-	t.Helper()
-	fs := testFS()
-	docs := dc.docs
-	if docs == nil {
-		docs = faultDocs
-	}
-	reducers := dc.reducers
-	if reducers == 0 {
-		reducers = 2
-	}
-	job := wordCountJob(fs, docs, reducers, dc.comb)
-	job.MapOutputCodec = dc.codec
-	job.Retry = dc.policy
-	job.Shuffle = dc.shuffle
-	job.Faults = mustInjector(t, dc.spec)
-	if dc.parallel > 0 {
-		job.Parallelism = dc.parallel
-	}
-	if dc.transform {
-		job.MergeTransform = dupTransform
-		if dc.cut {
-			job.MergeCut = keyChangeCut
-		}
-	}
-	if dc.routeAll0 {
-		job.Partition = func([]byte, int) int { return 0 }
-	}
-	return job
-}
-
-// runDiff executes the case through the engine and returns the raw
-// per-partition output bytes plus the payload counters the engine and the
-// oracle must agree on.
-func runDiff(t *testing.T, dc diffCase) ([]string, map[string]int64) {
-	t.Helper()
-	job := dc.build(t)
-	res, err := Run(job)
-	if err != nil {
-		t.Fatalf("%s: %v", dc.name, err)
-	}
-	return readRawOutputs(t, job.FS, res.OutputPaths), diffCounters(res.Counters)
-}
-
-// refDiff is runDiff through the materialize-then-group oracle.
-func refDiff(t *testing.T, dc diffCase) ([]string, map[string]int64) {
-	t.Helper()
-	outs, c := referenceRun(t, dc.build(t))
-	return outs, diffCounters(c)
-}
-
-func diffCounters(c *Counters) map[string]int64 {
-	return map[string]int64{
-		"ReduceInputRecords":  c.ReduceInputRecords.Value(),
-		"ReduceInputGroups":   c.ReduceInputGroups.Value(),
-		"ReduceOutputRecords": c.ReduceOutputRecords.Value(),
-		"ReduceOutputBytes":   c.ReduceOutputBytes.Value(),
-		"OverlapKeySplits":    c.OverlapKeySplits.Value(),
-		"SpilledRecords":      c.SpilledRecords.Value(),
-		"MapOutputRecords":    c.MapOutputRecords.Value(),
-	}
-}
-
-// TestStreamingReduceDifferential proves the engine's streaming reduce path
-// emits byte-identical output files — and identical payload counters — to
-// the materialize-then-group oracle (referenceRun) across codecs, combiner,
-// merge transforms (whole-stream and windowed), chaos schedules, and
-// degenerate partitions. The oracle always runs fault-free over the
-// in-memory hand-off, so the chaos cases also pin that recovery leaves the
-// payload untouched.
-func TestStreamingReduceDifferential(t *testing.T) {
-	manyDocs := append(append([]string(nil), faultDocs...),
-		"sphinx of black quartz judge my vow",
-		"the five boxing wizards jump quickly",
-		"jackdaws love my big sphinx of quartz",
-	)
-	cases := []diffCase{
-		{name: "codec-none", codec: nil},
-		{name: "codec-gzip", codec: codec.Gzip},
-		{name: "codec-bzip2", codec: codec.Bzip2},
-		{name: "combiner", codec: codec.Gzip, comb: true},
-		{name: "transform-whole-stream", codec: codec.Gzip, transform: true},
-		{name: "transform-windowed", codec: nil, transform: true, cut: true},
-		{name: "transform-windowed-bzip2", codec: codec.Bzip2, transform: true, cut: true},
-		{name: "multi-pass-merge", codec: nil, docs: manyDocs, reducers: 1},
-		{name: "single-segment", codec: nil, docs: faultDocs[:1], reducers: 1},
-		{name: "empty-partitions", codec: nil, reducers: 3, routeAll0: true},
-		{name: "empty-partitions-transform", codec: nil, reducers: 3, routeAll0: true,
-			transform: true, cut: true},
-		{name: "chaos-local", codec: codec.Gzip, transform: true,
-			spec:   "seed=9;map:1:error@0;segment:0.1:corrupt@0;codec:2:error@0",
-			policy: RetryPolicy{MaxAttempts: 3}},
-		// The coded final level is decoded once, by the validation scan,
-		// and merged raw; retries re-read the intact fetched outputs.
-		{name: "chaos-transform-zlib", codec: codec.NewTransform(codec.Zlib),
-			spec:   "seed=9;map:1:error@0;segment:0.1:corrupt@0;codec:2:error@0",
-			policy: RetryPolicy{MaxAttempts: 3}},
-		{name: "chaos-block-transform-zlib", codec: decodeOnceCodecs()[1].c, transform: true, cut: true,
-			spec:   "seed=5;segment:2.0:corrupt@0;codec:0:error@0",
-			policy: RetryPolicy{MaxAttempts: 3}},
-		{name: "chaos-net", codec: nil, parallel: 2,
-			shuffle: &ShuffleConfig{Mode: ShuffleTCP, Nodes: 2, FetchAttempts: 4},
-			spec:    "seed=3;net:1:cut@0;net:0.1:corrupt@0",
-			policy:  RetryPolicy{MaxAttempts: 3}},
-	}
-	for _, dc := range cases {
-		t.Run(dc.name, func(t *testing.T) {
-			refOuts, refCounters := refDiff(t, dc)
-			strOuts, strCounters := runDiff(t, dc)
-			if len(refOuts) != len(strOuts) {
-				t.Fatalf("partition counts differ: reference %d, streaming %d",
-					len(refOuts), len(strOuts))
-			}
-			for i := range refOuts {
-				if refOuts[i] != strOuts[i] {
-					t.Errorf("partition %d output bytes differ (reference %d B, streaming %d B)",
-						i, len(refOuts[i]), len(strOuts[i]))
-				}
-			}
-			for name, want := range refCounters {
-				if got := strCounters[name]; got != want {
-					t.Errorf("counter %s: streaming %d, reference %d", name, got, want)
-				}
-			}
-		})
 	}
 }
 
