@@ -10,7 +10,8 @@ GO ?= go
 # SIGKILLs — of workers (e14) and of the coordinator itself (e15) — and smoke
 # the in-node combining experiment (e16) and the resident query service's
 # segment cache (e17). The mutation gate runs after the race suite: the
-# engine's configuration lattice must kill every patch under scripts/mutants.
+# engine's configuration lattice, or the oracle a patch names, must kill
+# every patch under scripts/mutants.
 check: build docs vet race mutants bench-gate bench-e2e e14 e15 e16 e17
 
 # E14: worker-kill soak — a coordinator plus three real worker subprocesses,
@@ -66,7 +67,9 @@ race:
 
 # The mutation gate: each patch under scripts/mutants breaks non-test code in
 # a way a per-feature differential table the configuration lattice replaced
-# used to catch; TestConfigLattice must fail on every one (~1 min).
+# used to catch, or the grouping-by-words oracle catches; TestConfigLattice,
+# or the tests a patch's `# test: <regexp>` line names, must fail on every
+# one (~1.5 min).
 mutants:
 	@sh scripts/mutants.sh
 

@@ -355,15 +355,17 @@ func (h *mergeHeap) pop() *segIter {
 	return it
 }
 
-// kvStream is a pull iterator over a sorted record run — the shape the
-// whole reduce path consumes, so one partition is never materialized as a
-// slice. next returns the next record until (KV{}, false, nil) at end of
-// stream; after an error or end of stream the stream must not be advanced
-// again. A returned record is valid until the next pull: its bytes may
-// alias decoder scratch or the segment itself, so a consumer that keeps a
-// record past that copies it. close releases pooled resources and is
-// idempotent; it must be called exactly when no previously returned record
-// is still referenced.
+// kvStream is a pull iterator over a sorted record run — what a merge pass
+// writes out, a node combine folds and a MergeTransform window is gathered
+// from, so one partition is never materialized as a slice. (A reduce
+// attempt's grouping loop pulls its merge and transform as concrete types,
+// through reduceStream.) next returns the next record until
+// (KV{}, false, nil) at end of stream; after an error or end of stream the
+// stream must not be advanced again. A returned record is valid until the
+// next pull: its bytes may alias decoder scratch or the segment itself, so
+// a consumer that keeps a record past that copies it. close releases
+// pooled resources and is idempotent; it must be called exactly when no
+// previously returned record is still referenced.
 type kvStream interface {
 	next() (KV, bool, error)
 	close()
@@ -382,6 +384,11 @@ type mergeStream struct {
 	// chosen — deferred so the caller can use the record first.
 	pending bool
 	closed  bool
+	// records, when set, receives got — the records handed out — at end
+	// of stream and at close: a fully drained (winning) reduce attempt
+	// lands on exactly its partition's record count.
+	records *Counter
+	got     int64
 }
 
 // validateSegments checks a final merge level before any of its records
@@ -547,6 +554,16 @@ func newMergeStream(segs []segment, env readEnv, ord keyOrder) (*mergeStream, er
 }
 
 func (m *mergeStream) next() (KV, bool, error) {
+	kv, err := m.pull()
+	if kv == nil {
+		return KV{}, false, err
+	}
+	return *kv, true, nil
+}
+
+// pull is next without the copy out: it returns the next record where it
+// lies, in the heap head's iterator, or nil at end of stream and on error.
+func (m *mergeStream) pull() (*KV, error) {
 	if m.pending {
 		m.pending = false
 		it := m.h.its[0]
@@ -554,7 +571,7 @@ func (m *mergeStream) next() (KV, bool, error) {
 		if it.err != nil {
 			err := it.err
 			m.close()
-			return KV{}, false, err
+			return nil, err
 		}
 		if it.ok {
 			m.h.note(it)
@@ -564,10 +581,21 @@ func (m *mergeStream) next() (KV, bool, error) {
 		}
 	}
 	if len(m.h.its) == 0 {
-		return KV{}, false, nil
+		m.flush()
+		return nil, nil
 	}
 	m.pending = true
-	return m.h.its[0].cur, true, nil
+	m.got++
+	return &m.h.its[0].cur, nil
+}
+
+// flush adds the tally to records and restarts it, so a close after end of
+// stream adds nothing twice.
+func (m *mergeStream) flush() {
+	if m.records != nil {
+		m.records.Add(m.got)
+	}
+	m.got = 0
 }
 
 // close releases every iterator still in the heap — including survivors of
@@ -577,6 +605,7 @@ func (m *mergeStream) close() {
 		return
 	}
 	m.closed = true
+	m.flush()
 	for _, it := range m.h.its {
 		it.release()
 	}
@@ -651,32 +680,68 @@ func sortSegmentsBySize(segs []segment) {
 	})
 }
 
-// groupReduce walks a sorted record stream, invoking red once per group of
-// equal keys (per cmp), as Hadoop's reduce-phase grouping iterator does.
-// Only the current group is held in memory. It aborts between groups when
-// the attempt is canceled, and — when bail is non-nil — when bail reports a
-// downstream error, so a failed reduce-output write stops the attempt
-// promptly instead of reducing on into a dead writer.
+// reduceStream is what a reduce attempt groups: its final merge, read
+// directly, or the transformStream stacked on it when the job has a
+// MergeTransform. Both are concrete, so a record costs no interface call on
+// the way from the merge heap to the grouping loop.
+type reduceStream struct {
+	m *mergeStream
+	t *transformStream // nil without a MergeTransform; its src is m
+}
+
+// pull returns the next record where it lies, valid until the next pull,
+// or nil at end of stream and on error.
+func (s reduceStream) pull() (*KV, error) {
+	if s.t != nil {
+		return s.t.pull()
+	}
+	return s.m.pull()
+}
+
+// words returns the words the merge heap cached for the key pull just
+// returned, and whether they decide that key's group: only while the merge
+// is in words mode, and only for records straight from the merge — a
+// transform's output keys have no words.
+func (s reduceStream) words() (hi, lo uint64, ok bool) {
+	if s.t != nil || !s.m.h.byWords {
+		return 0, 0, false
+	}
+	it := s.m.h.its[0]
+	return it.hi, it.lo, true
+}
+
+// groupReduce walks a reduce attempt's sorted record stream, invoking red
+// once per group of equal keys (per cmp), as Hadoop's reduce-phase grouping
+// iterator does. Only the current group is held in memory. It aborts
+// between groups when the attempt is canceled, and — when bail is non-nil —
+// when bail reports a downstream error, so a failed reduce-output write
+// stops the attempt promptly instead of reducing on into a dead writer.
 //
-// Each record is landed in a group-owned arena the moment it arrives, since
-// the stream's records are valid only until its next pull. Two arenas
-// ping-pong: the current group's key and values accumulate in one while a
-// group boundary copies the next group's first record into the other, so
-// Reduce always reads live memory while the stream advances underneath.
-// Arguments passed to Reduce are only valid during the call (Hadoop's
-// iterator-reuse contract), and the values slice itself is reused from
-// group to group, so an attempt allocates it once, not once per group.
-func groupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red Reducer, emit Emit, bail func() error) error {
-	ga, gb := &kvArena{}, &kvArena{} // current group arena, boundary arena
+// While the merge is in words mode a record joins the group when its cached
+// words equal the group's first key's: under one variable section equal
+// words are exactly Compare == 0 (DESIGN §6 "Grouping by words"). From the
+// first record pulled after the merge left words mode — mid-group included
+// — cmp decides, as it does for a transform's output.
+//
+// The stream's records are valid only until its next pull, so each group's
+// key and values are copied into one arena as they arrive; the next
+// group's first record is still valid while red runs, since nothing pulls
+// in between, and is copied once the arena is reset. Arguments passed to
+// Reduce are only valid during the call (Hadoop's iterator-reuse
+// contract), and the values slice is reused from group to group, so an
+// attempt allocates it once, not once per group.
+//
+// It points the merge's tally at ReduceInputRecords and tallies the groups
+// itself, added once on every way out; counters are attempt-private until
+// commit.
+func groupReduce(ctx *TaskContext, s reduceStream, cmp func(a, b []byte) int, red Reducer, emit Emit, bail func() error) error {
+	s.m.records = &ctx.counters.ReduceInputRecords
+	var groups int64
+	defer func() { ctx.counters.ReduceInputGroups.Add(groups) }()
+	var arena kvArena
 	var values [][]byte
-	cur, ok, err := src.next()
-	if err != nil {
-		return err
-	}
-	if ok {
-		cur = KV{Key: ga.copy(cur.Key), Value: ga.copy(cur.Value)}
-	}
-	for ok {
+	kv, err := s.pull()
+	for kv != nil {
 		if ctx.Canceled() {
 			return ErrAttemptCanceled
 		}
@@ -685,63 +750,32 @@ func groupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red 
 				return err
 			}
 		}
-		key := cur.Key
-		values = append(values[:0], cur.Value)
-		ok = false
+		arena.reset()
+		key := arena.copy(kv.Key)
+		values = append(values[:0], arena.copy(kv.Value))
+		hi, lo, _ := s.words()
 		for {
-			nxt, more, err := src.next()
-			if err != nil {
-				return err
-			}
-			if !more {
+			if kv, err = s.pull(); kv == nil {
 				break
 			}
-			if cmp(key, nxt.Key) != 0 {
-				gb.reset()
-				cur, ok = KV{Key: gb.copy(nxt.Key), Value: gb.copy(nxt.Value)}, true
+			if h, l, byWords := s.words(); byWords {
+				if h != hi || l != lo {
+					break
+				}
+			} else if cmp(key, kv.Key) != 0 {
 				break
 			}
-			values = append(values, ga.copy(nxt.Value))
+			values = append(values, arena.copy(kv.Value))
 		}
-		ctx.counters.ReduceInputGroups.Add(1)
+		if err != nil {
+			return err
+		}
+		groups++
 		if err := red.Reduce(ctx, key, values, emit); err != nil {
 			return err
 		}
-		// The finished group's arena becomes the next boundary scratch; the
-		// next group's first record already lives in the other one.
-		ga, gb = gb, ga
 	}
-	return nil
-}
-
-// countStream counts records as they drain into a local tally, added to
-// ReduceInputRecords at end of stream and at close: a fully drained
-// (winning) attempt lands on exactly the partition's record count, and the
-// attempt's counters are private to it until commit.
-type countStream struct {
-	src kvStream
-	n   *Counter
-	got int64
-}
-
-func (s *countStream) next() (KV, bool, error) {
-	kv, ok, err := s.src.next()
-	if ok {
-		s.got++
-	} else {
-		s.flush()
-	}
-	return kv, ok, err
-}
-
-func (s *countStream) flush() {
-	s.n.Add(s.got)
-	s.got = 0
-}
-
-func (s *countStream) close() {
-	s.flush()
-	s.src.close()
+	return err
 }
 
 // transformStream adapts the whole-slice MergeTransform hook to the
@@ -777,12 +811,13 @@ type transformStream struct {
 	totalOut int64
 }
 
-func (t *transformStream) next() (KV, bool, error) {
+// pull returns the next record where it lies, in the transform's output,
+// or nil at end of stream and on error.
+func (t *transformStream) pull() (*KV, error) {
 	for {
 		if t.pos < len(t.out) {
-			kv := t.out[t.pos]
 			t.pos++
-			return kv, true, nil
+			return &t.out[t.pos-1], nil
 		}
 		if t.eof && !t.have {
 			if !t.counted {
@@ -791,10 +826,10 @@ func (t *transformStream) next() (KV, bool, error) {
 					t.splits.Add(d)
 				}
 			}
-			return KV{}, false, nil
+			return nil, nil
 		}
 		if err := t.fill(); err != nil {
-			return KV{}, false, err
+			return nil, err
 		}
 	}
 }
@@ -835,5 +870,3 @@ func (t *transformStream) fill() error {
 	t.totalOut += int64(len(t.out))
 	return nil
 }
-
-func (t *transformStream) close() { t.src.close() }

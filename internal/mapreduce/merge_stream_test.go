@@ -311,10 +311,10 @@ func (s *sliceStream) close() {}
 
 // TestGroupReduceAllocsIndependentOfGroups: a reduce attempt's allocations
 // do not grow with its group count, straight off the merge or through a
-// merge transform cut at every group. The two group arenas, the values
-// slice handed to Reduce and the transform's window arena and slice are
-// reused from group to group, under the Reducer contract
-// TestReducerRetention enforces.
+// merge transform cut at every group. The group arena, the values slice
+// handed to Reduce and the transform's window arena and slice are reused
+// from group to group, under the Reducer contract TestReducerRetention
+// enforces.
 func TestGroupReduceAllocsIndependentOfGroups(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -327,16 +327,11 @@ func TestGroupReduceAllocsIndependentOfGroups(t *testing.T) {
 		}
 		return nil
 	})
-	for _, src := range []struct {
-		name string
-		wrap func(kvStream) kvStream
-	}{
-		{"merge", func(s kvStream) kvStream { return s }},
-		{"transform", func(s kvStream) kvStream {
-			identity := func(w []KV) []KV { return w }
-			return &transformStream{src: s, transform: identity, cut: keyChangeCut(), splits: &Counter{}}
-		}},
-	} {
+	for _, transform := range []bool{false, true} {
+		name := "merge"
+		if transform {
+			name = "transform"
+		}
 		allocs := func(groups int) float64 {
 			const perGroup = 9
 			pairs := make([]KV, 0, groups*perGroup)
@@ -346,19 +341,31 @@ func TestGroupReduceAllocsIndependentOfGroups(t *testing.T) {
 					pairs = append(pairs, KV{Key: key, Value: []byte{byte(v)}})
 				}
 			}
-			ss := &sliceStream{pairs: pairs}
+			seg, err := writeSegment(pairs, codec.None)
+			if err != nil {
+				t.Fatal(err)
+			}
 			ctx := &TaskContext{counters: &Counters{}}
 			return testing.AllocsPerRun(5, func() {
-				ss.pos = 0
-				if err := groupReduce(ctx, src.wrap(ss), cmp, red, nil, nil); err != nil {
+				m, err := newMergeStream([]segment{seg}, readEnv{codec: codec.None}, keyOrder{compare: cmp})
+				if err != nil {
 					t.Fatal(err)
 				}
+				s := reduceStream{m: m}
+				if transform {
+					identity := func(w []KV) []KV { return w }
+					s.t = &transformStream{src: m, transform: identity, cut: keyChangeCut(), splits: &Counter{}}
+				}
+				if err := groupReduce(ctx, s, cmp, red, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+				m.close()
 			})
 		}
 		small, large := allocs(1<<10), allocs(8<<10)
-		t.Logf("%s: allocs per attempt: %.0f at 1k groups, %.0f at 8k", src.name, small, large)
+		t.Logf("%s: allocs per attempt: %.0f at 1k groups, %.0f at 8k", name, small, large)
 		if large > small+1 {
-			t.Errorf("%s: groupReduce allocates %.0f times over 8k groups but %.0f over 1k: something is allocated per group", src.name, large, small)
+			t.Errorf("%s: groupReduce allocates %.0f times over 8k groups but %.0f over 1k: something is allocated per group", name, large, small)
 		}
 	}
 }

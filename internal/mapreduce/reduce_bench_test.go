@@ -87,7 +87,11 @@ func (s *heapSampler) finish() float64 {
 // reference. coded runs transform+zlib segments through the production
 // sequence of a coded reduce attempt: the decode-once validation scan, the
 // raw merge over its plaintext, then groupReduce; its peak-B includes the
-// partition's plaintext, which the attempt holds by design.
+// partition's plaintext, which the attempt holds by design. grid reduces
+// SimpleKeyJob's keys (gridSegments, 36 rows: about 8 300 records in eight
+// bands) with the job's key order, RawCompareGrid and GridWords, so the
+// merge compares and groupReduce groups by cached words; the byte keys of
+// the other rows have no words.
 func BenchmarkReducePath(b *testing.B) {
 	cmp := func(a, b []byte) int { return compareBytes(a, b) }
 	red := ReducerFunc(func(ctx *TaskContext, key []byte, values [][]byte, emit Emit) error {
@@ -110,26 +114,41 @@ func BenchmarkReducePath(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		// reduce is a raw reduce attempt's final merge and grouping over level.
+		reduce := func(b *testing.B, level []segment, ord keyOrder) {
+			ctx := &TaskContext{counters: &Counters{}}
+			m, err := newMergeStream(level, env, ord)
+			if err != nil {
+				b.Fatal(err)
+			}
+			iw.Reset(io.Discard)
+			if err := groupReduce(ctx, reduceStream{m: m}, ord.compare, red, emit, nil); err != nil {
+				b.Fatal(err)
+			}
+			m.close()
+		}
 		b.Run("stream/"+size.name, func(b *testing.B) {
 			b.ReportAllocs()
 			sampler := startHeapSampler()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ctx := &TaskContext{counters: &Counters{}}
-				m, err := newMergeStream(segs, env, keyOrder{compare: cmp})
-				if err != nil {
-					b.Fatal(err)
-				}
-				iw.Reset(io.Discard)
-				if err := groupReduce(ctx, m, cmp, red, emit, nil); err != nil {
-					b.Fatal(err)
-				}
-				m.close()
+				reduce(b, segs, keyOrder{compare: cmp})
 			}
 			b.StopTimer()
 			b.ReportMetric(sampler.finish(), "peak-B")
 		})
 		if size.name == "8k" {
+			kc, grid := gridSegments(b, 36, 8)
+			b.Run("grid/"+size.name, func(b *testing.B) {
+				b.ReportAllocs()
+				sampler := startHeapSampler()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					reduce(b, grid, keyOrder{kc.RawCompareGrid, kc.GridWords})
+				}
+				b.StopTimer()
+				b.ReportMetric(sampler.finish(), "peak-B")
+			})
 			cenv := readEnv{codec: codec.NewTransform(codec.Zlib), part: -1}
 			coded := benchReduceSegments(b, size.n, 8, cenv.codec)
 			b.Run("coded/"+size.name, func(b *testing.B) {
@@ -137,20 +156,11 @@ func BenchmarkReducePath(b *testing.B) {
 				sampler := startHeapSampler()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					ctx := &TaskContext{counters: &Counters{}}
 					level, _, err := validateSegments(coded, cenv)
 					if err != nil {
 						b.Fatal(err)
 					}
-					m, err := newMergeStream(level, env, keyOrder{compare: cmp})
-					if err != nil {
-						b.Fatal(err)
-					}
-					iw.Reset(io.Discard)
-					if err := groupReduce(ctx, m, cmp, red, emit, nil); err != nil {
-						b.Fatal(err)
-					}
-					m.close()
+					reduce(b, level, keyOrder{compare: cmp})
 					for _, s := range level {
 						recycleSegment(s)
 					}
@@ -171,7 +181,7 @@ func BenchmarkReducePath(b *testing.B) {
 				}
 				iw.Reset(io.Discard)
 				src := &sliceStream{pairs: pairs}
-				if err := groupReduce(ctx, src, cmp, red, emit, nil); err != nil {
+				if err := refGroupReduce(ctx, src, cmp, red, emit, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

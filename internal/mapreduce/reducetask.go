@@ -152,9 +152,9 @@ func (t *reduceTask) run(src segmentSource) error {
 	// k-way merge one at a time, so beyond the level's own bytes (fetched
 	// segments, or their plaintext on a coded job) peak memory is one record
 	// per open segment plus the current group — never a copy of the
-	// partition.
-	// ReduceInputRecords and the MergeTransform split surplus accumulate as
-	// the stream drains.
+	// partition. The merge tallies ReduceInputRecords and a MergeTransform
+	// its split surplus as the stream drains; groupReduce pulls from the
+	// merge directly, or from the transform stacked on it.
 	//
 	// Validate the final level's fetched segments before any record can
 	// reach the reducer: grouping interleaves with decoding from here on,
@@ -180,22 +180,22 @@ func (t *reduceTask) run(src segmentSource) error {
 	if err != nil {
 		return fmt.Errorf("mapreduce: reduce task %d merge: %w", t.id, err)
 	}
-	var stream kvStream = &countStream{src: ms, n: &c.ReduceInputRecords}
+	// A transformStream holds nothing pooled: closing the merge releases
+	// every iterator and flushes its tally.
+	defer ms.close()
+	stream := reduceStream{m: ms}
 	if t.job.MergeTransform != nil {
 		var cut func(key []byte) bool
 		if t.job.MergeCut != nil {
 			cut = t.job.MergeCut()
 		}
-		stream = &transformStream{
-			src:       stream,
+		stream.t = &transformStream{
+			src:       ms,
 			transform: t.job.MergeTransform,
 			cut:       cut,
 			splits:    &c.OverlapKeySplits,
 		}
 	}
-	// Closing the outermost stream closes every layer under it, down to the
-	// merge's iterators.
-	defer stream.close()
 	mergeSpan.End()
 
 	w, err := t.job.FS.Create(t.tmpPath)

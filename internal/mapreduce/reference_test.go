@@ -79,7 +79,7 @@ func referenceReduce(job *Job, ctx *TaskContext, segs []segment) ([]byte, error)
 		c.ReduceOutputBytes.Add(int64(len(k) + len(v)))
 	}
 	red := job.NewReducer()
-	if err := groupReduce(ctx, &sliceStream{pairs: pairs}, job.Compare, red, emit, nil); err != nil {
+	if err := refGroupReduce(ctx, &sliceStream{pairs: pairs}, job.Compare, red, emit, nil); err != nil {
 		return nil, err
 	}
 	if f, ok := red.(Finalizer); ok {
@@ -268,4 +268,63 @@ func refMergeDown(segs []segment, env readEnv, cmp func(a, b []byte) int, factor
 		segs = append([]segment{merged}, segs[n:]...)
 	}
 	return segs, nil
+}
+
+// The grouping loop as it ran before it grouped by the merge's words: over
+// any kvStream, every group boundary a cmp call, each group tallied with an
+// atomic add as it is reduced. It is the grouping oracle — referenceReduce
+// groups with it, and TestGroupReduceByWordsMatchesReference and
+// FuzzGroupReduceByWords hold groupReduce to it over refMergeStream — kept
+// verbatim apart from its name.
+
+// refGroupReduce walks a sorted record stream, invoking red once per group
+// of equal keys (per cmp). Each record is landed in a group-owned arena the
+// moment it arrives; two arenas ping-pong, the current group's in one while
+// a group boundary copies the next group's first record into the other.
+func refGroupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red Reducer, emit Emit, bail func() error) error {
+	ga, gb := &kvArena{}, &kvArena{} // current group arena, boundary arena
+	var values [][]byte
+	cur, ok, err := src.next()
+	if err != nil {
+		return err
+	}
+	if ok {
+		cur = KV{Key: ga.copy(cur.Key), Value: ga.copy(cur.Value)}
+	}
+	for ok {
+		if ctx.Canceled() {
+			return ErrAttemptCanceled
+		}
+		if bail != nil {
+			if err := bail(); err != nil {
+				return err
+			}
+		}
+		key := cur.Key
+		values = append(values[:0], cur.Value)
+		ok = false
+		for {
+			nxt, more, err := src.next()
+			if err != nil {
+				return err
+			}
+			if !more {
+				break
+			}
+			if cmp(key, nxt.Key) != 0 {
+				gb.reset()
+				cur, ok = KV{Key: gb.copy(nxt.Key), Value: gb.copy(nxt.Value)}, true
+				break
+			}
+			values = append(values, ga.copy(nxt.Value))
+		}
+		ctx.counters.ReduceInputGroups.Add(1)
+		if err := red.Reduce(ctx, key, values, emit); err != nil {
+			return err
+		}
+		// The finished group's arena becomes the next boundary scratch; the
+		// next group's first record already lives in the other one.
+		ga, gb = gb, ga
+	}
+	return nil
 }

@@ -154,7 +154,7 @@ func BenchmarkMergeSegments(b *testing.B) {
 // SortWords set, so the merge heap compares cached words, and compare with
 // it nil, one RawCompareGrid call per comparison.
 func BenchmarkMergeGrid(b *testing.B) {
-	kc, segs := gridSegments(b, 8)
+	kc, segs := gridSegments(b, 64, 8)
 	for _, path := range []string{"words", "compare"} {
 		b.Run(path, func(b *testing.B) {
 			ord := keyOrder{compare: kc.RawCompareGrid}
@@ -202,11 +202,11 @@ func benchMerge(b *testing.B, segs []segment, env readEnv, ord keyOrder) {
 }
 
 // gridSegments is what one reducer of SimpleKeyJob fetches from n map
-// tasks: simpleKeyPartition's keys for a 64-row grid (about 14 700
-// records), cut into n row bands in arrival order — the map tasks' splits —
-// each spill-sorted and written raw.
-func gridSegments(b *testing.B, n int) (*keys.Codec, []segment) {
-	kc, pb := simpleKeyPartition(64, 128)
+// tasks: simpleKeyPartition's keys for a grid of rows × 128 cells (about
+// 230 records a row, 14 700 at 64 rows), cut into n row bands in arrival
+// order — the map tasks' splits — each spill-sorted and written raw.
+func gridSegments(b *testing.B, rows, n int) (*keys.Codec, []segment) {
+	kc, pb := simpleKeyPartition(rows, 128)
 	job := &Job{Compare: kc.RawCompareGrid, SortWords: kc.GridWords}
 	var ws wordSort
 	segs := make([]segment, n)

@@ -65,8 +65,17 @@ func TestTransformStreamWindows(t *testing.T) {
 				cut:    keyChangeCut(),
 				splits: &c,
 			}
-			got := drainStream(t, ts)
-			ts.close()
+			var got []KV
+			for {
+				kv, err := ts.pull()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kv == nil {
+					break
+				}
+				got = append(got, KV{Key: bytes.Clone(kv.Key), Value: bytes.Clone(kv.Value)})
+			}
 			if len(windows) != 5 {
 				t.Errorf("got %d windows, want 5 (one per distinct key)", len(windows))
 			}
