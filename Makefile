@@ -67,9 +67,10 @@ race:
 
 # The mutation gate: each patch under scripts/mutants breaks non-test code in
 # a way a per-feature differential table the configuration lattice replaced
-# used to catch, or the grouping-by-words oracle catches; TestConfigLattice,
-# or the tests a patch's `# test: <regexp>` line names, must fail on every
-# one (~1.5 min).
+# used to catch, or the grouping-by-words oracle or the predictor's
+# equivalence table catches; TestConfigLattice, or the tests a patch's
+# `# test: <regexp>` line names (in the package its `# pkg: <path>` line
+# names), must fail on every one (~1.5 min).
 mutants:
 	@sh scripts/mutants.sh
 

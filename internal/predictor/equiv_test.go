@@ -3,6 +3,7 @@ package predictor
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,8 +11,12 @@ import (
 
 // equivConfigs are the detector parameterizations the differential suite
 // sweeps: the paper's defaults, small and large search bounds, every mode,
-// aggressive and lazy selection cycles, and a settling factor that makes
-// eviction/re-admission churn.
+// aggressive and lazy selection cycles, a settling factor that makes
+// eviction/re-admission churn, and fixed sets of four and five strides, the
+// widths the inverse's quiet spans run dedicated kernels for. The set of five
+// predicts from a run of 2: at the default threshold two strides s and 2s
+// tied on a run can only agree (s's run spans the 2s lag), so fewer of the
+// kernel's tie-breaks would be visible in the output.
 func equivConfigs() []Config {
 	return []Config{
 		{},
@@ -24,14 +29,17 @@ func equivConfigs() []Config {
 		{Mode: Fixed, Strides: []int{12}},
 		{Mode: Fixed, Strides: []int{5, 12, 24}},
 		{Mode: Fixed, Strides: []int{1}},
+		{Mode: Fixed, Strides: []int{5, 12, 24, 40}},
+		{Mode: Fixed, Strides: []int{7, 14, 21, 28, 35}, RunThreshold: 1},
 	}
 }
 
 // equivStreams are the input shapes: the paper's grid walk, random noise
 // (max eviction churn), constant and short-period streams (max fast-path
-// residency), a structure change mid-stream, tiny/empty edges, and what a
-// reducer decodes. A stream is a list of segments; one transformer is Reset
-// between them, as the codec pool reuses it from segment to segment.
+// residency), a structure change mid-stream, ties between strides, tiny/empty
+// edges, and what a reducer decodes, at two record lengths. A stream is a
+// list of segments; one transformer is Reset between them, as the codec pool
+// reuses it from segment to segment.
 func equivStreams() map[string][][]byte {
 	rng := rand.New(rand.NewSource(41))
 	random := make([]byte, 40<<10)
@@ -43,35 +51,53 @@ func equivStreams() map[string][][]byte {
 	multi := append([]byte{}, gridWalkStream(10)...)
 	multi = append(multi, random[:4096]...)
 	multi = append(multi, bytes.Repeat([]byte{3, 1, 4, 1, 5, 9}, 2000)...)
+	// regimes switches between periods 7 and 14 every 64 bytes, steps its
+	// level every third period and breaks one byte in eight: strides tie on
+	// short runs and predict different bytes, so the argmax's order shows.
+	regimes := make([]byte, 8192)
+	for i := range regimes {
+		p := 7 << (i / 64 % 2)
+		if i < p || rng.Intn(8) == 0 {
+			regimes[i] = byte(rng.Intn(4))
+		} else {
+			regimes[i] = regimes[i-p] + byte(i/(3*p)%2)
+		}
+	}
 	return map[string][][]byte{
-		"grid":     {gridWalkStream(14)},
-		"random":   {random},
-		"constant": {bytes.Repeat([]byte{0x42}, 30000)},
-		"period4":  {bytes.Repeat([]byte{9, 8, 7, 6}, 8000)},
-		"ramp":     {ramp},
-		"multi":    {multi},
-		"tiny":     {{1, 2, 3}},
-		"empty":    {nil},
-		"records":  {recordSegment(0, 328), recordSegment(1, 48)},
+		"grid":      {gridWalkStream(14)},
+		"random":    {random},
+		"constant":  {bytes.Repeat([]byte{0x42}, 30000)},
+		"period4":   {bytes.Repeat([]byte{9, 8, 7, 6}, 8000)},
+		"ramp":      {ramp},
+		"multi":     {multi},
+		"tiny":      {{1, 2, 3}},
+		"empty":     {nil},
+		"records":   {recordSegment("windspeed1", 0, 328), recordSegment("windspeed1", 1, 48)},
+		"records20": {recordSegment("temp1", 2, 200)},
+		"regimes":   {regimes},
 	}
 }
 
 // recordSegment is one fetched map-output segment of the baseline
-// sliding-median job, the stream the inverse transform meets in a reducer:
-// 25-byte IFile records — key length 19, value length 4, the Text
-// "windspeed1", two int32 coordinates, an int32 value below 1000 — nine
-// values to a key, about 74 KB at the workload's 328 keys. Strides 25, 50,
-// 75 and 100 all fit it, so the active set settles on those four plus the
-// stride on probation.
-func recordSegment(g, cells int) []byte {
+// sliding-median job for variable name, the stream the inverse transform
+// meets in a reducer: IFile records of key length, value length, the Text
+// name, two int32 coordinates and an int32 value below 1000, nine values to
+// a key. For "windspeed1" a record is 25 bytes and a segment about 74 KB at
+// the workload's 328 keys; strides 25, 50, 75 and 100 all fit it, so the
+// active set settles on those four plus the stride on probation. A 5-letter
+// name makes 20-byte records, and five multiples of 20 fit under the default
+// MaxStride.
+func recordSegment(name string, g, cells int) []byte {
+	head := []byte{byte(1 + len(name) + 8), 4, byte(len(name))}
+	rec := append(append(head, name...), make([]byte, 12)...)
+	c := len(rec) - 12 // the coordinates' offset
 	rng := rand.New(rand.NewSource(int64(g)))
-	out := make([]byte, 0, cells*9*25)
+	out := make([]byte, 0, cells*9*len(rec))
 	for cell := 0; cell < cells; cell++ {
-		rec := append([]byte("\x13\x04\x0awindspeed1"), make([]byte, 12)...)
-		binary.BigEndian.PutUint32(rec[13:], uint32(13*g+cell/26))
-		binary.BigEndian.PutUint32(rec[17:], uint32(5*(cell%26)+g%5))
+		binary.BigEndian.PutUint32(rec[c:], uint32(13*g+cell/26))
+		binary.BigEndian.PutUint32(rec[c+4:], uint32(5*(cell%26)+g%5))
 		for v := 0; v < 9; v++ {
-			binary.BigEndian.PutUint32(rec[21:], uint32(rng.Intn(1000)))
+			binary.BigEndian.PutUint32(rec[c+8:], uint32(rng.Intn(1000)))
 			out = append(out, rec...)
 		}
 	}
@@ -166,10 +192,10 @@ func TestEquivalenceTable(t *testing.T) {
 	for name, segs := range equivStreams() {
 		for _, cfg := range equivConfigs() {
 			sweep := chunkings
-			if name == "records" {
+			if name == "records" || name == "records20" {
 				sweep = chunkings[3:]
 			}
-			if name == "records" || name == "random" {
+			if name == "records" || name == "records20" || name == "random" {
 				sweep = append(sweep[:len(sweep):len(sweep)], eventChunkings(cfg)...)
 			}
 			for _, chunks := range sweep {
@@ -197,6 +223,44 @@ func eventChunkings(cfg Config) [][]int {
 		}
 	}
 	return out
+}
+
+// TestEquivalenceCoversKernelWidths checks that the differential streams
+// drive the inverse's width kernels, so TestEquivalenceTable holds them to
+// the reference: it samples the active set at every 4 KiB chunk end of every
+// stream under every config and requires sets of four and of five strides,
+// each both in ascending order and, after a re-admission, out of it (the
+// kernels see the set in active-set order, which the argmax's tie-break
+// follows).
+func TestEquivalenceCoversKernelWidths(t *testing.T) {
+	seen := map[string][]int{}
+	for name, segs := range equivStreams() {
+		for _, cfg := range equivConfigs() {
+			fwd, inv := NewTransformer(cfg), NewTransformer(cfg)
+			for _, data := range segs {
+				fwd.Reset()
+				inv.Reset()
+				eachChunk(fwd.Forward(nil, data), []int{4096}, func(chunk []byte) {
+					inv.Inverse(nil, chunk)
+					set := inv.ActiveStrides()
+					if n := len(set); n == 4 || n == 5 {
+						key := fmt.Sprintf("%d strides, ascending %v", n, slices.IsSorted(set))
+						if seen[key] == nil {
+							seen[key] = set
+							t.Logf("%s: %v (%s, %+v)", key, set, name, cfg)
+						}
+					}
+				})
+			}
+		}
+	}
+	for _, n := range []int{4, 5} {
+		for _, asc := range []bool{true, false} {
+			if key := fmt.Sprintf("%d strides, ascending %v", n, asc); seen[key] == nil {
+				t.Errorf("no stream reaches an active set of %s at a chunk end", key)
+			}
+		}
+	}
 }
 
 // TestEquivalenceResetReuse checks that a Reset transformer replays exactly
@@ -259,6 +323,8 @@ func FuzzEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3}, 4, 1, 8, 1, 3)
 	f.Add([]byte{}, 1, 2, 256, 2, 1)
 	f.Add(bytes.Repeat([]byte{1, 2, 3, 4, 5}, 400), 30, 2, 32, 0, 2000)
+	f.Add(recordSegment("windspeed1", 0, 2), 48, 2, 256, 0, 4096)
+	f.Add(recordSegment("temp1", 2, 2), 48, 2, 256, 0, 4096)
 	f.Fuzz(func(t *testing.T, data []byte, maxStride, runThreshold, cycle, mode, chunk int) {
 		if maxStride < 1 || maxStride > 48 || runThreshold < 1 || runThreshold > 8 {
 			t.Skip()

@@ -59,9 +59,15 @@
 //     above; Inverse cuts the stream into the quiet spans between them and,
 //     inside one, runs a loop that carries no active-set bookkeeping at
 //     all: history linearised so a stride's previous byte is one index
-//     away, each stride's table cursor and hit count in a compact scratch,
-//     the update for one byte fused with the prediction for the next. The
-//     events run once per span, through the code the scalar path uses.
+//     away, each stride's table cursor and hit count in a compact scratch
+//     (in locals, for the sets of four and five strides a reducer's record
+//     stream keeps), the update for one byte fused with the prediction for
+//     the next. The events run once per span, through the code the scalar
+//     path uses.
+//
+//   - Re-admission takes the head of a queue of evicted strides ordered by
+//     eviction cycle and index, the reference's longest-out order and
+//     tie-break, instead of scanning the full stride set every cycle.
 package predictor
 
 import "fmt"
@@ -204,6 +210,10 @@ type Transformer struct {
 	wpos    int     // ring index of the most recently written byte
 	pos     int64   // bytes processed
 	cycle   int64   // selection cycles elapsed
+	// evicted is the admission queue: the strides out of the active set,
+	// ordered by (evictedAtCycle, index), the reference's longest-out order
+	// and lowest-index tie-break.
+	evicted []int32
 	// evictCheckAt is an exact lower bound on the next position at which
 	// any active stride could satisfy the eviction predicate; the scalar
 	// path skips the eviction sweep until pos reaches it.
@@ -254,6 +264,7 @@ func NewTransformer(cfg Config) *Transformer {
 	}
 	t.deltas = make([]byte, off)
 	t.runs = make([]int32, off)
+	t.evicted = make([]int32, 0, len(t.strides))
 	t.updateEvictHorizon()
 	return t
 }
@@ -264,6 +275,7 @@ func (t *Transformer) Reset() {
 	t.cycle = 0
 	t.wpos = t.cfg.MaxStride - 1
 	t.actives = t.actives[:0]
+	t.evicted = t.evicted[:0]
 	for i := range t.strides {
 		st := &t.strides[i]
 		st.active = true
@@ -372,15 +384,29 @@ func (t *Transformer) evictSweep() {
 		if t.pos-st.activatedAt >= factor*int64(st.stride) &&
 			st.total > 0 &&
 			st.hits*den < st.total*num {
-			st.active = false
-			st.evictedAtCycle = t.cycle
-			t.evictions++
+			t.evict(si)
 			continue
 		}
 		kept = append(kept, si)
 	}
 	t.actives = kept
 	t.updateEvictHorizon()
+}
+
+// evict files stride si, just taken out of the active set, at the tail of
+// the admission queue. Strides leave in cycle order, so only the entries
+// evicted in this same cycle can follow it, those of a higher index.
+func (t *Transformer) evict(si int32) {
+	t.strides[si].active = false
+	t.strides[si].evictedAtCycle = t.cycle
+	t.evictions++
+	q := append(t.evicted, si)
+	k := len(q) - 1
+	for ; k > 0 && q[k-1] > si && t.strides[q[k-1]].evictedAtCycle == t.cycle; k-- {
+		q[k] = q[k-1]
+	}
+	q[k] = si
+	t.evicted = q
 }
 
 // evictBound returns the smallest k >= 1 such that st could possibly
@@ -428,35 +454,27 @@ func (t *Transformer) updateEvictHorizon() {
 }
 
 // admit re-adds the evicted stride that has been out the longest among
-// those eligible this cycle.
+// those eligible this cycle: the first eligible entry of the admission
+// queue.
 func (t *Transformer) admit() {
-	pick := -1
-	for i := range t.strides {
-		st := &t.strides[i]
-		if st.active {
-			continue
-		}
+	for k, si := range t.evicted {
+		st := &t.strides[si]
 		if t.cycle-st.lastSelectedCycle < int64(st.stride) {
 			continue
 		}
-		if pick < 0 || st.evictedAtCycle < t.strides[pick].evictedAtCycle {
-			pick = i
-		}
-	}
-	if pick < 0 {
+		t.evicted = append(t.evicted[:k], t.evicted[k+1:]...)
+		st.active = true
+		st.activatedAt = t.pos
+		st.hits, st.total = 0, 0
+		t.admissions++
+		// Recompute the incremental indices the stride missed while evicted.
+		max := int64(t.cfg.MaxStride)
+		st.phase = int32(t.pos % int64(st.stride))
+		st.back = int32(((t.pos-int64(st.stride))%max + max) % max)
+		st.lastSelectedCycle = t.cycle
+		t.actives = append(t.actives, si)
 		return
 	}
-	st := &t.strides[pick]
-	st.active = true
-	st.activatedAt = t.pos
-	st.hits, st.total = 0, 0
-	t.admissions++
-	// Recompute the incremental indices the stride missed while evicted.
-	max := int64(t.cfg.MaxStride)
-	st.phase = int32(t.pos % int64(st.stride))
-	st.back = int32(((t.pos-int64(st.stride))%max + max) % max)
-	st.lastSelectedCycle = t.cycle
-	t.actives = append(t.actives, int32(pick))
 }
 
 // Forward transforms original bytes src, appending the residual stream to
@@ -532,6 +550,7 @@ func (t *Transformer) forwardBatch(dst *[]byte, src []byte, i int) int {
 		}
 		if evictFrom < L {
 			if t.forwardStrideEvictable(st, b, bestRun, bestPred, evictFrom) {
+				t.evict(si)
 				evicted = true
 			}
 			continue
@@ -642,7 +661,7 @@ func (t *Transformer) forwardBatch(dst *[]byte, src []byte, i int) int {
 // byte at a time so the eviction predicate fires at exactly the byte the
 // reference would evict at. From evictFrom on, the settling clause already
 // holds (evictBound guarantees it), so only the counter clause is tested.
-// Returns whether the stride was evicted.
+// Returns whether the stride is to be evicted.
 func (t *Transformer) forwardStrideEvictable(st *strideState, b []byte, bestRun []int32, bestPred []byte, evictFrom int) bool {
 	maxS := t.cfg.MaxStride
 	num, den := int64(t.cfg.HitRateNum), int64(t.cfg.HitRateDen)
@@ -679,9 +698,6 @@ func (t *Transformer) forwardStrideEvictable(st *strideState, b []byte, bestRun 
 			back = 0
 		}
 		if j >= evictFrom && hits*den < total*num {
-			st.active = false
-			st.evictedAtCycle = t.cycle
-			t.evictions++
 			evicted = true
 			break
 		}
@@ -753,7 +769,11 @@ type spanStride struct {
 // byte j in each stride's sequence entry and then reads that stride's next
 // entry to predict byte j+1. A stride's entries are its own, so its
 // prediction depends on no other stride's update, and the argmax keeps the
-// reference's order and strict-greater tie-break.
+// reference's order and strict-greater tie-break. A set of exactly four or
+// five strides — on a reducer's stream of records, the record's stride and
+// its multiples, with or without the stride on probation, which is nearly
+// every byte — runs the same loop unrolled with every cursor in a local
+// (inverseQuiet4, inverseQuiet5); any other width walks the scratch.
 func (t *Transformer) inverseSpan(dst *[]byte, src []byte) int {
 	maxS := t.cfg.MaxStride
 	if t.pos < int64(maxS) {
@@ -788,7 +808,15 @@ func (t *Transformer) inverseSpan(dst *[]byte, src []byte) int {
 	}
 	// -1 is "no active stride" and must never predict (see forwardBatch).
 	thr := max(int32(t.cfg.RunThreshold), -1)
-	predicted := inverseQuiet(lin, src[:L], span, t.runs, t.deltas, thr)
+	var predicted int
+	switch len(span) {
+	case 4:
+		predicted = inverseQuiet4(lin, src[:L], span, t.runs, t.deltas, thr)
+	case 5:
+		predicted = inverseQuiet5(lin, src[:L], span, t.runs, t.deltas, thr)
+	default:
+		predicted = inverseQuiet(lin, src[:L], span, t.runs, t.deltas, thr)
+	}
 
 	for k, si := range t.actives {
 		st := &t.strides[si]
@@ -854,6 +882,232 @@ func inverseQuiet(lin, src []byte, span []spanStride, runs []int32, deltas []byt
 			}
 		}
 	}
+	return predicted
+}
+
+// inverseQuiet4 is inverseQuiet for a span of exactly four active strides —
+// on a reducer's stream of 25-byte records, {25, 50, 75, 100}. Each stride's
+// table cursor, wrap bounds, lag, hit count and prediction live in locals
+// rather than in the span scratch, so a byte's four updates and the argmax
+// over the next byte's four predictions touch memory only for the tables and
+// the history; cursors and hits are written back once per span.
+func inverseQuiet4(lin, src []byte, span []spanStride, runs []int32, deltas []byte, thr int32) (predicted int) {
+	base := len(lin) - len(src)
+	deltas = deltas[:len(runs)]
+	span = span[:4]
+	e0, lo0, hi0, s0 := span[0].e, span[0].lo, span[0].hi, int(span[0].stride)
+	e1, lo1, hi1, s1 := span[1].e, span[1].lo, span[1].hi, int(span[1].stride)
+	e2, lo2, hi2, s2 := span[2].e, span[2].lo, span[2].hi, int(span[2].stride)
+	e3, lo3, hi3, s3 := span[3].e, span[3].lo, span[3].hi, int(span[3].stride)
+	var h0, h1, h2, h3 int32
+	q0 := lin[base-s0] + deltas[e0]
+	q1 := lin[base-s1] + deltas[e1]
+	q2 := lin[base-s2] + deltas[e2]
+	q3 := lin[base-s3] + deltas[e3]
+	bestRun, pred := int32(-1), byte(0)
+	if r := runs[e0]; r > bestRun {
+		bestRun, pred = r, q0
+	}
+	if r := runs[e1]; r > bestRun {
+		bestRun, pred = r, q1
+	}
+	if r := runs[e2]; r > bestRun {
+		bestRun, pred = r, q2
+	}
+	if r := runs[e3]; r > bestRun {
+		bestRun, pred = r, q3
+	}
+	for j, x := range src {
+		if bestRun > thr {
+			x += pred
+			predicted++
+		}
+		p := base + j
+		lin[p] = x
+		p++ // the next byte's index: a stride's previous byte is lin[p-s]
+		bestRun = -1
+		if x == q0 {
+			runs[e0]++
+			h0++
+		} else {
+			deltas[e0] += x - q0
+			runs[e0] = 0
+		}
+		if e0++; e0 == hi0 {
+			e0 = lo0
+		}
+		q0 = lin[p-s0] + deltas[e0]
+		if r := runs[e0]; r > bestRun {
+			bestRun, pred = r, q0
+		}
+		if x == q1 {
+			runs[e1]++
+			h1++
+		} else {
+			deltas[e1] += x - q1
+			runs[e1] = 0
+		}
+		if e1++; e1 == hi1 {
+			e1 = lo1
+		}
+		q1 = lin[p-s1] + deltas[e1]
+		if r := runs[e1]; r > bestRun {
+			bestRun, pred = r, q1
+		}
+		if x == q2 {
+			runs[e2]++
+			h2++
+		} else {
+			deltas[e2] += x - q2
+			runs[e2] = 0
+		}
+		if e2++; e2 == hi2 {
+			e2 = lo2
+		}
+		q2 = lin[p-s2] + deltas[e2]
+		if r := runs[e2]; r > bestRun {
+			bestRun, pred = r, q2
+		}
+		if x == q3 {
+			runs[e3]++
+			h3++
+		} else {
+			deltas[e3] += x - q3
+			runs[e3] = 0
+		}
+		if e3++; e3 == hi3 {
+			e3 = lo3
+		}
+		q3 = lin[p-s3] + deltas[e3]
+		if r := runs[e3]; r > bestRun {
+			bestRun, pred = r, q3
+		}
+	}
+	span[0].e, span[0].hits = e0, h0
+	span[1].e, span[1].hits = e1, h1
+	span[2].e, span[2].hits = e2, h2
+	span[3].e, span[3].hits = e3, h3
+	return predicted
+}
+
+// inverseQuiet5 is inverseQuiet4 with a fifth stride — on a reducer's stream,
+// the probationary stride the selection cycle admits beside the record's four.
+func inverseQuiet5(lin, src []byte, span []spanStride, runs []int32, deltas []byte, thr int32) (predicted int) {
+	base := len(lin) - len(src)
+	deltas = deltas[:len(runs)]
+	span = span[:5]
+	e0, lo0, hi0, s0 := span[0].e, span[0].lo, span[0].hi, int(span[0].stride)
+	e1, lo1, hi1, s1 := span[1].e, span[1].lo, span[1].hi, int(span[1].stride)
+	e2, lo2, hi2, s2 := span[2].e, span[2].lo, span[2].hi, int(span[2].stride)
+	e3, lo3, hi3, s3 := span[3].e, span[3].lo, span[3].hi, int(span[3].stride)
+	e4, lo4, hi4, s4 := span[4].e, span[4].lo, span[4].hi, int(span[4].stride)
+	var h0, h1, h2, h3, h4 int32
+	q0 := lin[base-s0] + deltas[e0]
+	q1 := lin[base-s1] + deltas[e1]
+	q2 := lin[base-s2] + deltas[e2]
+	q3 := lin[base-s3] + deltas[e3]
+	q4 := lin[base-s4] + deltas[e4]
+	bestRun, pred := int32(-1), byte(0)
+	if r := runs[e0]; r > bestRun {
+		bestRun, pred = r, q0
+	}
+	if r := runs[e1]; r > bestRun {
+		bestRun, pred = r, q1
+	}
+	if r := runs[e2]; r > bestRun {
+		bestRun, pred = r, q2
+	}
+	if r := runs[e3]; r > bestRun {
+		bestRun, pred = r, q3
+	}
+	if r := runs[e4]; r > bestRun {
+		bestRun, pred = r, q4
+	}
+	for j, x := range src {
+		if bestRun > thr {
+			x += pred
+			predicted++
+		}
+		p := base + j
+		lin[p] = x
+		p++
+		bestRun = -1
+		if x == q0 {
+			runs[e0]++
+			h0++
+		} else {
+			deltas[e0] += x - q0
+			runs[e0] = 0
+		}
+		if e0++; e0 == hi0 {
+			e0 = lo0
+		}
+		q0 = lin[p-s0] + deltas[e0]
+		if r := runs[e0]; r > bestRun {
+			bestRun, pred = r, q0
+		}
+		if x == q1 {
+			runs[e1]++
+			h1++
+		} else {
+			deltas[e1] += x - q1
+			runs[e1] = 0
+		}
+		if e1++; e1 == hi1 {
+			e1 = lo1
+		}
+		q1 = lin[p-s1] + deltas[e1]
+		if r := runs[e1]; r > bestRun {
+			bestRun, pred = r, q1
+		}
+		if x == q2 {
+			runs[e2]++
+			h2++
+		} else {
+			deltas[e2] += x - q2
+			runs[e2] = 0
+		}
+		if e2++; e2 == hi2 {
+			e2 = lo2
+		}
+		q2 = lin[p-s2] + deltas[e2]
+		if r := runs[e2]; r > bestRun {
+			bestRun, pred = r, q2
+		}
+		if x == q3 {
+			runs[e3]++
+			h3++
+		} else {
+			deltas[e3] += x - q3
+			runs[e3] = 0
+		}
+		if e3++; e3 == hi3 {
+			e3 = lo3
+		}
+		q3 = lin[p-s3] + deltas[e3]
+		if r := runs[e3]; r > bestRun {
+			bestRun, pred = r, q3
+		}
+		if x == q4 {
+			runs[e4]++
+			h4++
+		} else {
+			deltas[e4] += x - q4
+			runs[e4] = 0
+		}
+		if e4++; e4 == hi4 {
+			e4 = lo4
+		}
+		q4 = lin[p-s4] + deltas[e4]
+		if r := runs[e4]; r > bestRun {
+			bestRun, pred = r, q4
+		}
+	}
+	span[0].e, span[0].hits = e0, h0
+	span[1].e, span[1].hits = e1, h1
+	span[2].e, span[2].hits = e2, h2
+	span[3].e, span[3].hits = e3, h3
+	span[4].e, span[4].hits = e4, h4
 	return predicted
 }
 

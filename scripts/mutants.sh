@@ -1,13 +1,15 @@
 #!/bin/sh
-# Mutation gate for the engine's oracles: every patch under scripts/mutants/
-# breaks non-test code of internal/mapreduce. Most break it in a way one of
-# the per-feature differential tables the configuration lattice replaced used
-# to catch (the patch is named for that table). For each patch, on a copy of
-# the working tree in a temporary directory — the real tree is never touched
-# — apply the patch and run the tests that must kill it: TestConfigLattice,
-# or the tests a `# test: <regexp>` line before the patch's first diff names
-# (git apply ignores text there). Some test must fail. A patch that no
-# longer applies is an error, and so is a mutant that survives.
+# Mutation gate for the oracles: every patch under scripts/mutants/ breaks
+# non-test code of one package, internal/mapreduce unless a `# pkg: <path>`
+# line before the patch's first diff names another (git apply ignores text
+# there). Most engine patches break it in a way one of the per-feature
+# differential tables the configuration lattice replaced used to catch (the
+# patch is named for that table). For each patch, on a copy of the working
+# tree in a temporary directory — the real tree is never touched — apply the
+# patch and run, in that package, the tests that must kill it:
+# TestConfigLattice, or the tests a `# test: <regexp>` line there names. Some
+# test must fail. A patch that no longer applies is an error, and so is a
+# mutant that survives.
 #
 #   sh scripts/mutants.sh                 # every patch
 #   sh scripts/mutants.sh a.patch b.patch # just these
@@ -45,7 +47,9 @@ for p in "$@"; do
     (cd "$dir/tree" && git apply "$patch")
     tests="$(sed -n '/^diff /q; s/^# test: //p' "$patch" | head -n 1)"
     tests="${tests:-^TestConfigLattice\$}"
-    if (cd "$dir/tree" && go test -count=1 -run "$tests" ./internal/mapreduce >"$dir/test.log" 2>&1); then
+    pkg="$(sed -n '/^diff /q; s/^# pkg: //p' "$patch" | head -n 1)"
+    pkg="${pkg:-./internal/mapreduce}"
+    if (cd "$dir/tree" && go test -count=1 -run "$tests" "$pkg" >"$dir/test.log" 2>&1); then
         echo "mutants: $name SURVIVED ($tests)"
         survived=$((survived + 1))
     elif grep -q 'build failed' "$dir/test.log"; then
