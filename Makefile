@@ -10,8 +10,8 @@ GO ?= go
 # SIGKILLs — of workers (e14) and of the coordinator itself (e15) — and smoke
 # the in-node combining experiment (e16) and the resident query service's
 # segment cache (e17). The mutation gate runs after the race suite: the
-# engine's configuration lattice, or the oracle a patch names, must kill
-# every patch under scripts/mutants.
+# engine's configuration lattice, or the oracle a patch names (the product
+# lattice for the query tables), must kill every patch under scripts/mutants.
 check: build docs vet race mutants bench-gate bench-e2e e14 e15 e16 e17
 
 # E14: worker-kill soak — a coordinator plus three real worker subprocesses,
@@ -66,11 +66,13 @@ race:
 	$(GO) test -race ./...
 
 # The mutation gate: each patch under scripts/mutants breaks non-test code in
-# a way a per-feature differential table the configuration lattice replaced
-# used to catch, or the grouping-by-words oracle or the predictor's
-# equivalence table catches; TestConfigLattice, or the tests a patch's
-# `# test: <regexp>` line names (in the package its `# pkg: <path>` line
-# names), must fail on every one (~1.5 min).
+# a way a differential table one of the two lattices replaced used to catch
+# (engine tables: TestConfigLattice; query tables: the product lattice,
+# TestQueryLattice in internal/queryd), or that the grouping-by-words oracle,
+# the predictor's equivalence table or the decode-once and codec-fault tests
+# catch; TestConfigLattice, or the tests a patch's `# test: <regexp>` line
+# names (in the package its `# pkg: <path>` line names), must fail on every
+# one (~4 min).
 mutants:
 	@sh scripts/mutants.sh
 

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"scikey/internal/clusterd"
-	"scikey/internal/core"
 	"scikey/internal/faults"
 	"scikey/internal/obs"
 	"scikey/internal/queryd"
@@ -34,23 +33,9 @@ func runWorkerMode(addr string) {
 		fmt.Fprintf(os.Stderr, "scijob worker[pid %d]: %s\n", os.Getpid(), fmt.Sprintf(format, args...))
 	}
 	w := clusterd.NewWorker(clusterd.WorkerConfig{
-		Addr: addr,
-		Build: func(raw []byte) (clusterd.Runner, error) {
-			var spec queryd.QuerySpec
-			if err := json.Unmarshal(raw, &spec); err != nil {
-				return nil, fmt.Errorf("decoding job spec: %w", err)
-			}
-			fs, qcfg, strat, err := spec.Setup()
-			if err != nil {
-				return nil, err
-			}
-			plan, err := core.BuildJob(fs, qcfg, strat)
-			if err != nil {
-				return nil, err
-			}
-			return &clusterd.JobRunner{Job: plan.Job}, nil
-		},
-		Logf: logf,
+		Addr:  addr,
+		Build: queryd.BuildRunner,
+		Logf:  logf,
 	})
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)

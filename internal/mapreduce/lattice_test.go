@@ -12,6 +12,7 @@ import (
 	"scikey/internal/codec"
 	"scikey/internal/hdfs"
 	"scikey/internal/obs"
+	"scikey/internal/pairwise"
 )
 
 // The configuration lattice is the engine's one "same bytes as the
@@ -94,23 +95,20 @@ func latticeCodec(v int) codec.Codec {
 	return c
 }
 
-// axisValue is one value of one axis; a latticePair is two, lower axis first.
-type axisValue struct{ axis, value int }
-
-type latticePair [2]axisValue
-
-func (v axisValue) String() string {
-	return latticeAxes[v.axis].name + "=" + latticeAxes[v.axis].values[v.value]
-}
-
-func pairOf(p, q axisValue) latticePair {
-	if p.axis > q.axis {
-		p, q = q, p
+// latticeSizes is the number of values of each axis.
+func latticeSizes() []int {
+	sizes := make([]int, numAxes)
+	for a, ax := range latticeAxes {
+		sizes[a] = len(ax.values)
 	}
-	return latticePair{p, q}
+	return sizes
 }
 
-// latticeRow holds one value per axis; -1 marks one not chosen yet.
+func valueName(v pairwise.Value) string {
+	return latticeAxes[v.Axis].name + "=" + latticeAxes[v.Axis].values[v.Value]
+}
+
+// latticeRow holds one value per axis.
 type latticeRow [numAxes]int
 
 // lrow is the row with the given axis, value pairs set.
@@ -126,23 +124,13 @@ func (r latticeRow) String() string {
 	var parts []string
 	for a, v := range r {
 		if v != 0 {
-			parts = append(parts, axisValue{a, v}.String())
+			parts = append(parts, valueName(pairwise.Value{Axis: a, Value: v}))
 		}
 	}
 	if parts == nil {
 		return "defaults"
 	}
 	return strings.Join(parts, ",")
-}
-
-func (r latticeRow) pairs() []latticePair {
-	var out []latticePair
-	for a := range numAxes {
-		for b := a + 1; b < numAxes; b++ {
-			out = append(out, latticePair{{a, r[a]}, {b, r[b]}})
-		}
-	}
-	return out
 }
 
 // job builds the row's job on fs. A cache row stores into cache; a remote
@@ -386,125 +374,32 @@ func nodeGroupKeys(docs []string, groups int) int64 {
 }
 
 // latticeRejected are the pairs of axis values Job.validate rejects.
-var latticeRejected = []latticePair{
-	{{axShuffle, 2}, {axExec, 1}},
-	{{axCache, 1}, {axFaults, 1}},
-	{{axCache, 1}, {axFaults, 2}},
-	{{axCache, 1}, {axFaults, 3}},
+var latticeRejected = []pairwise.Pair{
+	pairwise.PairOf(axShuffle, 2, axExec, 1),
+	pairwise.PairOf(axCache, 1, axFaults, 1),
+	pairwise.PairOf(axCache, 1, axFaults, 2),
+	pairwise.PairOf(axCache, 1, axFaults, 3),
 }
 
-// latticeExcluded is every pair no row holds: rejected; net faults without
-// the networked shuffle, which have no site to fire at (the row would be the
-// faults=none row); and the pairs those imply — two values exclude each
-// other when some third axis has no value both allow.
-func latticeExcluded(rejected []latticePair) map[latticePair]bool {
-	ex := map[latticePair]bool{{{axShuffle, 0}, {axFaults, 3}}: true, {{axShuffle, 1}, {axFaults, 3}}: true}
-	for _, p := range rejected {
-		ex[p] = true
-	}
-	for _, p := range latticePairs() {
-		for c := range numAxes {
-			free := c == p[0].axis || c == p[1].axis
-			for v := range latticeAxes[c].values {
-				cv := axisValue{c, v}
-				free = free || !ex[pairOf(p[0], cv)] && !ex[pairOf(p[1], cv)]
-			}
-			if !free {
-				ex[p] = true
-			}
-		}
-	}
-	return ex
-}
-
-// latticePairs lists every pair of values of two axes, in a fixed order.
-func latticePairs() []latticePair {
-	var out []latticePair
-	for a := range numAxes {
-		for b := a + 1; b < numAxes; b++ {
-			for va := range latticeAxes[a].values {
-				for vb := range latticeAxes[b].values {
-					out = append(out, latticePair{{a, va}, {b, vb}})
-				}
-			}
-		}
-	}
-	return out
-}
-
-// fill chooses, in order, every axis r has not set: pick gets the values ex
-// lets join the axes already set.
-func fill(r *latticeRow, ex map[latticePair]bool, order []int, pick func(a int, ok []int) int) {
-	for _, a := range order {
-		if r[a] >= 0 {
-			continue
-		}
-		var ok []int
-		for v := range latticeAxes[a].values {
-			free := true
-			for b, vb := range r {
-				free = free && (vb < 0 || b == a || !ex[pairOf(axisValue{a, v}, axisValue{b, vb})])
-			}
-			if free {
-				ok = append(ok, v)
-			}
-		}
-		r[a] = pick(a, ok)
-	}
-}
-
-func unsetRow() latticeRow {
-	var r latticeRow
-	for a := range r {
-		r[a] = -1
-	}
-	return r
+// latticeExcluded lists the pairs no row holds, before the pairs they
+// imply: rejected, and net faults without the networked shuffle, which have
+// no site to fire at (the row would be the faults=none row).
+func latticeExcluded(rejected []pairwise.Pair) []pairwise.Pair {
+	return append([]pairwise.Pair{pairwise.PairOf(axShuffle, 0, axFaults, 3), pairwise.PairOf(axShuffle, 1, axFaults, 3)}, rejected...)
 }
 
 const latticeSeed = 1
 
 // latticeRows is the lattice when Job.validate rejects rejected: the
-// retired tables' rows, then, for each pair of axis values no row holds yet,
-// a row that holds it, its other axes set — in an order drawn from seed — to
-// the value holding most new pairs, the lowest on a tie.
-func latticeRows(seed int64, rejected []latticePair) []latticeRow {
-	ex := latticeExcluded(rejected)
-	var rows []latticeRow
-	covered := make(map[latticePair]bool)
-	add := func(r latticeRow) {
-		rows = append(rows, r)
-		for _, p := range r.pairs() {
-			covered[p] = true
-		}
-	}
+// retired tables' rows, then pairwise fill from seed.
+func latticeRows(seed int64, rejected []pairwise.Pair) []latticeRow {
+	var seeds [][]int
 	for _, nr := range retiredRows() {
-		if !slices.Contains(rows, nr.row) {
-			add(nr.row)
-		}
+		seeds = append(seeds, nr.row[:])
 	}
-	rng := rand.New(rand.NewSource(seed))
-	for _, p := range latticePairs() {
-		if covered[p] || ex[p] {
-			continue
-		}
-		r := unsetRow()
-		r[p[0].axis], r[p[1].axis] = p[0].value, p[1].value
-		fill(&r, ex, rng.Perm(numAxes), func(a int, ok []int) int {
-			best, most := ok[0], -1
-			for _, v := range ok {
-				n := 0
-				for b, vb := range r {
-					if vb >= 0 && b != a && !covered[pairOf(axisValue{a, v}, axisValue{b, vb})] {
-						n++
-					}
-				}
-				if n > most {
-					best, most = v, n
-				}
-			}
-			return best
-		})
-		add(r)
+	var rows []latticeRow
+	for _, r := range pairwise.Rows(latticeSizes(), latticeExcluded(rejected), seed, seeds) {
+		rows = append(rows, latticeRow(r))
 	}
 	return rows
 }
@@ -519,10 +414,12 @@ type namedRow struct {
 // lattice replaced — the block codec at three pipeline widths, the streaming
 // reduce, code-once over codec × spill regime × combiner, the map cache,
 // in-node combining, remote execution with and without it, the networked
-// shuffle and tracing — under their old test names.
+// shuffle and tracing — under the old test names of the three tables that
+// still run them a second time, unnamed for the rest.
 func retiredRows() []namedRow {
 	var rs []namedRow
 	add := func(name string, kv ...int) { rs = append(rs, namedRow{name, lrow(kv...)}) }
+	row := func(kv ...int) { add("", kv...) }
 	for p, w := range latticeProcs {
 		name := func(v string) string { return fmt.Sprintf("TestBlockCodecDifferential/%s/workers=%d", v, w) }
 		add(name("mem"), axCodec, 5, axProcs, p)
@@ -553,20 +450,20 @@ func retiredRows() []namedRow {
 			}
 		}
 	}
-	add("TestMapCacheDifferential/plain", axCache, 1)
-	add("TestMapCacheDifferential/map_side_combiner", axCache, 1, axComb, 1)
-	add("TestMapCacheDifferential/in_node_combine", axCache, 1, axNodes, 2)
-	add("TestMapCacheDifferential/net_shuffle", axCache, 1, axShuffle, 2)
+	row(axCache, 1)
+	row(axCache, 1, axComb, 1)
+	row(axCache, 1, axNodes, 2)
+	row(axCache, 1, axShuffle, 2)
 	for n := 1; n <= 3; n++ {
-		add(fmt.Sprintf("TestCombineDifferential/nodes=%d", n), axNodes, n)
+		row(axNodes, n)
 	}
-	add("TestRemoteExecutionByteIdentical/par=1", axExec, 1, axComb, 1)
-	add("TestRemoteExecutionByteIdentical/par=3", axExec, 1, axComb, 1, axPar, 2)
-	add("TestRemoteCombineByteIdentical/nodes=2", axExec, 1, axComb, 1, axNodes, 2, axPar, 1)
-	add("TestNetShuffleCleanByteIdentical/mem", axShuffle, 1)
-	add("TestNetShuffleCleanByteIdentical/tcp", axShuffle, 2)
-	add("TestObservabilityByteIdentity/clean", axPar, 1, axObs, 1)
-	add("TestObservabilityByteIdentity/faulty", axPar, 1, axFaults, 1, axObs, 1)
+	row(axExec, 1, axComb, 1)
+	row(axExec, 1, axComb, 1, axPar, 2)
+	row(axExec, 1, axComb, 1, axNodes, 2, axPar, 1)
+	row(axShuffle, 1)
+	row(axShuffle, 2)
+	row(axPar, 1, axObs, 1)
+	row(axPar, 1, axFaults, 1, axObs, 1)
 	return rs
 }
 
@@ -583,13 +480,14 @@ func FuzzConfigLattice(f *testing.F) {
 	for _, seed := range []int64{1, 7, 42} {
 		f.Add(seed)
 	}
-	ex := latticeExcluded(latticeRejected)
+	sizes := latticeSizes()
+	ex := pairwise.Excluded(sizes, latticeExcluded(latticeRejected))
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		r := unsetRow()
-		fill(&r, ex, rng.Perm(numAxes), func(_ int, ok []int) int { return ok[rng.Intn(len(ok))] })
-		t.Log(r)
-		newLattice().check(t, r)
+		r := pairwise.Unset(numAxes)
+		pairwise.Fill(r, sizes, ex, rng.Perm(numAxes), func(_ int, ok []int) int { return ok[rng.Intn(len(ok))] })
+		t.Log(latticeRow(r))
+		newLattice().check(t, latticeRow(r))
 	})
 }
 
@@ -600,29 +498,29 @@ func FuzzConfigLattice(f *testing.F) {
 // is named with the rows the lattice gains once its exclusion goes.
 func TestConfigLatticeCoversEveryPair(t *testing.T) {
 	rows := latticeRows(latticeSeed, latticeRejected)
-	covered := make(map[latticePair]bool)
+	covered := make(map[pairwise.Pair]bool)
 	for _, r := range rows {
 		if job, _ := r.job(t, testFS(), &memCache{}); job.validate() != nil {
 			t.Errorf("row %s: %v", r, job.validate())
 		}
-		for _, p := range r.pairs() {
+		for _, p := range pairwise.RowPairs(r[:]) {
 			covered[p] = true
 		}
 	}
-	ex := latticeExcluded(latticeRejected)
-	for _, p := range latticePairs() {
+	ex := pairwise.Excluded(latticeSizes(), latticeExcluded(latticeRejected))
+	for _, p := range pairwise.Pairs(latticeSizes()) {
 		if covered[p] == ex[p] {
-			t.Errorf("%s with %s: excluded %v, held by a row %v", p[0], p[1], ex[p], covered[p])
+			t.Errorf("%s with %s: excluded %v, held by a row %v", valueName(p[0]), valueName(p[1]), ex[p], covered[p])
 		}
-		r := lrow(p[0].axis, p[0].value, p[1].axis, p[1].value)
+		r := lrow(p[0].Axis, p[0].Value, p[1].Axis, p[1].Value)
 		job, _ := r.job(t, testFS(), &memCache{})
 		rejected := slices.Contains(latticeRejected, p)
 		if (job.validate() != nil) == rejected {
 			continue
 		}
 		var gained []string
-		for _, nr := range latticeRows(latticeSeed, slices.DeleteFunc(slices.Clone(latticeRejected), func(q latticePair) bool { return q == p })) {
-			if nr[p[0].axis] == p[0].value && nr[p[1].axis] == p[1].value {
+		for _, nr := range latticeRows(latticeSeed, slices.DeleteFunc(slices.Clone(latticeRejected), func(q pairwise.Pair) bool { return q == p })) {
+			if nr[p[0].Axis] == p[0].Value && nr[p[1].Axis] == p[1].Value {
 				gained = append(gained, nr.String())
 			}
 		}
@@ -632,21 +530,15 @@ func TestConfigLatticeCoversEveryPair(t *testing.T) {
 	t.Logf("%d rows hold %d pairs; %d excluded", len(rows), len(covered), len(ex))
 }
 
-// The tables the lattice replaced keep their test names: each runs the
+// Three tables the lattice replaced keep their test names: each runs the
 // lattice rows that stand for its old cases, under the old subtest names —
 // the same axis values, on the lattice's shapes and fault schedules rather
 // than the old tables' own — so these rows run once more next to
 // TestConfigLattice.
 
-func TestBlockCodecDifferential(t *testing.T)       { replayRetired(t) }
-func TestStreamingReduceDifferential(t *testing.T)  { replayRetired(t) }
-func TestCodeOnceDifferential(t *testing.T)         { replayRetired(t) }
-func TestMapCacheDifferential(t *testing.T)         { replayRetired(t) }
-func TestCombineDifferential(t *testing.T)          { replayRetired(t) }
-func TestRemoteExecutionByteIdentical(t *testing.T) { replayRetired(t) }
-func TestRemoteCombineByteIdentical(t *testing.T)   { replayRetired(t) }
-func TestNetShuffleCleanByteIdentical(t *testing.T) { replayRetired(t) }
-func TestObservabilityByteIdentity(t *testing.T)    { replayRetired(t) }
+func TestBlockCodecDifferential(t *testing.T)      { replayRetired(t) }
+func TestStreamingReduceDifferential(t *testing.T) { replayRetired(t) }
+func TestCodeOnceDifferential(t *testing.T)        { replayRetired(t) }
 
 func replayRetired(t *testing.T) {
 	var rows []namedRow

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -86,42 +85,6 @@ func payloadCounters(r *core.Report) [10]int64 {
 	return [10]int64{r.MapOutputRecords, r.KeyBytes, r.ValueBytes, r.MaterializedBytes,
 		r.ShuffleBytes, r.PartitionSplits, r.OverlapSplits,
 		r.CombineMergedRecords, r.CombineEmittedRecords, r.CombineSavedBytes}
-}
-
-// TestServiceParallelMatchesOneShot: the service runs a query's attempts on
-// every core, and for each strategy — the aggregation one with in-node
-// combining — its cold and warm responses carry the sha and the payload
-// counters of the sequential one-shot run.
-func TestServiceParallelMatchesOneShot(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	base := QuerySpec{Side: 48, Strategy: "baseline", Op: "median", Radius: 1, Splits: 6, Reducers: 3}
-	transform := base
-	transform.Strategy, transform.Codec = "transform", "zlib"
-	agg := base
-	agg.Strategy, agg.Curve, agg.Op, agg.Combine, agg.CombineNodes = "aggregation", "zorder", "max", true, 2
-	for _, spec := range []QuerySpec{base, transform, agg} {
-		t.Run(spec.Strategy, func(t *testing.T) {
-			wantSHA, wantRep := oneShot(t, spec)
-			svc := New(Config{Store: localStore(), Workers: 2})
-			defer svc.Close()
-			for _, warm := range []bool{false, true} {
-				resp, err := svc.Submit(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if resp.CacheHit != warm {
-					t.Fatalf("cache hit = %v, want %v", resp.CacheHit, warm)
-				}
-				if resp.OutputSHA != wantSHA {
-					t.Errorf("warm=%v: sha %s, one-shot %s", warm, resp.OutputSHA, wantSHA)
-				}
-				if got, want := payloadCounters(resp.Report), payloadCounters(wantRep); got != want {
-					t.Errorf("warm=%v: payload counters %v, one-shot %v", warm, got, want)
-				}
-			}
-		})
-	}
 }
 
 // TestServiceCacheHitBothBackends: on each Store backend, a repeated

@@ -10,9 +10,11 @@
 package queryd
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 
+	"scikey/internal/clusterd"
 	"scikey/internal/core"
 	"scikey/internal/faults"
 	"scikey/internal/hdfs"
@@ -147,4 +149,23 @@ func (s QuerySpec) CacheKey() string {
 	return fmt.Sprintf("v2|side=%d|strat=%s|flush=%d|op=%s|radius=%d|splits=%d|reducers=%d|combine=%t|combine-nodes=%d",
 		s.Side, strings.ToLower(strat.Name()), strat.FlushCells, d.Op,
 		d.Radius, d.NumSplits, d.NumReducers, d.Combine, d.CombineNodes)
+}
+
+// BuildRunner rebuilds the job a coordinator's wire spec names (JSON, then
+// Setup, then core.BuildJob) as the runner a cluster worker executes its
+// granted attempts with. scijob -worker builds its runner here.
+func BuildRunner(raw []byte) (clusterd.Runner, error) {
+	var spec QuerySpec
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		return nil, fmt.Errorf("decoding job spec: %w", err)
+	}
+	fs, qcfg, strat, err := spec.Setup()
+	if err != nil {
+		return nil, err
+	}
+	plan, err := core.BuildJob(fs, qcfg, strat)
+	if err != nil {
+		return nil, err
+	}
+	return &clusterd.JobRunner{Job: plan.Job}, nil
 }

@@ -44,8 +44,20 @@ func TestRunOptionsReachEveryJob(t *testing.T) {
 		}
 	}
 	cfg := QueryConfig{DS: ds, Op: Max, RunOptions: opts}
-	for _, kind := range []string{"simple", "agg", "box"} {
-		got := reflect.ValueOf(buildMaxJob(t, fs, cfg, kind).RunOptions)
+	simple, _, err := SimpleKeyJob(fs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, _, err := AggKeyJob(fs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box, err := BoxKeyJob(fs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kind, job := range map[string]*mapreduce.Job{"simple": simple, "agg": agg, "box": box} {
+		got := reflect.ValueOf(job.RunOptions)
 		for i := 0; i < want.NumField(); i++ {
 			if !reflect.DeepEqual(got.Field(i).Interface(), want.Field(i).Interface()) {
 				t.Errorf("%s job: RunOptions.%s = %v, want %v", kind,

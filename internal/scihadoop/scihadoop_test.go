@@ -3,7 +3,6 @@ package scihadoop
 import (
 	"testing"
 
-	"scikey/internal/codec"
 	"scikey/internal/grid"
 	"scikey/internal/hdfs"
 	"scikey/internal/keys"
@@ -90,61 +89,6 @@ func TestWindowOffsets(t *testing.T) {
 	}
 }
 
-func TestSimpleMedianMatchesReference(t *testing.T) {
-	extent := grid.NewBox(grid.Coord{0, 0}, []int{20, 20})
-	fs, ds, field := setup(t, extent)
-	job, kc, err := SimpleKeyJob(fs, QueryConfig{DS: ds, NumSplits: 4, NumReducers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mapreduce.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSimpleOutput(fs, res, kc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, "simple median", got, Reference(field, extent, 1, Median))
-
-	// 20x20 cells x 9 window targets.
-	if n := res.Counters.MapOutputRecords.Value(); n != 3600 {
-		t.Errorf("map output records = %d, want 3600", n)
-	}
-}
-
-func TestAggMedianMatchesReference(t *testing.T) {
-	extent := grid.NewBox(grid.Coord{0, 0}, []int{20, 20})
-	fs, ds, field := setup(t, extent)
-	for _, curve := range []string{"zorder", "hilbert", "rowmajor", "peano"} {
-		cfg := QueryConfig{DS: ds, NumSplits: 4, NumReducers: 3, Curve: curve,
-			OutputPath: "/out/agg-" + curve}
-		job, mapping, err := AggKeyJob(fs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := mapreduce.Run(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kc := &keys.Codec{Rank: 2, Mode: keys.VarByName}
-		got, err := ReadAggOutput(fs, res, kc, mapping)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resultsEqual(t, "agg median "+curve, got, Reference(field, extent, 1, Median))
-
-		c := res.Counters
-		if c.OverlapKeySplits.Value() == 0 {
-			t.Errorf("%s: expected overlap splits with 4 mappers", curve)
-		}
-		if c.MapOutputRecords.Value() >= 3600 {
-			t.Errorf("%s: aggregation produced %d records; expected far fewer than 3600",
-				curve, c.MapOutputRecords.Value())
-		}
-	}
-}
-
 func TestAggShrinksIntermediateData(t *testing.T) {
 	// The headline effect (Section IV-D): aggregation cuts "Map output
 	// materialized bytes" dramatically versus simple keys.
@@ -174,63 +118,6 @@ func TestAggShrinksIntermediateData(t *testing.T) {
 	}
 }
 
-func TestSimpleMedianWithTransformCodec(t *testing.T) {
-	// Section III-E's configuration: simple keys + transform+zlib codec.
-	// Results must be identical; materialized bytes must shrink.
-	extent := grid.NewBox(grid.Coord{0, 0}, []int{16, 16})
-	fs, ds, field := setup(t, extent)
-
-	plain, kc, err := SimpleKeyJob(fs, QueryConfig{DS: ds, NumSplits: 2, NumReducers: 2, OutputPath: "/out/p"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pres, err := mapreduce.Run(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zipped, kc2, err := SimpleKeyJob(fs, QueryConfig{DS: ds, NumSplits: 2, NumReducers: 2,
-		MapOutputCodec: codec.NewTransform(codec.Zlib), OutputPath: "/out/z"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	zres, err := mapreduce.Run(zipped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Reference(field, extent, 1, Median)
-	gotP, _ := ReadSimpleOutput(fs, pres, kc)
-	gotZ, _ := ReadSimpleOutput(fs, zres, kc2)
-	resultsEqual(t, "plain", gotP, want)
-	resultsEqual(t, "transform+zlib", gotZ, want)
-
-	pB := pres.Counters.MapOutputMaterializedBytes.Value()
-	zB := zres.Counters.MapOutputMaterializedBytes.Value()
-	if zB >= pB {
-		t.Errorf("transform+zlib did not shrink map output: %d vs %d", zB, pB)
-	}
-}
-
-func TestMaxWithCombiner(t *testing.T) {
-	extent := grid.NewBox(grid.Coord{0, 0}, []int{15, 15})
-	fs, ds, field := setup(t, extent)
-	job, kc, err := SimpleKeyJob(fs, QueryConfig{DS: ds, Op: Max, NumSplits: 3, NumReducers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mapreduce.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSimpleOutput(fs, res, kc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, "max", got, Reference(field, extent, 1, Max))
-	if res.Counters.CombineInputRecords.Value() == 0 {
-		t.Error("combiner did not run for the distributive max query")
-	}
-}
-
 func TestAggMedianVarByIndexMode(t *testing.T) {
 	// Key mode must not affect results, only byte sizes.
 	extent := grid.NewBox(grid.Coord{0, 0}, []int{10, 10})
@@ -252,26 +139,6 @@ func TestAggMedianVarByIndexMode(t *testing.T) {
 	resultsEqual(t, "agg index mode", got, Reference(field, extent, 1, Median))
 }
 
-func TestAggSmallFlushBufferStillCorrect(t *testing.T) {
-	extent := grid.NewBox(grid.Coord{0, 0}, []int{12, 12})
-	fs, ds, field := setup(t, extent)
-	cfg := QueryConfig{DS: ds, NumSplits: 3, NumReducers: 2, FlushCells: 32}
-	job, mapping, err := AggKeyJob(fs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mapreduce.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kc := &keys.Codec{Rank: 2, Mode: keys.VarByName}
-	got, err := ReadAggOutput(fs, res, kc, mapping)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, "agg small flush", got, Reference(field, extent, 1, Median))
-}
-
 func TestPartitionSplitsHappen(t *testing.T) {
 	// With a range partitioner over multiple reducers, some aggregate keys
 	// must straddle shard boundaries and get split.
@@ -288,73 +155,6 @@ func TestPartitionSplitsHappen(t *testing.T) {
 	if res.Counters.PartitionKeySplits.Value() == 0 {
 		t.Error("expected partition-time key splits with 5 reducers")
 	}
-}
-
-func TestBoxMedianMatchesReference(t *testing.T) {
-	extent := grid.NewBox(grid.Coord{0, 0}, []int{20, 20})
-	fs, ds, field := setup(t, extent)
-	job, err := BoxKeyJob(fs, QueryConfig{DS: ds, NumSplits: 4, NumReducers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mapreduce.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kc := &keys.Codec{Rank: 2, Mode: keys.VarByName}
-	got, err := ReadBoxOutput(fs, res, kc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, "box median", got, Reference(field, extent, 1, Median))
-	c := res.Counters
-	if c.MapOutputRecords.Value() >= 3600 {
-		t.Errorf("box aggregation produced %d records, expected far fewer", c.MapOutputRecords.Value())
-	}
-	if c.OverlapKeySplits.Value() == 0 {
-		t.Error("expected box overlap splits with 4 mappers")
-	}
-	if c.PartitionKeySplits.Value() == 0 {
-		t.Error("expected slab partition splits")
-	}
-}
-
-func TestBoxMedianSmallFlush(t *testing.T) {
-	extent := grid.NewBox(grid.Coord{0, 0}, []int{14, 14})
-	fs, ds, field := setup(t, extent)
-	job, err := BoxKeyJob(fs, QueryConfig{DS: ds, NumSplits: 3, NumReducers: 4, FlushCells: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mapreduce.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kc := &keys.Codec{Rank: 2, Mode: keys.VarByName}
-	got, err := ReadBoxOutput(fs, res, kc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, "box median small flush", got, Reference(field, extent, 1, Median))
-}
-
-func TestBoxMaxMatchesReference(t *testing.T) {
-	extent := grid.NewBox(grid.Coord{0, 0}, []int{12, 12})
-	fs, ds, field := setup(t, extent)
-	job, err := BoxKeyJob(fs, QueryConfig{DS: ds, Op: Max, NumSplits: 2, NumReducers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mapreduce.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kc := &keys.Codec{Rank: 2, Mode: keys.VarByName}
-	got, err := ReadBoxOutput(fs, res, kc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, "box max", got, Reference(field, extent, 1, Max))
 }
 
 func TestReaggregateOutputCoalesces(t *testing.T) {
@@ -493,63 +293,4 @@ func Test3DMedianAllFlavors(t *testing.T) {
 	if n := sres.Counters.MapOutputRecords.Value(); n != 8*8*8*27 {
 		t.Errorf("3-D simple records = %d, want %d", n, 8*8*8*27)
 	}
-}
-
-func TestDegenerateGrids(t *testing.T) {
-	// 1x1 grid: every flavor must still produce the 3x3 halo of 9 output
-	// cells, each the median of the single source value.
-	extent := grid.NewBox(grid.Coord{0, 0}, []int{1, 1})
-	fs, ds, field := setup(t, extent)
-	want := Reference(field, extent, 1, Median)
-	if len(want) != 9 {
-		t.Fatalf("reference has %d cells, want 9", len(want))
-	}
-
-	sjob, skc, err := SimpleKeyJob(fs, QueryConfig{DS: ds, NumSplits: 4, NumReducers: 3, OutputPath: "/out/d1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres, err := mapreduce.Run(sjob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSimpleOutput(fs, sres, skc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, "1x1 simple", got, want)
-
-	ajob, mapping, err := AggKeyJob(fs, QueryConfig{DS: ds, NumSplits: 2, NumReducers: 2, OutputPath: "/out/d2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ares, err := mapreduce.Run(ajob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotA, err := ReadAggOutput(fs, ares, &keys.Codec{Rank: 2, Mode: keys.VarByName}, mapping)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, "1x1 agg", gotA, want)
-}
-
-func TestRadiusLargerThanGrid(t *testing.T) {
-	// A 5x5 window (radius 2) over a 3x3 grid: halo dwarfs the data.
-	extent := grid.NewBox(grid.Coord{0, 0}, []int{3, 3})
-	fs, ds, field := setup(t, extent)
-	want := Reference(field, extent, 2, Median)
-	job, mapping, err := AggKeyJob(fs, QueryConfig{DS: ds, Radius: 2, NumSplits: 2, NumReducers: 3, OutputPath: "/out/r2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mapreduce.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAggOutput(fs, res, &keys.Codec{Rank: 2, Mode: keys.VarByName}, mapping)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, "radius 2", got, want)
 }
