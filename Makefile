@@ -66,13 +66,13 @@ race:
 	$(GO) test -race ./...
 
 # The mutation gate: each patch under scripts/mutants breaks non-test code in
-# a way a differential table one of the two lattices replaced used to catch
-# (engine tables: TestConfigLattice; query tables: the product lattice,
-# TestQueryLattice in internal/queryd), or that the grouping-by-words oracle,
-# the predictor's equivalence table or the decode-once and codec-fault tests
+# a way a table one of the two lattices replaced used to catch (engine
+# tables, the recovery and decode-once tables among them: TestConfigLattice;
+# query tables: the product lattice, TestQueryLattice in internal/queryd), or
+# that the grouping-by-words oracle or the predictor's equivalence table
 # catch; TestConfigLattice, or the tests a patch's `# test: <regexp>` line
 # names (in the package its `# pkg: <path>` line names), must fail on every
-# one (~4 min).
+# one (~5 min).
 mutants:
 	@sh scripts/mutants.sh
 

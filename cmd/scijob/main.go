@@ -98,7 +98,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&s.Curve, "curve", def.Curve, "curve for -strategy aggregation: zorder | hilbert | rowmajor")
 	fs.StringVar(&s.Op, "op", def.Op.String(), "window operator: median | max")
 	fs.BoolVar(&s.Combine, "combine", false, "in-node combining: pool committed map outputs per node group and fold duplicate keys with the operator's value monoid before the shuffle; requires -op max (median is holistic — no monoid exists)")
-	fs.IntVar(&s.CombineNodes, "combine-nodes", 0, "node-group count for -combine (0 = one group per shuffle node when networked, else one; cluster mode defaults to the worker count, one combine buffer per worker process)")
+	fs.IntVar(&s.CombineNodes, "combine-nodes", 0, "node-group count for -combine (0 = 3, the shuffle's default node count, on any shuffle; cluster mode defaults to the worker count, one combine buffer per worker process)")
 	fs.IntVar(&s.Radius, "radius", def.Radius, "window radius (1 = 3x3)")
 	fs.IntVar(&s.Splits, "splits", def.NumSplits, "map tasks")
 	fs.IntVar(&s.Reducers, "reducers", def.NumReducers, "reduce tasks")

@@ -226,6 +226,48 @@ func TestGracefulDrainCompletesInFlight(t *testing.T) {
 	}
 }
 
+// TestWorkerStopDuringBuild: a worker stopped while its first registration
+// is still building the job must not take up the session that registration
+// opens. Build returns only once Stop has, and Run must then return with the
+// coordinator still up, rather than serve that session until the
+// coordinator hangs up.
+func TestWorkerStopDuringBuild(t *testing.T) {
+	c, err := Start(Config{HeartbeatEvery: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	building, stopped := make(chan struct{}), make(chan struct{})
+	w := NewWorker(WorkerConfig{
+		Addr: c.Addr(),
+		Build: func([]byte) (Runner, error) {
+			close(building)
+			<-stopped
+			return &stubRunner{}, nil
+		},
+	})
+	ran := make(chan error, 1)
+	go func() { ran <- w.Run() }()
+	<-building
+	w.Stop()
+	close(stopped)
+	select {
+	case err := <-ran:
+		if err != nil {
+			t.Errorf("Run after Stop: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		w.mu.Lock()
+		sess := w.sess
+		w.mu.Unlock()
+		if sess != nil {
+			sess.close() // let Run return before the test ends
+		}
+		<-ran
+		t.Fatal("Run still serving 2 s after Stop, with the coordinator up")
+	}
+}
+
 // rawWorker speaks the wire protocol by hand: register, take one grant,
 // send Started, then go silent (a SIGSTOP stand-in). After the coordinator
 // expires the lease, it reports completion anyway — which must be dropped

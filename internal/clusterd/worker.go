@@ -225,6 +225,11 @@ func (w *Worker) register() (*session, error) {
 		readopted[id] = true
 	}
 	w.mu.Lock()
+	if w.stopped { // Stop raced the handshake; a session now would outlive it
+		w.mu.Unlock()
+		p.conn.Close()
+		return nil, errStopped
+	}
 	w.runner = runner
 	w.id = welcome.Worker
 	w.sess = s

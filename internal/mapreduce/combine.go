@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"scikey/internal/codec"
-	"scikey/internal/shufflenet"
 )
 
 // Monoid is the algebraic contract for mergeable aggregate values: a binary
@@ -120,35 +119,19 @@ var (
 type CombineConfig struct {
 	// Combiner is the value monoid. Required.
 	Combiner Monoid
-	// Nodes is the node-group count: how many per-node combine buffers the
-	// run simulates. 0 means one group per shuffle node for networked
-	// shuffles (mirroring shufflenet's placement), otherwise a single
-	// group; cluster drivers set it to the worker count so there is one
-	// combine buffer per worker process. Grouping only changes which
-	// duplicates meet — the monoid laws make the reduce output identical
-	// for every value.
+	// Nodes is the node-group count, at least 1: how many per-node combine
+	// buffers the run simulates, map task t feeding group t % Nodes. Query
+	// configurations default it to the shuffle's default node count
+	// (scihadoop.QueryConfig.WithDefaults), whatever the shuffle; cluster
+	// drivers set it to the worker count so there is one combine buffer per
+	// worker process. Grouping only changes which duplicates meet — the
+	// monoid laws make the reduce output identical for every value.
 	Nodes int
 }
 
-// combineGroupCount resolves the node-group count for this job: an explicit
-// Combine.Nodes wins; otherwise networked shuffles combine per shuffle node
-// (matching shufflenet's "map task t serves from node t % Nodes" placement)
-// and everything else uses one group. Never more groups than map tasks.
-func (j *Job) combineGroupCount() int {
-	n := j.Combine.Nodes
-	if n <= 0 {
-		n = 1
-		if j.Shuffle.networked() {
-			if n = j.Shuffle.Nodes; n <= 0 {
-				n = shufflenet.DefaultNodes
-			}
-		}
-	}
-	if n > len(j.Splits) {
-		n = len(j.Splits)
-	}
-	return n
-}
+// combineGroupCount is the job's node-group count: Combine.Nodes, but never
+// more groups than map tasks. The shuffle has no say in it.
+func (j *Job) combineGroupCount() int { return min(j.Combine.Nodes, len(j.Splits)) }
 
 // NodeBuffer is the shared per-node combine buffer: every committed map
 // attempt on a node feeds its final segments in, and the node's combined
@@ -356,7 +339,7 @@ func (b *NodeBuffer) fold(jc *Counters) {
 // independent window, and a pending aggregate is flushed — not merged —
 // when one arrives. Input records are valid only until the next pull (the
 // kvStream rule); the stream owns its pending and emitted copies, and each
-// emitted record stays valid until the next call, which is all
+// emitted record stays valid until the next pull, which is all
 // writeSegmentStream needs.
 type combineStream struct {
 	src kvStream
@@ -366,6 +349,7 @@ type combineStream struct {
 
 	pendKey, pendVal []byte // accumulating run (owned)
 	emitKey, emitVal []byte // last emitted record's backing (owned, reused)
+	out              KV     // the record pull last returned
 	have             bool
 	eof              bool
 
@@ -373,21 +357,22 @@ type combineStream struct {
 	outRecords int64
 }
 
-func (s *combineStream) next() (KV, bool, error) {
+func (s *combineStream) pull() (*KV, error) {
 	for {
 		if s.eof {
 			if s.have {
 				s.have = false
 				s.outRecords++
-				return KV{Key: s.pendKey, Value: s.pendVal}, true, nil
+				s.out = KV{Key: s.pendKey, Value: s.pendVal}
+				return &s.out, nil
 			}
-			return KV{}, false, nil
+			return nil, nil
 		}
-		kv, ok, err := s.src.next()
-		if err != nil {
-			return KV{}, false, err
-		}
-		if !ok {
+		kv, err := s.src.pull()
+		if kv == nil {
+			if err != nil {
+				return nil, err
+			}
 			s.eof = true
 			continue
 		}
@@ -396,7 +381,7 @@ func (s *combineStream) next() (KV, bool, error) {
 		if s.have && !startsWindow && s.cmp(s.pendKey, kv.Key) == 0 {
 			merged, err := s.m.Merge(s.pendVal, kv.Value)
 			if err != nil {
-				return KV{}, false, err
+				return nil, err
 			}
 			s.pendVal = merged
 			continue
@@ -410,7 +395,8 @@ func (s *combineStream) next() (KV, bool, error) {
 			s.pendKey = append(s.pendKey[:0], kv.Key...)
 			s.pendVal = append(s.pendVal[:0], kv.Value...)
 			s.outRecords++
-			return KV{Key: s.emitKey, Value: s.emitVal}, true, nil
+			s.out = KV{Key: s.emitKey, Value: s.emitVal}
+			return &s.out, nil
 		}
 		s.pendKey = append(s.pendKey[:0], kv.Key...)
 		s.pendVal = append(s.pendVal[:0], kv.Value...)

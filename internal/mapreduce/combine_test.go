@@ -143,11 +143,11 @@ func drainStream(t *testing.T, s kvStream) []KV {
 	t.Helper()
 	var out []KV
 	for {
-		kv, ok, err := s.next()
+		kv, err := s.pull()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if kv == nil {
 			return out
 		}
 		out = append(out, KV{Key: bytes.Clone(kv.Key), Value: bytes.Clone(kv.Value)})
@@ -307,13 +307,12 @@ func TestNodeBufferCombine(t *testing.T) {
 	}
 }
 
-// TestCombineGroupCount pins the node-group resolution: explicit wins,
-// networked defaults to the shuffle node count, and groups never exceed the
-// map task count.
+// TestCombineGroupCount pins the node-group resolution: Combine.Nodes,
+// clamped to the map task count, whatever the shuffle.
 func TestCombineGroupCount(t *testing.T) {
-	j := combineJob(10, 1, 0, nil)
+	j := combineJob(10, 1, 1, nil)
 	if got := j.combineGroupCount(); got != 1 {
-		t.Errorf("in-memory default groups = %d, want 1", got)
+		t.Errorf("groups = %d, want 1", got)
 	}
 	j.Combine.Nodes = 4
 	if got := j.combineGroupCount(); got != 4 {
@@ -323,28 +322,26 @@ func TestCombineGroupCount(t *testing.T) {
 	if got := j.combineGroupCount(); got != 10 {
 		t.Errorf("groups not clamped to splits: %d, want 10", got)
 	}
-	j.Combine.Nodes = 0
-	j.Shuffle = &ShuffleConfig{Mode: ShuffleTCP}
-	if got := j.combineGroupCount(); got != 3 {
-		t.Errorf("networked default groups = %d, want shufflenet default 3", got)
-	}
-	j.Shuffle.Nodes = 5
-	if got := j.combineGroupCount(); got != 5 {
-		t.Errorf("networked groups = %d, want Shuffle.Nodes 5", got)
+	j.Combine.Nodes = 2
+	j.Shuffle = &ShuffleConfig{Mode: ShuffleTCP, Nodes: 5}
+	if got := j.combineGroupCount(); got != 2 {
+		t.Errorf("networked groups = %d, want Combine.Nodes 2, not the shuffle's 5 nodes", got)
 	}
 }
 
-// TestCombineValidate: combining without a combiner, or with a negative
-// node count, fails validation up front.
+// TestCombineValidate: combining without a combiner, or with fewer than one
+// node group, fails validation up front.
 func TestCombineValidate(t *testing.T) {
 	job := wordCountJob(testFS(), faultDocs, 2, false)
 	job.Combine = &CombineConfig{}
 	if _, err := Run(job); err == nil {
 		t.Error("nil Combiner accepted")
 	}
-	job.Combine = &CombineConfig{Combiner: SumInt32, Nodes: -1}
-	if _, err := Run(job); err == nil {
-		t.Error("negative Nodes accepted")
+	for _, nodes := range []int{-1, 0} {
+		job.Combine = &CombineConfig{Combiner: SumInt32, Nodes: nodes}
+		if _, err := Run(job); err == nil {
+			t.Errorf("Nodes %d accepted", nodes)
+		}
 	}
 }
 

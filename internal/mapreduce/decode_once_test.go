@@ -29,78 +29,6 @@ func decodeOnceCodecs() []struct {
 	}
 }
 
-// TestCodedReduceDecodesEachByteOnce: a coded job decodes every byte it
-// shuffled exactly once. The plaintext is what the codec.None run of the
-// same job shuffled — ReduceShuffleBytes, plus, when a node combine reads
-// the members' outputs before the reducers read the combined ones,
-// MapOutputMaterializedBytes. A job that validated by decoding and then
-// merged by decoding again reads twice that. Outputs and payload counters
-// are the codec.None job's, the byte counters the codec shrinks aside.
-func TestCodedReduceDecodesEachByteOnce(t *testing.T) {
-	jobs := []struct {
-		name  string
-		build func(c codec.Codec) *Job
-		plain func(c *Counters) int64
-	}{
-		{"reduce", func(c codec.Codec) *Job {
-			job := wordCountJob(testFS(), codeOnceDocs, 5, false)
-			job.MapOutputCodec = c
-			return job
-		}, func(c *Counters) int64 { return c.ReduceShuffleBytes.Value() }},
-		{"node-combine", func(c codec.Codec) *Job {
-			job := wordCountJob(testFS(), append(slices.Clone(codeOnceDocs), faultDocs...), 5, false)
-			job.Combine = &CombineConfig{Combiner: SumInt32, Nodes: 2}
-			job.MapOutputCodec = c
-			return job
-		}, func(c *Counters) int64 {
-			return c.MapOutputMaterializedBytes.Value() + c.ReduceShuffleBytes.Value()
-		}},
-	}
-	run := func(t *testing.T, job *Job) ([]string, *Counters) {
-		t.Helper()
-		res, err := Run(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return readRawOutputs(t, job.FS, res.OutputPaths), res.Counters
-	}
-	for _, jb := range jobs {
-		t.Run(jb.name, func(t *testing.T) {
-			wantOuts, raw := run(t, jb.build(nil))
-			if jb.name == "node-combine" && raw.CombineSavedBytes.Value() <= 0 {
-				t.Fatal("the node combine saved nothing: not a combining job")
-			}
-			plain := jb.plain(raw)
-			want := payload(raw)
-			for _, cd := range decodeOnceCodecs() {
-				t.Run(cd.name, func(t *testing.T) {
-					cc := &countingCodec{inner: cd.c}
-					gotOuts, coded := run(t, jb.build(cc))
-					if got := cc.decoded.Load(); got != plain {
-						t.Errorf("decoded %d B, want the %d B plaintext once (%.2f×)", got, plain, float64(got)/float64(plain))
-					}
-					if !slices.Equal(gotOuts, wantOuts) {
-						t.Error("output differs from the codec.None job's")
-					}
-					got := payload(coded)
-					for name, w := range want {
-						switch name {
-						case "Map output materialized bytes", "Reduce shuffle bytes":
-							continue
-						}
-						if got[name] != w {
-							t.Errorf("counter %s = %d, codec.None job %d", name, got[name], w)
-						}
-					}
-					if m, e := coded.CombineMergedRecords.Value(), coded.CombineEmittedRecords.Value(); m != raw.CombineMergedRecords.Value() || e != raw.CombineEmittedRecords.Value() {
-						t.Errorf("combine folded %d into %d records, codec.None job %d into %d", m, e, raw.CombineMergedRecords.Value(), raw.CombineEmittedRecords.Value())
-					}
-				})
-			}
-		})
-	}
-}
-
 // TestDecodedBuffersReturnToPool holds every exit of a coded reduce attempt
 // and of a node combine to the ownership rule: the plaintext buffers
 // validateSegments decoded go back to the pool, after success, after an

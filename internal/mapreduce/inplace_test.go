@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"scikey/internal/codec"
-	"scikey/internal/faults"
 )
 
 // TestInPlaceMergeMatchesStreamed: a merge over raw segments parsed where
@@ -27,11 +26,11 @@ func TestInPlaceMergeMatchesStreamed(t *testing.T) {
 		defer m.close()
 		var out []KV
 		for {
-			kv, ok, err := m.next()
+			kv, err := m.pull()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
+			if kv == nil {
 				return out
 			}
 			if env.codec == codec.None && !inSegment(segs, kv.Key) {
@@ -63,45 +62,4 @@ func inSegment(segs []segment, p []byte) bool {
 		}
 	}
 	return false
-}
-
-// TestInPlaceReadKeepsCodecFaults: a raw segment is parsed where it lies
-// only while no codec-site rule wraps its read. A firing rule still routes
-// the read through the failing reader, which fails it as a transient
-// error; TestCodedValidationScansEverySegment/raw holds a codec.None job
-// under such rules to its retries and to the fault-free output.
-func TestInPlaceReadKeepsCodecFaults(t *testing.T) {
-	seg := leakSegments(t, codec.None, 1, 400, func(i, _ int) string { return fmt.Sprintf("k%04d", i) })[0]
-	seg.src = 0
-	for _, tc := range []struct {
-		spec    string
-		inPlace bool
-	}{
-		{"", true},
-		{"codec:0:error@0", false},
-		{"codec:0:error@1", true},
-		{"codec:1:error@0", true},
-	} {
-		env := readEnv{codec: codec.None, inj: mustInjector(t, tc.spec), part: 0}
-		it, err := openSegment(seg, env)
-		if err != nil {
-			t.Fatalf("%q: opening: %v", tc.spec, err)
-		}
-		if inPlace := it.rc == nil; inPlace != tc.inPlace {
-			t.Errorf("%q: read in place = %v, want %v", tc.spec, inPlace, tc.inPlace)
-		}
-		records := int64(0)
-		for it.ok {
-			records++
-			it.advance()
-		}
-		err = it.err
-		it.release()
-		switch {
-		case tc.inPlace && (err != nil || records != seg.records):
-			t.Errorf("%q: read %d of %d records: %v", tc.spec, records, seg.records, err)
-		case !tc.inPlace && !faults.IsTransient(err):
-			t.Errorf("%q: the wrapped read ended with %v, want the injected error", tc.spec, err)
-		}
-	}
 }

@@ -10,19 +10,22 @@ import (
 	"testing"
 
 	"scikey/internal/codec"
+	"scikey/internal/faults"
 	"scikey/internal/hdfs"
 	"scikey/internal/obs"
 	"scikey/internal/pairwise"
 )
 
 // The configuration lattice is the engine's one "same bytes as the
-// reference" suite. Every run-time feature is an axis, a row picks one value
-// per axis, and one oracle holds every row to referenceRun of its job with
-// the run-time axes at their defaults. The rows are those of the per-feature
-// tables the lattice replaced, plus the rows a seeded greedy generator adds
-// until every pair of axis values some valid row can hold appears in one. A
-// new run-time feature adds an axis value here, and mutants under
-// scripts/mutants that the lattice must kill — not a table of its own.
+// reference" suite, and its one recovery oracle. Every run-time feature is
+// an axis, a row picks one value per axis, and one oracle holds every row to
+// referenceRun of its job with the run-time axes at their defaults, and a
+// faulty row to the rules of recovery, keyed on what its schedule fired.
+// The rows are those of the per-feature tables the lattice replaced, plus
+// the rows a seeded greedy generator adds until every pair of axis values
+// some valid row can hold appears in one. A new run-time feature adds an
+// axis value here, and mutants under scripts/mutants that the lattice must
+// kill — not a table of its own.
 
 // Axes. Value 0 of each is its default.
 const (
@@ -57,7 +60,7 @@ var latticeAxes = [numAxes]struct {
 	axPar:       {"par", []string{"1", "2", "3"}},
 	axProcs:     {"procs", []string{"2", "1", "4"}},
 	axCache:     {"cache", []string{"off", "cold+warm"}},
-	axFaults:    {"faults", []string{"none", "local", "block", "net"}},
+	axFaults:    {"faults", []string{"none", "local", "block", "net", "attempt"}},
 	axObs:       {"obs", []string{"off", "on"}},
 }
 
@@ -80,11 +83,14 @@ var latticeSpills = [][2]int{{0, 0}, {128, 2}, {128, 10}}
 // runner's, so the block pipeline has frames in flight side by side.
 var latticeProcs = []int{2, 1, 4}
 
+// latticeFaults are the fault schedules; attempt reaches the sites the
+// others do not: a map panic, a reduce error and a failing output write.
 var latticeFaults = []string{
 	"",
 	"seed=9;map:1:error@0;segment:0.1:corrupt@0;codec:2:error@0",
 	"seed=5;segment:2.0:corrupt@0;codec:0:error@0",
 	"seed=3;net:1:cut@0;net:0.1:corrupt@0",
+	"seed=11;map:0:panic@0;reduce:1:error@0;out:0:error@0",
 }
 
 func latticeCodec(v int) codec.Codec {
@@ -134,7 +140,9 @@ func (r latticeRow) String() string {
 }
 
 // job builds the row's job on fs. A cache row stores into cache; a remote
-// row runs its attempts on a loopbackRemote over fresh worker-side jobs.
+// row runs its attempts on a loopbackRemote over fresh worker-side jobs,
+// which share the job's codec and fault injector, so that what the workers
+// decode and fire is counted where the coordinator's is.
 func (r latticeRow) job(t *testing.T, fs *hdfs.FileSystem, cache MapOutputCache) (*Job, *loopbackRemote) {
 	sh := latticeShapes[r[axShape]]
 	job := wordCountJob(fs, sh.docs, sh.reducers, r[axComb] == 1)
@@ -171,8 +179,9 @@ func (r latticeRow) job(t *testing.T, fs *hdfs.FileSystem, cache MapOutputCache)
 		worker := r
 		worker[axExec], worker[axCache] = 0, 0
 		remote = newLoopbackRemote(func() *Job {
-			job, _ := worker.job(t, testFS(), nil)
-			return job
+			wj, _ := worker.job(t, testFS(), nil)
+			wj.MapOutputCodec, wj.Faults = job.MapOutputCodec, job.Faults
+			return wj
 		})
 		job.Remote = remote
 	}
@@ -239,7 +248,9 @@ func (l *lattice) reference(t *testing.T, r latticeRow) latticeRef {
 
 // check runs row r — twice for a cache row, cold then warm — and holds each
 // run to the reference: the same output bytes and payload counters, except
-// where an axis is defined to change them, by an exact rule of its own.
+// where an axis is defined to change them, by an exact rule of its own. A
+// coded row's codec is wrapped in a countingCodec, and a faulty row's
+// recovery is held to checkRecovery's rules.
 func (l *lattice) check(t *testing.T, r latticeRow) {
 	prev := runtime.GOMAXPROCS(latticeProcs[r[axProcs]])
 	defer runtime.GOMAXPROCS(prev)
@@ -255,9 +266,15 @@ func (l *lattice) check(t *testing.T, r latticeRow) {
 	}
 	cache := &memCache{}
 	var cold *Result
+	var coldEncoded int64
 	for run := 0; run <= r[axCache]; run++ {
 		fs := testFS()
 		job, remote := r.job(t, fs, cache)
+		var cc *countingCodec
+		if r[axCodec] != 0 {
+			cc = &countingCodec{inner: job.MapOutputCodec}
+			job.MapOutputCodec = cc
+		}
 		var mapped atomic.Int64
 		newMapper := job.NewMapper
 		job.NewMapper = func() Mapper { mapped.Add(1); return newMapper() }
@@ -315,26 +332,56 @@ func (l *lattice) check(t *testing.T, r latticeRow) {
 			}
 			cold = res
 		}
+		if cc != nil && r[axFaults] == 0 {
+			// Every coded byte is decoded once: the decoders yield the
+			// plaintext the writers took — each level fetched, Reduce
+			// shuffle bytes, plus the materialized bytes when in-node
+			// combining decodes them too, plus any level a multi-pass
+			// reduce merge writes and reads back. A warm run decodes what
+			// its cold run coded, less the members' plaintext its skipped
+			// combine would read. (A retried attempt decodes again, so a
+			// faulty row has no such count.)
+			wantDecoded := cc.encoded.Load()
+			if res.MapPhaseCached {
+				wantDecoded = coldEncoded
+				if r[axNodes] != 0 {
+					wantDecoded -= ref.c.MapOutputMaterializedBytes.Value()
+				}
+			}
+			if got := cc.decoded.Load(); got != wantDecoded {
+				t.Errorf("run %d: decoded %d B, want %d B once (%.2f×)", run, got, wantDecoded, float64(got)/float64(wantDecoded))
+			}
+			coldEncoded = cc.encoded.Load()
+		}
 		if r[axFaults] == 0 {
-			// A clean run records no waste: an attempt per map task (none
-			// on a cache hit), no failed, retried, speculative or recovered
-			// attempt, no fetch retry.
+			// A clean run records no waste: no failed, retried, speculative
+			// or recovered attempt, no fetch retry.
 			for _, row := range counterTable[len(got):] {
 				if v := row.at(c).Value(); v != 0 && row.at(c) != &c.ShuffleFetches && !strings.HasPrefix(row.label, "Node combine") {
 					t.Errorf("run %d: a clean run counted %s = %d", run, row.label, v)
 				}
 			}
-			if len(res.WastedMapTasks)+len(res.WastedReduceTasks) != 0 || remote == nil && mapped.Load() != int64(maps) ||
-				job.Obs != nil && mapAttemptCount(job.Obs) != int64(maps) {
-				t.Errorf("run %d: %d map attempts for %d map tasks, %d wasted", run, mapped.Load(), maps, len(res.WastedMapTasks)+len(res.WastedReduceTasks))
+			if n := len(res.WastedMapTasks) + len(res.WastedReduceTasks); n != 0 {
+				t.Errorf("run %d: a clean run wasted %d attempts", run, n)
 			}
+		} else {
+			checkRecovery(t, run, r, job, res)
+		}
+		// An attempt per map task (none on a cache hit), one more per
+		// failed map attempt, and one per re-executed producer; a mapper
+		// only for the attempts that got past their start, which is where
+		// the map-site rules fire.
+		attempts := int64(maps) + c.MapAttemptsFailed.Value() + c.MapTasksRecovered.Value()
+		if remote == nil && mapped.Load() != int64(maps)+c.MapTasksRecovered.Value() ||
+			job.Obs != nil && mapAttemptCount(job.Obs) != attempts {
+			t.Errorf("run %d: %d mappers for %d map attempts of %d map tasks", run, mapped.Load(), attempts, maps)
 		}
 		if remote == nil {
 			continue
 		}
-		// Every attempt ran remotely: a clean run's one per task.
-		if want := maps + job.NumReducers; remote.runs < want || r[axFaults] == 0 && remote.runs != want {
-			t.Errorf("run %d: %d remote attempts for %d tasks", run, remote.runs, want)
+		// Every attempt ran remotely: one per task, and one more per retry.
+		if want := int64(maps+job.NumReducers) + c.TaskRetries.Value(); int64(remote.runs) != want {
+			t.Errorf("run %d: %d remote attempts, want %d", run, remote.runs, want)
 		}
 		// Every map task published; with in-node combining, data only
 		// under a node group's representative, its lowest task.
@@ -355,6 +402,179 @@ func (l *lattice) check(t *testing.T, r latticeRow) {
 			}
 		}
 	}
+}
+
+// checkRecovery holds a faulty run to the rules of recovery, keyed on what
+// its schedule fired (Injector.Fired), first held to what the schedule
+// must fire on the row's job (scheduledFires). Each fired map or reduce
+// error or panic is one failed attempt of that phase, one retry and one
+// waste footprint. A fired segment corruption is detected once — by the
+// node combine when the row combines in-node, else by the reduce attempt
+// reading it — and its producer re-executes, replacing a committed attempt
+// whose footprint turns to waste. A fired codec error fails the reduce
+// attempt that read it, and a fired out error the reduce attempt that
+// wrote through it, which leaves no _attempt temp file. The payload
+// counters and output bytes are check's: the reference's.
+func checkRecovery(t *testing.T, run int, r latticeRow, job *Job, res *Result) {
+	t.Helper()
+	c, fired := res.Counters, job.Faults.Fired()
+	least, most, fetchRetries := scheduledFires(r, job)
+	for k := range most {
+		if n := fired[k]; n < least[k] || n > most[k] {
+			t.Errorf("run %d: %s fired %d times, want %d to %d", run, k, n, least[k], most[k])
+		}
+	}
+	n := func(keys ...string) (sum int64) {
+		for _, k := range keys {
+			sum += int64(fired[k])
+		}
+		return sum
+	}
+	failedMaps, corrupt := n("map/error", "map/panic"), n("segment/corrupt")
+	failedReduces, read := n("reduce/error", "reduce/panic", "out/error"), n("codec/error")
+	if r[axNodes] == 0 {
+		failedReduces += corrupt // detected by the reduce attempt that read it
+	}
+	// A codec rule fails each reduce attempt it fires in, except where the
+	// attempt opened segments side by side — a coded attempt validates them
+	// on parallel goroutines, a multi-pass merge opens a whole batch — and
+	// another producer's corruption was the attempt's verdict: there the
+	// attempt fails once for both.
+	if f := c.ReduceAttemptsFailed.Value(); f < failedReduces+read-min(read, corrupt) || f > failedReduces+read {
+		t.Errorf("run %d: %d failed reduce attempts; fired %v", run, f, fired)
+	}
+	for _, eq := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"failed map attempts", c.MapAttemptsFailed.Value(), failedMaps},
+		{"corrupt segments detected", c.CorruptSegmentsDetected.Value(), corrupt},
+		{"map tasks recovered", c.MapTasksRecovered.Value(), corrupt},
+		{"wasted map attempts", int64(len(res.WastedMapTasks)), failedMaps + corrupt},
+		{"wasted reduce attempts", int64(len(res.WastedReduceTasks)), c.ReduceAttemptsFailed.Value()},
+		{"task retries", c.TaskRetries.Value(), c.MapAttemptsFailed.Value() + c.ReduceAttemptsFailed.Value() + c.MapTasksRecovered.Value()},
+		{"speculative attempts", c.SpeculativeAttempts.Value() + c.SpeculativeWasted.Value(), 0},
+		{"shuffle fetch retries", c.ShuffleFetchRetries.Value(), int64(fetchRetries)},
+	} {
+		if eq.got != eq.want {
+			t.Errorf("run %d: %s = %d, want %d; fired %v", run, eq.name, eq.got, eq.want, fired)
+		}
+	}
+	// Discarded map work is charged in the cost model.
+	est, committed := res.Estimate(clusterPaper()), clusterPaper().EstimateJob(res.MapTasks, res.ReduceTasks)
+	if len(res.WastedMapTasks) > 0 && (est.WastedMapSeconds <= 0 || est.MapSeconds < committed.MapSeconds) {
+		t.Errorf("run %d: %d wasted map attempts charged %v s; map phase %v s, committed work alone %v s",
+			run, len(res.WastedMapTasks), est.WastedMapSeconds, est.MapSeconds, committed.MapSeconds)
+	}
+	for _, p := range job.FS.List() {
+		if strings.Contains(p, "_attempt") {
+			t.Errorf("run %d: attempt temp file %s left behind", run, p)
+		}
+	}
+}
+
+// scheduledFires is how often each site/action of r's fault schedule fires
+// on job, at least and at most. Every task's attempt 0 starts, so a map or
+// reduce rule fires once per task it names. A segment rule fires once for
+// a non-empty segment of a map attempt 0 that reaches its end. A codec rule
+// fires once for each reduce attempt 0 that reads the producer's non-empty
+// published segment — with in-node combining, only a node group's
+// representative publishes — unless a reduce rule failed the attempt at
+// its start; and it may not, where a corrupt segment in the same partition
+// can end the attempt first. An out rule fires once for a reduce attempt 0
+// that reaches its output, certain only when no other rule can end it
+// before. A net rule fires once on the first fetch of each segment it
+// names, empty or not (net rules share no schedule with rules that fail a
+// reduce attempt, so each segment is fetched once), and costs a fetch retry
+// where the segment has bytes to disturb; fetchRetries counts those.
+func scheduledFires(r latticeRow, job *Job) (least, most map[string]int, fetchRetries int) {
+	sched, _ := faults.Parse(latticeFaults[r[axFaults]])
+	docs, nMaps, nReds := latticeShapes[r[axShape]].docs, len(job.Splits), job.NumReducers
+	groups := nMaps
+	if r[axNodes] != 0 {
+		groups = min(r[axNodes], nMaps)
+	}
+	// holds reports that map task m's output has a key for partition p.
+	holds := func(m, p int) bool {
+		for _, w := range strings.Fields(docs[m]) {
+			if job.Partition([]byte(w), nReds) == p {
+				return true
+			}
+		}
+		return false
+	}
+	// published reports that reducers fetch a non-empty segment of m for p.
+	published := func(m, p int) bool {
+		if r[axNodes] == 0 {
+			return holds(m, p)
+		}
+		for member := m; m < groups && member < nMaps; member += groups {
+			if holds(member, p) {
+				return true
+			}
+		}
+		return false
+	}
+	ruled := func(site faults.Site, task, part int) bool {
+		for _, rule := range sched.Rules {
+			if rule.Site == site && rule.Task == task && (part < 0 || rule.Part == part) {
+				return true
+			}
+		}
+		return false
+	}
+	// corruptIn reports that a reduce attempt for p may fail on a corrupt
+	// segment; with in-node combining the combine meets it first.
+	corruptIn := func(p int) bool {
+		for m := range nMaps {
+			if r[axNodes] == 0 && ruled(faults.SiteSegment, m, p) && holds(m, p) {
+				return true
+			}
+		}
+		return false
+	}
+	least, most = make(map[string]int), make(map[string]int)
+	add := func(k string, sure, may bool) {
+		if sure {
+			least[k]++
+		}
+		if may {
+			most[k]++
+		}
+	}
+	for _, rule := range sched.Rules {
+		k, m := string(rule.Site)+"/"+string(rule.Action), rule.Task
+		switch rule.Site {
+		case faults.SiteMap:
+			add(k, m < nMaps, m < nMaps)
+		case faults.SiteReduce:
+			add(k, m < nReds, m < nReds)
+		case faults.SiteSegment:
+			ok := m < nMaps && rule.Part < nReds && holds(m, rule.Part) && !ruled(faults.SiteMap, m, -1)
+			add(k, ok, ok)
+		case faults.SiteCodec:
+			for p := range nReds {
+				ok := m < nMaps && published(m, p) && !ruled(faults.SiteReduce, p, -1)
+				add(k, ok && !corruptIn(p), ok)
+			}
+		case faults.SiteOut:
+			sure := !ruled(faults.SiteReduce, m, -1)
+			for _, other := range sched.Rules {
+				sure = sure && other.Site != faults.SiteCodec && other.Site != faults.SiteSegment
+			}
+			add(k, m < nReds && sure, m < nReds)
+		case faults.SiteNet:
+			for p := range nReds {
+				if m < nMaps && (rule.Part < 0 || rule.Part == p) {
+					add(k, true, true)
+					if published(m, p) {
+						fetchRetries++
+					}
+				}
+			}
+		}
+	}
+	return least, most, fetchRetries
 }
 
 // nodeGroupKeys counts the distinct words of each node group of docs, map
@@ -379,6 +599,7 @@ var latticeRejected = []pairwise.Pair{
 	pairwise.PairOf(axCache, 1, axFaults, 1),
 	pairwise.PairOf(axCache, 1, axFaults, 2),
 	pairwise.PairOf(axCache, 1, axFaults, 3),
+	pairwise.PairOf(axCache, 1, axFaults, 4),
 }
 
 // latticeExcluded lists the pairs no row holds, before the pairs they
@@ -394,8 +615,8 @@ const latticeSeed = 1
 // retired tables' rows, then pairwise fill from seed.
 func latticeRows(seed int64, rejected []pairwise.Pair) []latticeRow {
 	var seeds [][]int
-	for _, nr := range retiredRows() {
-		seeds = append(seeds, nr.row[:])
+	for _, r := range retiredRows() {
+		seeds = append(seeds, r[:])
 	}
 	var rows []latticeRow
 	for _, r := range pairwise.Rows(latticeSizes(), latticeExcluded(rejected), seed, seeds) {
@@ -404,49 +625,39 @@ func latticeRows(seed int64, rejected []pairwise.Pair) []latticeRow {
 	return rows
 }
 
-// namedRow is one row of a table the lattice replaced, under its old name.
-type namedRow struct {
-	name string
-	row  latticeRow
-}
-
 // retiredRows are the rows of the per-feature differential tables the
-// lattice replaced — the block codec at three pipeline widths, the streaming
-// reduce, code-once over codec × spill regime × combiner, the map cache,
-// in-node combining, remote execution with and without it, the networked
-// shuffle and tracing — under the old test names of the three tables that
-// still run them a second time, unnamed for the rest.
-func retiredRows() []namedRow {
-	var rs []namedRow
-	add := func(name string, kv ...int) { rs = append(rs, namedRow{name, lrow(kv...)}) }
-	row := func(kv ...int) { add("", kv...) }
-	for p, w := range latticeProcs {
-		name := func(v string) string { return fmt.Sprintf("TestBlockCodecDifferential/%s/workers=%d", v, w) }
-		add(name("mem"), axCodec, 5, axProcs, p)
-		add(name("tcp"), axCodec, 5, axProcs, p, axShuffle, 2, axPar, 1)
-		add(name("mem-faults"), axCodec, 5, axProcs, p, axFaults, 1)
-		add(name("net-faults"), axCodec, 5, axProcs, p, axShuffle, 2, axPar, 1, axFaults, 3)
+// lattice replaced, in their tables' order: the block codec at three
+// pipeline widths, the streaming reduce, code-once over codec × spill
+// regime × combiner, the map cache, in-node combining, remote execution
+// with and without it, the networked shuffle and tracing.
+func retiredRows() []latticeRow {
+	var rs []latticeRow
+	row := func(kv ...int) { rs = append(rs, lrow(kv...)) }
+	for p := range latticeProcs {
+		row(axCodec, 5, axProcs, p)
+		row(axCodec, 5, axProcs, p, axShuffle, 2, axPar, 1)
+		row(axCodec, 5, axProcs, p, axFaults, 1)
+		row(axCodec, 5, axProcs, p, axShuffle, 2, axPar, 1, axFaults, 3)
 	}
-	add("TestStreamingReduceDifferential/codec-none")
-	add("TestStreamingReduceDifferential/codec-gzip", axCodec, 1)
-	add("TestStreamingReduceDifferential/codec-bzip2", axCodec, 2)
-	add("TestStreamingReduceDifferential/combiner", axCodec, 1, axComb, 1)
-	add("TestStreamingReduceDifferential/transform-whole-stream", axCodec, 1, axTransform, 1)
-	add("TestStreamingReduceDifferential/transform-windowed", axTransform, 2)
-	add("TestStreamingReduceDifferential/transform-windowed-bzip2", axCodec, 2, axTransform, 2)
-	add("TestStreamingReduceDifferential/multi-pass-merge", axShape, 2)
-	add("TestStreamingReduceDifferential/single-segment", axShape, 3)
-	add("TestStreamingReduceDifferential/empty-partitions", axShape, 4)
-	add("TestStreamingReduceDifferential/empty-partitions-transform", axShape, 4, axTransform, 2)
-	add("TestStreamingReduceDifferential/chaos-local", axCodec, 1, axTransform, 1, axFaults, 1)
-	add("TestStreamingReduceDifferential/chaos-transform-zlib", axCodec, 4, axFaults, 1)
-	add("TestStreamingReduceDifferential/chaos-block-transform-zlib", axCodec, 5, axTransform, 2, axFaults, 2)
-	add("TestStreamingReduceDifferential/chaos-net", axShuffle, 2, axPar, 1, axFaults, 3)
-	for s, regime := range []string{"default", "tiny-factor2", "tiny-factor10"} {
+	row()
+	row(axCodec, 1)
+	row(axCodec, 2)
+	row(axCodec, 1, axComb, 1)
+	row(axCodec, 1, axTransform, 1)
+	row(axTransform, 2)
+	row(axCodec, 2, axTransform, 2)
+	row(axShape, 2)
+	row(axShape, 3)
+	row(axShape, 4)
+	row(axShape, 4, axTransform, 2)
+	row(axCodec, 1, axTransform, 1, axFaults, 1)
+	row(axCodec, 4, axFaults, 1)
+	row(axCodec, 5, axTransform, 2, axFaults, 2)
+	row(axShuffle, 2, axPar, 1, axFaults, 3)
+	for s := range latticeSpills {
 		for comb := range 2 {
 			for _, cd := range []int{3, 4, 5} {
-				add(fmt.Sprintf("TestCodeOnceDifferential/%s/comb=%v/%s", regime, comb == 1, latticeAxes[axCodec].values[cd]),
-					axShape, 1, axSpill, s, axComb, comb, axCodec, cd)
+				row(axShape, 1, axSpill, s, axComb, comb, axCodec, cd)
 			}
 		}
 	}
@@ -528,46 +739,4 @@ func TestConfigLatticeCoversEveryPair(t *testing.T) {
 			job.validate(), r, rejected, gained)
 	}
 	t.Logf("%d rows hold %d pairs; %d excluded", len(rows), len(covered), len(ex))
-}
-
-// Three tables the lattice replaced keep their test names: each runs the
-// lattice rows that stand for its old cases, under the old subtest names —
-// the same axis values, on the lattice's shapes and fault schedules rather
-// than the old tables' own — so these rows run once more next to
-// TestConfigLattice.
-
-func TestBlockCodecDifferential(t *testing.T)      { replayRetired(t) }
-func TestStreamingReduceDifferential(t *testing.T) { replayRetired(t) }
-func TestCodeOnceDifferential(t *testing.T)        { replayRetired(t) }
-
-func replayRetired(t *testing.T) {
-	var rows []namedRow
-	for _, nr := range retiredRows() {
-		if rest, ok := strings.CutPrefix(nr.name, t.Name()+"/"); ok {
-			rows = append(rows, namedRow{rest, nr.row})
-		}
-	}
-	replayNested(t, newLattice(), rows)
-}
-
-// replayNested runs rows as nested subtests, a level per "/" in their names.
-func replayNested(t *testing.T, l *lattice, rows []namedRow) {
-	var heads []string
-	sub := make(map[string][]namedRow)
-	for _, nr := range rows {
-		head, rest, _ := strings.Cut(nr.name, "/")
-		if sub[head] == nil {
-			heads = append(heads, head)
-		}
-		sub[head] = append(sub[head], namedRow{rest, nr.row})
-	}
-	for _, head := range heads {
-		t.Run(head, func(t *testing.T) {
-			if rs := sub[head]; len(rs) == 1 && rs[0].name == "" {
-				l.check(t, rs[0].row)
-			} else {
-				replayNested(t, l, rs)
-			}
-		})
-	}
 }

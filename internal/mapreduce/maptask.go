@@ -126,15 +126,16 @@ func (pb *partBuffer) reset() {
 type refStream struct {
 	pb  *partBuffer
 	pos int
+	cur KV // the record pull last returned
 }
 
-func (s *refStream) next() (KV, bool, error) {
+func (s *refStream) pull() (*KV, error) {
 	if s.pos >= len(s.pb.refs) {
-		return KV{}, false, nil
+		return nil, nil
 	}
-	kv := s.pb.record(s.pb.refs[s.pos])
+	s.cur = s.pb.record(s.pb.refs[s.pos])
 	s.pos++
-	return kv, true, nil
+	return &s.cur, nil
 }
 
 func (s *refStream) close() {}
@@ -192,7 +193,8 @@ func newMapTask(ctx context.Context, job *Job, id, attempt int) *mapTask {
 // totals only if the attempt commits.
 func (t *mapTask) counters() *Counters { return t.ctx.counters }
 
-func (t *mapTask) run(split Split) error {
+func (t *mapTask) run(split Split) (err error) {
+	defer containPanic("map", t.id, t.attempt, &err)
 	if !cpu.acquire(t.ctx.done) {
 		return ErrAttemptCanceled
 	}
@@ -218,7 +220,7 @@ func (t *mapTask) run(split Split) error {
 	}
 	mapper := t.job.NewMapper()
 	sp := t.tracer.Start(obs.CatPhase, "map", t.span, t.id, t.attempt)
-	err := mapper.Map(t.ctx, split, t.emit)
+	err = mapper.Map(t.ctx, split, t.emit)
 	sp.End()
 	c := t.ctx.counters
 	c.MapOutputRecords.Add(t.emitted.records)

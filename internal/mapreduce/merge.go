@@ -154,8 +154,8 @@ func writeSegmentStream(src kvStream, c codec.Codec, sizeHint int) (segment, err
 	return encodeSegment(c, sizeHint, func(iw *ifile.Writer) (int64, error) {
 		var records int64
 		for {
-			kv, ok, err := src.next()
-			if err != nil || !ok {
+			kv, err := src.pull()
+			if kv == nil {
 				return records, err
 			}
 			if err := iw.Append(kv.Key, kv.Value); err != nil {
@@ -359,15 +359,16 @@ func (h *mergeHeap) pop() *segIter {
 // writes out, a node combine folds and a MergeTransform window is gathered
 // from, so one partition is never materialized as a slice. (A reduce
 // attempt's grouping loop pulls its merge and transform as concrete types,
-// through reduceStream.) next returns the next record until
-// (KV{}, false, nil) at end of stream; after an error or end of stream the
-// stream must not be advanced again. A returned record is valid until the
-// next pull: its bytes may alias decoder scratch or the segment itself, so
-// a consumer that keeps a record past that copies it. close releases
-// pooled resources and is idempotent; it must be called exactly when no
-// previously returned record is still referenced.
+// through reduceStream.) pull returns the next record where it lies, or nil
+// at end of stream and on error; after either the stream must not be
+// pulled again. A returned record, the KV and the bytes it points at, is
+// valid until the next pull: it may alias the stream's own fields, decoder
+// scratch or the segment itself, so a consumer that keeps a record past
+// that copies it. close releases pooled resources and is idempotent; it
+// must be called exactly when no previously returned record is still
+// referenced.
 type kvStream interface {
-	next() (KV, bool, error)
+	pull() (*KV, error)
 	close()
 }
 
@@ -376,7 +377,7 @@ type kvStream interface {
 // attempt holds one record per open segment (O(mergeFactor · record))
 // instead of the whole partition. Reading every segment to its end also
 // verifies each stream's IFile CRC, so corruption anywhere in a fetched
-// segment surfaces from next as an ErrCorruptSegment.
+// segment surfaces from pull as an ErrCorruptSegment.
 type mergeStream struct {
 	h mergeHeap
 	// pending marks that the heap head's cur was handed out by the last
@@ -553,16 +554,8 @@ func newMergeStream(segs []segment, env readEnv, ord keyOrder) (*mergeStream, er
 	return m, nil
 }
 
-func (m *mergeStream) next() (KV, bool, error) {
-	kv, err := m.pull()
-	if kv == nil {
-		return KV{}, false, err
-	}
-	return *kv, true, nil
-}
-
-// pull is next without the copy out: it returns the next record where it
-// lies, in the heap head's iterator, or nil at end of stream and on error.
+// pull returns the next record where it lies, in the heap head's iterator,
+// or nil at end of stream and on error.
 func (m *mergeStream) pull() (*KV, error) {
 	if m.pending {
 		m.pending = false
@@ -793,7 +786,7 @@ func groupReduce(ctx *TaskContext, s reduceStream, cmp func(a, b []byte) int, re
 // the input, so the summed output-minus-input surplus equals the surplus
 // of one transform call over the whole partition.
 type transformStream struct {
-	src       kvStream
+	src       *mergeStream
 	transform func([]KV) []KV
 	cut       func(key []byte) bool
 	splits    *Counter
@@ -847,16 +840,16 @@ func (t *transformStream) fill() error {
 		t.pending, t.have = KV{}, false
 	}
 	for !t.eof {
-		kv, ok, err := t.src.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
+		kv, err := t.src.pull()
+		if kv == nil {
+			if err != nil {
+				return err
+			}
 			t.eof = true
 			break
 		}
 		if t.cut != nil && t.cut(kv.Key) && len(t.window) > 0 {
-			t.pending, t.have = kv, true
+			t.pending, t.have = *kv, true
 			break
 		}
 		t.window = append(t.window, KV{Key: t.arena.copy(kv.Key), Value: t.arena.copy(kv.Value)})

@@ -53,11 +53,11 @@ func drainMerge(t testing.TB, m kvStream) []KV {
 	t.Helper()
 	var out []KV
 	for {
-		kv, ok, err := m.next()
+		kv, err := m.pull()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if kv == nil {
 			return out
 		}
 		out = append(out, KV{Key: bytes.Clone(kv.Key), Value: bytes.Clone(kv.Value)})

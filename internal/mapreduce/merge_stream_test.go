@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"compress/zlib"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -19,13 +20,15 @@ import (
 // are counted twice over: constructions (writersCreated, the leak signal)
 // and opens (writers — constructions plus pooled rebinds, i.e. how many
 // streams were coded). decoded sums the plaintext bytes every reader
-// yielded: how many times the job decoded what it shuffled.
+// yielded: how many times the job decoded what it shuffled; encoded sums
+// the plaintext bytes every writer took.
 type countingCodec struct {
 	inner          codec.Codec
 	created        atomic.Int64
 	writers        atomic.Int64
 	writersCreated atomic.Int64
 	decoded        atomic.Int64
+	encoded        atomic.Int64
 }
 
 func (c *countingCodec) Name() string { return "counting+" + c.inner.Name() }
@@ -48,13 +51,24 @@ func (w *countingWriter) Reset(dst io.Writer) {
 	w.WriteCloser.(interface{ Reset(io.Writer) }).Reset(dst)
 }
 
+func (w *countingWriter) Write(p []byte) (int, error) {
+	n, err := w.WriteCloser.Write(p)
+	w.c.encoded.Add(int64(n))
+	return n, err
+}
+
 func (c *countingCodec) NewReader(r io.Reader) (io.ReadCloser, error) {
 	rc, err := c.inner.NewReader(r)
 	if err != nil {
 		return nil, err
 	}
 	c.created.Add(1)
-	return &countingReader{rc, c}, nil
+	cr := &countingReader{rc, c}
+	switch rc.(type) {
+	case interface{ Reset(io.Reader) error }, zlib.Resetter:
+		return &resettableReader{cr}, nil
+	}
+	return cr, nil
 }
 
 // leakIters / leakSlack size the leak assertions: after warmup each failing
@@ -69,8 +83,7 @@ const (
 	leakSlack = 3 * leakIters
 )
 
-// countingReader counts the bytes it yields and forwards Reset so the
-// wrapped reader stays poolable.
+// countingReader counts the bytes it yields.
 type countingReader struct {
 	io.ReadCloser
 	c *countingCodec
@@ -82,7 +95,14 @@ func (r *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func (r *countingReader) Reset(src io.Reader) error {
+// resettableReader forwards Reset so a resettable wrapped reader stays
+// poolable; a bzip2 reader is not one.
+type resettableReader struct{ *countingReader }
+
+func (r *resettableReader) Reset(src io.Reader) error {
+	if z, ok := r.ReadCloser.(zlib.Resetter); ok {
+		return z.Reset(src, nil)
+	}
 	return r.ReadCloser.(interface{ Reset(io.Reader) error }).Reset(src)
 }
 
@@ -182,8 +202,8 @@ func TestMergeStreamAbandonReleasesReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			if _, ok, err := m.next(); err != nil || !ok {
-				t.Fatalf("next: ok=%v err=%v", ok, err)
+			if kv, err := m.pull(); kv == nil {
+				t.Fatalf("pull: end of stream, err=%v", err)
 			}
 		}
 		m.close()
@@ -298,13 +318,12 @@ type sliceStream struct {
 	pos   int
 }
 
-func (s *sliceStream) next() (KV, bool, error) {
+func (s *sliceStream) pull() (*KV, error) {
 	if s.pos >= len(s.pairs) {
-		return KV{}, false, nil
+		return nil, nil
 	}
-	kv := s.pairs[s.pos]
 	s.pos++
-	return kv, true, nil
+	return &s.pairs[s.pos-1], nil
 }
 
 func (s *sliceStream) close() {}

@@ -5,54 +5,6 @@ import (
 	"testing"
 )
 
-// TestReduceOutputWriteFaultRetries regresses the reduce emit panic: an
-// injected failure writing a reducer's output file used to crash the worker
-// goroutine outright. It must instead fail the attempt so the scheduler
-// retries it, converging on output byte-identical to a fault-free run.
-func TestReduceOutputWriteFaultRetries(t *testing.T) {
-	cleanFS, cleanRes, err := runFaultJob(t, "", RetryPolicy{}, 1)
-	if err != nil {
-		t.Fatalf("clean run: %v", err)
-	}
-	fs := testFS()
-	job := wordCountJob(fs, faultDocs, 2, false)
-	job.Parallelism = 1
-	job.Retry = RetryPolicy{MaxAttempts: 2}
-	job.Faults = mustInjector(t, "out:*:error@0")
-	res, err := Run(job)
-	if err != nil {
-		t.Fatalf("faulty run did not recover: %v", err)
-	}
-	want := readRawOutputs(t, cleanFS, cleanRes.OutputPaths)
-	got := readRawOutputs(t, fs, res.OutputPaths)
-	if len(want) != len(got) {
-		t.Fatalf("partition counts differ: clean %d, faulty %d", len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Errorf("partition %d output differs after recovery", i)
-		}
-	}
-	c := res.Counters
-	// Both reducers' first attempts hit the @0 rule and fail.
-	if c.ReduceAttemptsFailed.Value() != 2 {
-		t.Errorf("failed reduce attempts = %d, want 2", c.ReduceAttemptsFailed.Value())
-	}
-	if c.TaskRetries.Value() != 2 {
-		t.Errorf("task retries = %d, want 2", c.TaskRetries.Value())
-	}
-	if fired := job.Faults.Fired()["out/error"]; fired != 2 {
-		t.Errorf("out/error fired %d times, want 2", fired)
-	}
-	wantCounters := cleanRes.Counters
-	if got, want := c.ReduceOutputRecords.Value(), wantCounters.ReduceOutputRecords.Value(); got != want {
-		t.Errorf("reduce output records = %d, want %d", got, want)
-	}
-	if got, want := c.ReduceOutputBytes.Value(), wantCounters.ReduceOutputBytes.Value(); got != want {
-		t.Errorf("reduce output bytes = %d, want %d", got, want)
-	}
-}
-
 // TestReduceOutputWriteFaultExhaustsBudget: when every attempt's output
 // writes fail, the job must surface the write error — not panic, not hang.
 func TestReduceOutputWriteFaultExhaustsBudget(t *testing.T) {

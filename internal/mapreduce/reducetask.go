@@ -86,7 +86,8 @@ func (t *reduceTask) abort() {
 	_ = t.job.FS.Delete(t.tmpPath)
 }
 
-func (t *reduceTask) run(src segmentSource) error {
+func (t *reduceTask) run(src segmentSource) (err error) {
+	defer containPanic("reduce", t.id, t.attempt, &err)
 	if !cpu.acquire(t.ctx.done) {
 		return ErrAttemptCanceled
 	}
@@ -141,7 +142,7 @@ func (t *reduceTask) run(src segmentSource) error {
 	// Reading every fetched segment to its end also verifies its IFile
 	// CRC; a mismatch surfaces as an ErrCorruptSegment naming the
 	// producing map attempt.
-	segs, err := mergeDown(segs, env, t.job.order(),
+	segs, err = mergeDown(segs, env, t.job.order(),
 		t.job.mergeFactor(), t.job.mergeFactor(), env.codec, func(read, written, _ int64) {
 			t.footprint.DiskBytes += read + written
 		})

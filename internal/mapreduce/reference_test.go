@@ -33,12 +33,9 @@ func mergeSegments(segs []segment, env readEnv, cmp func(a, b []byte) int) ([]KV
 	defer m.close()
 	out := make([]KV, 0, total)
 	for {
-		kv, ok, err := m.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
+		kv, err := m.pull()
+		if kv == nil {
+			return out, err
 		}
 		out = append(out, KV{Key: bytes.Clone(kv.Key), Value: bytes.Clone(kv.Value)})
 	}
@@ -169,7 +166,7 @@ func (h *refMergeHeap) Pop() any {
 type refMergeStream struct {
 	h refMergeHeap
 	// pending marks that the heap head's cur was handed out by the last
-	// next call and the iterator must advance before the next record is
+	// pull and the iterator must advance before the next record is
 	// chosen — deferred so the caller can use the record first.
 	pending bool
 	closed  bool
@@ -201,7 +198,7 @@ func newRefMergeStream(segs []segment, env readEnv, cmp func(a, b []byte) int) (
 	return m, nil
 }
 
-func (m *refMergeStream) next() (KV, bool, error) {
+func (m *refMergeStream) pull() (*KV, error) {
 	if m.pending {
 		m.pending = false
 		it := m.h.its[0]
@@ -209,7 +206,7 @@ func (m *refMergeStream) next() (KV, bool, error) {
 		if it.err != nil {
 			err := it.err
 			m.close()
-			return KV{}, false, err
+			return nil, err
 		}
 		if it.ok {
 			heap.Fix(&m.h, 0)
@@ -218,10 +215,10 @@ func (m *refMergeStream) next() (KV, bool, error) {
 		}
 	}
 	if len(m.h.its) == 0 {
-		return KV{}, false, nil
+		return nil, nil
 	}
 	m.pending = true
-	return m.h.its[0].cur, true, nil
+	return &m.h.its[0].cur, nil
 }
 
 func (m *refMergeStream) close() {
@@ -284,12 +281,14 @@ func refMergeDown(segs []segment, env readEnv, cmp func(a, b []byte) int, factor
 func refGroupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red Reducer, emit Emit, bail func() error) error {
 	ga, gb := &kvArena{}, &kvArena{} // current group arena, boundary arena
 	var values [][]byte
-	cur, ok, err := src.next()
+	var cur KV
+	first, err := src.pull()
 	if err != nil {
 		return err
 	}
+	ok := first != nil
 	if ok {
-		cur = KV{Key: ga.copy(cur.Key), Value: ga.copy(cur.Value)}
+		cur = KV{Key: ga.copy(first.Key), Value: ga.copy(first.Value)}
 	}
 	for ok {
 		if ctx.Canceled() {
@@ -304,11 +303,11 @@ func refGroupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, r
 		values = append(values[:0], cur.Value)
 		ok = false
 		for {
-			nxt, more, err := src.next()
+			nxt, err := src.pull()
 			if err != nil {
 				return err
 			}
-			if !more {
+			if nxt == nil {
 				break
 			}
 			if cmp(key, nxt.Key) != 0 {

@@ -323,11 +323,19 @@ func (p *phaseRunner) runMaybeSpeculate(task, firstAttempt int) (any, int, error
 // it into the phase's attempt-duration histogram.
 func (p *phaseRunner) runOne(ctx context.Context, task, attempt int, sp obs.Span) (res any, err error) {
 	t0 := time.Now()
-	defer func() {
-		p.attemptHist.Observe(time.Since(t0).Seconds())
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%s task %d attempt %d panicked: %v", p.phase, task, attempt, r)
-		}
-	}()
+	defer containPanic(p.phase, task, attempt, &err)
+	defer func() { p.attemptHist.Observe(time.Since(t0).Seconds()) }()
 	return p.run(ctx, task, attempt, sp)
+}
+
+// containPanic, deferred directly, turns a panic into the attempt's error.
+// Map and reduce attempts defer it first thing in their run, so a panic —
+// the user code's or an injected one — ends the attempt like a failing one:
+// it still returns its task, which the scheduler discards, charging its
+// footprint as waste and removing its temp output. runOne's own is the
+// backstop for a panic outside a task's run.
+func containPanic(phase string, task, attempt int, err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("%s task %d attempt %d panicked: %v", phase, task, attempt, r)
+	}
 }

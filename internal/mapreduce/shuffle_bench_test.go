@@ -185,11 +185,11 @@ func benchMerge(b *testing.B, segs []segment, env readEnv, ord keyOrder) {
 		}
 		var n int64
 		for {
-			_, ok, err := m.next()
+			kv, err := m.pull()
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !ok {
+			if kv == nil {
 				break
 			}
 			n++

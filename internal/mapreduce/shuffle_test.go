@@ -140,31 +140,6 @@ func TestNetShuffleExhaustionWithoutRetriesFails(t *testing.T) {
 	}
 }
 
-// TestNetShuffleSegmentCorruptionAtRest: producer-side (at-rest) corruption
-// travels faithfully over the wire, is detected by the reduce attempt's
-// validation pass before any record reaches user code, and recovers
-// through the existing re-execute-the-producer path.
-func TestNetShuffleSegmentCorruptionAtRest(t *testing.T) {
-	_, want := cleanBaseline(t)
-	sc := &ShuffleConfig{Mode: ShuffleTCP}
-	res, out, err := runShuffleJob(t, sc, "seed=7;segment:2.0:corrupt@0", RetryPolicy{MaxAttempts: 3})
-	if err != nil {
-		t.Fatalf("at-rest corruption not recovered over the network: %v", err)
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("output %d differs from fault-free in-memory run", i)
-		}
-	}
-	c := res.Counters
-	if c.CorruptSegmentsDetected.Value() == 0 {
-		t.Error("corruption never detected")
-	}
-	if c.MapTasksRecovered.Value() == 0 {
-		t.Error("corrupt segment's producer never re-executed")
-	}
-}
-
 // TestJobTimeoutCancelsAttempts: a deadline interrupts in-flight attempts
 // and Run returns the typed timeout error promptly.
 func TestJobTimeoutCancelsAttempts(t *testing.T) {

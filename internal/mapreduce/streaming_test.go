@@ -3,7 +3,11 @@ package mapreduce
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
+	"testing/iotest"
+
+	"scikey/internal/codec"
 )
 
 // dupTransform duplicates every pair — a merge transform whose output is
@@ -34,26 +38,34 @@ func keyChangeCut() func(key []byte) bool {
 // TestTransformStreamWindows checks the transform adapter
 // at the unit level: windows must partition the stream in order, every
 // record must pass through exactly once, and the split counter must settle
-// on the whole-stream surplus. The scribbling source holds the adapter to
-// the kvStream rule: a record it keeps past the next pull must be a copy.
+// on the whole-stream surplus. The merge it reads parses the segment in
+// place, or through oneByteCodec, which makes every pull overwrite the
+// previous record's bytes: that holds the adapter to the kvStream rule, a
+// record it keeps past the next pull must be a copy.
 func TestTransformStreamWindows(t *testing.T) {
 	var pairs []KV
 	for i := 0; i < 10; i++ {
 		k := []byte(fmt.Sprintf("k%02d", i/2)) // two records per key
 		pairs = append(pairs, KV{Key: k, Value: []byte{byte(i)}})
 	}
+	seg := mustWriteSegment(t, pairs, 0, 0)
 	for _, src := range []struct {
 		name string
-		s    kvStream
+		c    codec.Codec
 	}{
-		{"slice", &sliceStream{pairs: pairs}},
-		{"scribble", &scribbleStream{pairs: pairs}},
+		{"in-place", codec.None},
+		{"scribble", oneByteCodec{}},
 	} {
 		t.Run(src.name, func(t *testing.T) {
+			m, err := newMergeStream([]segment{seg}, readEnv{codec: src.c}, keyOrder{compare: bytes.Compare})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.close()
 			var c Counter
 			var windows [][]KV
 			ts := &transformStream{
-				src: src.s,
+				src: m,
 				transform: func(w []KV) []KV {
 					cp := make([]KV, len(w))
 					for i, kv := range w {
@@ -107,28 +119,15 @@ func TestTransformStreamWindows(t *testing.T) {
 	}
 }
 
-// scribbleStream hands out every record in one buffer and overwrites the
-// previously returned record's bytes on each pull, as a merge reading
-// decoder scratch may: a consumer that keeps a record without copying it
-// sees garbage.
-type scribbleStream struct {
-	pairs []KV
-	pos   int
-	buf   []byte
-}
+// oneByteCodec stores segments as they are and reads them back a byte per
+// Read, so the IFile reader parses every record into its key and value
+// scratch and each pull overwrites the previous record's bytes, as a merge
+// reading decoder scratch may: a consumer that keeps a record without
+// copying it sees the next one.
+type oneByteCodec struct{}
 
-func (s *scribbleStream) next() (KV, bool, error) {
-	for i := range s.buf {
-		s.buf[i] = 0xee
-	}
-	if s.pos >= len(s.pairs) {
-		return KV{}, false, nil
-	}
-	kv := s.pairs[s.pos]
-	s.pos++
-	s.buf = append(append(s.buf[:0], kv.Key...), kv.Value...)
-	n := len(kv.Key)
-	return KV{Key: s.buf[:n:n], Value: s.buf[n:]}, true, nil
+func (oneByteCodec) Name() string                         { return "one-byte" }
+func (oneByteCodec) NewWriter(w io.Writer) io.WriteCloser { return codec.None.NewWriter(w) }
+func (oneByteCodec) NewReader(r io.Reader) (io.ReadCloser, error) {
+	return io.NopCloser(iotest.OneByteReader(r)), nil
 }
-
-func (s *scribbleStream) close() {}

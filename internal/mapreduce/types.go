@@ -318,8 +318,8 @@ func (j *Job) validate() error {
 		if j.Combine.Combiner == nil {
 			return fmt.Errorf("mapreduce: job %q: Combine needs a Combiner", j.Name)
 		}
-		if j.Combine.Nodes < 0 {
-			return fmt.Errorf("mapreduce: job %q: Combine.Nodes must be >= 0, got %d", j.Name, j.Combine.Nodes)
+		if j.Combine.Nodes < 1 {
+			return fmt.Errorf("mapreduce: job %q: Combine.Nodes must be >= 1, got %d", j.Name, j.Combine.Nodes)
 		}
 	}
 	if j.SpillBufferBytes > 0 && uint64(j.SpillBufferBytes) > math.MaxUint32 {

@@ -270,19 +270,12 @@ func TestQueryLattice(t *testing.T) {
 				if got.sha != want.sha {
 					t.Errorf("%s output sha %.12s, %s %.12s", exec, got.sha, ran[0], want.sha)
 				}
-				if r.ownCombineGroups(ran[0]) == r.ownCombineGroups(exec) && got.payload != want.payload {
+				if got.payload != want.payload {
 					t.Errorf("%s payload counters %v, %s %v", exec, got.payload, ran[0], want.payload)
 				}
 			}
 		})
 	}
-}
-
-// ownCombineGroups reports that exec runs r's in-node combining in node
-// groups of its own: with no group count in the spec, the one-shot
-// executor's networked shuffle combines per shuffle node.
-func (r queryRow) ownCombineGroups(exec string) bool {
-	return exec == execOneShot && r[qxCombine] == 1 && r[qxNodes] == 0 && r[qxShuffle] == 1
 }
 
 // checkQuery runs row r on exec and holds the run to the oracle.
@@ -367,12 +360,12 @@ func checkRules(t *testing.T, r queryRow, exec string, rep *core.Report, c *mapr
 	// In-node combining: off, it counts nothing; on, on a grid of more
 	// than a few rows, it folds — aggregate keys always, simple keys (each
 	// task's already folded by its map-side combiner) when adjacent tasks
-	// share one node group — and saves shuffle bytes whenever it folds.
+	// share one node group, that is in one group (nodes 0 is the default
+	// count, three groups, on every executor and shuffle) — and saves
+	// shuffle bytes whenever it folds.
 	merged, emitted, saved := rep.CombineMergedRecords, rep.CombineEmittedRecords, rep.CombineSavedBytes
-	groups := spec.CombineNodes
-	if groups == 0 && r[qxShuffle] == 1 && exec == execOneShot {
-		groups = 3
-	}
+	qcfg, _, _ := spec.queryConfig()
+	groups := qcfg.WithDefaults().CombineNodes
 	switch {
 	case !spec.Combine && merged|emitted|saved != 0:
 		t.Errorf("combining off: %d folded, %d emitted, %d B saved", merged, emitted, saved)
@@ -446,9 +439,6 @@ func startQueryCluster(t *testing.T, spec QuerySpec) *clusterd.Client {
 		workers = append(workers, w)
 		go func() { done <- w.Run() }()
 	}
-	// A worker stopped while it registers still serves the session it
-	// opens, until the coordinator hangs up: close the coordinator before
-	// waiting for the workers.
 	t.Cleanup(func() {
 		for _, w := range workers {
 			w.Stop()

@@ -641,6 +641,8 @@ func TestCacheKeyDefaultEquivalence(t *testing.T) {
 		"tenant":                {paper, mut(paper, func(s *QuerySpec) { s.Tenant = "alice" })},
 		"everything_defaulted":  {paper, {Side: 24, Strategy: "baseline"}},
 		"codec_workers_ignored": {mut(tr, func(s *QuerySpec) { s.Codec = "block+zlib" }), widthSpec},
+		"combine_nodes_omitted": {mut(paper, func(s *QuerySpec) { s.Op, s.Combine = "max", true }),
+			mut(paper, func(s *QuerySpec) { s.Op, s.Combine, s.CombineNodes = "max", true, 3 })},
 	}
 	for name, pair := range same {
 		t.Run("same/"+name, func(t *testing.T) {

@@ -16,7 +16,9 @@ import (
 // c8fa7cb): side 32, a 4 KiB spill buffer (about six spills plus map-side
 // merge passes per task), with and without in-node combining. Materialized
 // bytes are equal either way: node-level folding happens after the map
-// output is materialized, and spill-level folding is on in both runs.
+// output is materialized, and spill-level folding is on in both runs. The
+// in-node combine runs in one node group, the count these bytes were
+// captured at (the default count is shufflenet.DefaultNodes).
 func TestMaxSpillCombinePinned(t *testing.T) {
 	extent := grid.NewBox(grid.Coord{0, 0}, []int{32, 32})
 	fs, ds, _ := setup(t, extent)
@@ -30,8 +32,11 @@ func TestMaxSpillCombinePinned(t *testing.T) {
 	wantShuffle := map[bool]int64{false: 87700, true: 28930}
 	for _, combine := range []bool{false, true} {
 		t.Run(fmt.Sprintf("combine=%v", combine), func(t *testing.T) {
-			job, _, err := SimpleKeyJob(fs, QueryConfig{DS: ds, Op: Max, Combine: combine,
-				OutputPath: fmt.Sprintf("/out/pinned-%v", combine)})
+			cfg := QueryConfig{DS: ds, Op: Max, Combine: combine, OutputPath: fmt.Sprintf("/out/pinned-%v", combine)}
+			if combine {
+				cfg.CombineNodes = 1
+			}
+			job, _, err := SimpleKeyJob(fs, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,6 +10,7 @@ import (
 	"scikey/internal/keys"
 	"scikey/internal/mapreduce"
 	"scikey/internal/serial"
+	"scikey/internal/shufflenet"
 	"scikey/internal/stats"
 )
 
@@ -79,9 +80,10 @@ type QueryConfig struct {
 	// operator — the very property that makes the paper's median query's
 	// intermediate data irreducible by combining.
 	Combine bool
-	// CombineNodes sets the combine node-group count (0 = one group per
-	// shuffle node when networked, otherwise one group; cluster drivers
-	// pass the worker count, one combine buffer per worker process).
+	// CombineNodes sets the combine node-group count (0 = the shuffle's
+	// default node count, shufflenet.DefaultNodes, whatever the shuffle;
+	// cluster drivers pass the worker count, one combine buffer per worker
+	// process).
 	CombineNodes int
 	// Reaggregate enables reduce-side re-aggregation of output ranges
 	// (AggKeyJob only): coalesce ranges fragmented by key splitting back
@@ -116,6 +118,9 @@ func (c QueryConfig) WithDefaults() QueryConfig {
 	}
 	if c.Curve == "" {
 		c.Curve = "zorder"
+	}
+	if c.Combine && c.CombineNodes == 0 {
+		c.CombineNodes = shufflenet.DefaultNodes
 	}
 	if c.OutputPath == "" {
 		c.OutputPath = "/out/" + c.Op.String()

@@ -1,11 +1,12 @@
 #!/bin/sh
 # Mutation gate for the oracles: every patch under scripts/mutants/ breaks
-# non-test code of one package, internal/mapreduce unless a `# pkg: <path>`
-# line before the patch's first diff names another (git apply ignores text
-# there). Most patches break it in a way one of the differential tables a
-# lattice replaced used to catch (the patch is named for that table): the
-# engine's tables, killed by the configuration lattice, and the query tables,
-# whose patches name the product lattice in ./internal/queryd. For each patch, on a copy of the working
+# non-test code, and its tests run in internal/mapreduce unless a
+# `# pkg: <path>` line before the patch's first diff names another package
+# (git apply ignores text there). Most patches break it in a way one of the
+# tables a lattice replaced used to catch (the patch is named for that
+# table): the engine's differential, recovery and decode-once tables, killed
+# by the configuration lattice, and the query tables, whose patches name the
+# product lattice in ./internal/queryd. For each patch, on a copy of the working
 # tree in a temporary directory — the real tree is never touched — apply the
 # patch and run, in that package, the tests that must kill it:
 # TestConfigLattice, or the tests a `# test: <regexp>` line there names. Some
