@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -159,4 +160,113 @@ func declaredTests(t *testing.T, pkgs []string) []string {
 		}
 	}
 	return names
+}
+
+// TestMutantPatchesApply: `make mutants` stops at the first patch under
+// scripts/mutants that no longer applies, and it takes minutes to get
+// there. Each patch is checked here as the script would use it: its
+// `# test:` regexp (default ^TestConfigLattice$) must match a Test function
+// declared in its `# pkg:` package (default ./internal/mapreduce), it may
+// touch only existing non-test Go files, and the old side of every hunk —
+// the lines its header counts — must still stand in the file, hunk after
+// hunk, so an edit to the code a mutant breaks shows up here first.
+func TestMutantPatchesApply(t *testing.T) {
+	patches, err := filepath.Glob("scripts/mutants/*.patch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(patches) == 0 {
+		t.Fatal("no patches under scripts/mutants")
+	}
+	hunkHeader := regexp.MustCompile(`^@@ -\d+(?:,(\d+))? \+\d+(?:,\d+)? @@`)
+	for _, p := range patches {
+		t.Run(strings.TrimSuffix(filepath.Base(p), ".patch"), func(t *testing.T) {
+			raw, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+			tests, pkg := "^TestConfigLattice$", "./internal/mapreduce"
+			for _, l := range lines {
+				if strings.HasPrefix(l, "diff ") {
+					break
+				}
+				if v, ok := strings.CutPrefix(l, "# test: "); ok {
+					tests = v
+				}
+				if v, ok := strings.CutPrefix(l, "# pkg: "); ok {
+					pkg = v
+				}
+			}
+			re, err := regexp.Compile(tests)
+			if err != nil {
+				t.Fatalf("# test: %q: %v", tests, err)
+			}
+			if !slices.ContainsFunc(declaredTests(t, []string{pkg}), re.MatchString) {
+				t.Errorf("# test: %q matches no test function in %s", tests, pkg)
+			}
+
+			var file []string // the target's lines
+			var name string
+			at, hunks := 0, 0 // where the next hunk may start; hunks checked
+			for i := 0; i < len(lines); i++ {
+				if v, ok := strings.CutPrefix(lines[i], "+++ "); ok {
+					name = strings.TrimPrefix(v, "b/")
+					if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+						t.Fatalf("%s: a mutant breaks non-test Go code only", name)
+					}
+					src, err := os.ReadFile(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					file, at = strings.Split(string(src), "\n"), 0
+					continue
+				}
+				m := hunkHeader.FindStringSubmatch(lines[i])
+				if m == nil {
+					continue
+				}
+				if file == nil {
+					t.Fatalf("line %d: hunk before any +++ line", i+1)
+				}
+				want := 1
+				if m[1] != "" {
+					want, _ = strconv.Atoi(m[1])
+				}
+				var old []string
+				for i+1 < len(lines) && len(old) < want {
+					l := lines[i+1]
+					if l != "" && !strings.ContainsAny(l[:1], " -+\\") {
+						break
+					}
+					i++
+					switch {
+					case l == "":
+						old = append(old, "")
+					case l[0] == ' ' || l[0] == '-':
+						old = append(old, l[1:])
+					}
+				}
+				if len(old) != want {
+					t.Fatalf("%s: hunk %q has %d old lines, its header says %d", name, lines[i-len(old)], len(old), want)
+				}
+				hunks++
+				found := -1
+				for j := at; j+len(old) <= len(file); j++ {
+					if slices.Equal(file[j:j+len(old)], old) {
+						found = j
+						break
+					}
+				}
+				if found < 0 {
+					t.Errorf("%s: no longer holds the old side of hunk %q", name, m[0])
+					continue
+				}
+				at = found + len(old)
+			}
+			if hunks == 0 {
+				t.Error("patch has no hunks")
+			}
+		})
+	}
 }
