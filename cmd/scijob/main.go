@@ -98,7 +98,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&s.Curve, "curve", def.Curve, "curve for -strategy aggregation: zorder | hilbert | rowmajor")
 	fs.StringVar(&s.Op, "op", def.Op.String(), "window operator: median | max")
 	fs.BoolVar(&s.Combine, "combine", false, "in-node combining: pool committed map outputs per node group and fold duplicate keys with the operator's value monoid before the shuffle; requires -op max (median is holistic — no monoid exists)")
-	fs.IntVar(&s.CombineNodes, "combine-nodes", 0, "node-group count for -combine (0 = 3, the shuffle's default node count, on any shuffle; cluster mode defaults to the worker count, one combine buffer per worker process)")
+	fs.IntVar(&s.CombineNodes, "combine-nodes", 0, "node-group count for -combine (0 = 3, the shuffle's default node count, in every mode)")
 	fs.IntVar(&s.Radius, "radius", def.Radius, "window radius (1 = 3x3)")
 	fs.IntVar(&s.Splits, "splits", def.NumSplits, "map tasks")
 	fs.IntVar(&s.Reducers, "reducers", def.NumReducers, "reduce tasks")
@@ -158,12 +158,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if o.spec.Combine && o.spec.CombineNodes == 0 && o.clusterN > 0 {
-		// One combine buffer per worker process: each worker's map attempts
-		// pool in its own node group, the cluster analog of a per-node
-		// buffer shared by all of a node's mappers.
-		o.spec.CombineNodes = o.clusterN
-	}
 	if err := o.spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -222,8 +216,7 @@ func (o *options) clusterMode() bool { return o.driverAddr != "" || o.clusterN >
 
 // coordinatorArgs renders the forwarded flags for the -cluster coordinator
 // subprocess, so the daemon builds the identical job: each one whose bound
-// value differs from its default (the -combine-nodes cluster default lands in
-// the spec, not on the command line).
+// value differs from its default.
 func (o *options) coordinatorArgs() []string {
 	var args []string
 	for _, name := range o.forwarded {

@@ -238,8 +238,7 @@ func TestModeValidation(t *testing.T) {
 // TestClusterForwarding: the -cluster supervisor forwards the query-shaping
 // and daemon flags by iterating the bound set, so the coordinator
 // subprocess, parsing them through the same bindings, must end up with the
-// identical QuerySpec and daemon settings — including the -combine-nodes
-// value -cluster defaulted.
+// identical QuerySpec and daemon settings.
 func TestClusterForwarding(t *testing.T) {
 	cases := [][]string{
 		{"-cluster", "3"},
@@ -271,17 +270,17 @@ func TestClusterForwarding(t *testing.T) {
 			t.Errorf("%v: driver-only flags leaked into forwarded args %v", args, fwd)
 		}
 	}
-	// A value that is never on the command line, only in the spec, must be
-	// forwarded too.
-	for _, tc := range []struct{ args, want string }{
-		{"-cluster 3 -op max -combine", "-combine-nodes=3"},
-	} {
-		o, err := parse(t, strings.Fields(tc.args)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fwd := strings.Join(o.coordinatorArgs(), " "); !strings.Contains(fwd, tc.want) {
-			t.Errorf("%q forwards %q, want %s among them", tc.args, fwd, tc.want)
-		}
+	// -cluster builds the job a one-shot run of the same query flags builds:
+	// the node-group count defaults alike in every mode.
+	cluster, err := parse(t, "-cluster", "5", "-op", "max", "-combine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneShot, err := parse(t, "-op", "max", "-combine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cluster.spec != oneShot.spec {
+		t.Errorf("-cluster 5 builds spec %+v, one-shot %+v", cluster.spec, oneShot.spec)
 	}
 }

@@ -485,16 +485,19 @@ type NetFault struct {
 }
 
 // FetchFault consults the net-site rules for one shuffle fetch attempt of
-// the given (producing map task, partition) pair. The first firing rule
+// the given (producing map task, partition) pair; payload reports that the
+// served segment has bytes. A cut, truncate or corrupt rule acts on those
+// bytes, so without them it neither fires nor is recorded; refuse and
+// stall act on the connection and fire either way. The first firing rule
 // wins and is recorded; nil means the fetch proceeds cleanly. Like every
 // injector decision it is a pure function of (seed, coordinates), so chaos
 // runs replay identically.
-func (in *Injector) FetchFault(task, part, attempt int) *NetFault {
+func (in *Injector) FetchFault(task, part, attempt int, payload bool) *NetFault {
 	if in == nil {
 		return nil
 	}
 	for i, r := range in.sched.Rules {
-		if r.Site != SiteNet {
+		if r.Site != SiteNet || !payload && r.Action != ActRefuse && r.Action != ActStall {
 			continue
 		}
 		if !in.fires(i, r, SiteNet, task, part, attempt) {

@@ -280,22 +280,25 @@ func TestFetchFaultDeterministic(t *testing.T) {
 		return inj
 	}
 	in := mk()
-	if f := in.FetchFault(1, 0, 0); f == nil || f.Action != ActCut {
-		t.Fatalf("FetchFault(1,0,0) = %+v, want cut", f)
+	if f := in.FetchFault(1, 0, 0, true); f == nil || f.Action != ActCut {
+		t.Fatalf("FetchFault(1, 0, 0, true) = %+v, want cut", f)
 	}
-	if f := in.FetchFault(1, 0, 1); f != nil {
-		t.Fatalf("FetchFault(1,0,1) = %+v, want nil (rule is @0)", f)
+	if f := in.FetchFault(1, 0, 1, true); f != nil {
+		t.Fatalf("FetchFault(1, 0, 1, true) = %+v, want nil (rule is @0)", f)
 	}
-	if f := in.FetchFault(2, 1, 1); f != nil {
-		t.Fatalf("FetchFault(2,1,1) = %+v, want nil (rule targets partition 0)", f)
+	if f := in.FetchFault(1, 0, 0, false); f != nil {
+		t.Fatalf("FetchFault(1, 0, 0, false) = %+v, want nil (a cut needs bytes to cut)", f)
 	}
-	if f := in.FetchFault(0, 0, 3); f == nil || f.Action != ActStall || f.Delay != 7*time.Millisecond {
-		t.Fatalf("FetchFault(0,0,3) = %+v, want stall=7ms", f)
+	if f := in.FetchFault(2, 1, 1, true); f != nil {
+		t.Fatalf("FetchFault(2, 1, 1, true) = %+v, want nil (rule targets partition 0)", f)
+	}
+	if f := in.FetchFault(0, 0, 3, true); f == nil || f.Action != ActStall || f.Delay != 7*time.Millisecond {
+		t.Fatalf("FetchFault(0, 0, 3, true) = %+v, want stall=7ms", f)
 	}
 	data := []byte("hello shuffle chunk payload")
 	orig := append([]byte(nil), data...)
-	f1 := mk().FetchFault(2, 0, 1)
-	f2 := mk().FetchFault(2, 0, 1)
+	f1 := mk().FetchFault(2, 0, 1, true)
+	f2 := mk().FetchFault(2, 0, 1, true)
 	if f1 == nil || f1.Action != ActCorrupt {
 		t.Fatalf("corrupt rule did not fire: %+v", f1)
 	}
@@ -342,7 +345,7 @@ func TestNodeDownWindow(t *testing.T) {
 		t.Errorf("refused dials not recorded: %v", inj.Fired())
 	}
 	var nilInj *Injector
-	if nilInj.NodeDown(1) || nilInj.FetchFault(0, 0, 0) != nil {
+	if nilInj.NodeDown(1) || nilInj.FetchFault(0, 0, 0, true) != nil {
 		t.Error("nil injector must be inert for net/node sites")
 	}
 }

@@ -2,47 +2,33 @@ package mapreduce
 
 import (
 	"fmt"
-
-	"scikey/internal/cluster"
 )
 
-// SegmentSnapshot is one published map-output segment in cacheable form:
-// the framed IFile bytes plus the provenance (producing task and attempt)
-// the shuffle and corruption-recovery paths key on.
-type SegmentSnapshot struct {
-	Data    []byte
-	Records int64
-	Src     int
-	Attempt int
-}
-
 // MapPhaseSnapshot captures everything the reduce phase consumes from a
-// finished map phase — the published per-task, per-partition segments (the
-// post-combine view when the job combines in-node), the attempt numbers
-// they were published under, the winning attempts' cost-model footprints,
-// and the map side's contribution to the job counters (payload counters
-// merged from the winning attempts plus the in-node combine accounting,
-// in Counters.Snapshot wire order).
+// finished map phase, in the shape a remote map attempt commits in: for
+// each map task, the attempt its row was published under and a
+// RemoteResult holding that row — the post-combine view when the job
+// combines in-node: the node group's combined segments for its
+// representative, empty segments for every other member — with the
+// attempt's own counters, footprint, input bytes, hosts and wall seconds.
+// Groups holds each node group's combine accounting.
 //
-// A job that restores a snapshot skips its map and combine phases entirely
-// and still assembles a Result whose output bytes, payload counters, and
-// cost-model inputs are identical to the run that produced the snapshot —
-// the invariant the differential tests pin.
+// A run that restores a snapshot commits each task from it as it commits a
+// remote map attempt, runs no map attempt and no combine, and assembles a
+// Result whose output bytes, payload counters, and cost-model inputs are
+// identical to the run that produced the snapshot — the invariant the
+// configuration lattice pins. A reducer that finds restored output corrupt
+// or lost makes the run drop the restore and run its map phase as a miss.
 type MapPhaseSnapshot struct {
-	// Segments[task][partition] is the published map output view.
-	Segments [][]SegmentSnapshot
-	// Attempts[task] is the attempt number task's segments were published
-	// under (the shuffle service indexes segments by it).
+	// Attempts[task] is the attempt number task's row was published under
+	// (the shuffle service indexes segments by it).
 	Attempts []int
-	// Footprints, InputBytes, Hosts, WallSeconds describe the winning map
-	// attempts for Result.MapTasks / MapSpecs / CalSamples.
-	Footprints  []cluster.Task
-	InputBytes  []int64
-	Hosts       [][]string
-	WallSeconds []float64
-	// Counters is the map side's counter contribution in Snapshot order.
-	Counters []int64
-	// NumReducers is the partition count the segments were routed for; a
+	// Tasks[task] is the committed attempt: Parts is the published row.
+	Tasks []RemoteResult
+	// Groups[g] is node group g's combine accounting; empty when the job
+	// does not combine in-node.
+	Groups []NodeStats
+	// NumReducers is the partition count the rows were routed for; a
 	// snapshot only fits a job with the same value.
 	NumReducers int
 }
@@ -56,77 +42,51 @@ type MapOutputCache interface {
 	Put(key string, snap *MapPhaseSnapshot) error
 }
 
-// matches reports whether the snapshot fits the job's shape. A mismatch
-// (different split or reducer count under a colliding key) is treated as a
-// cache miss.
+// matches reports whether the snapshot fits the job's shape: a task, a row
+// of every partition and a full counter set per map task, and a combine
+// account per node group. A mismatch (a different split, reducer or
+// node-group count under a colliding key, or another engine version's
+// counters) is treated as a cache miss.
 func (s *MapPhaseSnapshot) matches(job *Job) bool {
-	n := len(job.Splits)
-	return s != nil &&
-		len(s.Segments) == n && len(s.Attempts) == n &&
-		len(s.Footprints) == n && len(s.InputBytes) == n &&
-		len(s.Hosts) == n && len(s.WallSeconds) == n &&
-		s.NumReducers == job.NumReducers
-}
-
-// restoreSegments converts the snapshot's published view back into engine
-// segments, one row per map task, ready to install.
-func (s *MapPhaseSnapshot) restoreSegments() [][]segment {
-	outs := make([][]segment, len(s.Segments))
-	for i, row := range s.Segments {
-		outs[i] = make([]segment, len(row))
-		for p, seg := range row {
-			outs[i][p] = segment{
-				data:    seg.Data,
-				records: seg.Records,
-				src:     seg.Src,
-				attempt: seg.Attempt,
-			}
+	n, groups := len(job.Splits), 0
+	if job.Combine != nil {
+		groups = job.combineGroupCount()
+	}
+	if s == nil || len(s.Attempts) != n || len(s.Tasks) != n || len(s.Groups) != groups || s.NumReducers != job.NumReducers {
+		return false
+	}
+	for _, t := range s.Tasks {
+		if len(t.Parts) != job.NumReducers || len(t.Counters) != len(counterTable) {
+			return false
 		}
 	}
-	return outs
+	return true
 }
 
 // snapshotMapPhase captures a finished run's published map state for the
-// cache: pub is the published (post-combine) view, tasks the winning
+// cache: pub is the published (post-combine) view, tasks the committed
 // attempts, nb the combine buffer when the job combined. Segment bytes are
 // copied, so the snapshot stays valid after the job's memory is reused.
 func snapshotMapPhase(job *Job, tasks []*mapTask, pub *publishedRows, nb *NodeBuffer) (*MapPhaseSnapshot, error) {
-	n := len(tasks)
 	pub.mu.Lock()
 	defer pub.mu.Unlock()
 	snap := &MapPhaseSnapshot{
-		Segments:    make([][]SegmentSnapshot, n),
 		Attempts:    append([]int(nil), pub.attempts...),
-		Footprints:  make([]cluster.Task, n),
-		InputBytes:  make([]int64, n),
-		Hosts:       make([][]string, n),
-		WallSeconds: make([]float64, n),
+		Tasks:       make([]RemoteResult, len(tasks)),
 		NumReducers: job.NumReducers,
 	}
-	mapSide := &Counters{}
 	for i, t := range tasks {
 		if t == nil {
 			return nil, fmt.Errorf("mapreduce: job %q: map task %d has no committed attempt to snapshot", job.Name, i)
 		}
-		row := pub.rows[i]
-		snap.Segments[i] = make([]SegmentSnapshot, len(row))
-		for p, seg := range row {
-			snap.Segments[i][p] = SegmentSnapshot{
-				Data:    append([]byte(nil), seg.data...),
-				Records: seg.records,
-				Src:     seg.src,
-				Attempt: seg.attempt,
-			}
+		parts := make([][]byte, len(pub.rows[i]))
+		for p, seg := range pub.rows[i] {
+			parts[p] = append([]byte(nil), seg.data...)
 		}
-		snap.Footprints[i] = t.footprint
-		snap.InputBytes[i] = t.ctx.inputBytes
-		snap.Hosts[i] = append([]string(nil), t.hosts...)
-		snap.WallSeconds[i] = t.wallSeconds
-		mapSide.Merge(t.counters())
+		snap.Tasks[i] = t.result(parts)
 	}
 	if nb != nil {
-		nb.fold(mapSide)
+		snap.Groups = nb.groupStats()
 	}
-	snap.Counters = mapSide.Snapshot()
 	return snap, nil
 }

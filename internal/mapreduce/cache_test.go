@@ -1,11 +1,11 @@
 package mapreduce
 
 import (
-	"strings"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 
-	"scikey/internal/cluster"
 	"scikey/internal/obs"
 )
 
@@ -44,28 +44,18 @@ func (c *memCache) Put(key string, snap *MapPhaseSnapshot) error {
 // never aliases live job memory.
 func (s *MapPhaseSnapshot) Clone() *MapPhaseSnapshot {
 	c := &MapPhaseSnapshot{
-		Segments:    make([][]SegmentSnapshot, len(s.Segments)),
-		Attempts:    append([]int(nil), s.Attempts...),
-		Footprints:  append([]cluster.Task(nil), s.Footprints...),
-		InputBytes:  append([]int64(nil), s.InputBytes...),
-		Hosts:       make([][]string, len(s.Hosts)),
-		WallSeconds: append([]float64(nil), s.WallSeconds...),
-		Counters:    append([]int64(nil), s.Counters...),
+		Attempts:    slices.Clone(s.Attempts),
+		Tasks:       make([]RemoteResult, len(s.Tasks)),
+		Groups:      slices.Clone(s.Groups),
 		NumReducers: s.NumReducers,
 	}
-	for i, row := range s.Segments {
-		c.Segments[i] = make([]SegmentSnapshot, len(row))
-		for p, seg := range row {
-			c.Segments[i][p] = SegmentSnapshot{
-				Data:    append([]byte(nil), seg.Data...),
-				Records: seg.Records,
-				Src:     seg.Src,
-				Attempt: seg.Attempt,
-			}
+	for i, t := range s.Tasks {
+		parts := make([][]byte, len(t.Parts))
+		for p, data := range t.Parts {
+			parts[p] = slices.Clone(data)
 		}
-	}
-	for i, h := range s.Hosts {
-		c.Hosts[i] = append([]string(nil), h...)
+		t.Parts, t.Counters, t.Hosts = parts, slices.Clone(t.Counters), slices.Clone(t.Hosts)
+		c.Tasks[i] = t
 	}
 	return c
 }
@@ -113,14 +103,62 @@ func TestMapCacheShapeMismatchIsMiss(t *testing.T) {
 	}
 }
 
-// TestMapCacheFaultsRejected: caching plus fault injection must fail
-// validation rather than cache a faulty run's output.
-func TestMapCacheFaultsRejected(t *testing.T) {
-	job := wordCountJob(testFS(), cacheDocs, 2, false)
-	job.MapCache, job.CacheKey = &memCache{}, "k"
-	job.Faults = mustInjector(t, "map:0:error@0")
-	_, err := Run(job)
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("Run with MapCache+Faults = %v; want mutual-exclusion error", err)
+// TestCacheHitRepairsCorruptRestore: a faulty cold run can cache a
+// committed attempt with a corrupt segment. Map 0's attempt 0 corrupts its
+// partition 1; reducer 1 finds it after reducer 0 has read attempt 0's
+// clean partition 0, and the re-executed attempt 1 corrupts its own
+// partition 0, which no reducer of the cold run reads again. A clean run of
+// the key restores that row and reducer 0 finds it corrupt: the run drops
+// the restore, runs its map phase as a miss, matches the reference and
+// stores its own snapshot over the bad one, its attempts numbered after the
+// restored ones, which the next run restores without a map attempt.
+func TestCacheHitRepairsCorruptRestore(t *testing.T) {
+	cache := &memCache{}
+	refOuts, refCounters := referenceRun(t, wordCountJob(testFS(), cacheDocs, 2, false))
+	for i, tc := range []struct {
+		faults   string
+		cached   bool
+		puts     int
+		attempts int64 // map attempts the run schedules
+	}{
+		{"seed=1;segment:0.1:corrupt@0;segment:0.0:corrupt@1", false, 1, int64(len(cacheDocs)) + 1},
+		{"", false, 2, int64(len(cacheDocs))},
+		{"", true, 2, 0},
+	} {
+		fs := testFS()
+		job := wordCountJob(fs, cacheDocs, 2, false)
+		job.MapCache, job.CacheKey = cache, "repair"
+		job.Retry = RetryPolicy{MaxAttempts: 4}
+		job.Obs = obs.New()
+		if tc.faults != "" {
+			job.Faults = mustInjector(t, tc.faults)
+		} else {
+			// Reducer 1 stays in flight while reducer 0's repair runs the
+			// map phase.
+			job.Parallelism = 3
+		}
+		res, err := Run(job)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if outs := readRawOutputs(t, fs, res.OutputPaths); !slices.Equal(outs, refOuts) {
+			t.Errorf("run %d: output bytes differ from the reference", i)
+		}
+		if got, want := payload(res.Counters), payload(refCounters); !maps.Equal(got, want) {
+			t.Errorf("run %d: payload counters %v, want %v", i, got, want)
+		}
+		if res.MapPhaseCached != tc.cached || cache.puts != tc.puts || mapAttemptCount(job.Obs) != tc.attempts {
+			t.Errorf("run %d: MapPhaseCached %v after %d puts, %d map attempts; want %v, %d puts, %d map attempts",
+				i, res.MapPhaseCached, cache.puts, mapAttemptCount(job.Obs), tc.cached, tc.puts, tc.attempts)
+		}
+		// The cold run cached map 0's re-executed attempt 1; the repair
+		// numbers every attempt after the restored one.
+		want := []int{1, 0, 0, 0, 0, 0}
+		if i > 0 {
+			want = []int{2, 1, 1, 1, 1, 1}
+		}
+		if got := cache.m["repair"].Attempts; !slices.Equal(got, want) {
+			t.Errorf("run %d: cached attempts %v, want %v", i, got, want)
+		}
 	}
 }

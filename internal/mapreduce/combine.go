@@ -122,10 +122,9 @@ type CombineConfig struct {
 	// Nodes is the node-group count, at least 1: how many per-node combine
 	// buffers the run simulates, map task t feeding group t % Nodes. Query
 	// configurations default it to the shuffle's default node count
-	// (scihadoop.QueryConfig.WithDefaults), whatever the shuffle; cluster
-	// drivers set it to the worker count so there is one combine buffer per
-	// worker process. Grouping only changes which duplicates meet — the
-	// monoid laws make the reduce output identical for every value.
+	// (scihadoop.QueryConfig.WithDefaults), whatever the shuffle or
+	// executor. Grouping only changes which duplicates meet — the monoid
+	// laws make the reduce output identical for every value.
 	Nodes int
 }
 
@@ -155,7 +154,7 @@ type NodeBuffer struct {
 
 	mu    sync.Mutex
 	raw   []nodeInput // per map task: freshest committed finals
-	stats []nodeStats // per group: last combine's record/byte accounting
+	stats []NodeStats // per group: last combine's record/byte accounting
 }
 
 // nodeInput is one member task's freshest committed output.
@@ -171,12 +170,13 @@ type nodeRow struct {
 	row           []segment
 }
 
-// nodeStats accounts one group's most recent combine. Recombines after a
-// member re-execution overwrite the group's stats, so the job-level fold
-// reflects exactly the published segments.
-type nodeStats struct {
-	in, out            int64 // records entering / leaving the combine merge
-	rawBytes, outBytes int64 // member segment bytes vs combined segment bytes
+// NodeStats accounts one node group's most recent combine. Recombines
+// after a member re-execution overwrite the group's stats, so the job-level
+// fold reflects exactly the published segments; a MapPhaseSnapshot carries
+// them, so a restored run folds what its producer folded.
+type NodeStats struct {
+	In, Out            int64 // records entering / leaving the combine merge
+	RawBytes, OutBytes int64 // member segment bytes vs combined segment bytes
 }
 
 // newNodeBuffer builds the run's combine buffer, or nil when the job does
@@ -190,7 +190,7 @@ func newNodeBuffer(job *Job) *NodeBuffer {
 		job:    job,
 		groups: g,
 		raw:    make([]nodeInput, len(job.Splits)),
-		stats:  make([]nodeStats, g),
+		stats:  make([]NodeStats, g),
 	}
 }
 
@@ -239,7 +239,7 @@ func (b *NodeBuffer) combine(g int) ([]nodeRow, error) {
 	rep := members[0]
 	nparts := b.job.NumReducers
 	combined := make([]segment, nparts)
-	var st nodeStats
+	var st NodeStats
 	for p := 0; p < nparts; p++ {
 		var segs []segment
 		var rawBytes int64
@@ -299,10 +299,10 @@ func (b *NodeBuffer) combine(g int) ([]nodeRow, error) {
 		// re-feeds this buffer and recombines the group.
 		seg.src, seg.attempt = rep, b.raw[rep].attempt
 		combined[p] = seg
-		st.in += cs.inRecords
-		st.out += cs.outRecords
-		st.rawBytes += rawBytes
-		st.outBytes += int64(len(seg.data))
+		st.In += cs.inRecords
+		st.Out += cs.outRecords
+		st.RawBytes += rawBytes
+		st.OutBytes += int64(len(seg.data))
 	}
 	rows := make([]nodeRow, len(members))
 	for i, m := range members {
@@ -321,16 +321,23 @@ func (b *NodeBuffer) combine(g int) ([]nodeRow, error) {
 func (b *NodeBuffer) fold(jc *Counters) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var st nodeStats
+	var st NodeStats
 	for _, s := range b.stats {
-		st.in += s.in
-		st.out += s.out
-		st.rawBytes += s.rawBytes
-		st.outBytes += s.outBytes
+		st.In += s.In
+		st.Out += s.Out
+		st.RawBytes += s.RawBytes
+		st.OutBytes += s.OutBytes
 	}
-	jc.CombineMergedRecords.Add(st.in - st.out)
-	jc.CombineEmittedRecords.Add(st.out)
-	jc.CombineSavedBytes.Add(st.rawBytes - st.outBytes)
+	jc.CombineMergedRecords.Add(st.In - st.Out)
+	jc.CombineEmittedRecords.Add(st.Out)
+	jc.CombineSavedBytes.Add(st.RawBytes - st.OutBytes)
+}
+
+// groupStats copies each group's combine accounting, for a snapshot.
+func (b *NodeBuffer) groupStats() []NodeStats {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]NodeStats(nil), b.stats...)
 }
 
 // combineStream folds runs of equal keys in a sorted stream with a monoid,

@@ -365,7 +365,7 @@ func (l *lattice) check(t *testing.T, r latticeRow) {
 				t.Errorf("run %d: a clean run wasted %d attempts", run, n)
 			}
 		} else {
-			checkRecovery(t, run, r, job, res)
+			checkRecovery(t, run, r, job, res, r[axCache] == 1 && run == 1)
 		}
 		// An attempt per map task (none on a cache hit), one more per
 		// failed map attempt, and one per re-executed producer; a mapper
@@ -413,12 +413,13 @@ func (l *lattice) check(t *testing.T, r latticeRow) {
 // reading it — and its producer re-executes, replacing a committed attempt
 // whose footprint turns to waste. A fired codec error fails the reduce
 // attempt that read it, and a fired out error the reduce attempt that
-// wrote through it, which leaves no _attempt temp file. The payload
-// counters and output bytes are check's: the reference's.
-func checkRecovery(t *testing.T, run int, r latticeRow, job *Job, res *Result) {
+// wrote through it, which leaves no _attempt temp file. restored marks a
+// warm run, whose map phase came from its cold run. The payload counters
+// and output bytes are check's: the reference's.
+func checkRecovery(t *testing.T, run int, r latticeRow, job *Job, res *Result, restored bool) {
 	t.Helper()
 	c, fired := res.Counters, job.Faults.Fired()
-	least, most, fetchRetries := scheduledFires(r, job)
+	least, most, fetchRetries := scheduledFires(r, job, restored)
 	for k := range most {
 		if n := fired[k]; n < least[k] || n > most[k] {
 			t.Errorf("run %d: %s fired %d times, want %d to %d", run, k, n, least[k], most[k])
@@ -474,20 +475,23 @@ func checkRecovery(t *testing.T, run int, r latticeRow, job *Job, res *Result) {
 }
 
 // scheduledFires is how often each site/action of r's fault schedule fires
-// on job, at least and at most. Every task's attempt 0 starts, so a map or
-// reduce rule fires once per task it names. A segment rule fires once for
-// a non-empty segment of a map attempt 0 that reaches its end. A codec rule
+// on job, at least and at most; restored says the run restored its map
+// phase, so no map attempt starts and no map or segment rule fires. Every
+// task's attempt 0 starts, so a map or reduce rule fires once per task it
+// names. A segment rule fires once for a non-empty segment of a map attempt
+// 0 that reaches its end. A codec rule
 // fires once for each reduce attempt 0 that reads the producer's non-empty
 // published segment — with in-node combining, only a node group's
 // representative publishes — unless a reduce rule failed the attempt at
 // its start; and it may not, where a corrupt segment in the same partition
 // can end the attempt first. An out rule fires once for a reduce attempt 0
 // that reaches its output, certain only when no other rule can end it
-// before. A net rule fires once on the first fetch of each segment it
-// names, empty or not (net rules share no schedule with rules that fail a
-// reduce attempt, so each segment is fetched once), and costs a fetch retry
-// where the segment has bytes to disturb; fetchRetries counts those.
-func scheduledFires(r latticeRow, job *Job) (least, most map[string]int, fetchRetries int) {
+// before. The lattice's net rules, cut and corrupt, act on a segment's
+// bytes: one fires once on the first fetch of each non-empty published
+// segment it names (net rules share no schedule with rules that fail a
+// reduce attempt, so each segment is fetched once), and costs a fetch
+// retry there; fetchRetries counts those.
+func scheduledFires(r latticeRow, job *Job, restored bool) (least, most map[string]int, fetchRetries int) {
 	sched, _ := faults.Parse(latticeFaults[r[axFaults]])
 	docs, nMaps, nReds := latticeShapes[r[axShape]].docs, len(job.Splits), job.NumReducers
 	groups := nMaps
@@ -527,7 +531,7 @@ func scheduledFires(r latticeRow, job *Job) (least, most map[string]int, fetchRe
 	// segment; with in-node combining the combine meets it first.
 	corruptIn := func(p int) bool {
 		for m := range nMaps {
-			if r[axNodes] == 0 && ruled(faults.SiteSegment, m, p) && holds(m, p) {
+			if r[axNodes] == 0 && !restored && ruled(faults.SiteSegment, m, p) && holds(m, p) {
 				return true
 			}
 		}
@@ -546,11 +550,11 @@ func scheduledFires(r latticeRow, job *Job) (least, most map[string]int, fetchRe
 		k, m := string(rule.Site)+"/"+string(rule.Action), rule.Task
 		switch rule.Site {
 		case faults.SiteMap:
-			add(k, m < nMaps, m < nMaps)
+			add(k, m < nMaps && !restored, m < nMaps && !restored)
 		case faults.SiteReduce:
 			add(k, m < nReds, m < nReds)
 		case faults.SiteSegment:
-			ok := m < nMaps && rule.Part < nReds && holds(m, rule.Part) && !ruled(faults.SiteMap, m, -1)
+			ok := m < nMaps && rule.Part < nReds && holds(m, rule.Part) && !ruled(faults.SiteMap, m, -1) && !restored
 			add(k, ok, ok)
 		case faults.SiteCodec:
 			for p := range nReds {
@@ -560,16 +564,14 @@ func scheduledFires(r latticeRow, job *Job) (least, most map[string]int, fetchRe
 		case faults.SiteOut:
 			sure := !ruled(faults.SiteReduce, m, -1)
 			for _, other := range sched.Rules {
-				sure = sure && other.Site != faults.SiteCodec && other.Site != faults.SiteSegment
+				sure = sure && other.Site != faults.SiteCodec && (other.Site != faults.SiteSegment || restored)
 			}
 			add(k, m < nReds && sure, m < nReds)
 		case faults.SiteNet:
 			for p := range nReds {
-				if m < nMaps && (rule.Part < 0 || rule.Part == p) {
+				if m < nMaps && (rule.Part < 0 || rule.Part == p) && published(m, p) {
 					add(k, true, true)
-					if published(m, p) {
-						fetchRetries++
-					}
+					fetchRetries++
 				}
 			}
 		}
@@ -596,10 +598,6 @@ func nodeGroupKeys(docs []string, groups int) int64 {
 // latticeRejected are the pairs of axis values Job.validate rejects.
 var latticeRejected = []pairwise.Pair{
 	pairwise.PairOf(axShuffle, 2, axExec, 1),
-	pairwise.PairOf(axCache, 1, axFaults, 1),
-	pairwise.PairOf(axCache, 1, axFaults, 2),
-	pairwise.PairOf(axCache, 1, axFaults, 3),
-	pairwise.PairOf(axCache, 1, axFaults, 4),
 }
 
 // latticeExcluded lists the pairs no row holds, before the pairs they

@@ -34,7 +34,8 @@ type Remote interface {
 // RemoteResult is one remotely executed attempt's outcome: the bytes the
 // attempt materialized plus the bookkeeping the engine needs to keep
 // recovered runs byte-identical to fault-free ones (per-attempt counters,
-// cost-model footprint, calibration wall clock).
+// cost-model footprint, calibration wall clock). A MapPhaseSnapshot keeps
+// each committed map attempt in this shape too.
 type RemoteResult struct {
 	// Parts holds a map attempt's final per-partition segments.
 	Parts [][]byte
@@ -77,14 +78,22 @@ func RunMapAttempt(ctx context.Context, job *Job, task, attempt int) (*RemoteRes
 	for p := range t.finals {
 		parts[p] = t.finals[p].data
 	}
-	return &RemoteResult{
+	rr := t.result(parts)
+	return &rr, nil
+}
+
+// result packages a committed map attempt with parts as its row: the one
+// shape a committed map attempt travels in, from a worker or into the map
+// output cache.
+func (t *mapTask) result(parts [][]byte) RemoteResult {
+	return RemoteResult{
 		Parts:       parts,
 		Counters:    t.counters().Snapshot(),
 		Footprint:   t.footprint,
 		InputBytes:  t.ctx.inputBytes,
 		Hosts:       t.hosts,
 		WallSeconds: t.wallSeconds,
-	}, nil
+	}
 }
 
 // RunReduceAttempt executes one reduce task attempt of job in this process,
@@ -136,9 +145,10 @@ func (s *remoteFetchSource) fetch(m, part int) (segment, int64, error) {
 	return segment{data: data, src: m, attempt: attempt}, 0, nil
 }
 
-// newRemoteMapTask wraps a remotely executed map attempt's result in the
-// scheduler's task shape. rr may be nil (total failure with no report); a
-// partial result still carries the footprint charged as waste.
+// newRemoteMapTask wraps a remotely executed or cached map attempt's result
+// in the scheduler's task shape, each segment naming task id as its
+// producer. rr may be nil (total failure with no report); a partial result
+// still carries the footprint charged as waste.
 func newRemoteMapTask(job *Job, id, attempt int, rr *RemoteResult) *mapTask {
 	t := &mapTask{
 		job:     job,

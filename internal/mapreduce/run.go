@@ -23,7 +23,9 @@ type Result struct {
 	OutputPaths []string
 	// MapPhaseCached reports that the map (and combine) phase was skipped:
 	// the published segments came from Job.MapCache, and zero map attempts
-	// ran. Output bytes and payload counters are identical either way.
+	// ran. A run whose reducers found restored output corrupt or lost ran
+	// its map phase after all and reports false. Output bytes and payload
+	// counters are identical either way.
 	MapPhaseCached bool
 	// WastedMapTasks / WastedReduceTasks are the footprints of attempts
 	// whose work was discarded: failures, corruption-replaced map attempts,
@@ -156,14 +158,14 @@ type jobRun struct {
 	// servers are live for the whole run.
 	svc *shufflenet.Service
 	pub *publishedRows
-	// cached, when non-nil, is a restored map phase: the map and combine
-	// phases are skipped, the published rows come from the cache, and
-	// assemble replays the snapshot's footprints and counters.
+	// cached, when non-nil, is a restored map phase: each map task was
+	// committed from the snapshot as a remote attempt commits, and the map
+	// and combine phases are skipped. dropRestore clears it.
 	cached *MapPhaseSnapshot
-	// nb is the in-node combine buffer (nil when the job doesn't combine or
-	// the map phase was restored post-combine from the cache). With it,
-	// committed map output is fed here instead of installed raw; the
-	// combine phase installs each group's combined view.
+	// nb is the in-node combine buffer (nil when the job doesn't combine).
+	// With it, committed map output is fed here instead of installed raw;
+	// the combine phase installs each group's combined view. A restored run
+	// starts it with the snapshot's combine accounting.
 	nb *NodeBuffer
 
 	mapRunner *phaseRunner
@@ -209,8 +211,9 @@ func newJobRun(job *Job) (*jobRun, error) {
 			r.cached = snap
 		}
 	}
-	if r.cached == nil {
-		r.nb = newNodeBuffer(job)
+	r.nb = newNodeBuffer(job)
+	if r.nb != nil && r.cached != nil {
+		copy(r.nb.stats, r.cached.Groups)
 	}
 	return r, nil
 }
@@ -269,12 +272,18 @@ func (r *jobRun) mapPhase() error {
 	if r.cached == nil {
 		return r.mapRunner.runAll()
 	}
-	// Republish the cached rows under their original attempt numbers,
-	// exactly as the producing run did. No map attempt runs and no attempt
-	// span or histogram sample is recorded — "map attempts: zero" is the
-	// observable cache-hit signature the differential tests assert.
-	for m, row := range r.cached.restoreSegments() {
-		r.pub.install(m, r.cached.Attempts[m], row)
+	// Commit each cached task as a remote map attempt commits, and publish
+	// its row under its original attempt number, exactly as the producing
+	// run did. No map attempt runs and no attempt span or histogram sample
+	// is recorded — "map attempts: zero" is the observable cache-hit
+	// signature the lattice asserts. A repair numbers its attempts after
+	// the restored ones.
+	for m := range r.cached.Tasks {
+		a := r.cached.Attempts[m]
+		t := newRemoteMapTask(job, m, a, &r.cached.Tasks[m])
+		r.tasks[m] = t
+		r.mapRunner.next[m] = a + 1
+		r.pub.install(m, a, t.finals)
 	}
 	return nil
 }
@@ -368,13 +377,19 @@ func (r *jobRun) combineGroup(g int) error {
 // combinePhase runs strictly between the map barrier and the reduce phase,
 // so reducers never see raw member segments: every node group's committed
 // segments merge — equal-key runs folded with the job's Combiner inside
-// MergeCut windows — and only the combined view is published.
+// MergeCut windows — and only the combined view is published. A restored
+// map phase is already the combined view.
 func (r *jobRun) combinePhase() error {
-	if r.nb == nil {
+	if r.nb == nil || r.cached != nil {
 		return nil
 	}
 	r.repairMu.Lock()
 	defer r.repairMu.Unlock()
+	return r.combineAll()
+}
+
+// combineAll combines every node group. Callers hold repairMu.
+func (r *jobRun) combineAll() error {
 	for g := 0; g < r.nb.numGroups(); g++ {
 		if err := r.combineGroup(g); err != nil {
 			return err
@@ -383,11 +398,26 @@ func (r *jobRun) combinePhase() error {
 	return nil
 }
 
+// dropRestore turns a restored run into a miss once a reducer finds
+// restored output corrupt or lost: the map and combine phases run as they
+// would have, each task's attempt numbered after its restored one, and
+// replace every restored row; the reducer's retry fetches the fresh rows,
+// and the run stores its own snapshot over the bad entry. Callers hold
+// repairMu.
+func (r *jobRun) dropRestore() bool {
+	r.cached = nil
+	if r.mapRunner.runAll() != nil {
+		return false
+	}
+	return r.nb == nil || r.combineAll() == nil
+}
+
 // recoverMap re-executes the map task named by a corrupt-segment report —
 // detected corruption or map output lost to an exhausted networked fetch —
 // replacing (and republishing) its output so the reducer's retry reads
 // intact bytes. With combining, the re-fed group recombines and republishes
-// before the reducer retries.
+// before the reducer retries. Restored output is replaced whole, by
+// dropRestore.
 func (r *jobRun) recoverMap(ce *ErrCorruptSegment) bool {
 	r.repairMu.Lock()
 	defer r.repairMu.Unlock()
@@ -401,6 +431,9 @@ func (r *jobRun) recoverMap(ce *ErrCorruptSegment) bool {
 		// A newer attempt already replaced the reported output; the
 		// reducer's retry will fetch the fresh segments.
 		return true
+	}
+	if r.cached != nil {
+		return r.dropRestore()
 	}
 	if !r.rerunMap(ce.MapTask) {
 		return false
@@ -480,30 +513,15 @@ func (r *jobRun) assemble() (*Result, error) {
 		MapSpecs:          make([]cluster.MapSpec, len(r.tasks)),
 		ReduceTasks:       make([]cluster.Task, job.NumReducers),
 		OutputPaths:       make([]string, job.NumReducers),
+		MapPhaseCached:    r.cached != nil,
 		WastedMapTasks:    r.wastedMaps,
 		WastedReduceTasks: r.wastedReduces,
 	}
-	if cached := r.cached; cached != nil {
-		// Replay the snapshot's map-side contribution: the same payload
-		// counters the producing run merged, and the same footprints and
-		// calibration samples, so cost estimates and counter reports match
-		// a cold run byte for byte.
-		res.MapPhaseCached = true
-		if err := jc.AddSnapshot(cached.Counters); err != nil {
-			return nil, fmt.Errorf("mapreduce: job %q: cached map counters: %w", job.Name, err)
-		}
-		for i := range cached.Footprints {
-			res.MapTasks[i] = cached.Footprints[i]
-			res.MapSpecs[i] = cluster.MapSpec{Task: cached.Footprints[i], InputBytes: cached.InputBytes[i], Hosts: cached.Hosts[i]}
-			res.CalSamples = append(res.CalSamples, calSample(cached.Footprints[i], cached.WallSeconds[i]))
-		}
-	} else {
-		for i, t := range r.tasks {
-			jc.Merge(t.counters())
-			res.MapTasks[i] = t.footprint
-			res.MapSpecs[i] = cluster.MapSpec{Task: t.footprint, InputBytes: t.ctx.inputBytes, Hosts: t.hosts}
-			res.CalSamples = append(res.CalSamples, calSample(t.footprint, t.wallSeconds))
-		}
+	for i, t := range r.tasks {
+		jc.Merge(t.counters())
+		res.MapTasks[i] = t.footprint
+		res.MapSpecs[i] = cluster.MapSpec{Task: t.footprint, InputBytes: t.ctx.inputBytes, Hosts: t.hosts}
+		res.CalSamples = append(res.CalSamples, calSample(t.footprint, t.wallSeconds))
 	}
 	for i, t := range r.rtasks {
 		jc.Merge(t.counters())

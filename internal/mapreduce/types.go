@@ -270,16 +270,16 @@ type RunOptions struct {
 	Remote Remote
 	// MapCache, when non-nil together with a non-empty CacheKey, lets the
 	// run reuse a previously published map phase: before scheduling any map
-	// attempts the engine asks the cache for CacheKey, and on a hit restores
-	// the published segments, footprints, and map-side counters, skipping
-	// the map and combine phases entirely (Result.MapPhaseCached reports
-	// this; zero map attempts run). On a miss the job runs normally and, on
-	// success, stores its published map state under CacheKey. The query
-	// service's shared segment cache plugs in here. The caller owns key
-	// derivation: a key must cover every input that shapes map output bytes
-	// — dataset, splits, transform, codec. Mutually exclusive with Faults:
-	// a faulty run's recovery machinery must re-execute real map attempts,
-	// and caching its output would mix fault schedules.
+	// attempts the engine asks the cache for CacheKey, and on a hit commits
+	// each map task from the snapshot as a remote attempt commits — its
+	// published row, footprint and counters — skipping the map and combine
+	// phases entirely (Result.MapPhaseCached reports this; zero map
+	// attempts run). Restored output a reducer finds corrupt or lost turns
+	// the run into a miss. On a miss the job runs normally and, on success,
+	// stores its published map state under CacheKey. The query service's
+	// shared segment cache plugs in here. The caller owns key derivation: a
+	// key must cover every input that shapes map output bytes — dataset,
+	// splits, transform, codec.
 	MapCache MapOutputCache
 	// CacheKey names this job's map output in MapCache. Empty disables
 	// caching even when MapCache is set.
@@ -325,9 +325,6 @@ func (j *Job) validate() error {
 	if j.SpillBufferBytes > 0 && uint64(j.SpillBufferBytes) > math.MaxUint32 {
 		// A buffered record's 32-bit arena offset stays below the limit.
 		return fmt.Errorf("mapreduce: job %q: SpillBufferBytes %d exceeds the 32-bit spill-buffer limit of %d", j.Name, j.SpillBufferBytes, uint64(math.MaxUint32))
-	}
-	if j.MapCache != nil && j.CacheKey != "" && j.Faults != nil {
-		return fmt.Errorf("mapreduce: job %q: MapCache and Faults are mutually exclusive (cached map output would mix fault schedules)", j.Name)
 	}
 	if j.Remote != nil && j.Shuffle.networked() {
 		return fmt.Errorf("mapreduce: job %q: remote execution and a networked shuffle are mutually exclusive (map output travels through the coordinator)", j.Name)

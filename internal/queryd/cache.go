@@ -20,7 +20,7 @@ import (
 // mismatch is a miss, never a failed query.
 const (
 	snapMagic   = 0x53434d53 // "SCMS"
-	snapVersion = 1
+	snapVersion = 2
 )
 
 // SegmentCache is the service's shared map-output cache: an engine-facing
@@ -140,10 +140,12 @@ func (c *SegmentCache) account(entries, bytes int64) {
 	c.bytes.Set(bytes)
 }
 
-// encodeSnapshot serializes a snapshot: header, per-task rows, counters,
-// and a CRC32 trailer over everything before it. The blob is allocated
-// once, at its exact size: it is mostly segment bytes, megabytes per query,
-// which growing by append would copy about twice over.
+// encodeSnapshot serializes a snapshot: header, one record per map task
+// (its attempt, footprint, input bytes, wall seconds, hosts, published row
+// and counters), the node groups' combine accounting, and a CRC32 trailer
+// over everything before it. The blob is allocated once, at its exact
+// size: it is mostly segment bytes, megabytes per query, which growing by
+// append would copy about twice over.
 func encodeSnapshot(s *mapreduce.MapPhaseSnapshot) []byte {
 	b := make([]byte, 0, snapshotSize(s))
 	u32 := func(v uint32) { b = binary.BigEndian.AppendUint32(b, v) }
@@ -155,30 +157,35 @@ func encodeSnapshot(s *mapreduce.MapPhaseSnapshot) []byte {
 
 	u32(snapMagic)
 	u32(snapVersion)
-	u32(uint32(len(s.Segments)))
+	u32(uint32(len(s.Tasks)))
 	u32(uint32(s.NumReducers))
-	for i := range s.Segments {
+	for i := range s.Tasks {
+		t := &s.Tasks[i]
 		u32(uint32(s.Attempts[i]))
-		i64(s.Footprints[i].DiskBytes)
-		i64(s.Footprints[i].NetBytes)
-		f64(s.Footprints[i].CPUSeconds)
-		i64(s.InputBytes[i])
-		f64(s.WallSeconds[i])
-		u32(uint32(len(s.Hosts[i])))
-		for _, h := range s.Hosts[i] {
+		i64(t.Footprint.DiskBytes)
+		i64(t.Footprint.NetBytes)
+		f64(t.Footprint.CPUSeconds)
+		i64(t.InputBytes)
+		f64(t.WallSeconds)
+		u32(uint32(len(t.Hosts)))
+		for _, h := range t.Hosts {
 			str(h)
 		}
-		u32(uint32(len(s.Segments[i])))
-		for _, seg := range s.Segments[i] {
-			i64(seg.Records)
-			i64(int64(seg.Src))
-			i64(int64(seg.Attempt))
-			bytes(seg.Data)
+		u32(uint32(len(t.Parts)))
+		for _, part := range t.Parts {
+			bytes(part)
+		}
+		u32(uint32(len(t.Counters)))
+		for _, v := range t.Counters {
+			i64(v)
 		}
 	}
-	u32(uint32(len(s.Counters)))
-	for _, v := range s.Counters {
-		i64(v)
+	u32(uint32(len(s.Groups)))
+	for _, g := range s.Groups {
+		i64(g.In)
+		i64(g.Out)
+		i64(g.RawBytes)
+		i64(g.OutBytes)
 	}
 	u32(crc32.ChecksumIEEE(b))
 	return b
@@ -187,17 +194,18 @@ func encodeSnapshot(s *mapreduce.MapPhaseSnapshot) []byte {
 // snapshotSize is the length of encodeSnapshot(s), field for field.
 func snapshotSize(s *mapreduce.MapPhaseSnapshot) int {
 	n := 4 * 4 // magic, version, task count, reducers
-	for i := range s.Segments {
+	for _, t := range s.Tasks {
 		n += 4 + 5*8 + 4 // attempt, footprint, input bytes, wall, host count
-		for _, h := range s.Hosts[i] {
+		for _, h := range t.Hosts {
 			n += 4 + len(h)
 		}
-		n += 4 // segment count
-		for _, seg := range s.Segments[i] {
-			n += 3*8 + 4 + len(seg.Data)
+		n += 4 // part count
+		for _, part := range t.Parts {
+			n += 4 + len(part)
 		}
+		n += 4 + 8*len(t.Counters)
 	}
-	return n + 4 + 8*len(s.Counters) + 4 // counters, CRC
+	return n + 4 + 4*8*len(s.Groups) + 4 // groups, CRC
 }
 
 // decodeSnapshot parses an encoded snapshot, verifying magic, version, and
@@ -205,13 +213,12 @@ func snapshotSize(s *mapreduce.MapPhaseSnapshot) int {
 // the bytes that remain, so a truncated or corrupt blob errors instead of
 // panicking or allocating for elements it cannot hold.
 //
-// The snapshot takes ownership of b: each segment's Data is decoded in
+// The snapshot takes ownership of b: each published part is decoded in
 // place, a slice of b whose capacity is capped at its length, so an append
-// by any consumer reallocates rather than overwriting the next segment. The
+// by any consumer reallocates rather than overwriting the next part. The
 // caller must own b (Store.Get returns a copy) and must not write to it
-// afterwards. Every restored segment names a producing map task (Src >= 0),
-// so the engine treats it as published output and never recycles its bytes
-// into the buffer pool; a blob claiming otherwise is rejected.
+// afterwards. The engine commits each part as a remote attempt's output,
+// which it never recycles into its buffer pool.
 func decodeSnapshot(b []byte) (*mapreduce.MapPhaseSnapshot, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("queryd: snapshot too short")
@@ -280,9 +287,9 @@ func decodeSnapshot(b []byte) (*mapreduce.MapPhaseSnapshot, error) {
 		}
 		return n
 	}
-	// Minimum encoded sizes: a task row with no hosts and no segments, a
-	// host's length prefix, a segment with no data, a counter.
-	const minTask, minHost, minSegment, minCounter = 4 + 5*8 + 4 + 4, 4, 3*8 + 4, 8
+	// Minimum encoded sizes: a task with no hosts, parts or counters, a
+	// host's length prefix, an empty part, a counter, a group.
+	const minTask, minHost, minPart, minCounter, minGroup = 4 + 5*8 + 3*4, 4, 4, 8, 4 * 8
 
 	if u32() != snapMagic {
 		return nil, fmt.Errorf("queryd: bad snapshot magic")
@@ -293,37 +300,33 @@ func decodeSnapshot(b []byte) (*mapreduce.MapPhaseSnapshot, error) {
 	n := int(u32())
 	s := &mapreduce.MapPhaseSnapshot{NumReducers: int(u32())}
 	n = bounded("task", n, minTask)
-	s.Segments = make([][]mapreduce.SegmentSnapshot, n)
 	s.Attempts = make([]int, n)
-	s.Footprints = make([]cluster.Task, n)
-	s.InputBytes = make([]int64, n)
-	s.Hosts = make([][]string, n)
-	s.WallSeconds = make([]float64, n)
+	s.Tasks = make([]mapreduce.RemoteResult, n)
 	for i := 0; i < n && derr == nil; i++ {
+		t := &s.Tasks[i]
 		s.Attempts[i] = int(u32())
-		s.Footprints[i] = cluster.Task{DiskBytes: i64(), NetBytes: i64(), CPUSeconds: f64()}
-		s.InputBytes[i] = i64()
-		s.WallSeconds[i] = f64()
+		t.Footprint = cluster.Task{DiskBytes: i64(), NetBytes: i64(), CPUSeconds: f64()}
+		t.InputBytes = i64()
+		t.WallSeconds = f64()
 		nh := bounded("host", int(u32()), minHost)
 		for h := 0; h < nh && derr == nil; h++ {
-			s.Hosts[i] = append(s.Hosts[i], str())
+			t.Hosts = append(t.Hosts, str())
 		}
-		np := bounded("partition", int(u32()), minSegment)
-		s.Segments[i] = make([]mapreduce.SegmentSnapshot, 0, np)
+		np := bounded("partition", int(u32()), minPart)
+		t.Parts = make([][]byte, 0, np)
 		for p := 0; p < np && derr == nil; p++ {
-			seg := mapreduce.SegmentSnapshot{Records: i64()}
-			seg.Src = int(i64())
-			if derr == nil && seg.Src < 0 {
-				derr = fmt.Errorf("queryd: snapshot segment with negative source task %d", seg.Src)
-			}
-			seg.Attempt = int(i64())
-			seg.Data = bs()
-			s.Segments[i] = append(s.Segments[i], seg)
+			t.Parts = append(t.Parts, bs())
+		}
+		nc := bounded("counter", int(u32()), minCounter)
+		t.Counters = make([]int64, 0, nc)
+		for c := 0; c < nc && derr == nil; c++ {
+			t.Counters = append(t.Counters, i64())
 		}
 	}
-	nc := bounded("counter", int(u32()), minCounter)
-	for i := 0; i < nc && derr == nil; i++ {
-		s.Counters = append(s.Counters, i64())
+	ng := bounded("group", int(u32()), minGroup)
+	s.Groups = make([]mapreduce.NodeStats, 0, ng)
+	for g := 0; g < ng && derr == nil; g++ {
+		s.Groups = append(s.Groups, mapreduce.NodeStats{In: i64(), Out: i64(), RawBytes: i64(), OutBytes: i64()})
 	}
 	if derr != nil {
 		return nil, derr

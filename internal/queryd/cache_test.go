@@ -64,44 +64,18 @@ func TestOutputSHAStreamsMultiBlockFiles(t *testing.T) {
 	}
 }
 
-// TestDecodeSnapshotRejectsEngineInternalSegment: a restored segment aliases
-// the blob, so it must never reach the buffer pool, which takes only
-// engine-internal segments (Src < 0). A CRC-valid blob that claims one is a
-// miss, not a segment.
-func TestDecodeSnapshotRejectsEngineInternalSegment(t *testing.T) {
-	snap := &mapreduce.MapPhaseSnapshot{
-		Segments:    [][]mapreduce.SegmentSnapshot{{{Records: 1, Src: -1, Data: []byte("seg")}}},
-		Attempts:    []int{0},
-		Footprints:  []cluster.Task{{}},
-		InputBytes:  []int64{0},
-		Hosts:       [][]string{nil},
-		WallSeconds: []float64{0},
-		NumReducers: 1,
-	}
-	if _, err := decodeSnapshot(encodeSnapshot(snap)); err == nil {
-		t.Fatal("decodeSnapshot accepted a segment with Src -1")
-	}
-	snap.Segments[0][0].Src = 0
-	if _, err := decodeSnapshot(encodeSnapshot(snap)); err != nil {
-		t.Fatalf("decodeSnapshot rejected the same snapshot with Src 0: %v", err)
-	}
-}
-
 // TestEncodeSnapshotAllocatesOnce: the blob is sized before it is written,
 // so encoding is one allocation of exactly the bytes it returns.
 func TestEncodeSnapshotAllocatesOnce(t *testing.T) {
 	data := bytes.Repeat([]byte{7}, 100_000)
 	snap := &mapreduce.MapPhaseSnapshot{
-		Segments: [][]mapreduce.SegmentSnapshot{
-			{{Records: 3, Src: 0, Data: data[:40_000]}, {Records: 0, Src: 0}},
-			{{Records: 9, Src: 1, Attempt: 2, Data: data}},
+		Attempts: []int{0, 2},
+		Tasks: []mapreduce.RemoteResult{
+			{Parts: [][]byte{data[:40_000], nil}, Counters: []int64{1, -2, 3}, Footprint: cluster.Task{DiskBytes: 1},
+				InputBytes: 10, Hosts: []string{"node0", "node12"}, WallSeconds: 0.25},
+			{Parts: [][]byte{data}, Counters: []int64{4}, Footprint: cluster.Task{CPUSeconds: 0.5}, InputBytes: 20, WallSeconds: 1},
 		},
-		Attempts:    []int{0, 2},
-		Footprints:  []cluster.Task{{DiskBytes: 1}, {CPUSeconds: 0.5}},
-		InputBytes:  []int64{10, 20},
-		Hosts:       [][]string{{"node0", "node12"}, nil},
-		WallSeconds: []float64{0.25, 1},
-		Counters:    []int64{1, -2, 3},
+		Groups:      []mapreduce.NodeStats{{In: 9, Out: 4, RawBytes: 100, OutBytes: 60}},
 		NumReducers: 2,
 	}
 	var b []byte

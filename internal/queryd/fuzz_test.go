@@ -24,16 +24,15 @@ import (
 // gate.
 func FuzzDecodeSnapshot(f *testing.F) {
 	real := encodeSnapshot(&mapreduce.MapPhaseSnapshot{
-		Segments: [][]mapreduce.SegmentSnapshot{
-			{{Records: 3, Src: 0, Attempt: 1, Data: []byte("seg-0.0")}, {Records: 0, Src: 0, Attempt: 1}},
-			{{Records: 7, Src: 1, Attempt: 0, Data: []byte("seg-1.0")}, {Records: 2, Src: 1, Attempt: 0, Data: []byte{0xff}}},
+		Attempts: []int{1, 0},
+		Tasks: []mapreduce.RemoteResult{
+			{Parts: [][]byte{[]byte("seg-0.0"), nil}, Counters: []int64{1, 2, 3, 0, -1},
+				Footprint: cluster.Task{DiskBytes: 4096, NetBytes: 0, CPUSeconds: 0.25}, InputBytes: 2304,
+				Hosts: []string{"node0", "node1"}, WallSeconds: 0.5},
+			{Parts: [][]byte{[]byte("seg-1.0"), {0xff}}, Counters: []int64{0, 0, 7, 1, 2},
+				Footprint: cluster.Task{DiskBytes: 1, NetBytes: 2, CPUSeconds: 3}, InputBytes: 2304, WallSeconds: 0.125},
 		},
-		Attempts:    []int{1, 0},
-		Footprints:  []cluster.Task{{DiskBytes: 4096, NetBytes: 0, CPUSeconds: 0.25}, {DiskBytes: 1, NetBytes: 2, CPUSeconds: 3}},
-		InputBytes:  []int64{2304, 2304},
-		Hosts:       [][]string{{"node0", "node1"}, nil},
-		WallSeconds: []float64{0.5, 0.125},
-		Counters:    []int64{1, 2, 3, 0, -1},
+		Groups:      []mapreduce.NodeStats{{In: 5, Out: 3, RawBytes: 40, OutBytes: 30}},
 		NumReducers: 2,
 	})
 	f.Add(real)
@@ -53,13 +52,13 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			if again := encodeSnapshot(s); !bytes.Equal(again, b) {
 				t.Fatalf("decode accepted %d bytes that re-encode to %d different bytes", len(b), len(again))
 			}
-			for i, row := range s.Segments {
-				for p, seg := range row {
-					if cap(seg.Data) != len(seg.Data) {
-						t.Fatalf("segment %d.%d: cap %d != len %d", i, p, cap(seg.Data), len(seg.Data))
+			for i, task := range s.Tasks {
+				for p, part := range task.Parts {
+					if cap(part) != len(part) {
+						t.Fatalf("segment %d.%d: cap %d != len %d", i, p, cap(part), len(part))
 					}
-					if !inside(seg.Data, b) {
-						t.Fatalf("segment %d.%d (%d B) does not lie inside the %d-byte input", i, p, len(seg.Data), len(b))
+					if !inside(part, b) {
+						t.Fatalf("segment %d.%d (%d B) does not lie inside the %d-byte input", i, p, len(part), len(b))
 					}
 				}
 			}

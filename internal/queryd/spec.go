@@ -42,9 +42,11 @@ type QuerySpec struct {
 	Radius       int  `json:"radius"`
 	Splits       int  `json:"splits"`
 	Reducers     int  `json:"reducers"`
-	// Faults is the full fault schedule string. A spec with faults is never
-	// cached (fault schedules and cached output don't mix) and is rejected
-	// by the service.
+	// Faults is the full fault schedule string. It is no part of the cache
+	// key: a recovered run publishes the bytes a clean one does, and
+	// restored output a reducer finds corrupt or lost runs as a miss. The
+	// resident service refuses it, since a slow, stall, hang or down rule
+	// would hold one of its executors for as long as the rule says.
 	Faults string `json:"faults,omitempty"`
 	// Tenant names the submitting tenant for quota accounting. Empty means
 	// the default tenant.
@@ -134,13 +136,9 @@ func (s QuerySpec) Setup() (*hdfs.FileSystem, scihadoop.QueryConfig, core.Strate
 // strategy, so specs that build the same job (an omitted radius and radius
 // 1, "transform" and "transform -codec zlib", a flush threshold on a
 // strategy that ignores it) share a key. It deliberately EXCLUDES Tenant
-// (cache entries are shared across tenants — same bytes either way), and
-// returns "" for a spec with faults, disabling caching (fault schedules must
-// execute real attempts).
+// (cache entries are shared across tenants — same bytes either way) and
+// Faults (see its doc).
 func (s QuerySpec) CacheKey() string {
-	if s.Faults != "" {
-		return ""
-	}
 	qcfg, strat, err := s.queryConfig()
 	if err != nil {
 		return ""

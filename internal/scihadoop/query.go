@@ -81,9 +81,8 @@ type QueryConfig struct {
 	// intermediate data irreducible by combining.
 	Combine bool
 	// CombineNodes sets the combine node-group count (0 = the shuffle's
-	// default node count, shufflenet.DefaultNodes, whatever the shuffle;
-	// cluster drivers pass the worker count, one combine buffer per worker
-	// process).
+	// default node count, shufflenet.DefaultNodes, whatever the shuffle or
+	// executor).
 	CombineNodes int
 	// Reaggregate enables reduce-side re-aggregation of output ranges
 	// (AggKeyJob only): coalesce ranges fragmented by key splitting back

@@ -45,7 +45,14 @@ func (s *Service) handle(conn net.Conn) {
 		return
 	}
 
-	f := s.cfg.Injector.FetchFault(req.mapTask, req.partition, req.fetchAttempt)
+	// The segment is looked up first: a rule that acts on its bytes fires
+	// only where there are bytes to act on.
+	pub, ok := s.lookup(req.mapTask)
+	var data []byte
+	if ok && req.partition >= 0 && req.partition < len(pub.parts) {
+		data = pub.parts[req.partition]
+	}
+	f := s.cfg.Injector.FetchFault(req.mapTask, req.partition, req.fetchAttempt, len(data) > 0)
 	if f != nil {
 		switch f.Action {
 		case faults.ActRefuse:
@@ -58,14 +65,9 @@ func (s *Service) handle(conn net.Conn) {
 		}
 	}
 
-	pub, ok := s.lookup(req.mapTask)
 	if !ok {
 		writeRespHeader(conn, respHeader{status: statusNotPublished})
 		return
-	}
-	var data []byte
-	if req.partition >= 0 && req.partition < len(pub.parts) {
-		data = pub.parts[req.partition]
 	}
 	if len(data) == 0 {
 		writeRespHeader(conn, respHeader{status: statusEmpty, attempt: pub.attempt})

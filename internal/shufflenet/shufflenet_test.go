@@ -165,6 +165,34 @@ func TestFaultRecovery(t *testing.T) {
 	}
 }
 
+// TestByteFaultsSkipEmptySegments: cut, truncate and corrupt act on a
+// segment's bytes, so on an empty segment — of a published task, or a
+// partition past its row — they neither fire nor are recorded, and the
+// fetch succeeds on its first try; refuse acts on the connection and still
+// fires there.
+func TestByteFaultsSkipEmptySegments(t *testing.T) {
+	for _, action := range []string{"cut", "truncate", "corrupt", "refuse"} {
+		t.Run(action, func(t *testing.T) {
+			in := injector(t, "net:0:"+action+"@0")
+			s := newTestService(t, Config{Nodes: 2, FetchTimeout: 100 * time.Millisecond, Injector: in})
+			s.Publish(0, 0, [][]byte{nil})
+			for _, part := range []int{0, 1} {
+				res, err := s.Fetch(context.Background(), 0, part)
+				if err != nil || len(res.Data) != 0 {
+					t.Fatalf("Fetch(0, %d) = %d B, %v; want the empty segment", part, len(res.Data), err)
+				}
+			}
+			want := 0
+			if action == "refuse" {
+				want = 2 // once per fetch, each then retried
+			}
+			if fired, retries := in.Fired()["net/"+action], s.Metrics().Retries; fired != want || retries != int64(want) {
+				t.Errorf("%s fired %d times for %d fetch retries; want %d", action, fired, retries, want)
+			}
+		})
+	}
+}
+
 // TestFetchExhaustion: a fault on every attempt runs the budget out and
 // reports the segment lost, with the verified prefix charged as waste.
 func TestFetchExhaustion(t *testing.T) {
