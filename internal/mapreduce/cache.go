@@ -36,7 +36,9 @@ type MapPhaseSnapshot struct {
 // MapOutputCache stores MapPhaseSnapshots by cache key. Get reports a miss
 // as ok=false; corrupt or stale entries must surface as misses, never as
 // errors that fail the job (the engine falls back to running the map
-// phase). Implementations are safe for concurrent use.
+// phase). Put's snapshot aliases the run's published segments: its part
+// bytes are read-only, and an implementation that keeps them past Put
+// copies them. Implementations are safe for concurrent use.
 type MapOutputCache interface {
 	Get(key string) (*MapPhaseSnapshot, bool)
 	Put(key string, snap *MapPhaseSnapshot) error
@@ -65,8 +67,12 @@ func (s *MapPhaseSnapshot) matches(job *Job) bool {
 
 // snapshotMapPhase captures a finished run's published map state for the
 // cache: pub is the published (post-combine) view, tasks the committed
-// attempts, nb the combine buffer when the job combined. Segment bytes are
-// copied, so the snapshot stays valid after the job's memory is reused.
+// attempts, nb the combine buffer when the job combined. Each part aliases
+// its published segment with its capacity capped at its length, so an
+// append by the cache reallocates instead of writing past it. Aliasing is
+// safe because published segments (src >= 0) are never recycled into
+// bufpool and never written after finalize, so the bytes stay valid after
+// the job ends.
 func snapshotMapPhase(job *Job, tasks []*mapTask, pub *publishedRows, nb *NodeBuffer) (*MapPhaseSnapshot, error) {
 	pub.mu.Lock()
 	defer pub.mu.Unlock()
@@ -81,7 +87,7 @@ func snapshotMapPhase(job *Job, tasks []*mapTask, pub *publishedRows, nb *NodeBu
 		}
 		parts := make([][]byte, len(pub.rows[i]))
 		for p, seg := range pub.rows[i] {
-			parts[p] = append([]byte(nil), seg.data...)
+			parts[p] = seg.data[:len(seg.data):len(seg.data)]
 		}
 		snap.Tasks[i] = t.result(parts)
 	}

@@ -207,9 +207,12 @@ func newJobRun(job *Job) (*jobRun, error) {
 	r.pub = newPublishedRows(len(job.Splits), svc, job.Remote)
 	// A snapshot that doesn't fit the job's shape is a miss.
 	if job.MapCache != nil && job.CacheKey != "" {
+		sp := r.span.Tracer().Start(obs.CatPhase, "cache.get", r.span.ID(), -1, -1)
+		outcome := "miss"
 		if snap, ok := job.MapCache.Get(job.CacheKey); ok && snap.matches(job) {
-			r.cached = snap
+			r.cached, outcome = snap, "hit"
 		}
+		sp.EndOutcome(outcome)
 	}
 	r.nb = newNodeBuffer(job)
 	if r.nb != nil && r.cached != nil {
@@ -534,14 +537,16 @@ func (r *jobRun) assemble() (*Result, error) {
 		// cache is best-effort: a backend that cannot persist the snapshot
 		// must not fail a job that already succeeded, so Put errors are
 		// dropped (backends surface them through their own metrics).
+		sp := r.span.Tracer().Start(obs.CatPhase, "cache.put", r.span.ID(), -1, -1)
 		snap, err := snapshotMapPhase(job, r.tasks, r.pub, r.nb)
-		// The snapshot owns copies of the segment bytes and nothing below
-		// reads the run's own: drop them, so the cache's encode and store
-		// buffers do not stack on top of the job's map output.
+		// The snapshot aliases the published segments and nothing below
+		// reads the run's own state: drop the run's references, so the map
+		// output can be collected as soon as the cache is done reading it.
 		r.tasks, r.pub, r.nb = nil, nil, nil
 		if err == nil {
 			_ = job.MapCache.Put(job.CacheKey, snap)
 		}
+		sp.End()
 	}
 	publishCounters(job.Obs.R(), jc)
 	r.outcome = "ok"

@@ -46,7 +46,8 @@ type Event struct {
 	// Cat is the span category (CatJob, CatAttempt, CatPhase).
 	Cat string
 	// Name labels the span: the job name, "map"/"reduce" for attempts, or
-	// the phase name (map, spill, codec, fetch, merge, reduce).
+	// the phase name (map, spill, codec, fetch, merge, reduce, cache.get,
+	// cache.put).
 	Name string
 	// Task and Attempt locate the span in the job; -1 when inapplicable.
 	Task    int
@@ -56,8 +57,9 @@ type Event struct {
 	// Start and Dur are relative to the tracer's epoch.
 	Start time.Duration
 	Dur   time.Duration
-	// Outcome is set on attempt spans (see the Outcome constants) and on
-	// the job span ("ok" or "failed").
+	// Outcome is set on attempt spans (see the Outcome constants), on the
+	// job span ("ok" or "failed") and on the cache.get phase span ("hit" or
+	// "miss").
 	Outcome string
 }
 

@@ -105,7 +105,10 @@ func (c *SegmentCache) Get(key string) (*mapreduce.MapPhaseSnapshot, bool) {
 	return snap, true
 }
 
-// Put implements mapreduce.MapOutputCache.
+// Put implements mapreduce.MapOutputCache. It reads the snapshot's part
+// bytes once, into the encoded blob, and keeps nothing of snap. The store
+// holds exactly the blob, so the entry's size is len(blob): one Stat per
+// fill, for the size of the entry it replaces.
 func (c *SegmentCache) Put(key string, snap *mapreduce.MapPhaseSnapshot) error {
 	if c == nil {
 		return nil
@@ -113,13 +116,11 @@ func (c *SegmentCache) Put(key string, snap *mapreduce.MapPhaseSnapshot) error {
 	sk := storeKey(key)
 	prevBytes, statErr := c.store.Stat(sk)
 	existed := statErr == nil
-	if err := c.store.Put(sk, encodeSnapshot(snap)); err != nil {
+	blob := encodeSnapshot(snap)
+	if err := c.store.Put(sk, blob); err != nil {
 		return err
 	}
-	n, err := c.store.Stat(sk)
-	if err != nil {
-		n = 0
-	}
+	n := int64(len(blob))
 	c.puts.Add(1)
 	if existed {
 		c.account(0, n-prevBytes)

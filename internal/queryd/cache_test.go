@@ -13,6 +13,8 @@ import (
 	"scikey/internal/core"
 	"scikey/internal/hdfs"
 	"scikey/internal/mapreduce"
+	"scikey/internal/obs"
+	"scikey/internal/store"
 )
 
 // TestOutputSHAStreamsMultiBlockFiles: OutputSHA streams each output
@@ -88,6 +90,49 @@ func TestEncodeSnapshotAllocatesOnce(t *testing.T) {
 	back, err := decodeSnapshot(b)
 	if err != nil || !bytes.Equal(encodeSnapshot(back), b) {
 		t.Fatalf("the blob does not decode to the snapshot: %v", err)
+	}
+}
+
+// statStore counts a Store's Stat calls.
+type statStore struct {
+	store.Store
+	stats int
+}
+
+func (s *statStore) Stat(key string) (int64, error) {
+	s.stats++
+	return s.Store.Stat(key)
+}
+
+// TestSegmentCachePutStatsOnce: a fill asks the store for the size of the
+// entry it replaces and no more — the entry's own size is its blob's
+// length — and the byte gauge still matches what the store holds, for a
+// new key and for an overwrite with a smaller snapshot.
+func TestSegmentCachePutStatsOnce(t *testing.T) {
+	st := &statStore{Store: localStore()}
+	reg := obs.NewRegistry()
+	c := NewSegmentCache(st, reg)
+	data := bytes.Repeat([]byte{7}, 5_000)
+	for _, n := range []int{5_000, 1_000} {
+		st.stats = 0
+		snap := &mapreduce.MapPhaseSnapshot{
+			Attempts:    []int{0},
+			Tasks:       []mapreduce.RemoteResult{{Parts: [][]byte{data[:n]}, Counters: []int64{1}}},
+			NumReducers: 1,
+		}
+		if err := c.Put("k", snap); err != nil {
+			t.Fatal(err)
+		}
+		if st.stats != 1 {
+			t.Errorf("%d-byte fill: %d Stat calls, want 1", n, st.stats)
+		}
+		size, err := st.Store.Stat(storeKey("k"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := reg.Gauge("scikey_cache_bytes", "", "").Value(); g != size {
+			t.Errorf("%d-byte fill: scikey_cache_bytes = %d, store holds %d", n, g, size)
+		}
 	}
 }
 
