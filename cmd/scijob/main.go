@@ -1,10 +1,13 @@
 // Command scijob runs the paper's sliding-window query end-to-end on the
-// in-process cluster under a chosen intermediate-data strategy and prints
-// the Hadoop-style counters plus the modeled runtime. Examples:
+// in-process cluster under a chosen key shape and map-output codec and
+// prints the Hadoop-style counters plus the modeled runtime. Every strategy
+// takes any -codec; "transform" is the baseline keys under the predictive
+// transform stacked on -codec. Examples:
 //
 //	scijob -side 256 -strategy baseline
 //	scijob -side 256 -strategy transform -codec zlib
 //	scijob -side 256 -strategy aggregation -curve zorder -verify
+//	scijob -side 256 -strategy aggregation -codec zlib -verify
 //	scijob -side 128 -faults "seed=7;map:1:error@0;segment:2.0:corrupt@0" -retries 3 -verify
 //	scijob -side 128 -shuffle tcp -faults "seed=7;net:*:cut@0;node:0:down=50ms" -retries 5 -backoff 10ms -verify
 //	scijob -side 256 -strategy transform -debug-addr 127.0.0.1:6060 -trace-out trace.json
@@ -93,8 +96,8 @@ func bindFlags(fs *flag.FlagSet) *options {
 	}
 	s, def := &o.spec, scihadoop.QueryConfig{}.WithDefaults()
 	fs.IntVar(&s.Side, "side", 128, "grid side length (side x side int32 cells)")
-	fs.StringVar(&s.Strategy, "strategy", "baseline", "baseline | transform | aggregation | boxes")
-	fs.StringVar(&s.Codec, "codec", "zlib", "generic codec under -strategy transform: none | gzip | zlib | bzip2, optionally prefixed block+ (e.g. block+zlib) to run the whole stack through the parallel block pipeline")
+	fs.StringVar(&s.Strategy, "strategy", "baseline", "key shape: baseline | aggregation | boxes, or transform (baseline keys under -codec transform+C)")
+	fs.StringVar(&s.Codec, "codec", "", "map-output codec of every strategy: [block+][transform+]none|gzip|zlib|bzip2, block+ running the whole stack through the parallel block pipeline (empty = none); under -strategy transform, the codec under the predictor (empty = zlib)")
 	fs.StringVar(&s.Curve, "curve", def.Curve, "curve for -strategy aggregation: zorder | hilbert | rowmajor")
 	fs.StringVar(&s.Op, "op", def.Op.String(), "window operator: median | max")
 	fs.BoolVar(&s.Combine, "combine", false, "in-node combining: pool committed map outputs per node group and fold duplicate keys with the operator's value monoid before the shuffle; requires -op max (median is holistic — no monoid exists)")

@@ -96,10 +96,10 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
-// TestReadVLongEOF pins which error a reader of truncated input sees: both
+// TestDecodeVLongEOF pins which error a reader of truncated input sees: both
 // an empty buffer and a marker with a short payload report
 // io.ErrUnexpectedEOF, so callers can tell "ran out" from "malformed".
-func TestReadVLongEOF(t *testing.T) {
+func TestDecodeVLongEOF(t *testing.T) {
 	if _, n, err := DecodeVLong(nil); err != io.ErrUnexpectedEOF || n != 0 {
 		t.Errorf("empty input: got n=%d err=%v, want 0, io.ErrUnexpectedEOF", n, err)
 	}
@@ -112,10 +112,10 @@ func TestReadVLongEOF(t *testing.T) {
 	}
 }
 
-// TestWriteVLong: AppendVLong writes after whatever dst already holds — the
+// TestAppendVLong: AppendVLong writes after whatever dst already holds — the
 // way serial.DataOutput.WriteVInt uses it, through AppendVInt — leaving the
 // prefix intact and adding exactly VLongLen bytes.
-func TestWriteVLong(t *testing.T) {
+func TestAppendVLong(t *testing.T) {
 	prefix := []byte{0xde, 0xad}
 	buf := AppendVLong(append([]byte(nil), prefix...), 123456789)
 	if !bytes.Equal(buf[:2], prefix) || len(buf) != 2+VLongLen(123456789) {

@@ -46,7 +46,7 @@ func TestMakespan(t *testing.T) {
 	}
 }
 
-func TestMakespanLPT(t *testing.T) {
+func TestMakespanLongestFirst(t *testing.T) {
 	// FIFO order can be beaten by LPT: tasks {1,1,1,3} on 2 slots.
 	fifo := Makespan([]float64{1, 1, 1, 3}, 2)
 	lpt := Makespan([]float64{3, 1, 1, 1}, 2) // longest processing time first

@@ -5,7 +5,7 @@
 //
 // Available codecs: none, gzip, zlib, bzip2 (this repository's encoder),
 // and "transform+X" stacks that run the Section III predictive transform
-// before a generic codec. Any name accepts a "block+" prefix wrapping the
+// before a generic codec. Any name accepts one "block+" prefix wrapping the
 // stack in the parallel block pipeline (independent fixed-size blocks,
 // up to GOMAXPROCS coded at once, reassembled in order — see Block).
 package codec
@@ -232,21 +232,17 @@ func registry() map[string]func() Codec {
 	}
 }
 
-// Get returns the codec registered under name. A "block+" prefix wraps any
+// Get returns the codec registered under name. One "block+" prefix wraps any
 // registered codec in the parallel block pipeline with the default block
 // size (e.g. "block+transform+bzip2").
 func Get(name string) (Codec, error) {
-	lname := strings.ToLower(name)
-	if rest, ok := strings.CutPrefix(lname, "block+"); ok {
-		inner, err := Get(rest)
-		if err != nil {
-			return nil, err
-		}
-		return NewBlock(inner), nil
-	}
-	f, ok := registry()[lname]
+	rest, block := strings.CutPrefix(strings.ToLower(name), "block+")
+	f, ok := registry()[rest]
 	if !ok {
 		return nil, fmt.Errorf("codec: unknown codec %q (have %s, optionally prefixed block+)", name, strings.Join(Names(), ", "))
+	}
+	if block {
+		return NewBlock(f()), nil
 	}
 	return f(), nil
 }

@@ -56,8 +56,10 @@ func TestAllCodecsRoundTrip(t *testing.T) {
 }
 
 func TestGetUnknown(t *testing.T) {
-	if _, err := Get("lz77"); err == nil {
-		t.Error("unknown codec must error")
+	for _, name := range []string{"lz77", "block+", "block+block+zlib", "transform+block+zlib"} {
+		if _, err := Get(name); err == nil {
+			t.Errorf("Get(%q) must error", name)
+		}
 	}
 	c, err := Get("TRANSFORM+GZIP") // case-insensitive
 	if err != nil || c.Name() != "transform+gzip" {

@@ -1,18 +1,23 @@
 // Package core is the top-level API of the library: it names the paper's
-// three intermediate-data strategies, runs a sliding-window query under any
-// of them on the simulated cluster, and reports the quantities the paper's
+// intermediate-data strategies, runs a sliding-window query under any of
+// them on the simulated cluster, and reports the quantities the paper's
 // evaluation tables are built from — intermediate byte volumes (decomposed
 // into keys, values, and file overhead), key-split counts, and modeled
 // runtimes.
 //
-// The three strategies:
+// A strategy is a key shape times a map-output codec, two independent
+// settings as in Hadoop, where map-output compression is one job switch
+// beside the key format. The key shapes:
 //
-//   - Baseline: Hadoop as-is — one simple key per cell, no compression.
-//   - ByteTransform (Section III): keep simple keys, but compress spills
-//     with the predictive byte transform stacked on a generic codec
-//     ("a custom compression module" via Hadoop's pluggable codecs).
+//   - Baseline: Hadoop as-is — one simple key per cell.
 //   - Aggregation (Section IV): aggregate keys on a space-filling curve
 //     with partition- and overlap-time key splitting.
+//   - BoxAggregation: aggregate keys as n-dimensional boxes.
+//
+// Every shape takes any codec.Get name as its codec. Section III is the
+// baseline shape under "transform+zlib": the predictive byte transform
+// stacked on a generic codec ("a custom compression module" via Hadoop's
+// pluggable codecs).
 package core
 
 import (
@@ -24,18 +29,15 @@ import (
 	"scikey/internal/hdfs"
 	"scikey/internal/keys"
 	"scikey/internal/mapreduce"
-	"scikey/internal/obs"
 	"scikey/internal/scihadoop"
 )
 
-// StrategyKind enumerates the intermediate-data handling approaches.
+// StrategyKind enumerates the intermediate key shapes.
 type StrategyKind int
 
 const (
-	// Baseline is unmodified Hadoop behaviour.
+	// Baseline is unmodified Hadoop behaviour: one simple key per cell.
 	Baseline StrategyKind = iota
-	// ByteTransform is Section III: simple keys + transform codec.
-	ByteTransform
 	// Aggregation is Section IV: aggregate keys + key splitting.
 	Aggregation
 	// BoxAggregation aggregates directly in n-dimensional space with
@@ -49,8 +51,6 @@ func (k StrategyKind) String() string {
 	switch k {
 	case Baseline:
 		return "baseline"
-	case ByteTransform:
-		return "byte-transform"
 	case Aggregation:
 		return "aggregation"
 	case BoxAggregation:
@@ -59,16 +59,16 @@ func (k StrategyKind) String() string {
 	return fmt.Sprintf("StrategyKind(%d)", int(k))
 }
 
-// Strategy selects and parameterizes an approach.
+// Strategy selects and parameterizes an approach: a key shape and the codec
+// its map output goes through.
 type Strategy struct {
 	Kind StrategyKind
-	// Codec names the generic codec under the transform (ByteTransform
-	// only): none, gzip, zlib or bzip2, default "zlib", the paper's choice
-	// in Section III-E. A "block+" prefix (e.g. "block+zlib") wraps the
-	// whole transform stack in the parallel block pipeline — each block
-	// runs the predictive transform and the generic codec independently,
-	// up to GOMAXPROCS blocks at once (position-determined framing: every
-	// width yields the same bytes).
+	// Codec names the map-output codec in codec.Get's grammar,
+	// [block+][transform+]{none|gzip|zlib|bzip2}; "" and "none" mean no
+	// codec. Every key shape honours it. "transform+zlib" is Section III-E's
+	// stack; a "block+" prefix runs the whole stack through the parallel
+	// block pipeline (position-determined framing: every width yields the
+	// same bytes).
 	Codec string
 	// Curve names the space-filling curve (Aggregation only; default
 	// "zorder").
@@ -77,21 +77,25 @@ type Strategy struct {
 	FlushCells int
 }
 
-// Name renders a stable label for reports.
+// Name renders a stable label for reports: the key shape, then "+" and the
+// codec when there is one. Simple keys under a codec are named by the codec
+// alone, so Section III's stack reads "transform+zlib".
 func (s Strategy) Name() string {
+	shape := "baseline"
 	switch s.Kind {
-	case ByteTransform:
-		c := s.Codec
-		if c == "" {
-			c = "zlib"
-		}
-		return "transform+" + c
 	case Aggregation:
-		return "aggregation/" + scihadoop.QueryConfig{Curve: s.Curve}.WithDefaults().Curve
+		shape = "aggregation/" + scihadoop.QueryConfig{Curve: s.Curve}.WithDefaults().Curve
 	case BoxAggregation:
-		return "aggregation/boxes"
+		shape = "aggregation/boxes"
 	}
-	return "baseline"
+	c := strings.ToLower(s.Codec)
+	switch {
+	case c == "" || c == "none":
+		return shape
+	case s.Kind == Baseline:
+		return c
+	}
+	return shape + "+" + c
 }
 
 // Report is the outcome of one strategy run: exact byte accounting from the
@@ -152,34 +156,6 @@ type JobPlan struct {
 	Decode func(*mapreduce.Result) (scihadoop.CellResults, error)
 }
 
-// mapOutputCodec parses Strategy.Codec — an optional "block+", then one of
-// none, gzip, zlib or bzip2, "" meaning zlib — into the stack a
-// ByteTransform job's map output goes through.
-func mapOutputCodec(name string, o *obs.Observer) (codec.Codec, error) {
-	if name == "" {
-		name = "zlib"
-	}
-	rest, block := strings.CutPrefix(strings.ToLower(name), "block+")
-	switch rest {
-	case "none", "gzip", "zlib", "bzip2":
-	default:
-		return nil, fmt.Errorf("core: unknown strategy codec %q (want none, gzip, zlib or bzip2, optionally prefixed block+)", name)
-	}
-	base, err := codec.Get(rest)
-	if err != nil {
-		return nil, err
-	}
-	t := codec.NewTransform(base)
-	t.StatsFunc = predictorStatsFunc(o)
-	if block {
-		// block+ wraps the WHOLE transform stack: each block runs the
-		// predictive transform and the generic codec on its own goroutine,
-		// so the expensive predictor parallelizes too.
-		return codec.NewBlock(t), nil
-	}
-	return t, nil
-}
-
 // ValidateQuery checks a query configuration against a strategy, its codec
 // name included, without building a job. BuildJob calls it first, so every
 // execution path — the one-shot CLI, the resident query service, and a
@@ -191,8 +167,9 @@ func ValidateQuery(qcfg scihadoop.QueryConfig, strat Strategy) error {
 	return err
 }
 
-// validate is ValidateQuery returning the parsed map-output codec (nil
-// unless strat is ByteTransform), which BuildJob builds with.
+// validate is ValidateQuery returning the parsed map-output codec (nil for
+// no codec), which BuildJob builds with. A transform in the codec, on its
+// own or inside a block pipeline, reports to the query's observer.
 func validate(qcfg scihadoop.QueryConfig, strat Strategy) (codec.Codec, error) {
 	if qcfg.NumSplits < 0 {
 		return nil, fmt.Errorf("core: NumSplits must be >= 0, got %d", qcfg.NumSplits)
@@ -216,10 +193,21 @@ func validate(qcfg scihadoop.QueryConfig, strat Strategy) (codec.Codec, error) {
 			return nil, err
 		}
 	}
-	if strat.Kind == ByteTransform {
-		return mapOutputCodec(strat.Codec, qcfg.Obs)
+	if strat.Codec == "" || strings.EqualFold(strat.Codec, "none") {
+		return nil, nil
 	}
-	return nil, nil
+	mc, err := codec.Get(strat.Codec)
+	if err != nil {
+		return nil, fmt.Errorf("core: unknown strategy codec %q: %w", strat.Codec, err)
+	}
+	inner := mc
+	if b, ok := mc.(*codec.Block); ok {
+		inner = b.Inner
+	}
+	if t, ok := inner.(*codec.Transform); ok {
+		t.StatsFunc = predictorStatsFunc(qcfg.Obs)
+	}
+	return mc, nil
 }
 
 // BuildJob constructs the query job for a strategy without running it.
@@ -228,11 +216,11 @@ func BuildJob(fs *hdfs.FileSystem, qcfg scihadoop.QueryConfig, strat Strategy) (
 	if err != nil {
 		return nil, err
 	}
+	if mc != nil {
+		qcfg.MapOutputCodec = mc
+	}
 	switch strat.Kind {
-	case Baseline, ByteTransform:
-		if mc != nil {
-			qcfg.MapOutputCodec = mc
-		}
+	case Baseline:
 		job, kc, err := scihadoop.SimpleKeyJob(fs, qcfg)
 		if err != nil {
 			return nil, err

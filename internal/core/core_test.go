@@ -29,11 +29,15 @@ func TestAllStrategiesAgree(t *testing.T) {
 	clus := cluster.Paper()
 	strategies := []Strategy{
 		{Kind: Baseline},
-		{Kind: ByteTransform},
-		{Kind: ByteTransform, Codec: "gzip"},
+		{Kind: Baseline, Codec: "transform+zlib"},
+		{Kind: Baseline, Codec: "transform+gzip"},
 		{Kind: Aggregation},
 		{Kind: Aggregation, Curve: "hilbert"},
 		{Kind: BoxAggregation},
+		// Every key shape honours its codec.
+		{Kind: Baseline, Codec: "zlib"},
+		{Kind: Aggregation, Codec: "zlib"},
+		{Kind: BoxAggregation, Codec: "block+transform+zlib"},
 	}
 	reports := make([]*Report, len(strategies))
 	for i, s := range strategies {
@@ -61,7 +65,8 @@ func TestAllStrategiesAgree(t *testing.T) {
 		t.Errorf("baseline key/value bytes = %d/%d, want exact 19:4 ratio",
 			base.KeyBytes, base.ValueBytes)
 	}
-	// ByteTransform shrinks materialized bytes, leaves record count alone.
+	// The transform codec shrinks materialized bytes, leaves record count
+	// alone.
 	bt := reports[1]
 	if bt.MaterializedBytes >= base.MaterializedBytes {
 		t.Errorf("transform did not shrink bytes: %d vs %d", bt.MaterializedBytes, base.MaterializedBytes)
@@ -87,53 +92,64 @@ func TestAllStrategiesAgree(t *testing.T) {
 		t.Error("self-reduction must be 0")
 	}
 	_ = base.RuntimeDelta(base)
+	// A codec under any key shape shrinks its bytes and keeps its records.
+	for i, uncoded := range map[int]int{6: 0, 7: 3, 8: 5} {
+		coded, plain := reports[i], reports[uncoded]
+		if coded.MaterializedBytes >= plain.MaterializedBytes || coded.MapOutputRecords != plain.MapOutputRecords {
+			t.Errorf("%s: %d B in %d records, %s %d B in %d", coded.Strategy, coded.MaterializedBytes,
+				coded.MapOutputRecords, plain.Strategy, plain.MaterializedBytes, plain.MapOutputRecords)
+		}
+	}
 }
 
 func TestStrategyNames(t *testing.T) {
 	cases := map[string]Strategy{
-		"baseline":            {Kind: Baseline},
-		"transform+zlib":      {Kind: ByteTransform},
-		"transform+bzip2":     {Kind: ByteTransform, Codec: "bzip2"},
-		"aggregation/zorder":  {Kind: Aggregation},
-		"aggregation/hilbert": {Kind: Aggregation, Curve: "hilbert"},
-		"aggregation/boxes":   {Kind: BoxAggregation},
+		"baseline":                               {Kind: Baseline, Codec: "none"},
+		"transform+zlib":                         {Kind: Baseline, Codec: "transform+zlib"},
+		"block+transform+bzip2":                  {Kind: Baseline, Codec: "Block+Transform+Bzip2"},
+		"zlib":                                   {Kind: Baseline, Codec: "zlib"},
+		"aggregation/zorder":                     {Kind: Aggregation},
+		"aggregation/hilbert":                    {Kind: Aggregation, Curve: "hilbert"},
+		"aggregation/zorder+zlib":                {Kind: Aggregation, Codec: "zlib"},
+		"aggregation/boxes":                      {Kind: BoxAggregation},
+		"aggregation/boxes+block+transform+none": {Kind: BoxAggregation, Codec: "block+transform+none"},
 	}
 	for want, s := range cases {
 		if got := s.Name(); got != want {
 			t.Errorf("Name() = %q, want %q", got, want)
 		}
 	}
-	if Baseline.String() != "baseline" || ByteTransform.String() != "byte-transform" ||
-		Aggregation.String() != "aggregation" || BoxAggregation.String() != "box-aggregation" {
+	if Baseline.String() != "baseline" || Aggregation.String() != "aggregation" ||
+		BoxAggregation.String() != "box-aggregation" {
 		t.Error("kind strings wrong")
 	}
 }
 
 func TestUnknownCodecFails(t *testing.T) {
 	fs, qcfg, _ := setup(t, 8)
-	_, err := RunQuery(fs, qcfg, Strategy{Kind: ByteTransform, Codec: "nope"}, cluster.Paper(), false)
+	_, err := RunQuery(fs, qcfg, Strategy{Kind: Baseline, Codec: "nope"}, cluster.Paper(), false)
 	if err == nil {
 		t.Error("unknown codec must error")
 	}
 }
 
-// TestValidateStrategyCodec: the strategy codec is one generic codec with an
-// optional block+ in front, checked before anything is built.
+// TestValidateStrategyCodec: the strategy codec is a codec.Get name, checked
+// before anything is built, on every key shape alike.
 func TestValidateStrategyCodec(t *testing.T) {
 	_, qcfg, _ := setup(t, 8)
 	for name, ok := range map[string]bool{
 		"": true, "zlib": true, "none": true, "gzip": true, "bzip2": true,
-		"block+zlib": true, "BLOCK+Bzip2": true,
-		"nope": false, "block+": false, "transform+zlib": false,
-		"block+block+zlib": false, "block+transform+none": false,
+		"transform+zlib": true, "transform+none": true, "block+zlib": true,
+		"block+transform+none": true, "BLOCK+Transform+Bzip2": true,
+		"nope": false, "block+": false, "block+block+zlib": false,
+		"transform+block+zlib": false, "transform+transform+zlib": false,
 	} {
-		err := ValidateQuery(qcfg, Strategy{Kind: ByteTransform, Codec: name})
-		if (err == nil) != ok {
-			t.Errorf("codec %q: ValidateQuery error %v, want accepted=%v", name, err, ok)
+		for _, kind := range []StrategyKind{Baseline, Aggregation, BoxAggregation} {
+			err := ValidateQuery(qcfg, Strategy{Kind: kind, Codec: name})
+			if (err == nil) != ok {
+				t.Errorf("%v codec %q: ValidateQuery error %v, want accepted=%v", kind, name, err, ok)
+			}
 		}
-	}
-	if err := ValidateQuery(qcfg, Strategy{Kind: Baseline, Codec: "nope"}); err != nil {
-		t.Errorf("baseline ignores its codec field, got %v", err)
 	}
 }
 

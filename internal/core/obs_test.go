@@ -8,13 +8,20 @@ import (
 	"scikey/internal/obs"
 )
 
-// TestPredictorMetricsPublished: a transform-strategy run with an Observer
-// exposes the predictor telemetry (byte throughput, prediction coverage, and
-// the active-set gauge) without changing the run's byte accounting.
+// TestPredictorMetricsPublished: a run whose codec holds the transform, on
+// its own or inside a block pipeline, exposes the predictor telemetry (byte
+// throughput, prediction coverage, and the active-set gauge) with an
+// Observer, without changing the run's byte accounting.
 func TestPredictorMetricsPublished(t *testing.T) {
+	for _, c := range []string{"transform+zlib", "block+transform+zlib"} {
+		t.Run(c, func(t *testing.T) { checkPredictorMetrics(t, Strategy{Kind: Baseline, Codec: c}) })
+	}
+}
+
+func checkPredictorMetrics(t *testing.T, strat Strategy) {
 	fs, qcfg, _ := setup(t, 20)
 	qcfg.OutputPath = "/out/obs-off"
-	plain, err := RunQuery(fs, qcfg, Strategy{Kind: ByteTransform}, cluster.Paper(), false)
+	plain, err := RunQuery(fs, qcfg, strat, cluster.Paper(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +29,7 @@ func TestPredictorMetricsPublished(t *testing.T) {
 	ob := obs.New()
 	qcfg.Obs = ob
 	qcfg.OutputPath = "/out/obs-on"
-	traced, err := RunQuery(fs, qcfg, Strategy{Kind: ByteTransform}, cluster.Paper(), false)
+	traced, err := RunQuery(fs, qcfg, strat, cluster.Paper(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,6 +131,33 @@ func TestE6TransformCodec(t *testing.T) {
 	}
 }
 
+// TestE6E8ExtraRows: zlib alone shrinks E6's simple keys, and zlib under
+// E8's aggregate keys ships fewer bytes than either half alone, in the same
+// records as aggregation.
+func TestE6E8ExtraRows(t *testing.T) {
+	zlib, err := E6ZlibAloneOnMedian(48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := E8AggregationOnMedian(48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	both, err := E8AggregationZlibOnMedian(48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zlib.ReductionPct <= 0 {
+		t.Errorf("zlib alone: reduction %f%%", zlib.ReductionPct)
+	}
+	if v := both.Variant; v.MaterializedBytes >= min(agg.Variant.MaterializedBytes, zlib.Variant.MaterializedBytes) ||
+		v.MapOutputRecords != agg.Variant.MapOutputRecords {
+		t.Errorf("aggregation+zlib: %d B in %d records; aggregation %d B in %d, zlib %d B",
+			v.MaterializedBytes, v.MapOutputRecords, agg.Variant.MaterializedBytes,
+			agg.Variant.MapOutputRecords, zlib.Variant.MaterializedBytes)
+	}
+}
+
 func TestE7AggregationDataSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("writes 22 MB")

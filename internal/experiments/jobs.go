@@ -54,13 +54,25 @@ func compareStrategies(side int, variant core.Strategy) (StrategyComparison, err
 // E6TransformCodecOnMedian is Section III-E: sliding median with the
 // transform+zlib map-output codec versus no codec.
 func E6TransformCodecOnMedian(side int) (StrategyComparison, error) {
-	return compareStrategies(side, core.Strategy{Kind: core.ByteTransform, Codec: "zlib"})
+	return compareStrategies(side, core.Strategy{Kind: core.Baseline, Codec: "transform+zlib"})
+}
+
+// E6ZlibAloneOnMedian is E6's control row: zlib with no predictor under it,
+// so what the transform adds over a generic codec shows.
+func E6ZlibAloneOnMedian(side int) (StrategyComparison, error) {
+	return compareStrategies(side, core.Strategy{Kind: core.Baseline, Codec: "zlib"})
 }
 
 // E8AggregationOnMedian is Section IV-D: sliding median with key
 // aggregation versus simple keys.
 func E8AggregationOnMedian(side int) (StrategyComparison, error) {
 	return compareStrategies(side, core.Strategy{Kind: core.Aggregation, Curve: "zorder"})
+}
+
+// E8AggregationZlibOnMedian is E8's composed row: aggregate keys under zlib,
+// the paper's Sections IV and III together.
+func E8AggregationZlibOnMedian(side int) (StrategyComparison, error) {
+	return compareStrategies(side, core.Strategy{Kind: core.Aggregation, Curve: "zorder", Codec: "zlib"})
 }
 
 // E7Bars is one Fig. 8 bar: the byte decomposition of an intermediate file.

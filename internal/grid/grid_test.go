@@ -87,7 +87,7 @@ func TestBoxExpand(t *testing.T) {
 	}
 }
 
-func TestIterRowMajor(t *testing.T) {
+func TestForEachRowMajor(t *testing.T) {
 	b := NewBox(Coord{1, 2}, []int{2, 3})
 	want := []Coord{{1, 2}, {1, 3}, {1, 4}, {2, 2}, {2, 3}, {2, 4}}
 	i := 0
@@ -102,7 +102,7 @@ func TestIterRowMajor(t *testing.T) {
 	}
 }
 
-func TestIterEmpty(t *testing.T) {
+func TestForEachEmpty(t *testing.T) {
 	b := NewBox(Coord{0, 0}, []int{0, 5})
 	ForEach(b, func(Coord) { t.Error("ForEach on empty box must not call fn") })
 }

@@ -138,12 +138,12 @@ func TestAlignRange(t *testing.T) {
 	}
 }
 
-// TestMetadataStrides: the record stride the byte transform has to find is
-// fixed by dataset metadata (Section III: "the dimensionality of the data,
-// the length of the variable name, and the shape of the data"). A rank-3
-// "windspeed1" key is 11 (Text) + 12 (coords) = 23 bytes, so with a 4-byte
-// value the raw record stride is 27.
-func TestMetadataStrides(t *testing.T) {
+// TestEncodeGridRecordStride: the record stride the byte transform has to
+// find is fixed by dataset metadata (Section III: "the dimensionality of the
+// data, the length of the variable name, and the shape of the data"). A
+// rank-3 "windspeed1" key is 11 (Text) + 12 (coords) = 23 bytes, so with a
+// 4-byte value the raw record stride is 27.
+func TestEncodeGridRecordStride(t *testing.T) {
 	c := &Codec{Rank: 3, Mode: VarByName}
 	key := gridKeyBytes(c, GridKey{Var: VarRef{Name: "windspeed1"}, Coord: make(grid.Coord, c.Rank)})
 	if got := len(key) + 4; got != 27 {

@@ -152,12 +152,12 @@ func TestTraceDistinguishesAttemptFates(t *testing.T) {
 	}
 }
 
-// TestCalibrateFromResult: every committed attempt leaves a calibration
+// TestCalibrationFitsCalSamples: every committed attempt leaves a calibration
 // sample, and a cluster.Calibration over them either fits positive bandwidths
 // or returns the documented no-usable-samples error (in-process attempts
 // are CPU-bound, so wall ≈ cpu leaves no I/O residual to fit) — never a
 // broken config.
-func TestCalibrateFromResult(t *testing.T) {
+func TestCalibrationFitsCalSamples(t *testing.T) {
 	res, _, err := runShuffleJob(t, nil, "", RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,8 @@ import (
 
 // Axes. Value 0 of each is its default.
 const (
-	qxStrategy = iota // with its codec or curve
+	qxKeys = iota // key shape, with its curve
+	qxCodec
 	qxOp
 	qxCombine
 	qxNodes // combine_nodes
@@ -51,8 +52,9 @@ type queryAxis struct {
 }
 
 var queryAxes = [numQAxes]queryAxis{
-	qxStrategy: {"strategy", []string{"baseline", "transform-zlib", "transform-none", "transform-block+zlib",
-		"aggregation-zorder", "aggregation-hilbert", "aggregation-rowmajor", "aggregation-peano", "boxes"}},
+	qxKeys: {"keys", []string{"baseline", "aggregation-zorder", "aggregation-hilbert", "aggregation-rowmajor",
+		"aggregation-peano", "boxes"}},
+	qxCodec:   {"codec", []string{"none", "zlib", "transform+zlib", "transform+none", "block+transform+zlib"}},
 	qxOp:      {"op", []string{"max", "median"}},
 	qxCombine: {"combine", []string{"off", "on"}},
 	qxNodes:   {"nodes", []string{"0", "1", "2", "3"}},
@@ -103,12 +105,19 @@ func (r queryRow) String() string {
 	return strings.Join(parts, ",")
 }
 
-// spec is the row's QuerySpec.
+// spec is the row's QuerySpec. Simple keys under the predictor are spelled
+// as Section III's "transform" alias, which moves a block+ back in front.
 func (r queryRow) spec() QuerySpec {
-	strategy, variant, _ := strings.Cut(queryAxes[qxStrategy].values[r[qxStrategy]], "-")
-	s := QuerySpec{
+	strategy, curve, _ := strings.Cut(queryAxes[qxKeys].values[r[qxKeys]], "-")
+	codec := queryAxes[qxCodec].values[r[qxCodec]]
+	if rest := strings.Replace(codec, "transform+", "", 1); strategy == "baseline" && rest != codec {
+		strategy, codec = "transform", rest
+	}
+	return QuerySpec{
 		Side:         querySides[r[qxSide]],
 		Strategy:     strategy,
+		Codec:        codec,
+		Curve:        curve,
 		Op:           queryAxes[qxOp].values[r[qxOp]],
 		Combine:      r[qxCombine] == 1,
 		CombineNodes: r[qxNodes],
@@ -118,13 +127,6 @@ func (r queryRow) spec() QuerySpec {
 		Reducers:     queryShapes[r[qxShape]][1],
 		Faults:       queryFaults[r[qxFaults]],
 	}
-	switch strategy {
-	case "transform":
-		s.Codec = variant
-	case "aggregation":
-		s.Curve = variant
-	}
-	return s
 }
 
 // runOptions are the run-time options the one-shot and cluster executors
@@ -189,29 +191,29 @@ func retiredQueryRows() [][]int {
 	names := []string{
 		// Each key geometry's median, on every curve.
 		"op=median,side=20",
-		"strategy=aggregation-zorder,op=median,side=20",
-		"strategy=aggregation-hilbert,op=median,side=20",
-		"strategy=aggregation-rowmajor,op=median,side=20",
-		"strategy=aggregation-peano,op=median,side=20",
-		"strategy=boxes,op=median,side=20",
+		"keys=aggregation-zorder,op=median,side=20",
+		"keys=aggregation-hilbert,op=median,side=20",
+		"keys=aggregation-rowmajor,op=median,side=20",
+		"keys=aggregation-peano,op=median,side=20",
+		"keys=boxes,op=median,side=20",
 		// Box keys' max, small flush thresholds, the transform codec, max
 		// with the map-side combiner, a 1x1 grid and a window wider than
 		// the grid.
-		"strategy=boxes,shape=2x2",
-		"strategy=boxes,op=median,flush=32,shape=3x5",
-		"strategy=aggregation-zorder,op=median,flush=32",
-		"strategy=transform-zlib,op=median,shape=2x2",
+		"keys=boxes,shape=2x2",
+		"keys=boxes,op=median,flush=32,shape=3x5",
+		"keys=aggregation-zorder,op=median,flush=32",
+		"codec=transform+zlib,op=median,shape=2x2",
 		"shape=2x2",
 		"op=median,side=1",
-		"strategy=aggregation-zorder,op=median,side=1,shape=2x2",
-		"strategy=aggregation-zorder,op=median,radius=2,side=3,shape=2x2",
+		"keys=aggregation-zorder,op=median,side=1,shape=2x2",
+		"keys=aggregation-zorder,op=median,radius=2,side=3,shape=2x2",
 	}
 	// In-node combining on every key geometry and transport, in one node
 	// group and two.
-	for _, strategy := range []string{"baseline", "aggregation-zorder", "boxes"} {
+	for _, keys := range []string{"baseline", "aggregation-zorder", "boxes"} {
 		for _, shuffle := range []string{"mem", "tcp"} {
 			for _, nodes := range []string{"1", "2"} {
-				names = append(names, "strategy="+strategy+",combine=on,nodes="+nodes+",side=20,shuffle="+shuffle)
+				names = append(names, "keys="+keys+",combine=on,nodes="+nodes+",side=20,shuffle="+shuffle)
 			}
 		}
 	}
@@ -220,8 +222,13 @@ func retiredQueryRows() [][]int {
 		// attempts on each strategy.
 		"combine=on,nodes=1,side=20,faults=corrupt",
 		"op=median,side=20,shape=3x5",
-		"strategy=transform-zlib,op=median,side=20,shape=3x5",
-		"strategy=aggregation-zorder,combine=on,nodes=2,side=20,shape=3x5",
+		"codec=transform+zlib,op=median,side=20,shape=3x5",
+		"keys=aggregation-zorder,combine=on,nodes=2,side=20,shape=3x5",
+		// E6's zlib-alone control, and Section IV's keys under Section
+		// III's codecs.
+		"codec=zlib,op=median,side=20",
+		"keys=aggregation-zorder,codec=zlib,op=median,side=20",
+		"keys=boxes,codec=transform+zlib,op=median,side=20",
 	)
 	var rs [][]int
 	for _, name := range names {
@@ -348,8 +355,11 @@ func checkRules(t *testing.T, r queryRow, exec string, rep *core.Report, c *mapr
 			t.Errorf("map-side combiner took %d records, want %d", got, want)
 		}
 	}
-	if spec.Codec != "" && spec.Codec != "none" && spec.Side >= 12 && rep.MaterializedBytes >= rep.KeyBytes+rep.ValueBytes {
-		t.Errorf("codec %s: %d materialized bytes for %d B of keys and values", spec.Codec, rep.MaterializedBytes, rep.KeyBytes+rep.ValueBytes)
+	// An entropy codec under any key shape materializes fewer bytes than
+	// the keys and values it codes.
+	if codec := queryAxes[qxCodec].values[r[qxCodec]]; !strings.HasSuffix(codec, "none") && spec.Side >= 12 &&
+		rep.MaterializedBytes >= rep.KeyBytes+rep.ValueBytes {
+		t.Errorf("codec %s: %d materialized bytes for %d B of keys and values", codec, rep.MaterializedBytes, rep.KeyBytes+rep.ValueBytes)
 	}
 	if aggregating && spec.Splits > 1 && spec.Side >= 12 && rep.OverlapSplits == 0 {
 		t.Errorf("aggregate keys of %d map tasks: no overlap key split", spec.Splits)

@@ -637,7 +637,7 @@ func TestCacheKeyDefaultEquivalence(t *testing.T) {
 		"flush_on_baseline":     {paper, mut(paper, func(s *QuerySpec) { s.Flush = 64 })},
 		"flush_on_transform":    {tr, mut(tr, func(s *QuerySpec) { s.Flush = 64 })},
 		"curve_on_baseline":     {paper, mut(paper, func(s *QuerySpec) { s.Curve = "hilbert" })},
-		"codec_on_baseline":     {paper, mut(paper, func(s *QuerySpec) { s.Codec = "zlib" })},
+		"transform_alias":       {tr, mut(paper, func(s *QuerySpec) { s.Codec = "transform+zlib" })},
 		"tenant":                {paper, mut(paper, func(s *QuerySpec) { s.Tenant = "alice" })},
 		"everything_defaulted":  {paper, {Side: 24, Strategy: "baseline"}},
 		"codec_workers_ignored": {mut(tr, func(s *QuerySpec) { s.Codec = "block+zlib" }), widthSpec},
@@ -682,6 +682,9 @@ func TestCacheKeyDefaultEquivalence(t *testing.T) {
 			mut(paper, func(s *QuerySpec) { s.Op, s.Combine = "max", true })},
 		"combine_nodes": {mut(paper, func(s *QuerySpec) { s.Op, s.Combine = "max", true }),
 			mut(paper, func(s *QuerySpec) { s.Op, s.Combine, s.CombineNodes = "max", true, 2 })},
+		// Every key shape honours its codec, so baseline + zlib is its own
+		// job.
+		"codec_on_baseline": {paper, mut(paper, func(s *QuerySpec) { s.Codec = "zlib" })},
 	}
 	for name, pair := range differ {
 		if err := pair[1].Validate(); err != nil {
@@ -693,6 +696,25 @@ func TestCacheKeyDefaultEquivalence(t *testing.T) {
 	}
 	if !strings.HasPrefix(paper.CacheKey(), "v2|") {
 		t.Errorf("key %q lacks the v2 prefix that retires v1 entries", paper.CacheKey())
+	}
+	// Specs whose job the codec axis left alone keep the keys their warm
+	// entries were stored under.
+	const tail = "|op=median|radius=1|splits=10|reducers=5|combine=false|combine-nodes=0"
+	for _, c := range []struct {
+		spec QuerySpec
+		key  string
+	}{
+		{paper, "v2|side=24|strat=baseline|flush=0" + tail},
+		{tr, "v2|side=24|strat=transform+zlib|flush=0" + tail},
+		{agg, "v2|side=24|strat=aggregation/zorder|flush=0" + tail},
+		{mut(agg, func(s *QuerySpec) { s.Curve, s.Flush = "hilbert", 64 }), "v2|side=24|strat=aggregation/hilbert|flush=64" + tail},
+		{mut(paper, func(s *QuerySpec) { s.Strategy = "boxes" }), "v2|side=24|strat=aggregation/boxes|flush=0" + tail},
+		{mut(paper, func(s *QuerySpec) { s.Op, s.Combine, s.CombineNodes = "max", true, 2 }),
+			"v2|side=24|strat=baseline|flush=0|op=max|radius=1|splits=10|reducers=5|combine=true|combine-nodes=2"},
+	} {
+		if got := c.spec.CacheKey(); got != c.key {
+			t.Errorf("%+v keys as\n %s, stored entries under\n %s", c.spec, got, c.key)
+		}
 	}
 }
 

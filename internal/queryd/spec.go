@@ -10,6 +10,7 @@
 package queryd
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -56,16 +57,24 @@ type QuerySpec struct {
 // ParsedStrategy maps the spec's spelling of a strategy to core's terms,
 // keeping only the fields that strategy reads (a flush threshold on a
 // baseline spec is dropped here, so it cannot shape a cache key either).
+// "transform" is Section III's spelling: simple keys under codec
+// transform+C, C being the spec's codec ("" meaning zlib) with any block+
+// moved to the front of the stack.
 func (s QuerySpec) ParsedStrategy() (core.Strategy, error) {
 	switch s.Strategy {
 	case "baseline":
-		return core.Strategy{Kind: core.Baseline}, nil
+		return core.Strategy{Kind: core.Baseline, Codec: s.Codec}, nil
 	case "transform":
-		return core.Strategy{Kind: core.ByteTransform, Codec: s.Codec}, nil
+		c, block := strings.CutPrefix(strings.ToLower(cmp.Or(s.Codec, "zlib")), "block+")
+		c = "transform+" + c
+		if block {
+			c = "block+" + c
+		}
+		return core.Strategy{Kind: core.Baseline, Codec: c}, nil
 	case "aggregation":
-		return core.Strategy{Kind: core.Aggregation, Curve: s.Curve, FlushCells: s.Flush}, nil
+		return core.Strategy{Kind: core.Aggregation, Codec: s.Codec, Curve: s.Curve, FlushCells: s.Flush}, nil
 	case "boxes":
-		return core.Strategy{Kind: core.BoxAggregation, FlushCells: s.Flush}, nil
+		return core.Strategy{Kind: core.BoxAggregation, Codec: s.Codec, FlushCells: s.Flush}, nil
 	default:
 		return core.Strategy{}, fmt.Errorf("unknown strategy %q (want baseline, transform, aggregation, or boxes)", s.Strategy)
 	}
@@ -130,14 +139,14 @@ func (s QuerySpec) Setup() (*hdfs.FileSystem, scihadoop.QueryConfig, core.Strate
 
 // CacheKey derives the spec's map-output cache key: a canonical string over
 // every input that shapes published map-output bytes — dataset (side),
-// strategy with its codec or curve, flush threshold, operator, window
+// key shape with its codec and curve, flush threshold, operator, window
 // radius, split and reducer counts, and the in-node combining
 // configuration — each read from the defaulted config and the parsed
 // strategy, so specs that build the same job (an omitted radius and radius
-// 1, "transform" and "transform -codec zlib", a flush threshold on a
-// strategy that ignores it) share a key. It deliberately EXCLUDES Tenant
-// (cache entries are shared across tenants — same bytes either way) and
-// Faults (see its doc).
+// 1, "transform" and "baseline -codec transform+zlib", a flush threshold
+// on a strategy that ignores it) share a key. It deliberately EXCLUDES
+// Tenant (cache entries are shared across tenants — same bytes either way)
+// and Faults (see its doc).
 func (s QuerySpec) CacheKey() string {
 	qcfg, strat, err := s.queryConfig()
 	if err != nil {

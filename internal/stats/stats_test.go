@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-func TestMedianKnown(t *testing.T) {
+func TestMedianInPlaceKnown(t *testing.T) {
 	cases := []struct {
 		in   []int32
 		want int32
@@ -29,7 +29,7 @@ func TestMedianKnown(t *testing.T) {
 	}
 }
 
-func TestMedianMatchesSort(t *testing.T) {
+func TestMedianInPlaceMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + rng.Intn(50)
@@ -54,7 +54,7 @@ func sortMedian(xs []int32) int32 {
 	return int32((int64(tmp[n/2-1]) + int64(tmp[n/2])) / 2)
 }
 
-func TestMedianEmptyPanics(t *testing.T) {
+func TestMedianInPlaceEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")

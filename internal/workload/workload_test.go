@@ -85,10 +85,10 @@ func TestFieldDeterministic(t *testing.T) {
 	}
 }
 
-// TestMultiVarStream: records of several variables with different shapes
+// TestKeyValueStreamSeveralVars: records of several variables with different shapes
 // and name lengths — the "multiple variables ... may have different stride
 // lengths" difficulty from Section III — each cost key + value bytes.
-func TestMultiVarStream(t *testing.T) {
+func TestKeyValueStreamSeveralVars(t *testing.T) {
 	codec := &keys.Codec{Rank: 2, Mode: keys.VarByName}
 	vars := []keys.VarRef{{Name: "a"}, {Name: "longername"}}
 	boxes := []grid.Box{
