@@ -99,7 +99,9 @@ bench:
 # guarantee in CI form, the map side's holds the final segment's
 # right-sizing copy to one allocation per partition, never one per record,
 # and a cache hit's holds the snapshot decode in place, never a copy per
-# segment. The steady-state transform additionally holds a loose throughput floor (25% of baseline MB/s):
+# segment, and the aggregate-key path's holds a one-partition key's routing
+# and a flush's lent values to no allocation per record or per layer. The
+# steady-state transform additionally holds a loose throughput floor (25% of baseline MB/s):
 # wall-clock varies across machines, so the floor only catches a hot path
 # collapsing onto a slow reference, not percentage drift.
 bench-gate:
@@ -110,6 +112,8 @@ bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkMapSpillPipeline' -benchmem -benchtime 20x ./internal/mapreduce/ \
 		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -max-allocs-regress 1.10 > /dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkSegmentCacheHit' -benchmem -benchtime 20x ./internal/queryd/ \
+		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -max-allocs-regress 1.10 > /dev/null
+	$(GO) test -run '^$$' -bench 'BenchmarkAggKeyPath|BenchmarkAggregatorMapPattern' -benchmem -benchtime 20x ./internal/scihadoop/ \
 		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -max-allocs-regress 1.10 > /dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkTransformSteadyState' -benchmem -benchtime 10x . \
 		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -min-mbps-ratio 0.25 > /dev/null

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"io"
 	"reflect"
@@ -26,9 +27,10 @@ func goodSpec() queryd.QuerySpec {
 
 // TestValidationParity: the early flag validation (queryd.QuerySpec.Validate,
 // what the CLI and the resident service run before any machinery) and the
-// deep path (core.BuildJob, what a cluster worker runs when it rebuilds a
-// wire spec) must reject the same bad spec with the same error text — no
-// flag combination may pass one gate and fail the other differently.
+// deep path (queryd.BuildRunner — Setup, then core.BuildJob — what a cluster
+// worker runs when it rebuilds a wire spec) must reject the same bad spec
+// with the same error text — no flag combination may pass one gate and fail
+// the other differently.
 func TestValidationParity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -53,13 +55,13 @@ func TestValidationParity(t *testing.T) {
 				t.Fatal("early validation accepted the bad spec")
 			}
 
-			fs, qcfg, strat, err := spec.Setup()
+			raw, err := json.Marshal(spec)
 			if err != nil {
-				t.Fatalf("Setup rejected the spec before BuildJob could: %v", err)
+				t.Fatal(err)
 			}
-			_, late := core.BuildJob(fs, qcfg, strat)
+			_, late := queryd.BuildRunner(raw)
 			if late == nil {
-				t.Fatal("BuildJob accepted the bad spec the early path rejected")
+				t.Fatal("BuildRunner accepted the bad spec the early path rejected")
 			}
 			if early.Error() != late.Error() {
 				t.Fatalf("validation paths drifted:\n  early: %s\n  late:  %s", early, late)

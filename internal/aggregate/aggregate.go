@@ -144,11 +144,12 @@ type Config struct {
 	// values and must be tolerated by the reducer; the engine's overlap
 	// splitting handles the rest.
 	Align uint64
-	// Emit receives each aggregate pair. p.Values belongs to the receiver,
-	// which may keep it: the aggregator never writes to it or hands it out
-	// again. Without alignment the pairs of one layer are cut from one
-	// block (each capped at its own length), so keeping one pair keeps its
-	// layer's block alive.
+	// Emit receives each aggregate pair. p.Values is lent: it is valid only
+	// during the call, and the receiver must not write to it. It is cut
+	// from the buffer's gather scratch (capacity capped at its length),
+	// which the next layer overwrites and which goes back to the pool with
+	// the buffer's storage. A receiver that keeps a pair copies its values,
+	// as the map task's emit does into its partition arena.
 	Emit func(p keys.AggPair)
 }
 
@@ -188,18 +189,18 @@ type Buffer struct {
 // storage is what a Buffer grows. buf holds the cells since the last drain
 // and vals their values, cell ord at vals[ord*elemSize:]. tmp is Drain's
 // scratch: the radix sort's other half, then the layer being emitted.
-// gather is where Layer.values collects a run's values before copying them
-// out. All four grow on demand and are reused across drains, and across
-// tasks through pool.
+// gather is where a layer's values are collected in emission order and lent
+// to Config.Emit. All four grow on demand and are reused across drains, and
+// across tasks through pool.
 type storage struct {
 	buf, tmp     []entry
 	vals, gather []byte
 }
 
 // pool holds the storage of released Buffers, so that a map task starts
-// with what an earlier task grew instead of regrowing it from nothing.
-// Nothing handed to a caller — no Layer.values block, no emitted pair —
-// ever comes from it.
+// with what an earlier task grew instead of regrowing it from nothing. An
+// emitted pair's values are lent from it only during the Emit call: storage
+// goes back in Release, after the last Drain has returned.
 var pool sync.Pool // of *storage
 
 // NewBuffer returns a Buffer of elemSize-byte values that reports full at
@@ -383,18 +384,22 @@ func (l Layer) CopyValues(dst []byte, i, j int) {
 	}
 }
 
-// values returns the values of cells i..j-1, in that order, in a fresh
-// block (its capacity may run past them) that the buffer never touches
-// again. They are gathered in the buffer's own scratch and copied out in one
-// piece, so the block is not zeroed only to be overwritten.
+// values gathers the values of cells i..j-1, in that order, into the
+// buffer's gather scratch and returns them there: lent, like an emitted
+// pair, until the next call.
 func (l Layer) values(i, j int) []byte {
-	n := (j - i) * l.b.elemSize
-	if cap(l.b.gather) < n {
-		l.b.gather = make([]byte, n)
-	}
-	g := l.b.gather[:n]
+	g := l.b.lend((j - i) * l.b.elemSize)
 	l.CopyValues(g, i, j)
-	return append([]byte(nil), g...)
+	return g
+}
+
+// lend returns the gather scratch at n bytes, growing it if it is shorter.
+// Its contents are whatever the last use left there.
+func (b *Buffer) lend(n int) []byte {
+	if cap(b.gather) < n {
+		b.gather = make([]byte, n)
+	}
+	return b.gather[:n]
 }
 
 // Aggregator buffers (coordinate, value) cells and emits aggregate pairs.
@@ -450,10 +455,11 @@ func (a *Aggregator) Flush() {
 }
 
 // emitLayer coalesces a layer into runs. The layer's values are gathered
-// once into one fresh block (Layer.values), and each pair's Values is its
-// slice of it; the block is never touched again (Config.Emit). Alignment
-// padding makes a layer's size unknown until its runs are walked, so there
-// each pair gets a zeroed block of its own and its cells are copied in.
+// once into the buffer's gather scratch (Layer.values), and each pair's
+// Values is its slice of it, lent for the Emit call (Config.Emit).
+// Alignment padding makes a layer's size unknown until its runs are walked,
+// so there each pair is laid out in the scratch alone: zeroed, then its
+// cells copied in.
 func (a *Aggregator) emitLayer(l Layer) {
 	es := uint64(a.cfg.ElemSize)
 	var block []byte
@@ -471,7 +477,8 @@ func (a *Aggregator) emitLayer(l Layer) {
 			aligned := keys.AlignRange(r, a.cfg.Align)
 			a.stats.PadCells += int64(aligned.Len() - r.Len())
 			n, r = aligned.Len(), aligned
-			block = make([]byte, n*es) // zeroed: padding cells need no write
+			block = a.buf.lend(int(n * es))
+			clear(block) // padding cells carry zeroes
 			l.CopyValues(block[(l.Index(i)-r.Lo)*es:], i, j)
 		}
 		vals := block[: n*es : n*es]

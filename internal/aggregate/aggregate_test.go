@@ -11,8 +11,13 @@ import (
 	"scikey/internal/sfc"
 )
 
+// collectPairs keeps every emitted pair in *dst, its values copied: Emit
+// lends them only for the call.
 func collectPairs(dst *[]keys.AggPair) func(keys.AggPair) {
-	return func(p keys.AggPair) { *dst = append(*dst, p) }
+	return func(p keys.AggPair) {
+		p.Values = bytes.Clone(p.Values)
+		*dst = append(*dst, p)
+	}
 }
 
 func mustMapping(t *testing.T, curve string, domain grid.Box) Mapping {

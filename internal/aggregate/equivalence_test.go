@@ -221,119 +221,109 @@ func FuzzFlushEquivalence(f *testing.F) {
 	})
 }
 
-// kept is an emitted pair beside the copy of its values taken when it
-// arrived.
-type kept struct {
-	pair keys.AggPair
-	then []byte
-}
-
-// keepAll returns an Emit that keeps every pair in *all. It reports, through
-// errorf, a pair whose capacity reaches past its length, since an append to
-// it would then reach the next pair.
-func keepAll(all *[]kept, errorf func(string, ...any)) func(keys.AggPair) {
-	return func(p keys.AggPair) {
+// randomTask is one map task's traffic: cells random indices, through the
+// reference and then through a fresh aggregator, which is closed. Whatever
+// the aggregator lent Emit must be what the reference emits, pair for pair,
+// each pair's capacity ending at its length (an append to it must not reach
+// the next pair). It reports whether the aggregator's storage came from the
+// pool.
+func randomTask(errorf func(string, ...any), rng *rand.Rand, cells int) (pooled bool) {
+	stream := make([]uint64, cells)
+	for i := range stream {
+		stream[i] = uint64(rng.Intn(400))
+	}
+	cfg := Config{ElemSize: 4, FlushCells: 300}
+	var want, got []keys.AggPair
+	cfg.Emit = collectPairs(&want)
+	feed(newRef(cfg), stream, cfg.ElemSize)
+	var agg *Aggregator
+	collect := collectPairs(&got)
+	cfg.Emit = func(p keys.AggPair) {
 		if cap(p.Values) != len(p.Values) {
 			errorf("pair %v: cap %d over len %d lets an append reach the next pair", p.Key, cap(p.Values), len(p.Values))
 		}
-		*all = append(*all, kept{pair: p, then: bytes.Clone(p.Values)})
+		pooled = pooled || agg.buf.held != nil
+		collect(p)
 	}
-}
-
-// checkKept reports every kept pair whose values changed after it was
-// emitted.
-func checkKept(t *testing.T, label string, all []kept) {
-	t.Helper()
-	for i, k := range all {
-		if !bytes.Equal(k.pair.Values, k.then) {
-			t.Fatalf("%s: pair %d (%v) changed after it was emitted: %x, was %x", label, i, k.pair.Key, k.pair.Values, k.then)
+	agg = New(cfg)
+	feed(agg, stream, cfg.ElemSize)
+	if len(got) != len(want) {
+		errorf("%d pairs, reference emits %d", len(got), len(want))
+		return pooled
+	}
+	for i := range want {
+		if got[i].Key != want[i].Key || !bytes.Equal(got[i].Values, want[i].Values) {
+			errorf("pair %d: %v %x, reference %v %x", i, got[i].Key, got[i].Values, want[i].Key, want[i].Values)
+			return pooled
 		}
 	}
-}
-
-// randomTask is one map task's traffic: cells random cells with random
-// values into a fresh aggregator, which is then closed. It reports whether
-// the aggregator's storage came from the pool.
-func randomTask(rng *rand.Rand, cells int, emit func(keys.AggPair)) (pooled bool) {
-	agg := New(Config{ElemSize: 4, FlushCells: 300, Emit: emit})
-	var val [4]byte
-	for i := 0; i < cells; i++ {
-		rng.Read(val[:])
-		agg.AddIndex(uint64(rng.Intn(400)), val[:])
-		if i == 0 {
-			pooled = agg.buf.held != nil
-		}
-	}
-	agg.Close()
 	return pooled
 }
 
-// TestEmittedValuesAreNeverReused keeps every pair of a task across several
-// flushes, and across later tasks that reuse the storage the first one
-// released, and checks each against the copy taken when it arrived: the
-// arena, the sort scratch and the gather scratch are reused, within a task
-// and between tasks; the blocks handed to Emit are not.
-func TestEmittedValuesAreNeverReused(t *testing.T) {
-	var all []kept
-	agg := New(Config{ElemSize: 4, FlushCells: 300, Emit: keepAll(&all, t.Fatalf)})
+// TestLentValuesAcrossPooledTasks: the gather scratch every pair is lent
+// from is reused across flushes and, through the pool, across tasks. A task
+// of 2 000 cells flushes six times at a threshold of 300; it and the later
+// tasks that start on the storage an earlier one released must each lend
+// exactly the reference's values during every Emit call.
+func TestLentValuesAcrossPooledTasks(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var val [4]byte
-	for i := 0; i < 2000; i++ {
-		rng.Read(val[:])
-		agg.AddIndex(uint64(rng.Intn(400)), val[:])
-	}
-	agg.Close()
-	if agg.Stats().Flushes < 6 {
-		t.Fatalf("%d flushes, want several", agg.Stats().Flushes)
-	}
-	// The receiver owns what it was given: growing one pair must not reach
-	// its neighbour in the layer's block.
-	all[0].pair.Values = append(all[0].pair.Values, 0xff, 0xff, 0xff, 0xff)
-	all[0].pair.Values = all[0].pair.Values[:len(all[0].then)]
-	// Reuse the buffers once more after Close.
-	for i := 0; i < 600; i++ {
-		agg.AddIndex(uint64(i%7), []byte{0xee, 0xee, 0xee, 0xee})
-	}
-	agg.Close()
-	checkKept(t, "task A", all)
-
-	// Tasks B and C: fresh aggregators, as a process's next map tasks are,
-	// on the storage task A released. The pool may drop what it is given
-	// (the race detector makes it drop a quarter), so tasks run until two
-	// of them started on pooled storage.
-	var later []kept
+	randomTask(t.Fatalf, rng, 2000)
+	// The pool may drop what it is given (the race detector makes it drop
+	// a quarter), so tasks run until two of them started on pooled storage.
 	for pooled, task := 0, 0; pooled < 2; task++ {
 		if task == 64 {
 			t.Fatal("fewer than two of 64 later tasks took their storage from the pool")
 		}
-		if randomTask(rng, 2000, keepAll(&later, t.Fatalf)) {
+		if randomTask(t.Fatalf, rng, 2000) {
 			pooled++
 		}
 	}
-	checkKept(t, "task A after tasks B and C", all)
-	checkKept(t, "tasks B and C", later)
 }
 
-// TestEmittedValuesAreNeverReusedConcurrently runs the map tasks of four
-// workers at once over the one pool: no pair any of them kept may change,
+// TestLentValuesAcrossPooledTasksConcurrently runs the map tasks of four
+// workers at once over the one pool: each must lend the reference's values,
 // and under the race detector no two of them may share storage.
-func TestEmittedValuesAreNeverReusedConcurrently(t *testing.T) {
+func TestLentValuesAcrossPooledTasksConcurrently(t *testing.T) {
 	const workers, tasks = 4, 8
-	all := make([][]kept, workers)
 	var wg sync.WaitGroup
-	for w := range all {
+	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			for range tasks {
-				randomTask(rng, 1000, keepAll(&all[w], t.Errorf))
+			for task := range tasks {
+				randomTask(func(format string, args ...any) {
+					t.Errorf("worker %d task %d: "+format, append([]any{w, task}, args...)...)
+				}, rng, 1000)
 			}
 		}()
 	}
 	wg.Wait()
-	for w, k := range all {
-		checkKept(t, fmt.Sprintf("worker %d", w), k)
+}
+
+// TestWarmFlushAllocatesNothing: once a task's storage has grown, a flush
+// into an Emit that copies each pair into the receiver's own buffer
+// allocates nothing, however many layers the window piles up.
+func TestWarmFlushAllocatesNothing(t *testing.T) {
+	m := mustMapping(t, "zorder", grid.NewBox(grid.Coord{-1, -1}, []int{34, 34}))
+	stream := windowStream(m, grid.NewBox(grid.Coord{0, 0}, []int{8, 32}))
+	for _, align := range alignChoices {
+		var kept []byte
+		agg := New(Config{ElemSize: 4, Align: align, FlushCells: len(stream) + 1, Emit: func(p keys.AggPair) {
+			kept = append(kept[:0], p.Values...)
+		}})
+		var val [4]byte
+		task := func() {
+			for i, idx := range stream {
+				binary.LittleEndian.PutUint32(val[:], uint32(i))
+				agg.AddIndex(idx, val[:])
+			}
+			agg.Flush()
+		}
+		task() // grows the buffer, the sort scratch, the gather scratch and kept
+		if allocs := testing.AllocsPerRun(10, task); allocs != 0 {
+			t.Errorf("align %d: %.1f allocations per warm flush, want 0", align, allocs)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"math/rand"
 	"time"
 
@@ -136,7 +137,10 @@ func A3Alignment(aligns []uint64) []A3Row {
 			Mapping:  mapping,
 			ElemSize: 1,
 			Align:    align,
-			Emit:     func(p keys.AggPair) { pairs = append(pairs, p) },
+			Emit: func(p keys.AggPair) {
+				p.Values = bytes.Clone(p.Values) // lent for the call only
+				pairs = append(pairs, p)
+			},
 		})
 		for i := lo; i < hi; i++ {
 			agg.Add(grid.Coord{i}, []byte{1})

@@ -110,12 +110,15 @@ func (w *fileWriter) Write(p []byte) (int, error) {
 			w.entry.hosts = append(w.entry.hosts, w.fs.placeBlock())
 		}
 		last := len(w.entry.blocks) - 1
-		room := w.fs.blockSize - int64(len(w.entry.blocks[last]))
-		n := int64(len(p))
-		if n > room {
-			n = room
+		b := w.entry.blocks[last]
+		n := min(int64(len(p)), w.fs.blockSize-int64(len(b)))
+		if need := len(b) + int(n); need > cap(b) {
+			// Double, up to the block size: append's quarter steps for a
+			// large slice would copy a growing block about three times as
+			// often.
+			b = append(make([]byte, 0, min(max(2*cap(b), need), int(w.fs.blockSize))), b...)
 		}
-		w.entry.blocks[last] = append(w.entry.blocks[last], p[:n]...)
+		w.entry.blocks[last] = append(b, p[:n]...)
 		w.entry.size += n
 		p = p[n:]
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -372,5 +373,48 @@ func TestReadAllExactSize(t *testing.T) {
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriteGrowsBlocksByDoubling: a file written in small pieces grows its
+// last block by doubling, capped at the block size, so 1 MiB in 4 KiB
+// writes reallocates about log2(256) times per block, not the ~25 of
+// append's quarter steps. What is read back is what was written.
+func TestWriteGrowsBlocksByDoubling(t *testing.T) {
+	data := make([]byte, 1<<20)
+	rand.New(rand.NewSource(3)).Read(data)
+	for _, blockSize := range []int64{64 << 20, 256 << 10, 300 << 10} {
+		fs := New(blockSize, 1, []string{"node0"})
+		write := func() {
+			fs.Delete("/out") // the last run's file, if any
+			w, err := fs.Create("/out")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := data; len(p) > 0; p = p[4096:] {
+				if _, err := w.Write(p[:4096]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		blocks := (int64(len(data)) + blockSize - 1) / blockSize
+		// Per block: its first piece and its hosts, then one doubling per
+		// power of two up to the block's size; plus the writer, the block
+		// and host lists, and the closed entry.
+		doublings := bits.Len64(uint64(min(blockSize, int64(len(data)))/4096 - 1))
+		budget := float64(blocks*int64(2+doublings) + 8)
+		if allocs := testing.AllocsPerRun(5, write); allocs > budget {
+			t.Errorf("block size %d: %.0f allocations writing 1 MiB in 4 KiB pieces, budget %.0f", blockSize, allocs, budget)
+		}
+		got, err := fs.ReadAll("/out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Errorf("block size %d: read back differs from what was written", blockSize)
+		}
 	}
 }

@@ -269,12 +269,11 @@ func TestPartitionSplitRouting(t *testing.T) {
 	fs := testFS()
 	job := wordCountJob(fs, []string{"x y"}, 3, false)
 	job.Partition = nil
-	job.PartitionSplit = func(key, value []byte, n int) []RoutedKV {
-		out := make([]RoutedKV, n)
-		for i := range out {
-			out[i] = RoutedKV{Partition: i, KV: KV{Key: key, Value: value}}
+	job.PartitionSplit = func(dst []RoutedKV, key, value []byte, n int) []RoutedKV {
+		for i := range n {
+			dst = append(dst, RoutedKV{Partition: i, KV: KV{Key: key, Value: value}})
 		}
-		return out
+		return dst
 	}
 	res, err := Run(job)
 	if err != nil {

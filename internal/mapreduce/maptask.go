@@ -48,6 +48,8 @@ type mapTask struct {
 	// emitted tallies the map output counters per attempt; run adds it to
 	// the attempt's counters once Map returns.
 	emitted struct{ records, keyBytes, valueBytes int64 }
+	// routed is Job.PartitionSplit's scratch, truncated for every emit.
+	routed []RoutedKV
 
 	// Spill pipeline state. Once the worker runs, spillErr and spillBytes are
 	// written only by it and read only after drainSpills observes spillDone;
@@ -262,11 +264,11 @@ func (t *mapTask) emit(key, value []byte) {
 	t.emitted.valueBytes += int64(len(value))
 
 	if t.job.PartitionSplit != nil {
-		routed := t.job.PartitionSplit(key, value, t.job.NumReducers)
-		if len(routed) > 1 {
-			t.ctx.counters.PartitionKeySplits.Add(int64(len(routed) - 1))
+		t.routed = t.job.PartitionSplit(t.routed[:0], key, value, t.job.NumReducers)
+		if len(t.routed) > 1 {
+			t.ctx.counters.PartitionKeySplits.Add(int64(len(t.routed) - 1))
 		}
-		for _, r := range routed {
+		for _, r := range t.routed {
 			t.buffer(r.Partition, r.Key, r.Value)
 		}
 		return

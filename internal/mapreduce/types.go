@@ -57,7 +57,9 @@ type Split struct {
 	Data  any
 }
 
-// Emit delivers one output pair from user code to the framework.
+// Emit delivers one output pair from user code to the framework, which
+// copies what it keeps before the call returns: the caller may reuse key
+// and value at once (a mapper's serialization buffer, a reducer's scratch).
 type Emit func(key, value []byte)
 
 // Mapper transforms one input split into intermediate pairs. A fresh Mapper
@@ -181,8 +183,13 @@ type Job struct {
 	// is set.
 	Partition func(key []byte, numReducers int) int
 	// PartitionSplit, when set, may split a pair across reducers
-	// (Section IV-B, case one). It must emit fragments in key order.
-	PartitionSplit func(key, value []byte, numReducers int) []RoutedKV
+	// (Section IV-B, case one): it appends the pair's fragments to dst, in
+	// key order, and returns the extended slice. The map task passes the
+	// same scratch, truncated, for every pair and copies each fragment's
+	// key and value before the next call, so a pair that stays in one
+	// partition costs no allocation: it is appended as it came. A fragment
+	// may alias key and value.
+	PartitionSplit func(dst []RoutedKV, key, value []byte, numReducers int) []RoutedKV
 	// MergeTransform, when set, rewrites each reducer's merged sorted
 	// stream before grouping (Section IV-B, case two: overlap splitting).
 	// The reduce path feeds it bounded windows of the stream (cut by

@@ -3,6 +3,7 @@ package queryd
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -516,7 +517,8 @@ func TestHTTPServer(t *testing.T) {
 
 // TestHTTPRejectsUnknownCodec: a strategy codec outside none|gzip|zlib|bzip2
 // (with an optional block+) is a bad spec, answered 400 at admission — it
-// neither counts as submitted nor reaches an executor to fail there.
+// neither counts as submitted nor reaches an executor to fail there. The
+// answer names the codec as typed, not the transform stack built from it.
 func TestHTTPRejectsUnknownCodec(t *testing.T) {
 	o := obs.New()
 	svc := New(Config{Store: localStore(), Obs: o})
@@ -537,6 +539,11 @@ func TestHTTPRejectsUnknownCodec(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "unknown strategy codec") {
 			t.Fatalf("codec %q: %d %s, want 400 naming the codec", c, resp.StatusCode, data)
+		}
+		var answer struct{ Error string }
+		if err := json.Unmarshal(data, &answer); err != nil ||
+			!strings.Contains(answer.Error, fmt.Sprintf("codec %q", c)) || strings.Contains(answer.Error, `"transform+`+c) {
+			t.Fatalf("codec %q: %s, want the codec named as typed", c, data)
 		}
 	}
 	lbl := obs.L("tenant", "typo")

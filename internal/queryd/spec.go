@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"scikey/internal/clusterd"
+	"scikey/internal/codec"
 	"scikey/internal/core"
 	"scikey/internal/faults"
 	"scikey/internal/hdfs"
@@ -67,6 +68,12 @@ func (s QuerySpec) ParsedStrategy() (core.Strategy, error) {
 	case "transform":
 		c, block := strings.CutPrefix(strings.ToLower(cmp.Or(s.Codec, "zlib")), "block+")
 		c = "transform+" + c
+		if _, err := codec.Get(c); err != nil {
+			// Rejected here, where the codec as typed is still known: core
+			// would name the stack built from it.
+			return core.Strategy{}, fmt.Errorf("unknown strategy codec %q for strategy transform (want %s, optionally prefixed block+)",
+				s.Codec, strings.Join(transformInner(), ", "))
+		}
 		if block {
 			c = "block+" + c
 		}
@@ -78,6 +85,17 @@ func (s QuerySpec) ParsedStrategy() (core.Strategy, error) {
 	default:
 		return core.Strategy{}, fmt.Errorf("unknown strategy %q (want baseline, transform, aggregation, or boxes)", s.Strategy)
 	}
+}
+
+// transformInner lists the codecs codec.Get stacks under a transform.
+func transformInner() []string {
+	var inner []string
+	for _, n := range codec.Names() {
+		if c, ok := strings.CutPrefix(n, "transform+"); ok {
+			inner = append(inner, c)
+		}
+	}
+	return inner
 }
 
 // queryConfig is the one spec→config mapping: the strategy and the query

@@ -115,8 +115,9 @@ func checkAggSplitEquivalence(t *testing.T, mode keys.VarMode, reducers, depth i
 	aps := decodeAggPairs(t, kc, pairs)
 
 	// Case one: PartitionSplit against SplitForPartition.
+	var got []mapreduce.RoutedKV
 	for i, kv := range pairs {
-		got := job.PartitionSplit(kv.Key, kv.Value, reducers)
+		got = job.PartitionSplit(got[:0], kv.Key, kv.Value, reducers)
 		want := rp.SplitForPartition(aps[i], ElemSize)
 		if len(got) != len(want) {
 			t.Fatalf("PartitionSplit(%v): %d fragments, want %d", aps[i].Key, len(got), len(want))
@@ -201,7 +202,7 @@ func TestAggHooksRejectMalformedKeys(t *testing.T) {
 		}
 		for name, key := range bad {
 			hooks := map[string]func(){
-				"PartitionSplit": func() { job.PartitionSplit(key, value, 3) },
+				"PartitionSplit": func() { job.PartitionSplit(nil, key, value, 3) },
 				"MergeTransform": func() { job.MergeTransform([]mapreduce.KV{{Key: good, Value: value}, {Key: key, Value: value}}) },
 				"MergeCut":       func() { cut := job.MergeCut(); cut(good); cut(key) },
 			}
@@ -244,6 +245,81 @@ func TestAggSplitSingleMemberWindowAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("mode=%v: %.1f allocations per single-member window, want 0", mode, allocs)
+		}
+	}
+}
+
+// TestAggPartitionSplitOnePartitionAllocs: a key that stays in one
+// partition — all but a few of a task's emits — is appended to the map
+// task's reused scratch as it came, key and value aliased, allocating
+// nothing. The old hook returned a fresh one-element slice per emit.
+func TestAggPartitionSplitOnePartitionAllocs(t *testing.T) {
+	for _, mode := range aggSplitModes {
+		kc := &keys.Codec{Mode: mode}
+		job := aggHooks(kc, keys.RangePartitioner{Total: 1 << 20, NumReducers: 5})
+		key := kc.AggKeyBytes(keys.AggKey{Var: keys.VarRef{Name: "windspeed1", Index: 1}, Range: sfc.IndexRange{Lo: 40, Hi: 44}})
+		value := make([]byte, 4*ElemSize)
+		routed := job.PartitionSplit(nil, key, value, 5)
+		allocs := testing.AllocsPerRun(100, func() {
+			routed = job.PartitionSplit(routed[:0], key, value, 5)
+		})
+		if allocs != 0 {
+			t.Errorf("mode=%v: %.1f allocations per one-partition emit into a reused scratch, want 0", mode, allocs)
+		}
+		if len(routed) != 1 || &routed[0].Key[0] != &key[0] || &routed[0].Value[0] != &value[0] {
+			t.Errorf("mode=%v: routed %d fragments, want the key and value as they came", mode, len(routed))
+		}
+	}
+}
+
+// TestAggReducerWarmAllocs: a warm aggReducer reuses its fold scratch and
+// its pending range across groups, so a group allocates nothing, whether it
+// is emitted as it is, extends the pending range, or flushes it. The
+// emitted bytes are checked against the fold of the layers.
+func TestAggReducerWarmAllocs(t *testing.T) {
+	kc := &keys.Codec{Mode: keys.VarByName}
+	// Two adjacent groups, then one past a gap: with reagg the second
+	// extends the first's pending range and the third flushes it. Layer 2
+	// holds each cell's largest value.
+	type group struct {
+		key    []byte
+		values [][]byte
+	}
+	var groups []group
+	for _, r := range [][2]uint64{{0, 4}, {4, 8}, {10, 14}} {
+		g := group{key: kc.AggKeyBytes(keys.AggKey{Var: keys.VarRef{Name: "windspeed1"}, Range: sfc.IndexRange{Lo: r[0], Hi: r[1]}})}
+		for layer := range 3 {
+			var v []byte
+			for c := r[0]; c < r[1]; c++ {
+				v = binary.BigEndian.AppendUint32(v, uint32(int(c)*10+layer))
+			}
+			g.values = append(g.values, v)
+		}
+		groups = append(groups, g)
+	}
+	for _, reagg := range []bool{false, true} {
+		r := &aggReducer{kc: kc, op: Max, reagg: reagg}
+		var got []byte
+		emit := func(k, v []byte) { got = append(got[:0], v...) }
+		cycle := func() {
+			for _, g := range groups {
+				if err := r.Reduce(nil, g.key, g.values, emit); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Errorf("reagg=%t: %.1f allocations per %d warm groups, want 0", reagg, allocs, len(groups))
+		}
+		// The last emit: the third group as it is, or the first two's
+		// pending range, flushed by the third.
+		want := groups[2].values[2]
+		if reagg {
+			want = append(slices.Clone(groups[0].values[2]), groups[1].values[2]...)
+		}
+		if string(got) != string(want) {
+			t.Errorf("reagg=%t: last emit %x, want %x", reagg, got, want)
 		}
 	}
 }

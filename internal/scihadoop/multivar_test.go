@@ -55,20 +55,18 @@ func TestMultiVariableAggJob(t *testing.T) {
 		NumReducers: 3,
 		Compare:     kc.RawCompareAgg,
 		OutputPath:  "/out/multivar",
-		PartitionSplit: func(key, value []byte, n int) []mapreduce.RoutedKV {
+		PartitionSplit: func(dst []mapreduce.RoutedKV, key, value []byte, n int) []mapreduce.RoutedKV {
 			k, err := kc.DecodeAgg(serial.NewDataInput(key))
 			if err != nil {
 				panic(err)
 			}
-			frags := rp.SplitForPartition(keys.AggPair{Key: k, Values: value}, ElemSize)
-			out := make([]mapreduce.RoutedKV, len(frags))
-			for i, f := range frags {
-				out[i] = mapreduce.RoutedKV{
+			for _, f := range rp.SplitForPartition(keys.AggPair{Key: k, Values: value}, ElemSize) {
+				dst = append(dst, mapreduce.RoutedKV{
 					Partition: f.Partition,
 					KV:        mapreduce.KV{Key: kc.AggKeyBytes(f.Pair.Key), Value: f.Pair.Values},
-				}
+				})
 			}
-			return out
+			return dst
 		},
 		MergeTransform: func(pairs []mapreduce.KV) []mapreduce.KV {
 			aps := make([]keys.AggPair, len(pairs))

@@ -92,13 +92,12 @@ func AggKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, aggregate.
 func aggKeyHooks(job *mapreduce.Job, kc *keys.Codec, rp keys.RangePartitioner) {
 	// Case one: split aggregate keys at routing time.
 	boundaries := rp.Boundaries()
-	job.PartitionSplit = func(key, value []byte, n int) []mapreduce.RoutedKV {
+	job.PartitionSplit = func(dst []mapreduce.RoutedKV, key, value []byte, n int) []mapreduce.RoutedKV {
 		prefix, lo, hi := aggBounds(kc, key)
 		first := rp.PartitionOf(lo)
 		if first == rp.PartitionOf(hi-1) {
-			return []mapreduce.RoutedKV{{Partition: first, KV: mapreduce.KV{Key: key, Value: value}}}
+			return append(dst, mapreduce.RoutedKV{Partition: first, KV: mapreduce.KV{Key: key, Value: value}})
 		}
-		var out []mapreduce.RoutedKV
 		at := lo
 		for _, b := range boundaries {
 			if b <= at {
@@ -107,10 +106,10 @@ func aggKeyHooks(job *mapreduce.Job, kc *keys.Codec, rp keys.RangePartitioner) {
 			if b >= hi {
 				break
 			}
-			out = append(out, fragment(prefix, lo, at, b, value, rp.PartitionOf(at)))
+			dst = append(dst, fragment(prefix, lo, at, b, value, rp.PartitionOf(at)))
 			at = b
 		}
-		return append(out, fragment(prefix, lo, at, hi, value, rp.PartitionOf(at)))
+		return append(dst, fragment(prefix, lo, at, hi, value, rp.PartitionOf(at)))
 	}
 
 	// Case two: split overlapping keys at the reducer (Fig. 7).
@@ -153,12 +152,20 @@ type aggReducer struct {
 	op    Op
 	reagg bool
 
-	// The pending output range: its variable section (owned), bounds and
-	// folded values.
+	// cell and out are one group's scratch, reused by the next: a cell's
+	// layered values, and the folded values emitted (the engine copies what
+	// it keeps) or appended to the pending range.
+	cell []int32
+	out  []byte
+
+	// The pending output range: its variable section, bounds and folded
+	// values, all owned and reused after each flush, and the buffer its key
+	// is encoded into.
 	pendingVar  []byte
 	pendingLo   uint64
 	pendingHi   uint64
 	pendingVals []byte
+	pendingKey  []byte
 	hasPending  bool
 }
 
@@ -169,15 +176,16 @@ func (r *aggReducer) Reduce(ctx *mapreduce.TaskContext, key []byte, values [][]b
 		return fmt.Errorf("scihadoop: bad agg key %x", key)
 	}
 	n := int(hi - lo)
-	out := make([]byte, 0, n*ElemSize)
-	cell := make([]int32, 0, len(values))
+	out := r.out[:0]
 	for i := 0; i < n; i++ {
-		cell = cell[:0]
+		cell := r.cell[:0]
 		for _, layer := range values {
 			cell = append(cell, int32(binary.BigEndian.Uint32(layer[i*ElemSize:])))
 		}
+		r.cell = cell
 		out = binary.BigEndian.AppendUint32(out, uint32(r.op.fold(cell)))
 	}
+	r.out = out
 	if !r.reagg {
 		emit(key, out)
 		return nil
@@ -190,7 +198,7 @@ func (r *aggReducer) Reduce(ctx *mapreduce.TaskContext, key []byte, values [][]b
 	r.flush(emit)
 	r.pendingVar = append(r.pendingVar[:0], prefix...)
 	r.pendingLo, r.pendingHi = lo, hi
-	r.pendingVals = out
+	r.pendingVals = append(r.pendingVals[:0], out...)
 	r.hasPending = true
 	return nil
 }
@@ -205,9 +213,9 @@ func (r *aggReducer) flush(emit mapreduce.Emit) {
 	if !r.hasPending {
 		return
 	}
-	emit(keys.AppendAggKey(nil, r.pendingVar, r.pendingLo, r.pendingHi), r.pendingVals)
+	r.pendingKey = keys.AppendAggKey(r.pendingKey[:0], r.pendingVar, r.pendingLo, r.pendingHi)
+	emit(r.pendingKey, r.pendingVals)
 	r.hasPending = false
-	r.pendingVals = nil
 }
 
 // aggBounds is Codec.AggBounds for the hooks, which cannot return an error:
@@ -262,18 +270,30 @@ func splitOverlapsRaw(kc *keys.Codec, pairs []mapreduce.KV) []mapreduce.KV {
 	return out
 }
 
+// smallCluster is the largest cluster splitClusterRaw serves from its stack
+// scratch. oneshot-agg's clusters are 9 to 60 members but for about one in
+// eight, which run to about 200.
+const smallCluster = 64
+
 // splitClusterRaw appends the fragments of one cluster of transitively
 // overlapping keys (same variable section, varLen bytes long) to out.
 // Between two consecutive distinct bounds [a,b) it emits every member that
 // covers the interval, in member order: intervals ascend and members arrive
 // sorted, which is the order keys.SplitOverlaps' stable sort produces, so
 // nothing is sorted here. A fragment that is its whole key reuses the
-// member's bytes; the others take their headers from one arena.
+// member's bytes; the others take their headers from one arena. The cuts and
+// the active set never leave the call: a cluster of up to smallCluster
+// members keeps both on the stack.
 func splitClusterRaw(out, members []mapreduce.KV, varLen int) []mapreduce.KV {
 	bounds := func(kv mapreduce.KV) (lo, hi uint64) {
 		return binary.BigEndian.Uint64(kv.Key[varLen:]), binary.BigEndian.Uint64(kv.Key[varLen+8:])
 	}
-	cuts := make([]uint64, 0, 2*len(members))
+	var cutsBuf [2 * smallCluster]uint64
+	var activeBuf [smallCluster]int
+	cuts, active := cutsBuf[:0], activeBuf[:0] // active: members covering [a,b), in order
+	if len(members) > smallCluster {
+		cuts, active = make([]uint64, 0, 2*len(members)), make([]int, 0, len(members))
+	}
 	for _, m := range members {
 		lo, hi := bounds(m)
 		cuts = append(cuts, lo, hi)
@@ -297,7 +317,6 @@ func splitClusterRaw(out, members []mapreduce.KV, varLen int) []mapreduce.KV {
 	hdr := varLen + 16
 	arena := make([]byte, 0, split*hdr)
 
-	active := make([]int, 0, len(members)) // members covering [a,b), in order
 	next := 0
 	for c := 0; c+1 < len(cuts); c++ {
 		a, b := cuts[c], cuts[c+1]

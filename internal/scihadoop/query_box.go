@@ -38,20 +38,19 @@ func BoxKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, error) {
 	job.Name = fmt.Sprintf("%s-boxagg", op)
 	job.Compare = kc.RawCompareBox
 
-	job.PartitionSplit = func(key, value []byte, n int) []mapreduce.RoutedKV {
+	job.PartitionSplit = func(dst []mapreduce.RoutedKV, key, value []byte, n int) []mapreduce.RoutedKV {
 		k, err := kc.DecodeBox(serial.NewDataInput(key))
 		if err != nil {
 			panic(fmt.Sprintf("scihadoop: bad box key: %v", err))
 		}
 		frags := sp.SplitForPartition(boxagg.Pair{Key: k, Values: value}, ElemSize)
-		out := make([]mapreduce.RoutedKV, len(frags))
-		for i, f := range frags {
-			out[i] = mapreduce.RoutedKV{
+		for _, f := range frags {
+			dst = append(dst, mapreduce.RoutedKV{
 				Partition: f.Partition,
 				KV:        mapreduce.KV{Key: kc.BoxKeyBytes(f.Pair.Key), Value: f.Pair.Values},
-			}
+			})
 		}
-		return out
+		return dst
 	}
 
 	job.MergeTransform = func(pairs []mapreduce.KV) []mapreduce.KV {
