@@ -85,7 +85,7 @@ mutants:
 # A PR that claims one runs `make bench` against the pinned file, so its
 # ratios in BENCH_shuffle.json are the trajectory; re-pinning in the same PR
 # would reset them to 1.0 and erase what it claims.
-SHUFFLE_BENCH = BenchmarkAggregatorMapPattern|BenchmarkAggKeyPath|BenchmarkTransformSteadyState|BenchmarkWriteSegmentPooled|BenchmarkMapSpillPipeline|BenchmarkSpillSort|BenchmarkMergeSegments|BenchmarkMergeGrid|BenchmarkReducePath|BenchmarkShuffleFetch|BenchmarkSegmentCacheHit|BenchmarkE4_
+SHUFFLE_BENCH = BenchmarkAggregatorMapPattern|BenchmarkAggKeyPath|BenchmarkTransformSteadyState|BenchmarkWriteSegmentPooled|BenchmarkMapSpillPipeline|BenchmarkSpillSort|BenchmarkMergeSegments|BenchmarkMergeGrid|BenchmarkReducePath|BenchmarkShuffleFetch|BenchmarkSegmentCacheHit|BenchmarkSegmentCacheFill|BenchmarkE4_
 
 bench:
 	$(GO) test -run '^$$' -bench '$(SHUFFLE_BENCH)' -benchmem ./... > bench.out
@@ -98,8 +98,10 @@ bench:
 # the committed baseline — the fetch path's alloc count is the zero-copy
 # guarantee in CI form, the map side's holds the final segment's
 # right-sizing copy to one allocation per partition, never one per record,
-# and a cache hit's holds the snapshot decode in place, never a copy per
-# segment, and the aggregate-key path's holds a one-partition key's routing
+# a cache hit's holds the snapshot decode in place, never a copy per
+# segment, a cache fill's holds encode and store to a fixed handful (its
+# bytes, one blob, are TestSegmentCacheCopiesOnce's), and
+# the aggregate-key path's holds a one-partition key's routing
 # and a flush's lent values to no allocation per record or per layer. The
 # steady-state transform additionally holds a loose throughput floor (25% of baseline MB/s):
 # wall-clock varies across machines, so the floor only catches a hot path
@@ -111,7 +113,7 @@ bench-gate:
 		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -max-allocs-regress 1.10 > /dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkMapSpillPipeline' -benchmem -benchtime 20x ./internal/mapreduce/ \
 		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -max-allocs-regress 1.10 > /dev/null
-	$(GO) test -run '^$$' -bench 'BenchmarkSegmentCacheHit' -benchmem -benchtime 20x ./internal/queryd/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkSegmentCacheHit|BenchmarkSegmentCacheFill' -benchmem -benchtime 20x ./internal/queryd/ \
 		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -max-allocs-regress 1.10 > /dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkAggKeyPath|BenchmarkAggregatorMapPattern' -benchmem -benchtime 20x ./internal/scihadoop/ \
 		| $(GO) run ./cmd/benchjson -baseline bench_baseline.json -max-allocs-regress 1.10 > /dev/null

@@ -173,9 +173,12 @@ func (fs *FileSystem) OpenReaders() int64 { return fs.openReaders.Load() }
 // memory a leaked reader would keep alive.
 func (fs *FileSystem) PinnedBytes() int64 { return fs.pinnedBytes.Load() }
 
-// ReadAll returns the whole contents of path as one exact-size copy
-// (len == cap == the file's size) that the caller owns. The read pins the
-// file's blocks exactly as an Open/Close pair does.
+// ReadAll returns the whole contents of path, len == cap == the file's
+// size. The caller must not write to them: a file of one block comes back
+// as that block itself, capacity-capped, and only a file of several blocks
+// is concatenated into a new slice. Either way the bytes stay valid after
+// the file is deleted or renamed over. The read pins the file's blocks
+// exactly as an Open/Close pair does, and releases them before it returns.
 func (fs *FileSystem) ReadAll(path string) ([]byte, error) {
 	r, err := fs.Open(path)
 	if err != nil {
@@ -183,6 +186,10 @@ func (fs *FileSystem) ReadAll(path string) ([]byte, error) {
 	}
 	fr := r.(*fileReader)
 	defer fr.Close()
+	if blocks := fr.entry.blocks; len(blocks) == 1 {
+		b := blocks[0]
+		return b[:len(b):len(b)], nil
+	}
 	out := make([]byte, fr.size)
 	n := 0
 	for _, b := range fr.entry.blocks {
@@ -191,16 +198,24 @@ func (fs *FileSystem) ReadAll(path string) ([]byte, error) {
 	return out, nil
 }
 
-// WriteFile creates path with the given contents.
+// WriteFile creates path with the given contents and takes ownership of
+// data: the file's blocks are data's own bytes, cut at the block size and
+// capacity-capped, so nothing is copied, and the caller must not write to
+// data afterwards.
 func (fs *FileSystem) WriteFile(path string, data []byte) error {
 	w, err := fs.Create(path)
 	if err != nil {
 		return err
 	}
-	if _, err := w.Write(data); err != nil {
-		return err
+	fw := w.(*fileWriter)
+	for len(data) > 0 {
+		n := min(int64(len(data)), fs.blockSize)
+		fw.entry.blocks = append(fw.entry.blocks, data[:n:n])
+		fw.entry.hosts = append(fw.entry.hosts, fs.placeBlock())
+		fw.entry.size += n
+		data = data[n:]
 	}
-	return w.Close()
+	return fw.Close()
 }
 
 type fileReader struct {

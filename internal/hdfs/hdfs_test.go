@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -319,19 +320,36 @@ func TestReaderCloseReleasesSnapshot(t *testing.T) {
 	}
 }
 
-// TestReadAllExactSize: ReadAll hands back one exact-size copy — len and
-// cap both equal the file's size, so the caller owns no regrowth slack — for
-// an empty file, a one-byte file, a file of exactly one block and one that
-// spans many blocks. Each read releases its pin, and so does a failed one.
+// TestReadAllExactSize: ReadAll hands back the contents at their exact
+// size — len and cap both equal the file's size, so an append by the
+// caller reallocates — for an empty file, a one-byte file, a file of
+// exactly one block and one that spans many blocks, written whole and
+// written in small pieces (which leaves the last block room to grow). Each
+// read releases its pin, and so does a failed one.
 func TestReadAllExactSize(t *testing.T) {
 	fs := testFS()
 	rng := rand.New(rand.NewSource(1))
-	for _, size := range []int{0, 1, 1024, 1025, 5000, 8192} {
+	for i, size := range []int{0, 1, 1024, 1025, 5000, 8192, 0, 1, 1000, 1024, 1025, 5000} {
 		data := make([]byte, size)
 		rng.Read(data)
 		path := "/data/exact"
-		if err := fs.WriteFile(path, data); err != nil {
-			t.Fatal(err)
+		if i < 6 {
+			if err := fs.WriteFile(path, data); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			w, err := fs.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := data; len(p) > 0; p = p[min(7, len(p)):] {
+				if _, err := w.Write(p[:min(7, len(p))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		got, err := fs.ReadAll(path)
 		if err != nil {
@@ -415,6 +433,74 @@ func TestWriteGrowsBlocksByDoubling(t *testing.T) {
 		}
 		if !bytes.Equal(got, data) {
 			t.Errorf("block size %d: read back differs from what was written", blockSize)
+		}
+	}
+}
+
+// TestWriteFileAdoptsData: WriteFile keeps the caller's bytes as the file's
+// blocks — each block a capacity-capped slice of data at its offset, no
+// copy — and what is read back equals what was written; ReadAll of a
+// one-block file is that block itself with len == cap == size, and of a
+// multi-block file a concatenation. Neither side allocates the file's bytes
+// again, and both stay valid after the file is deleted.
+func TestWriteFileAdoptsData(t *testing.T) {
+	fs := testFS()
+	rng := rand.New(rand.NewSource(2))
+	for _, size := range []int{1, 1000, 1024, 1025, 4096, 5000} {
+		data := make([]byte, size, size+100) // slack the file must not reach
+		rng.Read(data)
+		path := "/data/adopt"
+		if err := fs.WriteFile(path, data); err != nil {
+			t.Fatal(err)
+		}
+		e := fs.files[path]
+		for i, b := range e.blocks {
+			off := i * int(fs.blockSize)
+			if &b[0] != &data[off] || len(b) != min(size-off, int(fs.blockSize)) || cap(b) != len(b) {
+				t.Errorf("size %d: block %d (len %d cap %d) is not data[%d:] capped at the block size", size, i, len(b), cap(b), off)
+			}
+		}
+		got, err := fs.ReadAll(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != size || cap(got) != size || !bytes.Equal(got, data) {
+			t.Errorf("size %d: ReadAll len %d cap %d, equal %v", size, len(got), cap(got), bytes.Equal(got, data))
+		}
+		if oneBlock := size <= int(fs.blockSize); oneBlock != (&got[0] == &data[0]) {
+			t.Errorf("size %d: ReadAll aliases the written bytes %v, want %v", size, !oneBlock, oneBlock)
+		}
+		if err := fs.Delete(path); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Errorf("size %d: bytes read changed when the file was deleted", size)
+		}
+	}
+
+	big := make([]byte, 1<<20)
+	fs = New(1<<20, 1, []string{"node0"})
+	write := func() {
+		fs.Delete("/big")
+		if err := fs.WriteFile("/big", big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() {
+		if _, err := fs.ReadAll("/big"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, fn := range map[string]func(){"WriteFile": write, "ReadAll": read} {
+		var before, after runtime.MemStats
+		write()
+		runtime.ReadMemStats(&before)
+		for range 10 {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / 10; per > 4<<10 {
+			t.Errorf("%s of a one-block 1 MiB file allocates %d bytes", name, per)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package ifile
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
@@ -241,5 +242,60 @@ func TestAnySingleBitFlipDetected(t *testing.T) {
 				t.Fatalf("flip at byte %d bit %d: nondeterministic verdict %v vs %v", pos, bit, err1, err2)
 			}
 		}
+	}
+}
+
+// TestVerifyMatchesReading: Verify ends every stream the way reading it in
+// place to the end does, on a clean stream with one- and multi-byte record
+// lengths (keys and values of 128 bytes or more), the stream cut at every
+// offset, a bad EOF marker, an implausible length, every single bit flip,
+// and bytes after the trailer.
+func TestVerifyMatchesReading(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Append([]byte("k"), []byte("v"))
+	w.Append(bytes.Repeat([]byte{'k'}, 128), []byte("short value"))
+	w.Append([]byte("short key"), bytes.Repeat([]byte{'v'}, 1_000))
+	w.Append(nil, nil)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	clean := buf.Bytes()
+	if err := checkVerify(t, clean); err != nil {
+		t.Fatalf("clean stream: %v", err)
+	}
+	for cut := range len(clean) {
+		if err := checkVerify(t, clean[:cut]); err == nil {
+			t.Fatalf("a stream cut at %d of %d bytes verifies", cut, len(clean))
+		}
+	}
+
+	marker := len(clean) - TrailerLen
+	badMarker := bytes.Clone(clean)
+	badMarker[marker+1] = 5
+	if err := checkVerify(t, badMarker); err == nil || err.Error() != "ifile: bad EOF marker (5)" {
+		t.Errorf("bad EOF marker: %v", err)
+	}
+	implausible := bytes.Clone(clean)
+	implausible[0] = 0xfe // VLong -2
+	if err := checkVerify(t, implausible); err == nil || err.Error() != "ifile: implausible record lengths -2/1" {
+		t.Errorf("negative key length: %v", err)
+	}
+	for _, pos := range []int{len(clean) - 1, len(clean) - 4, 2, marker - 3} {
+		flipped := bytes.Clone(clean)
+		flipped[pos] ^= 0x10
+		if err := checkVerify(t, flipped); !errors.Is(err, ErrChecksum) {
+			t.Errorf("byte %d flipped: %v, want ErrChecksum", pos, err)
+		}
+	}
+	for pos := range clean {
+		for bit := range 8 {
+			flipped := bytes.Clone(clean)
+			flipped[pos] ^= 1 << bit
+			checkVerify(t, flipped)
+		}
+	}
+	if err := checkVerify(t, append(bytes.Clone(clean), "after the trailer"...)); err != nil {
+		t.Errorf("bytes after the trailer: %v", err)
 	}
 }

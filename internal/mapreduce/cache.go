@@ -38,7 +38,9 @@ type MapPhaseSnapshot struct {
 // errors that fail the job (the engine falls back to running the map
 // phase). Put's snapshot aliases the run's published segments: its part
 // bytes are read-only, and an implementation that keeps them past Put
-// copies them. Implementations are safe for concurrent use.
+// copies them. Get's snapshot may alias what the cache holds, so the engine
+// treats its part bytes as read-only too: nothing on the read path writes a
+// segment. Implementations are safe for concurrent use.
 type MapOutputCache interface {
 	Get(key string) (*MapPhaseSnapshot, bool)
 	Put(key string, snap *MapPhaseSnapshot) error

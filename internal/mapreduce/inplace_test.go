@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -62,4 +63,32 @@ func inSegment(segs []segment, p []byte) bool {
 		}
 	}
 	return false
+}
+
+// TestScanSegmentAllocatesNothing: checking a raw provenance-tagged segment
+// is one pass over its bytes (ifile.Verify) and allocates nothing, with no
+// injector and with codec-site rules that do not fire for it; a flipped
+// byte still surfaces as corruption naming the producing attempt.
+func TestScanSegmentAllocatesNothing(t *testing.T) {
+	seg := leakSegments(t, codec.None, 1, 2000, func(i, _ int) string {
+		return fmt.Sprintf("k%05d", i)
+	})[0]
+	seg.src, seg.attempt = 3, 1
+	inj := mustInjector(t, "codec:7:error")
+	for _, env := range []readEnv{{codec: codec.None, part: 2}, {codec: codec.None, inj: inj, part: 2}} {
+		if err := scanSegment(seg, env); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { _ = scanSegment(seg, env) }); allocs != 0 {
+			t.Errorf("injector %v: scanning a raw segment made %.1f allocations, want 0", env.inj != nil, allocs)
+		}
+	}
+	bad := seg
+	bad.data = bytes.Clone(seg.data)
+	bad.data[len(bad.data)/2] ^= 0x40
+	var corrupt *ErrCorruptSegment
+	if err := scanSegment(bad, readEnv{codec: codec.None, part: 2}); !errors.As(err, &corrupt) ||
+		corrupt.MapTask != 3 || corrupt.Attempt != 1 || corrupt.Partition != 2 {
+		t.Errorf("a flipped byte scanned as %v", err)
+	}
 }

@@ -81,7 +81,8 @@ func storeKey(key string) string {
 
 // Get implements mapreduce.MapOutputCache. Store misses and snapshots that
 // fail integrity checks both report a miss; a snapshot that fails is deleted
-// and its bytes leave the entry gauges.
+// and its bytes leave the entry gauges. A hit copies no segment byte: the
+// snapshot's parts are slices of the stored object (decodeSnapshot).
 func (c *SegmentCache) Get(key string) (*mapreduce.MapPhaseSnapshot, bool) {
 	if c == nil {
 		return nil, false
@@ -106,9 +107,10 @@ func (c *SegmentCache) Get(key string) (*mapreduce.MapPhaseSnapshot, bool) {
 }
 
 // Put implements mapreduce.MapOutputCache. It reads the snapshot's part
-// bytes once, into the encoded blob, and keeps nothing of snap. The store
-// holds exactly the blob, so the entry's size is len(blob): one Stat per
-// fill, for the size of the entry it replaces.
+// bytes once, into the encoded blob, and keeps nothing of snap. The blob is
+// handed to the store, which keeps it as the object (store.Store.Put takes
+// ownership): one copy of the map output per fill. The entry's size is
+// len(blob): one Stat per fill, for the size of the entry it replaces.
 func (c *SegmentCache) Put(key string, snap *mapreduce.MapPhaseSnapshot) error {
 	if c == nil {
 		return nil
@@ -214,12 +216,13 @@ func snapshotSize(s *mapreduce.MapPhaseSnapshot) int {
 // the bytes that remain, so a truncated or corrupt blob errors instead of
 // panicking or allocating for elements it cannot hold.
 //
-// The snapshot takes ownership of b: each published part is decoded in
-// place, a slice of b whose capacity is capped at its length, so an append
-// by any consumer reallocates rather than overwriting the next part. The
-// caller must own b (Store.Get returns a copy) and must not write to it
-// afterwards. The engine commits each part as a remote attempt's output,
-// which it never recycles into its buffer pool.
+// The snapshot aliases b: each published part is decoded in place, a slice
+// of b whose capacity is capped at its length, so an append by any consumer
+// reallocates rather than overwriting the next part. b may be the store's
+// own object (Store.Get copies nothing), so nothing may write to it: the
+// parts are read-only. The engine commits each part as a remote attempt's
+// output, which it reads and never writes or recycles into its buffer
+// pool.
 func decodeSnapshot(b []byte) (*mapreduce.MapPhaseSnapshot, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("queryd: snapshot too short")

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -14,7 +15,9 @@ import (
 	"scikey/internal/hdfs"
 	"scikey/internal/mapreduce"
 	"scikey/internal/obs"
+	"scikey/internal/scihadoop"
 	"scikey/internal/store"
+	"scikey/internal/workload"
 )
 
 // TestOutputSHAStreamsMultiBlockFiles: OutputSHA streams each output
@@ -136,21 +139,145 @@ func TestSegmentCachePutStatsOnce(t *testing.T) {
 	}
 }
 
-// BenchmarkSegmentCacheHit is the service's warm read path up to the
-// engine: SegmentCache.Get (store.Get, then decodeSnapshot) of the
-// side-64 baseline query's map-phase snapshot.
-func BenchmarkSegmentCacheHit(b *testing.B) {
+// TestWarmHitsLeaveStoredSnapshotIntact: a hit reads the stored object in
+// place — store.Get and decodeSnapshot copy no segment byte — so nothing on
+// the read path may write to it. Over key shape × codec, plus a combining
+// row, every warm run's output equals scihadoop.Reference and the stored
+// object's SHA-256 after each hit is the one the fill stored.
+func TestWarmHitsLeaveStoredSnapshotIntact(t *testing.T) {
+	var specs []QuerySpec
+	for _, strategy := range []string{"baseline", "aggregation"} {
+		for _, codec := range []string{"none", "zlib", "transform+zlib"} {
+			spec := QuerySpec{Side: 24, Strategy: strategy, Codec: codec, Op: "median", Radius: 1, Splits: 4, Reducers: 3}
+			if strategy == "baseline" && codec == "transform+zlib" {
+				spec.Strategy, spec.Codec = "transform", "zlib" // Section III's spelling
+			}
+			specs = append(specs, spec)
+		}
+	}
+	specs = append(specs, QuerySpec{Side: 24, Strategy: "baseline", Codec: "none", Op: "max", Combine: true, CombineNodes: 2, Radius: 1, Splits: 4, Reducers: 3})
+	for _, spec := range specs {
+		t.Run(fmt.Sprintf("%s/%s/combine=%v", spec.Strategy, spec.Codec, spec.Combine), func(t *testing.T) {
+			st := localStore()
+			reg := obs.NewRegistry()
+			c := NewSegmentCache(st, reg)
+			key := spec.CacheKey()
+			stored := func() [sha256.Size]byte {
+				t.Helper()
+				blob, err := st.Get(storeKey(key))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sha256.Sum256(blob)
+			}
+			run := func() {
+				t.Helper()
+				fs, qcfg, strat, err := spec.Setup()
+				if err != nil {
+					t.Fatal(err)
+				}
+				qcfg.MapCache, qcfg.CacheKey = c, key
+				rep, err := core.RunQuery(fs, qcfg, strat, cluster.Paper(), true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				field := &workload.Field{Extent: qcfg.DS.Extent, Name: qcfg.DS.Var.Name}
+				want := scihadoop.Reference(field, qcfg.DS.Extent, spec.Radius, qcfg.Op)
+				if len(rep.Output) != len(want) {
+					t.Fatalf("%d output cells, reference has %d", len(rep.Output), len(want))
+				}
+				for k, w := range want {
+					if g, ok := rep.Output[k]; !ok || g != w {
+						t.Fatalf("cell %s = %d (present %v), reference %d", k, g, ok, w)
+					}
+				}
+			}
+			run() // the fill
+			filled := stored()
+			for hit := int64(1); hit <= 3; hit++ {
+				run()
+				if n := reg.Counter("scikey_cache_hit_total", "", "").Value(); n != hit {
+					t.Fatalf("%d cache hits after %d warm runs", n, hit)
+				}
+				if stored() != filled {
+					t.Fatalf("warm run %d changed the stored snapshot", hit)
+				}
+			}
+		})
+	}
+}
+
+// filledCache returns a segment cache over a fresh store holding the side-64
+// baseline query's map-phase snapshot, and that query's cache key.
+func filledCache(tb testing.TB) (*SegmentCache, string) {
+	tb.Helper()
 	spec := QuerySpec{Side: 64, Strategy: "baseline", Op: "median", Radius: 1, Splits: 10, Reducers: 5}
 	fs, qcfg, strat, err := spec.Setup()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	c := NewSegmentCache(localStore(), nil)
 	qcfg.MapCache, qcfg.CacheKey = c, spec.CacheKey()
 	if _, _, err := core.RunQueryResult(fs, qcfg, strat, cluster.Paper(), false); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	n, err := c.store.Stat(storeKey(qcfg.CacheKey))
+	return c, qcfg.CacheKey
+}
+
+// storedSnapshot returns the snapshot c holds under key and its blob's size.
+func storedSnapshot(tb testing.TB, c *SegmentCache, key string) (*mapreduce.MapPhaseSnapshot, int64) {
+	tb.Helper()
+	blob, err := c.store.Get(storeKey(key))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	snap, err := decodeSnapshot(blob)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap, int64(len(blob))
+}
+
+// bytesPerCall is the heap bytes one call of fn allocates, averaged over n.
+func bytesPerCall(n int, fn func()) float64 {
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestSegmentCacheCopiesOnce: on the side-64 snapshot (about 1 MB), a hit
+// allocates no segment bytes — at most 64 KiB, the decoded snapshot's
+// tables — and a fill allocates its blob once: at most 1.1× the blob.
+func TestSegmentCacheCopiesOnce(t *testing.T) {
+	c, key := filledCache(t)
+	snap, size := storedSnapshot(t, c, key)
+	if hit := bytesPerCall(20, func() {
+		if _, ok := c.Get(key); !ok {
+			t.Fatal("cache miss")
+		}
+	}); hit > 64<<10 {
+		t.Errorf("a hit on a %d-byte snapshot allocates %.0f bytes, want at most 64 KiB", size, hit)
+	}
+	if fill := bytesPerCall(20, func() {
+		if err := c.Put(key, snap); err != nil {
+			t.Fatal(err)
+		}
+	}); fill > 1.1*float64(size) {
+		t.Errorf("a fill of a %d-byte snapshot allocates %.0f bytes, want at most 1.1× the blob", size, fill)
+	}
+}
+
+// BenchmarkSegmentCacheHit is the service's warm read path up to the
+// engine: SegmentCache.Get (store.Get, then decodeSnapshot) of the
+// side-64 baseline query's map-phase snapshot.
+func BenchmarkSegmentCacheHit(b *testing.B) {
+	c, key := filledCache(b)
+	n, err := c.store.Stat(storeKey(key))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -158,8 +285,24 @@ func BenchmarkSegmentCacheHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Get(qcfg.CacheKey); !ok {
+		if _, ok := c.Get(key); !ok {
 			b.Fatal("cache miss")
+		}
+	}
+}
+
+// BenchmarkSegmentCacheFill is the service's write path after the job:
+// SegmentCache.Put (encodeSnapshot, then store.Put) of the side-64 baseline
+// query's map-phase snapshot, overwriting its entry.
+func BenchmarkSegmentCacheFill(b *testing.B) {
+	c, key := filledCache(b)
+	snap, n := storedSnapshot(b, c, key)
+	b.SetBytes(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Put(key, snap); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -12,9 +12,12 @@ import (
 // Local is the HDFS-backed Store: objects are files under a directory
 // prefix of the simulated filesystem, and Put commits through the same
 // temp-path + Rename protocol reduce outputs use, so a Get racing a Put
-// reads either the old object or the new one. Readers are Closed eagerly —
-// the filesystem's pinned-byte accounting stays at zero between calls, so a
-// cache built on Local reports truthful usage.
+// reads either the old object or the new one. Neither side copies: Put's
+// data becomes the file's blocks (hdfs.FileSystem.WriteFile), and Get of an
+// object that fits one block returns that block (hdfs.FileSystem.ReadAll).
+// Readers are Closed eagerly — the filesystem's pinned-byte accounting
+// stays at zero between calls, so a cache built on Local reports truthful
+// usage.
 type Local struct {
 	fs     *hdfs.FileSystem
 	prefix string
