@@ -13,8 +13,8 @@
 //   - segment: bit-flips a map task's final IFile segment at materialization
 //     time, modeling at-rest corruption of intermediate data. The flip is
 //     silent; the reducer's IFile CRC check detects it.
-//   - codec: injects a transient read error partway through a reducer's
-//     decompression stream of a given map task's output, modeling a failed
+//   - codec: fails a reducer's read of a given map task's output with a
+//     transient error before it decodes or parses a byte, modeling a failed
 //     shuffle fetch.
 //   - out: fails a reduce attempt's output-file writes (the IFile the
 //     attempt materializes under its temp path), modeling a full or failing
@@ -385,13 +385,13 @@ func (in *Injector) CorruptSegment(task, part, attempt int, data []byte) ([]byte
 	return out, out != nil
 }
 
-// WrapSegmentRead applies codec-site rules to a reducer's read of the raw
-// (pre-decompression) bytes of map task src's output. When a rule fires for
-// (src, readerAttempt) the returned reader fails with a transient error
-// halfway through size bytes; otherwise r is returned unchanged.
-func (in *Injector) WrapSegmentRead(src, readerAttempt, size int, r io.Reader) io.Reader {
+// SegmentRead applies codec-site rules to a reducer's read of map task
+// src's output. When a rule fires for (src, readerAttempt) it returns a
+// transient error, and the read must fail with it before it parses or
+// decodes a byte; otherwise it returns nil.
+func (in *Injector) SegmentRead(src, readerAttempt int) error {
 	if in == nil || src < 0 {
-		return r
+		return nil
 	}
 	for i, rule := range in.sched.Rules {
 		if rule.Site != SiteCodec || rule.Action != ActError {
@@ -401,44 +401,10 @@ func (in *Injector) WrapSegmentRead(src, readerAttempt, size int, r io.Reader) i
 			continue
 		}
 		in.record(rule)
-		return &failingReader{
-			r:      r,
-			remain: size / 2,
-			err: fmt.Errorf("%w: codec stream of map task %d (reduce attempt %d)",
-				ErrInjected, src, readerAttempt),
-		}
+		return fmt.Errorf("%w: codec stream of map task %d (reduce attempt %d)",
+			ErrInjected, src, readerAttempt)
 	}
-	return r
-}
-
-// failingReader passes through remain bytes, then returns err.
-type failingReader struct {
-	r      io.Reader
-	remain int
-	err    error
-}
-
-func (f *failingReader) Read(p []byte) (int, error) {
-	if f.remain <= 0 {
-		return 0, f.err
-	}
-	if len(p) > f.remain {
-		p = p[:f.remain]
-	}
-	n, err := f.r.Read(p)
-	f.remain -= n
-	if err != nil && err != io.EOF {
-		return n, err
-	}
-	if f.remain <= 0 || err == io.EOF {
-		err = f.err
-		if n > 0 {
-			// Deliver the bytes first; fail on the next call.
-			f.remain = 0
-			err = nil
-		}
-	}
-	return n, err
+	return nil
 }
 
 // WrapReduceOutput applies out-site rules to a reduce attempt's output

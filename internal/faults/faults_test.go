@@ -3,7 +3,6 @@ package faults
 import (
 	"bytes"
 	"errors"
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -182,25 +181,24 @@ func TestProbDeterministicAndSeedSensitive(t *testing.T) {
 	}
 }
 
-func TestWrapSegmentRead(t *testing.T) {
+// TestSegmentRead: a codec rule fails the read of its own (src, attempt)
+// only, with a transient error, and every firing is counted.
+func TestSegmentRead(t *testing.T) {
 	in, _ := NewFromSpec("codec:4:error@0")
-	payload := bytes.Repeat([]byte{1}, 100)
-
-	r := in.WrapSegmentRead(4, 0, len(payload), bytes.NewReader(payload))
-	n, err := io.Copy(io.Discard, r)
-	if err == nil || !IsTransient(err) {
-		t.Fatalf("wrapped read: n=%d err=%v, want transient failure", n, err)
+	if err := in.SegmentRead(4, 0); err == nil || !IsTransient(err) {
+		t.Fatalf("SegmentRead(4, 0) = %v, want a transient failure", err)
 	}
-	if n >= int64(len(payload)) {
-		t.Errorf("read all %d bytes before failing", n)
-	}
-
-	// Other tasks and attempts pass through untouched.
+	// Other tasks and attempts, and engine-internal segments, read clean.
 	for _, c := range []struct{ src, attempt int }{{3, 0}, {4, 1}, {-1, 0}} {
-		r := in.WrapSegmentRead(c.src, c.attempt, len(payload), bytes.NewReader(payload))
-		if n, err := io.Copy(io.Discard, r); err != nil || n != int64(len(payload)) {
-			t.Errorf("src=%d attempt=%d: n=%d err=%v", c.src, c.attempt, n, err)
+		if err := in.SegmentRead(c.src, c.attempt); err != nil {
+			t.Errorf("src=%d attempt=%d: %v", c.src, c.attempt, err)
 		}
+	}
+	if err := in.SegmentRead(4, 0); err == nil {
+		t.Error("the rule fired once only")
+	}
+	if got := in.Fired()["codec/error"]; got != 2 {
+		t.Errorf("codec/error fired %d times, want 2", got)
 	}
 }
 
@@ -212,8 +210,8 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if _, ok := in.CorruptSegment(0, 0, 0, []byte{1}); ok {
 		t.Error("nil injector corrupted data")
 	}
-	if r := in.WrapSegmentRead(0, 0, 1, strings.NewReader("x")); r == nil {
-		t.Error("nil injector returned nil reader")
+	if err := in.SegmentRead(0, 0); err != nil {
+		t.Errorf("nil injector failed a segment read: %v", err)
 	}
 	if in.Fired() != nil {
 		t.Error("nil injector has fired stats")

@@ -10,15 +10,14 @@ import (
 	"io"
 	"math/rand"
 	"testing"
-	"testing/iotest"
 
 	"scikey/internal/binutil"
 )
 
-// The Writer gathers a block before it checksums and writes, the Reader
-// checksums its read-ahead a span at a time. These tests hold both to the
-// format at the places that batching could get wrong: a field that straddles
-// a block edge, a piece larger than a block, the empty stream, damage and
+// The Writer gathers a block before it checksums and writes. These tests
+// hold it, and the Reader reading what it wrote in place, to the format at
+// the places that batching could get wrong: a field that straddles a block
+// edge, a piece larger than a block, the empty stream, damage and
 // truncation anywhere, and a destination that fails.
 
 type rec struct{ k, v []byte }
@@ -59,19 +58,10 @@ func writeStream(t *testing.T, recs []rec) ([]byte, Stats) {
 	return buf.Bytes(), w.Stats()
 }
 
-// readStream drains src and returns its records, or the first non-EOF error.
-func readStream(src io.Reader) ([]rec, error) {
-	return drain(NewReader(src))
-}
-
-// readInPlace is readStream over a stream held in memory.
+// readInPlace reads data in place and returns its records, or the first
+// non-EOF error.
 func readInPlace(data []byte) ([]rec, error) {
-	var r Reader
-	r.ResetBytes(data)
-	return drain(&r)
-}
-
-func drain(r *Reader) ([]rec, error) {
+	r := NewReader(data)
 	var recs []rec
 	for {
 		k, v, err := r.Next()
@@ -94,8 +84,7 @@ func fill(n int, seed byte) []byte {
 }
 
 // checkStream writes recs, compares the bytes with the reference framing,
-// and reads them back in place and through sources that refill the Reader
-// at different offsets: whole blocks, single bytes, and odd-sized chunks.
+// and reads them back in place.
 func checkStream(t *testing.T, recs []rec) []byte {
 	t.Helper()
 	got, stats := writeStream(t, recs)
@@ -105,36 +94,19 @@ func checkStream(t *testing.T, recs []rec) []byte {
 	if stats.Total() != int64(len(got)) || stats.Records != int64(len(recs)) {
 		t.Fatalf("stats %+v do not describe a %d-byte, %d-record stream", stats, len(got), len(recs))
 	}
-	sources := map[string]func() io.Reader{
-		"whole":   func() io.Reader { return bytes.NewReader(got) },
-		"onebyte": func() io.Reader { return iotest.OneByteReader(bytes.NewReader(got)) },
-		"chunk7":  func() io.Reader { return &chunkReader{data: got, size: 7} },
-		"chunk4k": func() io.Reader { return &chunkReader{data: got, size: blockSize + 1} },
-		"dataerr": func() io.Reader { return iotest.DataErrReader(bytes.NewReader(got)) },
-	}
-	reads := map[string]func() ([]rec, error){"inplace": func() ([]rec, error) { return readInPlace(got) }}
-	for name, open := range sources {
-		reads[name] = func() ([]rec, error) { return readStream(open()) }
-	}
-	for name, read := range reads {
-		back, err := read()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(back) != len(recs) {
-			t.Fatalf("%s: read %d records, wrote %d", name, len(back), len(recs))
-		}
-		for i := range recs {
-			if !bytes.Equal(back[i].k, recs[i].k) || !bytes.Equal(back[i].v, recs[i].v) {
-				t.Fatalf("%s: record %d differs", name, i)
-			}
-		}
-	}
-	// What a Reader gets back decomposes into the bytes the Writer counted.
-	back, err := readStream(bytes.NewReader(got))
+	back, err := readInPlace(got)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(back) != len(recs) {
+		t.Fatalf("read %d records, wrote %d", len(back), len(recs))
+	}
+	for i := range recs {
+		if !bytes.Equal(back[i].k, recs[i].k) || !bytes.Equal(back[i].v, recs[i].v) {
+			t.Fatalf("record %d differs", i)
+		}
+	}
+	// What a Reader gets back decomposes into the bytes the Writer counted.
 	s := Stats{TrailerBytes: TrailerLen}
 	for _, r := range back {
 		s.Records++
@@ -146,21 +118,6 @@ func checkStream(t *testing.T, recs []rec) []byte {
 		t.Fatalf("a Reader sees %+v; writer stats %+v", s, stats)
 	}
 	return got
-}
-
-// chunkReader hands out at most size bytes per Read.
-type chunkReader struct {
-	data []byte
-	size int
-}
-
-func (c *chunkReader) Read(p []byte) (int, error) {
-	if len(c.data) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p[:min(len(p), c.size)], c.data)
-	c.data = c.data[n:]
-	return n, nil
 }
 
 func TestFieldsStraddleBlockEdge(t *testing.T) {
@@ -223,7 +180,7 @@ func TestRandomShapesMatchReference(t *testing.T) {
 		if !bytes.Equal(got, referenceStream(recs)) {
 			t.Fatalf("shape %d: stream differs from the per-record reference", shape)
 		}
-		back, err := readStream(&chunkReader{data: got, size: 1 + rng.Intn(2*blockSize)})
+		back, err := readInPlace(got)
 		if err != nil || len(back) != len(recs) {
 			t.Fatalf("shape %d: read %d of %d records: %v", shape, len(back), len(recs), err)
 		}
@@ -287,18 +244,12 @@ func TestBitFlipsAcrossBlocks(t *testing.T) {
 		for bit := range 8 {
 			bad := bytes.Clone(clean)
 			bad[at.off] ^= 1 << bit
-			for _, read := range []func() ([]rec, error){
-				func() ([]rec, error) { return readStream(bytes.NewReader(bad)) },
-				func() ([]rec, error) { return readStream(&chunkReader{data: bad, size: 100}) },
-				func() ([]rec, error) { return readInPlace(bad) },
-			} {
-				_, err := read()
-				if err == nil {
-					t.Fatalf("%s bit %d: damaged stream read to a clean EOF", at.name, bit)
-				}
-				if at.payload && err != ErrChecksum {
-					t.Fatalf("%s bit %d: %v, want ErrChecksum", at.name, bit, err)
-				}
+			_, err := readInPlace(bad)
+			if err == nil {
+				t.Fatalf("%s bit %d: damaged stream read to a clean EOF", at.name, bit)
+			}
+			if at.payload && err != ErrChecksum {
+				t.Fatalf("%s bit %d: %v, want ErrChecksum", at.name, bit, err)
 			}
 		}
 	}
@@ -310,11 +261,8 @@ func TestTruncationAtEveryOffset(t *testing.T) {
 		t.Fatalf("stream is %d bytes, want at least three blocks", len(clean))
 	}
 	for cut := range len(clean) {
-		if _, err := readStream(bytes.NewReader(clean[:cut])); err != io.ErrUnexpectedEOF {
-			t.Fatalf("cut at %d: %v, want io.ErrUnexpectedEOF", cut, err)
-		}
 		if _, err := readInPlace(clean[:cut]); err != io.ErrUnexpectedEOF {
-			t.Fatalf("cut at %d, in place: %v, want io.ErrUnexpectedEOF", cut, err)
+			t.Fatalf("cut at %d: %v, want io.ErrUnexpectedEOF", cut, err)
 		}
 	}
 }

@@ -49,9 +49,8 @@ func (s Stats) Total() int64 {
 	return s.KeyBytes + s.ValBytes + s.FrameBytes + s.TrailerBytes
 }
 
-// blockSize is the unit both ends work in: the Writer gathers this many
-// stream bytes before it checksums and writes them, the Reader reads ahead
-// this many and checksums them as one span. Per-record pieces are a few
+// blockSize is the unit the Writer works in: it gathers this many stream
+// bytes before it checksums and writes them. Per-record pieces are a few
 // bytes each; feeding those to crc32 one at a time costs more than the sum.
 const blockSize = 4096
 
@@ -165,127 +164,27 @@ func (w *Writer) Close() error {
 // only after Close.
 func (w *Writer) Stats() Stats { return w.stats }
 
-// Reader iterates the records of an IFile stream, verifying the checksum
-// when the EOF marker is reached.
-//
-// buf[pos:end] is the window of unread bytes and buf[summed:pos] is
-// consumed stream content the checksum has not seen yet. That span is
-// summed once, when the window is about to be refilled or the EOF marker
-// has been consumed — never field by field. A stream read from an
-// io.Reader (Reset) is windowed through block, a block at a time; one
-// already in memory (ResetBytes) is its own window, so it is never copied
-// and its checksum is one update at the EOF marker.
+// Reader iterates the records of an IFile stream held whole in memory.
+// Records are read where they lie: Next returns sub-slices of the stream,
+// capacity-capped so an append cannot reach the next record, and the
+// checksum is one update at the EOF marker.
 type Reader struct {
-	src    io.Reader
-	srcErr error // the source's terminal error, reported once buf drains
-	crc    uint32
-	done   bool
-	key    []byte
-	val    []byte
-
-	buf              []byte
-	pos, end, summed int
-	block            [blockSize]byte
+	data []byte
+	pos  int
+	done bool
 }
 
-// NewReader returns a Reader over r.
-func NewReader(r io.Reader) *Reader {
-	nr := &Reader{}
-	nr.Reset(r)
-	return nr
-}
-
-// Reset rebinds the Reader to a new stream. The read-ahead block and the
-// key/value scratch buffers are retained, so a pooled Reader iterates
-// segment after segment without per-segment allocation.
-func (r *Reader) Reset(src io.Reader) {
-	r.rebind(src, nil, r.block[:], 0)
+// NewReader returns a Reader over the stream held in data.
+func NewReader(data []byte) *Reader {
+	r := &Reader{}
+	r.ResetBytes(data)
+	return r
 }
 
 // ResetBytes rebinds the Reader to a stream held whole in data, which must
-// not change while it is read. Records are read where they lie: Next
-// returns sub-slices of data, capacity-capped so an append cannot reach
-// the next record.
+// not change while it is read.
 func (r *Reader) ResetBytes(data []byte) {
-	r.rebind(nil, io.EOF, data, len(data))
-}
-
-func (r *Reader) rebind(src io.Reader, srcErr error, buf []byte, end int) {
-	r.src = src
-	r.srcErr = srcErr
-	r.crc = 0
-	r.done = false
-	r.key = r.key[:0]
-	r.val = r.val[:0]
-	r.buf = buf
-	r.pos, r.end, r.summed = 0, end, 0
-}
-
-// sum brings the checksum up to the read position.
-func (r *Reader) sum() {
-	r.crc = crc32.Update(r.crc, crc32.IEEETable, r.buf[r.summed:r.pos])
-	r.summed = r.pos
-}
-
-// fill replaces the drained window with the source's next bytes. It returns
-// the source's error when no byte arrived.
-func (r *Reader) fill() error {
-	r.sum()
-	r.pos, r.end, r.summed = 0, 0, 0
-	for tries := 0; r.srcErr == nil; tries++ {
-		if tries == maxEmptyReads {
-			r.srcErr = io.ErrNoProgress
-			break
-		}
-		var n int
-		n, r.srcErr = r.src.Read(r.buf)
-		if n > 0 {
-			r.end = n
-			return nil
-		}
-	}
-	return r.srcErr
-}
-
-// maxEmptyReads bounds how often a source may return (0, nil) in a row.
-const maxEmptyReads = 100
-
-func (r *Reader) readByte() (byte, error) {
-	if r.pos == r.end {
-		if err := r.fill(); err != nil {
-			return 0, err
-		}
-	}
-	c := r.buf[r.pos]
-	r.pos++
-	return c, nil
-}
-
-// readFull fills p from the stream and accounts it to the checksum: what
-// the read-ahead block holds is copied and summed with the block's span;
-// what it does not is read from the source straight into p and summed
-// there in one update.
-func (r *Reader) readFull(p []byte) error {
-	for len(p) > 0 {
-		if r.pos == r.end {
-			if len(p) >= blockSize && r.srcErr == nil {
-				r.sum()
-				n, err := io.ReadFull(r.src, p)
-				r.crc = crc32.Update(r.crc, crc32.IEEETable, p[:n])
-				if err != nil {
-					r.srcErr = err
-				}
-				return err
-			}
-			if err := r.fill(); err != nil {
-				return err
-			}
-		}
-		c := copy(p, r.buf[r.pos:r.end])
-		r.pos += c
-		p = p[c:]
-	}
-	return nil
+	r.data, r.pos, r.done = data, 0, false
 }
 
 // shortHeader reads the common record header, both lengths below 128 and
@@ -313,9 +212,6 @@ func header(b []byte) (keyLen, valLen int64, n int, ok bool) {
 	return keyLen, valLen, n + m, true
 }
 
-// maxHeader is the longest record header: two nine-byte VLongs.
-const maxHeader = 18
-
 // plausible reports whether a header frames a record: both lengths in
 // [0, MaxInt32]. Any other header must be the EOF marker (eofMarker).
 func plausible(keyLen, valLen int64) bool {
@@ -334,107 +230,52 @@ func eofMarker(keyLen, valLen int64) error {
 	return nil
 }
 
-// lengths reads a record header: in place when the window holds it whole,
-// and otherwise a byte at a time across refills.
-func (r *Reader) lengths() (keyLen, valLen int64, err error) {
-	if keyLen, valLen, ok := shortHeader(r.buf[:r.end], r.pos); ok {
-		r.pos += 2
-		return keyLen, valLen, nil
+// trailer checks the checksum after an EOF marker that ends at data[p]:
+// it must be there and sum data[:p].
+func trailer(data []byte, p int) error {
+	if len(data)-p < 4 {
+		return io.ErrUnexpectedEOF
 	}
-	if keyLen, valLen, n, ok := header(r.buf[r.pos:r.end]); ok {
-		r.pos += n
-		return keyLen, valLen, nil
+	if binary.BigEndian.Uint32(data[p:]) != crc32.ChecksumIEEE(data[:p]) {
+		return ErrChecksum
 	}
-	var hb [maxHeader]byte
-	for n := 1; ; n++ {
-		c, err := r.readByte()
-		if err != nil {
-			// A well-formed stream always ends with the EOF marker and
-			// checksum, so running out of bytes here means truncation.
-			return 0, 0, unexpected(err)
-		}
-		hb[n-1] = c
-		if keyLen, valLen, _, ok := header(hb[:n]); ok {
-			return keyLen, valLen, nil
-		}
-	}
+	return nil
 }
 
-// Next returns the next record. The returned slices are owned by the Reader
-// (or are sub-slices of the window it reads from) and valid until the
-// following call. At end of stream it verifies the checksum and returns
-// io.EOF.
+// Next returns the next record, two sub-slices of the stream. At the EOF
+// marker it verifies the checksum and returns io.EOF, as every later call
+// does; a stream that ends before its trailer returns io.ErrUnexpectedEOF.
 func (r *Reader) Next() (key, value []byte, err error) {
 	if r.done {
 		return nil, nil, io.EOF
 	}
-	keyLen, valLen, err := r.lengths()
-	if err != nil {
-		return nil, nil, err
+	b, p := r.data, r.pos
+	keyLen, valLen, ok := shortHeader(b, p)
+	if ok {
+		p += 2
+	} else {
+		var n int
+		if keyLen, valLen, n, ok = header(b[p:]); !ok {
+			return nil, nil, io.ErrUnexpectedEOF
+		}
+		p += n
 	}
 	if !plausible(keyLen, valLen) {
 		if err := eofMarker(keyLen, valLen); err != nil {
 			return nil, nil, err
 		}
-		r.sum()
-		want := r.crc
-		var got uint32
-		for range 4 {
-			c, err := r.readByte()
-			if err != nil {
-				return nil, nil, unexpected(err)
-			}
-			got = got<<8 | uint32(c)
+		if err := trailer(b, p); err != nil {
+			return nil, nil, err
 		}
 		r.done = true
-		if got != want {
-			return nil, nil, ErrChecksum
-		}
 		return nil, nil, io.EOF
 	}
-	if keyLen+valLen <= int64(r.end-r.pos) {
-		k, v, e := r.pos, r.pos+int(keyLen), r.pos+int(keyLen+valLen)
-		r.pos = e
-		return r.buf[k:v:v], r.buf[v:e:e], nil
+	if keyLen+valLen > int64(len(b)-p) {
+		return nil, nil, io.ErrUnexpectedEOF
 	}
-	if r.key, err = r.readBody(r.key, keyLen); err != nil {
-		return nil, nil, err
-	}
-	if r.val, err = r.readBody(r.val, valLen); err != nil {
-		return nil, nil, err
-	}
-	return r.key, r.val, nil
-}
-
-// readBody reads exactly n bytes into (a resized) buf. When the buffer must
-// grow it does so geometrically as bytes actually arrive — seeded at 1 MiB
-// and capped at n — so the steady-state path is a single capacity check and
-// one readFull, yet a corrupt header still cannot force an allocation more
-// than ~2x the bytes the stream really delivers.
-func (r *Reader) readBody(buf []byte, n int64) ([]byte, error) {
-	const seed = 1 << 20
-	if int64(cap(buf)) >= n {
-		buf = buf[:n]
-		if err := r.readFull(buf); err != nil {
-			return buf[:0], unexpected(err)
-		}
-		return buf, nil
-	}
-	buf = buf[:0]
-	for int64(len(buf)) < n {
-		if len(buf) == cap(buf) {
-			newCap := min(max(2*int64(cap(buf)), seed), n)
-			grown := make([]byte, len(buf), newCap)
-			copy(grown, buf)
-			buf = grown
-		}
-		start := len(buf)
-		buf = buf[:min(int64(cap(buf)), n)]
-		if err := r.readFull(buf[start:]); err != nil {
-			return buf[:0], unexpected(err)
-		}
-	}
-	return buf, nil
+	v, e := p+int(keyLen), p+int(keyLen+valLen)
+	r.pos = e
+	return b[p:v:v], b[v:e:e], nil
 }
 
 // Verify checks a stream held whole in data — every record header, the EOF
@@ -460,26 +301,13 @@ func Verify(data []byte) error {
 			if err := eofMarker(keyLen, valLen); err != nil {
 				return err
 			}
-			if len(data)-p < 4 {
-				return io.ErrUnexpectedEOF
-			}
-			if binary.BigEndian.Uint32(data[p:]) != crc32.ChecksumIEEE(data[:p]) {
-				return ErrChecksum
-			}
-			return nil
+			return trailer(data, p)
 		}
 		if keyLen+valLen > int64(len(data)-p) {
 			return io.ErrUnexpectedEOF
 		}
 		p += int(keyLen + valLen)
 	}
-}
-
-func unexpected(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 // RecordOverhead returns the framing cost of one record with the given key

@@ -29,7 +29,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(&buf)
+	r := NewReader(buf.Bytes())
 	for i, rec := range records {
 		k, v, err := r.Next()
 		if err != nil {
@@ -116,7 +116,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	w.Close()
 	data := buf.Bytes()
 	data[2] ^= 0x01 // flip a key byte
-	r := NewReader(bytes.NewReader(data))
+	r := NewReader(data)
 	if _, _, err := r.Next(); err != nil {
 		t.Fatalf("record read should still succeed: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestTruncatedStream(t *testing.T) {
 	w.Close()
 	full := buf.Bytes()
 	for cut := 1; cut < len(full); cut++ {
-		r := NewReader(bytes.NewReader(full[:cut]))
+		r := NewReader(full[:cut])
 		var err error
 		for err == nil {
 			_, _, err = r.Next()
@@ -180,7 +180,7 @@ func TestLargeRandomRoundTrip(t *testing.T) {
 		}
 	}
 	w.Close()
-	r := NewReader(&buf)
+	r := NewReader(buf.Bytes())
 	for i, want := range recs {
 		k, v, err := r.Next()
 		if err != nil {
@@ -211,7 +211,7 @@ func TestAnySingleBitFlipDetected(t *testing.T) {
 	clean := buf.Bytes()
 
 	readAll := func(data []byte) ([]string, error) {
-		r := NewReader(bytes.NewReader(data))
+		r := NewReader(data)
 		var recs []string
 		for {
 			k, v, err := r.Next()

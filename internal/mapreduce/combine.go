@@ -16,8 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-
-	"scikey/internal/codec"
 )
 
 // Monoid is the algebraic contract for mergeable aggregate values: a binary
@@ -32,7 +30,7 @@ import (
 //
 // Ownership: Merge folds b into a and returns the result. It may reuse a's
 // backing storage (callers must treat a as consumed) and must not retain b,
-// which may alias decoder scratch that is recycled on the next record.
+// which may alias a buffer that is reused after the record.
 type Monoid interface {
 	// Identity returns the neutral aggregate. Built-ins return nil: the
 	// empty byte slice merges with any value of any lane width.
@@ -273,7 +271,6 @@ func (b *NodeBuffer) combine(g int) ([]nodeRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		env.codec = codec.None
 		ms, err := newMergeStream(level, env, b.job.order())
 		if err != nil {
 			for _, s := range level {

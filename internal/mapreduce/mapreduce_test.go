@@ -71,11 +71,11 @@ func readWordCounts(t *testing.T, fs *hdfs.FileSystem, paths []string) map[strin
 	t.Helper()
 	out := make(map[string]uint32)
 	for _, p := range paths {
-		f, err := fs.Open(p)
+		data, err := fs.ReadAll(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := ifile.NewReader(f)
+		r := ifile.NewReader(data)
 		for {
 			k, v, err := r.Next()
 			if err == io.EOF {
@@ -86,7 +86,6 @@ func readWordCounts(t *testing.T, fs *hdfs.FileSystem, paths []string) map[strin
 			}
 			out[string(k)] += binary.BigEndian.Uint32(v)
 		}
-		f.Close()
 	}
 	return out
 }
@@ -393,8 +392,11 @@ func TestRoundTripBinaryValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := fs.Open(res.OutputPaths[0])
-	r := ifile.NewReader(f)
+	data, err := fs.ReadAll(res.OutputPaths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := ifile.NewReader(data)
 	k, v, err := r.Next()
 	if err != nil {
 		t.Fatal(err)

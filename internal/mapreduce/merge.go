@@ -178,20 +178,17 @@ func recycleSegment(seg segment) {
 	}
 }
 
-// segIter streams the records of one segment. Iterators are pooled: the
-// embedded bytes.Reader, IFile reader (with its read-ahead block and
-// key/value scratch) and the codec reader survive from segment to segment.
-// rc is nil while the IFile reader parses the segment in place.
+// segIter streams the records of one raw segment, parsed where it lies.
+// Iterators are pooled.
 type segIter struct {
-	br  bytes.Reader
-	rc  io.ReadCloser
 	ir  ifile.Reader
 	env readEnv
 	// src/attempt are the segment's provenance, for corruption reports.
 	src        int
 	srcAttempt int
-	// cur is the current record. It aliases the IFile reader's buffers,
-	// or the segment itself when read in place, until the next advance.
+	// cur is the current record, two sub-slices of the segment: its bytes
+	// stay valid until the segment is recycled, cur itself until the next
+	// advance.
 	cur KV
 	ok  bool
 	err error
@@ -202,25 +199,12 @@ type segIter struct {
 
 var segIterPool = sync.Pool{New: func() any { return new(segIter) }}
 
-// openSegment positions an iterator on seg's first record. A raw segment
-// whose read no codec-site fault rule wraps is parsed where it lies
-// (ifile.Reader.ResetBytes); everything else streams through the codec
-// reader and the IFile read-ahead block.
+// openSegment positions an iterator on the first record of seg, which must
+// be raw: a coded segment or one a codec-site fault rule may cover goes
+// through validateSegments first, which hands back a raw level.
 func openSegment(seg segment, env readEnv) (*segIter, error) {
 	it := segIterPool.Get().(*segIter)
-	it.br.Reset(seg.data)
-	raw := env.inj.WrapSegmentRead(seg.src, env.attempt, len(seg.data), &it.br)
-	if env.codec == codec.None && raw == io.Reader(&it.br) {
-		it.ir.ResetBytes(seg.data)
-	} else {
-		rc, err := readerPoolFor(env.codec).Get(raw)
-		if err != nil {
-			it.release()
-			return nil, env.wrapErr(seg.src, seg.attempt, err)
-		}
-		it.rc = rc
-		it.ir.Reset(rc)
-	}
+	it.ir.ResetBytes(seg.data)
 	it.env = env
 	it.src, it.srcAttempt = seg.src, seg.attempt
 	it.err = nil
@@ -228,15 +212,10 @@ func openSegment(seg segment, env readEnv) (*segIter, error) {
 	return it, it.err
 }
 
-// release returns an iterator (and its codec reader) to the pools,
-// exhausted, failed, or abandoned mid-stream alike — the reader pool fully
-// reinitializes pooled readers on Get, so partially-consumed codec state is
-// safe to recycle. It must not be called while cur is still referenced.
+// release returns an iterator to the pool, exhausted, failed, or abandoned
+// mid-stream alike. It must not be called while cur is still referenced.
 func (it *segIter) release() {
-	if it.rc != nil {
-		readerPoolFor(it.env.codec).Put(it.rc)
-		it.rc = nil
-	}
+	it.ir.ResetBytes(nil)
 	it.env = readEnv{}
 	it.cur = KV{}
 	segIterPool.Put(it)
@@ -249,9 +228,6 @@ func (it *segIter) advance() {
 			it.err = it.env.wrapErr(it.src, it.srcAttempt, err)
 		}
 		it.ok = false
-		if it.rc != nil {
-			it.rc.Close()
-		}
 		return
 	}
 	it.cur = KV{Key: k, Value: v}
@@ -362,9 +338,8 @@ func (h *mergeHeap) pop() *segIter {
 // through reduceStream.) pull returns the next record where it lies, or nil
 // at end of stream and on error; after either the stream must not be
 // pulled again. A returned record, the KV and the bytes it points at, is
-// valid until the next pull: it may alias the stream's own fields, decoder
-// scratch or the segment itself, so a consumer that keeps a record past
-// that copies it. close releases pooled resources and is idempotent; it
+// valid until the next pull: it may alias the stream's own fields or the
+// segment itself, so a consumer that keeps a record past that copies it. close releases pooled resources and is idempotent; it
 // must be called exactly when no previously returned record is still
 // referenced.
 type kvStream interface {
@@ -392,14 +367,15 @@ type mergeStream struct {
 	got     int64
 }
 
-// validateSegments checks a final merge level before any of its records
-// reaches user code: grouping interleaves with decoding from there on, so a
-// corrupted map output must surface here as an ErrCorruptSegment naming the
+// validateSegments checks a merge level before any of its records is
+// merged: the final level before grouping interleaves with decoding, so a
+// corrupted map output surfaces here as an ErrCorruptSegment naming the
 // producing attempt, never as whatever user code does with garbage bytes
-// mid-stream. Each provenance-tagged segment (src >= 0) is read to its
-// trailing CRC without copying a record; engine-internal ones
-// (src < 0) came from already-validated inputs and are not scanned. It
-// returns the level the final merge reads, always raw, and the fetched
+// mid-stream; and every batch mergeDown merges. Each provenance-tagged
+// segment (src >= 0) is read to its trailing CRC without copying a record,
+// after the codec-site fault rules had their say over its read;
+// engine-internal ones (src < 0) came from already-validated inputs and are
+// not scanned. It returns the level to merge, always raw, and the fetched
 // bytes read, for disk accounting.
 //
 // On a coded level the scan is the one decode (decodeSegmentOnce): every
@@ -418,29 +394,34 @@ type mergeStream struct {
 // Every segment is scanned and the lowest-index failure is the one
 // reported, so the error names the producer a sequential scan would have
 // named however the scans interleave. Raw segments keep the sequential
-// scan, which stops at the first failure: a CRC at memory speed is cheaper
-// than the goroutines.
+// scan, which stops at the first failure and allocates nothing: a CRC at
+// memory speed is cheaper than the goroutines.
 func validateSegments(segs []segment, env readEnv) ([]segment, int64, error) {
-	errs := make([]error, len(segs))
-	level := segs
+	var read int64
 	if env.codec == codec.None {
-		for i, seg := range segs {
-			if errs[i] = scanSegment(seg, env); errs[i] != nil {
-				break
+		for _, seg := range segs {
+			if err := scanSegment(seg, env); err != nil {
+				for _, s := range segs {
+					recycleSegment(s)
+				}
+				return nil, read, err
+			}
+			if seg.src >= 0 {
+				read += int64(len(seg.data))
 			}
 		}
-	} else {
-		level = make([]segment, len(segs))
-		var wg sync.WaitGroup
-		for i, seg := range segs {
-			cpu.fork(&wg, func() { level[i], errs[i] = decodeSegmentOnce(seg, env) })
-		}
-		wg.Wait()
-		for _, seg := range segs {
-			recycleSegment(seg)
-		}
+		return segs, read, nil
 	}
-	var read int64
+	errs := make([]error, len(segs))
+	level := make([]segment, len(segs))
+	var wg sync.WaitGroup
+	for i, seg := range segs {
+		cpu.fork(&wg, func() { level[i], errs[i] = decodeSegmentOnce(seg, env) })
+	}
+	wg.Wait()
+	for _, seg := range segs {
+		recycleSegment(seg)
+	}
 	for i, seg := range segs {
 		if errs[i] != nil {
 			for _, s := range level {
@@ -455,18 +436,18 @@ func validateSegments(segs []segment, env readEnv) ([]segment, int64, error) {
 	return level, read, nil
 }
 
-// decodeSegmentOnce drains seg's codec stream, through the fault injector's
-// codec-site wrapper, into a pooled buffer, then scans that buffer raw with
-// scanSegment under seg's provenance — in one pass, since without the
-// injector, which has already had its one read, nothing wraps it. Errors
-// from either step name seg's producer.
+// decodeSegmentOnce consults the codec-site fault rules for seg's read,
+// drains its codec stream into a pooled buffer and checks that buffer in
+// one pass (ifile.Verify) when seg is provenance-tagged. Errors from any
+// step name seg's producer.
 func decodeSegmentOnce(seg segment, env readEnv) (segment, error) {
 	if len(seg.data) == 0 {
 		return segment{src: -1}, nil
 	}
-	br := bytes.NewReader(seg.data)
-	raw := env.inj.WrapSegmentRead(seg.src, env.attempt, len(seg.data), br)
-	rc, err := readerPoolFor(env.codec).Get(raw)
+	if err := env.inj.SegmentRead(seg.src, env.attempt); err != nil {
+		return segment{src: -1}, err
+	}
+	rc, err := readerPoolFor(env.codec).Get(bytes.NewReader(seg.data))
 	if err != nil {
 		return segment{src: -1}, env.wrapErr(seg.src, seg.attempt, err)
 	}
@@ -478,10 +459,11 @@ func decodeSegmentOnce(seg segment, env readEnv) (segment, error) {
 	}
 	decodedLive.Add(1)
 	out := segment{data: plain, records: seg.records, src: -1, decoded: true}
-	renv := readEnv{codec: codec.None, attempt: env.attempt, part: env.part}
-	if err := scanSegment(segment{data: plain, src: seg.src, attempt: seg.attempt}, renv); err != nil {
-		recycleSegment(out)
-		return segment{src: -1}, err
+	if seg.src >= 0 {
+		if err := ifile.Verify(plain); err != nil {
+			recycleSegment(out)
+			return segment{src: -1}, env.wrapErr(seg.src, seg.attempt, err)
+		}
 	}
 	return out, nil
 }
@@ -509,32 +491,22 @@ func drainPooled(r io.Reader, hint int) ([]byte, error) {
 	}
 }
 
-// scanSegment reads one provenance-tagged segment to its trailing CRC and
-// returns what the codec or the IFile framing had to say about it. A
-// segment parsed in place is checked in one pass (ifile.Verify) instead of
-// record by record; any other read walks its records through the iterator.
+// scanSegment checks one raw provenance-tagged segment: the codec-site
+// fault rules have their say over its read, then one pass over its bytes
+// (ifile.Verify) finds what the IFile framing or checksum has to say.
 func scanSegment(seg segment, env readEnv) error {
 	if seg.src < 0 || len(seg.data) == 0 {
 		return nil
 	}
-	it, err := openSegment(seg, env)
-	if it == nil {
+	if err := env.inj.SegmentRead(seg.src, env.attempt); err != nil {
 		return err
 	}
-	if it.rc == nil && it.ok {
-		it.release()
-		return env.wrapErr(seg.src, seg.attempt, ifile.Verify(seg.data))
-	}
-	for it.ok {
-		it.advance()
-	}
-	err = it.err
-	it.release()
-	return err
+	return env.wrapErr(seg.src, seg.attempt, ifile.Verify(seg.data))
 }
 
-// newMergeStream opens every segment and primes the heap. On error all
-// already-opened iterators are released back to their pools.
+// newMergeStream opens every segment of a raw level (validateSegments')
+// and primes the heap; env names the partition in corruption reports. On
+// error all already-opened iterators are released back to their pools.
 func newMergeStream(segs []segment, env readEnv, ord keyOrder) (*mergeStream, error) {
 	m := &mergeStream{h: mergeHeap{ord: ord}}
 	for _, s := range segs {
@@ -598,8 +570,8 @@ func (m *mergeStream) flush() {
 	m.got = 0
 }
 
-// close releases every iterator still in the heap — including survivors of
-// a mid-merge error, which previously leaked their pooled codec readers.
+// close releases every iterator still in the heap, survivors of a
+// mid-merge error included.
 func (m *mergeStream) close() {
 	if m.closed {
 		return
@@ -626,6 +598,12 @@ func (m *mergeStream) close() {
 // codec with target 1, so the record stream is coded exactly once, in the
 // pass that writes the published segment — which a lone segment therefore
 // still takes.
+//
+// Each batch goes through validateSegments first, which checks its fetched
+// segments and decodes a coded batch whole, so the pass merges a raw level
+// in place and recycles it once the merged segment is written. A pass holds
+// at most factor segments of plaintext, less than the final level a coded
+// reduce attempt decodes.
 func mergeDown(segs []segment, env readEnv, ord keyOrder, factor, target int, last codec.Codec, acct func(read, written, records int64)) ([]segment, error) {
 	if factor < 2 {
 		factor = 2
@@ -633,10 +611,6 @@ func mergeDown(segs []segment, env readEnv, ord keyOrder, factor, target int, la
 	if target < 1 {
 		target = 1
 	}
-	// Each pass streams records straight from the batch's codec
-	// readers into the rewritten segment — every record is appended to the
-	// output before its iterator advances, so a pass holds one in-flight
-	// record per input segment and materializes nothing.
 	coded := last == env.codec
 	for len(segs) > target || !coded {
 		n := min(factor, len(segs))
@@ -651,20 +625,24 @@ func mergeDown(segs []segment, env readEnv, ord keyOrder, factor, target int, la
 		for _, s := range batch {
 			read += int64(len(s.data))
 		}
-		m, err := newMergeStream(batch, env, ord)
+		level, _, err := validateSegments(batch, env)
 		if err != nil {
 			return nil, err
 		}
-		merged, err := writeSegmentStream(m, out, int(read)+ifile.TrailerLen)
-		m.close()
+		var merged segment
+		m, err := newMergeStream(level, env, ord)
+		if err == nil {
+			merged, err = writeSegmentStream(m, out, int(read)+ifile.TrailerLen)
+			m.close()
+		}
+		for _, s := range level {
+			recycleSegment(s)
+		}
 		if err != nil {
 			return nil, err
 		}
 		if acct != nil {
 			acct(read, int64(len(merged.data)), merged.records)
-		}
-		for _, s := range batch {
-			recycleSegment(s)
 		}
 		segs = append([]segment{merged}, segs[n:]...)
 	}

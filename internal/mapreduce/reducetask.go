@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"scikey/internal/cluster"
-	"scikey/internal/codec"
 	"scikey/internal/faults"
 	"scikey/internal/ifile"
 	"scikey/internal/obs"
@@ -175,9 +174,7 @@ func (t *reduceTask) run(src segmentSource) (err error) {
 			recycleSegment(s)
 		}
 	}()
-	fenv := env
-	fenv.codec = codec.None
-	ms, err := newMergeStream(level, fenv, t.job.order())
+	ms, err := newMergeStream(level, env, t.job.order())
 	if err != nil {
 		return fmt.Errorf("mapreduce: reduce task %d merge: %w", t.id, err)
 	}

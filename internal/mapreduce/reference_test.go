@@ -5,6 +5,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"io"
 	"testing"
 
 	"scikey/internal/codec"
@@ -17,14 +18,18 @@ import (
 // reproduce byte for byte; it lives here, in test code, as the oracle the
 // differential suite and the peak-memory benchmarks compare against.
 
-// mergeSegments k-way merges sorted segments into one sorted in-memory run —
-// the materializing form of mergeStream, over refMergeStream. The merge's
-// records are valid only until its next pull, so it clones each one it
-// collects.
+// mergeSegments k-way merges sorted segments, coded with env.codec, into
+// one sorted in-memory run — the materializing form of mergeStream, over
+// refMergeStream. The merge's records are valid only until its next pull,
+// so it clones each one it collects.
 func mergeSegments(segs []segment, env readEnv, cmp func(a, b []byte) int) ([]KV, error) {
 	var total int64
 	for _, s := range segs {
 		total += s.records
+	}
+	segs, err := refPlain(segs, env.codec)
+	if err != nil {
+		return nil, err
 	}
 	m, err := newRefMergeStream(segs, env, cmp)
 	if err != nil {
@@ -172,7 +177,33 @@ type refMergeStream struct {
 	closed  bool
 }
 
-// newRefMergeStream opens every segment and primes the heap. On error all
+// refPlain returns segs as raw segments: segs itself when c is raw, and
+// otherwise copies holding each segment's codec stream drained through a
+// fresh reader of c.
+func refPlain(segs []segment, c codec.Codec) ([]segment, error) {
+	if c == codec.None {
+		return segs, nil
+	}
+	plain := make([]segment, len(segs))
+	for i, s := range segs {
+		plain[i] = s
+		if len(s.data) == 0 {
+			continue
+		}
+		rc, err := c.NewReader(bytes.NewReader(s.data))
+		if err != nil {
+			return nil, err
+		}
+		plain[i].data, err = io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			return nil, err
+		}
+	}
+	return plain, nil
+}
+
+// newRefMergeStream opens every raw segment and primes the heap. On error all
 // already-opened iterators are released back to their pools.
 func newRefMergeStream(segs []segment, env readEnv, cmp func(a, b []byte) int) (*refMergeStream, error) {
 	m := &refMergeStream{h: refMergeHeap{cmp: cmp}}
@@ -234,7 +265,8 @@ func (m *refMergeStream) close() {
 }
 
 // refMergeDown is mergeDown's pass loop over refMergeStream: the same
-// batches, smallest segments first, coded the same way.
+// batches, smallest segments first, coded the same way, each decoded by
+// refPlain before it is merged.
 func refMergeDown(segs []segment, env readEnv, cmp func(a, b []byte) int, factor, target int, last codec.Codec) ([]segment, error) {
 	factor, target = max(factor, 2), max(target, 1)
 	coded := last == env.codec
@@ -250,7 +282,11 @@ func refMergeDown(segs []segment, env readEnv, cmp func(a, b []byte) int, factor
 		for _, s := range batch {
 			read += int64(len(s.data))
 		}
-		m, err := newRefMergeStream(batch, env, cmp)
+		plain, err := refPlain(batch, env.codec)
+		if err != nil {
+			return nil, err
+		}
+		m, err := newRefMergeStream(plain, env, cmp)
 		if err != nil {
 			return nil, err
 		}

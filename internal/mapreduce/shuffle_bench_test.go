@@ -128,8 +128,10 @@ func BenchmarkMapSpillPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeSegments measures the reducer-side k-way merge of many
-// compressed segments, the other half of the shuffle hot path.
+// BenchmarkMergeSegments measures what a coded reduce attempt does with
+// the gzip segments it fetched, the other half of the shuffle hot path:
+// decode and check them (validateSegments), then k-way merge the plaintext
+// in place.
 func BenchmarkMergeSegments(b *testing.B) {
 	const nSegs = 8
 	c, err := codec.Get("gzip")
@@ -143,6 +145,7 @@ func BenchmarkMergeSegments(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		seg.src = s // a fetched map output, which validation never recycles
 		segs = append(segs, seg)
 	}
 	cmp := func(a, b []byte) int { return compareBytes(a, b) }
@@ -168,7 +171,9 @@ func BenchmarkMergeGrid(b *testing.B) {
 
 // benchMerge drains one merge over segs per iteration the way mergeDown's
 // passes and the reduce stream consume theirs: each record is used before
-// its iterator advances, so none is copied.
+// its iterator advances, so none is copied. Coded segments are decoded
+// first, as validateSegments decodes a coded level, and the plaintext is
+// recycled once the merge is closed.
 func benchMerge(b *testing.B, segs []segment, env readEnv, ord keyOrder) {
 	var bytes, records int64
 	for _, s := range segs {
@@ -179,7 +184,14 @@ func benchMerge(b *testing.B, segs []segment, env readEnv, ord keyOrder) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := newMergeStream(segs, env, ord)
+		level := segs
+		if env.codec != codec.None {
+			var err error
+			if level, _, err = validateSegments(segs, env); err != nil {
+				b.Fatal(err)
+			}
+		}
+		m, err := newMergeStream(level, env, ord)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -195,6 +207,11 @@ func benchMerge(b *testing.B, segs []segment, env readEnv, ord keyOrder) {
 			n++
 		}
 		m.close()
+		if env.codec != codec.None {
+			for _, s := range level {
+				recycleSegment(s)
+			}
+		}
 		if n != records {
 			b.Fatalf("merged %d records, want %d", n, records)
 		}

@@ -187,7 +187,7 @@ func TestEquivalenceTable(t *testing.T) {
 		nil,            // whole stream at once
 		{1},            // byte at a time
 		{7, 256, 3, 1}, // ragged, straddling cycle boundaries
-		{4096},         // as ifile.Reader reads
+		{4096},         // as the IFile Writer writes its blocks
 	}
 	for name, segs := range equivStreams() {
 		for _, cfg := range equivConfigs() {

@@ -19,29 +19,26 @@ import (
 // reference implementation.
 type CellResults map[string]int32
 
-// eachOutputRecord streams every record of a job's output files to fn.
+// eachOutputRecord hands every record of a job's output files to fn.
 func eachOutputRecord(fs *hdfs.FileSystem, res *mapreduce.Result, fn func(key, value []byte) error) error {
 	for _, path := range res.OutputPaths {
-		f, err := fs.Open(path)
+		data, err := fs.ReadAll(path)
 		if err != nil {
 			return err
 		}
-		r := ifile.NewReader(f)
+		r := ifile.NewReader(data)
 		for {
 			kb, vb, err := r.Next()
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
-				f.Close()
 				return err
 			}
 			if err := fn(kb, vb); err != nil {
-				f.Close()
 				return err
 			}
 		}
-		f.Close()
 	}
 	return nil
 }
