@@ -68,10 +68,10 @@ func runCoordinatorMode(o *options) {
 		fatal(err)
 	}
 	leaseTTL := o.leaseTTL
-	if leaseTTL == 0 && o.journal != "" {
+	if leaseTTL == 0 {
 		// Journaled grants and settles fsync inside the coordinator's
 		// critical section, which can delay heartbeat processing under load;
-		// give renewals more slack than the in-memory default of five
+		// give renewals more slack than the package default of five
 		// heartbeats so a busy disk doesn't masquerade as a dead worker.
 		leaseTTL = 2 * time.Second
 	}
@@ -101,11 +101,7 @@ func runCoordinatorMode(o *options) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	journal := o.journal
-	if journal == "" {
-		journal = "none"
-	}
-	fmt.Printf("coordinator listening on %s (journal %s, epoch %d)\n", c.Addr(), journal, c.Epoch())
+	fmt.Printf("coordinator listening on %s (journal %s, epoch %d)\n", c.Addr(), o.journal, c.Epoch())
 	if o.debugAddr != "" {
 		dbg, err := obs.NewServer(o.debugAddr, ob)
 		if err != nil {

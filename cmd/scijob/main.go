@@ -142,7 +142,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.coordAddr, "coordinator", "", "cluster coordinator daemon: listen for workers and drivers on this address, e.g. 127.0.0.1:7070, and serve until SIGTERM (empty = off)")
 	fs.StringVar(&o.workerAddr, "worker", "", "cluster worker mode: connect to the coordinator at this address and execute granted task attempts (empty = off)")
 	fs.StringVar(&o.driverAddr, "driver", "", "cluster driver mode: run the job's scheduler against the coordinator daemon at this address (empty = off)")
-	fs.StringVar(&o.journal, "journal", "", "coordinator journal file for crash-restart recovery; with -cluster, empty means a temp file (with -coordinator, empty disables the journal)")
+	fs.StringVar(&o.journal, "journal", "", "coordinator journal file for crash-restart recovery; required with -coordinator, and with -cluster empty means a temp file")
 	fs.IntVar(&o.clusterN, "cluster", 0, "local cluster mode: start a coordinator plus N real worker subprocesses and run the job across them (0 = off)")
 	fs.IntVar(&o.run.Parallelism, "par", 0, "concurrent task attempts (0 = one at a time; cluster modes default to 2x worker count); however many run, at most GOMAXPROCS compute at once, and an attempt's measured time starts when it gets a core")
 	return o
@@ -192,6 +192,9 @@ func (o *options) checkModes() error {
 	}
 	if o.journal != "" && o.coordAddr == "" && o.clusterN == 0 {
 		return fmt.Errorf("-journal belongs to the coordinator; use it with -coordinator or -cluster")
+	}
+	if o.coordAddr != "" && o.journal == "" {
+		return fmt.Errorf("-coordinator needs -journal: the coordinator journals every state transition")
 	}
 	if (o.clusterMode() || o.coordAddr != "" || o.workerAddr != "") && o.shuffle.Mode != mapreduce.ShuffleMem {
 		return fmt.Errorf("cluster modes use the in-memory shuffle; -shuffle %s runs single-process only", o.shuffle.Mode)

@@ -188,7 +188,7 @@ func TestModeValidation(t *testing.T) {
 		{"-cluster 3 -verify -trace-out t.json -metrics-out m.prom", ""},
 		{"-driver 127.0.0.1:1 -verify", ""},
 		{"-submit 127.0.0.1:1", ""},
-		{"-coordinator 127.0.0.1:1 -debug-addr 127.0.0.1:2", ""},
+		{"-coordinator 127.0.0.1:1 -journal j -debug-addr 127.0.0.1:2", ""},
 		{"-submit 127.0.0.1:1 -verify", "act on the job this invocation runs"},
 		{"-submit 127.0.0.1:1 -trace-out t.json", "act on the job this invocation runs"},
 		{"-submit 127.0.0.1:1 -metrics-out m.prom", "act on the job this invocation runs"},
@@ -196,7 +196,7 @@ func TestModeValidation(t *testing.T) {
 		{"-serve 127.0.0.1:0 -metrics-out m.prom", "act on the job this invocation runs"},
 		{"-worker 127.0.0.1:1 -trace-out t.json", "act on the job this invocation runs"},
 		{"-scrape 127.0.0.1:1/metrics -verify", "act on the job this invocation runs"},
-		{"-coordinator 127.0.0.1:1 -verify", "act on the job this invocation runs"},
+		{"-coordinator 127.0.0.1:1 -journal j -verify", "act on the job this invocation runs"},
 		{"-shuffle udp", "unknown -shuffle transport"},
 		{"-shuffle net", "want mem or tcp"},
 		{"-cluster 3 -shuffle tcp", "cluster modes use the in-memory shuffle"},
@@ -204,8 +204,9 @@ func TestModeValidation(t *testing.T) {
 		{"-serve 127.0.0.1:0 -submit 127.0.0.1:1", "mutually exclusive"},
 		{"-cluster -1", "positive worker count"},
 		{"-journal j", "-journal belongs to the coordinator"},
+		{"-coordinator 127.0.0.1:1", "-coordinator needs -journal"},
 		{"-cluster 3 -heartbeat 50ms -lease-ttl 400ms", ""},
-		{"-coordinator 127.0.0.1:1 -lease-ttl 2s", ""},
+		{"-coordinator 127.0.0.1:1 -journal j -lease-ttl 2s", ""},
 		{"-serve 127.0.0.1:0 -queue-depth 4 -serve-workers 1 -quota 3 -quotas bob=5", ""},
 		{"-submit 127.0.0.1:1 -tenant bob", ""},
 		{"-shuffle tcp -nodes 7 -fetch-attempts 2 -fetch-timeout 1s", ""},
@@ -257,7 +258,7 @@ func TestClusterForwarding(t *testing.T) {
 			t.Fatalf("%v: %v", args, err)
 		}
 		fwd := driver.coordinatorArgs()
-		daemon, err := parse(t, append([]string{"-coordinator", "127.0.0.1:1"}, fwd...)...)
+		daemon, err := parse(t, append([]string{"-coordinator", "127.0.0.1:1", "-journal", "j"}, fwd...)...)
 		if err != nil {
 			t.Fatalf("%v: forwarded %v rejected: %v", args, fwd, err)
 		}

@@ -53,10 +53,12 @@ func dialClient(t *testing.T, c *Coordinator) *Client {
 	return cl
 }
 
-// startCluster boots a coordinator, a dialed driver Client and n workers
-// sharing one stub runner; everything stops when the test ends.
+// startCluster boots a coordinator on a fresh journal, a dialed driver
+// Client and n workers sharing one stub runner; everything stops when the
+// test ends.
 func startCluster(t *testing.T, cfg Config, n int, runner Runner) (*Coordinator, *Client, []*Worker) {
 	t.Helper()
+	cfg.Journal = filepath.Join(t.TempDir(), "coord.journal")
 	c, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -226,13 +228,21 @@ func TestGracefulDrainCompletesInFlight(t *testing.T) {
 	}
 }
 
+// TestStartRequiresJournal: there is no in-memory coordinator.
+func TestStartRequiresJournal(t *testing.T) {
+	if c, err := Start(Config{Addr: "127.0.0.1:0"}); err == nil {
+		c.Close()
+		t.Fatal("Start without a journal succeeded")
+	}
+}
+
 // TestWorkerStopDuringBuild: a worker stopped while its first registration
 // is still building the job must not take up the session that registration
 // opens. Build returns only once Stop has, and Run must then return with the
 // coordinator still up, rather than serve that session until the
 // coordinator hangs up.
 func TestWorkerStopDuringBuild(t *testing.T) {
-	c, err := Start(Config{HeartbeatEvery: 20 * time.Millisecond})
+	c, err := Start(Config{Journal: filepath.Join(t.TempDir(), "coord.journal"), HeartbeatEvery: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +284,7 @@ func TestWorkerStopDuringBuild(t *testing.T) {
 // as stale.
 func TestHeartbeatLapseExpiresAndStaleCompletionIsDropped(t *testing.T) {
 	o := obs.New()
-	c, err := Start(Config{HeartbeatEvery: 20 * time.Millisecond, LeaseTTL: 60 * time.Millisecond, Obs: o})
+	c, err := Start(Config{Journal: filepath.Join(t.TempDir(), "coord.journal"), HeartbeatEvery: 20 * time.Millisecond, LeaseTTL: 60 * time.Millisecond, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,7 +652,7 @@ func TestDriverReqsPrunedAfterJob(t *testing.T) {
 	spec := e2eSpecFixture
 	spec.SleepMs = 0
 	o := obs.New()
-	c, err := Start(Config{HeartbeatEvery: 20 * time.Millisecond, Obs: o})
+	c, err := Start(Config{Journal: filepath.Join(t.TempDir(), "coord.journal"), HeartbeatEvery: 20 * time.Millisecond, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}

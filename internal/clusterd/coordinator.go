@@ -16,13 +16,13 @@
 // that comes back is dropped by the lease table.
 //
 // The coordinator itself is crash-recoverable: every durable state
-// transition is journaled (see journal.go) before it takes effect, so a
-// SIGKILLed coordinator restarts by replaying journal-over-checkpoint,
-// re-listens, and waits out one lease TTL of grace during which workers
-// reconnect and re-adopt their surviving leases by presenting (lease ID,
-// grant epoch). Attempts that outlived the outage commit normally; leases
-// whose workers never return expire and are charged as waste, exactly like
-// a worker death.
+// transition is journaled (see journal.go) before it takes effect, and a
+// coordinator that is SIGKILLed, or whose append fails, restarts by
+// replaying journal-over-checkpoint, re-listens, and waits out one lease
+// TTL of grace during which workers reconnect and re-adopt their surviving
+// leases by presenting (lease ID, grant epoch). Attempts that outlived the
+// outage commit normally; leases whose workers never return expire and are
+// charged as waste, exactly like a worker death.
 package clusterd
 
 import (
@@ -54,8 +54,9 @@ type Config struct {
 	// LeaseTTL is how long a lease survives without a renewing heartbeat.
 	// Default 5×HeartbeatEvery.
 	LeaseTTL time.Duration
-	// Journal is the path of the durable control-plane journal. Empty runs
-	// the coordinator in-memory only (no crash recovery).
+	// Journal is the path of the durable control-plane journal. Required:
+	// the coordinator journals every state transition, and a restart on the
+	// same path replays it.
 	Journal string
 	// Faults optionally injects process-level faults: proc:worker rules
 	// SIGKILL or SIGSTOP a worker process as it starts an attempt, and
@@ -75,9 +76,8 @@ type Config struct {
 
 // grantReq is one submitted attempt: queued until a worker is available,
 // then bound to a lease. Its outcome goes to driver d as the answer to run
-// request seq; an outcome that cannot be sent stays journaled for the
-// driver's re-submission. d and seq are read and replaced only under the
-// coordinator mutex (a reconnecting driver's re-send redirects them).
+// request seq. d and seq are read and replaced only under the coordinator
+// mutex (a reconnecting driver's re-send redirects them).
 type grantReq struct {
 	phase   string
 	task    int
@@ -133,7 +133,7 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	state   *coordState
-	jnl     *journal          // nil when Config.Journal is empty
+	jnl     *journal
 	peers   map[net.Conn]bool // every accepted connection, for shutdown
 	workers map[int]*workerConn
 	waiters map[int]*grantReq        // lease ID → outstanding submission
@@ -142,7 +142,8 @@ type Coordinator struct {
 	closed  bool
 
 	kick chan struct{} // wakes the dispatcher
-	stop chan struct{}
+	stop chan struct{} // closed when the incarnation ends
+	done chan struct{} // closed once every goroutine of the incarnation returned
 	wg   sync.WaitGroup
 
 	gWorkers    obs.Gauge
@@ -156,10 +157,13 @@ type Coordinator struct {
 	gReplayed   obs.Gauge
 }
 
-// Start listens on cfg.Addr and runs the coordinator until Close. With a
-// journal configured it first replays journal-over-checkpoint, so a restart
-// resumes the previous incarnation's live state under a new epoch.
+// Start listens on cfg.Addr and runs the coordinator until Close. It first
+// replays cfg.Journal's journal-over-checkpoint, so a restart resumes the
+// previous incarnation's live state under a new epoch.
 func Start(cfg Config) (*Coordinator, error) {
+	if cfg.Journal == "" {
+		return nil, errors.New("clusterd: Config.Journal is required")
+	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 100 * time.Millisecond
 	}
@@ -172,22 +176,13 @@ func Start(cfg Config) (*Coordinator, error) {
 	if cfg.Signal == nil {
 		cfg.Signal = realSignal
 	}
-	now := time.Now()
-	state := newCoordState(cfg.LeaseTTL)
-	var jnl *journal
-	var stats replayStats
-	if cfg.Journal != "" {
-		var err error
-		jnl, state, stats, err = openJournal(cfg.Journal, cfg.LeaseTTL, now)
-		if err != nil {
-			return nil, err
-		}
+	jnl, state, stats, err := openJournal(cfg.Journal, cfg.LeaseTTL, time.Now())
+	if err != nil {
+		return nil, err
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		if jnl != nil {
-			jnl.Close()
-		}
+		jnl.Close()
 		return nil, fmt.Errorf("clusterd: listen %s: %w", cfg.Addr, err)
 	}
 	c := &Coordinator{
@@ -201,6 +196,7 @@ func Start(cfg Config) (*Coordinator, error) {
 		subs:    make(map[attemptKey]*grantReq),
 		kick:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	reg := obs.NewRegistry()
 	if cfg.Obs != nil {
@@ -226,23 +222,25 @@ func Start(cfg Config) (*Coordinator, error) {
 	c.gReplayed = reg.Gauge("scikey_coord_journal_replayed_events",
 		"journal events replayed at the last coordinator start", "")
 	c.gReplayed.Set(int64(stats.Events))
-	if jnl != nil {
-		jnl.onAppend = func(bytes int) {
-			c.cJEvents.Inc()
-			c.cJBytes.Add(int64(bytes))
-		}
-		jnl.onCheckpoint = func() { c.cCkpt.Inc() }
+	jnl.onAppend = func(bytes int) {
+		c.cJEvents.Inc()
+		c.cJBytes.Add(int64(bytes))
 	}
+	jnl.onCheckpoint = func() { c.cCkpt.Inc() }
 
 	// Stamp the new incarnation: replayed epoch + 1, journaled first thing.
 	// Leases replayed from earlier incarnations keep their grant-time epoch
 	// — that is what workers present in their re-adoption claims — while
 	// everything this incarnation grants carries the new epoch.
 	c.mu.Lock()
-	c.journalApply(jkBoot, evBoot{Epoch: state.epoch + 1})
+	err = c.journalApply(jkBoot, evBoot{Epoch: state.epoch + 1})
 	replayedLeases := state.leases.count()
 	c.gLeases.Set(int64(replayedLeases))
 	c.mu.Unlock()
+	if err != nil {
+		<-c.done
+		return nil, err
+	}
 	if stats.Events > 0 || stats.Checkpoint || replayedLeases > 0 {
 		c.logf("clusterd: coordinator epoch %d: replayed %d events (checkpoint=%v, %d live leases, %d torn bytes truncated)",
 			state.epoch, stats.Events, stats.Checkpoint, replayedLeases, stats.Truncated)
@@ -279,31 +277,35 @@ func (c *Coordinator) Shutdown() error { return c.shutdown(true) }
 
 func (c *Coordinator) shutdown(drain bool) error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	if c.jnl != nil {
+	var err error
+	if !c.closed {
 		if drain {
 			if err := c.jnl.compact(c.state); err != nil {
 				c.logf("%v", err)
 			}
 		}
-		c.jnl.Close()
-	}
-	conns := make([]net.Conn, 0, len(c.peers))
-	for conn := range c.peers {
-		conns = append(conns, conn)
+		err = c.stopLocked()
 	}
 	c.mu.Unlock()
+	<-c.done
+	return err
+}
 
-	close(c.stop)
-	err := c.ln.Close()
-	for _, conn := range conns {
+// stopLocked ends the incarnation (Close, Shutdown, a failed append): it
+// closes the journal, the listener and every connection under the lock, and
+// waits for the goroutines off it. Caller holds c.mu.
+func (c *Coordinator) stopLocked() error {
+	c.closed = true
+	err := c.jnl.Close()
+	c.ln.Close()
+	for conn := range c.peers {
 		conn.Close()
 	}
-	c.wg.Wait()
+	close(c.stop)
+	go func() {
+		c.wg.Wait()
+		close(c.done)
+	}()
 	return err
 }
 
@@ -313,44 +315,57 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// journalApply is the single choke point for durable state transitions: it
-// applies the event to the live state and appends it, fsynced, to the
-// journal. Replay calls the same apply with the same record, which is what
-// makes a restarted coordinator converge on this one's state; live, apply
-// decodes only the small header and keeps the event's byte fields as they
-// are. Caller holds c.mu.
-func (c *Coordinator) journalApply(kind byte, ev any) {
-	m, err := encodeMsg(kind, ev)
-	if err != nil {
-		c.logf("%v", err)
-		return
+// journalApply is the coordinator's one durability rule: it appends the
+// event to the journal, fsynced, and only then applies it to the live state
+// (the apply replay runs), so whatever the caller does next acts on a
+// durable event. An append that fails ends the incarnation (stopLocked)
+// before journalApply returns, so no caller can send that event's effect; a
+// closed coordinator appends and applies nothing. A failed compaction is
+// only logged: the old file stays intact. A durable grant or settle is the
+// one proc:coord fault point. Caller holds c.mu.
+func (c *Coordinator) journalApply(kind byte, ev any) error {
+	if c.closed {
+		return errors.New("clusterd: coordinator closed")
 	}
+	m, err := encodeMsg(kind, ev)
+	if err == nil {
+		err = c.jnl.append(m)
+	}
+	if err != nil {
+		c.logf("%v: coordinator epoch %d stops", err, c.state.epoch)
+		c.stopLocked()
+		return err
+	}
+	c.coordFault(ev)
 	if err := c.state.apply(m, time.Now()); err != nil {
 		c.logf("clusterd: apply journal event %d: %v", kind, err)
-		return
-	}
-	if c.jnl == nil || c.closed {
-		return
-	}
-	if err := c.jnl.append(m); err != nil {
-		c.logf("%v", err)
-		return
 	}
 	if c.jnl.due() {
 		if err := c.jnl.compact(c.state); err != nil {
 			c.logf("%v", err)
 		}
 	}
+	return nil
 }
 
 // coordFault consults the proc:coord fault rules at a seeded journal point
-// (op CoordOpGrant or CoordOpCommit, seq = lease ID) and delivers the fault
-// to this very process. It is called after the event is journaled and
-// fsynced but before its effect leaves the process, so a kill here is the
-// tightest possible crash window — and because lease IDs are journaled
-// monotonic, a respawned coordinator never re-fires the same point.
-func (c *Coordinator) coordFault(op, seq int) {
+// (a grant is op CoordOpGrant, a settle op CoordOpCommit; seq = lease ID)
+// and delivers the fault to this very process. journalApply calls it once
+// the event is fsynced and before any effect of it leaves the process, so a
+// kill here is the tightest possible crash window — and because lease IDs
+// are journaled monotonic, a respawned coordinator never re-fires the same
+// point.
+func (c *Coordinator) coordFault(ev any) {
 	if c.cfg.Faults == nil {
+		return
+	}
+	var op, seq int
+	switch e := ev.(type) {
+	case evGrant:
+		op, seq = faults.CoordOpGrant, e.Lease.ID
+	case evSettle:
+		op, seq = faults.CoordOpCommit, e.Lease
+	default:
 		return
 	}
 	f := c.cfg.Faults.CoordFault(op, seq)
@@ -399,26 +414,22 @@ func (c *Coordinator) submit(g *grantReq) (*storedOutcome, error) {
 	return nil, nil
 }
 
-// finish sends a settled outcome to the driver waiting on its submission and
-// journals the delivery on success; an outcome that could not be sent stays
-// in the orphan store for the driver's re-ask.
+// finish journals the delivery of a settled outcome, then sends it to the
+// driver waiting on its submission. Like every event, the delivery is acted
+// on only once durable: an outcome that is then lost in the send is not
+// kept, and the driver's re-ask runs its attempt again.
 func (c *Coordinator) finish(g *grantReq, o *storedOutcome) {
 	if g == nil {
 		return
 	}
 	c.mu.Lock()
 	d, seq := g.d, g.seq
-	c.mu.Unlock()
-	d.forget(seq)
-	err := d.send(kindRunResult, runResultMsg{
-		Seq: seq, Result: o.Result, Error: o.Error, Canceled: o.Canceled, Corrupt: o.Corrupt,
-	})
-	if err != nil {
-		return
-	}
-	c.mu.Lock()
 	c.journalApply(jkDeliver, evDeliver{Phase: o.Phase, Task: o.Task, Attempt: o.Attempt})
 	c.mu.Unlock()
+	d.forget(seq)
+	d.send(kindRunResult, runResultMsg{
+		Seq: seq, Result: o.Result, Error: o.Error, Canceled: o.Canceled, Corrupt: o.Corrupt,
+	})
 }
 
 // cancelGrant withdraws a canceled attempt: dequeued if still pending,
@@ -686,11 +697,13 @@ func (c *Coordinator) serveDriver(conn net.Conn) {
 			// A committed map attempt's segments enter the segment store,
 			// where reduce workers fetch them; recovery republishes under a
 			// higher attempt, which replaces the corrupt original. Journaled
-			// before the ack, so acked map output survives a crash.
+			// before the ack; a re-send of output the store holds is acked.
 			var m publishMsg
 			if msg.decode(&m) == nil {
 				c.mu.Lock()
-				c.journalApply(jkPublish, evPublish{MapTask: m.MapTask, Attempt: m.Attempt, Parts: m.Parts})
+				if cur, ok := c.state.segs[m.MapTask]; !ok || m.Attempt > cur.attempt {
+					c.journalApply(jkPublish, evPublish{MapTask: m.MapTask, Attempt: m.Attempt, Parts: m.Parts})
+				}
 				c.mu.Unlock()
 				d.send(kindPubAck, pubAckMsg{Seq: m.Seq})
 			}
@@ -795,9 +808,7 @@ func (c *Coordinator) finishForfeits(fs []forfeit) {
 // settleWorker handles a worker-reported outcome. Outcomes for leases the
 // table no longer tracks — expired, revoked, or reassigned attempts — are
 // stale and dropped: the scheduler already acted on the lease loss, and the
-// first-finisher rule must only ever see results from live leases. The
-// proc:coord commit fault fires between the journaled settle and its
-// delivery — the mid-commit crash window.
+// first-finisher rule must only ever see results from live leases.
 func (c *Coordinator) settleWorker(w *workerConn, lease int, o *storedOutcome) {
 	c.mu.Lock()
 	if c.closed {
@@ -813,8 +824,6 @@ func (c *Coordinator) settleWorker(w *workerConn, lease int, o *storedOutcome) {
 	}
 	g := c.settleLocked(li, o)
 	c.mu.Unlock()
-
-	c.coordFault(faults.CoordOpCommit, lease)
 	c.finish(g, o)
 	c.wake()
 }
@@ -825,24 +834,14 @@ func (c *Coordinator) settleWorker(w *workerConn, lease int, o *storedOutcome) {
 // waiting out the TTL would only delay the retry. (Re-adoption is for
 // sessions the coordinator lost, not workers the coordinator lost.) A
 // workerConn that was already replaced by a newer registration under the
-// same ID is a ghost: only its connection is closed, the leases now belong
-// to the replacement.
+// same ID is a ghost, and one retired already is dead too: only its
+// connection is closed, the leases now belong to the replacement. A stopped
+// coordinator delivers no forfeits, as a crash delivers none.
 func (c *Coordinator) retireWorker(w *workerConn) {
 	c.mu.Lock()
-	if c.closed {
-		// Shutdown in progress: every connection is being torn down at once.
-		// A crash delivers no forfeits, so neither does this path.
+	if c.closed || w.dead {
 		c.mu.Unlock()
 		w.conn.Close()
-		return
-	}
-	if w.dead && c.workers[w.id] != w {
-		c.mu.Unlock()
-		w.conn.Close()
-		return
-	}
-	if w.dead {
-		c.mu.Unlock()
 		return
 	}
 	w.dead = true
@@ -915,10 +914,10 @@ func (c *Coordinator) handleSegReq(w *workerConn, m segReqMsg) {
 
 // dispatchLoop binds pending grants to live workers, preferring the least
 // loaded so speculative twins land on different processes. Each grant is
-// journaled before the grant frame is sent; the proc:coord grant fault fires
-// in between — the mid-grant crash window, in which the lease exists durably
-// but no worker ever learns of it, so it expires after the re-adoption grace
-// TTL and is charged as waste.
+// journaled before the grant frame is sent; a crash in between (the
+// proc:coord grant fault fires there) leaves a durable lease no worker
+// learned of, forfeited as lost when its worker re-registers without
+// claiming it.
 func (c *Coordinator) dispatchLoop() {
 	defer c.wg.Done()
 	for {
@@ -958,7 +957,6 @@ func (c *Coordinator) dispatchLoop() {
 			c.mu.Unlock()
 
 			c.transitions["granted"].Inc()
-			c.coordFault(faults.CoordOpGrant, li.ID)
 			err := best.send(kindGrant, grantMsg{
 				Lease: li.ID, Epoch: li.Epoch, Phase: g.phase, Task: g.task, Attempt: g.attempt,
 			})

@@ -198,6 +198,7 @@ func runE2ECluster(t *testing.T, nWorkers int, faultSpec string) *clusterRun {
 	o := obs.New()
 	c, err := Start(Config{
 		Spec:           specJSON,
+		Journal:        filepath.Join(t.TempDir(), "coord.journal"),
 		HeartbeatEvery: 25 * time.Millisecond,
 		LeaseTTL:       125 * time.Millisecond,
 		Faults:         inj,

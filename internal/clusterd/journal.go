@@ -16,14 +16,15 @@ import (
 // durable state transition — worker ID assignment, lease grant, lease
 // settlement (completion, failure, expiry, loss, revocation) with its full
 // outcome, outcome delivery to the driver, and map-output publication — is
-// appended as a record and fsynced before the transition takes externally
-// visible effect. A record is exactly a wire message (see wire.go): a
-// CRC-framed JSON header, then one CRC-framed blob per byte field, so a
-// settle's or a publish's segments sit in the file verbatim. One record is
-// one vectored write and one fsync. Heartbeat renewals are deliberately NOT
-// journaled: deadlines are volatile, and replay resets every surviving
-// lease's deadline to replay-time+TTL — the grace window in which its worker
-// must reconnect and re-adopt it.
+// appended as a record and fsynced before it is applied to the live state,
+// so nothing acts on it until it is durable; an append that fails ends the
+// coordinator's incarnation (see journalApply). A record is exactly a wire
+// message (see wire.go): a CRC-framed JSON header, then one CRC-framed blob
+// per byte field, so a settle's or a publish's segments sit in the file
+// verbatim. One record is one vectored write and one fsync. Heartbeat
+// renewals are deliberately NOT journaled: deadlines are volatile, and
+// replay resets every surviving lease's deadline to replay-time+TTL — the
+// grace window in which its worker must reconnect and re-adopt it.
 //
 // Replay is O(live state), not O(history): every checkpointEvery appended
 // events the journal compacts itself by atomically replacing the file with a
@@ -54,17 +55,10 @@ const (
 )
 
 // journalMagic identifies a journal file and its format version: in v2 a
-// record's byte fields follow its header as blob frames. A build that knows
-// only v1 refuses a v2 file rather than truncating its first blob as a torn
-// tail.
+// record's byte fields follow its header as blob frames. A file of any
+// other version is refused whole, neither replayed nor truncated: a journal
+// lives as long as one coordinator's job.
 const journalMagic = "scikey-coord-journal-v2"
-
-// journalMagicV1 marks a journal whose records carry their byte fields
-// inline in the JSON header (base64). Such a record is a header with no
-// blobs, so it replays through the same decoder; opening a v1 file rewrites
-// it as a v2 checkpoint before anything is appended, so no file mixes the
-// two.
-const journalMagicV1 = "scikey-coord-journal-v1"
 
 // checkpointEvery is the compaction cadence in appended events.
 const checkpointEvery = 256
@@ -346,6 +340,10 @@ type journal struct {
 	onCheckpoint func()
 }
 
+// crashHook, set only by tests, sees each appended record (kind, size) once
+// durable; an error it returns is the append's.
+var crashHook func(kind byte, size int64) error
+
 // replayStats reports what opening a journal found.
 type replayStats struct {
 	// Events is the number of non-checkpoint records replayed.
@@ -360,8 +358,7 @@ type replayStats struct {
 // openJournal opens (or creates) the journal at path and replays it into a
 // fresh coordState. A torn tail — a partial or corrupt trailing record from
 // a crash mid-append — is truncated; the state reflects every record before
-// it. A v1 journal is compacted into a v2 checkpoint once replayed. The
-// returned journal is positioned for appending.
+// it. The returned journal is positioned for appending.
 func openJournal(path string, ttl time.Duration, now time.Time) (*journal, *coordState, replayStats, error) {
 	state := newCoordState(ttl)
 	var stats replayStats
@@ -379,7 +376,7 @@ func openJournal(path string, ttl time.Duration, now time.Time) (*journal, *coor
 	}
 	if info.Size() == 0 {
 		// Fresh journal: stamp the header.
-		if err := j.writeRecord(fileHeader()); err != nil {
+		if _, err := j.writeRecord(fileHeader()); err != nil {
 			f.Close()
 			return nil, nil, stats, err
 		}
@@ -388,7 +385,7 @@ func openJournal(path string, ttl time.Duration, now time.Time) (*journal, *coor
 
 	// Replay. Track the offset of the last intact record so a torn tail can
 	// be truncated precisely.
-	good, v1, err := replayInto(f, state, &stats, now)
+	good, err := replayInto(f, state, &stats, now)
 	if err != nil {
 		f.Close()
 		return nil, nil, stats, err
@@ -405,43 +402,38 @@ func openJournal(path string, ttl time.Duration, now time.Time) (*journal, *coor
 		return nil, nil, stats, err
 	}
 	j.eventsSinceCkpt = stats.Events
-	if v1 {
-		if err := j.compact(state); err != nil {
-			j.Close()
-			return nil, nil, stats, err
-		}
-	}
 	return j, state, stats, nil
 }
 
 // replayInto reads records from f applying each to state, returning the
-// offset just past the last intact record and whether the file is a v1
-// journal. Record errors (torn tail, CRC mismatch, a blob group cut short,
-// bad header) end the replay without failing it, dropping that record
-// whole; a bad file header does fail — the file is not a journal.
-func replayInto(f *os.File, state *coordState, stats *replayStats, now time.Time) (int64, bool, error) {
+// offset just past the last intact record. Record errors (torn tail, CRC
+// mismatch, a blob group cut short, bad header) end the replay without
+// failing it, dropping that record whole; a bad file header does fail — the
+// file is not a journal, or not one of this version.
+func replayInto(f *os.File, state *coordState, stats *replayStats, now time.Time) (int64, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	cr := &countingReader{r: f}
 	m, err := readRecord(cr)
 	if err != nil {
-		return 0, false, fmt.Errorf("clusterd: journal %s has no header: %w", f.Name(), err)
+		return 0, fmt.Errorf("clusterd: journal %s has no header: %w", f.Name(), err)
 	}
 	var hdr jHeader
-	if m.kind != jkHeader || m.decode(&hdr) != nil ||
-		(hdr.Magic != journalMagic && hdr.Magic != journalMagicV1) {
-		return 0, false, fmt.Errorf("clusterd: %s is not a coordinator journal", f.Name())
+	if m.kind != jkHeader || m.decode(&hdr) != nil {
+		return 0, fmt.Errorf("clusterd: %s is not a coordinator journal", f.Name())
 	}
-	v1 := hdr.Magic == journalMagicV1
+	if hdr.Magic != journalMagic {
+		return 0, fmt.Errorf("clusterd: journal %s is %q; this build reads only %q", f.Name(), hdr.Magic, journalMagic)
+	}
 	good := cr.n
 	for {
 		m, err := readRecord(cr)
 		if err != nil {
-			return good, v1, nil // torn or corrupt tail: cut here
+			return good, nil // torn or corrupt tail: cut here
 		}
 		if err := state.apply(m, now); err != nil {
-			return good, v1, nil // undecodable record: treat as tail tear
+			return good, nil // undecodable record: treat as tail tear
 		}
 		if m.kind == jkCheckpoint {
 			stats.Checkpoint = true
@@ -465,25 +457,30 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // writeRecord appends one record — its header frame and blob frames, in one
-// vectored write — and fsyncs it.
-func (j *journal) writeRecord(m message) error {
+// vectored write — and fsyncs it, returning its size.
+func (j *journal) writeRecord(m message) (int64, error) {
 	n, err := m.writeTo(j.f)
 	if err != nil {
-		return fmt.Errorf("clusterd: append journal record: %w", err)
+		return n, fmt.Errorf("clusterd: append journal record: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("clusterd: fsync journal: %w", err)
+		return n, fmt.Errorf("clusterd: fsync journal: %w", err)
 	}
 	if j.onAppend != nil {
 		j.onAppend(int(n))
 	}
-	return nil
+	return n, nil
 }
 
-// append journals one encoded event. The caller applies the same record to
-// the state; when due() turns true it should follow with compact(state).
+// append journals one encoded event. Once it returns nil the record is
+// durable and the caller applies it to the state; when due() turns true it
+// should follow with compact(state).
 func (j *journal) append(m message) error {
-	if err := j.writeRecord(m); err != nil {
+	n, err := j.writeRecord(m)
+	if err == nil && crashHook != nil {
+		err = crashHook(m.kind, n)
+	}
+	if err != nil {
 		return err
 	}
 	j.eventsSinceCkpt++

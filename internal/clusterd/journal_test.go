@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -380,37 +381,26 @@ func TestReplayPrefixDeterminism(t *testing.T) {
 	}
 }
 
-// TestJournalReplaysParentFile pins the on-disk format across refactors:
-// testdata/parent.journal was written by the build at 1e89eed (a real
-// coordinator, worker and Client: two map commits compacted into a
-// checkpoint, then a grant, a settle carrying Parts, its publish and deliver,
-// a reduce settled for a driver that had hung up — an undelivered orphan —
-// and a grant still running when the coordinator was closed), and
-// testdata/parent.checkpoint.json is the checkpoint that build replayed it
-// to. This build must replay the same file to the same bytes.
-func TestJournalReplaysParentFile(t *testing.T) {
+// TestJournalRefusesParentV1File: testdata/parent.journal was written by a
+// v1 build (its records carry their byte fields inline as base64). This build
+// refuses it with an error that names its version, and leaves it as it is:
+// neither replayed into a state nor truncated. The file stays as
+// transcodeJournal's input for the v2 pin below.
+func TestJournalRefusesParentV1File(t *testing.T) {
 	raw, err := os.ReadFile("testdata/parent.journal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile("testdata/parent.checkpoint.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "coord.journal") // replay opens read-write
+	path := filepath.Join(t.TempDir(), "coord.journal")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, state, stats, err := openJournal(path, time.Second, time.Unix(5000, 0))
-	if err != nil {
-		t.Fatal(err)
+	_, _, _, err = openJournal(path, time.Second, time.Unix(5000, 0))
+	if err == nil || !strings.Contains(err.Error(), "scikey-coord-journal-v1") {
+		t.Errorf("opening a v1 journal: error %v, want one naming scikey-coord-journal-v1", err)
 	}
-	defer j.Close()
-	if !stats.Checkpoint || stats.Events != 7 || stats.Truncated != 0 {
-		t.Errorf("replay stats = %+v, want the checkpoint plus 7 events, nothing torn", stats)
-	}
-	if got := stateFingerprint(t, state); got != string(want) {
-		t.Errorf("parent journal replayed to a different checkpoint:\n got %s\nwant %s", got, want)
+	if onDisk, _ := os.ReadFile(path); !bytes.Equal(onDisk, raw) {
+		t.Error("refusing a v1 journal changed the file")
 	}
 }
 
@@ -452,8 +442,8 @@ func transcodeJournal(t *testing.T, raw []byte) []byte {
 	return out.Bytes()
 }
 
-// TestJournalReplaysParentV2File pins v2 the way TestJournalReplaysParentFile
-// pins v1: testdata/parent.v2.journal is the parent scenario recorded by
+// TestJournalReplaysParentV2File pins the on-disk format across refactors:
+// testdata/parent.v2.journal is the parent scenario recorded by
 // this format's writer (transcodeJournal over testdata/parent.journal), and
 // it must replay to the same checkpoint. Its segments sit in the file as
 // raw bytes, not base64.
@@ -493,50 +483,5 @@ func TestJournalReplaysParentV2File(t *testing.T) {
 	}
 	if onDisk, _ := os.ReadFile(path); !bytes.Equal(onDisk, raw) {
 		t.Error("opening a v2 journal rewrote it")
-	}
-}
-
-// TestJournalUpgradesV1OnOpen: opening a v1 journal compacts it into a v2
-// checkpoint before anything is appended, so no file mixes the formats and
-// an older build refuses the file instead of truncating its blobs.
-func TestJournalUpgradesV1OnOpen(t *testing.T) {
-	raw, err := os.ReadFile("testdata/parent.journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "coord.journal")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(5000, 0)
-	j, live, _, err := openJournal(path, time.Second, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	applyAndAppend(t, j, live, jkPublish, evPublish{MapTask: 3, Parts: [][]byte{[]byte("after-upgrade")}}, now)
-	j.Close()
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	m, err := readRecord(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hdr jHeader
-	if err := m.decode(&hdr); err != nil || hdr.Magic != journalMagic {
-		t.Fatalf("upgraded journal header %s, want magic %q", m.header, journalMagic)
-	}
-	_, replayed, stats, err := openJournal(path, time.Second, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Checkpoint || stats.Events != 1 {
-		t.Errorf("replay stats = %+v, want the upgrade checkpoint plus 1 event", stats)
-	}
-	if got, want := stateFingerprint(t, replayed), stateFingerprint(t, live); got != want {
-		t.Errorf("upgraded journal replayed to a different state:\n got %s\nwant %s", got, want)
 	}
 }

@@ -43,7 +43,7 @@ func TestReadoptRules(t *testing.T) {
 // sit beside it — a ghost would inflate the registry and skew least-loaded
 // placement toward a connection that can take no work.
 func TestWorkerReregistrationReplacesGhost(t *testing.T) {
-	c, err := Start(Config{HeartbeatEvery: 50 * time.Millisecond})
+	c, err := Start(Config{Journal: filepath.Join(t.TempDir(), "coord.journal"), HeartbeatEvery: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestWorkerReregistrationReplacesGhost(t *testing.T) {
 // and gives it time to act.
 func TestNoGrantBeforeWelcome(t *testing.T) {
 	var c *Coordinator
-	c, err := Start(Config{HeartbeatEvery: 50 * time.Millisecond, Logf: func(format string, _ ...any) {
+	c, err := Start(Config{Journal: filepath.Join(t.TempDir(), "coord.journal"), HeartbeatEvery: 50 * time.Millisecond, Logf: func(format string, _ ...any) {
 		if strings.Contains(format, "replaced stale registration") {
 			c.wake()
 			time.Sleep(20 * time.Millisecond)
@@ -311,43 +311,5 @@ func TestCoordinatorRestartReadoption(t *testing.T) {
 	}
 	if cl.Epoch() != 2 {
 		t.Errorf("client settled on epoch %d, want 2", cl.Epoch())
-	}
-}
-
-// TestOrphanOutcomeRedeliveredAfterRestart covers the mid-commit crash
-// window: the journal holds a settled outcome that was never delivered (the
-// coordinator died between fsyncing the settle and answering the driver). A
-// restarted coordinator must hand the journaled outcome to the re-asking
-// driver without re-running anything — no workers are even connected.
-func TestOrphanOutcomeRedeliveredAfterRestart(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "coord.journal")
-	now := time.Unix(7000, 0)
-	j, st, _, err := openJournal(journal, time.Second, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	applyAndAppend(t, j, st, jkBoot, evBoot{Epoch: 1}, now)
-	applyAndAppend(t, j, st, jkWorker, evWorker{ID: 0}, now)
-	li := st.leases.next(0, 1, mapreduce.PhaseMap, 3, 0, now)
-	applyAndAppend(t, j, st, jkGrant, evGrant{Lease: *li}, now)
-	applyAndAppend(t, j, st, jkSettle, evSettle{Lease: li.ID, Outcome: storedOutcome{
-		Phase: mapreduce.PhaseMap, Task: 3, Attempt: 0, State: "completed",
-		Result: &mapreduce.RemoteResult{Output: []byte("journaled orphan")},
-	}}, now)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c, err := Start(Config{Journal: journal, HeartbeatEvery: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	rr, err := dialClient(t, c).RunRemote(mapreduce.PhaseMap, 3, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(rr.Output); got != "journaled orphan" {
-		t.Errorf("redelivered outcome = %q, want the journaled one", got)
 	}
 }

@@ -522,9 +522,9 @@ func encodeMsg(kind byte, v any) (message, error) {
 }
 
 // decode unmarshals the message's header into v and hands each blob to the
-// byte field it fills, without a copy. A header that came without blobs —
-// a v1 journal record — keeps the byte fields it carries inline (base64),
-// which only a reader ever sees.
+// byte field it fills, without a copy. A header that came without blobs
+// keeps whatever byte fields it carries inline (base64): the v1 record form,
+// which openJournal refuses and only the v1 test fixture still holds.
 func (m message) decode(v any) error {
 	if err := json.Unmarshal(m.header, v); err != nil {
 		return fmt.Errorf("clusterd: bad frame payload: %v", err)

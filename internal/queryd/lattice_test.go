@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -429,7 +430,7 @@ func checkService(t *testing.T, r queryRow, spec QuerySpec) queryRun {
 	return runs[0]
 }
 
-// startQueryCluster boots a coordinator serving spec and three workers
+// startQueryCluster boots a coordinator serving spec on a fresh journal and three workers
 // building their runners with BuildRunner, and returns a dialed driver
 // client; everything stops when the test ends.
 func startQueryCluster(t *testing.T, spec QuerySpec) *clusterd.Client {
@@ -438,7 +439,10 @@ func startQueryCluster(t *testing.T, spec QuerySpec) *clusterd.Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := clusterd.Start(clusterd.Config{Addr: "127.0.0.1:0", Spec: raw, HeartbeatEvery: 20 * time.Millisecond})
+	c, err := clusterd.Start(clusterd.Config{
+		Addr: "127.0.0.1:0", Spec: raw, HeartbeatEvery: 20 * time.Millisecond,
+		Journal: filepath.Join(t.TempDir(), "coord.journal"),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package scihadoop
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"scikey/internal/grid"
@@ -79,9 +80,9 @@ func TestBoxQueryAllocsPerCell(t *testing.T) {
 // allocates, per cell it adds, over a job of several tasks at the default
 // flush threshold. A map task's buffer, sort scratch and value arena come
 // from the storage an earlier task released; when every task regrew its own
-// from 1 024 cells, this job allocated 102 bytes per Add; on pooled
-// storage about 30, and about 25 since a flush lends each layer's values
-// instead of copying them into a fresh block.
+// from 1 024 cells, this job allocated 102 bytes per Add (99 since a flush
+// lends each layer's values instead of copying them into a fresh block);
+// when every task finds pooled storage, 0.8.
 func TestAggQueryBytesPerCell(t *testing.T) {
 	build := func(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, error) {
 		job, _, err := AggKeyJob(fs, cfg)
@@ -93,7 +94,7 @@ func TestAggQueryBytesPerCell(t *testing.T) {
 
 // TestBoxQueryBytesPerCell is the same gate for the box geometry, whose
 // drain also builds a coordinate per buffered cell; regrowing the buffer in
-// every task cost it 145 bytes per Add, pooled storage about 48.
+// every task cost it 145 bytes per Add, pooled storage 48.3.
 func TestBoxQueryBytesPerCell(t *testing.T) {
 	assertMapBytesPerAdd(t, "boxagg.AddIndex", BoxKeyJob, 95,
 		"does each map task regrow its aggregation buffer instead of taking the pooled one?")
@@ -118,14 +119,23 @@ func assertMapAllocsPerAdd(t *testing.T, add string, build func(*hdfs.FileSystem
 
 // assertMapBytesPerAdd runs build's query over four tasks at the default
 // flush threshold and holds the bytes its map function allocates, per cell
-// it adds, to budget. The race detector makes sync.Pool drop a quarter of
-// what it is given, so there the gate does not hold.
+// it adds, to budget. It measures from a known pool state: one unmeasured
+// run of the job first leaves its storage pooled; the garbage collector,
+// which empties sync.Pool, is held off until the measured run is done; and
+// both runs get one P, since a pooled item a task put back on one P is not
+// seen by a task that runs on another. So neither the tests before it nor GC
+// timing nor the scheduler moves the reading. The race
+// detector makes sync.Pool drop a quarter of what it is given, so there the
+// gate does not hold.
 func assertMapBytesPerAdd(t *testing.T, add string, build func(*hdfs.FileSystem, QueryConfig) (*mapreduce.Job, error), budget float64, hint string) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
 	}
 	const splits = 4
 	extent := grid.NewBox(grid.Coord{0, 0}, []int{64, 64})
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mapCostPerAdd(t, build, extent, splits, 0)
 	_, bytes, pairs := mapCostPerAdd(t, build, extent, splits, 0)
 	t.Logf("%d Add calls, %d pairs, %.1f bytes per call", extent.NumCells()*9, pairs, bytes)
 	if pairs == 0 || bytes > budget {
