@@ -54,9 +54,11 @@ func runWorkerMode(addr string) {
 // until SIGTERM, then drains — flush, checkpoint, fsync — and exits 0, so a
 // clean restart replays zero events. A SIGKILLed daemon restarted on the
 // same address and journal recovers by replay instead; proc:coord fault
-// rules self-deliver real signals for exactly that drill. The bind is
-// retried briefly so a supervisor can respawn the daemon while the dead
-// incarnation's port is still being released.
+// rules self-deliver real signals for exactly that drill. A failed journal
+// append ends the incarnation, and the daemon exits non-zero to be
+// respawned the same way. The bind is retried briefly so a supervisor can
+// respawn the daemon while the dead incarnation's port is still being
+// released.
 func runCoordinatorMode(o *options) {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "scijob coordinator[pid %d]: %s\n", os.Getpid(), fmt.Sprintf(format, args...))
@@ -112,10 +114,25 @@ func runCoordinatorMode(o *options) {
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
-	<-sig
-	logf("SIGTERM: draining journal and shutting down")
-	if err := c.Shutdown(); err != nil {
-		fatal(fmt.Errorf("coordinator shutdown: %w", err))
+	if err := awaitCoordinator(c, sig, logf); err != nil {
+		fatal(err)
+	}
+}
+
+// awaitCoordinator serves until the daemon's end. SIGTERM drains the
+// coordinator. An incarnation that stopped on its own — a journal append
+// failed — is an error, so the daemon exits non-zero and the -cluster
+// supervisor respawns it on the same journal, which replays what is durable.
+func awaitCoordinator(c *clusterd.Coordinator, sig <-chan os.Signal, logf func(string, ...any)) error {
+	select {
+	case <-sig:
+		logf("SIGTERM: draining journal and shutting down")
+		if err := c.Shutdown(); err != nil {
+			return fmt.Errorf("coordinator shutdown: %w", err)
+		}
+		return nil
+	case <-c.Done():
+		return fmt.Errorf("coordinator epoch %d stopped: its journal failed", c.Epoch())
 	}
 }
 

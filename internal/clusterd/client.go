@@ -150,6 +150,13 @@ func (cl *Client) manage(cc *peer) {
 			return
 		}
 		cl.mu.Lock()
+		if cl.closed {
+			// Close ran while the redial was connecting and saw no
+			// connection to close.
+			cl.mu.Unlock()
+			cc.conn.Close()
+			return
+		}
 		prev := cl.epoch
 		cl.epoch = epoch
 		cl.conn = cc

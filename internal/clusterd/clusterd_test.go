@@ -236,6 +236,91 @@ func TestStartRequiresJournal(t *testing.T) {
 	}
 }
 
+// TestFailedAppendClosesDone: an append that fails ends the incarnation on
+// its own, and Done tells the daemon waiting on it.
+func TestFailedAppendClosesDone(t *testing.T) {
+	crashHook = func(m message, _ int64) error {
+		if m.kind == jkWorker {
+			return errors.New("fsync failed")
+		}
+		return nil
+	}
+	t.Cleanup(func() { crashHook = nil })
+	c, err := Start(Config{Journal: filepath.Join(t.TempDir(), "coord.journal"), HeartbeatEvery: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	w := NewWorker(WorkerConfig{Addr: c.Addr(), Build: func([]byte) (Runner, error) { return &stubRunner{}, nil }})
+	go w.Run()
+	defer w.Stop()
+	select {
+	case <-c.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the coordinator still runs 5 s after its registration append failed")
+	}
+}
+
+// TestDriverDropAtFinishDoesNotRerun drops the driver's connection between
+// an attempt's settle and the send of its outcome. The send fails, so the
+// outcome stays journaled; the Client redials and re-sends the submission,
+// and the coordinator answers it from the journal without running the
+// attempt again.
+func TestDriverDropAtFinishDoesNotRerun(t *testing.T) {
+	var coord atomic.Pointer[Coordinator]
+	var dropped atomic.Bool
+	crashHook = func(m message, _ int64) error {
+		c := coord.Load()
+		if m.kind != jkSettle || c == nil || dropped.Swap(true) {
+			return nil
+		}
+		// The append runs under c.mu, before the outcome is sent.
+		workers := map[net.Conn]bool{}
+		for _, w := range c.workers {
+			workers[w.conn] = true
+		}
+		for conn := range c.peers {
+			if !workers[conn] {
+				conn.Close()
+			}
+		}
+		return nil
+	}
+	t.Cleanup(func() { crashHook = nil })
+	runner := &stubRunner{}
+	c, cl, _ := startCluster(t, Config{HeartbeatEvery: 20 * time.Millisecond}, 1, runner)
+	coord.Store(c)
+
+	rr, err := cl.RunRemote(mapreduce.PhaseMap, 3, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dropped.Load() {
+		t.Fatal("the driver connection was never dropped")
+	}
+	if got := string(rr.Output); got != "map:3:0" {
+		t.Errorf("outcome = %q, want map:3:0", got)
+	}
+	runner.mu.Lock()
+	calls := runner.calls
+	runner.mu.Unlock()
+	if len(calls) != 1 {
+		t.Errorf("attempt ran %d times (%v), want once", len(calls), calls)
+	}
+	// The redelivery is journaled right after its send.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		c.mu.Lock()
+		n := len(c.state.outcomes)
+		c.mu.Unlock()
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d outcomes still undelivered", n)
+		}
+	}
+}
+
 // TestWorkerStopDuringBuild: a worker stopped while its first registration
 // is still building the job must not take up the session that registration
 // opens. Build returns only once Stop has, and Run must then return with the

@@ -222,11 +222,6 @@ func Start(cfg Config) (*Coordinator, error) {
 	c.gReplayed = reg.Gauge("scikey_coord_journal_replayed_events",
 		"journal events replayed at the last coordinator start", "")
 	c.gReplayed.Set(int64(stats.Events))
-	jnl.onAppend = func(bytes int) {
-		c.cJEvents.Inc()
-		c.cJBytes.Add(int64(bytes))
-	}
-	jnl.onCheckpoint = func() { c.cCkpt.Inc() }
 
 	// Stamp the new incarnation: replayed epoch + 1, journaled first thing.
 	// Leases replayed from earlier incarnations keep their grant-time epoch
@@ -263,6 +258,12 @@ func (c *Coordinator) Epoch() int {
 	return c.state.epoch
 }
 
+// Done is closed once the incarnation has ended and every goroutine of it
+// returned: after Close or Shutdown, or on its own when a journal append
+// fails. A daemon waits on it, so a coordinator that stopped itself exits
+// and is restarted on its journal.
+func (c *Coordinator) Done() <-chan struct{} { return c.done }
+
 // Close stops the coordinator abruptly: every connection closes — a driver
 // Client sees that as an outage, redials and re-submits — and the journal is
 // left exactly as appended, the same on-disk state a crash would leave,
@@ -280,9 +281,7 @@ func (c *Coordinator) shutdown(drain bool) error {
 	var err error
 	if !c.closed {
 		if drain {
-			if err := c.jnl.compact(c.state); err != nil {
-				c.logf("%v", err)
-			}
+			c.compactLocked()
 		}
 		err = c.stopLocked()
 	}
@@ -321,31 +320,43 @@ func (c *Coordinator) logf(format string, args ...any) {
 // durable event. An append that fails ends the incarnation (stopLocked)
 // before journalApply returns, so no caller can send that event's effect; a
 // closed coordinator appends and applies nothing. A failed compaction is
-// only logged: the old file stays intact. A durable grant or settle is the
+// only logged (compactLocked). A durable grant or settle is the
 // one proc:coord fault point. Caller holds c.mu.
 func (c *Coordinator) journalApply(kind byte, ev any) error {
 	if c.closed {
 		return errors.New("clusterd: coordinator closed")
 	}
 	m, err := encodeMsg(kind, ev)
+	var n int64
 	if err == nil {
-		err = c.jnl.append(m)
+		n, err = c.jnl.append(m)
 	}
 	if err != nil {
 		c.logf("%v: coordinator epoch %d stops", err, c.state.epoch)
 		c.stopLocked()
 		return err
 	}
+	c.cJEvents.Inc()
+	c.cJBytes.Add(n)
 	c.coordFault(ev)
 	if err := c.state.apply(m, time.Now()); err != nil {
 		c.logf("clusterd: apply journal event %d: %v", kind, err)
 	}
 	if c.jnl.due() {
-		if err := c.jnl.compact(c.state); err != nil {
-			c.logf("%v", err)
-		}
+		c.compactLocked()
 	}
 	return nil
+}
+
+// compactLocked checkpoints the journal. A failed compaction is only
+// logged: the old file stays intact until the atomic rename. Caller holds
+// c.mu.
+func (c *Coordinator) compactLocked() {
+	if err := c.jnl.compact(c.state); err != nil {
+		c.logf("%v", err)
+		return
+	}
+	c.cCkpt.Inc()
 }
 
 // coordFault consults the proc:coord fault rules at a seeded journal point
@@ -381,22 +392,20 @@ func (c *Coordinator) coordFault(ev any) {
 // orphan) — the caller delivers it instead of re-running. Submissions are
 // idempotent on (phase, task, attempt): a duplicate re-sent by a
 // reconnecting driver redirects the outstanding submission's answer; an
-// attempt whose lease survived a coordinator restart binds to that lease.
-func (c *Coordinator) submit(g *grantReq) (*storedOutcome, error) {
+// attempt whose lease survived a coordinator restart binds to that lease. A
+// stopped coordinator has closed the driver's connection, so nothing it
+// queues here is answered.
+func (c *Coordinator) submit(g *grantReq) *storedOutcome {
 	key := g.key()
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, errors.New("clusterd: coordinator closed")
-	}
 	if o, ok := c.state.outcomes[key]; ok {
 		c.mu.Unlock()
-		return o, nil
+		return o
 	}
 	if prior := c.subs[key]; prior != nil {
 		prior.d, prior.seq = g.d, g.seq
 		c.mu.Unlock()
-		return nil, nil
+		return nil
 	}
 	c.subs[key] = g
 	if li, ok := c.state.leases.byAttempt(g.phase, g.task, g.attempt); ok {
@@ -405,31 +414,38 @@ func (c *Coordinator) submit(g *grantReq) (*storedOutcome, error) {
 		g.lease = li.ID
 		c.waiters[li.ID] = g
 		c.mu.Unlock()
-		return nil, nil
+		return nil
 	}
 	g.lease = -1
 	c.pending = append(c.pending, g)
 	c.mu.Unlock()
 	c.wake()
-	return nil, nil
+	return nil
 }
 
-// finish journals the delivery of a settled outcome, then sends it to the
-// driver waiting on its submission. Like every event, the delivery is acted
-// on only once durable: an outcome that is then lost in the send is not
-// kept, and the driver's re-ask runs its attempt again.
+// finish sends a settled outcome to the driver waiting on its submission,
+// then journals its delivery. An outcome whose send fails stays journaled as
+// an orphan, so the driver's re-ask after it redials is answered from the
+// journal and the attempt does not run again. A crash between the send and
+// the delivery record leaves an outcome the driver already holds; nothing
+// asks for it again.
 func (c *Coordinator) finish(g *grantReq, o *storedOutcome) {
 	if g == nil {
 		return
 	}
 	c.mu.Lock()
 	d, seq := g.d, g.seq
-	c.journalApply(jkDeliver, evDeliver{Phase: o.Phase, Task: o.Task, Attempt: o.Attempt})
 	c.mu.Unlock()
 	d.forget(seq)
-	d.send(kindRunResult, runResultMsg{
+	err := d.send(kindRunResult, runResultMsg{
 		Seq: seq, Result: o.Result, Error: o.Error, Canceled: o.Canceled, Corrupt: o.Corrupt,
 	})
+	if err != nil {
+		return
+	}
+	c.mu.Lock()
+	c.journalApply(jkDeliver, o.key())
+	c.mu.Unlock()
 }
 
 // cancelGrant withdraws a canceled attempt: dequeued if still pending,
@@ -452,7 +468,7 @@ func (c *Coordinator) cancelGrant(g *grantReq) bool {
 			li := c.state.leases.active[g.lease]
 			o := &storedOutcome{State: "revoked", Canceled: true}
 			c.settleLocked(li, o)
-			c.journalApply(jkDeliver, evDeliver{Phase: o.Phase, Task: o.Task, Attempt: o.Attempt})
+			c.journalApply(jkDeliver, o.key())
 			var w *workerConn
 			if li != nil {
 				w = c.workers[li.Worker]
@@ -701,7 +717,7 @@ func (c *Coordinator) serveDriver(conn net.Conn) {
 			var m publishMsg
 			if msg.decode(&m) == nil {
 				c.mu.Lock()
-				if cur, ok := c.state.segs[m.MapTask]; !ok || m.Attempt > cur.attempt {
+				if !c.state.holdsPublish(m.MapTask, m.Attempt) {
 					c.journalApply(jkPublish, evPublish{MapTask: m.MapTask, Attempt: m.Attempt, Parts: m.Parts})
 				}
 				c.mu.Unlock()
@@ -722,13 +738,7 @@ func (c *Coordinator) handleRunReq(d *driverConn, m runReqMsg) {
 	d.mu.Lock()
 	d.reqs[m.Seq] = g
 	d.mu.Unlock()
-	orphan, err := c.submit(g)
-	if err != nil {
-		d.forget(m.Seq)
-		d.send(kindRunResult, runResultMsg{Seq: m.Seq, Error: err.Error()})
-		return
-	}
-	if orphan != nil {
+	if orphan := c.submit(g); orphan != nil {
 		c.logf("clusterd: re-delivering journaled outcome for %s task %d attempt %d",
 			m.Phase, m.Task, m.Attempt)
 		c.finish(g, orphan)

@@ -94,7 +94,8 @@ var crashSpec = e2eSpec{Docs: e2eSpecFixture.Docs, Reducers: e2eSpecFixture.Redu
 // ends: output bytes and payload counters equal to the single-process run,
 // one durable publish per map task across all incarnations, no undelivered
 // outcome left, and a journal that, closed and reopened, replays to the live
-// final state.
+// final state. An outcome the driver received may be left over only when
+// the crash cut its delivery record: one the crashed incarnation settled.
 func TestCoordinatorCrashAtEveryAppend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs one job per crash point")
@@ -196,12 +197,19 @@ func runCrashRow(t *testing.T, row crashRow, ref *mapreduce.Result, refOuts [][]
 		seen      = map[byte]int{}
 		publishes int // durable publish records, every incarnation
 		crash     = make(chan struct{})
+		// settled holds the attempts the crashed incarnation settled.
+		settled = map[attemptKey]bool{}
 	)
-	crashHook = func(kind byte, size int64) error {
+	crashHook = func(m message, size int64) error {
 		mu.Lock()
 		defer mu.Unlock()
+		kind := m.kind
 		at := crashPoint{kind, seen[kind]}
 		seen[kind]++
+		var e evSettle
+		if kind == jkSettle && row.k >= 0 && !out.crashed && m.decode(&e) == nil {
+			settled[e.Outcome.key()] = true
+		}
 		if out.crashed || row.k < 0 || at != row.at {
 			out.kinds = append(out.kinds, kind)
 			if kind == jkPublish {
@@ -286,7 +294,8 @@ func runCrashRow(t *testing.T, row crashRow, ref *mapreduce.Result, refOuts [][]
 
 	fs := e2eFS()
 	job := e2eJob(crashSpec, fs)
-	job.Remote = cl
+	received := &receivedRemote{Client: cl, got: map[attemptKey]bool{}}
+	job.Remote = received
 	job.Parallelism = 4
 	job.Retry = mapreduce.RetryPolicy{MaxAttempts: 5}
 	type result struct {
@@ -304,7 +313,7 @@ func runCrashRow(t *testing.T, row crashRow, ref *mapreduce.Result, refOuts [][]
 		case <-crash:
 			// The failed append ends the incarnation on its own.
 			select {
-			case <-c.done:
+			case <-c.Done():
 			case <-time.After(10 * time.Second):
 				t.Fatalf("%v: the coordinator still runs 10 s after an append failed", row)
 			}
@@ -340,27 +349,43 @@ func runCrashRow(t *testing.T, row crashRow, ref *mapreduce.Result, refOuts [][]
 		t.Errorf("%v: payload counters %s, want %s", row, got, want)
 	}
 
-	// Quiesce everything but the coordinator, then compare its live state
+	// Quiesce everything but the coordinator. A delivery is journaled just
+	// after its send, so the last ones may still be on their way: wait until
+	// every outcome left is one whose delivery record the crash cut (settled
+	// by the crashed incarnation, received by the driver). Then stop the
+	// coordinator, so nothing more is appended, and compare its live state
 	// with what its journal replays to.
 	cl.Close()
 	for _, w := range workers {
 		w.Stop()
 	}
-	c.mu.Lock()
-	live := stateFingerprint(t, c.state)
-	orphans := len(c.state.outcomes)
-	segs := len(c.state.segs)
-	c.mu.Unlock()
-	if orphans != 0 {
-		t.Errorf("%v: %d undelivered outcomes left in the final state", row, orphans)
+	var undelivered []attemptKey
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		undelivered = undelivered[:0]
+		c.mu.Lock()
+		mu.Lock()
+		for key := range c.state.outcomes {
+			if !settled[key] || !received.has(key) {
+				undelivered = append(undelivered, key)
+			}
+		}
+		mu.Unlock()
+		c.mu.Unlock()
+		if len(undelivered) == 0 || time.Now().After(deadline) {
+			break
+		}
 	}
+	for _, key := range undelivered {
+		t.Errorf("%v: outcome %+v is left undelivered in the final state", row, key)
+	}
+	c.Close()
+	live := stateFingerprint(t, c.state)
 	mu.Lock()
-	if publishes != len(crashSpec.Docs) || segs != len(crashSpec.Docs) {
+	if segs := len(c.state.segs); publishes != len(crashSpec.Docs) || segs != len(crashSpec.Docs) {
 		t.Errorf("%v: %d durable publishes for %d published map tasks, want one for each of %d",
 			row, publishes, segs, len(crashSpec.Docs))
 	}
 	mu.Unlock()
-	c.Close()
 	j, replayed, _, err := openJournal(path, time.Second, time.Now())
 	if err != nil {
 		t.Fatalf("%v: reopening the journal: %v", row, err)
@@ -392,6 +417,27 @@ func readOutputs(t *testing.T, fs interface{ ReadAll(string) ([]byte, error) }, 
 		}
 	}
 	return outs
+}
+
+// receivedRemote is a driver Client that records which attempts it answered.
+type receivedRemote struct {
+	*Client
+	mu  sync.Mutex
+	got map[attemptKey]bool
+}
+
+func (r *receivedRemote) RunRemote(phase string, task, attempt int, canceled func() bool) (*mapreduce.RemoteResult, error) {
+	rr, err := r.Client.RunRemote(phase, task, attempt, canceled)
+	r.mu.Lock()
+	r.got[attemptKey{Phase: phase, Task: task, Attempt: attempt}] = true
+	r.mu.Unlock()
+	return rr, err
+}
+
+func (r *receivedRemote) has(key attemptKey) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.got[key]
 }
 
 // runCounter counts the executions of each attempt across every worker.

@@ -74,7 +74,8 @@ func fileHeader() message {
 }
 
 // attemptKey identifies one submitted attempt — the idempotency key a
-// driver's re-sent run request rebinds on after a coordinator restart.
+// driver's re-sent run request rebinds on after a coordinator restart. A
+// delivery record is one: the attempt whose outcome reached the driver.
 type attemptKey struct {
 	Phase   string
 	Task    int
@@ -126,12 +127,6 @@ type evSettle struct {
 	Outcome storedOutcome
 }
 
-type evDeliver struct {
-	Phase   string
-	Task    int
-	Attempt int
-}
-
 // evPublish installs one map task's published output; a checkpoint lists the
 // segment store in the same form.
 type evPublish struct {
@@ -153,37 +148,31 @@ type evCheckpoint struct {
 	Segs       []evPublish
 }
 
-func (e evSettle) detach() (any, [][]byte) {
-	var b [][]byte
-	e.Outcome.Result = detachResult(e.Outcome.Result, &b)
-	e.Blobs = announce(b)
-	return e, b
+func (e evSettle) detach(b *[][]byte) announcer {
+	e.Outcome.Result = detachResult(e.Outcome.Result, b)
+	return &e
 }
 
 func (e *evSettle) fields() []*[]byte { return resultFields(nil, e.Outcome.Result) }
 
-func (e evPublish) detach() (any, [][]byte) {
-	var b [][]byte
-	e.Parts = detachParts(e.Parts, &b)
-	e.Blobs = announce(b)
-	return e, b
+func (e evPublish) detach(b *[][]byte) announcer {
+	e.Parts = detachParts(e.Parts, b)
+	return &e
 }
 
 func (e *evPublish) fields() []*[]byte { return partsFields(nil, e.Parts) }
 
 // A checkpoint's blobs are its outcomes' results, then its segments' parts.
-func (e evCheckpoint) detach() (any, [][]byte) {
-	var b [][]byte
+func (e evCheckpoint) detach(b *[][]byte) announcer {
 	e.Outcomes = slices.Clone(e.Outcomes)
 	for i := range e.Outcomes {
-		e.Outcomes[i].Result = detachResult(e.Outcomes[i].Result, &b)
+		e.Outcomes[i].Result = detachResult(e.Outcomes[i].Result, b)
 	}
 	e.Segs = slices.Clone(e.Segs)
 	for i := range e.Segs {
-		e.Segs[i].Parts = detachParts(e.Segs[i].Parts, &b)
+		e.Segs[i].Parts = detachParts(e.Segs[i].Parts, b)
 	}
-	e.Blobs = announce(b)
-	return e, b
+	return &e
 }
 
 func (e *evCheckpoint) fields() []*[]byte {
@@ -217,80 +206,79 @@ func newCoordState(ttl time.Duration) *coordState {
 	}
 }
 
+// decodeEvent decodes a journal record into a pointer to its event.
+func decodeEvent(m message) (any, error) {
+	var ev any
+	switch m.kind {
+	case jkBoot:
+		ev = new(evBoot)
+	case jkWorker:
+		ev = new(evWorker)
+	case jkGrant:
+		ev = new(evGrant)
+	case jkSettle:
+		ev = new(evSettle)
+	case jkDeliver:
+		ev = new(attemptKey)
+	case jkPublish:
+		ev = new(evPublish)
+	case jkCheckpoint:
+		ev = new(evCheckpoint)
+	default:
+		return nil, fmt.Errorf("clusterd: unknown journal record kind %d", m.kind)
+	}
+	return ev, m.decode(ev)
+}
+
 // apply folds one event, encoded as a journal record, into the state. Its
 // blobs become the state's byte fields as they are. Every branch is
 // idempotent: applying the same event again (or replaying any journal
 // prefix) converges on the same state. now is the application time, used
 // only for volatile deadlines.
 func (s *coordState) apply(m message, now time.Time) error {
-	switch m.kind {
-	case jkBoot:
-		var e evBoot
-		if err := m.decode(&e); err != nil {
-			return err
-		}
-		if e.Epoch > s.epoch {
-			s.epoch = e.Epoch
-		}
-	case jkWorker:
-		var e evWorker
-		if err := m.decode(&e); err != nil {
-			return err
-		}
-		if e.ID >= s.nextWorker {
-			s.nextWorker = e.ID + 1
-		}
-	case jkGrant:
-		var e evGrant
-		if err := m.decode(&e); err != nil {
-			return err
-		}
+	ev, err := decodeEvent(m)
+	if err != nil {
+		return err
+	}
+	switch e := ev.(type) {
+	case *evBoot:
+		s.epoch = max(s.epoch, e.Epoch)
+	case *evWorker:
+		s.nextWorker = max(s.nextWorker, e.ID+1)
+	case *evGrant:
 		s.leases.install(&e.Lease, now)
-	case jkSettle:
-		var e evSettle
-		if err := m.decode(&e); err != nil {
-			return err
-		}
+	case *evSettle:
 		if _, ok := s.leases.complete(e.Lease); ok {
-			o := e.Outcome
-			s.outcomes[o.key()] = &o
+			s.outcomes[e.Outcome.key()] = &e.Outcome
 		}
-	case jkDeliver:
-		var e evDeliver
-		if err := m.decode(&e); err != nil {
-			return err
+	case *attemptKey:
+		delete(s.outcomes, *e)
+	case *evPublish:
+		if !s.holdsPublish(e.MapTask, e.Attempt) {
+			s.segs[e.MapTask] = &segEntry{attempt: e.Attempt, parts: e.Parts}
 		}
-		delete(s.outcomes, attemptKey{Phase: e.Phase, Task: e.Task, Attempt: e.Attempt})
-	case jkPublish:
-		var e evPublish
-		if err := m.decode(&e); err != nil {
-			return err
-		}
-		if cur, ok := s.segs[e.MapTask]; ok && cur.attempt > e.Attempt {
-			return nil // never replace newer output with older
-		}
-		s.segs[e.MapTask] = &segEntry{attempt: e.Attempt, parts: e.Parts}
-	case jkCheckpoint:
-		var e evCheckpoint
-		if err := m.decode(&e); err != nil {
-			return err
-		}
-		ttl := s.leases.ttl
-		*s = *newCoordState(ttl)
+	case *evCheckpoint:
+		*s = *newCoordState(s.leases.ttl)
 		s.epoch = e.Epoch
 		s.nextWorker = e.NextWorker
 		s.leases.restore(e.NextLease, e.Leases, e.Grants, now)
 		for i := range e.Outcomes {
-			o := e.Outcomes[i]
-			s.outcomes[o.key()] = &o
+			s.outcomes[e.Outcomes[i].key()] = &e.Outcomes[i]
 		}
 		for _, seg := range e.Segs {
 			s.segs[seg.MapTask] = &segEntry{attempt: seg.Attempt, parts: seg.Parts}
 		}
-	default:
-		return fmt.Errorf("clusterd: unknown journal record kind %d", m.kind)
 	}
 	return nil
+}
+
+// holdsPublish reports whether the segment store already holds mapTask's
+// output from attempt or a later one. A publish it holds is not journaled
+// and not applied: newer output is never replaced with older, and the
+// re-send of a publish whose ack a crash lost adds no record.
+func (s *coordState) holdsPublish(mapTask, attempt int) bool {
+	cur, ok := s.segs[mapTask]
+	return ok && cur.attempt >= attempt
 }
 
 // checkpoint captures the full state as a single compacted record.
@@ -335,14 +323,11 @@ type journal struct {
 	// reaching cadence (checkpointEvery; tests shorten it) triggers compaction.
 	eventsSinceCkpt int
 	cadence         int
-	// onAppend, when non-nil, observes (records, bytes) for metrics.
-	onAppend     func(bytes int)
-	onCheckpoint func()
 }
 
-// crashHook, set only by tests, sees each appended record (kind, size) once
-// durable; an error it returns is the append's.
-var crashHook func(kind byte, size int64) error
+// crashHook, set only by tests, sees each appended record and its framed
+// size once durable; an error it returns is the append's.
+var crashHook func(m message, size int64) error
 
 // replayStats reports what opening a journal found.
 type replayStats struct {
@@ -406,16 +391,16 @@ func openJournal(path string, ttl time.Duration, now time.Time) (*journal, *coor
 }
 
 // replayInto reads records from f applying each to state, returning the
-// offset just past the last intact record. Record errors (torn tail, CRC
-// mismatch, a blob group cut short, bad header) end the replay without
-// failing it, dropping that record whole; a bad file header does fail — the
-// file is not a journal, or not one of this version.
+// offset just past the last intact record (f is read unbuffered, so that is
+// its offset after the record). Record errors (torn tail, CRC mismatch, a
+// blob group cut short, bad header) end the replay without failing it,
+// dropping that record whole; a bad file header does fail — the file is not
+// a journal, or not one of this version.
 func replayInto(f *os.File, state *coordState, stats *replayStats, now time.Time) (int64, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, err
 	}
-	cr := &countingReader{r: f}
-	m, err := readRecord(cr)
+	m, err := readRecord(f)
 	if err != nil {
 		return 0, fmt.Errorf("clusterd: journal %s has no header: %w", f.Name(), err)
 	}
@@ -426,10 +411,9 @@ func replayInto(f *os.File, state *coordState, stats *replayStats, now time.Time
 	if hdr.Magic != journalMagic {
 		return 0, fmt.Errorf("clusterd: journal %s is %q; this build reads only %q", f.Name(), hdr.Magic, journalMagic)
 	}
-	good := cr.n
-	for {
-		m, err := readRecord(cr)
-		if err != nil {
+	good, err := f.Seek(0, io.SeekCurrent)
+	for err == nil {
+		if m, err = readRecord(f); err != nil {
 			return good, nil // torn or corrupt tail: cut here
 		}
 		if err := state.apply(m, now); err != nil {
@@ -441,19 +425,9 @@ func replayInto(f *os.File, state *coordState, stats *replayStats, now time.Time
 		} else {
 			stats.Events++
 		}
-		good = cr.n
+		good, err = f.Seek(0, io.SeekCurrent)
 	}
-}
-
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+	return 0, err
 }
 
 // writeRecord appends one record — its header frame and blob frames, in one
@@ -466,25 +440,22 @@ func (j *journal) writeRecord(m message) (int64, error) {
 	if err := j.f.Sync(); err != nil {
 		return n, fmt.Errorf("clusterd: fsync journal: %w", err)
 	}
-	if j.onAppend != nil {
-		j.onAppend(int(n))
-	}
 	return n, nil
 }
 
-// append journals one encoded event. Once it returns nil the record is
-// durable and the caller applies it to the state; when due() turns true it
-// should follow with compact(state).
-func (j *journal) append(m message) error {
+// append journals one encoded event and returns its size. Once it returns
+// nil the record is durable and the caller applies it to the state; when
+// due() turns true it should follow with compact(state).
+func (j *journal) append(m message) (int64, error) {
 	n, err := j.writeRecord(m)
 	if err == nil && crashHook != nil {
-		err = crashHook(m.kind, n)
+		err = crashHook(m, n)
 	}
 	if err != nil {
-		return err
+		return 0, err
 	}
 	j.eventsSinceCkpt++
-	return nil
+	return n, nil
 }
 
 // due reports whether the compaction cadence has been reached.
@@ -524,9 +495,6 @@ func (j *journal) compact(state *coordState) error {
 	j.f.Close()
 	j.f = nf // nf's descriptor now backs the journal path
 	j.eventsSinceCkpt = 0
-	if j.onCheckpoint != nil {
-		j.onCheckpoint()
-	}
 	return nil
 }
 

@@ -41,7 +41,7 @@ func applyAndAppend(t *testing.T, j *journal, s *coordState, kind byte, ev any, 
 	if err := s.apply(m, now); err != nil {
 		t.Fatalf("apply kind %d: %v", kind, err)
 	}
-	if err := j.append(m); err != nil {
+	if _, err := j.append(m); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -196,7 +196,6 @@ func TestJournalCompactionKeepsReplaySmall(t *testing.T) {
 	applyAndAppend(t, j, live, jkBoot, evBoot{Epoch: 1}, now)
 	applyAndAppend(t, j, live, jkWorker, evWorker{ID: 0}, now)
 	compactions := 0
-	j.onCheckpoint = func() { compactions++ }
 	for task := 0; task < 10; task++ {
 		li := live.leases.next(0, 1, mapreduce.PhaseMap, task, 0, now)
 		applyAndAppend(t, j, live, jkGrant, evGrant{Lease: *li}, now)
@@ -204,6 +203,7 @@ func TestJournalCompactionKeepsReplaySmall(t *testing.T) {
 			if err := j.compact(live); err != nil {
 				t.Fatal(err)
 			}
+			compactions++
 		}
 	}
 	if compactions == 0 {
@@ -338,7 +338,7 @@ func TestReplayPrefixDeterminism(t *testing.T) {
 			case 7:
 				// Deliver a random orphan (or a key with no orphan: no-op).
 				for k := range live.outcomes {
-					emit(jkDeliver, evDeliver{Phase: k.Phase, Task: k.Task, Attempt: k.Attempt})
+					emit(jkDeliver, k)
 					break
 				}
 			case 8:
@@ -410,15 +410,6 @@ func TestJournalRefusesParentV1File(t *testing.T) {
 // yields testdata/parent.v2.journal.
 func transcodeJournal(t *testing.T, raw []byte) []byte {
 	t.Helper()
-	events := map[byte]func() any{
-		jkCheckpoint: func() any { return new(evCheckpoint) },
-		jkBoot:       func() any { return new(evBoot) },
-		jkWorker:     func() any { return new(evWorker) },
-		jkGrant:      func() any { return new(evGrant) },
-		jkSettle:     func() any { return new(evSettle) },
-		jkDeliver:    func() any { return new(evDeliver) },
-		jkPublish:    func() any { return new(evPublish) },
-	}
 	var out bytes.Buffer
 	fileHeader().writeTo(&out)
 	r := bytes.NewReader(raw)
@@ -430,8 +421,8 @@ func transcodeJournal(t *testing.T, raw []byte) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev := events[m.kind]()
-		if err := m.decode(ev); err != nil {
+		ev, err := decodeEvent(m)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if m, err = encodeMsg(m.kind, ev); err != nil {

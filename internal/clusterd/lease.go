@@ -100,7 +100,6 @@ func (t *leaseTable) install(li *leaseInfo, now time.Time) {
 		return // already applied (or already settled): never resurrect
 	}
 	cp := *li
-	cp.Granted = li.Granted
 	cp.Deadline = now.Add(t.ttl)
 	t.active[cp.ID] = &cp
 	t.nextID = cp.ID + 1
@@ -185,9 +184,7 @@ func (t *leaseTable) pick(sel selector) []*leaseInfo {
 // whose late result must be dropped.
 func (t *leaseTable) complete(id int) (li *leaseInfo, ok bool) {
 	li, ok = t.active[id]
-	if ok {
-		delete(t.active, id)
-	}
+	delete(t.active, id)
 	return li, ok
 }
 

@@ -492,14 +492,20 @@ func redial(role int64, stop context.Context, dial func() error) error {
 
 // A carrier is a message with byte fields: completeMsg, runResultMsg,
 // publishMsg and segDataMsg on the wire, evSettle, evPublish and
-// evCheckpoint in the journal. detach (value receiver) returns the copy its
+// evCheckpoint in the journal. detach (value receiver) appends the fields'
+// bytes, which travel as blob frames, to blobs and returns the copy its
 // header frame carries — every byte field nil, the slices that hold them
-// kept at full length, Blobs announcing them — and the fields' bytes, which
-// travel as blob frames; fields (pointer receiver) points at the byte fields
-// of a decoded header in the same order. A nil field stays distinct from an
-// empty one.
+// kept at full length — for encodeMsg to announce them in; fields (pointer
+// receiver) points at the byte fields of a decoded header in the same
+// order. A nil field stays distinct from an empty one.
 type carrier interface {
-	detach() (any, [][]byte)
+	detach(blobs *[][]byte) announcer
+}
+
+// announcer is a carrier's header copy, whose embedded blobList takes the
+// announcement.
+type announcer interface {
+	announce(blobs [][]byte)
 }
 
 // blobSink is a decoded carrier.
@@ -512,7 +518,9 @@ type blobSink interface {
 func encodeMsg(kind byte, v any) (message, error) {
 	m := message{kind: kind}
 	if c, ok := v.(carrier); ok {
-		v, m.blobs = c.detach()
+		h := c.detach(&m.blobs)
+		h.announce(m.blobs)
+		v = h
 	}
 	var err error
 	if m.header, err = json.Marshal(v); err != nil {
@@ -545,19 +553,14 @@ func (m message) decode(v any) error {
 	return nil
 }
 
-// announce is the Blobs member for a message's byte fields.
-func announce(blobs [][]byte) []int {
-	if len(blobs) == 0 {
-		return nil
-	}
-	lens := make([]int, len(blobs))
+// announce sets the Blobs member for a message's byte fields.
+func (l *blobList) announce(blobs [][]byte) {
+	l.Blobs = make([]int, len(blobs))
 	for i, b := range blobs {
-		lens[i] = len(b)
-		if b == nil {
-			lens[i] = -1
+		if l.Blobs[i] = len(b); b == nil {
+			l.Blobs[i] = -1
 		}
 	}
-	return lens
 }
 
 // detachResult returns the header copy of r and appends its byte fields
@@ -597,38 +600,31 @@ func partsFields(f []*[]byte, parts [][]byte) []*[]byte {
 	return f
 }
 
-func (m completeMsg) detach() (any, [][]byte) {
-	var b [][]byte
-	m.Result = detachResult(m.Result, &b)
-	m.Blobs = announce(b)
-	return m, b
+func (m completeMsg) detach(b *[][]byte) announcer {
+	m.Result = detachResult(m.Result, b)
+	return &m
 }
 
 func (m *completeMsg) fields() []*[]byte { return resultFields(nil, m.Result) }
 
-func (m runResultMsg) detach() (any, [][]byte) {
-	var b [][]byte
-	m.Result = detachResult(m.Result, &b)
-	m.Blobs = announce(b)
-	return m, b
+func (m runResultMsg) detach(b *[][]byte) announcer {
+	m.Result = detachResult(m.Result, b)
+	return &m
 }
 
 func (m *runResultMsg) fields() []*[]byte { return resultFields(nil, m.Result) }
 
-func (m publishMsg) detach() (any, [][]byte) {
-	var b [][]byte
-	m.Parts = detachParts(m.Parts, &b)
-	m.Blobs = announce(b)
-	return m, b
+func (m publishMsg) detach(b *[][]byte) announcer {
+	m.Parts = detachParts(m.Parts, b)
+	return &m
 }
 
 func (m *publishMsg) fields() []*[]byte { return partsFields(nil, m.Parts) }
 
-func (m segDataMsg) detach() (any, [][]byte) {
-	b := [][]byte{m.Data}
+func (m segDataMsg) detach(b *[][]byte) announcer {
+	*b = append(*b, m.Data)
 	m.Data = nil
-	m.Blobs = announce(b)
-	return m, b
+	return &m
 }
 
 func (m *segDataMsg) fields() []*[]byte { return []*[]byte{&m.Data} }
