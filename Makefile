@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race crash-enum mutants bench bench-all bench-gate bench-e2e bench-claim docs e14 e15 e16 e17
+.PHONY: check build vet test race crash-enum mutants fuzz-smoke bench bench-all bench-gate bench-e2e bench-claim docs e14 e15 e16 e17
 
 # The full gate: compile everything, check docs and formatting, vet, run the
 # test suite under the race detector (the attempt scheduler and fault tests
@@ -13,7 +13,8 @@ GO ?= go
 # segment cache (e17). The mutation gate runs after the race suite: the
 # engine's configuration lattice, or the oracle a patch names (the product
 # lattice for the query tables), must kill every patch under scripts/mutants.
-check: build docs vet race crash-enum mutants bench-gate bench-e2e e14 e15 e16 e17
+# Last, every fuzz target runs for 15 seconds.
+check: build docs vet race crash-enum mutants bench-gate bench-e2e e14 e15 e16 e17 fuzz-smoke
 
 # E14: worker-kill soak — a coordinator plus three real worker subprocesses,
 # scheduled SIGKILLs mid-map and mid-reduce; the killed run must verify and
@@ -83,6 +84,30 @@ crash-enum:
 # one (~5 min).
 mutants:
 	@sh scripts/mutants.sh
+
+# The fuzz smoke: each fuzz target for 15 seconds past its seed corpus (which
+# plain `go test` runs). The control plane's two targets share one
+# structure-aware harness that frames its records with valid CRCs
+# (internal/clusterd/fuzz_test.go).
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzRoundTrip -fuzztime=15s ./internal/predictor/
+	$(GO) test -run='^$$' -fuzz=FuzzEquivalence -fuzztime=15s ./internal/predictor/
+	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=15s ./internal/ifile/
+	$(GO) test -run='^$$' -fuzz=FuzzRawCompare -fuzztime=15s ./internal/keys/
+	$(GO) test -run='^$$' -fuzz=FuzzSpillSortOrder -fuzztime=15s ./internal/mapreduce/
+	$(GO) test -run='^$$' -fuzz=FuzzMergeOrder -fuzztime=15s ./internal/mapreduce/
+	$(GO) test -run='^$$' -fuzz=FuzzGroupReduceByWords -fuzztime=15s ./internal/mapreduce/
+	$(GO) test -run='^$$' -fuzz=FuzzConfigLattice -fuzztime=15s ./internal/mapreduce/
+	$(GO) test -run='^$$' -fuzz=FuzzFlushEquivalence -fuzztime=15s ./internal/aggregate/
+	$(GO) test -run='^$$' -fuzz=FuzzAggSplitEquivalence -fuzztime=15s ./internal/scihadoop/
+	$(GO) test -run='^$$' -fuzz=FuzzWindowIndexEquivalence -fuzztime=15s ./internal/scihadoop/
+	$(GO) test -run='^$$' -fuzz=FuzzBoxFlushEquivalence -fuzztime=15s ./internal/boxagg/
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=15s ./internal/netcdf/
+	$(GO) test -run='^$$' -fuzz=FuzzBlockRoundTrip -fuzztime=15s ./internal/codec/
+	$(GO) test -run='^$$' -fuzz=FuzzWire -fuzztime=15s ./internal/clusterd/
+	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=15s ./internal/clusterd/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=15s ./internal/queryd/
+	$(GO) test -run='^$$' -fuzz=FuzzQuerySpec -fuzztime=15s ./internal/queryd/
 
 # The shuffle/transform hot-path benchmarks tracked across PRs. Results land
 # in BENCH_shuffle.json with the committed baseline's numbers embedded per

@@ -43,7 +43,7 @@ func (r *stubRunner) Run(ctx context.Context, phase string, task, attempt int, f
 
 // dialClient connects a driver Client to c the way scijob and bench/ do; it
 // is closed (before the coordinator) when the test ends.
-func dialClient(t *testing.T, c *Coordinator) *Client {
+func dialClient(t testing.TB, c *Coordinator) *Client {
 	t.Helper()
 	cl, err := Dial(ClientConfig{Addr: c.Addr()})
 	if err != nil {
@@ -56,7 +56,7 @@ func dialClient(t *testing.T, c *Coordinator) *Client {
 // startCluster boots a coordinator on a fresh journal, a dialed driver
 // Client and n workers sharing one stub runner; everything stops when the
 // test ends.
-func startCluster(t *testing.T, cfg Config, n int, runner Runner) (*Coordinator, *Client, []*Worker) {
+func startCluster(t testing.TB, cfg Config, n int, runner Runner) (*Coordinator, *Client, []*Worker) {
 	t.Helper()
 	cfg.Journal = filepath.Join(t.TempDir(), "coord.journal")
 	c, err := Start(cfg)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net"
 	"os"
@@ -45,6 +46,15 @@ func TestMain(m *testing.M) {
 	}
 	if addr := os.Getenv(e2eCoordEnv); addr != "" {
 		os.Exit(runE2ECoord(addr, os.Getenv(e2eJournalEnv), os.Getenv(e2eFaultsEnv)))
+	}
+	// The fuzzer minimizes each input that widens coverage before adding it
+	// to the corpus, with O(n²) runs of the target for n input bytes. At the
+	// default 60 s, a kilobyte input of journal records holds its worker for
+	// the whole budget, and a 30 s run adds nothing. Here the default is 1 s;
+	// -fuzzminimizetime on the command line still overrides it.
+	if err := flag.Set("test.fuzzminimizetime", "1s"); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	os.Exit(m.Run())
 }

@@ -279,6 +279,26 @@ func (r *reader) name() string {
 	return s
 }
 
+// Minimum encoded sizes of the header's list elements: a dimension (name
+// length, length), an attribute (name length, type, count), a variable (name
+// length, dimension count, absent attribute list, type, vsize, begin), and a
+// dimension reference or an NC_INT value.
+const minDim, minAttr, minVar, minWord = 8, 12, 28, 4
+
+// bounded returns the element count n, or fails the read when n is negative
+// or the bytes that remain cannot hold n elements of at least minSize bytes
+// each, before anything is allocated for them: a header's counts are claims,
+// not sizes.
+func (r *reader) bounded(what string, n, minSize int) int {
+	if r.err == nil && (n < 0 || n > (len(r.b)-r.pos)/minSize) {
+		r.err = fmt.Errorf("netcdf: implausible %s count %d with %d header bytes left", what, n, len(r.b)-r.pos)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
 func (r *reader) attrs() []Attr {
 	tag := r.u32()
 	count := int(r.u32())
@@ -292,6 +312,7 @@ func (r *reader) attrs() []Attr {
 		r.err = fmt.Errorf("netcdf: expected attribute tag, got %#x", tag)
 		return nil
 	}
+	count = r.bounded("attribute", count, minAttr)
 	out := make([]Attr, 0, count)
 	for i := 0; i < count && r.err == nil; i++ {
 		a := Attr{Name: r.name()}
@@ -299,13 +320,14 @@ func (r *reader) attrs() []Attr {
 		n := int(r.u32())
 		switch typ {
 		case ncChar:
-			if r.pos+n+pad4(n) > len(r.b) {
+			if n = r.bounded("character", n, 1); r.pos+n+pad4(n) > len(r.b) {
 				r.err = io.ErrUnexpectedEOF
 				return nil
 			}
 			a.Text = string(r.b[r.pos : r.pos+n])
 			r.pos += n + pad4(n)
 		case ncInt:
+			n = r.bounded("value", n, minWord)
 			for j := 0; j < n; j++ {
 				a.Values = append(a.Values, int32(r.u32()))
 			}
@@ -324,10 +346,19 @@ func Parse(b []byte) (*File, error) {
 		return nil, err
 	}
 	for _, v := range f.Vars {
-		n := v.NumCells(f)
-		end := v.begin + n*4
-		if v.begin < 0 || end > int64(len(b)) {
-			return nil, fmt.Errorf("netcdf: variable %s payload [%d,%d) outside file", v.Name, v.begin, end)
+		// The cell count is a product of dimension lengths: it is held to
+		// the cells the file has left after begin as it is formed, so it
+		// cannot overflow to a count that fits.
+		n, limit := int64(1), (int64(len(b))-v.begin)/4
+		for _, s := range v.Shape(f) {
+			if n > limit/int64(s) {
+				n = limit + 1
+				break
+			}
+			n *= int64(s)
+		}
+		if v.begin < 0 || n > limit {
+			return nil, fmt.Errorf("netcdf: variable %s payload at %d does not fit the file", v.Name, v.begin)
 		}
 		v.Int32s = make([]int32, n)
 		for i := int64(0); i < n; i++ {
@@ -356,6 +387,7 @@ func ParseHeader(b []byte) (*File, error) {
 	tag := r.u32()
 	count := int(r.u32())
 	if tag == tagDimension {
+		count = r.bounded("dimension", count, minDim)
 		for i := 0; i < count && r.err == nil; i++ {
 			d := Dim{Name: r.name(), Len: int(r.u32())}
 			if d.Len == 0 {
@@ -370,9 +402,10 @@ func ParseHeader(b []byte) (*File, error) {
 	tag = r.u32()
 	count = int(r.u32())
 	if tag == tagVariable {
+		count = r.bounded("variable", count, minVar)
 		for i := 0; i < count && r.err == nil; i++ {
 			v := &Var{Name: r.name()}
-			nd := int(r.u32())
+			nd := r.bounded("dimension reference", int(r.u32()), minWord)
 			for j := 0; j < nd; j++ {
 				id := int(r.u32())
 				if id < 0 || id >= len(f.Dims) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -184,6 +185,50 @@ func TestParseErrors(t *testing.T) {
 	bad.Vars = append(bad.Vars, &Var{Name: "v", Dims: []int{0}, Int32s: make([]int32, 3)})
 	if _, err := bad.WriteTo(&bytes.Buffer{}); err == nil {
 		t.Error("size mismatch must fail")
+	}
+}
+
+// TestParseRefusesImplausibleCounts: a header's counts are claims. The first
+// case, 48 bytes that FuzzParse found (its seed since), declares one variable
+// over 0x39393900 dimensions; ParseHeader kept appending dimension 0 after
+// the bytes ran out, until the host killed it at gigabytes. Every count is
+// now held to what the bytes left can hold before anything is allocated for
+// it, and so is a payload's cell count, a product of dimension lengths that
+// can overflow to a negative (a panic in make) or to zero (a variable of
+// 2⁶⁴ cells read as none).
+func TestParseRefusesImplausibleCounts(t *testing.T) {
+	be := func(words ...uint32) []byte {
+		b := []byte("CDF\x01")
+		for _, w := range words {
+			b = binary.BigEndian.AppendUint32(b, w)
+		}
+		return b
+	}
+	const huge = 0x39393900
+	cases := map[string][]byte{
+		"dimension references": be(0, tagDimension, 1, 0, 3, 0, 0, tagVariable, 1, 0, huge),
+		"dimensions":           be(0, tagDimension, huge),
+		"global attributes":    be(0, 0, 0, tagAttribute, huge),
+		"attribute values":     be(0, 0, 0, tagAttribute, 1, 0, ncInt, huge),
+		"attribute characters": be(0, 0, 0, tagAttribute, 1, 0, ncChar, huge),
+		"variables":            be(0, 0, 0, 0, 0, tagVariable, huge),
+		"variable attributes":  be(0, 0, 0, 0, 0, tagVariable, 1, 0, 0, tagAttribute, huge),
+		"cells overflowing to a negative": be(0, tagDimension, 2, 0, math.MaxUint32, 0, math.MaxUint32, 0, 0,
+			tagVariable, 1, 0, 2, 0, 1, 0, 0, ncInt, 0, 0),
+		"cells overflowing to zero": be(0, tagDimension, 1, 0, 1<<16, 0, 0,
+			tagVariable, 1, 0, 4, 0, 0, 0, 0, 0, 0, ncInt, 0, 0),
+	}
+	for name, b := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(b)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a %d-byte header parsed", name, len(b))
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("%s: parsing %d bytes allocated %d", name, len(b), n)
+		}
 	}
 }
 
